@@ -1,7 +1,7 @@
 """Exact verification toolkit for cluster-chain stabilizer models.
 
 Symbolic Pauli-group algebra over bitmask pairs, CZ-circuit Clifford
-conjugation, matrix-free exact diagonalization, and verification suites for
+conjugation, sparse exact diagonalization, and verification suites for
 the twofold Z2 symmetry protecting the fourfold edge degeneracy of the open
 cluster chain, plus a coupling scan of the Ising-perturbed model.
 """
@@ -17,8 +17,8 @@ from .clifford import (CzCircuit, conjugate_circuit, conjugate_cz,
 from .engine import (SpectrumResult, StateVector, apply, build_cluster_state,
                      cz_diagonal, dense_matrix, eig_low, expectation,
                      gram_matrix, ground_projector, has_real_matrix,
-                     pauli_matrix, resolve_sectors, splitting_class,
-                     subspace_distance)
+                     operator_matrix, pauli_matrix, resolve_sectors,
+                     splitting_class, subspace_distance)
 from .errors import (ConvergenceError, DomainError, LengthMismatchError,
                      ResourceLimitError)
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
@@ -47,10 +47,10 @@ __all__ = [
     "global_symmetry_pair", "gram_matrix", "ground_projector",
     "has_real_matrix", "ising_perturbation", "local_symmetry",
     "local_symmetry_pair", "longest_string_sites", "multiply",
-    "parity_and_timereversal", "pauli_matrix", "perturbed_hamiltonian",
-    "phase_scan", "printed_global_string", "registry_manifest",
-    "resolve_sectors", "spin_flip_symmetries", "splitting_class",
-    "stabilizer", "string_order", "string_order_operator",
+    "operator_matrix", "parity_and_timereversal", "pauli_matrix",
+    "perturbed_hamiltonian", "phase_scan", "printed_global_string",
+    "registry_manifest", "resolve_sectors", "spin_flip_symmetries",
+    "splitting_class", "stabilizer", "string_order", "string_order_operator",
     "subspace_distance", "transition_estimate", "verify_stabilizer_algebra",
     "weight_support",
 ]

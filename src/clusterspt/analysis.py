@@ -35,7 +35,8 @@ from .engine import (StateVector, apply, build_cluster_state, eig_low,
 from .errors import DomainError
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      cross_check_global, ising_perturbation,
-                     perturbed_hamiltonian, spin_flip_symmetries, stabilizer)
+                     local_symmetry_pair, perturbed_hamiltonian,
+                     printed_global_string, spin_flip_symmetries, stabilizer)
 from .pauli import OperatorSum, PauliString, commutator
 
 _LETTERS = ("X", "Y", "Z")
@@ -177,35 +178,24 @@ def default_probe_set(lattice: LatticeSpec) -> dict:
     return probes
 
 
-def certify_protection(model, probes: dict | None = None,
-                       numeric: bool = True,
-                       rng=None, max_probes: int | None = None,
-                       tamper: str | None = None,
-                       local_only: bool = False) -> ProtectionReport:
-    """Audit every probe against a protecting symmetry pair.
+def symmetry_pair_algebra(model: ModelSpec, tamper: str | None = None,
+                          local_only: bool = False) -> tuple:
+    """The protecting pair T_s = (A_s + B_s) / sqrt(2) and its algebra:
+    returns (t1, t2, {identity name: holds}) for seven identities.
 
-    Symbolic part: commutation of each probe with H and with each T_s, and
-    the symmetry algebra itself (squares, mutual commutation).  Numeric part
-    (dense sizes only): the first-order splitting matrix of each probe over
-    the fourfold ground space.  `tamper` swaps one symmetry half for its
-    literal printed form so the report's failure path can be exercised.
-    `local_only` audits against the edge-localized pair instead, which exists
-    for every open chain with at least 4 sites.
+    `local_only` takes the edge-localized halves (open chains of >= 4 sites)
+    instead of the extensive ones; `tamper` swaps one extensive half for its
+    literal printed form so the failure path can be exercised.
     """
-    if isinstance(model, LatticeSpec):
-        model = build_model(model)
     lattice = model.lattice
     L = lattice.length
     reg = model.registry
-    h = reg["H_C"]
-    sqrt2 = np.sqrt(2.0)
     if local_only:
         if tamper is not None:
             raise DomainError("tamper targets the extensive symmetry forms")
         if not (lattice.is_open and L >= 4):
             raise DomainError(
                 "edge-localized audit needs an open chain with >= 4 sites")
-        from .models import local_symmetry_pair
         p1 = local_symmetry_pair(1, lattice)
         p2 = local_symmetry_pair(2, lattice)
         halves = {"A1": OperatorSum.from_pauli(p1[0]),
@@ -215,18 +205,19 @@ def certify_protection(model, probes: dict | None = None,
     else:
         if not lattice.supports_global_symmetry():
             raise DomainError(
-                "protection audit needs an open chain with length in "
-                "{9,15,21,...}")
+                "the extensive symmetry pair needs an open chain with length "
+                "in {9,15,21,...}")
         halves = {name: reg[name] for name in ("A1", "B1", "A2", "B2")}
         if tamper is not None:
             if tamper not in halves:
                 raise DomainError("tamper target must be one of A1,B1,A2,B2")
-            from .models import printed_global_string
             halves[tamper] = OperatorSum.from_pauli(
                 printed_global_string(tamper, lattice))
+    sqrt2 = np.sqrt(2.0)
     t1 = (halves["A1"] + halves["B1"]) / sqrt2
     t2 = (halves["A2"] + halves["B2"]) / sqrt2
 
+    h = reg["H_C"]
     ident = OperatorSum.identity(L)
     algebra = {
         "t1_commutes_h": commutator(h, t1).is_zero,
@@ -239,6 +230,28 @@ def certify_protection(model, probes: dict | None = None,
                               + halves["B2"] @ halves["A2"]).is_zero,
         "t1_t2_commute": commutator(t1, t2).is_zero,
     }
+    return t1, t2, algebra
+
+
+def certify_protection(model, probes: dict | None = None,
+                       numeric: bool = True,
+                       rng=None, max_probes: int | None = None,
+                       tamper: str | None = None,
+                       local_only: bool = False) -> ProtectionReport:
+    """Audit every probe against a protecting symmetry pair.
+
+    Symbolic part: commutation of each probe with H and with each T_s, and
+    the symmetry algebra itself (symmetry_pair_algebra, which also reads
+    `tamper` and `local_only`).  Numeric part (dense sizes only): the
+    first-order splitting matrix of each probe over the fourfold ground
+    space.
+    """
+    if isinstance(model, LatticeSpec):
+        model = build_model(model)
+    lattice = model.lattice
+    L = lattice.length
+    h = model.registry["H_C"]
+    t1, t2, algebra = symmetry_pair_algebra(model, tamper, local_only)
 
     if probes is None:
         probes = default_probe_set(lattice)

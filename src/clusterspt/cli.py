@@ -23,13 +23,13 @@ import time
 import numpy as np
 
 from . import engine
-from .analysis import (certify_protection, phase_scan, transition_estimate,
-                       verify_stabilizer_algebra)
+from .analysis import (certify_protection, phase_scan, symmetry_pair_algebra,
+                       transition_estimate, verify_stabilizer_algebra)
 from .errors import (ConvergenceError, DomainError, LengthMismatchError,
                      ResourceLimitError)
 from .models import (LatticeSpec, build_model, cross_check_global,
-                     perturbed_hamiltonian, printed_global_string)
-from .pauli import OperatorSum, PauliString, commutator
+                     perturbed_hamiltonian)
+from .pauli import OperatorSum, PauliString
 
 SCHEMA_VERSION = 1
 SIZE_CAP = 24
@@ -129,31 +129,7 @@ def cmd_verify(args):
     ok = report.passed
 
     if args.global_symmetry or args.tamper:
-        if not lattice.supports_global_symmetry():
-            raise DomainError(
-                "--global-symmetry needs an open chain with --size in "
-                "{9,15,21,...}")
-        model = build_model(lattice)
-        halves = {n: model.registry[n] for n in ("A1", "B1", "A2", "B2")}
-        if args.tamper:
-            halves[args.tamper] = OperatorSum.from_pauli(
-                printed_global_string(args.tamper, lattice))
-        sqrt2 = np.sqrt(2.0)
-        t1 = (halves["A1"] + halves["B1"]) / sqrt2
-        t2 = (halves["A2"] + halves["B2"]) / sqrt2
-        h = model.registry["H_C"]
-        ident = OperatorSum.identity(lattice.length)
-        algebra = {
-            "t1_commutes_h": commutator(h, t1).is_zero,
-            "t2_commutes_h": commutator(h, t2).is_zero,
-            "t1_squares_to_identity": (t1 @ t1).allclose(ident),
-            "t2_squares_to_identity": (t2 @ t2).allclose(ident),
-            "a1_b1_anticommute": (halves["A1"] @ halves["B1"]
-                                  + halves["B1"] @ halves["A1"]).is_zero,
-            "a2_b2_anticommute": (halves["A2"] @ halves["B2"]
-                                  + halves["B2"] @ halves["A2"]).is_zero,
-            "t1_t2_commute": commutator(t1, t2).is_zero,
-        }
+        algebra = symmetry_pair_algebra(build_model(lattice), args.tamper)[2]
         results["global_symmetry"] = {
             "algebra": algebra,
             "tamper": args.tamper,

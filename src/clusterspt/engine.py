@@ -1,19 +1,23 @@
-"""Numerical backend: states, matrix-free operator action, low spectra,
-degeneracy clusters, and ground-space projections.
+"""Numerical backend: states, the operator matrix, low spectra, degeneracy
+clusters, and ground-space projections.
 
 Basis convention: computational basis |b_1 b_2 ... b_L> with site 1 as the
 most significant bit of the index.  A term X^x Z^z acts on a basis index b as
-a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so operator
-application never materializes a matrix.  All golden values depend on this
-ordering.
+a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
+sum is a sum of signed permutations.  `operator_matrix` assembles it once as
+a sparse CSR matrix, and every numeric path (application, dense form,
+eigensolvers, projections) works on that matrix.  All golden values depend
+on this ordering.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .clifford import CzCircuit
@@ -29,6 +33,11 @@ APPLY_SITE_CAP = 24
 CLUSTER_RTOL = 1e-8
 
 RESIDUAL_RTOL = 1e-9
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _as_sum(op) -> OperatorSum:
@@ -85,28 +94,47 @@ class StateVector:
         return f"StateVector(L={self.length}, norm={self.norm:.6f})"
 
 
+def operator_matrix(op) -> scipy.sparse.csr_array:
+    """Sparse CSR matrix of an operator sum, assembled from its masks.
+
+    Terms are grouped by x mask, so row b holds one entry per group: column
+    b ^ x with value sum_z c (-1)^popcount(z & (b ^ x)).  The data is float64
+    when has_real_matrix holds and complex128 otherwise.
+    """
+    op = _as_sum(op)
+    if op.length > APPLY_SITE_CAP:
+        raise ResourceLimitError(
+            f"operator matrices capped at {APPLY_SITE_CAP} sites, "
+            f"got {op.length}")
+    groups = {}
+    for (x, z), coeff in op.items():
+        groups.setdefault(x, []).append((z, coeff))
+    real = has_real_matrix(op)
+    dim = 1 << op.length
+    rows = np.arange(dim, dtype=np.int32)
+    indices = np.empty((dim, len(groups)), dtype=np.int32)
+    data = np.zeros((dim, len(groups)),
+                    dtype=np.float64 if real else np.complex128)
+    for k, x in enumerate(sorted(groups)):
+        cols = indices[:, k]
+        np.bitwise_xor(rows, x, out=cols)
+        for z, coeff in groups[x]:
+            signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+            data[:, k] += (coeff.real if real else coeff) * signs
+    # int32 offsets keep scipy from widening the column indices to int64
+    wide = dim * len(groups) >= 2**31
+    indptr = np.arange(dim + 1, dtype=np.int64 if wide else np.int32)
+    indptr *= len(groups)
+    return scipy.sparse.csr_array(
+        (data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+
+
 def apply(op, psi: StateVector) -> StateVector:
     """Exact linear action of an operator on a state (result unnormalized)."""
     op = _as_sum(op)
     if op.length != psi.length:
         raise LengthMismatchError("operator and state lengths differ")
-    if psi.length > APPLY_SITE_CAP:
-        raise ResourceLimitError(
-            f"apply supports up to {APPLY_SITE_CAP} sites, got {psi.length}")
-    dim = 1 << psi.length
-    idx = np.arange(dim, dtype=np.uint64)
-    out = np.zeros(dim, dtype=np.complex128)
-    src = psi.amps
-    for (x, z), coeff in op.items():
-        signed = src * coeff if z == 0 else np.where(
-            (np.bitwise_count(idx & np.uint64(z)) & 1).astype(bool),
-            -coeff * src, coeff * src)
-        if x == 0:
-            out += signed
-        else:
-            # b -> b ^ x is a bijection, so fancy assignment cannot collide
-            out[idx ^ np.uint64(x)] += signed
-    return StateVector(psi.length, out, copy=False)
+    return StateVector(psi.length, operator_matrix(op) @ psi.amps, copy=False)
 
 
 def expectation(psi: StateVector, op) -> complex:
@@ -116,30 +144,17 @@ def expectation(psi: StateVector, op) -> complex:
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of one Pauli string (test oracles and small systems)."""
-    if p.length > DENSE_SITE_CAP:
-        raise ResourceLimitError(
-            f"dense form capped at {DENSE_SITE_CAP} sites, got {p.length}")
-    dim = 1 << p.length
-    idx = np.arange(dim, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(p.z_mask)) & 1)
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[idx ^ np.uint64(p.x_mask), idx] = p.phase * signs
-    return m
+    return dense_matrix(p)
 
 
 def dense_matrix(op, cap: int = DENSE_SITE_CAP) -> np.ndarray:
-    """Dense matrix of an operator sum."""
+    """Dense matrix of an operator sum: float64 when has_real_matrix holds,
+    complex128 otherwise."""
     op = _as_sum(op)
     if op.length > cap:
         raise ResourceLimitError(
             f"dense form capped at {cap} sites, got {op.length}")
-    dim = 1 << op.length
-    idx = np.arange(dim, dtype=np.uint64)
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for (x, z), coeff in op.items():
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z)) & 1)
-        m[idx ^ np.uint64(x), idx] += coeff * signs
-    return m
+    return operator_matrix(op).toarray()
 
 
 def has_real_matrix(op, tol: float = 1e-12) -> bool:
@@ -228,8 +243,10 @@ def eig_low(h, count: int = 6, method: str = "auto",
     """Lowest `count` eigenpairs of a Hermitian operator sum.
 
     dense: full matrix, L <= 12.  iterative: implicitly restarted Lanczos on
-    the matrix-free kernel, L <= 24.  Every reported pair must satisfy
-    ||Hv - Ev|| <= 1e-9 * sum|coeff|.  The iterative path guarantees each
+    the CSR operator matrix, L <= 24.  A run whose memory estimate exceeds
+    physical memory raises ResourceLimitError before allocating anything.
+    Every reported pair must satisfy ||Hv - Ev|| <= 1e-9 * sum|coeff|.  The
+    iterative path guarantees each
     returned pair is a true eigenpair but, like any Krylov method, may return
     fewer copies of a highly degenerate level than exist; ask for enough
     eigenvalues (count comfortably above the expected multiplicity) or use
@@ -261,21 +278,26 @@ def eig_low(h, count: int = 6, method: str = "auto",
         if L > DENSE_SITE_CAP:
             raise ResourceLimitError("count too close to the full dimension")
 
+    # a wide Krylov subspace improves capture of degenerate multiplets
+    ncv = int(min(dim, max(4 * count + 1, 40)))
+    vectors = dim if method == "dense" else ncv
+    item = 8 if has_real_matrix(h) else 16
+    need = dim * (len({x for x, _ in h.items()}) * (item + 4) + vectors * item)
+    if need > _physical_memory():
+        raise ResourceLimitError(
+            f"{method} diagonalization of {L} sites needs about "
+            f"{need / 1e9:.1f} GB (CSR matrix plus {vectors} vectors), more "
+            f"than the {_physical_memory() / 1e9:.1f} GB of physical memory")
+
+    m = operator_matrix(h)
     if method == "dense":
-        m = dense_matrix(h)
-        if has_real_matrix(h):
-            m = m.real
-        vals, vecs = scipy.linalg.eigh(m, subset_by_index=[0, count - 1])
+        vals, vecs = scipy.linalg.eigh(m.toarray(),
+                                       subset_by_index=[0, count - 1])
     else:
-        linop = scipy.sparse.linalg.LinearOperator(
-            shape=(dim, dim),
-            matvec=lambda v: apply(h, StateVector(L, v, copy=False)).amps,
-            dtype=np.complex128)
-        # wide subspace improves capture of degenerate multiplets
-        ncv = int(min(dim, max(4 * count + 1, 40)))
-        try:
+        try:  # a fixed start vector keeps ARPACK's output deterministic
             vals, vecs = scipy.sparse.linalg.eigsh(
-                linop, k=count, which="SA", maxiter=maxiter, tol=0, ncv=ncv)
+                m, k=count, which="SA", maxiter=maxiter, tol=0, ncv=ncv,
+                v0=np.random.default_rng(0).standard_normal(dim))
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"Lanczos did not converge within {maxiter} iterations",
@@ -284,16 +306,12 @@ def eig_low(h, count: int = 6, method: str = "auto",
         vals, vecs = vals[order], vecs[:, order]
 
     vals = np.asarray(vals, dtype=float)
+    # before the complex cast: a real matrix times complex vectors copies
+    residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
     vecs = np.asarray(vecs, dtype=np.complex128)
 
     norm_h = h.norm_bound()
-    residuals = []
-    for i in range(vals.size):
-        v = vecs[:, i]
-        r = np.linalg.norm(apply(h, StateVector(L, v, copy=False)).amps
-                           - vals[i] * v)
-        residuals.append(r)
-    max_residual = float(max(residuals)) if residuals else 0.0
+    max_residual = float(residuals.max())
     if max_residual > RESIDUAL_RTOL * max(1.0, norm_h):
         raise ConvergenceError(
             f"residual {max_residual:.3e} exceeds "
@@ -324,14 +342,8 @@ def eig_low(h, count: int = 6, method: str = "auto",
 def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:
     """d x d matrix <v_a|O|v_b> over the ground cluster: the first-order
     splitting matrix of degenerate perturbation theory."""
-    basis = spectrum.ground_basis
-    d = len(basis)
-    m = np.zeros((d, d), dtype=np.complex128)
-    applied = [apply(op, v) for v in basis]
-    for a in range(d):
-        for b in range(d):
-            m[a, b] = basis[a].inner(applied[b])
-    return m
+    basis = _as_columns(spectrum.ground_basis)
+    return basis.conj().T @ (operator_matrix(op) @ basis)
 
 
 def splitting_class(m: np.ndarray, tol: float = 1e-10) -> str:
@@ -363,6 +375,7 @@ def resolve_sectors(spectrum: SpectrumResult, sym,
         return np.array([]), ()
     L = spectrum.states[0].length
     vec = np.column_stack([s.amps for s in spectrum.states])
+    sym = operator_matrix(sym)
     labels = np.zeros(n)
     i = 0
     while i < n:
@@ -370,10 +383,7 @@ def resolve_sectors(spectrum: SpectrumResult, sym,
         while j + 1 < n and vals[j + 1] - vals[i] <= atol:
             j += 1
         block = vec[:, i:j + 1]
-        applied = np.column_stack(
-            [apply(sym, StateVector(L, block[:, c], copy=False)).amps
-             for c in range(block.shape[1])])
-        sym_block = block.conj().T @ applied
+        sym_block = block.conj().T @ (sym @ block)
         eigvals, rot = np.linalg.eigh(sym_block)
         vec[:, i:j + 1] = block @ rot
         labels[i:j + 1] = eigvals

@@ -320,7 +320,6 @@ class ModelSpec:
 
     lattice: LatticeSpec
     hamiltonian: OperatorSum
-    basis_tag: str = "sigma"
     registry: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
@@ -365,7 +364,6 @@ def build_model(lattice: LatticeSpec, lam: float = 0.0) -> ModelSpec:
     return ModelSpec(
         lattice=lattice,
         hamiltonian=reg["H_C"] + reg["H_I"],
-        basis_tag="sigma",
         registry=MappingProxyType(reg),
     )
 
@@ -373,7 +371,7 @@ def build_model(lattice: LatticeSpec, lam: float = 0.0) -> ModelSpec:
 def registry_manifest(model: ModelSpec) -> str:
     """Deterministic text manifest of the registry, for golden-file tests."""
     lines = [f"# L={model.lattice.length} boundary={model.lattice.boundary} "
-             f"basis={model.basis_tag}"]
+             "basis=sigma"]
     for name in sorted(model.registry):
         op = model.registry[name]
         if op.is_zero:

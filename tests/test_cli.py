@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+from clusterspt import engine
 from clusterspt.cli import main
 
 
@@ -161,12 +163,15 @@ class TestScan:
 
     def test_deterministic_modulo_timings(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            assert main(["scan", "--size", "6", "--lambda", "0.9:1.1:0.1",
-                         "--out", str(path)]) == 0
-        da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        da.pop("timings"), db.pop("timings")
-        assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+        for argv in (["scan", "--size", "6", "--lambda", "0.9:1.1:0.1"],
+                     ["spectrum", "--size", "10", "--lambda", "0.3",
+                      "--method", "iterative"]):
+            for path in (a, b):
+                assert main(argv + ["--out", str(path)]) == 0
+            da, db = json.loads(a.read_text()), json.loads(b.read_text())
+            da.pop("timings"), db.pop("timings")
+            assert json.dumps(da, sort_keys=True) == \
+                json.dumps(db, sort_keys=True)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"
@@ -196,3 +201,16 @@ class TestUsage:
                 continue
             digits = token.lstrip("-0.").replace(".", "").rstrip("0")
             assert len(digits) <= 12, token
+
+
+class TestMemoryBudget:
+    def test_oversized_run_fails_early(self, capsys, monkeypatch):
+        # 24 x masks of 2^24 rows at 12 bytes, plus 40 float64 Lanczos vectors
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 7 << 30)
+        t0 = time.perf_counter()
+        assert main(["spectrum", "--size", "24", "--boundary", "periodic",
+                     "--method", "iterative"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "needs about 10.2 GB" in capsys.readouterr().err
+        assert main(["spectrum", "--size", "14", "--method",
+                     "iterative"]) == 0
