@@ -422,12 +422,17 @@ def _check_grid(grid: np.ndarray):
 def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
                method: str = "auto", eig_count: int = 12,
                sector_atol: float = 1e-8) -> ScanResult:
-    """Scan the perturbed model over a coupling grid.
+    """Scan the perturbed model H_C + lam * H_I over a coupling grid.
 
     Per coupling: low spectrum, raw and parity-tracked gaps, string order,
     nearest-neighbour YY correlator and parity expectation in the ground
-    state, plus a symbolic audit that the spin-flip parity commutes with the
-    Hamiltonian and that its matrix stays real (time-reversal witness).
+    state.  Once per scan, a symbolic audit that the spin-flip parity
+    commutes with the Hamiltonian and that its matrix stays real
+    (time-reversal witness); by linearity it covers H_C, and H_I when some
+    coupling is nonzero.  Up to the dense size cap (method auto or dense)
+    H_C and H_I are projected once into the translation x spin-flip sectors
+    and every coupling is a set of small dense solves with parity labels by
+    construction; otherwise each coupling runs eig_low and resolve_sectors.
     Scan points are independent; results are assembled in grid order.
     """
     grid = np.asarray(lam_grid, dtype=float)
@@ -439,7 +444,15 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     a, b = longest_string_sites(L)
     so_op = string_order_operator(lattice, a, b)
     n_bonds = len(lattice.bonds())
+    h_c = cluster_hamiltonian(lattice)
     yy_unit = ising_perturbation(lattice, 1.0)
+    parts = (h_c, yy_unit) if np.any(grid != 0.0) else (h_c,)
+    parity_ok = all(commutator(parity_op, op).is_zero for op in parts)
+    treal_ok = all(engine.has_real_matrix(op) for op in parts)
+    sectors = None
+    if method in ("auto", "dense") and L <= engine.DENSE_SITE_CAP:
+        sectors = engine.project_sectors((h_c, yy_unit), lattice.is_periodic)
+        norm_c, norm_i = h_c.norm_bound(), yy_unit.norm_bound()
 
     probe_ops = {}
     if probes:
@@ -459,17 +472,18 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     mult = np.zeros(n, dtype=int)
     exc_parities = []
     extras = {name: np.zeros(n) for name in probe_ops}
-    parity_ok = True
-    treal_ok = True
 
     for i, lam in enumerate(grid):
-        h = perturbed_hamiltonian(lattice, float(lam))
-        parity_ok = parity_ok and commutator(parity_op, h).is_zero
-        treal_ok = treal_ok and engine.has_real_matrix(h)
-
-        spect = eig_low(h, count=count, method=method)
-        labels, states = resolve_sectors(spect, parity_op, atol=sector_atol)
-        vals = spect.eigenvalues
+        if sectors is not None:
+            vals, labels, states = engine.sector_low(
+                sectors, (1.0, lam), count, norm_c + abs(lam) * norm_i,
+                atol=sector_atol)
+        else:
+            spect = eig_low(perturbed_hamiltonian(lattice, float(lam)),
+                            count=count, method=method)
+            labels, states = resolve_sectors(spect, parity_op,
+                                             atol=sector_atol)
+            vals = spect.eigenvalues
         gs = states[0]
 
         energy[i] = vals[0]

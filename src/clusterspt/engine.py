@@ -6,8 +6,10 @@ most significant bit of the index.  A term X^x Z^z acts on a basis index b as
 a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
 sum is a sum of signed permutations.  `operator_matrix` assembles it once as
 a sparse CSR matrix, and every numeric path (application, dense form,
-eigensolvers, projections) works on that matrix.  All golden values depend
-on this ordering.
+eigensolvers, projections) works on that matrix.  For operators that
+conserve the spin flip (and, on a ring, translation), `symmetry_sectors`
+and `project_sectors` split that matrix into small per-sector blocks.  All
+golden values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -237,6 +239,23 @@ def _cluster_width(e0: float, rtol: float) -> float:
     return rtol * max(1.0, abs(e0))
 
 
+def checked_residual(hv: np.ndarray, vecs: np.ndarray, vals: np.ndarray,
+                     norm_h: float) -> float:
+    """Largest residual ||Hv - Ev|| over the columns, given hv = H @ vecs.
+
+    Raises ConvergenceError when it exceeds RESIDUAL_RTOL * max(1, norm_h),
+    norm_h being sum|coeff| of H; every eigensolver path reports through here.
+    """
+    residuals = np.linalg.norm(hv - vecs * vals, axis=0)
+    worst = float(residuals.max())
+    bound = RESIDUAL_RTOL * max(1.0, norm_h)
+    if worst > bound:
+        raise ConvergenceError(
+            f"residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * "
+            f"max(1, ||H||) = {bound:.3e}", residuals=residuals)
+    return worst
+
+
 def eig_low(h, count: int = 6, method: str = "auto",
             cluster_rtol: float = CLUSTER_RTOL,
             maxiter: int = 20000) -> SpectrumResult:
@@ -245,10 +264,10 @@ def eig_low(h, count: int = 6, method: str = "auto",
     dense: full matrix, L <= 12.  iterative: implicitly restarted Lanczos on
     the CSR operator matrix, L <= 24.  A run whose memory estimate exceeds
     physical memory raises ResourceLimitError before allocating anything.
-    Every reported pair must satisfy ||Hv - Ev|| <= 1e-9 * sum|coeff|.  The
-    iterative path guarantees each
-    returned pair is a true eigenpair but, like any Krylov method, may return
-    fewer copies of a highly degenerate level than exist; ask for enough
+    Every reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL *
+    max(1, sum|coeff|) (see checked_residual).  The iterative path guarantees
+    each returned pair is a true eigenpair but, like any Krylov method, may
+    return fewer copies of a highly degenerate level than exist; ask for enough
     eigenvalues (count comfortably above the expected multiplicity) or use
     the dense path when exact multiplicities matter.
     """
@@ -307,16 +326,8 @@ def eig_low(h, count: int = 6, method: str = "auto",
 
     vals = np.asarray(vals, dtype=float)
     # before the complex cast: a real matrix times complex vectors copies
-    residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
+    max_residual = checked_residual(m @ vecs, vecs, vals, h.norm_bound())
     vecs = np.asarray(vecs, dtype=np.complex128)
-
-    norm_h = h.norm_bound()
-    max_residual = float(residuals.max())
-    if max_residual > RESIDUAL_RTOL * max(1.0, norm_h):
-        raise ConvergenceError(
-            f"residual {max_residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.1e} * ||H|| = {RESIDUAL_RTOL * norm_h:.3e}",
-            residuals=residuals)
 
     width = _cluster_width(vals[0], cluster_rtol)
     degeneracy = int(np.sum(vals <= vals[0] + width))
@@ -377,19 +388,158 @@ def resolve_sectors(spectrum: SpectrumResult, sym,
     vec = np.column_stack([s.amps for s in spectrum.states])
     sym = operator_matrix(sym)
     labels = np.zeros(n)
+    for c in _clusters(vals, atol):
+        block = vec[:, c]
+        sym_block = block.conj().T @ (sym @ block)
+        labels[c], rot = np.linalg.eigh(sym_block)
+        vec[:, c] = block @ rot
+    states = tuple(StateVector(L, vec[:, c], copy=True) for c in range(n))
+    return labels, states
+
+
+def _clusters(vals: np.ndarray, atol: float):
+    """Slices of ascending `vals` grouped into clusters: each cluster runs
+    from its first level up to the last within atol of it."""
+    n = vals.size
     i = 0
     while i < n:
         j = i
         while j + 1 < n and vals[j + 1] - vals[i] <= atol:
             j += 1
-        block = vec[:, i:j + 1]
-        sym_block = block.conj().T @ (sym @ block)
-        eigvals, rot = np.linalg.eigh(sym_block)
-        vec[:, i:j + 1] = block @ rot
-        labels[i:j + 1] = eigvals
+        yield slice(i, j + 1)
         i = j + 1
-    states = tuple(StateVector(L, vec[:, c], copy=True) for c in range(n))
-    return labels, states
+
+
+def symmetry_sectors(length: int, periodic: bool) -> list:
+    """Symmetry-adapted bases of the spin flip P = X_1...X_L and, on a ring,
+    the translation T that moves site i to site i+1.
+
+    Returns [(k, p, V)] for every nonempty sector: V is a sparse (2^L, d)
+    isometry whose columns are the normalized orbit sums
+    sum_{j,s} e^{-2 pi i k j / L} p^s T^j P^s |r> over orbit representatives
+    r (the smallest index in each orbit), so T V = e^{2 pi i k / L} V and
+    P V = p V.  Open chains carry P alone and report k = 0.  Sector
+    dimensions sum to 2^L.
+
+    On an index b (site 1 the most significant bit) P is b ^ (2^L - 1) and
+    T a rotation of the L bits one place toward the least significant end.
+    """
+    if length > APPLY_SITE_CAP:
+        raise ResourceLimitError(
+            f"symmetry sectors capped at {APPLY_SITE_CAP} sites, got {length}")
+    dim = 1 << length
+    full = dim - 1
+    shifts = length if periodic else 1
+
+    def images(b):
+        """Yield T^j P^s b for every group element g = 2j + s."""
+        for _ in range(shifts):
+            yield b
+            yield b ^ full
+            b = (b >> 1) | ((b & 1) << (length - 1))
+
+    rep = np.arange(dim, dtype=np.int64)
+    to_rep = np.zeros(dim, dtype=np.int64)     # the g with g b = rep(b)
+    for g, img in enumerate(images(rep.copy())):
+        smaller = img < rep
+        rep[smaller] = img[smaller]
+        to_rep[smaller] = g
+    reps, col = np.unique(rep, return_inverse=True)
+    orbit = np.bincount(col)
+    stabilizes = np.array(list(images(reps))) == reps   # (g, representative)
+    j_of, s_of = np.divmod(to_rep, 2)
+
+    sectors = []
+    for k in range(shifts):
+        twist = np.exp(2j * np.pi * k * np.arange(shifts) / length)
+        for p in (1, -1):
+            char = np.outer(twist, (1, p)).ravel()
+            # an orbit sum survives iff the character is trivial on the
+            # representative's stabilizer, where the sum is |stabilizer| > 0
+            alive = (char @ stabilizes).real > 0.5
+            d = int(alive.sum())
+            if d == 0:
+                continue
+            rows = alive[col]
+            new_col = np.cumsum(alive) - 1
+            data = (twist[j_of[rows]] * np.where(s_of[rows], p, 1)
+                    / np.sqrt(orbit[col[rows]]))
+            indptr = np.concatenate(([0], np.cumsum(rows)))
+            v = scipy.sparse.csr_array(
+                (data, new_col[col[rows]], indptr), shape=(dim, d))
+            sectors.append((k, p, v))
+    return sectors
+
+
+def project_sectors(ops, periodic: bool) -> list:
+    """Every operator of `ops` (one lattice) in every symmetry sector:
+    [(k, p, V, blocks)] with blocks[m] = V^H M_m V, M_m = operator_matrix.
+
+    The basis is guarded here, once per lattice: the sector dimensions must
+    sum to 2^L and M_m V = V blocks[m] must hold to 1e-12 * max(1,
+    sum|coeff|) in Frobenius norm for every operator, or ConvergenceError is
+    raised, since a leaky basis would silently drop levels from the spectrum.
+    """
+    L = ops[0].length
+    sectors = symmetry_sectors(L, periodic)
+    total = sum(v.shape[1] for _, _, v in sectors)
+    if total != 1 << L:
+        raise ConvergenceError(
+            f"symmetry sectors span {total} states, not 2^{L}")
+    mats = [operator_matrix(op) for op in ops]
+    out = []
+    for k, p, v in sectors:
+        vh = v.conj().T.tocsr()
+        blocks = []
+        for op, m in zip(ops, mats):
+            mv = m @ v
+            block = vh @ mv   # sparse, so the residual below stays sparse too
+            leak = np.linalg.norm((mv - v @ block).data)
+            if leak > 1e-12 * max(1.0, op.norm_bound()):
+                raise ConvergenceError(
+                    f"sector (k={k}, p={p:+d}) is not invariant: "
+                    f"||MV - VB|| = {leak:.3e}")
+            blocks.append(block.toarray())
+        out.append((k, p, v, blocks))
+    return out
+
+
+def sector_low(projected, coeffs, count: int, norm_h: float,
+               atol: float = 1e-8) -> tuple:
+    """Lowest `count` levels of H = sum_m coeffs[m] * op_m from the blocks of
+    project_sectors, one dense eigh per sector.
+
+    Returns (vals, labels, states) like eig_low's eigenvalues followed by
+    resolve_sectors: ascending energies, each level's spin-flip parity, and
+    the states V w.  Inside each cluster of levels within `atol` the labels
+    and states come in ascending parity, as resolve_sectors orders them.
+    A real H has conjugate blocks at momenta k and -k; when the block of
+    -k matches the conjugate of an already solved k, its solution is reused
+    conjugated instead of solved again.  Every pair passes checked_residual
+    against norm_h on its own block.
+    """
+    L = (projected[0][2].shape[0] - 1).bit_length()
+    solved, found = {}, []
+    for k, p, v, blocks in projected:
+        h = sum(c * b for c, b in zip(coeffs, blocks))
+        n = min(count, h.shape[0])
+        twin = solved.get((-k % L, p))
+        if twin is not None and (np.abs(h - twin[0].conj()).max()
+                                 <= 1e-13 * max(1.0, norm_h)):
+            e, w = twin[1], twin[2].conj()
+        else:
+            e, w = scipy.linalg.eigh(h, subset_by_index=[0, n - 1])
+        checked_residual(h @ w, w, e, norm_h)
+        solved[(k, p)] = (h, e, w)
+        found += [(e[c], p, v, w[:, c]) for c in range(n)]
+    found.sort(key=lambda level: level[0])
+    found = found[:count]
+    vals = np.array([level[0] for level in found])
+    for c in _clusters(vals, atol):
+        found[c] = sorted(found[c], key=lambda level: level[1])
+    labels = np.array([float(level[1]) for level in found])
+    states = tuple(StateVector(L, v @ w) for _, _, v, w in found)
+    return vals, labels, states
 
 
 def _as_columns(states) -> np.ndarray:
