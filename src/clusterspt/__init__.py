@@ -18,7 +18,7 @@ from .engine import (SpectrumResult, StateVector, apply, build_cluster_state,
                      cz_diagonal, dense_matrix, eig_low, expectation,
                      gram_matrix, ground_projector, has_real_matrix,
                      operator_matrix, pauli_matrix, resolve_sectors,
-                     splitting_class, subspace_distance, symmetry_sectors)
+                     splitting_class, subspace_distance)
 from .errors import (ConvergenceError, DomainError, LengthMismatchError,
                      ResourceLimitError)
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
@@ -51,6 +51,6 @@ __all__ = [
     "perturbed_hamiltonian", "phase_scan", "printed_global_string",
     "registry_manifest", "resolve_sectors", "spin_flip_symmetries",
     "splitting_class", "stabilizer", "string_order", "string_order_operator",
-    "subspace_distance", "symmetry_sectors", "transition_estimate",
-    "verify_stabilizer_algebra", "weight_support",
+    "subspace_distance", "transition_estimate", "verify_stabilizer_algebra",
+    "weight_support",
 ]

@@ -451,7 +451,10 @@ def symmetry_sectors(length: int, periodic: bool) -> list:
 
     sectors = []
     for k in range(shifts):
-        twist = np.exp(2j * np.pi * k * np.arange(shifts) / length)
+        phase = 2 * np.pi * k * np.arange(shifts) / length
+        # k = 0 and k = L/2 (every open-chain sector) have a real
+        # character, so their bases, blocks and solves stay real
+        twist = np.cos(phase) if 2 * k % length == 0 else np.exp(1j * phase)
         for p in (1, -1):
             char = np.outer(twist, (1, p)).ravel()
             # an orbit sum survives iff the character is trivial on the
@@ -514,23 +517,24 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
     the states V w.  Inside each cluster of levels within `atol` the labels
     and states come in ascending parity, as resolve_sectors orders them.
     A real H has conjugate blocks at momenta k and -k; when the block of
-    -k matches the conjugate of an already solved k, its solution is reused
-    conjugated instead of solved again.  Every pair passes checked_residual
-    against norm_h on its own block.
+    -k matches the conjugate of the solved block of k, its solution is
+    reused conjugated, which halves the complex solves.  Every pair passes
+    checked_residual against norm_h on its own block.
     """
     L = (projected[0][2].shape[0] - 1).bit_length()
     solved, found = {}, []
     for k, p, v, blocks in projected:
         h = sum(c * b for c, b in zip(coeffs, blocks))
         n = min(count, h.shape[0])
-        twin = solved.get((-k % L, p))
+        twin = solved.pop((-k % L, p), None)
         if twin is not None and (np.abs(h - twin[0].conj()).max()
                                  <= 1e-13 * max(1.0, norm_h)):
             e, w = twin[1], twin[2].conj()
         else:
             e, w = scipy.linalg.eigh(h, subset_by_index=[0, n - 1])
+            if -k % L != k:   # a complex block, whose twin may come later
+                solved[(k, p)] = (h, e, w)
         checked_residual(h @ w, w, e, norm_h)
-        solved[(k, p)] = (h, e, w)
         found += [(e[c], p, v, w[:, c]) for c in range(n)]
     found.sort(key=lambda level: level[0])
     found = found[:count]

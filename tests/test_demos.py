@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_all_five_demos_found():
-    assert len(DEMOS) == 5
+def test_demos_found():
+    assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

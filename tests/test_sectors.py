@@ -30,13 +30,16 @@ def translation_matrix(L):
                                         (3, "open"), (5, "open"), (8, "open")])
 def test_concatenated_sector_bases_are_unitary(L, boundary):
     lat = LatticeSpec(L, boundary)
-    sectors = cs.symmetry_sectors(L, lat.is_periodic)
+    sectors = engine.symmetry_sectors(L, lat.is_periodic)
     v = np.hstack([basis.toarray() for _, _, basis in sectors])
     assert v.shape == (1 << L, 1 << L)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(1 << L), atol=1e-13)
     parity = cs.dense_matrix(cs.spin_flip_symmetries(lat)[0])
     t = translation_matrix(L)
     for k, p, basis in sectors:
+        # a real character (k = 0 or L/2, every open-chain sector) keeps
+        # the basis, and so the blocks and their solves, real
+        assert (basis.dtype == np.float64) == (2 * k % L == 0)
         basis = basis.toarray()
         np.testing.assert_allclose(parity @ basis, p * basis, atol=1e-13)
         if lat.is_periodic:
