@@ -32,7 +32,7 @@ from . import engine
 from .engine import (StateVector, apply, build_cluster_state, eig_low,
                      expectation, ground_projector, resolve_sectors,
                      splitting_class, subspace_distance)
-from .errors import DomainError
+from .errors import DomainError, LengthMismatchError
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      cross_check_global, ising_perturbation,
                      local_symmetry_pair, perturbed_hamiltonian,
@@ -328,7 +328,11 @@ def string_order(psi: StateVector, a: int, b: int,
                  lattice: LatticeSpec | None = None) -> float:
     """Expectation of the nonlocal string between sites a and b."""
     lattice = lattice or LatticeSpec(psi.length, "open")
-    val = expectation(psi, string_order_operator(lattice, a, b))
+    return _real_string(expectation(psi, string_order_operator(lattice, a, b)))
+
+
+def _real_string(val: complex) -> float:
+    """A string-order expectation, which must come out real."""
     if abs(val.imag) > 1e-9:
         raise DomainError(f"string order came out complex: {val}")
     return float(val.real)
@@ -433,10 +437,17 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     H_C and H_I are projected once into the translation x spin-flip sectors
     and every coupling is a set of small dense solves with parity labels by
     construction; otherwise each coupling runs eig_low and resolve_sectors.
-    Scan points are independent; results are assembled in grid order.
+    The observables' matrices are built once per scan, so each coupling
+    measures them with one matrix-vector product each.  Scan points are
+    independent; results are assembled in grid order.
     """
     grid = np.asarray(lam_grid, dtype=float)
     _check_grid(grid)
+    if int(eig_count) < 1:
+        raise DomainError("count must be positive")
+    if not (np.isfinite(sector_atol) and sector_atol > 0):
+        raise DomainError(
+            f"sector tolerance must be finite and positive, got {sector_atol}")
     L = lattice.length
     dim = 1 << L
     count = int(min(eig_count, dim - 2)) if dim > 4 else dim
@@ -454,12 +465,17 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         sectors = engine.project_sectors((h_c, yy_unit), lattice.is_periodic)
         norm_c, norm_i = h_c.norm_bound(), yy_unit.norm_bound()
 
-    probe_ops = {}
+    probe_mats = {}
     if probes:
         for name, op in probes.items():
             if isinstance(op, str):
                 op = OperatorSum.from_pauli(PauliString.from_compact(op, L))
-            probe_ops[name] = op
+            if op.length != L:
+                raise LengthMismatchError(
+                    f"probe {name!r} acts on {op.length} sites, not {L}")
+            probe_mats[name] = engine.operator_matrix(op)
+    so_mat, yy_mat, par_mat = (engine.operator_matrix(op)
+                               for op in (so_op, yy_unit, parity_op))
 
     n = grid.size
     energy = np.zeros(n)
@@ -471,7 +487,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     gsp = np.zeros(n)
     mult = np.zeros(n, dtype=int)
     exc_parities = []
-    extras = {name: np.zeros(n) for name in probe_ops}
+    extras = {name: np.zeros(n) for name in probe_mats}
 
     for i, lam in enumerate(grid):
         if sectors is not None:
@@ -513,11 +529,12 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
             mult[i] = 0
             exc_parities.append(())
 
-        so[i] = string_order(gs, a, b, lattice)
-        yy[i] = float(expectation(gs, yy_unit).real) / n_bonds
-        par[i] = float(expectation(gs, parity_op).real)
-        for name, op in probe_ops.items():
-            extras[name][i] = float(expectation(gs, op).real)
+        amps = gs.amps
+        so[i] = _real_string(np.vdot(amps, so_mat @ amps))
+        yy[i] = np.vdot(amps, yy_mat @ amps).real / n_bonds
+        par[i] = np.vdot(amps, par_mat @ amps).real
+        for name, m in probe_mats.items():
+            extras[name][i] = np.vdot(amps, m @ amps).real
 
     crossings = _detect_crossings(grid, mult, exc_parities)
 

@@ -33,6 +33,7 @@ from .pauli import OperatorSum, PauliString
 
 SCHEMA_VERSION = 1
 SIZE_CAP = 24
+GRID_CAP = 10**6    # couplings in one --lambda grid
 
 
 def _fmt(x: float) -> float:
@@ -76,7 +77,12 @@ def _parse_grid(text: str) -> np.ndarray:
         return np.array([start])
     if step <= 0:
         raise DomainError("--lambda step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= GRID_CAP:   # checked before anything is allocated
+        raise DomainError(
+            f"--lambda {text!r} asks for {span + 1:.7g} couplings, more than "
+            f"the {GRID_CAP} a scan allows")
+    n = int(math.floor(span)) + 1
     return np.round(start + step * np.arange(n), 12)
 
 

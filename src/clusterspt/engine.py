@@ -5,11 +5,12 @@ Basis convention: computational basis |b_1 b_2 ... b_L> with site 1 as the
 most significant bit of the index.  A term X^x Z^z acts on a basis index b as
 a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
 sum is a sum of signed permutations.  `operator_matrix` assembles it once as
-a sparse CSR matrix, and every numeric path (application, dense form,
-eigensolvers, projections) works on that matrix.  For operators that
-conserve the spin flip (and, on a ring, translation), `symmetry_sectors`
-and `project_sectors` split that matrix into small per-sector blocks.  All
-golden values depend on this ordering.
+a sparse CSR matrix, and every full-space numeric path (application, dense
+form, eigensolvers, projections onto states) works on that matrix.  For
+operators that conserve the spin flip (and, on a ring, translation),
+`project_sectors` builds small per-sector blocks straight from the terms'
+action on the orbit representatives of `symmetry_sectors`, without the
+full matrix.  All golden values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ APPLY_SITE_CAP = 24
 CLUSTER_RTOL = 1e-8
 
 RESIDUAL_RTOL = 1e-9
+
+# Entry tolerance of the sector-basis check in project_sectors: the bases
+# are exact up to the rounding of their phases and square roots (at most
+# 3e-15 on rings and open chains of 3-16 sites).
+BASIS_ATOL = 1e-14
 
 
 def _physical_memory() -> int:
@@ -410,19 +416,22 @@ def _clusters(vals: np.ndarray, atol: float):
         i = j + 1
 
 
-def symmetry_sectors(length: int, periodic: bool) -> list:
-    """Symmetry-adapted bases of the spin flip P = X_1...X_L and, on a ring,
-    the translation T that moves site i to site i+1.
+def _rotate(b, length: int):
+    """The translation T (site i to site i+1) on basis indices or Pauli masks
+    b (site 1 the most significant bit): a rotation of the L bits one place
+    toward the least significant end."""
+    return (b >> 1) | ((b & 1) << (length - 1))
 
-    Returns [(k, p, V)] for every nonempty sector: V is a sparse (2^L, d)
-    isometry whose columns are the normalized orbit sums
-    sum_{j,s} e^{-2 pi i k j / L} p^s T^j P^s |r> over orbit representatives
-    r (the smallest index in each orbit), so T V = e^{2 pi i k / L} V and
-    P V = p V.  Open chains carry P alone and report k = 0.  Sector
-    dimensions sum to 2^L.
 
-    On an index b (site 1 the most significant bit) P is b ^ (2^L - 1) and
-    T a rotation of the L bits one place toward the least significant end.
+def _orbits(length: int, periodic: bool) -> tuple:
+    """Orbits of the basis indices under the translations T^j and the spin
+    flip P, on which P is b ^ (2^L - 1) (P alone on an open chain).
+
+    Returns (reps, size, orbit, j_of, s_of, stabilizes): the representatives
+    r (the smallest index of each orbit, ascending), the orbit sizes N_r,
+    orbit[b] the position of b's orbit in reps, the group element
+    g_b = T^j P^s with g_b b = r as j_of[b], s_of[b], and stabilizes[g, n],
+    whether the element g = 2j + s fixes reps[n].
     """
     if length > APPLY_SITE_CAP:
         raise ResourceLimitError(
@@ -436,20 +445,27 @@ def symmetry_sectors(length: int, periodic: bool) -> list:
         for _ in range(shifts):
             yield b
             yield b ^ full
-            b = (b >> 1) | ((b & 1) << (length - 1))
+            b = _rotate(b, length)
 
     rep = np.arange(dim, dtype=np.int64)
-    to_rep = np.zeros(dim, dtype=np.int64)     # the g with g b = rep(b)
+    to_rep = np.zeros(dim, dtype=np.int64)
     for g, img in enumerate(images(rep.copy())):
         smaller = img < rep
         rep[smaller] = img[smaller]
         to_rep[smaller] = g
-    reps, col = np.unique(rep, return_inverse=True)
-    orbit = np.bincount(col)
-    stabilizes = np.array(list(images(reps))) == reps   # (g, representative)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    stabilizes = np.array(list(images(reps))) == reps
     j_of, s_of = np.divmod(to_rep, 2)
+    return reps, np.bincount(orbit), orbit, j_of, s_of, stabilizes
 
-    sectors = []
+
+def _sector_rows(length: int, periodic: bool):
+    """Yield (k, p, col, val, reps) for every nonempty sector, row by row:
+    basis index b sits in column col[b] (-1 outside the sector) with entry
+    val[b] = chi(g_b) / sqrt(N_r), chi(T^j P^s) = e^{2 pi i k j / L} p^s,
+    and reps lists the columns' representatives in column order."""
+    reps, size, orbit, j_of, s_of, stabilizes = _orbits(length, periodic)
+    shifts = length if periodic else 1
     for k in range(shifts):
         phase = 2 * np.pi * k * np.arange(shifts) / length
         # k = 0 and k = L/2 (every open-chain sector) have a real
@@ -460,50 +476,173 @@ def symmetry_sectors(length: int, periodic: bool) -> list:
             # an orbit sum survives iff the character is trivial on the
             # representative's stabilizer, where the sum is |stabilizer| > 0
             alive = (char @ stabilizes).real > 0.5
-            d = int(alive.sum())
-            if d == 0:
+            if not alive.any():
                 continue
-            rows = alive[col]
-            new_col = np.cumsum(alive) - 1
-            data = (twist[j_of[rows]] * np.where(s_of[rows], p, 1)
-                    / np.sqrt(orbit[col[rows]]))
-            indptr = np.concatenate(([0], np.cumsum(rows)))
-            v = scipy.sparse.csr_array(
-                (data, new_col[col[rows]], indptr), shape=(dim, d))
-            sectors.append((k, p, v))
-    return sectors
+            col = np.where(alive, np.cumsum(alive) - 1, -1)[orbit]
+            val = np.where(col >= 0, twist[j_of] * np.where(s_of, p, 1)
+                           / np.sqrt(size[orbit]), 0)
+            yield k, p, col, val, reps[alive]
+
+
+def _basis(col: np.ndarray, val: np.ndarray, d: int) -> scipy.sparse.csr_array:
+    """The sparse (2^L, d) basis of one sector from its row form."""
+    rows = col >= 0
+    indptr = np.concatenate(([0], np.cumsum(rows)))
+    return scipy.sparse.csr_array((val[rows], col[rows], indptr),
+                                  shape=(col.size, d))
+
+
+def symmetry_sectors(length: int, periodic: bool) -> list:
+    """Symmetry-adapted bases of the spin flip P = X_1...X_L and, on a ring,
+    the translation T that moves site i to site i+1.
+
+    Returns [(k, p, V)] for every nonempty sector: V is a sparse (2^L, d)
+    isometry whose columns are the normalized orbit sums
+    sum_{j,s} e^{-2 pi i k j / L} p^s T^j P^s |r> over orbit representatives
+    r (the smallest index in each orbit), so T V = e^{2 pi i k / L} V and
+    P V = p V.  Open chains carry P alone and report k = 0.  Sector
+    dimensions sum to 2^L.
+    """
+    return [(k, p, _basis(col, val, reps.size))
+            for k, p, col, val, reps in _sector_rows(length, periodic)]
+
+
+def _implied_leak(op: OperatorSum, periodic: bool) -> float:
+    """sqrt(2^L) (||dc||_2 / (2 sin(pi/L)) + ||c_odd||_2): the bound on
+    ||M V - V B||_F that op's coefficients imply in every sector (see
+    project_sectors); dc is the coefficient change under T, on a ring only,
+    and c_odd holds the coefficients of odd z weight."""
+    L = op.length
+    terms = dict(op.items())
+    leak = np.sqrt(sum(abs(c) ** 2 for (_, z), c in terms.items()
+                       if z.bit_count() & 1))
+    if periodic:
+        moved = {(_rotate(x, L), _rotate(z, L)): c
+                 for (x, z), c in terms.items()}
+        dc = np.sqrt(sum(abs(moved.get(key, 0) - terms.get(key, 0)) ** 2
+                         for key in moved.keys() | terms.keys()))
+        if dc:
+            leak += dc / (2 * np.sin(np.pi / L))
+    return float(np.sqrt(1 << L) * leak)
+
+
+def _check_basis(k: int, p: int, col: np.ndarray, val: np.ndarray, d: int,
+                 periodic: bool) -> None:
+    """Raise ConvergenceError unless the row form of sector (k, p) is an
+    orthonormal eigenbasis with T V = e^{2 pi i k / L} V and P V = p V: unit
+    column norms, and b and its image under T (and P) in one column with
+    entries related by the eigenvalue, all to BASIS_ATOL."""
+    dim = col.size
+    b = np.arange(dim)
+    rows = col >= 0
+    norms = np.bincount(col[rows], np.abs(val[rows]) ** 2, d)
+    ok = np.abs(norms - 1.0).max() <= BASIS_ATOL
+    # P V = p V reads V[P b] = p V[b]; T V = e^{2 pi i k/L} V reads
+    # V[T b] = e^{-2 pi i k/L} V[b], T being the permutation b -> T b
+    moves = [(b ^ (dim - 1), p)]
+    if periodic:
+        L = dim.bit_length() - 1
+        moves.append((_rotate(b, L), np.exp(-2j * np.pi * k / L)))
+    for image, factor in moves:
+        ok = (ok and np.array_equal(col[image], col)
+              and np.abs(val[image] - factor * val).max() <= BASIS_ATOL)
+    if not ok:
+        raise ConvergenceError(
+            f"sector (k={k}, p={p:+d}) basis is not an orthonormal "
+            f"eigenbasis of the symmetries")
+
+
+def _block(terms: tuple, col: np.ndarray, val: np.ndarray,
+           reps: np.ndarray) -> np.ndarray:
+    """V^H M V of one sector from M's action on the representatives.
+
+    Column c holds the normalized orbit sum |c> of reps[c], so
+    <c'|M|c> = <c'|M|r> / conj(<r|c>) for r = reps[c], and a term
+    coeff X^x Z^z sends r to r ^ x with sign (-1)^popcount(z & r): every
+    term adds conj(val[r ^ x]) coeff (-1)^popcount(z & r) / conj(val[r]),
+    that is sqrt(N_r / N_r') conj(chi(g_{r ^ x})) coeff (-1)^popcount(z & r),
+    to the entry (col[r ^ x], c) when r ^ x lies in the sector.  Terms
+    that share an x mask land on one entry, where the scatter adds them.
+    """
+    x, z, coeff = terms
+    d = reps.size
+    dest = reps ^ x[:, None]               # one row per term
+    row = col[dest]
+    signs = 1.0 - 2.0 * (np.bitwise_count(reps & z[:, None]) & 1)
+    amp = coeff[:, None] * signs * val[dest].conj() / val[reps].conj()
+    keep = row >= 0
+    block = np.zeros(d * d, dtype=amp.dtype)
+    np.add.at(block, (row * d + np.arange(d))[keep], amp[keep])
+    return block.reshape(d, d)
+
+
+def _term_arrays(op: OperatorSum) -> tuple:
+    """(x masks, z masks, coefficients) of op's terms as arrays; the
+    coefficients are float64 when has_real_matrix holds."""
+    items = list(op.items())
+    x = np.array([x for (x, _), _ in items], dtype=np.int64)
+    z = np.array([z for (_, z), _ in items], dtype=np.int64)
+    coeff = np.array([c for _, c in items], dtype=np.complex128)
+    return x, z, coeff.real if has_real_matrix(op) else coeff
 
 
 def project_sectors(ops, periodic: bool) -> list:
     """Every operator of `ops` (one lattice) in every symmetry sector:
-    [(k, p, V, blocks)] with blocks[m] = V^H M_m V, M_m = operator_matrix.
+    [(k, p, V, blocks)] with blocks[m] = V^H M_m V, read off the operator's
+    action on the orbit representatives alone (see _block).  A block is
+    float64 exactly when its operator is real (has_real_matrix) and its
+    sector's character is real (2k = 0 mod L).
 
-    The basis is guarded here, once per lattice: the sector dimensions must
-    sum to 2^L and M_m V = V blocks[m] must hold to 1e-12 * max(1,
-    sum|coeff|) in Frobenius norm for every operator, or ConvergenceError is
-    raised, since a leaky basis would silently drop levels from the spectrum.
+    The result is guarded once per lattice, without forming any M: a leaky
+    basis would silently drop levels from the spectrum.  For every operator
+    and sector, leak = ||M V - V B||_F = ||(1 - V V^H) M V||_F must stay
+    within 1e-12 * max(1, sum|coeff|).  Three checks imply it, and each
+    raises ConvergenceError when it fails:
+
+    (i) the sector dimensions sum to 2^L;
+    (ii) every operator is invariant under P and, on a ring, under T, read
+         off its masks (_implied_leak): conjugating by a site permutation g
+         only moves coefficients between mask pairs, and Pauli strings are
+         orthogonal with squared Frobenius norm 2^L, so
+         ||g M g^-1 - M||_F = sqrt(2^L) ||dc||_2; P flips the sign of the
+         terms of odd z weight, so ||P M P - M||_F = 2 sqrt(2^L) ||c_odd||_2;
+    (iii) each V is an orthonormal eigenbasis with T V = e^{2 pi i k/L} V and
+         P V = p V (_check_basis; one entry per row by construction).
+
+    By (iii) the columns of all sectors are orthonormal, sectors with
+    distinct (k, p) being orthogonal eigenspaces, and by (i) there are 2^L
+    of them, so each V spans its whole (k, p) eigenspace.  Y = (1 - V V^H)
+    M V then lies in the other eigenspaces, where T differs from
+    e^{2 pi i k/L} by at least 2 sin(pi/L) or, at the same momentum, P
+    differs from p by 2.  Since e^{2 pi i k/L} Y - T Y = (1 - V V^H)[M, T] V
+    and p Y - P Y = (1 - V V^H)[M, P] V,
+
+        leak <= ||[M, T]||_F / (2 sin(pi/L)) + ||[M, P]||_F / 2
+              = sqrt(2^L) (||dc||_2 / (2 sin(pi/L)) + ||c_odd||_2),
+
+    and (ii) requires this bound, not the leak itself, to stay within
+    1e-12 * max(1, sum|coeff|), or reports the operator not invariant.
     """
+    ops = [_as_sum(op) for op in ops]
     L = ops[0].length
-    sectors = symmetry_sectors(L, periodic)
-    total = sum(v.shape[1] for _, _, v in sectors)
+    for m, op in enumerate(ops):
+        leak = _implied_leak(op, periodic)
+        bound = 1e-12 * max(1.0, op.norm_bound())
+        if leak > bound:
+            raise ConvergenceError(
+                f"operator {m} is not invariant under the symmetries: its "
+                f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
+                f"{bound:.3e}")
+    terms = [_term_arrays(op) for op in ops]
+    out, total = [], 0
+    for k, p, col, val, reps in _sector_rows(L, periodic):
+        _check_basis(k, p, col, val, reps.size, periodic)
+        total += reps.size
+        out.append((k, p, _basis(col, val, reps.size),
+                    [_block(t, col, val, reps) for t in terms]))
     if total != 1 << L:
         raise ConvergenceError(
             f"symmetry sectors span {total} states, not 2^{L}")
-    mats = [operator_matrix(op) for op in ops]
-    out = []
-    for k, p, v in sectors:
-        vh = v.conj().T.tocsr()
-        blocks = []
-        for op, m in zip(ops, mats):
-            mv = m @ v
-            block = vh @ mv   # sparse, so the residual below stays sparse too
-            leak = np.linalg.norm((mv - v @ block).data)
-            if leak > 1e-12 * max(1.0, op.norm_bound()):
-                raise ConvergenceError(
-                    f"sector (k={k}, p={p:+d}) is not invariant: "
-                    f"||MV - VB|| = {leak:.3e}")
-            blocks.append(block.toarray())
-        out.append((k, p, v, blocks))
     return out
 
 

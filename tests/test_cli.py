@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from clusterspt import engine
+from clusterspt import LatticeSpec, engine, phase_scan
 from clusterspt.cli import main
+from clusterspt.errors import DomainError
 
 
 def run_json(capsys, *argv):
@@ -214,3 +215,36 @@ class TestMemoryBudget:
         assert "needs about 10.2 GB" in capsys.readouterr().err
         assert main(["spectrum", "--size", "14", "--method",
                      "iterative"]) == 0
+
+
+class TestScanValidation:
+    """Bad scan settings exit 2 with one message before any work."""
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_checked_on_both_paths(self, capsys, count):
+        # 8 sites take the sector path, 13 the full-space one
+        errors = []
+        for size in ("8", "13"):
+            assert main(["scan", "--size", size, "--lambda", "0.5:0.5:1",
+                         "--count", count]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: count must be positive\n"] * 2
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_rejected(self, capsys, tol):
+        assert main(["scan", "--size", "8", "--lambda", "0.5:0.5:1",
+                     "--tol", tol]) == 2
+        assert "sector tolerance must be finite and positive" in \
+            capsys.readouterr().err
+
+    def test_bad_tolerance_rejected_in_the_library(self):
+        with pytest.raises(DomainError, match="finite and positive"):
+            phase_scan(LatticeSpec(6, "periodic"), [0.5], sector_atol=-1.0)
+
+    def test_huge_grid_refused_before_allocating(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["scan", "--size", "8", "--lambda", "0:1:1e-13"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "asks for 1e+13 couplings" in err
+        assert "1000000" in err

@@ -92,3 +92,85 @@ def test_sector_solve_matches_dense(L, boundary, lam):
         assert np.linalg.norm(cs.apply(h, psi).amps - e * psi.amps) <= 1e-9
         assert np.linalg.norm(cs.apply(parity, psi).amps - p * psi.amps) \
             <= 1e-9
+
+
+def rotated(mask, L):
+    """A mask moved one site along the ring (site i to i+1), through its
+    binary string with site 1 first."""
+    s = format(mask, f"0{L}b")
+    return int(s[-1] + s[:-1], 2)
+
+
+@st.composite
+def invariant_operators(draw):
+    """(L, boundary, M): M a random sum of Pauli strings of even z weight,
+    so the spin flip conserves it, summed over all translates on a ring;
+    coefficients real or complex."""
+    L = draw(st.integers(3, 10))
+    boundary = draw(st.sampled_from(["open", "periodic"]))
+    complex_coeffs = draw(st.booleans())
+    op = OperatorSum.zero(L)
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(st.integers(0, (1 << L) - 1))
+        z = draw(st.integers(0, (1 << L) - 1))
+        if bin(z).count("1") % 2:
+            z ^= 1
+        coeff = draw(st.floats(-2.0, 2.0))
+        if complex_coeffs:
+            coeff += 1j * draw(st.floats(-2.0, 2.0))
+        for _ in range(L if boundary == "periodic" else 1):
+            op = op + OperatorSum.from_pauli(PauliString(L, 0, x, z), coeff)
+            x, z = rotated(x, L), rotated(z, L)
+    return L, boundary, op
+
+
+@PROPERTY
+@given(invariant_operators())
+def test_direct_blocks_match_the_sparse_projection(case):
+    L, boundary, op = case
+    scale = max(1.0, op.norm_bound())
+    m = cs.operator_matrix(op)
+    real = engine.has_real_matrix(op)
+    projected = engine.project_sectors((op,), boundary == "periodic")
+    for k, p, v, (block,) in projected:
+        # the projection as it was formed before: three sparse products
+        old = (v.conj().T @ (m @ v)).toarray()
+        assert np.abs(block - old).max(initial=0.0) <= 1e-13 * scale
+        dense = v.toarray()
+        leak = np.linalg.norm(m @ dense - dense @ block)
+        assert leak <= 1e-12 * scale
+        want = np.float64 if real and 2 * k % L == 0 else np.complex128
+        assert block.dtype == want
+
+
+def test_projection_guard_rejects_a_broken_bond():
+    lat = LatticeSpec(8, "periodic")
+    bond = OperatorSum.from_pauli(PauliString.from_sites(8, {1: "Y", 2: "Y"}),
+                                  1e-9)
+    with pytest.raises(ConvergenceError, match="not invariant"):
+        engine.project_sectors((cs.cluster_hamiltonian(lat),
+                                cs.ising_perturbation(lat, 1.0) + bond), True)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_projection_guard_rejects_a_flip_odd_field(boundary):
+    lat = LatticeSpec(7, boundary)
+    field = OperatorSum.from_terms(
+        7, [(1.0, PauliString.single(7, i, "Z")) for i in range(1, 8)])
+    with pytest.raises(ConvergenceError, match="not invariant"):
+        engine.project_sectors((field,), lat.is_periodic)
+
+
+def test_projection_guard_rejects_a_broken_basis(monkeypatch):
+    rows = engine._sector_rows
+
+    def tampered(length, periodic):
+        for k, p, col, val, reps in rows(length, periodic):
+            val = val.copy()
+            val[reps[-1]] *= 1 + 1e-9
+            yield k, p, col, val, reps
+
+    monkeypatch.setattr(engine, "_sector_rows", tampered)
+    lat = LatticeSpec(6, "periodic")
+    with pytest.raises(ConvergenceError, match="orthonormal eigenbasis"):
+        engine.project_sectors((cs.cluster_hamiltonian(lat),), True)
