@@ -272,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=boundary_default)
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("verify", help="stabilizer algebra suite")
     common(p, 9, "open")
@@ -305,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", action="append", default=None,
                    help="probe name like X3 or Z1X9 (repeatable)")
     p.add_argument("--max-probes", type=int, default=None, dest="max_probes")
+    p.add_argument("--seed", type=int, default=0, help="probe sample seed")
     p.set_defaults(func=cmd_protect)
 
     p = sub.add_parser("scan", help="coupling sweep of the perturbed model")
@@ -317,6 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--probe", action="append", default=None,
                    help="extra expectation to record (compact Pauli name)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="energy window that groups levels into multiplets")
+    p.add_argument("--seed", type=int, default=0,
+                   help="echoed in the config; a scan draws no random numbers")
     p.set_defaults(func=cmd_scan)
 
     return parser

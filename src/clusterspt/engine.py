@@ -4,13 +4,13 @@ clusters, and ground-space projections.
 Basis convention: computational basis |b_1 b_2 ... b_L> with site 1 as the
 most significant bit of the index.  A term X^x Z^z acts on a basis index b as
 a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
-sum is a sum of signed permutations.  `operator_matrix` assembles it once as
-a sparse CSR matrix, and every full-space numeric path (application, dense
-form, eigensolvers, projections onto states) works on that matrix.  For
-operators that conserve the spin flip (and, on a ring, translation),
-`project_sectors` builds small per-sector blocks straight from the terms'
-action on the orbit representatives of `symmetry_sectors`, without the
-full matrix.  All golden values depend on this ordering.
+sum is a sum of signed permutations.  One kernel, `_mask_rows`, reads every
+matrix element off the masks, per x mask and row representative; the full
+space is its trivial sector.  `operator_matrix` wraps its rows into a CSR
+matrix, on which every full-space numeric path works, and `project_sectors`
+runs it once over the representatives of all sectors of `symmetry_sectors`
+to fill small dense per-sector blocks.  All golden values depend on this
+ordering.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ APPLY_SITE_CAP = 24
 CLUSTER_RTOL = 1e-8
 
 RESIDUAL_RTOL = 1e-9
+
+_LANCZOS_MAXITER = 20000   # implicit restarts allowed to ARPACK
 
 # Entry tolerance of the sector-basis check in project_sectors: the bases
 # are exact up to the rounding of their phases and square roots (at most
@@ -102,37 +104,55 @@ class StateVector:
         return f"StateVector(L={self.length}, norm={self.norm:.6f})"
 
 
-def operator_matrix(op) -> scipy.sparse.csr_array:
-    """Sparse CSR matrix of an operator sum, assembled from its masks.
+def _mask_rows(op: OperatorSum, rows: np.ndarray, col=None, val=None):
+    """(indices, data), each (rows.size, #x masks): op's entries in `rows`,
+    one per x mask (ascending) per row.
 
-    Terms are grouped by x mask, so row b holds one entry per group: column
-    b ^ x with value sum_z c (-1)^popcount(z & (b ^ x)).  The data is float64
-    when has_real_matrix holds and complex128 otherwise.
+    A term c X^x Z^z sends b to b ^ x with sign (-1)^popcount(z & b), so row
+    r pulls from r ^ x alone, and the terms sharing x give it
+    sum_z c (-1)^popcount(z & (r ^ x)).  In a sector with columns
+    |c> = sum_b val[b] |b> (b in column col[b]; -1 and 0 outside it), the rows
+    are representatives; for an M that conserves the sector, M|c> has
+    amplitude (V^H M V)[c', c] val[r] at the representative r of c', so x
+    scales that sum by val[r ^ x] / val[r] and puts it in column col[r ^ x].
+    The full space is the trivial sector (the default): col the identity and
+    val = 1.  Data is float64 when has_real_matrix holds and val is real.
     """
-    op = _as_sum(op)
-    if op.length > APPLY_SITE_CAP:
-        raise ResourceLimitError(
-            f"operator matrices capped at {APPLY_SITE_CAP} sites, "
-            f"got {op.length}")
     groups = {}
     for (x, z), coeff in op.items():
         groups.setdefault(x, []).append((z, coeff))
     real = has_real_matrix(op)
-    dim = 1 << op.length
-    rows = np.arange(dim, dtype=np.int32)
-    indices = np.empty((dim, len(groups)), dtype=np.int32)
-    data = np.zeros((dim, len(groups)),
-                    dtype=np.float64 if real else np.complex128)
+    dtype = np.float64 if real else np.complex128
+    if val is not None:
+        dtype, norm = np.result_type(dtype, val), val[rows]
+    indices = np.empty((rows.size, len(groups)), dtype=rows.dtype)
+    data = np.zeros((rows.size, len(groups)), dtype=dtype)
     for k, x in enumerate(sorted(groups)):
         cols = indices[:, k]
         np.bitwise_xor(rows, x, out=cols)
         for z, coeff in groups[x]:
             signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
             data[:, k] += (coeff.real if real else coeff) * signs
+        if col is not None:
+            data[:, k] *= val[cols] / norm
+            cols[:] = col[cols]
+    return indices, data
+
+
+def operator_matrix(op) -> scipy.sparse.csr_array:
+    """Sparse CSR matrix of an operator sum, one entry per x mask per row
+    (see _mask_rows): float64 when has_real_matrix holds, else complex128."""
+    op = _as_sum(op)
+    if op.length > APPLY_SITE_CAP:
+        raise ResourceLimitError(
+            f"operator matrices capped at {APPLY_SITE_CAP} sites, "
+            f"got {op.length}")
+    dim = 1 << op.length
+    indices, data = _mask_rows(op, np.arange(dim, dtype=np.int32))
     # int32 offsets keep scipy from widening the column indices to int64
-    wide = dim * len(groups) >= 2**31
+    wide = indices.size >= 2**31
     indptr = np.arange(dim + 1, dtype=np.int64 if wide else np.int32)
-    indptr *= len(groups)
+    indptr *= indices.shape[1]
     return scipy.sparse.csr_array(
         (data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
 
@@ -155,13 +175,13 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return dense_matrix(p)
 
 
-def dense_matrix(op, cap: int = DENSE_SITE_CAP) -> np.ndarray:
+def dense_matrix(op) -> np.ndarray:
     """Dense matrix of an operator sum: float64 when has_real_matrix holds,
     complex128 otherwise."""
     op = _as_sum(op)
-    if op.length > cap:
+    if op.length > DENSE_SITE_CAP:
         raise ResourceLimitError(
-            f"dense form capped at {cap} sites, got {op.length}")
+            f"dense form capped at {DENSE_SITE_CAP} sites, got {op.length}")
     return operator_matrix(op).toarray()
 
 
@@ -263,8 +283,7 @@ def checked_residual(hv: np.ndarray, vecs: np.ndarray, vals: np.ndarray,
 
 
 def eig_low(h, count: int = 6, method: str = "auto",
-            cluster_rtol: float = CLUSTER_RTOL,
-            maxiter: int = 20000) -> SpectrumResult:
+            cluster_rtol: float = CLUSTER_RTOL) -> SpectrumResult:
     """Lowest `count` eigenpairs of a Hermitian operator sum.
 
     dense: full matrix, L <= 12.  iterative: implicitly restarted Lanczos on
@@ -321,11 +340,11 @@ def eig_low(h, count: int = 6, method: str = "auto",
     else:
         try:  # a fixed start vector keeps ARPACK's output deterministic
             vals, vecs = scipy.sparse.linalg.eigsh(
-                m, k=count, which="SA", maxiter=maxiter, tol=0, ncv=ncv,
-                v0=np.random.default_rng(0).standard_normal(dim))
+                m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0,
+                ncv=ncv, v0=np.random.default_rng(0).standard_normal(dim))
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ConvergenceError(
-                f"Lanczos did not converge within {maxiter} iterations",
+                f"Lanczos did not converge in {_LANCZOS_MAXITER} iterations",
                 residuals=getattr(exc, "eigenvalues", None)) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
@@ -552,46 +571,12 @@ def _check_basis(k: int, p: int, col: np.ndarray, val: np.ndarray, d: int,
             f"eigenbasis of the symmetries")
 
 
-def _block(terms: tuple, col: np.ndarray, val: np.ndarray,
-           reps: np.ndarray) -> np.ndarray:
-    """V^H M V of one sector from M's action on the representatives.
-
-    Column c holds the normalized orbit sum |c> of reps[c], so
-    <c'|M|c> = <c'|M|r> / conj(<r|c>) for r = reps[c], and a term
-    coeff X^x Z^z sends r to r ^ x with sign (-1)^popcount(z & r): every
-    term adds conj(val[r ^ x]) coeff (-1)^popcount(z & r) / conj(val[r]),
-    that is sqrt(N_r / N_r') conj(chi(g_{r ^ x})) coeff (-1)^popcount(z & r),
-    to the entry (col[r ^ x], c) when r ^ x lies in the sector.  Terms
-    that share an x mask land on one entry, where the scatter adds them.
-    """
-    x, z, coeff = terms
-    d = reps.size
-    dest = reps ^ x[:, None]               # one row per term
-    row = col[dest]
-    signs = 1.0 - 2.0 * (np.bitwise_count(reps & z[:, None]) & 1)
-    amp = coeff[:, None] * signs * val[dest].conj() / val[reps].conj()
-    keep = row >= 0
-    block = np.zeros(d * d, dtype=amp.dtype)
-    np.add.at(block, (row * d + np.arange(d))[keep], amp[keep])
-    return block.reshape(d, d)
-
-
-def _term_arrays(op: OperatorSum) -> tuple:
-    """(x masks, z masks, coefficients) of op's terms as arrays; the
-    coefficients are float64 when has_real_matrix holds."""
-    items = list(op.items())
-    x = np.array([x for (x, _), _ in items], dtype=np.int64)
-    z = np.array([z for (_, z), _ in items], dtype=np.int64)
-    coeff = np.array([c for _, c in items], dtype=np.complex128)
-    return x, z, coeff.real if has_real_matrix(op) else coeff
-
-
 def project_sectors(ops, periodic: bool) -> list:
     """Every operator of `ops` (one lattice) in every symmetry sector:
     [(k, p, V, blocks)] with blocks[m] = V^H M_m V, read off the operator's
-    action on the orbit representatives alone (see _block).  A block is
-    float64 exactly when its operator is real (has_real_matrix) and its
-    sector's character is real (2k = 0 mod L).
+    action on the representatives of all sectors at once (see _mask_rows).
+    A block is float64 exactly when its operator is real (has_real_matrix)
+    and its sector's character is real (2k = 0 mod L).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -633,16 +618,36 @@ def project_sectors(ops, periodic: bool) -> list:
                 f"operator {m} is not invariant under the symmetries: its "
                 f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
                 f"{bound:.3e}")
-    terms = [_term_arrays(op) for op in ops]
-    out, total = [], 0
-    for k, p, col, val, reps in _sector_rows(L, periodic):
+    dim = 1 << L
+    sectors = list(_sector_rows(L, periodic))
+    for k, p, col, val, reps in sectors:
         _check_basis(k, p, col, val, reps.size, periodic)
-        total += reps.size
-        out.append((k, p, _basis(col, val, reps.size),
-                    [_block(t, col, val, reps) for t in terms]))
-    if total != 1 << L:
+    sizes = np.array([sector[4].size for sector in sectors])
+    if sizes.sum() != dim:
         raise ConvergenceError(
-            f"symmetry sectors span {total} states, not 2^{L}")
+            f"symmetry sectors span {sizes.sum()} states, not 2^{L}")
+    # tag row r of sector s as s 2^L + r: the masks act on the low L bits
+    # alone, and the tag picks that sector's part of the stacked col and val
+    rows = np.concatenate([s * dim + sec[4] for s, sec in enumerate(sectors)])
+    col, val = (np.concatenate([sec[i] for sec in sectors]) for i in (2, 3))
+    # block s fills flat[ends[s] - d_s^2:ends[s]] row by row
+    ends = np.cumsum(sizes ** 2)
+    start = (np.repeat(ends - sizes ** 2, sizes)
+             + np.repeat(sizes, sizes) * col[rows])
+    flats = []
+    for op in ops:
+        indices, data = _mask_rows(op, rows, col, val)
+        keep = indices >= 0
+        flats.append(np.zeros(ends[-1], dtype=data.dtype))
+        np.add.at(flats[-1], (start[:, None] + indices)[keep], data[keep])
+    real = [has_real_matrix(op) for op in ops]
+    out = []
+    for (k, p, c, v, reps), end in zip(sectors, ends):
+        d = reps.size
+        blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
+        out.append((k, p, _basis(c, v, d), [
+            b.real if r and 2 * k % L == 0 else b
+            for b, r in zip(blocks, real)]))
     return out
 
 

@@ -202,36 +202,25 @@ def printed_global_string(name: str, lattice: LatticeSpec) -> PauliString:
     return PauliString.from_letters(block * m + tail)
 
 
-def global_symmetry_pair(s: int, lattice: LatticeSpec,
-                         construction: str = "tau_canonical"):
-    """The halves (A_s, B_s) of a global symmetry, as PauliStrings.
-
-    tau_canonical: conjugate the canonical block patterns back into the
-    working basis (source of truth).  sigma_printed: the literal printed
-    products, kept for cross-checking only.
-    """
+def global_symmetry_pair(s: int, lattice: LatticeSpec):
+    """The halves (A_s, B_s) of a global symmetry, as PauliStrings: the
+    canonical block patterns conjugated back into the working basis."""
     _require_global(lattice)
     if s not in (1, 2):
         raise DomainError(f"symmetry index must be 1 or 2, got {s}")
-    if construction == "tau_canonical":
-        pats = _tau_patterns(lattice.length)
-        a = conjugate_ucp(PauliString.from_letters(pats[f"A{s}"]), lattice)
-        b = conjugate_ucp(PauliString.from_letters(pats[f"B{s}"]), lattice)
-        return a, b
-    if construction == "sigma_printed":
-        return (printed_global_string(f"A{s}", lattice),
-                printed_global_string(f"B{s}", lattice))
-    raise DomainError(f"unknown construction {construction!r}")
+    pats = _tau_patterns(lattice.length)
+    a = conjugate_ucp(PauliString.from_letters(pats[f"A{s}"]), lattice)
+    b = conjugate_ucp(PauliString.from_letters(pats[f"B{s}"]), lattice)
+    return a, b
 
 
-def global_symmetry(s: int, lattice: LatticeSpec,
-                    construction: str = "tau_canonical") -> OperatorSum:
+def global_symmetry(s: int, lattice: LatticeSpec) -> OperatorSum:
     """T_s = (A_s + B_s)/sqrt(2).
 
     The 1/sqrt(2) makes T_s square to the identity given A^2 = B^2 = 1 and
     {A, B} = 0; both the normalized and raw forms appear in reports.
     """
-    a, b = global_symmetry_pair(s, lattice, construction)
+    a, b = global_symmetry_pair(s, lattice)
     return (OperatorSum.from_pauli(a) + OperatorSum.from_pauli(b)) / _SQRT2
 
 

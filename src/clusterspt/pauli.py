@@ -130,6 +130,9 @@ class PauliString:
             raise ValueError(f"invalid probe name {text!r}")
         out = cls.identity(length)
         for letter, site in _COMPACT_RE.findall(text):
+            if not 1 <= int(site) <= length:
+                raise ValueError(
+                    f"probe {text!r} names site {site}, outside 1..{length}")
             out = out * cls.single(length, int(site), letter)
         return out
 
@@ -251,11 +254,10 @@ class OperatorSum:
 
     __slots__ = ("length", "_terms")
 
-    def __init__(self, length: int, terms=None, _skip_canonical=False):
+    def __init__(self, length: int, terms=None):
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_terms", dict(terms) if terms else {})
-        if not _skip_canonical:
-            self._drop_small()
+        self._drop_small()
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorSum is immutable; build a new one")

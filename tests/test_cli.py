@@ -248,3 +248,26 @@ class TestScanValidation:
         err = capsys.readouterr().err
         assert "asks for 1e+13 couplings" in err
         assert "1000000" in err
+
+
+class TestFlagScope:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tol", "-5"],
+        ["spectrum", "--size", "6", "--tol", "nan"],
+        ["protect", "--tol", "1e-3", "--symbolic-only"],
+        ["verify", "--seed", "5"],
+        ["spectrum", "--size", "6", "--seed", "5"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["protect", "--size", "9", "--probe", "X99"],
+        ["scan", "--size", "6", "--probe", "X0", "--lambda", "0:0:1"],
+    ])
+    def test_probe_site_out_of_range(self, capsys, argv):
+        assert main(argv) == 2
+        assert "outside 1.." in capsys.readouterr().err

@@ -51,3 +51,16 @@ def test_iterative_matches_dense(L, boundary, lam):
     assert it.ground_degeneracy == dense.ground_degeneracy
     nearest = np.abs(it.eigenvalues[:, None] - full[None, :]).min(axis=1)
     assert nearest.max() <= 1e-12
+
+
+@PROPERTY
+@given(operator_sums())
+def test_csr_layout_matches_the_memory_estimate(op):
+    # eig_low's budget counts 2^L entries per distinct x mask, int32
+    # indices, and 8-byte data exactly when the matrix is real
+    m = cs.operator_matrix(op)
+    x_masks = {x for (x, _), _ in op.items()}
+    assert m.nnz == (1 << op.length) * len(x_masks)
+    assert m.indices.dtype == m.indptr.dtype == np.int32
+    assert m.data.dtype == (np.float64 if cs.has_real_matrix(op)
+                            else np.complex128)

@@ -62,7 +62,7 @@ class TestConstruction:
         assert PauliString.from_compact("Z1X2Z3", 3).letters == "ZXZ"
 
     def test_from_compact_rejects_garbage(self):
-        for bad in ("Q5", "X", "5X", "", "X1 Z2?"):
+        for bad in ("Q5", "X", "5X", "", "X1 Z2?", "X0", "X10"):
             with pytest.raises(ValueError):
                 PauliString.from_compact(bad, 9)
 

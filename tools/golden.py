@@ -47,6 +47,12 @@ COMMANDS = [
     "scan --size 12 --boundary open --lambda 0:1:0.5",
     "scan --size 10 --lambda 0.8:1.0:0.1 --method iterative",
     "scan --size 13 --lambda 0.9:0.9:0.1",
+    "spectrum --size 9 --lambda 0.3",
+    "spectrum --size 10 --boundary periodic --lambda 0.7",
+    "spectrum --size 13 --lambda 0.5 --method iterative",
+    "verify --size 9 --global-symmetry",
+    "protect --size 9",
+    "protect --size 9 --local-only",
 ]
 
 
