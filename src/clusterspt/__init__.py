@@ -28,8 +28,8 @@ from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      parity_and_timereversal, perturbed_hamiltonian,
                      printed_global_string, registry_manifest,
                      spin_flip_symmetries, stabilizer)
-from .pauli import (OperatorSum, PauliString, anticommutator, commutator,
-                    commutes, multiply, weight_support)
+from .pauli import (OperatorSum, PauliString, anticommutator, anticommutes,
+                    commutator, commutes, multiply, weight_support)
 
 __version__ = "0.1.0"
 
@@ -38,10 +38,10 @@ __all__ = [
     "DomainError", "LatticeSpec", "LengthMismatchError", "ModelSpec",
     "OperatorSum", "PauliString", "ProbeVerdict", "ProtectionReport",
     "ResourceLimitError", "ScanResult", "SpectrumResult", "StateVector",
-    "TransitionEstimate", "anticommutator", "apply", "build_cluster_state",
-    "build_model", "certify_protection", "cluster_hamiltonian",
-    "commutator", "commutes", "conjugate_circuit", "conjugate_cz",
-    "conjugate_ucp", "cross_check_global", "cz_diagonal",
+    "TransitionEstimate", "anticommutator", "anticommutes", "apply",
+    "build_cluster_state", "build_model", "certify_protection",
+    "cluster_hamiltonian", "commutator", "commutes", "conjugate_circuit",
+    "conjugate_cz", "conjugate_ucp", "cross_check_global", "cz_diagonal",
     "default_probe_set", "dense_matrix", "edge_generators", "eig_low",
     "expectation", "forbidden_set", "global_symmetry",
     "global_symmetry_pair", "gram_matrix", "ground_projector",

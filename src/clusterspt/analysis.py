@@ -37,7 +37,7 @@ from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      cross_check_global, ising_perturbation,
                      local_symmetry_pair, perturbed_hamiltonian,
                      printed_global_string, spin_flip_symmetries, stabilizer)
-from .pauli import OperatorSum, PauliString, commutator
+from .pauli import OperatorSum, PauliString, anticommutes, commutes
 
 _LETTERS = ("X", "Y", "Z")
 
@@ -72,7 +72,7 @@ def verify_stabilizer_algebra(lattice: LatticeSpec,
     entries = []
 
     bad = [(i, j) for a, i in enumerate(sites) for j in sites[a + 1:]
-           if not stabs[i].commutes_with(stabs[j])]
+           if not commutes(stabs[i], stabs[j])]
     pair_count = len(sites) * (len(sites) - 1) // 2
     entries.append(CheckEntry(
         "pairwise-commutation", not bad,
@@ -220,15 +220,13 @@ def symmetry_pair_algebra(model: ModelSpec, tamper: str | None = None,
     h = reg["H_C"]
     ident = OperatorSum.identity(L)
     algebra = {
-        "t1_commutes_h": commutator(h, t1).is_zero,
-        "t2_commutes_h": commutator(h, t2).is_zero,
+        "t1_commutes_h": commutes(h, t1),
+        "t2_commutes_h": commutes(h, t2),
         "t1_squares_to_identity": (t1 @ t1).allclose(ident),
         "t2_squares_to_identity": (t2 @ t2).allclose(ident),
-        "a1_b1_anticommute": (halves["A1"] @ halves["B1"]
-                              + halves["B1"] @ halves["A1"]).is_zero,
-        "a2_b2_anticommute": (halves["A2"] @ halves["B2"]
-                              + halves["B2"] @ halves["A2"]).is_zero,
-        "t1_t2_commute": commutator(t1, t2).is_zero,
+        "a1_b1_anticommute": anticommutes(halves["A1"], halves["B1"]),
+        "a2_b2_anticommute": anticommutes(halves["A2"], halves["B2"]),
+        "t1_t2_commute": commutes(t1, t2),
     }
     return t1, t2, algebra
 
@@ -246,6 +244,9 @@ def certify_protection(model, probes: dict | None = None,
     first-order splitting matrix of each probe over the fourfold ground
     space.
     """
+    if max_probes is not None and max_probes < 0:
+        raise DomainError(
+            f"max_probes must be non-negative, got {max_probes}")
     if isinstance(model, LatticeSpec):
         model = build_model(model)
     lattice = model.lattice
@@ -277,9 +278,9 @@ def certify_protection(model, probes: dict | None = None,
                       and all(2 <= s <= L - 1 for s in sites))
         verdict = ProbeVerdict(
             name=name,
-            commutes_with_h=commutator(h, op).is_zero,
-            commutes_with_t1=commutator(t1, op).is_zero,
-            commutes_with_t2=commutator(t2, op).is_zero,
+            commutes_with_h=commutes(h, op),
+            commutes_with_t1=commutes(t1, op),
+            commutes_with_t2=commutes(t2, op),
             is_bulk_local=bulk_local,
             is_forbidden=name.startswith("Sigma_"),
         )
@@ -458,7 +459,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     h_c = cluster_hamiltonian(lattice)
     yy_unit = ising_perturbation(lattice, 1.0)
     parts = (h_c, yy_unit) if np.any(grid != 0.0) else (h_c,)
-    parity_ok = all(commutator(parity_op, op).is_zero for op in parts)
+    parity_ok = all(commutes(parity_op, op) for op in parts)
     treal_ok = all(engine.has_real_matrix(op) for op in parts)
     sectors = None
     if method in ("auto", "dense") and L <= engine.DENSE_SITE_CAP:

@@ -349,7 +349,7 @@ def build_model(lattice: LatticeSpec, lam: float = 0.0) -> ModelSpec:
             a, b = global_symmetry_pair(s, lattice)
             reg[f"A{s}"] = OperatorSum.from_pauli(a)
             reg[f"B{s}"] = OperatorSum.from_pauli(b)
-            reg[f"T{s}"] = global_symmetry(s, lattice)
+            reg[f"T{s}"] = (reg[f"A{s}"] + reg[f"B{s}"]) / _SQRT2
     return ModelSpec(
         lattice=lattice,
         hamiltonian=reg["H_C"] + reg["H_I"],

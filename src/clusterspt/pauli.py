@@ -42,6 +42,11 @@ def _site_bit(length: int, site: int) -> int:
     return 1 << (length - site)
 
 
+def _mask_sites(length: int, mask: int) -> frozenset:
+    """Set of 1-based sites whose bit is set in mask (bit b is site L - b)."""
+    return frozenset(length - b for b in range(length) if mask >> b & 1)
+
+
 class PauliString:
     """One signed Pauli group element: i**phase_exp * X**x_mask * Z**z_mask."""
 
@@ -208,9 +213,7 @@ class PauliString:
 
     def support(self) -> frozenset:
         """Set of 1-based sites carrying a non-identity letter."""
-        m = self.x_mask | self.z_mask
-        return frozenset(j for j in range(1, self.length + 1)
-                         if m & _site_bit(self.length, j))
+        return _mask_sites(self.length, self.x_mask | self.z_mask)
 
     @property
     def weight(self) -> int:
@@ -232,11 +235,6 @@ class PauliString:
 def multiply(p: PauliString, q: PauliString) -> PauliString:
     """Group product p*q with exact phase bookkeeping."""
     return p * q
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """Whether two group elements commute (symplectic-form test)."""
-    return p.commutes_with(q)
 
 
 def weight_support(p: PauliString) -> frozenset:
@@ -327,10 +325,11 @@ class OperatorSum:
         return float(sum(abs(c) for c in self._terms.values()))
 
     def supports(self) -> frozenset:
-        sites = set()
-        for _, p in self.iter_terms():
-            sites |= p.support()
-        return frozenset(sites)
+        """Set of 1-based sites where some term acts non-trivially."""
+        m = 0
+        for x, z in self._terms:
+            m |= x | z
+        return _mask_sites(self.length, m)
 
     # -- linear algebra ----------------------------------------------------
 
@@ -447,3 +446,61 @@ def anticommutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     if isinstance(b, PauliString):
         b = OperatorSum.from_pauli(b)
     return a.compose(b) + b.compose(a)
+
+
+def _term_items(op):
+    """(x_mask, z_mask) -> coeff pairs of a string or a sum."""
+    if isinstance(op, PauliString):
+        return (((op.x_mask, op.z_mask), op.phase),)
+    if isinstance(op, OperatorSum):
+        return op.items()
+    raise TypeError("expected a PauliString or OperatorSum")
+
+
+def _bracket_vanishes(a, b, parity: int) -> bool:
+    """Whether AB - BA (parity 1) or AB + BA (parity 0) is zero.
+
+    A term pair with symplectic parity w = <x1,z2> + <z1,x2> mod 2 has
+    P2 P1 = (-1)**w P1 P2, so in the bracket it cancels exactly unless w
+    equals `parity`; then it adds 2 (-1)**(z1.x2) c1 c2 at key
+    (x1 ^ x2, z1 ^ z2), the product of OperatorSum.compose.  The bracket
+    vanishes iff every key sums to at most COEFF_TOL in magnitude.  Only the
+    surviving pairs are multiplied, and no operator is built.  Unlike
+    commutator(a, b).is_zero, no partial product is rounded to zero first,
+    so the two verdicts can differ only when some coefficient products sit
+    within rounding of COEFF_TOL.
+    """
+    _check_same_length(a, b)
+    right = tuple(_term_items(b))
+    acc = {}
+    for (x1, z1), c1 in _term_items(a):
+        for (x2, z2), c2 in right:
+            if ((x1 & z2) ^ (z1 & x2)).bit_count() & 1 != parity:
+                continue
+            c = 2.0 * c1 * c2
+            if (z1 & x2).bit_count() & 1:
+                c = -c
+            key = (x1 ^ x2, z1 ^ z2)
+            acc[key] = acc.get(key, 0j) + c
+    return all(abs(c) <= COEFF_TOL for c in acc.values())
+
+
+def commutes(a, b) -> bool:
+    """Whether [a, b] = 0, for Pauli strings or sums in any mix.
+
+    Two strings take the symplectic test alone; otherwise only the
+    anticommuting term pairs are multiplied (see _bracket_vanishes), with
+    the verdict of commutator(a, b).is_zero.
+    """
+    if isinstance(a, PauliString) and isinstance(b, PauliString):
+        return a.commutes_with(b)
+    return _bracket_vanishes(a, b, 1)
+
+
+def anticommutes(a, b) -> bool:
+    """Whether {a, b} = 0: the counterpart of commutes, multiplying only the
+    commuting term pairs, with the verdict of anticommutator(a, b).is_zero.
+    """
+    if isinstance(a, PauliString) and isinstance(b, PauliString):
+        return not a.commutes_with(b)
+    return _bracket_vanishes(a, b, 0)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from clusterspt import LatticeSpec, engine, phase_scan
+from clusterspt import LatticeSpec, certify_protection, engine, phase_scan
 from clusterspt.cli import main
 from clusterspt.errors import DomainError
 
@@ -271,3 +271,25 @@ class TestFlagScope:
     def test_probe_site_out_of_range(self, capsys, argv):
         assert main(argv) == 2
         assert "outside 1.." in capsys.readouterr().err
+
+
+class TestProbeBudget:
+    """--max-probes must be a count: a negative one exits 2 by name."""
+
+    def test_negative_is_a_usage_error(self, capsys):
+        assert main(["protect", "--max-probes", "-1",
+                     "--symbolic-only"]) == 2
+        assert capsys.readouterr().err == \
+            "error: max_probes must be non-negative, got -1\n"
+
+    def test_negative_rejected_in_the_library(self):
+        with pytest.raises(DomainError, match="-3"):
+            certify_protection(LatticeSpec(9), numeric=False, max_probes=-3)
+
+    def test_zero_keeps_only_the_forbidden_set(self, capsys):
+        code, doc = run_json(capsys, "protect", "--max-probes", "0",
+                             "--symbolic-only")
+        assert code == 0
+        names = [row["probe"] for row in doc["results"]["probes"]]
+        assert len(names) == 15
+        assert all(n.startswith("Sigma_") for n in names)

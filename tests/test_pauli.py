@@ -7,6 +7,8 @@ the implementation under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clusterspt as cs
 from clusterspt import OperatorSum, PauliString
@@ -189,6 +191,94 @@ class TestCommutes:
         assert cs.anticommutator(x, z).is_zero
 
 
+@st.composite
+def bracket_operands(draw):
+    """Two operands on L <= 4 sites, each a signed Pauli string or a sum
+    whose terms share x masks, so different term pairs multiply onto one
+    key.  The second operand is sometimes the first or its square, so sums
+    commute whose term pairs do not, or a sum anticommuting with a string."""
+    L = draw(st.integers(1, 4))
+    masks = st.integers(0, (1 << L) - 1)
+    parts = st.floats(-2.0, 2.0, allow_nan=False)
+
+    def terms():
+        out = {}
+        for x in draw(st.lists(masks, min_size=1, max_size=3, unique=True)):
+            for z in draw(st.lists(masks, min_size=1, max_size=3,
+                                   unique=True)):
+                out[(x, z)] = complex(draw(parts), draw(parts))
+        return out
+
+    def string(x_extra=0):
+        return PauliString(L, draw(st.integers(0, 3)),
+                           draw(masks) | x_extra, draw(masks))
+
+    def operand():
+        return string() if draw(st.booleans()) else OperatorSum(L, terms())
+
+    mode = draw(st.sampled_from(("fresh", "same", "square", "anti")))
+    if mode == "anti":
+        # a has X or Y on the site `bit`; a term commuting with a is
+        # multiplied by Z there, which makes it anticommute
+        bit = 1 << draw(st.integers(0, L - 1))
+        a = string(bit)
+        b = OperatorSum(L, {
+            (x, z if ((x & a.z_mask) ^ (z & a.x_mask)).bit_count() & 1
+             else z ^ bit): c
+            for (x, z), c in terms().items()})
+    else:
+        a = operand()
+        s = OperatorSum.from_pauli(a) if isinstance(a, PauliString) else a
+        b = {"fresh": operand, "same": lambda: a,
+             "square": lambda: s @ s}[mode]()
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(bracket_operands())
+def test_commutes_matches_the_expanded_brackets(ops):
+    a, b = ops
+    assert cs.commutes(a, b) == cs.commutator(a, b).is_zero
+    assert cs.anticommutes(a, b) == cs.anticommutator(a, b).is_zero
+
+
+class TestCommutesSums:
+    """commutes / anticommutes on sums, where whole pairs cancel."""
+
+    def test_sum_commutes_with_itself(self):
+        # X1 Z1 and Z1 X1 anticommute; their products -iY and +iY cancel
+        a = (OperatorSum.from_pauli(PauliString.single(2, 1, "X"))
+             + OperatorSum.from_pauli(PauliString.single(2, 1, "Z")))
+        assert cs.commutes(a, a)
+        assert not cs.anticommutes(a, a)
+        assert cs.commutator(a, a).is_zero
+
+    def test_sum_anticommutes_with_a_string(self):
+        a = (OperatorSum.from_pauli(PauliString.from_letters("XZ"))
+             + OperatorSum.from_pauli(PauliString.from_letters("ZI"), 0.5j))
+        y = PauliString.from_letters("YI")
+        for l, r in ((a, y), (y, a)):
+            assert cs.anticommutes(l, r)
+            assert not cs.commutes(l, r)
+            assert cs.anticommutator(l, r).is_zero
+
+    def test_two_strings(self):
+        x, z = PauliString.from_letters("XI"), PauliString.from_letters("ZI")
+        assert not cs.commutes(x, z) and cs.anticommutes(x, z)
+        assert cs.commutes(x, x) and not cs.anticommutes(x, x)
+
+    def test_length_mismatch(self):
+        p3 = PauliString.from_letters("XZX")
+        s2 = OperatorSum.from_pauli(PauliString.from_letters("ZZ"))
+        for f in (cs.commutes, cs.anticommutes):
+            with pytest.raises(LengthMismatchError):
+                f(p3, s2)
+            with pytest.raises(LengthMismatchError):
+                f(s2, OperatorSum.identity(3))
+            with pytest.raises(LengthMismatchError):
+                f(p3, PauliString.from_letters("XX"))
+
+
 class TestOperatorSum:
     def test_add_sub_scale(self, rng):
         L = 3
@@ -270,3 +360,15 @@ class TestWeightSupport:
 
     def test_identity_has_empty_support(self):
         assert PauliString.identity(5).support() == frozenset()
+
+    def test_sum_support_is_the_union_of_its_terms(self, rng):
+        for L in (1, 4, 9):
+            op = random_hermitian_sum(rng, L, terms=3)
+            want = frozenset().union(*(p.support()
+                                       for _, p in op.iter_terms()))
+            assert op.supports() == want
+        p = OperatorSum.from_pauli(PauliString.from_letters("IXIZ"))
+        q = OperatorSum.from_pauli(PauliString.from_letters("YIII"))
+        assert (p + q).supports() == frozenset({1, 2, 4})
+        assert (p + q - q).supports() == frozenset({2, 4})
+        assert OperatorSum.zero(4).supports() == frozenset()

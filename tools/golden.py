@@ -53,6 +53,10 @@ COMMANDS = [
     "verify --size 9 --global-symmetry",
     "protect --size 9",
     "protect --size 9 --local-only",
+    "protect --size 21 --symbolic-only",
+    "protect --size 15 --symbolic-only --tamper B2",
+    "protect --size 16 --local-only --symbolic-only",
+    "verify --size 15 --global-symmetry --tamper B2",
 ]
 
 
