@@ -492,7 +492,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
 
     for i, lam in enumerate(grid):
         if sectors is not None:
-            vals, labels, states = engine.sector_low(
+            vals, labels, states, _ = engine.sector_low(
                 sectors, (1.0, lam), count, norm_c + abs(lam) * norm_i,
                 atol=sector_atol)
         else:

@@ -42,7 +42,8 @@ def _fmt(x: float) -> float:
 
 def _clean(obj):
     """Round floats to 12 significant digits, normalize numpy types, and map
-    NaN to null so the JSON stays valid and platform-stable."""
+    NaN to null and -0.0 to 0.0 so the JSON stays valid and
+    platform-stable."""
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -57,7 +58,7 @@ def _clean(obj):
         x = float(obj)
         if math.isnan(x) or math.isinf(x):
             return None
-        return _fmt(x)
+        return _fmt(x) + 0.0   # -0.0 + 0.0 is 0.0
     return obj
 
 

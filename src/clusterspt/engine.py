@@ -9,8 +9,9 @@ matrix element off the masks, per x mask and row representative; the full
 space is its trivial sector.  `operator_matrix` wraps its rows into a CSR
 matrix, on which every full-space numeric path works, and `project_sectors`
 runs it once over the representatives of all sectors of `symmetry_sectors`
-to fill small dense per-sector blocks.  All golden values depend on this
-ordering.
+to fill small dense per-sector blocks, which `sector_low` solves for phase
+scans and for every dense `eig_low` of a symmetric operator.  All golden
+values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -286,9 +287,16 @@ def eig_low(h, count: int = 6, method: str = "auto",
             cluster_rtol: float = CLUSTER_RTOL) -> SpectrumResult:
     """Lowest `count` eigenpairs of a Hermitian operator sum.
 
-    dense: full matrix, L <= 12.  iterative: implicitly restarted Lanczos on
-    the CSR operator matrix, L <= 24.  A run whose memory estimate exceeds
-    physical memory raises ResourceLimitError before allocating anything.
+    dense: L <= 12, per symmetry sector when h is invariant.  The group is
+    read off h's coefficients with the test project_sectors applies
+    (_implied_leak): translation x spin flip when h is invariant under both
+    T and P, the spin flip alone when only under P.  Each sector block then
+    gives its lowest min(count, d) levels to sector_low, whose merged window
+    is exactly the lowest `count` levels.  An h with neither symmetry is
+    diagonalized as one full matrix.  iterative: implicitly restarted
+    Lanczos on the CSR operator matrix, L <= 24.  A run whose memory
+    estimate exceeds physical memory raises ResourceLimitError before
+    allocating anything.
     Every reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL *
     max(1, sum|coeff|) (see checked_residual).  The iterative path guarantees
     each returned pair is a true eigenpair but, like any Krylov method, may
@@ -324,35 +332,55 @@ def eig_low(h, count: int = 6, method: str = "auto",
 
     # a wide Krylov subspace improves capture of degenerate multiplets
     ncv = int(min(dim, max(4 * count + 1, 40)))
-    vectors = dim if method == "dense" else ncv
-    item = 8 if has_real_matrix(h) else 16
-    need = dim * (len({x for x, _ in h.items()}) * (item + 4) + vectors * item)
+    real = has_real_matrix(h)
+    item = 8 if real else 16
+    x_masks = len({x for x, _ in h.items()})
+    # True: ring sectors, False: spin-flip sectors, None: the full space
+    periodic = _symmetry_group(h) if method == "dense" else None
+    if periodic is None:
+        vectors = dim if method == "dense" else ncv
+        need = dim * (x_masks * (item + 4) + vectors * item)
+        what = f"CSR matrix plus {vectors} vectors"
+    else:
+        # the dense blocks, real where h and the character are, plus
+        # project_sectors' row tables: an int64 column and a value per
+        # state for each sector, their stacked copy and the kernel's rows
+        dims = _sector_dims(L, periodic)
+        k = np.arange(dims.size) // 2
+        need = int(dims ** 2 @ np.where(real & (2 * k % L == 0), 8, 16))
+        need += dim * (2 * dims.size + x_masks) * 24
+        what = f"{np.count_nonzero(dims)} sector blocks plus row tables"
     if need > _physical_memory():
         raise ResourceLimitError(
             f"{method} diagonalization of {L} sites needs about "
-            f"{need / 1e9:.1f} GB (CSR matrix plus {vectors} vectors), more "
-            f"than the {_physical_memory() / 1e9:.1f} GB of physical memory")
+            f"{need / 1e9:.1f} GB ({what}), more than the "
+            f"{_physical_memory() / 1e9:.1f} GB of physical memory")
 
-    m = operator_matrix(h)
-    if method == "dense":
-        vals, vecs = scipy.linalg.eigh(m.toarray(),
-                                       subset_by_index=[0, count - 1])
+    if periodic is not None:
+        vals, _, states, max_residual = sector_low(
+            project_sectors([h], periodic), [1.0], count, h.norm_bound())
+        vecs = np.column_stack([s.amps for s in states])
     else:
-        try:  # a fixed start vector keeps ARPACK's output deterministic
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0,
-                ncv=ncv, v0=np.random.default_rng(0).standard_normal(dim))
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"Lanczos did not converge in {_LANCZOS_MAXITER} iterations",
-                residuals=getattr(exc, "eigenvalues", None)) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-
-    vals = np.asarray(vals, dtype=float)
-    # before the complex cast: a real matrix times complex vectors copies
-    max_residual = checked_residual(m @ vecs, vecs, vals, h.norm_bound())
-    vecs = np.asarray(vecs, dtype=np.complex128)
+        m = operator_matrix(h)
+        if method == "dense":
+            vals, vecs = scipy.linalg.eigh(m.toarray(),
+                                           subset_by_index=[0, count - 1])
+        else:
+            try:  # a fixed start vector keeps ARPACK's output deterministic
+                vals, vecs = scipy.sparse.linalg.eigsh(
+                    m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0,
+                    ncv=ncv, v0=np.random.default_rng(0).standard_normal(dim))
+            except scipy.sparse.linalg.ArpackNoConvergence as exc:
+                raise ConvergenceError(
+                    f"Lanczos did not converge in {_LANCZOS_MAXITER} "
+                    f"iterations",
+                    residuals=getattr(exc, "eigenvalues", None)) from exc
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+        vals = np.asarray(vals, dtype=float)
+        # before the complex cast: a real matrix times complex vectors copies
+        max_residual = checked_residual(m @ vecs, vecs, vals, h.norm_bound())
+        vecs = np.asarray(vecs, dtype=np.complex128)
 
     width = _cluster_width(vals[0], cluster_rtol)
     degeneracy = int(np.sum(vals <= vals[0] + width))
@@ -545,6 +573,35 @@ def _implied_leak(op: OperatorSum, periodic: bool) -> float:
     return float(np.sqrt(1 << L) * leak)
 
 
+def _symmetry_group(op: OperatorSum):
+    """True when op is invariant under the translation T and the spin flip P
+    (ring sectors), False when under P alone (chain sectors), None
+    otherwise: the coefficient test of project_sectors, _implied_leak <=
+    1e-12 * max(1, sum|coeff|)."""
+    bound = 1e-12 * max(1.0, op.norm_bound())
+    for periodic in (True, False):
+        if _implied_leak(op, periodic) <= bound:
+            return periodic
+    return None
+
+
+def _sector_dims(length: int, periodic: bool) -> np.ndarray:
+    """Dimensions of the (k, p) sectors in _sector_rows' order, empty ones
+    included, from the characters alone (Burnside):
+    d = sum_g conj(chi(g)) F(g) / |G|, F(g) the number of basis states that
+    g fixes.  T^j cuts the sites into gcd(j, L) cycles and fixes 2^gcd(j, L)
+    states; T^j P fixes as many when the cycles have even length (bits
+    alternating along each), else none.  Open chains have only j = 0."""
+    shifts = length if periodic else 1
+    j = np.arange(shifts)
+    cycles = np.gcd(j, length)
+    fix = 2.0 ** cycles
+    fix_flip = np.where(length // cycles % 2 == 0, fix, 0.0)
+    dims = [(np.exp(-2j * np.pi * k * j / length) @ (fix + p * fix_flip)).real
+            / (2 * shifts) for k in range(shifts) for p in (1, -1)]
+    return np.rint(dims).astype(np.int64)
+
+
 def _check_basis(k: int, p: int, col: np.ndarray, val: np.ndarray, d: int,
                  periodic: bool) -> None:
     """Raise ConvergenceError unless the row form of sector (k, p) is an
@@ -656,17 +713,18 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
     """Lowest `count` levels of H = sum_m coeffs[m] * op_m from the blocks of
     project_sectors, one dense eigh per sector.
 
-    Returns (vals, labels, states) like eig_low's eigenvalues followed by
-    resolve_sectors: ascending energies, each level's spin-flip parity, and
-    the states V w.  Inside each cluster of levels within `atol` the labels
-    and states come in ascending parity, as resolve_sectors orders them.
-    A real H has conjugate blocks at momenta k and -k; when the block of
-    -k matches the conjugate of the solved block of k, its solution is
-    reused conjugated, which halves the complex solves.  Every pair passes
-    checked_residual against norm_h on its own block.
+    Returns (vals, labels, states, max_residual) like eig_low's eigenvalues
+    followed by resolve_sectors: ascending energies, each level's spin-flip
+    parity, the states V w, and the worst residual of any block.  Inside
+    each cluster of levels within `atol` the labels and states come in
+    ascending parity, as resolve_sectors orders them.  A real H has
+    conjugate blocks at momenta k and -k; when the block of -k matches the
+    conjugate of the solved block of k, its solution is reused conjugated,
+    which halves the complex solves.  Every pair passes checked_residual
+    against norm_h on its own block.
     """
     L = (projected[0][2].shape[0] - 1).bit_length()
-    solved, found = {}, []
+    solved, found, worst = {}, [], 0.0
     for k, p, v, blocks in projected:
         h = sum(c * b for c, b in zip(coeffs, blocks))
         n = min(count, h.shape[0])
@@ -678,7 +736,7 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
             e, w = scipy.linalg.eigh(h, subset_by_index=[0, n - 1])
             if -k % L != k:   # a complex block, whose twin may come later
                 solved[(k, p)] = (h, e, w)
-        checked_residual(h @ w, w, e, norm_h)
+        worst = max(worst, checked_residual(h @ w, w, e, norm_h))
         found += [(e[c], p, v, w[:, c]) for c in range(n)]
     found.sort(key=lambda level: level[0])
     found = found[:count]
@@ -687,7 +745,7 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
         found[c] = sorted(found[c], key=lambda level: level[1])
     labels = np.array([float(level[1]) for level in found])
     states = tuple(StateVector(L, v @ w) for _, _, v, w in found)
-    return vals, labels, states
+    return vals, labels, states, worst
 
 
 def _as_columns(states) -> np.ndarray:

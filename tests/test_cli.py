@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
 from clusterspt import LatticeSpec, certify_protection, engine, phase_scan
-from clusterspt.cli import main
+from clusterspt.cli import _clean, main
 from clusterspt.errors import DomainError
 
 
@@ -80,6 +82,16 @@ class TestSpectrum:
         assert code == 0
         assert doc["results"]["ground_degeneracy"] == 1
         assert doc["results"]["ground_energy"] == pytest.approx(-8.0)
+
+    def test_zero_levels_print_unsigned(self, capsys):
+        # exact-zero sector eigenvalues may come out of LAPACK as -0.0
+        assert math.copysign(1.0, _clean(np.float64(-0.0))) == 1.0
+        code, doc = run_json(capsys, "spectrum", "--size", "4",
+                             "--boundary", "periodic", "--count", "16")
+        assert code == 0
+        vals = doc["results"]["eigenvalues"]
+        assert 0.0 in vals
+        assert all(math.copysign(1.0, v) == 1.0 for v in vals if v == 0.0)
 
     def test_size_cap(self, capsys):
         assert main(["spectrum", "--size", "30"]) == 2
@@ -215,6 +227,18 @@ class TestMemoryBudget:
         assert "needs about 10.2 GB" in capsys.readouterr().err
         assert main(["spectrum", "--size", "14", "--method",
                      "iterative"]) == 0
+
+    def test_dense_budget_counts_sector_blocks(self, capsys, monkeypatch):
+        # 64 MiB holds the 24 blocks of about 171 states of the 12-site
+        # ring, not the two 2048 x 2048 float64 parity blocks of the chain
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 64 << 20)
+        assert main(["spectrum", "--size", "12", "--boundary", "periodic",
+                     "--method", "dense"]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", "--size", "12", "--boundary", "open",
+                     "--method", "dense"]) == 2
+        assert "needs about 0.1 GB (2 sector blocks plus row tables)" in \
+            capsys.readouterr().err
 
 
 class TestScanValidation:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, StateVector
@@ -247,9 +248,17 @@ class TestProjectorsAndSectors:
 
     def test_truncated_cluster_labels_flagged_by_magnitude(self):
         # the window cuts the excited multiplet; its slice is not parity
-        # invariant and the labels betray that by leaving +-1
+        # invariant and the labels betray that by leaving +-1.  eig_low
+        # solves this Hamiltonian per parity sector, whose states carry
+        # exact parities, so the mixed window comes from a full-space eigh
         lat = LatticeSpec(6, "open")
-        spect = cs.eig_low(cs.cluster_hamiltonian(lat), count=6)
+        vals, vecs = scipy.linalg.eigh(
+            cs.dense_matrix(cs.cluster_hamiltonian(lat)),
+            subset_by_index=[0, 5])
+        spect = cs.SpectrumResult(
+            eigenvalues=vals, states=tuple(StateVector(6, v) for v in vecs.T),
+            ground_degeneracy=4, gap=2.0, max_residual=0.0, method="dense",
+            cluster_rtol=cs.engine.CLUSTER_RTOL)
         parity, _ = cs.spin_flip_symmetries(lat)
         labels, _ = cs.resolve_sectors(spect, parity)
         assert not np.allclose(np.abs(labels[4:]), 1.0, atol=1e-3)

@@ -1,15 +1,21 @@
 """Symmetry-sector exact diagonalization: the translation x spin-flip bases,
-the once-per-lattice projection with its invariance guard, and the
-per-sector solve against the full dense spectrum."""
+the once-per-lattice projection with its invariance guard, the
+per-sector solve against the full dense spectrum, and eig_low's dense path,
+per sector or on the full space, against the Kronecker oracle."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 from clusterspt.errors import ConvergenceError
+
+from conftest import (kron_from_letters, oracle_sum_matrix,
+                      random_hermitian_sum)
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 
@@ -49,6 +55,19 @@ def test_concatenated_sector_bases_are_unitary(L, boundary):
             assert k == 0
 
 
+@pytest.mark.parametrize("periodic", [True, False])
+def test_character_count_gives_the_sector_dimensions(periodic):
+    # the memory budget reads these before any basis exists
+    for L in range(1, 12):
+        dims = engine._sector_dims(L, periodic)
+        rows = [(k, p, reps.size)
+                for k, p, _, _, reps in engine._sector_rows(L, periodic)]
+        shifts = L if periodic else 1
+        keys = [(k, p) for k in range(shifts) for p in (1, -1)]
+        assert [(k, p, d) for (k, p), d in zip(keys, dims) if d] == rows
+        assert dims.sum() == 1 << L
+
+
 def test_projection_guard_rejects_a_symmetry_breaking_operator():
     lat = LatticeSpec(6, "periodic")
     field = OperatorSum.from_pauli(PauliString.single(6, 3, "Z"), 0.1)
@@ -76,10 +95,21 @@ def test_sector_solve_matches_dense(L, boundary, lam):
     h = cs.perturbed_hamiltonian(lat, lam)
     count, atol = 12, 1e-8
     projected = engine.project_sectors((h_c, h_i), lat.is_periodic)
-    vals, labels, states = engine.sector_low(projected, (1.0, lam), count,
-                                             h.norm_bound(), atol=atol)
+    vals, labels, states, _ = engine.sector_low(projected, (1.0, lam), count,
+                                                h.norm_bound(), atol=atol)
 
-    dense = cs.eig_low(h, count=count, method="dense")
+    # the reference is the full space, since eig_low solves h per sector;
+    # h is real, and its real matrix halves the cost of the solve
+    full = oracle_sum_matrix(h)
+    assert not full.imag.any()
+    full_vals, full_vecs = np.linalg.eigh(full.real)
+    width = engine.CLUSTER_RTOL * max(1.0, abs(full_vals[0]))
+    dense = cs.SpectrumResult(
+        eigenvalues=full_vals[:count],
+        states=tuple(cs.StateVector(L, v) for v in full_vecs[:, :count].T),
+        ground_degeneracy=int(np.sum(full_vals <= full_vals[0] + width)),
+        gap=np.nan, max_residual=0.0, method="dense",
+        cluster_rtol=engine.CLUSTER_RTOL)
     parity = cs.spin_flip_symmetries(lat)[0]
     want, _ = cs.resolve_sectors(dense, parity, atol=atol)
     np.testing.assert_allclose(vals, dense.eigenvalues, rtol=0, atol=1e-12)
@@ -102,12 +132,12 @@ def rotated(mask, L):
 
 
 @st.composite
-def invariant_operators(draw):
+def invariant_operators(draw, boundary=None):
     """(L, boundary, M): M a random sum of Pauli strings of even z weight,
     so the spin flip conserves it, summed over all translates on a ring;
-    coefficients real or complex."""
+    coefficients real or complex.  The boundary is drawn unless given."""
     L = draw(st.integers(3, 10))
-    boundary = draw(st.sampled_from(["open", "periodic"]))
+    boundary = boundary or draw(st.sampled_from(["open", "periodic"]))
     complex_coeffs = draw(st.booleans())
     op = OperatorSum.zero(L)
     for _ in range(draw(st.integers(1, 3))):
@@ -141,6 +171,62 @@ def test_direct_blocks_match_the_sparse_projection(case):
         assert leak <= 1e-12 * scale
         want = np.float64 if real and 2 * k % L == 0 else np.complex128
         assert block.dtype == want
+
+
+@st.composite
+def dense_cases(draw):
+    """(L, H): a nonzero Hermitian sum invariant under the translation and
+    the spin flip, or under the spin flip alone (invariant_operators made
+    Hermitian), or a random sum that as a rule has neither symmetry."""
+    boundary = draw(st.sampled_from(["periodic", "open", None]))
+    if boundary is None:
+        L = draw(st.integers(3, 10))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return L, random_hermitian_sum(rng, L)
+    L, _, op = draw(invariant_operators(boundary))
+    op = op + op.adjoint()
+    assume(not op.is_zero)
+    return L, op
+
+
+@PROPERTY
+@given(dense_cases(), st.integers(1, 16))
+@example((8, cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 1.0)), 12)
+@example((9, cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)), 8)
+def test_dense_path_matches_the_oracle(case, count):
+    L, op = case
+    m = oracle_sum_matrix(op)
+    scale = max(1.0, op.norm_bound())
+
+    def conserves(g):
+        """Whether the permutation matrix g commutes with m."""
+        image = g.argmax(axis=0)
+        return np.linalg.norm(m[np.ix_(image, image)] - m) <= 1e-9 * scale
+
+    flip = conserves(kron_from_letters("X" * L).real)
+    ring = flip and conserves(translation_matrix(L))
+    with mock.patch.object(engine, "project_sectors",
+                           wraps=engine.project_sectors) as spy:
+        spect = cs.eig_low(op, count=count, method="dense")
+    # the sector path runs exactly for the invariant sums, on the ring's
+    # sectors when the translation conserves them too
+    assert spy.call_count == flip
+    if flip:
+        assert spy.call_args.args[1] == ring
+
+    want = np.linalg.eigvalsh(m)
+    n = min(count, 1 << L)
+    np.testing.assert_allclose(spect.eigenvalues, want[:n], rtol=0,
+                               atol=1e-12)
+    width = engine.CLUSTER_RTOL * max(1.0, abs(want[0]))
+    deg = spect.ground_degeneracy
+    assert deg == min(n, np.sum(want <= want[0] + width))
+    vecs = np.column_stack([psi.amps for psi in spect.states])
+    residuals = np.linalg.norm(m @ vecs - vecs * spect.eigenvalues, axis=0)
+    assert residuals.max() <= 1e-9 * scale
+    ground = vecs[:, :deg]
+    np.testing.assert_allclose(ground.conj().T @ ground, np.eye(deg),
+                               atol=1e-12)
 
 
 def test_projection_guard_rejects_a_broken_bond():

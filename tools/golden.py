@@ -57,6 +57,9 @@ COMMANDS = [
     "protect --size 15 --symbolic-only --tamper B2",
     "protect --size 16 --local-only --symbolic-only",
     "verify --size 15 --global-symmetry --tamper B2",
+    "spectrum --size 12 --boundary periodic --lambda 0.7",
+    "spectrum --size 11 --boundary open --lambda 1.2 --count 12",
+    "verify --size 12",
 ]
 
 
