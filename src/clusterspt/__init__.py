@@ -17,7 +17,7 @@ from .clifford import (CzCircuit, conjugate_circuit, conjugate_cz,
 from .engine import (SpectrumResult, StateVector, apply, build_cluster_state,
                      cz_diagonal, dense_matrix, eig_low, expectation,
                      gram_matrix, ground_projector, has_real_matrix,
-                     operator_matrix, pauli_matrix, resolve_sectors,
+                     operator_matrix, resolve_sectors,
                      splitting_class, subspace_distance)
 from .errors import (ConvergenceError, DomainError, LengthMismatchError,
                      ResourceLimitError)
@@ -29,7 +29,7 @@ from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      printed_global_string, registry_manifest,
                      spin_flip_symmetries, stabilizer)
 from .pauli import (OperatorSum, PauliString, anticommutator, anticommutes,
-                    commutator, commutes, multiply, weight_support)
+                    commutator, commutes, multiply)
 
 __version__ = "0.1.0"
 
@@ -47,10 +47,9 @@ __all__ = [
     "global_symmetry_pair", "gram_matrix", "ground_projector",
     "has_real_matrix", "ising_perturbation", "local_symmetry",
     "local_symmetry_pair", "longest_string_sites", "multiply",
-    "operator_matrix", "parity_and_timereversal", "pauli_matrix",
+    "operator_matrix", "parity_and_timereversal",
     "perturbed_hamiltonian", "phase_scan", "printed_global_string",
     "registry_manifest", "resolve_sectors", "spin_flip_symmetries",
     "splitting_class", "stabilizer", "string_order", "string_order_operator",
     "subspace_distance", "transition_estimate", "verify_stabilizer_algebra",
-    "weight_support",
 ]

@@ -438,9 +438,11 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     H_C and H_I are projected once into the translation x spin-flip sectors
     and every coupling is a set of small dense solves with parity labels by
     construction; otherwise each coupling runs eig_low and resolve_sectors.
-    The observables' matrices are built once per scan, so each coupling
-    measures them with one matrix-vector product each.  Scan points are
-    independent; results are assembled in grid order.
+    The observables' matrices are built once per scan, after the first
+    coupling's solve, so a size over eig_low's memory budget fails before
+    they are allocated, and each coupling measures them with one
+    matrix-vector product each.  Scan points are independent; results are
+    assembled in grid order.
     """
     grid = np.asarray(lam_grid, dtype=float)
     _check_grid(grid)
@@ -466,7 +468,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         sectors = engine.project_sectors((h_c, yy_unit), lattice.is_periodic)
         norm_c, norm_i = h_c.norm_bound(), yy_unit.norm_bound()
 
-    probe_mats = {}
+    probe_ops = {}
     if probes:
         for name, op in probes.items():
             if isinstance(op, str):
@@ -474,9 +476,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
             if op.length != L:
                 raise LengthMismatchError(
                     f"probe {name!r} acts on {op.length} sites, not {L}")
-            probe_mats[name] = engine.operator_matrix(op)
-    so_mat, yy_mat, par_mat = (engine.operator_matrix(op)
-                               for op in (so_op, yy_unit, parity_op))
+            probe_ops[name] = op
 
     n = grid.size
     energy = np.zeros(n)
@@ -488,7 +488,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     gsp = np.zeros(n)
     mult = np.zeros(n, dtype=int)
     exc_parities = []
-    extras = {name: np.zeros(n) for name in probe_mats}
+    extras = {name: np.zeros(n) for name in probe_ops}
 
     for i, lam in enumerate(grid):
         if sectors is not None:
@@ -501,6 +501,11 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
             labels, states = resolve_sectors(spect, parity_op,
                                              atol=sector_atol)
             vals = spect.eigenvalues
+        if i == 0:
+            so_mat, yy_mat, par_mat = (engine.operator_matrix(op)
+                                       for op in (so_op, yy_unit, parity_op))
+            probe_mats = {name: engine.operator_matrix(op)
+                          for name, op in probe_ops.items()}
         gs = states[0]
 
         energy[i] = vals[0]

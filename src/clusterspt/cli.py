@@ -7,7 +7,7 @@ sweep).  Output is JSON, or CSV for tabular results, with a fixed schema and
 byte-identical reports apart from the timings block.
 
 Exit codes: 0 all checks passed, 1 a verified check failed, 2 usage or
-resource error.
+resource error, an unwritable --out included.
 """
 
 from __future__ import annotations
@@ -351,7 +351,12 @@ def main(argv=None) -> int:
         "verdict": "pass" if ok else "fail",
         "timings": {"total_s": round(time.perf_counter() - t0, 6)},
     }
-    _emit(payload, args, csv_rows)
+    try:
+        _emit(payload, args, csv_rows)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

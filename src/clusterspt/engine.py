@@ -5,13 +5,15 @@ Basis convention: computational basis |b_1 b_2 ... b_L> with site 1 as the
 most significant bit of the index.  A term X^x Z^z acts on a basis index b as
 a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
 sum is a sum of signed permutations.  One kernel, `_mask_rows`, reads every
-matrix element off the masks, per x mask and row representative; the full
-space is its trivial sector.  `operator_matrix` wraps its rows into a CSR
-matrix, on which every full-space numeric path works, and `project_sectors`
-runs it once over the representatives of all sectors of `symmetry_sectors`
-to fill small dense per-sector blocks, which `sector_low` solves for phase
-scans and for every dense `eig_low` of a symmetric operator.  All golden
-values depend on this ordering.
+matrix element off the masks, per x mask and row.  `operator_matrix` runs it
+on every basis index and wraps the rows into a CSR matrix, on which every
+full-space numeric path works.  `project_sectors` runs it once on the orbit
+representatives of the translation x spin-flip group, from one orbit table
+per lattice (`_sector_table`: each index's orbit and group element, and each
+sector's character and columns), and scatters the rows into small dense
+blocks of every sector at once; `sector_low` solves them for phase scans
+and for every dense `eig_low` of a symmetric operator.  All golden values
+depend on this ordering.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ DENSE_SITE_CAP = 12
 APPLY_SITE_CAP = 24
 
 # Relative tolerance for grouping eigenvalues into degenerate clusters.  The
-# desk-scale spectra keep clusters at least gap/100 apart; scans near a
-# transition can override per call.
+# desk-scale spectra keep clusters at least gap/100 apart.
 CLUSTER_RTOL = 1e-8
 
 RESIDUAL_RTOL = 1e-9
@@ -105,38 +106,29 @@ class StateVector:
         return f"StateVector(L={self.length}, norm={self.norm:.6f})"
 
 
-def _mask_rows(op: OperatorSum, rows: np.ndarray, col=None, val=None):
+def _mask_rows(op: OperatorSum, rows: np.ndarray):
     """(indices, data), each (rows.size, #x masks): op's entries in `rows`,
-    one per x mask (ascending) per row.
+    one per x mask (ascending) per row: float64 when has_real_matrix holds.
 
     A term c X^x Z^z sends b to b ^ x with sign (-1)^popcount(z & b), so row
     r pulls from r ^ x alone, and the terms sharing x give it
-    sum_z c (-1)^popcount(z & (r ^ x)).  In a sector with columns
-    |c> = sum_b val[b] |b> (b in column col[b]; -1 and 0 outside it), the rows
-    are representatives; for an M that conserves the sector, M|c> has
-    amplitude (V^H M V)[c', c] val[r] at the representative r of c', so x
-    scales that sum by val[r ^ x] / val[r] and puts it in column col[r ^ x].
-    The full space is the trivial sector (the default): col the identity and
-    val = 1.  Data is float64 when has_real_matrix holds and val is real.
+    sum_z c (-1)^popcount(z & (r ^ x)).  The rows are every basis index for
+    the full-space matrix and the orbit representatives for the sector
+    blocks (project_sectors).
     """
     groups = {}
     for (x, z), coeff in op.items():
         groups.setdefault(x, []).append((z, coeff))
     real = has_real_matrix(op)
-    dtype = np.float64 if real else np.complex128
-    if val is not None:
-        dtype, norm = np.result_type(dtype, val), val[rows]
     indices = np.empty((rows.size, len(groups)), dtype=rows.dtype)
-    data = np.zeros((rows.size, len(groups)), dtype=dtype)
+    data = np.zeros((rows.size, len(groups)),
+                    dtype=np.float64 if real else np.complex128)
     for k, x in enumerate(sorted(groups)):
         cols = indices[:, k]
         np.bitwise_xor(rows, x, out=cols)
         for z, coeff in groups[x]:
             signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
             data[:, k] += (coeff.real if real else coeff) * signs
-        if col is not None:
-            data[:, k] *= val[cols] / norm
-            cols[:] = col[cols]
     return indices, data
 
 
@@ -169,11 +161,6 @@ def apply(op, psi: StateVector) -> StateVector:
 def expectation(psi: StateVector, op) -> complex:
     """<psi|op|psi>; real to ~1e-10 for Hermitian operators."""
     return psi.inner(apply(op, psi))
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of one Pauli string (test oracles and small systems)."""
-    return dense_matrix(p)
 
 
 def dense_matrix(op) -> np.ndarray:
@@ -241,7 +228,7 @@ class SpectrumResult:
     """Low-lying spectrum with its degeneracy structure.
 
     eigenvalues are ascending; the ground cluster is every eigenvalue within
-    cluster_rtol * max(1, |E0|) of E0; gap is the first eigenvalue above the
+    CLUSTER_RTOL * max(1, |E0|) of E0; gap is the first eigenvalue above the
     cluster minus E0 (nan when the requested count never left the cluster).
     """
 
@@ -251,7 +238,6 @@ class SpectrumResult:
     gap: float
     max_residual: float
     method: str
-    cluster_rtol: float
 
     @property
     def ground_energy(self) -> float:
@@ -260,10 +246,6 @@ class SpectrumResult:
     @property
     def ground_basis(self) -> tuple:
         return self.states[: self.ground_degeneracy]
-
-
-def _cluster_width(e0: float, rtol: float) -> float:
-    return rtol * max(1.0, abs(e0))
 
 
 def checked_residual(hv: np.ndarray, vecs: np.ndarray, vals: np.ndarray,
@@ -283,8 +265,7 @@ def checked_residual(hv: np.ndarray, vecs: np.ndarray, vals: np.ndarray,
     return worst
 
 
-def eig_low(h, count: int = 6, method: str = "auto",
-            cluster_rtol: float = CLUSTER_RTOL) -> SpectrumResult:
+def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     """Lowest `count` eigenpairs of a Hermitian operator sum.
 
     dense: L <= 12, per symmetry sector when h is invariant.  The group is
@@ -296,8 +277,9 @@ def eig_low(h, count: int = 6, method: str = "auto",
     diagonalized as one full matrix.  iterative: implicitly restarted
     Lanczos on the CSR operator matrix, L <= 24.  A run whose memory
     estimate exceeds physical memory raises ResourceLimitError before
-    allocating anything.
-    Every reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL *
+    allocating anything large; on the sector path the estimate reads the
+    sector dimensions off the orbit table (_sector_table), a few bytes per
+    state.  Every reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL *
     max(1, sum|coeff|) (see checked_residual).  The iterative path guarantees
     each returned pair is a true eigenpair but, like any Krylov method, may
     return fewer copies of a highly degenerate level than exist; ask for enough
@@ -342,14 +324,14 @@ def eig_low(h, count: int = 6, method: str = "auto",
         need = dim * (x_masks * (item + 4) + vectors * item)
         what = f"CSR matrix plus {vectors} vectors"
     else:
-        # the dense blocks, real where h and the character are, plus
-        # project_sectors' row tables: an int64 column and a value per
-        # state for each sector, their stacked copy and the kernel's rows
-        dims = _sector_dims(L, periodic)
-        k = np.arange(dims.size) // 2
-        need = int(dims ** 2 @ np.where(real & (2 * k % L == 0), 8, 16))
-        need += dim * (2 * dims.size + x_masks) * 24
-        what = f"{np.count_nonzero(dims)} sector blocks plus row tables"
+        # the dense blocks, float64 when h and every character are real,
+        # plus the orbit table and the rows project_sectors scatters, at
+        # most 40 bytes per state and x mask (measured on 8-14 sites)
+        table = _sector_table(L, periodic)
+        dims = table.dims
+        item = 8 if real and np.isrealobj(table.chars) else 16
+        need = int(dims @ dims) * item + dim * (64 + 40 * x_masks)
+        what = f"{dims.size} sector blocks plus row tables"
     if need > _physical_memory():
         raise ResourceLimitError(
             f"{method} diagonalization of {L} sites needs about "
@@ -382,7 +364,7 @@ def eig_low(h, count: int = 6, method: str = "auto",
         max_residual = checked_residual(m @ vecs, vecs, vals, h.norm_bound())
         vecs = np.asarray(vecs, dtype=np.complex128)
 
-    width = _cluster_width(vals[0], cluster_rtol)
+    width = CLUSTER_RTOL * max(1.0, abs(vals[0]))
     degeneracy = int(np.sum(vals <= vals[0] + width))
     if degeneracy < vals.size:
         gap = float(vals[degeneracy] - vals[0])
@@ -399,8 +381,7 @@ def eig_low(h, count: int = 6, method: str = "auto",
                    for i in range(vals.size))
     return SpectrumResult(
         eigenvalues=vals, states=states, ground_degeneracy=degeneracy,
-        gap=gap, max_residual=max_residual, method=method,
-        cluster_rtol=cluster_rtol)
+        gap=gap, max_residual=max_residual, method=method)
 
 
 def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:
@@ -474,11 +455,11 @@ def _orbits(length: int, periodic: bool) -> tuple:
     """Orbits of the basis indices under the translations T^j and the spin
     flip P, on which P is b ^ (2^L - 1) (P alone on an open chain).
 
-    Returns (reps, size, orbit, j_of, s_of, stabilizes): the representatives
-    r (the smallest index of each orbit, ascending), the orbit sizes N_r,
-    orbit[b] the position of b's orbit in reps, the group element
-    g_b = T^j P^s with g_b b = r as j_of[b], s_of[b], and stabilizes[g, n],
-    whether the element g = 2j + s fixes reps[n].
+    Returns (reps, size, orbit, elem, stabilizes): the representatives r
+    (the smallest index of each orbit, ascending), the orbit sizes N_r,
+    orbit[b] the position of b's orbit in reps (int32), the group element
+    g_b = T^j P^s with g_b b = r as elem[b] = 2j + s (int8), and
+    stabilizes[g, n], whether the element g fixes reps[n].
     """
     if length > APPLY_SITE_CAP:
         raise ResourceLimitError(
@@ -494,64 +475,78 @@ def _orbits(length: int, periodic: bool) -> tuple:
             yield b ^ full
             b = _rotate(b, length)
 
-    rep = np.arange(dim, dtype=np.int64)
-    to_rep = np.zeros(dim, dtype=np.int64)
+    rep = np.arange(dim, dtype=np.int32)
+    elem = np.zeros(dim, dtype=np.int8)
     for g, img in enumerate(images(rep.copy())):
         smaller = img < rep
         rep[smaller] = img[smaller]
-        to_rep[smaller] = g
-    reps, orbit = np.unique(rep, return_inverse=True)
+        elem[smaller] = g
+    is_rep = rep == np.arange(dim)
+    reps = np.flatnonzero(is_rep)
+    orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
     stabilizes = np.array(list(images(reps))) == reps
-    j_of, s_of = np.divmod(to_rep, 2)
-    return reps, np.bincount(orbit), orbit, j_of, s_of, stabilizes
+    return reps, np.bincount(orbit), orbit, elem, stabilizes
 
 
-def _sector_rows(length: int, periodic: bool):
-    """Yield (k, p, col, val, reps) for every nonempty sector, row by row:
-    basis index b sits in column col[b] (-1 outside the sector) with entry
-    val[b] = chi(g_b) / sqrt(N_r), chi(T^j P^s) = e^{2 pi i k j / L} p^s,
-    and reps lists the columns' representatives in column order."""
-    reps, size, orbit, j_of, s_of, stabilizes = _orbits(length, periodic)
+@dataclass(frozen=True)
+class _SectorTable:
+    """The orbits of one lattice and its nonempty (k, p) sectors.
+
+    keys[i] = (k, p) labels sector i, whose character is
+    chars[i, 2j + s] = chi(T^j P^s) = e^{2 pi i k j / L} p^s; cols[i, n] is
+    the column of reps[n]'s orbit sum in sector i, -1 where the sum
+    vanishes.  The other fields are those of _orbits.
+    """
+
+    length: int
+    reps: np.ndarray
+    size: np.ndarray
+    orbit: np.ndarray
+    elem: np.ndarray
+    keys: tuple
+    chars: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def dims(self) -> np.ndarray:
+        return np.count_nonzero(self.cols >= 0, axis=1)
+
+
+def _sector_table(length: int, periodic: bool) -> _SectorTable:
+    """The orbit table of the translation x spin-flip sectors (spin flip
+    alone on an open chain, reported as k = 0), sectors in ascending k then
+    p = +1, -1."""
+    reps, size, orbit, elem, stabilizes = _orbits(length, periodic)
     shifts = length if periodic else 1
+    keys, chars = [], []
     for k in range(shifts):
         phase = 2 * np.pi * k * np.arange(shifts) / length
         # k = 0 and k = L/2 (every open-chain sector) have a real
-        # character, so their bases, blocks and solves stay real
+        # character, so their blocks and solves stay real
         twist = np.cos(phase) if 2 * k % length == 0 else np.exp(1j * phase)
         for p in (1, -1):
-            char = np.outer(twist, (1, p)).ravel()
-            # an orbit sum survives iff the character is trivial on the
-            # representative's stabilizer, where the sum is |stabilizer| > 0
-            alive = (char @ stabilizes).real > 0.5
-            if not alive.any():
-                continue
-            col = np.where(alive, np.cumsum(alive) - 1, -1)[orbit]
-            val = np.where(col >= 0, twist[j_of] * np.where(s_of, p, 1)
-                           / np.sqrt(size[orbit]), 0)
-            yield k, p, col, val, reps[alive]
+            keys.append((k, p))
+            chars.append(np.outer(twist, (1, p)).ravel())
+    chars = np.array(chars)
+    # an orbit sum survives iff the character is trivial on the
+    # representative's stabilizer, where the sum is |stabilizer| > 0
+    alive = (chars @ stabilizes).real > 0.5
+    some = alive.any(axis=1)
+    alive = alive[some]
+    cols = np.where(alive, np.cumsum(alive, axis=1) - 1, -1).astype(np.int32)
+    return _SectorTable(length, reps, size, orbit, elem,
+                        tuple(key for key, s in zip(keys, some) if s),
+                        chars[some], cols)
 
 
-def _basis(col: np.ndarray, val: np.ndarray, d: int) -> scipy.sparse.csr_array:
-    """The sparse (2^L, d) basis of one sector from its row form."""
-    rows = col >= 0
-    indptr = np.concatenate(([0], np.cumsum(rows)))
-    return scipy.sparse.csr_array((val[rows], col[rows], indptr),
-                                  shape=(col.size, d))
-
-
-def symmetry_sectors(length: int, periodic: bool) -> list:
-    """Symmetry-adapted bases of the spin flip P = X_1...X_L and, on a ring,
-    the translation T that moves site i to site i+1.
-
-    Returns [(k, p, V)] for every nonempty sector: V is a sparse (2^L, d)
-    isometry whose columns are the normalized orbit sums
-    sum_{j,s} e^{-2 pi i k j / L} p^s T^j P^s |r> over orbit representatives
-    r (the smallest index in each orbit), so T V = e^{2 pi i k / L} V and
-    P V = p V.  Open chains carry P alone and report k = 0.  Sector
-    dimensions sum to 2^L.
-    """
-    return [(k, p, _basis(col, val, reps.size))
-            for k, p, col, val, reps in _sector_rows(length, periodic)]
+def _row_form(table: _SectorTable, i: int) -> tuple:
+    """(col, val) of sector i over the basis indices: b sits in column
+    col[b] (-1 outside the sector) with entry val[b] = chi(g_b) / sqrt(N_r),
+    0 outside, so the sector's basis is V[b, col[b]] = val[b]."""
+    col = table.cols[i][table.orbit]
+    val = np.where(col >= 0, table.chars[i][table.elem]
+                   / np.sqrt(table.size[table.orbit]), 0)
+    return col, val
 
 
 def _implied_leak(op: OperatorSum, periodic: bool) -> float:
@@ -585,23 +580,6 @@ def _symmetry_group(op: OperatorSum):
     return None
 
 
-def _sector_dims(length: int, periodic: bool) -> np.ndarray:
-    """Dimensions of the (k, p) sectors in _sector_rows' order, empty ones
-    included, from the characters alone (Burnside):
-    d = sum_g conj(chi(g)) F(g) / |G|, F(g) the number of basis states that
-    g fixes.  T^j cuts the sites into gcd(j, L) cycles and fixes 2^gcd(j, L)
-    states; T^j P fixes as many when the cycles have even length (bits
-    alternating along each), else none.  Open chains have only j = 0."""
-    shifts = length if periodic else 1
-    j = np.arange(shifts)
-    cycles = np.gcd(j, length)
-    fix = 2.0 ** cycles
-    fix_flip = np.where(length // cycles % 2 == 0, fix, 0.0)
-    dims = [(np.exp(-2j * np.pi * k * j / length) @ (fix + p * fix_flip)).real
-            / (2 * shifts) for k in range(shifts) for p in (1, -1)]
-    return np.rint(dims).astype(np.int64)
-
-
 def _check_basis(k: int, p: int, col: np.ndarray, val: np.ndarray, d: int,
                  periodic: bool) -> None:
     """Raise ConvergenceError unless the row form of sector (k, p) is an
@@ -628,12 +606,17 @@ def _check_basis(k: int, p: int, col: np.ndarray, val: np.ndarray, d: int,
             f"eigenbasis of the symmetries")
 
 
-def project_sectors(ops, periodic: bool) -> list:
+def project_sectors(ops, periodic: bool) -> tuple:
     """Every operator of `ops` (one lattice) in every symmetry sector:
-    [(k, p, V, blocks)] with blocks[m] = V^H M_m V, read off the operator's
-    action on the representatives of all sectors at once (see _mask_rows).
-    A block is float64 exactly when its operator is real (has_real_matrix)
-    and its sector's character is real (2k = 0 mod L).
+    (table, [(k, p, blocks)]), the lattice's orbit table (_sector_table) and
+    per sector blocks[m] = V^H M_m V, V the sector's orbit-sum basis
+    (_row_form).  Each operator's kernel (_mask_rows) runs once on the orbit
+    representatives: M|c> has amplitude B[c', c] / sqrt(N_r) at the
+    representative r of column c', so row r's entry from r ^ x, times
+    chi(g_{r^x}) sqrt(N_r / N_{orbit(r^x)}), lands in column
+    cols[i, orbit(r ^ x)] of every sector i that keeps r, all sectors in one
+    scatter.  A block is float64 exactly when its operator is real
+    (has_real_matrix) and its sector's character is real (2k = 0 mod L).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -649,7 +632,8 @@ def project_sectors(ops, periodic: bool) -> list:
          ||g M g^-1 - M||_F = sqrt(2^L) ||dc||_2; P flips the sign of the
          terms of odd z weight, so ||P M P - M||_F = 2 sqrt(2^L) ||c_odd||_2;
     (iii) each V is an orthonormal eigenbasis with T V = e^{2 pi i k/L} V and
-         P V = p V (_check_basis; one entry per row by construction).
+         P V = p V (_check_basis on its row form, one sector at a time; one
+         entry per row by construction).
 
     By (iii) the columns of all sectors are orthonormal, sectors with
     distinct (k, p) being orthogonal eigenspaces, and by (i) there are 2^L
@@ -676,36 +660,40 @@ def project_sectors(ops, periodic: bool) -> list:
                 f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
                 f"{bound:.3e}")
     dim = 1 << L
-    sectors = list(_sector_rows(L, periodic))
-    for k, p, col, val, reps in sectors:
-        _check_basis(k, p, col, val, reps.size, periodic)
-    sizes = np.array([sector[4].size for sector in sectors])
-    if sizes.sum() != dim:
+    table = _sector_table(L, periodic)
+    dims = table.dims
+    if dims.sum() != dim:
         raise ConvergenceError(
-            f"symmetry sectors span {sizes.sum()} states, not 2^{L}")
-    # tag row r of sector s as s 2^L + r: the masks act on the low L bits
-    # alone, and the tag picks that sector's part of the stacked col and val
-    rows = np.concatenate([s * dim + sec[4] for s, sec in enumerate(sectors)])
-    col, val = (np.concatenate([sec[i] for sec in sectors]) for i in (2, 3))
-    # block s fills flat[ends[s] - d_s^2:ends[s]] row by row
-    ends = np.cumsum(sizes ** 2)
-    start = (np.repeat(ends - sizes ** 2, sizes)
-             + np.repeat(sizes, sizes) * col[rows])
+            f"symmetry sectors span {dims.sum()} states, not 2^{L}")
+    for i, (k, p) in enumerate(table.keys):
+        _check_basis(k, p, *_row_form(table, i), dims[i], periodic)
+    # the rows of all sectors, sector-major: row a of the scatter is
+    # reps[rep[a]] in sector sec[a]
+    sec, rep = np.nonzero(table.cols >= 0)
+    sec = sec[:, None]
+    # block i fills flat[ends[i] - d_i^2:ends[i]] row by row
+    ends = np.cumsum(dims ** 2)
+    start = ((ends - dims ** 2)[sec]
+             + dims[sec] * table.cols[sec, rep[:, None]])
     flats = []
     for op in ops:
-        indices, data = _mask_rows(op, rows, col, val)
-        keep = indices >= 0
-        flats.append(np.zeros(ends[-1], dtype=data.dtype))
-        np.add.at(flats[-1], (start[:, None] + indices)[keep], data[keep])
+        indices, data = _mask_rows(op, table.reps)
+        orbit = table.orbit[indices]
+        data *= np.sqrt(table.size[:, None] / table.size[orbit])
+        values = table.chars[sec, table.elem[indices][rep]] * data[rep]
+        # an entry into an orbit whose sum vanishes in the sector (column
+        # -1) goes to a spare slot past the blocks
+        target = table.cols[sec, orbit[rep]]
+        target = np.where(target >= 0, start + target, ends[-1])
+        flats.append(np.zeros(ends[-1] + 1, dtype=values.dtype))
+        np.add.at(flats[-1], target.ravel(), values.ravel())
     real = [has_real_matrix(op) for op in ops]
     out = []
-    for (k, p, c, v, reps), end in zip(sectors, ends):
-        d = reps.size
+    for (k, p), d, end in zip(table.keys, dims, ends):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
-        out.append((k, p, _basis(c, v, d), [
-            b.real if r and 2 * k % L == 0 else b
-            for b, r in zip(blocks, real)]))
-    return out
+        out.append((k, p, [b.real if r and 2 * k % L == 0 else b
+                           for b, r in zip(blocks, real)]))
+    return table, out
 
 
 def sector_low(projected, coeffs, count: int, norm_h: float,
@@ -715,17 +703,20 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
 
     Returns (vals, labels, states, max_residual) like eig_low's eigenvalues
     followed by resolve_sectors: ascending energies, each level's spin-flip
-    parity, the states V w, and the worst residual of any block.  Inside
-    each cluster of levels within `atol` the labels and states come in
-    ascending parity, as resolve_sectors orders them.  A real H has
+    parity, the states V w, and the worst residual of any block.  Only the
+    kept levels are expanded to 2^L amplitudes, each from its sector's row
+    form (_row_form).  Inside each cluster of levels within `atol` the
+    labels and states come in ascending parity, as resolve_sectors orders
+    them.  A real H has
     conjugate blocks at momenta k and -k; when the block of -k matches the
     conjugate of the solved block of k, its solution is reused conjugated,
     which halves the complex solves.  Every pair passes checked_residual
     against norm_h on its own block.
     """
-    L = (projected[0][2].shape[0] - 1).bit_length()
+    table, sectors = projected
+    L = table.length
     solved, found, worst = {}, [], 0.0
-    for k, p, v, blocks in projected:
+    for i, (k, p, blocks) in enumerate(sectors):
         h = sum(c * b for c, b in zip(coeffs, blocks))
         n = min(count, h.shape[0])
         twin = solved.pop((-k % L, p), None)
@@ -737,15 +728,18 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
             if -k % L != k:   # a complex block, whose twin may come later
                 solved[(k, p)] = (h, e, w)
         worst = max(worst, checked_residual(h @ w, w, e, norm_h))
-        found += [(e[c], p, v, w[:, c]) for c in range(n)]
+        found += [(e[c], p, i, w[:, c]) for c in range(n)]
     found.sort(key=lambda level: level[0])
     found = found[:count]
     vals = np.array([level[0] for level in found])
     for c in _clusters(vals, atol):
         found[c] = sorted(found[c], key=lambda level: level[1])
     labels = np.array([float(level[1]) for level in found])
-    states = tuple(StateVector(L, v @ w) for _, _, v, w in found)
-    return vals, labels, states, worst
+    states = []
+    for _, _, i, w in found:
+        col, val = _row_form(table, i)
+        states.append(StateVector(L, val * w[col]))
+    return vals, labels, tuple(states), worst
 
 
 def _as_columns(states) -> np.ndarray:

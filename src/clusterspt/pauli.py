@@ -237,11 +237,6 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     return p * q
 
 
-def weight_support(p: PauliString) -> frozenset:
-    """1-based sites where p acts non-trivially."""
-    return p.support()
-
-
 class OperatorSum:
     """Finite complex linear combination of Pauli strings on L sites.
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ class TestScan:
                      "--format", "csv", "--out", str(path)]) == 0
         assert path.read_text().startswith("lam,")
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["verify", "--size", "5", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -239,6 +248,17 @@ class TestMemoryBudget:
                      "--method", "dense"]) == 2
         assert "needs about 0.1 GB (2 sector blocks plus row tables)" in \
             capsys.readouterr().err
+
+    def test_scan_checks_the_budget_before_its_observables(self, capsys,
+                                                           monkeypatch):
+        # 14 sites take eig_low per coupling; its estimate must fail before
+        # the scan builds its observables' matrices
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 1 << 20)
+        with mock.patch.object(engine, "operator_matrix",
+                               wraps=engine.operator_matrix) as spy:
+            assert main(["scan", "--size", "14", "--lambda", "1:1:1"]) == 2
+        assert spy.call_count == 0
+        assert "needs about" in capsys.readouterr().err
 
 
 class TestScanValidation:

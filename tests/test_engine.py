@@ -77,7 +77,7 @@ class TestDenseMatrices:
         for _ in range(40):
             p = random_pauli(rng, 4)
             assert np.allclose(
-                cs.pauli_matrix(p),
+                cs.dense_matrix(p),
                 oracle_sum_matrix(OperatorSum.from_pauli(p)), atol=1e-12)
 
     def test_dense_matrix_cap(self):
@@ -257,8 +257,7 @@ class TestProjectorsAndSectors:
             subset_by_index=[0, 5])
         spect = cs.SpectrumResult(
             eigenvalues=vals, states=tuple(StateVector(6, v) for v in vecs.T),
-            ground_degeneracy=4, gap=2.0, max_residual=0.0, method="dense",
-            cluster_rtol=cs.engine.CLUSTER_RTOL)
+            ground_degeneracy=4, gap=2.0, max_residual=0.0, method="dense")
         parity, _ = cs.spin_flip_symmetries(lat)
         labels, _ = cs.resolve_sectors(spect, parity)
         assert not np.allclose(np.abs(labels[4:]), 1.0, atol=1e-3)

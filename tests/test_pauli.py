@@ -356,7 +356,6 @@ class TestWeightSupport:
         p = PauliString.from_sites(9, {1: "Z", 2: "X", 9: "Z"})
         assert p.weight == 3
         assert p.support() == frozenset({1, 2, 9})
-        assert cs.weight_support(p) == frozenset({1, 2, 9})
 
     def test_identity_has_empty_support(self):
         assert PauliString.identity(5).support() == frozenset()

@@ -3,6 +3,7 @@ the once-per-lattice projection with its invariance guard, the
 per-sector solve against the full dense spectrum, and eig_low's dense path,
 per sector or on the full space, against the Kronecker oracle."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -31,22 +32,59 @@ def translation_matrix(L):
     return t
 
 
-@pytest.mark.parametrize("L,boundary", [(3, "periodic"), (4, "periodic"),
-                                        (6, "periodic"), (8, "periodic"),
-                                        (3, "open"), (5, "open"), (8, "open")])
+def reference_sectors(L, periodic):
+    """{(k, p): V} for every nonempty sector, in ascending k then p = +1,
+    -1, built from binary strings: the columns of V are the normalized orbit
+    sums sum_{j,s} e^{-2 pi i k j / L} p^s T^j P^s |r> over the orbits'
+    smallest indices r in ascending order, T as in translation_matrix and P
+    the complement of every bit.  Open chains have P alone, as k = 0.  A
+    real character (2k = 0 mod L) gives a real V."""
+    dim = 1 << L
+    shifts = L if periodic else 1
+    orbits = {}
+    for b in range(dim):
+        bits = format(b, f"0{L}b")
+        images = []   # (j, s, T^j P^s b)
+        for j in range(shifts):
+            t = bits[L - j:] + bits[:L - j]
+            flip = "".join("1" if c == "0" else "0" for c in t)
+            images += [(j, 0, int(t, 2)), (j, 1, int(flip, 2))]
+        orbits.setdefault(min(img for _, _, img in images), images)
+    sectors = {}
+    for k in range(shifts):
+        for p in (1, -1):
+            cols = []
+            for _, images in sorted(orbits.items()):
+                u = np.zeros(dim, dtype=complex)
+                for j, s, img in images:
+                    u[img] += np.exp(-2j * np.pi * k * j / L) * p ** s
+                norm = np.linalg.norm(u)
+                if norm > 1e-9:
+                    cols.append(u / norm)
+            if cols:
+                v = np.column_stack(cols)
+                if 2 * k % L == 0:
+                    assert np.abs(v.imag).max() <= 1e-15
+                    v = v.real
+                sectors[(k, p)] = v
+    return sectors
+
+
+SECTOR_CASES = pytest.mark.parametrize(
+    "L,boundary", [(3, "periodic"), (4, "periodic"), (6, "periodic"),
+                   (8, "periodic"), (3, "open"), (5, "open"), (8, "open")])
+
+
+@SECTOR_CASES
 def test_concatenated_sector_bases_are_unitary(L, boundary):
     lat = LatticeSpec(L, boundary)
-    sectors = engine.symmetry_sectors(L, lat.is_periodic)
-    v = np.hstack([basis.toarray() for _, _, basis in sectors])
+    sectors = reference_sectors(L, lat.is_periodic)
+    v = np.hstack(list(sectors.values()))
     assert v.shape == (1 << L, 1 << L)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(1 << L), atol=1e-13)
     parity = cs.dense_matrix(cs.spin_flip_symmetries(lat)[0])
     t = translation_matrix(L)
-    for k, p, basis in sectors:
-        # a real character (k = 0 or L/2, every open-chain sector) keeps
-        # the basis, and so the blocks and their solves, real
-        assert (basis.dtype == np.float64) == (2 * k % L == 0)
-        basis = basis.toarray()
+    for (k, p), basis in sectors.items():
         np.testing.assert_allclose(parity @ basis, p * basis, atol=1e-13)
         if lat.is_periodic:
             np.testing.assert_allclose(
@@ -55,17 +93,22 @@ def test_concatenated_sector_bases_are_unitary(L, boundary):
             assert k == 0
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-def test_character_count_gives_the_sector_dimensions(periodic):
-    # the memory budget reads these before any basis exists
-    for L in range(1, 12):
-        dims = engine._sector_dims(L, periodic)
-        rows = [(k, p, reps.size)
-                for k, p, _, _, reps in engine._sector_rows(L, periodic)]
-        shifts = L if periodic else 1
-        keys = [(k, p) for k in range(shifts) for p in (1, -1)]
-        assert [(k, p, d) for (k, p), d in zip(keys, dims) if d] == rows
-        assert dims.sum() == 1 << L
+@SECTOR_CASES
+def test_row_forms_match_the_reference_bases(L, boundary):
+    periodic = boundary == "periodic"
+    table = engine._sector_table(L, periodic)
+    sectors = reference_sectors(L, periodic)
+    assert list(table.keys) == list(sectors)
+    for i, ((k, p), want) in enumerate(sectors.items()):
+        col, val = engine._row_form(table, i)
+        rows = np.flatnonzero(col >= 0)
+        basis = np.zeros(want.shape, dtype=complex)
+        basis[rows, col[rows]] = val[rows]
+        np.testing.assert_allclose(basis, want, rtol=0, atol=1e-14)
+        # a real character (k = 0 or L/2, every open-chain sector) keeps
+        # the blocks, and so their solves, real
+        assert (not np.iscomplexobj(val) or not val.imag.any()) \
+            == (2 * k % L == 0)
 
 
 def test_projection_guard_rejects_a_symmetry_breaking_operator():
@@ -88,6 +131,7 @@ def test_residual_message_states_the_applied_bound():
        st.floats(0.0, 1.5))
 @example(10, "periodic", 1.0)   # the ring at its transition
 @example(9, "open", 0.0)        # a fourfold ground cluster split by parity
+@example(4, "open", 1e-12)      # a coupling perturbed_hamiltonian drops
 def test_sector_solve_matches_dense(L, boundary, lam):
     lat = LatticeSpec(L, boundary)
     h_c = cs.cluster_hamiltonian(lat)
@@ -99,8 +143,10 @@ def test_sector_solve_matches_dense(L, boundary, lam):
                                                 h.norm_bound(), atol=atol)
 
     # the reference is the full space, since eig_low solves h per sector;
-    # h is real, and its real matrix halves the cost of the solve
-    full = oracle_sum_matrix(h)
+    # it is H_C + lam H_I itself, whose coupling h drops at or below the
+    # coefficient tolerance (1e-12) but the blocks keep; it is real, and
+    # its real matrix halves the cost of the solve
+    full = oracle_sum_matrix(h_c) + lam * oracle_sum_matrix(h_i)
     assert not full.imag.any()
     full_vals, full_vecs = np.linalg.eigh(full.real)
     width = engine.CLUSTER_RTOL * max(1.0, abs(full_vals[0]))
@@ -108,8 +154,7 @@ def test_sector_solve_matches_dense(L, boundary, lam):
         eigenvalues=full_vals[:count],
         states=tuple(cs.StateVector(L, v) for v in full_vecs[:, :count].T),
         ground_degeneracy=int(np.sum(full_vals <= full_vals[0] + width)),
-        gap=np.nan, max_residual=0.0, method="dense",
-        cluster_rtol=engine.CLUSTER_RTOL)
+        gap=np.nan, max_residual=0.0, method="dense")
     parity = cs.spin_flip_symmetries(lat)[0]
     want, _ = cs.resolve_sectors(dense, parity, atol=atol)
     np.testing.assert_allclose(vals, dense.eigenvalues, rtol=0, atol=1e-12)
@@ -161,13 +206,15 @@ def test_direct_blocks_match_the_sparse_projection(case):
     scale = max(1.0, op.norm_bound())
     m = cs.operator_matrix(op)
     real = engine.has_real_matrix(op)
-    projected = engine.project_sectors((op,), boundary == "periodic")
-    for k, p, v, (block,) in projected:
-        # the projection as it was formed before: three sparse products
-        old = (v.conj().T @ (m @ v)).toarray()
+    _, projected = engine.project_sectors((op,), boundary == "periodic")
+    sectors = reference_sectors(L, boundary == "periodic")
+    assert [(k, p) for k, p, _ in projected] == list(sectors)
+    for k, p, (block,) in projected:
+        # the projection on the reference basis: two matrix products
+        v = sectors[(k, p)]
+        old = v.conj().T @ (m @ v)
         assert np.abs(block - old).max(initial=0.0) <= 1e-13 * scale
-        dense = v.toarray()
-        leak = np.linalg.norm(m @ dense - dense @ block)
+        leak = np.linalg.norm(m @ v - v @ block)
         assert leak <= 1e-12 * scale
         want = np.float64 if real and 2 * k % L == 0 else np.complex128
         assert block.dtype == want
@@ -248,15 +295,15 @@ def test_projection_guard_rejects_a_flip_odd_field(boundary):
 
 
 def test_projection_guard_rejects_a_broken_basis(monkeypatch):
-    rows = engine._sector_rows
+    build = engine._sector_table
 
     def tampered(length, periodic):
-        for k, p, col, val, reps in rows(length, periodic):
-            val = val.copy()
-            val[reps[-1]] *= 1 + 1e-9
-            yield k, p, col, val, reps
+        table = build(length, periodic)
+        chars = table.chars.copy()
+        chars[-1, 1] *= 1 + 1e-9   # the last sector's character of P
+        return dataclasses.replace(table, chars=chars)
 
-    monkeypatch.setattr(engine, "_sector_rows", tampered)
+    monkeypatch.setattr(engine, "_sector_table", tampered)
     lat = LatticeSpec(6, "periodic")
     with pytest.raises(ConvergenceError, match="orthonormal eigenbasis"):
         engine.project_sectors((cs.cluster_hamiltonian(lat),), True)
