@@ -35,9 +35,9 @@ from .engine import (StateVector, apply, build_cluster_state, eig_low,
 from .errors import DomainError, LengthMismatchError
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      cross_check_global, ising_perturbation,
-                     local_symmetry_pair, perturbed_hamiltonian,
-                     printed_global_string, spin_flip_symmetries, stabilizer)
-from .pauli import OperatorSum, PauliString, anticommutes, commutes
+                     local_symmetry_pair, printed_global_string,
+                     spin_flip_symmetries, stabilizer)
+from .pauli import COEFF_TOL, OperatorSum, PauliString, anticommutes, commutes
 
 _LETTERS = ("X", "Y", "Z")
 
@@ -276,21 +276,17 @@ def certify_protection(model, probes: dict | None = None,
         sites = op.supports()
         bulk_local = (len(sites) == 1
                       and all(2 <= s <= L - 1 for s in sites))
-        verdict = ProbeVerdict(
+        m = ground_projector(spectrum, op) if numeric else None
+        verdicts.append(ProbeVerdict(
             name=name,
             commutes_with_h=commutes(h, op),
             commutes_with_t1=commutes(t1, op),
             commutes_with_t2=commutes(t2, op),
             is_bulk_local=bulk_local,
             is_forbidden=name.startswith("Sigma_"),
-        )
-        if numeric:
-            m = ground_projector(spectrum, op)
-            verdict = ProbeVerdict(
-                **{**verdict.__dict__,
-                   "splitting": splitting_class(m),
-                   "splitting_norm": float(np.linalg.norm(m))})
-        verdicts.append(verdict)
+            splitting=None if m is None else splitting_class(m),
+            splitting_norm=None if m is None else float(np.linalg.norm(m)),
+        ))
 
     per_s = {}
     if not local_only:
@@ -434,15 +430,17 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     state.  Once per scan, a symbolic audit that the spin-flip parity
     commutes with the Hamiltonian and that its matrix stays real
     (time-reversal witness); by linearity it covers H_C, and H_I when some
-    coupling is nonzero.  Up to the dense size cap (method auto or dense)
-    H_C and H_I are projected once into the translation x spin-flip sectors
-    and every coupling is a set of small dense solves with parity labels by
+    coupling is nonzero.  Both paths solve H_C + lam * H_I as an OperatorSum
+    keeps it, a |lam| <= COEFF_TOL counting as 0 (rows print the grid as
+    given).  Up to the dense size cap (method auto or dense) H_C and H_I are
+    projected once into the translation x spin-flip sectors and every
+    coupling is a set of small dense solves with parity labels by
     construction; otherwise each coupling runs eig_low and resolve_sectors.
-    The observables' matrices are built once per scan, after the first
-    coupling's solve, so a size over eig_low's memory budget fails before
-    they are allocated, and each coupling measures them with one
-    matrix-vector product each.  Scan points are independent; results are
-    assembled in grid order.
+    The matrices of the string order, H_I and probes are built once, after
+    the first solve, so a size over its memory budget (project_sectors' or
+    eig_low's) fails first; each coupling then takes one matrix-vector
+    product per observable and reads the parity off the ground state's
+    label.  Scan points are independent, assembled in grid order.
     """
     grid = np.asarray(lam_grid, dtype=float)
     _check_grid(grid)
@@ -452,15 +450,16 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         raise DomainError(
             f"sector tolerance must be finite and positive, got {sector_atol}")
     L = lattice.length
-    dim = 1 << L
-    count = int(min(eig_count, dim - 2)) if dim > 4 else dim
+    count = int(min(eig_count, (1 << L) - 2))
     parity_op, _ = spin_flip_symmetries(lattice)
     a, b = longest_string_sites(L)
     so_op = string_order_operator(lattice, a, b)
     n_bonds = len(lattice.bonds())
     h_c = cluster_hamiltonian(lattice)
     yy_unit = ising_perturbation(lattice, 1.0)
-    parts = (h_c, yy_unit) if np.any(grid != 0.0) else (h_c,)
+    # the couplings h_c + lam * yy_unit keeps, the same on both paths
+    couplings = np.where(np.abs(grid) > COEFF_TOL, grid, 0.0)
+    parts = (h_c, yy_unit) if np.any(couplings != 0.0) else (h_c,)
     parity_ok = all(commutes(parity_op, op) for op in parts)
     treal_ok = all(engine.has_real_matrix(op) for op in parts)
     sectors = None
@@ -490,20 +489,19 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     exc_parities = []
     extras = {name: np.zeros(n) for name in probe_ops}
 
-    for i, lam in enumerate(grid):
+    for i, lam in enumerate(couplings):
         if sectors is not None:
             vals, labels, states, _ = engine.sector_low(
                 sectors, (1.0, lam), count, norm_c + abs(lam) * norm_i,
                 atol=sector_atol)
         else:
-            spect = eig_low(perturbed_hamiltonian(lattice, float(lam)),
-                            count=count, method=method)
+            spect = eig_low(h_c + float(lam) * yy_unit, count=count,
+                            method=method)
             labels, states = resolve_sectors(spect, parity_op,
                                              atol=sector_atol)
             vals = spect.eigenvalues
         if i == 0:
-            so_mat, yy_mat, par_mat = (engine.operator_matrix(op)
-                                       for op in (so_op, yy_unit, parity_op))
+            so_mat, yy_mat = map(engine.operator_matrix, (so_op, yy_unit))
             probe_mats = {name: engine.operator_matrix(op)
                           for name, op in probe_ops.items()}
         gs = states[0]
@@ -511,7 +509,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         energy[i] = vals[0]
         g = float(vals[1] - vals[0]) if vals.size > 1 else np.nan
         if g < -1e-9:
-            raise DomainError(f"negative gap {g} at coupling {lam}")
+            raise DomainError(f"negative gap {g} at coupling {grid[i]}")
         gap[i] = max(g, 0.0)
 
         p0 = round(float(labels[0]))
@@ -538,7 +536,8 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         amps = gs.amps
         so[i] = _real_string(np.vdot(amps, so_mat @ amps))
         yy[i] = np.vdot(amps, yy_mat @ amps).real / n_bonds
-        par[i] = np.vdot(amps, par_mat @ amps).real
+        # <gs|P|gs>: p in a sector, P's cluster eigenvalue after resolve_sectors
+        par[i] = labels[0]
         for name, m in probe_mats.items():
             extras[name][i] = np.vdot(amps, m @ amps).real
 

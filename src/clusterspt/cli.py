@@ -160,9 +160,7 @@ def cmd_verify(args):
 def cmd_spectrum(args):
     lattice = _lattice(args)
     h = perturbed_hamiltonian(lattice, args.lam)
-    dim = 1 << lattice.length
-    count = min(args.count, dim)
-    spectrum = engine.eig_low(h, count=count, method=args.method)
+    spectrum = engine.eig_low(h, count=args.count, method=args.method)
     results = {
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "ground_energy": float(spectrum.ground_energy),

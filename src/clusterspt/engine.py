@@ -277,9 +277,8 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     diagonalized as one full matrix.  iterative: implicitly restarted
     Lanczos on the CSR operator matrix, L <= 24.  A run whose memory
     estimate exceeds physical memory raises ResourceLimitError before
-    allocating anything large; on the sector path the estimate reads the
-    sector dimensions off the orbit table (_sector_table), a few bytes per
-    state.  Every reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL *
+    allocating anything large (project_sectors charges the sector blocks).
+    Every reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL *
     max(1, sum|coeff|) (see checked_residual).  The iterative path guarantees
     each returned pair is a true eigenpair but, like any Krylov method, may
     return fewer copies of a highly degenerate level than exist; ask for enough
@@ -314,35 +313,18 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
 
     # a wide Krylov subspace improves capture of degenerate multiplets
     ncv = int(min(dim, max(4 * count + 1, 40)))
-    real = has_real_matrix(h)
-    item = 8 if real else 16
-    x_masks = len({x for x, _ in h.items()})
     # True: ring sectors, False: spin-flip sectors, None: the full space
     periodic = _symmetry_group(h) if method == "dense" else None
-    if periodic is None:
-        vectors = dim if method == "dense" else ncv
-        need = dim * (x_masks * (item + 4) + vectors * item)
-        what = f"CSR matrix plus {vectors} vectors"
-    else:
-        # the dense blocks, float64 when h and every character are real,
-        # plus the orbit table and the rows project_sectors scatters, at
-        # most 40 bytes per state and x mask (measured on 8-14 sites)
-        table = _sector_table(L, periodic)
-        dims = table.dims
-        item = 8 if real and np.isrealobj(table.chars) else 16
-        need = int(dims @ dims) * item + dim * (64 + 40 * x_masks)
-        what = f"{dims.size} sector blocks plus row tables"
-    if need > _physical_memory():
-        raise ResourceLimitError(
-            f"{method} diagonalization of {L} sites needs about "
-            f"{need / 1e9:.1f} GB ({what}), more than the "
-            f"{_physical_memory() / 1e9:.1f} GB of physical memory")
-
     if periodic is not None:
         vals, _, states, max_residual = sector_low(
             project_sectors([h], periodic), [1.0], count, h.norm_bound())
         vecs = np.column_stack([s.amps for s in states])
     else:
+        item = 8 if has_real_matrix(h) else 16
+        x_masks = len({x for x, _ in h.items()})
+        vectors = dim if method == "dense" else ncv
+        _check_memory(dim * (x_masks * (item + 4) + vectors * item), method,
+                      L, f"CSR matrix plus {vectors} vectors")
         m = operator_matrix(h)
         if method == "dense":
             vals, vecs = scipy.linalg.eigh(m.toarray(),
@@ -580,6 +562,15 @@ def _symmetry_group(op: OperatorSum):
     return None
 
 
+def _check_memory(need: int, method: str, length: int, what: str) -> None:
+    """Raise ResourceLimitError when `need` bytes exceed physical memory."""
+    if need > _physical_memory():
+        raise ResourceLimitError(
+            f"{method} diagonalization of {length} sites needs about "
+            f"{need / 1e9:.1f} GB ({what}), more than the "
+            f"{_physical_memory() / 1e9:.1f} GB of physical memory")
+
+
 def _check_basis(k: int, p: int, col: np.ndarray, val: np.ndarray, d: int,
                  periodic: bool) -> None:
     """Raise ConvergenceError unless the row form of sector (k, p) is an
@@ -617,6 +608,8 @@ def project_sectors(ops, periodic: bool) -> tuple:
     cols[i, orbit(r ^ x)] of every sector i that keeps r, all sectors in one
     scatter.  A block is float64 exactly when its operator is real
     (has_real_matrix) and its sector's character is real (2k = 0 mod L).
+    Between the guard below and the first kernel call, the blocks and the
+    scattered rows are charged against physical memory (_check_memory).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -667,6 +660,15 @@ def project_sectors(ops, periodic: bool) -> tuple:
             f"symmetry sectors span {dims.sum()} states, not 2^{L}")
     for i, (k, p) in enumerate(table.keys):
         _check_basis(k, p, *_row_form(table, i), dims[i], periodic)
+    real = [has_real_matrix(op) for op in ops]
+    # the blocks, float64 when the operator and every character are real,
+    # plus the orbit table and the rows each operator scatters, at most 40
+    # bytes per state and x mask (measured on 8-14 sites)
+    x_masks = sum(len({x for x, _ in op.items()}) for op in ops)
+    entry = sum(8 if r and np.isrealobj(table.chars) else 16 for r in real)
+    _check_memory(int(dims @ dims) * entry + dim * (64 + 40 * x_masks),
+                  "dense", L, f"{len(ops) * dims.size} sector blocks plus "
+                  "row tables")
     # the rows of all sectors, sector-major: row a of the scatter is
     # reps[rep[a]] in sector sec[a]
     sec, rep = np.nonzero(table.cols >= 0)
@@ -687,7 +689,6 @@ def project_sectors(ops, periodic: bool) -> tuple:
         target = np.where(target >= 0, start + target, ends[-1])
         flats.append(np.zeros(ends[-1] + 1, dtype=values.dtype))
         np.add.at(flats[-1], target.ravel(), values.ravel())
-    real = [has_real_matrix(op) for op in ops]
     out = []
     for (k, p), d, end in zip(table.keys, dims, ends):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]

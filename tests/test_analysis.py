@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 import clusterspt as cs
-from clusterspt import LatticeSpec, OperatorSum, PauliString, ScanResult
+from clusterspt import (LatticeSpec, OperatorSum, PauliString, ScanResult,
+                        analysis, engine)
 from clusterspt.analysis import _detect_crossings
 from clusterspt.errors import DomainError
+
+from conftest import kron_from_letters
 
 
 class TestStabilizerSuite:
@@ -205,6 +208,61 @@ class TestPhaseScan:
                              probes={"mid_x": "X3", "gen": "Z2X3Z4"})
         assert scan.extras["mid_x"][0] == pytest.approx(0.0, abs=1e-9)
         assert scan.extras["gen"][0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("L,boundary", [(4, "open"), (8, "periodic"),
+                                            (13, "periodic")])
+    def test_tiny_coupling_counts_as_zero(self, L, boundary):
+        # a coupling at or below the coefficient tolerance is dropped by the
+        # operator sum, on the sector path (4, 8) and the full path (13)
+        lat = LatticeSpec(L, boundary)
+        zero = cs.phase_scan(lat, [0.0])
+        tiny = cs.phase_scan(lat, [1e-12])
+        for field in ("energy", "gap", "gap_sector", "gs_parity",
+                      "parity_expectation", "exc_multiplicity"):
+            np.testing.assert_array_equal(getattr(tiny, field),
+                                          getattr(zero, field), field)
+        assert tiny.exc_parities == zero.exc_parities
+        assert tiny.parity_commutes and tiny.time_reversal_real
+        assert tiny.grid[0] == 1e-12
+
+    @pytest.mark.parametrize("L,boundary,method", [
+        (8, "periodic", "auto"), (7, "open", "auto"),
+        (10, "periodic", "iterative")])
+    def test_parity_is_the_ground_state_expectation(self, monkeypatch, L,
+                                                    boundary, method):
+        # the scan reads the parity off the solve's label; the reference is
+        # <gs|X...X|gs> of the solved ground state on the Kronecker oracle
+        grounds = []
+
+        def record(solve, at):
+            def recording(*args, **kwargs):
+                out = solve(*args, **kwargs)
+                grounds.append(out[at][0])
+                return out
+            return recording
+
+        monkeypatch.setattr(engine, "sector_low", record(engine.sector_low, 2))
+        monkeypatch.setattr(analysis, "resolve_sectors",
+                            record(analysis.resolve_sectors, 1))
+        scan = cs.phase_scan(LatticeSpec(L, boundary), [0.3, 0.9, 1.2],
+                             method=method)
+        assert len(grounds) == 3
+        flip = kron_from_letters("X" * L)
+        want = [np.vdot(gs.amps, flip @ gs.amps).real for gs in grounds]
+        np.testing.assert_allclose(scan.parity_expectation, want, rtol=0,
+                                   atol=1e-12)
+
+    def test_iterative_scan_matches_the_sector_path(self):
+        lat = LatticeSpec(10, "periodic")
+        grid = [0.3, 0.6, 0.8, 0.9, 1.0, 1.2]
+        sector = cs.phase_scan(lat, grid)
+        full = cs.phase_scan(lat, grid, method="iterative")
+        np.testing.assert_allclose(full.energy, sector.energy, rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_array_equal(full.gs_parity, sector.gs_parity)
+        np.testing.assert_array_equal(full.exc_multiplicity,
+                                      sector.exc_multiplicity)
+        assert full.exc_parities == sector.exc_parities
 
     def test_grid_validation(self):
         lat = LatticeSpec(6, "periodic")

@@ -249,6 +249,17 @@ class TestMemoryBudget:
         assert "needs about 0.1 GB (2 sector blocks plus row tables)" in \
             capsys.readouterr().err
 
+    def test_scan_sector_path_checks_the_budget(self, capsys, monkeypatch):
+        # the two-operator projection of the 12-site chain is charged in
+        # project_sectors, before its kernel runs
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 64 << 20)
+        with mock.patch.object(engine, "_mask_rows",
+                               wraps=engine._mask_rows) as spy:
+            assert main(["scan", "--size", "12", "--boundary", "open",
+                         "--lambda", "0:1:0.5"]) == 2
+        assert spy.call_count == 0
+        assert "sector blocks plus row tables" in capsys.readouterr().err
+
     def test_scan_checks_the_budget_before_its_observables(self, capsys,
                                                            monkeypatch):
         # 14 sites take eig_low per coupling; its estimate must fail before

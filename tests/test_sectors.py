@@ -276,6 +276,14 @@ def test_dense_path_matches_the_oracle(case, count):
                                atol=1e-12)
 
 
+def test_dense_solve_builds_the_orbit_table_once():
+    h = cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)
+    with mock.patch.object(engine, "_sector_table",
+                           wraps=engine._sector_table) as spy:
+        cs.eig_low(h, count=6, method="dense")
+    assert spy.call_count == 1
+
+
 def test_projection_guard_rejects_a_broken_bond():
     lat = LatticeSpec(8, "periodic")
     bond = OperatorSum.from_pauli(PauliString.from_sites(8, {1: "Y", 2: "Y"}),

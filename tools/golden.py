@@ -60,6 +60,7 @@ COMMANDS = [
     "spectrum --size 12 --boundary periodic --lambda 0.7",
     "spectrum --size 11 --boundary open --lambda 1.2 --count 12",
     "verify --size 12",
+    "scan --size 13 --boundary open --lambda 0.4:0.8:0.4",
 ]
 
 
