@@ -92,7 +92,7 @@ def verify_stabilizer_algebra(lattice: LatticeSpec,
             f"max |<S> - 1| = {worst:.2e} over {len(labels)} state(s)"))
 
         h = cluster_hamiltonian(lattice)
-        spect = eig_low(h, count=min(6, 1 << lattice.length))
+        spect = eig_low(h, count=6)
         want_deg = 4 if lattice.is_open else 1
         want_e0 = -(lattice.length - 2) if lattice.is_open else -lattice.length
         entries.append(CheckEntry(

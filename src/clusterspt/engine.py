@@ -41,9 +41,9 @@ RESIDUAL_RTOL = 1e-9
 
 _LANCZOS_MAXITER = 20000   # implicit restarts allowed to ARPACK
 
-# Entry tolerance of the sector-basis check in project_sectors: the bases
-# are exact up to the rounding of their phases and square roots (at most
-# 3e-15 on rings and open chains of 3-16 sites).
+# Entry tolerance of the orbit-table check in project_sectors: characters
+# from phases reduced mod 2 pi are multiplicative to 2.2e-15 on rings and
+# open chains of 3-20 sites (unreduced, to 1.7e-14 at 17 sites).
 BASIS_ATOL = 1e-14
 
 
@@ -433,51 +433,18 @@ def _rotate(b, length: int):
     return (b >> 1) | ((b & 1) << (length - 1))
 
 
-def _orbits(length: int, periodic: bool) -> tuple:
-    """Orbits of the basis indices under the translations T^j and the spin
-    flip P, on which P is b ^ (2^L - 1) (P alone on an open chain).
-
-    Returns (reps, size, orbit, elem, stabilizes): the representatives r
-    (the smallest index of each orbit, ascending), the orbit sizes N_r,
-    orbit[b] the position of b's orbit in reps (int32), the group element
-    g_b = T^j P^s with g_b b = r as elem[b] = 2j + s (int8), and
-    stabilizes[g, n], whether the element g fixes reps[n].
-    """
-    if length > APPLY_SITE_CAP:
-        raise ResourceLimitError(
-            f"symmetry sectors capped at {APPLY_SITE_CAP} sites, got {length}")
-    dim = 1 << length
-    full = dim - 1
-    shifts = length if periodic else 1
-
-    def images(b):
-        """Yield T^j P^s b for every group element g = 2j + s."""
-        for _ in range(shifts):
-            yield b
-            yield b ^ full
-            b = _rotate(b, length)
-
-    rep = np.arange(dim, dtype=np.int32)
-    elem = np.zeros(dim, dtype=np.int8)
-    for g, img in enumerate(images(rep.copy())):
-        smaller = img < rep
-        rep[smaller] = img[smaller]
-        elem[smaller] = g
-    is_rep = rep == np.arange(dim)
-    reps = np.flatnonzero(is_rep)
-    orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
-    stabilizes = np.array(list(images(reps))) == reps
-    return reps, np.bincount(orbit), orbit, elem, stabilizes
-
-
 @dataclass(frozen=True)
 class _SectorTable:
-    """The orbits of one lattice and its nonempty (k, p) sectors.
+    """The orbits of one lattice's basis indices under the translations T^j
+    and the spin flip P (P alone on an open chain), and its sectors.
 
-    keys[i] = (k, p) labels sector i, whose character is
-    chars[i, 2j + s] = chi(T^j P^s) = e^{2 pi i k j / L} p^s; cols[i, n] is
-    the column of reps[n]'s orbit sum in sector i, -1 where the sum
-    vanishes.  The other fields are those of _orbits.
+    T^j P^s is coded g = 2j + s; P b = b ^ (2^L - 1), T b = _rotate(b, L).
+    reps holds each orbit's smallest index r, ascending; size[n] counts the
+    states of orbit n; orbit[b] (int32) is the position of b's orbit in
+    reps; elem[b] (int8) is the g_b with g_b b = r.  Sector i, (k, p) =
+    keys[i] in ascending k then p = +1, -1 (k = 0 on an open chain), has
+    the character chars[i, 2j + s] = e^{2 pi i k j / L} p^s, and cols[i, n]
+    is the column of reps[n]'s orbit sum in it, -1 where the sum vanishes.
     """
 
     length: int
@@ -489,22 +456,37 @@ class _SectorTable:
     chars: np.ndarray
     cols: np.ndarray
 
-    @property
-    def dims(self) -> np.ndarray:
-        return np.count_nonzero(self.cols >= 0, axis=1)
-
 
 def _sector_table(length: int, periodic: bool) -> _SectorTable:
-    """The orbit table of the translation x spin-flip sectors (spin flip
-    alone on an open chain, reported as k = 0), sectors in ascending k then
-    p = +1, -1."""
-    reps, size, orbit, elem, stabilizes = _orbits(length, periodic)
+    """The orbit table (_SectorTable) of `length` sites, ring or chain."""
+    if length > APPLY_SITE_CAP:
+        raise ResourceLimitError(
+            f"symmetry sectors capped at {APPLY_SITE_CAP} sites, got {length}")
+    dim = 1 << length
     shifts = length if periodic else 1
+
+    def images(b):
+        """Yield T^j P^s b for every group element g = 2j + s."""
+        for _ in range(shifts):
+            yield b
+            yield b ^ (dim - 1)
+            b = _rotate(b, length)
+
+    rep = np.arange(dim, dtype=np.int32)
+    elem = np.zeros(dim, dtype=np.int8)
+    for g, img in enumerate(images(rep.copy())):
+        smaller = img < rep
+        rep[smaller] = img[smaller]
+        elem[smaller] = g
+    is_rep = rep == np.arange(dim)
+    reps = np.flatnonzero(is_rep)
+    orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
     keys, chars = [], []
     for k in range(shifts):
-        phase = 2 * np.pi * k * np.arange(shifts) / length
-        # k = 0 and k = L/2 (every open-chain sector) have a real
+        # the phase reduced mod 2 pi keeps the characters multiplicative to
+        # rounding; k = 0 and k = L/2 (every open-chain sector) have a real
         # character, so their blocks and solves stay real
+        phase = 2 * np.pi * (k * np.arange(shifts) % length) / length
         twist = np.cos(phase) if 2 * k % length == 0 else np.exp(1j * phase)
         for p in (1, -1):
             keys.append((k, p))
@@ -512,11 +494,11 @@ def _sector_table(length: int, periodic: bool) -> _SectorTable:
     chars = np.array(chars)
     # an orbit sum survives iff the character is trivial on the
     # representative's stabilizer, where the sum is |stabilizer| > 0
-    alive = (chars @ stabilizes).real > 0.5
+    alive = (chars @ (np.array(list(images(reps))) == reps)).real > 0.5
     some = alive.any(axis=1)
     alive = alive[some]
     cols = np.where(alive, np.cumsum(alive, axis=1) - 1, -1).astype(np.int32)
-    return _SectorTable(length, reps, size, orbit, elem,
+    return _SectorTable(length, reps, np.bincount(orbit), orbit, elem,
                         tuple(key for key, s in zip(keys, some) if s),
                         chars[some], cols)
 
@@ -571,30 +553,37 @@ def _check_memory(need: int, method: str, length: int, what: str) -> None:
             f"{_physical_memory() / 1e9:.1f} GB of physical memory")
 
 
-def _check_basis(k: int, p: int, col: np.ndarray, val: np.ndarray, d: int,
-                 periodic: bool) -> None:
-    """Raise ConvergenceError unless the row form of sector (k, p) is an
-    orthonormal eigenbasis with T V = e^{2 pi i k / L} V and P V = p V: unit
-    column norms, and b and its image under T (and P) in one column with
-    entries related by the eigenvalue, all to BASIS_ATOL."""
-    dim = col.size
-    b = np.arange(dim)
-    rows = col >= 0
-    norms = np.bincount(col[rows], np.abs(val[rows]) ** 2, d)
-    ok = np.abs(norms - 1.0).max() <= BASIS_ATOL
-    # P V = p V reads V[P b] = p V[b]; T V = e^{2 pi i k/L} V reads
-    # V[T b] = e^{-2 pi i k/L} V[b], T being the permutation b -> T b
-    moves = [(b ^ (dim - 1), p)]
+def _check_table(table: _SectorTable, periodic: bool) -> None:
+    """Raise ConvergenceError unless the orbit table passes checks (i) and
+    (iii) (a)-(d) of project_sectors, each to BASIS_ATOL."""
+    L, chars, orbit, cols = table.length, table.chars, table.orbit, table.cols
+    b, g = np.arange(orbit.size, dtype=orbit.dtype), np.arange(chars.shape[1])
+    k, p = np.array(table.keys).T
+    elem, alive = table.elem, cols >= 0
+    ok = {"span": alive.sum() == orbit.size, "orbit": True, "stabilizer": True,
+          "character": np.abs(chars[:, 0] - 1).max() <= BASIS_ATOL,
+          "size": np.array_equal(table.size, np.bincount(orbit))
+          and np.array_equal(cols, np.where(alive, alive.cumsum(1) - 1, -1))}
+    # each generator s: its code, g s for every g, s b for every b, chi(s)
+    gens = [(1, g ^ 1, b ^ (orbit.size - 1), p)]
     if periodic:
-        L = dim.bit_length() - 1
-        moves.append((_rotate(b, L), np.exp(-2j * np.pi * k / L)))
-    for image, factor in moves:
-        ok = (ok and np.array_equal(col[image], col)
-              and np.abs(val[image] - factor * val).max() <= BASIS_ATOL)
-    if not ok:
+        gens.append((2, (g + 2) % g.size, _rotate(b, L),
+                     np.exp(2j * np.pi * k / L)))
+    for code, times, image, chi in gens:
+        # h = g_{sb} s g_b^-1: translations add mod L and flips xor
+        h = (2 * ((elem[image] // 2 + code // 2 - elem // 2) % (g.size // 2))
+             + ((elem[image] ^ code ^ elem) & 1))
+        moved = h != 0
+        ok["character"] &= bool(np.abs(chars[:, times] - chars * chi[:, None])
+                                .max() <= BASIS_ATOL)
+        ok["orbit"] &= np.array_equal(orbit[image], orbit)
+        ok["stabilizer"] &= bool(np.abs(chars[:, h[moved]] - 1)[
+            alive[:, orbit[moved]]].max(initial=0) <= BASIS_ATOL)
+    failed = [name for name, good in ok.items() if not good]
+    if failed:
         raise ConvergenceError(
-            f"sector (k={k}, p={p:+d}) basis is not an orthonormal "
-            f"eigenbasis of the symmetries")
+            f"{L}-site orbit table fails its {', '.join(failed)} check: its "
+            "sector bases are not an orthonormal eigenbasis of the symmetries")
 
 
 def project_sectors(ops, periodic: bool) -> tuple:
@@ -608,8 +597,9 @@ def project_sectors(ops, periodic: bool) -> tuple:
     cols[i, orbit(r ^ x)] of every sector i that keeps r, all sectors in one
     scatter.  A block is float64 exactly when its operator is real
     (has_real_matrix) and its sector's character is real (2k = 0 mod L).
-    Between the guard below and the first kernel call, the blocks and the
-    scattered rows are charged against physical memory (_check_memory).
+    Between the guard below and the first kernel call, the blocks, the
+    scattered rows and sector_low's largest solve are charged against
+    physical memory (_check_memory).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -617,7 +607,7 @@ def project_sectors(ops, periodic: bool) -> tuple:
     within 1e-12 * max(1, sum|coeff|).  Three checks imply it, and each
     raises ConvergenceError when it fails:
 
-    (i) the sector dimensions sum to 2^L;
+    (i) the sector dimensions sum to 2^L (_check_table);
     (ii) every operator is invariant under P and, on a ring, under T, read
          off its masks (_implied_leak): conjugating by a site permutation g
          only moves coefficients between mask pairs, and Pauli strings are
@@ -625,8 +615,17 @@ def project_sectors(ops, periodic: bool) -> tuple:
          ||g M g^-1 - M||_F = sqrt(2^L) ||dc||_2; P flips the sign of the
          terms of odd z weight, so ||P M P - M||_F = 2 sqrt(2^L) ||c_odd||_2;
     (iii) each V is an orthonormal eigenbasis with T V = e^{2 pi i k/L} V and
-         P V = p V (_check_basis on its row form, one sector at a time; one
-         entry per row by construction).
+         P V = p V, read off the orbit table (_check_table) per orbit, for
+         each generator s (P, and T on a ring) and every g and b:
+         (a) chars[i] is the character of keys[i]: chars[i, 0] = 1 and
+             chars[i, g s] = chars[i, g] chi(s);
+         (b) size = bincount(orbit), and each sector numbers its surviving
+             orbits 0, 1, ... in order;
+         (c) orbit[s b] = orbit[b];
+         (d) h = g_{sb} s g_b^-1, which fixes b's representative, has
+             character 1 in every sector where b's orbit survives.
+         Then V[s b] = conj(chi(s)) V[b] and each column has unit norm, with
+         one entry per row by construction; no check walks 2^L per sector.
 
     By (iii) the columns of all sectors are orthonormal, sectors with
     distinct (k, p) being orthogonal eigenspaces, and by (i) there are 2^L
@@ -654,19 +653,16 @@ def project_sectors(ops, periodic: bool) -> tuple:
                 f"{bound:.3e}")
     dim = 1 << L
     table = _sector_table(L, periodic)
-    dims = table.dims
-    if dims.sum() != dim:
-        raise ConvergenceError(
-            f"symmetry sectors span {dims.sum()} states, not 2^{L}")
-    for i, (k, p) in enumerate(table.keys):
-        _check_basis(k, p, *_row_form(table, i), dims[i], periodic)
+    _check_table(table, periodic)
+    dims = np.count_nonzero(table.cols >= 0, axis=1)
     real = [has_real_matrix(op) for op in ops]
-    # the blocks, float64 when the operator and every character are real,
-    # plus the orbit table and the rows each operator scatters, at most 40
-    # bytes per state and x mask (measured on 8-14 sites)
+    # the blocks, float64 when the operator and every character are real;
+    # sector_low's largest sum and eigh's copy of it; the orbit table and
+    # scattered rows, at most 40 bytes per state and x mask (8-14 sites)
     x_masks = sum(len({x for x, _ in op.items()}) for op in ops)
-    entry = sum(8 if r and np.isrealobj(table.chars) else 16 for r in real)
-    _check_memory(int(dims @ dims) * entry + dim * (64 + 40 * x_masks),
+    items = [8 if r and np.isrealobj(table.chars) else 16 for r in real]
+    _check_memory(int(dims @ dims) * sum(items) + 2 * max(items)
+                  * int(dims.max()) ** 2 + dim * (64 + 40 * x_masks),
                   "dense", L, f"{len(ops) * dims.size} sector blocks plus "
                   "row tables")
     # the rows of all sectors, sector-major: row a of the scatter is
@@ -708,17 +704,18 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
     kept levels are expanded to 2^L amplitudes, each from its sector's row
     form (_row_form).  Inside each cluster of levels within `atol` the
     labels and states come in ascending parity, as resolve_sectors orders
-    them.  A real H has
-    conjugate blocks at momenta k and -k; when the block of -k matches the
-    conjugate of the solved block of k, its solution is reused conjugated,
-    which halves the complex solves.  Every pair passes checked_residual
-    against norm_h on its own block.
+    them.  A real H has conjugate blocks at momenta k and -k; when the block
+    of -k matches the conjugate of the solved block of k, its solution is
+    reused conjugated, which halves the complex solves.  Every pair passes
+    checked_residual against norm_h on its own block.
     """
     table, sectors = projected
     L = table.length
     solved, found, worst = {}, [], 0.0
     for i, (k, p, blocks) in enumerate(sectors):
-        h = sum(c * b for c, b in zip(coeffs, blocks))
+        h = np.zeros_like(blocks[0], np.result_type(*coeffs, *blocks))
+        for c, b in zip(coeffs, blocks):
+            h += c * b
         n = min(count, h.shape[0])
         twin = solved.pop((-k % L, p), None)
         if twin is not None and (np.abs(h - twin[0].conj()).max()

@@ -129,17 +129,19 @@ class PauliString:
 
     @classmethod
     def from_compact(cls, text: str, length: int) -> "PauliString":
-        """Parse probe syntax like 'X5' or 'Z1Z9' (letter then 1-based site)."""
+        """Parse probe names like 'Z1Z9': letters on distinct 1-based sites."""
         text = text.strip().upper()
         if not text or _COMPACT_RE.sub("", text):
             raise ValueError(f"invalid probe name {text!r}")
-        out = cls.identity(length)
+        sites = {}
         for letter, site in _COMPACT_RE.findall(text):
             if not 1 <= int(site) <= length:
                 raise ValueError(
                     f"probe {text!r} names site {site}, outside 1..{length}")
-            out = out * cls.single(length, int(site), letter)
-        return out
+            if int(site) in sites:
+                raise ValueError(f"probe {text!r} names site {site} twice")
+            sites[int(site)] = letter
+        return cls.from_sites(length, sites)
 
     # -- presentation --------------------------------------------------
 

@@ -327,6 +327,15 @@ class TestFlagScope:
         assert main(argv) == 2
         assert "outside 1.." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--size", "6", "--lambda", "0.5:0.5:1", "--probe", "X1Z1"],
+        ["protect", "--size", "6", "--local-only", "--probe", "X1Z1"],
+    ])
+    def test_probe_repeating_a_site(self, capsys, argv):
+        # X1Z1 would name -iY1, which is not Hermitian
+        assert main(argv) == 2
+        assert "probe 'X1Z1' names site 1 twice" in capsys.readouterr().err
+
 
 class TestProbeBudget:
     """--max-probes must be a count: a negative one exits 2 by name."""

@@ -64,7 +64,8 @@ class TestConstruction:
         assert PauliString.from_compact("Z1X2Z3", 3).letters == "ZXZ"
 
     def test_from_compact_rejects_garbage(self):
-        for bad in ("Q5", "X", "5X", "", "X1 Z2?", "X0", "X10"):
+        for bad in ("Q5", "X", "5X", "", "X1 Z2?", "X0", "X10", "X1Z1",
+                    "Z3Z3"):
             with pytest.raises(ValueError):
                 PauliString.from_compact(bad, 9)
 

@@ -4,6 +4,7 @@ per-sector solve against the full dense spectrum, and eig_low's dense path,
 per sector or on the full space, against the Kronecker oracle."""
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -304,14 +305,43 @@ def test_projection_guard_rejects_a_flip_odd_field(boundary):
 
 def test_projection_guard_rejects_a_broken_basis(monkeypatch):
     build = engine._sector_table
-
-    def tampered(length, periodic):
-        table = build(length, periodic)
-        chars = table.chars.copy()
-        chars[-1, 1] *= 1 + 1e-9   # the last sector's character of P
-        return dataclasses.replace(table, chars=chars)
-
-    monkeypatch.setattr(engine, "_sector_table", tampered)
     lat = LatticeSpec(6, "periodic")
-    with pytest.raises(ConvergenceError, match="orthonormal eigenbasis"):
-        engine.project_sectors((cs.cluster_hamiltonian(lat),), True)
+    # one entry each: the last sector's character of P, the group element
+    # and the orbit of |000001> (a free orbit), the first orbit's size
+    for field, index, change in [("chars", (-1, 1), lambda v: v * (1 + 1e-9)),
+                                 ("elem", 1, lambda v: (v + 2) % 12),
+                                 ("orbit", 1, lambda v: v + 1),
+                                 ("size", 0, lambda v: v + 1)]:
+        def tampered(length, periodic):
+            table = build(length, periodic)
+            values = getattr(table, field).copy()
+            values[index] = change(values[index])
+            return dataclasses.replace(table, **{field: values})
+
+        monkeypatch.setattr(engine, "_sector_table", tampered)
+        with pytest.raises(ConvergenceError, match="orthonormal eigenbasis"):
+            engine.project_sectors((cs.cluster_hamiltonian(lat),), True)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_orbit_table_check_accepts_every_size(boundary):
+    # the characters pass the check from 13 sites up only when their
+    # phases are reduced mod 2 pi
+    periodic = boundary == "periodic"
+    for L in range(3, 17):
+        engine._check_table(engine._sector_table(L, periodic), periodic)
+
+
+def test_dense_budget_covers_the_chain_solve():
+    # the two 2048-state parity blocks of the 12-site chain, then the
+    # summed block of one and the copy eigh makes of it
+    h = cs.cluster_hamiltonian(LatticeSpec(12, "open"))
+    with mock.patch.object(engine, "_check_memory",
+                           wraps=engine._check_memory) as spy:
+        tracemalloc.start()
+        try:
+            cs.eig_low(h, count=6, method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= spy.call_args.args[0]

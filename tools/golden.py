@@ -61,6 +61,8 @@ COMMANDS = [
     "spectrum --size 11 --boundary open --lambda 1.2 --count 12",
     "verify --size 12",
     "scan --size 13 --boundary open --lambda 0.4:0.8:0.4",
+    "spectrum --size 3 --boundary periodic --lambda 0.7 --count 6",
+    "spectrum --size 4 --boundary periodic --lambda 0.7",
 ]
 
 
