@@ -165,9 +165,10 @@ def default_probe_set(lattice: LatticeSpec) -> dict:
     L = lattice.length
     probes = {}
     for j in range(1, L + 1):
-        for a in _LETTERS:
-            probes[f"{a}{j}"] = OperatorSum.from_pauli(
-                PauliString.single(L, j, a))
+        bit = 1 << (L - j)   # site 1 is the most significant bit
+        probes[f"X{j}"] = OperatorSum(L, {(bit, 0): 1 + 0j})
+        probes[f"Y{j}"] = OperatorSum(L, {(bit, bit): 1j})   # Y = i X Z
+        probes[f"Z{j}"] = OperatorSum(L, {(0, bit): 1 + 0j})
     edge_sites = sorted({1, 2, L - 1, L})
     for ii, i in enumerate(edge_sites):
         for j in edge_sites[ii + 1:]:

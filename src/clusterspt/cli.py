@@ -6,6 +6,10 @@ sweep).  Output is JSON, or CSV for tabular results, with a fixed schema and
 12-significant-digit float formatting so identical configurations produce
 byte-identical reports apart from the timings block.
 
+`main` may be called any number of times in one process: the argument
+parser is built on the first call and reused, and each call dispatches to
+the module's `cmd_<command>` function as it is bound at that moment.
+
 Exit codes: 0 all checks passed, 1 a verified check failed, 2 usage or
 resource error, an unwritable --out included.
 """
@@ -14,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
-import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,30 +41,48 @@ SIZE_CAP = 24
 GRID_CAP = 10**6    # couplings in one --lambda grid
 
 
-def _fmt(x: float) -> float:
-    return float(f"{float(x):.12g}")
+def _round12(x) -> float | None:
+    """The report's float rule: 12 significant digits, -0.0 as 0.0, and
+    NaN or an infinity as None (null in JSON, an empty CSV cell)."""
+    x = float(x)
+    if not math.isfinite(x):
+        return None
+    return float(f"{x:.12g}") + 0.0   # -0.0 + 0.0 is 0.0
 
 
-def _clean(obj):
-    """Round floats to 12 significant digits, normalize numpy types, and map
-    NaN to null and -0.0 to 0.0 so the JSON stays valid and
-    platform-stable."""
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
+def _json(obj, pad: str = "") -> str:
+    """JSON text of obj as `json.dumps(sort_keys=True, indent=2)` writes it,
+    with floats through `_round12`, keys through `str`, and numpy scalars,
+    arrays and tuples written as Python scalars and lists, in one walk."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return None
-        return _fmt(x) + 0.0   # -0.0 + 0.0 is 0.0
-    return obj
+        x = _round12(obj)
+        return "null" if x is None else float.__repr__(x)
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = {str(k): v for k, v in obj.items()}
+        body = f",\n{inner}".join(
+            f"{encode_basestring_ascii(k)}: {_json(items[k], inner)}"
+            for k in sorted(items))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = f",\n{inner}".join(_json(v, inner) for v in obj)
+        return f"[\n{inner}{body}\n{pad}]"
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -87,6 +110,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.round(start + step * np.arange(n), 12)
 
 
+def _csv_cell(v):
+    if isinstance(v, (float, np.floating)):
+        v = _round12(v)
+    return "" if v is None else v
+
+
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     if rows:
@@ -94,8 +123,7 @@ def _csv_text(rows) -> str:
                                 lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: ("" if v is None else v)
-                             for k, v in _clean(row).items()})
+            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
     return buf.getvalue()
 
 
@@ -103,8 +131,7 @@ def _emit(payload: dict, args, csv_rows=None) -> None:
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
         text = _csv_text(csv_rows)
     else:
-        text = json.dumps(_clean(payload), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        text = _json(payload) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -257,7 +284,9 @@ def cmd_scan(args):
     return payload, ok, rows
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="clusterspt",
         description="Verification suites and scans for cluster-chain "
@@ -281,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="swap one symmetry half for its literal printed form")
     p.add_argument("--symbolic-only", action="store_true",
                    dest="symbolic_only")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="low eigenvalues")
     common(p, 9, "open")
@@ -290,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--method", choices=("auto", "dense", "iterative"),
                    default="auto")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("protect", help="probe audit against the symmetries")
     common(p, 9, "open")
@@ -303,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probe name like X3 or Z1X9 (repeatable)")
     p.add_argument("--max-probes", type=int, default=None, dest="max_probes")
     p.add_argument("--seed", type=int, default=0, help="probe sample seed")
-    p.set_defaults(func=cmd_protect)
 
     p = sub.add_parser("scan", help="coupling sweep of the perturbed model")
     common(p, 12, "periodic")
@@ -319,21 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="energy window that groups levels into multiplets")
     p.add_argument("--seed", type=int, default=0,
                    help="echoed in the config; a scan draws no random numbers")
-    p.set_defaults(func=cmd_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     t0 = time.perf_counter()
     try:
-        payload, ok, csv_rows = args.func(args)
+        # looked up per call, so a rebound cmd_* (a tracer's wrapper) is used
+        payload, ok, csv_rows = globals()[f"cmd_{args.command}"](args)
     except (DomainError, LengthMismatchError, ResourceLimitError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,23 +109,27 @@ class PauliString:
     @classmethod
     def single(cls, length: int, site: int, letter: str) -> "PauliString":
         """One non-identity letter at a 1-based site, identity elsewhere."""
-        try:
-            xb, zb = _LETTER_BITS[letter.upper()]
-        except KeyError:
-            raise ValueError(f"invalid Pauli letter {letter!r}") from None
-        bit = _site_bit(length, site)
-        return cls(length, xb & zb, bit if xb else 0, bit if zb else 0)
+        return cls.from_sites(length, {site: letter})
 
     @classmethod
     def from_sites(cls, length: int, assignments) -> "PauliString":
         """Product of single-site letters, e.g. from_sites(9, {1:'Z', 2:'X', 3:'Z'}).
 
-        Distinct sites commute, so the result is independent of dict order.
+        Distinct sites commute, so the product is the OR of the letters'
+        masks with one i per Y, whatever the dict order.
         """
-        out = cls.identity(length)
+        x = z = 0
         for site, letter in assignments.items():
-            out = out * cls.single(length, site, letter)
-        return out
+            try:
+                xb, zb = _LETTER_BITS[letter.upper()]
+            except KeyError:
+                raise ValueError(f"invalid Pauli letter {letter!r}") from None
+            bit = _site_bit(length, site)
+            if xb:
+                x |= bit
+            if zb:
+                z |= bit
+        return cls(length, (x & z).bit_count(), x, z)
 
     @classmethod
     def from_compact(cls, text: str, length: int) -> "PauliString":

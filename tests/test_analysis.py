@@ -12,6 +12,7 @@ Frozen numerical expectations and where they come from:
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestProtectionSuite:
         assert rep.symmetric_probes_harmless
         assert [c["name"] for c in rep.cross_checks
                 if not c["matches"]] == ["B2"]
+
+    @pytest.mark.parametrize("length", [4, 9, 13])
+    def test_probes_are_their_named_strings(self, length):
+        # the probes are built from masks; each must equal the product of
+        # the single-site letters its name lists
+        probes = cs.analysis.default_probe_set(LatticeSpec(length))
+        for name, op in probes.items():
+            p = PauliString.identity(length)
+            for letter, site in re.findall(r"([XYZ])(\d+)", name):
+                p = p * PauliString.single(length, int(site), letter)
+            assert op == OperatorSum.from_pauli(p), name
 
     def test_probe_census(self):
         rep = cs.certify_protection(LatticeSpec(9, "open"))

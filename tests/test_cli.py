@@ -7,11 +7,14 @@ import math
 import time
 from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clusterspt import LatticeSpec, certify_protection, engine, phase_scan
-from clusterspt.cli import _clean, main
+from clusterspt import LatticeSpec, certify_protection, cli, engine, phase_scan
+from clusterspt.cli import _json, _round12, main
 from clusterspt.errors import DomainError
 
 
@@ -86,7 +89,8 @@ class TestSpectrum:
 
     def test_zero_levels_print_unsigned(self, capsys):
         # exact-zero sector eigenvalues may come out of LAPACK as -0.0
-        assert math.copysign(1.0, _clean(np.float64(-0.0))) == 1.0
+        assert math.copysign(1.0, _round12(np.float64(-0.0))) == 1.0
+        assert _json(np.float64(-0.0)) == "0.0"
         code, doc = run_json(capsys, "spectrum", "--size", "4",
                              "--boundary", "periodic", "--count", "16")
         assert code == 0
@@ -223,6 +227,130 @@ class TestUsage:
                 continue
             digits = token.lstrip("-0.").replace(".", "").rstrip("0")
             assert len(digits) <= 12, token
+
+
+def _expected(obj):
+    """What a report holds for obj, built without the writer: str keys,
+    lists for tuples and arrays, Python scalars, and floats rounded to 12
+    significant digits, zero unsigned, and NaN and infinities as None."""
+    if isinstance(obj, dict):
+        return {str(k): _expected(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_expected(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            return None
+        return float(f"{x:.12g}") or 0.0   # 0.0 for -0.0
+    return obj
+
+
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9", "\u03bb\u2192\u221e",
+                     "\n\t", "\U0001f600", ""]))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    _TEXT,
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.integers(-3, 3) | _TEXT, kids, max_size=4)),
+    max_leaves=30)
+
+
+def _floats(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for v in doc:
+            yield from _floats(v)
+    elif isinstance(doc, float):
+        yield doc
+
+
+class TestJsonWriter:
+    """The one-pass writer prints what json.dumps(sort_keys=True, indent=2)
+    prints for the normalized payload, byte for byte."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_PAYLOADS)
+    def test_bytes_match_json_dumps(self, payload):
+        text = _json(payload) + "\n"
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n"
+        assert text == json.dumps(_expected(payload), sort_keys=True,
+                                  indent=2, allow_nan=False) + "\n"
+        assert text.isascii()
+        for x in _floats(json.loads(text)):
+            assert x == float(f"{x:.12g}")
+            assert math.copysign(1.0, x) == 1.0 or x != 0.0
+
+    def test_float_rule(self):
+        assert _json(-0.0) == "0.0"
+        assert _json([math.nan, math.inf, -math.inf]) == \
+            "[\n  null,\n  null,\n  null\n]"
+        assert _json(np.float64(1 / 3)) == "0.333333333333"
+        assert _json(2.5e-300) == "2.5e-300"
+        assert _json({}) == "{}" and _json(()) == "[]"
+
+    def test_rejects_unknown_types(self):
+        with pytest.raises(TypeError, match="complex"):
+            _json({"a": 1j})
+
+
+class TestParserReuse:
+    """main() called again in one process reuses the parser and still
+    sees each call's own arguments and the current cmd_* bindings."""
+
+    def test_probe_list_does_not_stick(self, capsys):
+        code, doc = run_json(capsys, "protect", "--size", "9",
+                             "--probe", "X3")
+        assert code == 0
+        names = {r["probe"] for r in doc["results"]["probes"]}
+        assert "X3" in names and "Z1" not in names
+        code, doc = run_json(capsys, "protect", "--size", "9")
+        assert code == 0
+        census = {v.name for v in certify_protection(
+            LatticeSpec(9), numeric=False).probes}
+        assert {r["probe"] for r in doc["results"]["probes"]} == census
+        assert len(census) == 9 * 3 + 6 * 9 + 15
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["protect", "--size", "nine"]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+        code, doc = run_json(capsys, "protect", "--size", "9",
+                             "--symbolic-only")
+        assert code == 0 and doc["verdict"] == "pass"
+
+    def test_rebound_command_is_honoured(self, capsys, monkeypatch):
+        assert main(["protect", "--size", "9", "--symbolic-only"]) == 0
+        capsys.readouterr()
+        calls = []
+        original = cli.cmd_protect
+
+        def spy(args):
+            calls.append(args.size)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_protect", spy)
+        code, doc = run_json(capsys, "protect", "--size", "15",
+                             "--symbolic-only")
+        assert code == 0 and calls == [15]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestMemoryBudget:

@@ -83,6 +83,38 @@ class TestConstruction:
             p.x_mask = 7
 
 
+@st.composite
+def site_assignments(draw):
+    """(L, {site: letter}) on 1-24 sites, letters in either case."""
+    L = draw(st.integers(1, 24))
+    return L, draw(st.dictionaries(st.integers(1, L),
+                                   st.sampled_from("IXYZixyz"), max_size=L))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(site_assignments())
+def test_from_sites_is_the_product_of_singles(case):
+    L, assignments = case
+    p = PauliString.from_sites(L, assignments)
+    q = PauliString.identity(L)
+    for site, letter in assignments.items():
+        q = q * PauliString.single(L, site, letter)
+    assert (p.x_mask, p.z_mask, p.phase_exp) == \
+        (q.x_mask, q.z_mask, q.phase_exp)
+    assert p.letters == "".join(assignments.get(j, "I").upper()
+                                for j in range(1, L + 1))
+    assert p.is_hermitian
+
+
+def test_from_sites_errors():
+    with pytest.raises(ValueError, match="invalid Pauli letter 'Q'"):
+        PauliString.from_sites(4, {1: "X", 2: "Q"})
+    with pytest.raises(IndexError, match="site 0 outside 1..4"):
+        PauliString.from_sites(4, {0: "X"})
+    with pytest.raises(IndexError, match="site 5 outside 1..4"):
+        PauliString.from_sites(4, {2: "Z", 5: "Y"})
+
+
 class TestCanonicalPhase:
     def test_x_times_z_is_minus_i_y(self):
         x = PauliString.single(1, 1, "X")

@@ -6,16 +6,18 @@
 
 The first form imports clusterspt from the given `src/` tree, runs every
 command of COMMANDS in-process through `clusterspt.cli.main` with one BLAS
-thread, and writes each JSON report, without its `timings` block, to
-`NN-<command>.json` in the output directory.  A command that prints no
-report is recorded as its exit code and error message.
+thread, and writes each report to `NN-<command>.json` in the output
+directory exactly as the CLI printed it, except that the `total_s` timing
+is replaced by "<masked>".  A command that prints no report is recorded as
+its exit code and error message.
 
 The second form prints every field that differs between two such
 directories, with |delta| for floats, and says which files are identical
-byte for byte.  It exits 1 when anything other than a float differs: an
-integer, boolean, string, null or the structure, or a missing file.  To
-compare a change with its parent, run the first form once on each tree
-(for example on a `git archive` of the parent commit).
+byte for byte, so a change of the CLI's JSON formatting shows too.  It
+exits 1 when anything other than a float differs: an integer, boolean,
+string, null or the structure, or a missing file.  To compare a change
+with its parent, run the first form once on each tree (for example on a
+`git archive` of the parent commit).
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ COMMANDS = [
 ]
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+# the one value of a report that changes from run to run
+_TOTAL_S = re.compile(r'("total_s": )[-+.0-9eE]+')
 
 
 def capture(src: Path, out: Path) -> None:
@@ -81,13 +83,14 @@ def capture(src: Path, out: Path) -> None:
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = main(argv)
-        if stdout.getvalue().strip():
-            doc = json.loads(stdout.getvalue())
-            doc.pop("timings", None)
+        text = stdout.getvalue()
+        if text.strip():
+            text = _TOTAL_S.sub(r'\1"<masked>"', text)
         else:
-            doc = {"exit": code, "stderr": stderr.getvalue()}
+            text = json.dumps({"exit": code, "stderr": stderr.getvalue()},
+                              sort_keys=True, indent=2) + "\n"
         name = f"{i:02d}-{re.sub(r'[^A-Za-z0-9.]+', '_', command)}.json"
-        (out / name).write_text(_dump(doc))
+        (out / name).write_text(text)
         print(f"{name}: exit {code}")
 
 
