@@ -5,8 +5,8 @@ Four entry points:
 * verify_stabilizer_algebra: pairwise commutation of all stabilizers plus
   numeric eigenstate and degeneracy checks at desk scale.
 * certify_protection: symbolic commutation audit of every probe operator
-  against the two global symmetries, with first-order splitting matrices from
-  the ground projector.
+  against the two global symmetries, with the first-order splitting matrices
+  of all probes from one pass over the ground space.
 * string_order / phase_scan: nonlocal order parameter and the coupling scan
   of the perturbed model, with parity-sector tracking and level-crossing
   detection.
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import engine
 from .engine import (StateVector, apply, build_cluster_state, eig_low,
-                     expectation, ground_projector, resolve_sectors,
-                     splitting_class, subspace_distance)
+                     expectation, expectations, resolve_sectors,
+                     splitting_class, splitting_matrices, subspace_distance)
 from .errors import DomainError, LengthMismatchError
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      cross_check_global, ising_perturbation,
@@ -66,7 +66,8 @@ def verify_stabilizer_algebra(lattice: LatticeSpec,
                               numeric: bool = True) -> AlgebraReport:
     """Check the stabilizer family: symbolic pairwise commutation, and (at
     desk scale) that the entangled reference states are +1 eigenstates with
-    the expected ground-space dimension."""
+    the expected ground-space dimension; each stabilizer is applied once to
+    all reference states (engine.expectations)."""
     sites = list(lattice.stabilizer_sites())
     stabs = {i: stabilizer(i, lattice) for i in sites}
     entries = []
@@ -81,12 +82,9 @@ def verify_stabilizer_algebra(lattice: LatticeSpec,
     if numeric and lattice.length <= engine.DENSE_SITE_CAP:
         labels = [(0, 0)] if lattice.is_periodic else \
             [(k, l) for k in (0, 1) for l in (0, 1)]
-        worst = 0.0
-        for (k, l) in labels:
-            psi = build_cluster_state(lattice, k, l)
-            for i in sites:
-                dev = abs(expectation(psi, stabs[i]) - 1.0)
-                worst = max(worst, dev)
+        states = [build_cluster_state(lattice, k, l) for (k, l) in labels]
+        worst = max(float(np.abs(expectations(states, stabs[i]) - 1.0).max())
+                    for i in sites)
         entries.append(CheckEntry(
             "eigenstate-plus-one", worst <= 1e-10,
             f"max |<S> - 1| = {worst:.2e} over {len(labels)} state(s)"))
@@ -243,7 +241,8 @@ def certify_protection(model, probes: dict | None = None,
     the symmetry algebra itself (symmetry_pair_algebra, which also reads
     `tamper` and `local_only`).  Numeric part (dense sizes only): the
     first-order splitting matrix of each probe over the fourfold ground
-    space.
+    space, all from one engine.splitting_matrices pass over the stacked
+    ground basis, straight off the mask kernel with no matrix built.
     """
     if max_probes is not None and max_probes < 0:
         raise DomainError(
@@ -268,16 +267,19 @@ def certify_protection(model, probes: dict | None = None,
         keep |= {n for n in probes if n.startswith("Sigma_")}
         probes = {n: probes[n] for n in probes if n in keep}
 
+    names = sorted(probes)
     numeric = numeric and L <= engine.DENSE_SITE_CAP
-    spectrum = eig_low(h, count=6) if numeric else None
+    splits = [None] * len(names)
+    if numeric:
+        splits = splitting_matrices(eig_low(h, count=6).ground_basis,
+                                    [probes[name] for name in names])
 
     verdicts = []
-    for name in sorted(probes):
+    for name, m in zip(names, splits):
         op = probes[name]
         sites = op.supports()
         bulk_local = (len(sites) == 1
                       and all(2 <= s <= L - 1 for s in sites))
-        m = ground_projector(spectrum, op) if numeric else None
         verdicts.append(ProbeVerdict(
             name=name,
             commutes_with_h=commutes(h, op),

@@ -5,15 +5,18 @@ Basis convention: computational basis |b_1 b_2 ... b_L> with site 1 as the
 most significant bit of the index.  A term X^x Z^z acts on a basis index b as
 a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
 sum is a sum of signed permutations.  One kernel, `_mask_rows`, reads every
-matrix element off the masks, per x mask and row.  `operator_matrix` runs it
-on every basis index and wraps the rows into a CSR matrix, on which every
-full-space numeric path works.  `project_sectors` runs it once on the orbit
-representatives of the translation x spin-flip group, from one orbit table
-per lattice (`_sector_table`: each index's orbit and group element, and each
-sector's character and columns), and scatters the rows into small dense
-blocks of every sector at once; `sector_low` solves them for phase scans
-and for every dense `eig_low` of a symmetric operator.  All golden values
-depend on this ordering.
+matrix element off the masks, per x mask and row.  Every product of an
+operator with states runs straight off its rows (`_act`: `apply`,
+`expectations`, `splitting_matrices`, `resolve_sectors`), x masks in
+ascending order, with no matrix built.  `operator_matrix` wraps the rows of
+every basis index into a CSR matrix, which only the full-space solves of
+`eig_low` and a scan's observables build.  `project_sectors` runs the
+kernel once on the orbit representatives of the translation x spin-flip
+group, from one orbit table per lattice (`_sector_table`: each index's
+orbit and group element, and each sector's character and columns), and
+scatters the rows into small dense blocks of every sector at once;
+`sector_low` solves them for phase scans and for every dense `eig_low` of a
+symmetric operator.  All golden values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -106,29 +109,40 @@ class StateVector:
         return f"StateVector(L={self.length}, norm={self.norm:.6f})"
 
 
+def _x_groups(op: OperatorSum) -> dict:
+    """op's terms by x mask: {x: [(z, coeff), ...]}."""
+    groups = {}
+    for (x, z), coeff in op.items():
+        groups.setdefault(x, []).append((z, coeff))
+    return groups
+
+
+def _add_signs(out: np.ndarray, cols: np.ndarray, terms, real: bool) -> None:
+    """out += sum_z c (-1)^popcount(z & cols) over the (z, c) of `terms`:
+    the entries one x mask gives the rows that pull from `cols`."""
+    for z, coeff in terms:
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+        out += (coeff.real if real else coeff) * signs
+
+
 def _mask_rows(op: OperatorSum, rows: np.ndarray):
     """(indices, data), each (rows.size, #x masks): op's entries in `rows`,
     one per x mask (ascending) per row: float64 when has_real_matrix holds.
 
     A term c X^x Z^z sends b to b ^ x with sign (-1)^popcount(z & b), so row
     r pulls from r ^ x alone, and the terms sharing x give it
-    sum_z c (-1)^popcount(z & (r ^ x)).  The rows are every basis index for
-    the full-space matrix and the orbit representatives for the sector
-    blocks (project_sectors).
+    sum_z c (-1)^popcount(z & (r ^ x)) (_add_signs).  The rows are every
+    basis index for the full-space matrix and the state products, and the
+    orbit representatives for the sector blocks (project_sectors).
     """
-    groups = {}
-    for (x, z), coeff in op.items():
-        groups.setdefault(x, []).append((z, coeff))
+    groups = _x_groups(op)
     real = has_real_matrix(op)
     indices = np.empty((rows.size, len(groups)), dtype=rows.dtype)
     data = np.zeros((rows.size, len(groups)),
                     dtype=np.float64 if real else np.complex128)
     for k, x in enumerate(sorted(groups)):
-        cols = indices[:, k]
-        np.bitwise_xor(rows, x, out=cols)
-        for z, coeff in groups[x]:
-            signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-            data[:, k] += (coeff.real if real else coeff) * signs
+        np.bitwise_xor(rows, x, out=indices[:, k])
+        _add_signs(data[:, k], indices[:, k], groups[x], real)
     return indices, data
 
 
@@ -150,17 +164,51 @@ def operator_matrix(op) -> scipy.sparse.csr_array:
         (data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
 
 
+def _check_length(op: OperatorSum, dim: int) -> None:
+    """Raise LengthMismatchError unless states of `dim` amplitudes live on
+    op's sites, and ResourceLimitError above APPLY_SITE_CAP sites."""
+    if dim != 1 << op.length:
+        raise LengthMismatchError(
+            f"operator acts on {op.length} sites, states have {dim} amplitudes")
+    if op.length > APPLY_SITE_CAP:
+        raise ResourceLimitError(
+            f"operator products capped at {APPLY_SITE_CAP} sites, "
+            f"got {op.length}")
+
+
+def _act(op: OperatorSum, vecs: np.ndarray) -> np.ndarray:
+    """op @ vecs for a (2^L,) or (2^L, n) array, off op's rows (_mask_rows):
+    per x mask, ascending, the row data times vecs[r ^ x], added in the
+    order a CSR product with operator_matrix(op) adds them.  No
+    2^L x masks x n temporary is made."""
+    dim = vecs.shape[0]
+    _check_length(op, dim)
+    indices, data = _mask_rows(op, np.arange(dim, dtype=np.int32))
+    out = np.zeros(vecs.shape, dtype=np.result_type(data, vecs))
+    shape = (-1,) + (1,) * (vecs.ndim - 1)
+    for k in range(indices.shape[1]):
+        out += data[:, k].reshape(shape) * vecs[indices[:, k]]
+    return out
+
+
 def apply(op, psi: StateVector) -> StateVector:
-    """Exact linear action of an operator on a state (result unnormalized)."""
-    op = _as_sum(op)
-    if op.length != psi.length:
-        raise LengthMismatchError("operator and state lengths differ")
-    return StateVector(psi.length, operator_matrix(op) @ psi.amps, copy=False)
+    """Exact linear action of an operator on a state (result unnormalized),
+    straight off the operator's rows (_act)."""
+    return StateVector(psi.length, _act(_as_sum(op), psi.amps), copy=False)
+
+
+def expectations(states, op) -> np.ndarray:
+    """<psi_j|op|psi_j> for every state of `states` (StateVectors or the
+    columns of a 2D array), from one product of op with all of them."""
+    vecs = _as_columns(states)
+    moved = _act(_as_sum(op), vecs)
+    return np.array([np.vdot(vecs[:, j], moved[:, j])
+                     for j in range(vecs.shape[1])])
 
 
 def expectation(psi: StateVector, op) -> complex:
     """<psi|op|psi>; real to ~1e-10 for Hermitian operators."""
-    return psi.inner(apply(op, psi))
+    return complex(expectations([psi], op)[0])
 
 
 def dense_matrix(op) -> np.ndarray:
@@ -366,11 +414,56 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
         gap=gap, max_residual=max_residual, method=method)
 
 
+def splitting_matrices(states, ops) -> np.ndarray:
+    """(n, d, d) array of V^H O_m V for the n operators of `ops`, V the
+    columns of `states` (StateVectors or a 2D array), stacked once: every
+    probe's first-order splitting matrix over a ground space in one pass.
+
+    The terms of all operators are grouped by x mask, ascending.  Each
+    distinct x gathers V[r ^ x] once; each operator with terms on x takes
+    their summed signs (_add_signs, as _mask_rows combines them) times the
+    gather into its M_m V, in _act's order, and its matrix is formed as
+    soon as its last x mask is in, so only operators still open hold a
+    2^L x d product.  Raises LengthMismatchError when an operator's length
+    is not the states' (_check_length).
+    """
+    basis = _as_columns(states)
+    dim = basis.shape[0]
+    ops = [_as_sum(op) for op in ops]
+    groups = {}   # x mask -> [(operator number, its terms on x, real)]
+    left = []     # x masks each operator has still to add
+    for m, op in enumerate(ops):
+        _check_length(op, dim)
+        terms, real = _x_groups(op), has_real_matrix(op)
+        for x in terms:
+            groups.setdefault(x, []).append((m, terms[x], real))
+        left.append(len(terms))
+    out = np.zeros((len(ops), basis.shape[1], basis.shape[1]),
+                   dtype=np.complex128)
+    rows = np.arange(dim, dtype=np.int32)
+    bra = basis.conj().T
+    moved = {}    # operator number -> M_m V so far
+    for x in sorted(groups):
+        cols = rows ^ x
+        gathered = basis[cols]
+        for m, terms, real in groups[x]:
+            column = np.zeros(dim, dtype=np.float64 if real
+                              else np.complex128)
+            _add_signs(column, cols, terms, real)
+            if m not in moved:
+                moved[m] = np.zeros(basis.shape, dtype=np.complex128)
+            moved[m] += column[:, None] * gathered
+            left[m] -= 1
+            if not left[m]:
+                out[m] = bra @ moved.pop(m)
+    return out
+
+
 def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:
     """d x d matrix <v_a|O|v_b> over the ground cluster: the first-order
-    splitting matrix of degenerate perturbation theory."""
-    basis = _as_columns(spectrum.ground_basis)
-    return basis.conj().T @ (operator_matrix(op) @ basis)
+    splitting matrix of degenerate perturbation theory, the one-operator
+    case of splitting_matrices."""
+    return splitting_matrices(spectrum.ground_basis, [op])[0]
 
 
 def splitting_class(m: np.ndarray, tol: float = 1e-10) -> str:
@@ -402,11 +495,11 @@ def resolve_sectors(spectrum: SpectrumResult, sym,
         return np.array([]), ()
     L = spectrum.states[0].length
     vec = np.column_stack([s.amps for s in spectrum.states])
-    sym = operator_matrix(sym)
+    sym = _as_sum(sym)
     labels = np.zeros(n)
     for c in _clusters(vals, atol):
         block = vec[:, c]
-        sym_block = block.conj().T @ (sym @ block)
+        sym_block = block.conj().T @ _act(sym, block)
         labels[c], rot = np.linalg.eigh(sym_block)
         vec[:, c] = block @ rot
     states = tuple(StateVector(L, vec[:, c], copy=True) for c in range(n))
@@ -657,12 +750,14 @@ def project_sectors(ops, periodic: bool) -> tuple:
     dims = np.count_nonzero(table.cols >= 0, axis=1)
     real = [has_real_matrix(op) for op in ops]
     # the blocks, float64 when the operator and every character are real;
-    # sector_low's largest sum and eigh's copy of it; the orbit table and
-    # scattered rows, at most 40 bytes per state and x mask (8-14 sites)
+    # sector_low's largest sum and eigh's copy of it, or on a ring the sum
+    # of k, its twin's sum and their difference; the orbit table and
+    # scattered rows, at most 48 bytes per state and x mask (9-12 sites)
     x_masks = sum(len({x for x, _ in op.items()}) for op in ops)
     items = [8 if r and np.isrealobj(table.chars) else 16 for r in real]
-    _check_memory(int(dims @ dims) * sum(items) + 2 * max(items)
-                  * int(dims.max()) ** 2 + dim * (64 + 40 * x_masks),
+    solve = 3 if np.iscomplexobj(table.chars) else 2
+    _check_memory(int(dims @ dims) * sum(items) + solve * max(items)
+                  * int(dims.max()) ** 2 + dim * (64 + 48 * x_masks),
                   "dense", L, f"{len(ops) * dims.size} sector blocks plus "
                   "row tables")
     # the rows of all sectors, sector-major: row a of the scatter is
@@ -683,8 +778,14 @@ def project_sectors(ops, periodic: bool) -> tuple:
         # -1) goes to a spare slot past the blocks
         target = table.cols[sec, orbit[rep]]
         target = np.where(target >= 0, start + target, ends[-1])
-        flats.append(np.zeros(ends[-1] + 1, dtype=values.dtype))
-        np.add.at(flats[-1], target.ravel(), values.ravel())
+        # one bincount adds the entries in order, as np.add.at would; a
+        # complex entry's real and imaginary parts go to slots 2t and 2t + 1
+        # of one float array, read back as complex without a copy (the
+        # int64 zeros an empty operator's bincount gives read as zeros too)
+        width = values.itemsize // 8
+        slots = (width * target.reshape(-1, 1) + np.arange(width)).ravel()
+        flats.append(np.bincount(slots, values.reshape(-1).view(np.float64),
+                                 width * (ends[-1] + 1)).view(values.dtype))
     out = []
     for (k, p), d, end in zip(table.keys, dims, ends):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
@@ -706,26 +807,34 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
     labels and states come in ascending parity, as resolve_sectors orders
     them.  A real H has conjugate blocks at momenta k and -k; when the block
     of -k matches the conjugate of the solved block of k, its solution is
-    reused conjugated, which halves the complex solves.  Every pair passes
-    checked_residual against norm_h on its own block.
+    reused conjugated, which halves the complex solves; the sum of k is
+    formed again for the test, so no summed block outlives its solve.  Every
+    pair passes checked_residual against norm_h on its own block.
     """
     table, sectors = projected
     L = table.length
-    solved, found, worst = {}, [], 0.0
-    for i, (k, p, blocks) in enumerate(sectors):
+
+    def summed(blocks):
         h = np.zeros_like(blocks[0], np.result_type(*coeffs, *blocks))
         for c, b in zip(coeffs, blocks):
             h += c * b
+        return h
+
+    solved, found, worst = {}, [], 0.0
+    for i, (k, p, blocks) in enumerate(sectors):
+        h = summed(blocks)
         n = min(count, h.shape[0])
         twin = solved.pop((-k % L, p), None)
-        if twin is not None and (np.abs(h - twin[0].conj()).max()
-                                 <= 1e-13 * max(1.0, norm_h)):
+        if twin is not None and (
+                np.abs(h - summed(sectors[twin[0]][2]).conj()).max()
+                <= 1e-13 * max(1.0, norm_h)):
             e, w = twin[1], twin[2].conj()
         else:
             e, w = scipy.linalg.eigh(h, subset_by_index=[0, n - 1])
             if -k % L != k:   # a complex block, whose twin may come later
-                solved[(k, p)] = (h, e, w)
+                solved[(k, p)] = (i, e, w)
         worst = max(worst, checked_residual(h @ w, w, e, norm_h))
+        del h   # before the next sum allocates its block
         found += [(e[c], p, i, w[:, c]) for c in range(n)]
     found.sort(key=lambda level: level[0])
     found = found[:count]

@@ -1,0 +1,110 @@
+"""Operator-on-state products off the mask kernel: apply, expectations and
+the batched splitting matrices against the CSR matrix of operator_matrix,
+on random multi-term sums with complex coefficients and repeated x masks,
+and their length checks."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import clusterspt as cs
+from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
+from clusterspt.errors import LengthMismatchError
+
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
+
+
+@st.composite
+def multi_term_sums(draw, length):
+    """A random sum on `length` sites: 1-3 x masks, each carrying 1-3 z
+    masks, so several terms share an x mask, with complex coefficients."""
+    masks = st.integers(0, (1 << length) - 1)
+    parts = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = {}
+    for x in draw(st.lists(masks, min_size=1, max_size=3, unique=True)):
+        for z in draw(st.lists(masks, min_size=1, max_size=3, unique=True)):
+            terms[(x, z)] = complex(draw(parts), draw(parts))
+    return OperatorSum(length, terms)
+
+
+@st.composite
+def lattices(draw):
+    return LatticeSpec(draw(st.integers(3, 10)),
+                       draw(st.sampled_from(["open", "periodic"])))
+
+
+def _random_states(seed, length, count):
+    rng = np.random.default_rng(seed)
+    vecs = (rng.normal(size=(1 << length, count))
+            + 1j * rng.normal(size=(1 << length, count)))
+    return vecs / np.linalg.norm(vecs, axis=0)
+
+
+@PROPERTY
+@given(st.data(), lattices(), st.integers(0, 2**32 - 1))
+def test_state_products_match_the_csr_product(data, lattice, seed):
+    L = lattice.length
+    op = data.draw(multi_term_sums(L))
+    tol = 1e-14 * max(1.0, op.norm_bound())
+    m = cs.operator_matrix(op)
+    # random states and the lattice's cluster state, stacked
+    vecs = np.column_stack([_random_states(seed, L, 2),
+                            cs.build_cluster_state(lattice).amps])
+    for j in range(vecs.shape[1]):
+        psi = cs.StateVector(L, vecs[:, j])
+        want = m @ vecs[:, j]
+        assert np.abs(cs.apply(op, psi).amps - want).max() <= tol
+        assert abs(cs.expectation(psi, op) - np.vdot(vecs[:, j], want)) <= tol
+    want = np.array([np.vdot(v, m @ v) for v in vecs.T])
+    assert np.abs(engine.expectations(vecs, op) - want).max() <= tol
+
+
+@PROPERTY
+@given(st.data(), lattices(), st.sampled_from([0, 1, 4]),
+       st.integers(0, 2**32 - 1))
+def test_splitting_matrices_match_the_csr_projection(data, lattice, count,
+                                                     seed):
+    L = lattice.length
+    probes = [data.draw(multi_term_sums(L)) for _ in range(count)]
+    # the cluster ground space (four states on a chain, one on a ring) and
+    # two random states
+    ground = cs.eig_low(cs.cluster_hamiltonian(lattice), count=6).ground_basis
+    basis = np.column_stack([psi.amps for psi in ground]
+                            + [_random_states(seed, L, 2)])
+    got = engine.splitting_matrices(basis, probes)
+    d = basis.shape[1]
+    assert got.shape == (count, d, d)
+    for m, probe in zip(got, probes):
+        want = basis.conj().T @ (cs.operator_matrix(probe) @ basis)
+        assert np.abs(m - want).max() <= 1e-13
+
+
+def test_ground_projector_is_the_one_operator_case():
+    spect = cs.eig_low(cs.cluster_hamiltonian(LatticeSpec(7, "open")))
+    ops = [OperatorSum.from_pauli(PauliString.from_compact(name, 7))
+           for name in ("X1", "Z1Z7", "Y4")]
+    # X1 + X1Z2: two terms of one operator on one x mask add
+    ops.append(ops[0] + OperatorSum.from_pauli(
+        PauliString.from_compact("X1Z2", 7), 0.5j))
+    batch = engine.splitting_matrices(spect.ground_basis, ops)
+    for m, op in zip(batch, ops):
+        assert np.array_equal(cs.ground_projector(spect, op), m)
+    assert np.abs(batch[3] - batch[0]).max() > 0.1
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_audit_products_check_lengths(length):
+    lattice = LatticeSpec(5, "open")
+    spect = cs.eig_low(cs.cluster_hamiltonian(lattice))
+    good = OperatorSum.from_pauli(PauliString.single(5, 1, "X"))
+    probe = OperatorSum.from_pauli(PauliString.single(length, 1, "X"))
+    parity, _ = cs.spin_flip_symmetries(LatticeSpec(length, "open"))
+    with pytest.raises(LengthMismatchError):
+        cs.ground_projector(spect, probe)
+    with pytest.raises(LengthMismatchError):
+        engine.splitting_matrices(spect.ground_basis, [good, probe])
+    with pytest.raises(LengthMismatchError):
+        cs.resolve_sectors(spect, parity)
+    with pytest.raises(LengthMismatchError):
+        engine.expectations(spect.states, probe)

@@ -345,3 +345,24 @@ def test_dense_budget_covers_the_chain_solve():
         finally:
             tracemalloc.stop()
     assert peak <= spy.call_args.args[0]
+
+
+@pytest.mark.parametrize("solve", ["scan", "eig_low"])
+def test_dense_budget_covers_the_ring_solve(solve):
+    # the 24 sector blocks of the 12-site ring, most of them complex: for a
+    # two-point scan of both operators, and for H_C alone
+    lat = LatticeSpec(12, "periodic")
+    with mock.patch.object(engine, "_check_memory",
+                           wraps=engine._check_memory) as spy:
+        tracemalloc.start()
+        try:
+            if solve == "scan":
+                cs.phase_scan(lat, [0.9, 1.0])
+            else:
+                cs.eig_low(cs.cluster_hamiltonian(lat), count=6,
+                           method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert spy.call_count == 1
+    assert peak <= spy.call_args.args[0]

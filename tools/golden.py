@@ -65,6 +65,9 @@ COMMANDS = [
     "scan --size 13 --boundary open --lambda 0.4:0.8:0.4",
     "spectrum --size 3 --boundary periodic --lambda 0.7 --count 6",
     "spectrum --size 4 --boundary periodic --lambda 0.7",
+    "protect --size 9 --max-probes 20 --seed 5",
+    "protect --size 9 --probe X1Z9 --probe Y5",
+    "verify --size 9 --global-symmetry --tamper B2",
 ]
 
 
