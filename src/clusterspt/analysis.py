@@ -6,7 +6,7 @@ Four entry points:
   numeric eigenstate and degeneracy checks at desk scale.
 * certify_protection: symbolic commutation audit of every probe operator
   against the two global symmetries, with the first-order splitting matrices
-  of all probes from one pass over the ground space.
+  of all probes over the once-stacked ground basis.
 * string_order / phase_scan: nonlocal order parameter and the coupling scan
   of the perturbed model, with parity-sector tracking and level-crossing
   detection.
@@ -241,7 +241,7 @@ def certify_protection(model, probes: dict | None = None,
     the symmetry algebra itself (symmetry_pair_algebra, which also reads
     `tamper` and `local_only`).  Numeric part (dense sizes only): the
     first-order splitting matrix of each probe over the fourfold ground
-    space, all from one engine.splitting_matrices pass over the stacked
+    space, all from one engine.splitting_matrices call on the stacked
     ground basis, straight off the mask kernel with no matrix built.
     """
     if max_probes is not None and max_probes < 0:

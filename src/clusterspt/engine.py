@@ -109,40 +109,29 @@ class StateVector:
         return f"StateVector(L={self.length}, norm={self.norm:.6f})"
 
 
-def _x_groups(op: OperatorSum) -> dict:
-    """op's terms by x mask: {x: [(z, coeff), ...]}."""
-    groups = {}
-    for (x, z), coeff in op.items():
-        groups.setdefault(x, []).append((z, coeff))
-    return groups
-
-
-def _add_signs(out: np.ndarray, cols: np.ndarray, terms, real: bool) -> None:
-    """out += sum_z c (-1)^popcount(z & cols) over the (z, c) of `terms`:
-    the entries one x mask gives the rows that pull from `cols`."""
-    for z, coeff in terms:
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-        out += (coeff.real if real else coeff) * signs
-
-
 def _mask_rows(op: OperatorSum, rows: np.ndarray):
     """(indices, data), each (rows.size, #x masks): op's entries in `rows`,
     one per x mask (ascending) per row: float64 when has_real_matrix holds.
 
     A term c X^x Z^z sends b to b ^ x with sign (-1)^popcount(z & b), so row
     r pulls from r ^ x alone, and the terms sharing x give it
-    sum_z c (-1)^popcount(z & (r ^ x)) (_add_signs).  The rows are every
-    basis index for the full-space matrix and the state products, and the
-    orbit representatives for the sector blocks (project_sectors).
+    sum_z c (-1)^popcount(z & (r ^ x)).  The rows are every basis index for
+    the full-space matrix and the state products, and the orbit
+    representatives for the sector blocks (project_sectors).
     """
-    groups = _x_groups(op)
+    groups = {}
+    for (x, z), coeff in op.items():
+        groups.setdefault(x, []).append((z, coeff))
     real = has_real_matrix(op)
     indices = np.empty((rows.size, len(groups)), dtype=rows.dtype)
     data = np.zeros((rows.size, len(groups)),
                     dtype=np.float64 if real else np.complex128)
     for k, x in enumerate(sorted(groups)):
-        np.bitwise_xor(rows, x, out=indices[:, k])
-        _add_signs(data[:, k], indices[:, k], groups[x], real)
+        cols = indices[:, k]
+        np.bitwise_xor(rows, x, out=cols)
+        for z, coeff in groups[x]:
+            signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+            data[:, k] += (coeff.real if real else coeff) * signs
     return indices, data
 
 
@@ -179,15 +168,21 @@ def _check_length(op: OperatorSum, dim: int) -> None:
 def _act(op: OperatorSum, vecs: np.ndarray) -> np.ndarray:
     """op @ vecs for a (2^L,) or (2^L, n) array, off op's rows (_mask_rows):
     per x mask, ascending, the row data times vecs[r ^ x], added in the
-    order a CSR product with operator_matrix(op) adds them.  No
-    2^L x masks x n temporary is made."""
+    order a CSR product with operator_matrix(op) adds them.  The product is
+    formed in the gathered copy, so one 2^L x n temporary is open at a
+    time."""
     dim = vecs.shape[0]
     _check_length(op, dim)
     indices, data = _mask_rows(op, np.arange(dim, dtype=np.int32))
-    out = np.zeros(vecs.shape, dtype=np.result_type(data, vecs))
+    vecs = vecs.astype(np.result_type(data, vecs), copy=False)
+    out = np.zeros_like(vecs)
     shape = (-1,) + (1,) * (vecs.ndim - 1)
     for k in range(indices.shape[1]):
-        out += data[:, k].reshape(shape) * vecs[indices[:, k]]
+        gathered = np.take(vecs, indices[:, k], axis=0)
+        # data first, as in the CSR product: a fused complex multiply is
+        # not symmetric in its operands
+        np.multiply(data[:, k].reshape(shape), gathered, out=gathered)
+        out += gathered
     return out
 
 
@@ -417,46 +412,14 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
 def splitting_matrices(states, ops) -> np.ndarray:
     """(n, d, d) array of V^H O_m V for the n operators of `ops`, V the
     columns of `states` (StateVectors or a 2D array), stacked once: every
-    probe's first-order splitting matrix over a ground space in one pass.
-
-    The terms of all operators are grouped by x mask, ascending.  Each
-    distinct x gathers V[r ^ x] once; each operator with terms on x takes
-    their summed signs (_add_signs, as _mask_rows combines them) times the
-    gather into its M_m V, in _act's order, and its matrix is formed as
-    soon as its last x mask is in, so only operators still open hold a
-    2^L x d product.  Raises LengthMismatchError when an operator's length
-    is not the states' (_check_length).
-    """
+    probe's first-order splitting matrix over a ground space, each from one
+    product off the operator's rows (_act, which raises
+    LengthMismatchError when an operator's length is not the states')."""
     basis = _as_columns(states)
-    dim = basis.shape[0]
-    ops = [_as_sum(op) for op in ops]
-    groups = {}   # x mask -> [(operator number, its terms on x, real)]
-    left = []     # x masks each operator has still to add
-    for m, op in enumerate(ops):
-        _check_length(op, dim)
-        terms, real = _x_groups(op), has_real_matrix(op)
-        for x in terms:
-            groups.setdefault(x, []).append((m, terms[x], real))
-        left.append(len(terms))
-    out = np.zeros((len(ops), basis.shape[1], basis.shape[1]),
-                   dtype=np.complex128)
-    rows = np.arange(dim, dtype=np.int32)
     bra = basis.conj().T
-    moved = {}    # operator number -> M_m V so far
-    for x in sorted(groups):
-        cols = rows ^ x
-        gathered = basis[cols]
-        for m, terms, real in groups[x]:
-            column = np.zeros(dim, dtype=np.float64 if real
-                              else np.complex128)
-            _add_signs(column, cols, terms, real)
-            if m not in moved:
-                moved[m] = np.zeros(basis.shape, dtype=np.complex128)
-            moved[m] += column[:, None] * gathered
-            left[m] -= 1
-            if not left[m]:
-                out[m] = bra @ moved.pop(m)
-    return out
+    d = basis.shape[1]
+    return np.array([bra @ _act(_as_sum(op), basis) for op in ops],
+                    dtype=np.complex128).reshape(len(ops), d, d)
 
 
 def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:
