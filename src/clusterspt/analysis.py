@@ -30,9 +30,9 @@ import numpy as np
 
 from . import engine
 from .engine import (StateVector, apply, build_cluster_state, eig_low,
-                     expectation, expectations, resolve_sectors,
-                     splitting_class, splitting_matrices, subspace_distance)
-from .errors import DomainError, LengthMismatchError
+                     expectation, expectations, splitting_class,
+                     splitting_matrices, subspace_distance)
+from .errors import DomainError, LengthMismatchError, ResourceLimitError
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      cross_check_global, ising_perturbation,
                      local_symmetry_pair, printed_global_string,
@@ -437,13 +437,14 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     keeps it, a |lam| <= COEFF_TOL counting as 0 (rows print the grid as
     given).  Up to the dense size cap (method auto or dense) H_C and H_I are
     projected once into the translation x spin-flip sectors and every
-    coupling is a set of small dense solves with parity labels by
-    construction; otherwise each coupling runs eig_low and resolve_sectors.
-    The matrices of the string order, H_I and probes are built once, after
-    the first solve, so a size over its memory budget (project_sectors' or
-    eig_low's) fails first; each coupling then takes one matrix-vector
-    product per observable and reads the parity off the ground state's
-    label.  Scan points are independent, assembled in grid order.
+    coupling is a set of small dense solves (sector_low); otherwise each
+    coupling is one Lanczos solve per spin-flip block (sector_lanczos).
+    Either way the parity labels come by construction.  The matrices of the
+    string order, H_I and probes are built once, after the first solve, so
+    a size over its memory budget (project_sectors' or sector_lanczos')
+    fails first; each coupling then takes one matrix-vector product per
+    observable and reads the parity off the ground state's label.  Scan
+    points are independent, assembled in grid order.
     """
     grid = np.asarray(lam_grid, dtype=float)
     _check_grid(grid)
@@ -453,6 +454,12 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         raise DomainError(
             f"sector tolerance must be finite and positive, got {sector_atol}")
     L = lattice.length
+    if method not in ("auto", "dense", "iterative"):
+        raise DomainError(f"unknown method {method!r}")
+    if method == "dense" and L > engine.DENSE_SITE_CAP:
+        raise ResourceLimitError(
+            f"dense diagonalization capped at {engine.DENSE_SITE_CAP} "
+            f"sites, got {L}")
     count = int(min(eig_count, (1 << L) - 2))
     parity_op, _ = spin_flip_symmetries(lattice)
     a, b = longest_string_sites(L)
@@ -498,11 +505,8 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
                 sectors, (1.0, lam), count, norm_c + abs(lam) * norm_i,
                 atol=sector_atol)
         else:
-            spect = eig_low(h_c + float(lam) * yy_unit, count=count,
-                            method=method)
-            labels, states = resolve_sectors(spect, parity_op,
-                                             atol=sector_atol)
-            vals = spect.eigenvalues
+            vals, labels, states, _ = engine.sector_lanczos(
+                h_c + float(lam) * yy_unit, count, atol=sector_atol)
         if i == 0:
             so_mat, yy_mat = map(engine.operator_matrix, (so_op, yy_unit))
             probe_mats = {name: engine.operator_matrix(op)
@@ -539,7 +543,7 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         amps = gs.amps
         so[i] = _real_string(np.vdot(amps, so_mat @ amps))
         yy[i] = np.vdot(amps, yy_mat @ amps).real / n_bonds
-        # <gs|P|gs>: p in a sector, P's cluster eigenvalue after resolve_sectors
+        # <gs|P|gs>: the ground state's sector parity p
         par[i] = labels[0]
         for name, m in probe_mats.items():
             extras[name][i] = np.vdot(amps, m @ amps).real

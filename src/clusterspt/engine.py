@@ -10,13 +10,18 @@ operator with states runs straight off its rows (`_act`: `apply`,
 `expectations`, `splitting_matrices`, `resolve_sectors`), x masks in
 ascending order, with no matrix built.  `operator_matrix` wraps the rows of
 every basis index into a CSR matrix, which only the full-space solves of
-`eig_low` and a scan's observables build.  `project_sectors` runs the
-kernel once on the orbit representatives of the translation x spin-flip
-group, from one orbit table per lattice (`_sector_table`: each index's
-orbit and group element, and each sector's character and columns), and
-scatters the rows into small dense blocks of every sector at once;
-`sector_low` solves them for phase scans and for every dense `eig_low` of a
-symmetric operator.  All golden values depend on this ordering.
+`eig_low` (an operator with neither symmetry) and a scan's observables
+build.  Sector blocks come from the kernel run once on the orbit
+representatives of the translation x spin-flip group, from one orbit table
+per lattice (`_sector_table`: each index's orbit and group element, and
+each sector's character and columns), and one helper gives each row's
+entries in its sector (`_sector_entries`).  `project_sectors` scatters
+them into small dense blocks of every sector at once, which `sector_low`
+solves for phase scans up to 12 sites and for every dense `eig_low` of a
+symmetric operator; `_sector_blocks` keeps each spin-flip sector's rows as
+a CSR block, which `sector_lanczos` solves by Lanczos for every iterative
+`eig_low` of a P-invariant operator and for larger scans.  All golden
+values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -144,13 +149,19 @@ def operator_matrix(op) -> scipy.sparse.csr_array:
             f"operator matrices capped at {APPLY_SITE_CAP} sites, "
             f"got {op.length}")
     dim = 1 << op.length
-    indices, data = _mask_rows(op, np.arange(dim, dtype=np.int32))
+    return _csr(*_mask_rows(op, np.arange(dim, dtype=np.int32)))
+
+
+def _csr(indices: np.ndarray, data: np.ndarray) -> scipy.sparse.csr_array:
+    """Square CSR matrix whose row a holds data[a, k] in column
+    indices[a, k], one entry per k, the arrays' own memory as its own."""
+    n = indices.shape[0]
     # int32 offsets keep scipy from widening the column indices to int64
     wide = indices.size >= 2**31
-    indptr = np.arange(dim + 1, dtype=np.int64 if wide else np.int32)
+    indptr = np.arange(n + 1, dtype=np.int64 if wide else np.int32)
     indptr *= indices.shape[1]
     return scipy.sparse.csr_array(
-        (data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+        (data.ravel(), indices.ravel(), indptr), shape=(n, n))
 
 
 def _check_length(op: OperatorSum, dim: int) -> None:
@@ -311,20 +322,24 @@ def checked_residual(hv: np.ndarray, vecs: np.ndarray, vals: np.ndarray,
 def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     """Lowest `count` eigenpairs of a Hermitian operator sum.
 
-    dense: L <= 12, per symmetry sector when h is invariant.  The group is
-    read off h's coefficients with the test project_sectors applies
-    (_implied_leak): translation x spin flip when h is invariant under both
-    T and P, the spin flip alone when only under P.  Each sector block then
-    gives its lowest min(count, d) levels to sector_low, whose merged window
-    is exactly the lowest `count` levels.  An h with neither symmetry is
-    diagonalized as one full matrix.  iterative: implicitly restarted
-    Lanczos on the CSR operator matrix, L <= 24.  A run whose memory
-    estimate exceeds physical memory raises ResourceLimitError before
-    allocating anything large (project_sectors charges the sector blocks).
-    Every reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL *
-    max(1, sum|coeff|) (see checked_residual).  The iterative path guarantees
-    each returned pair is a true eigenpair but, like any Krylov method, may
-    return fewer copies of a highly degenerate level than exist; ask for enough
+    The symmetry group is read off h's coefficients with the test
+    project_sectors applies (_implied_leak): translation x spin flip when h
+    is invariant under both T and P, the spin flip alone when only under P.
+    dense: L <= 12, per symmetry sector when h is invariant.  Each sector
+    block then gives its lowest min(count, d) levels to sector_low, whose
+    merged window is exactly the lowest `count` levels.  iterative: L <= 24,
+    one implicitly restarted Lanczos solve per spin-flip block when h is
+    invariant under P (sector_lanczos, on rings too), whose CSR blocks come
+    straight from the orbit table.  An h with neither symmetry is solved on
+    the full space: one dense matrix, or Lanczos on its CSR operator matrix.
+    A run whose memory estimate exceeds physical memory raises
+    ResourceLimitError before allocating anything large (project_sectors
+    charges the dense blocks, sector_lanczos the CSR blocks).  Every
+    reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL * max(1,
+    sum|coeff|) (see checked_residual).  The iterative path guarantees each
+    returned pair is a true eigenpair but, like any Krylov method, may
+    return fewer copies of a level degenerate inside one spin-flip sector
+    (or, for an h without P, on the full space) than exist; ask for enough
     eigenvalues (count comfortably above the expected multiplicity) or use
     the dense path when exact multiplicities matter.
     """
@@ -354,15 +369,16 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
         if L > DENSE_SITE_CAP:
             raise ResourceLimitError("count too close to the full dimension")
 
-    # a wide Krylov subspace improves capture of degenerate multiplets
-    ncv = int(min(dim, max(4 * count + 1, 40)))
     # True: ring sectors, False: spin-flip sectors, None: the full space
-    periodic = _symmetry_group(h) if method == "dense" else None
-    if periodic is not None:
+    periodic = _symmetry_group(h)
+    if periodic is not None and method == "dense":
         vals, _, states, max_residual = sector_low(
             project_sectors([h], periodic), [1.0], count, h.norm_bound())
-        vecs = np.column_stack([s.amps for s in states])
+    elif periodic is not None:
+        vals, _, states, max_residual = sector_lanczos(h, count)
     else:
+        # a wide Krylov subspace improves capture of degenerate multiplets
+        ncv = int(min(dim, max(4 * count + 1, 40)))
         item = 8 if has_real_matrix(h) else 16
         x_masks = len({x for x, _ in h.items()})
         vectors = dim if method == "dense" else ncv
@@ -373,21 +389,12 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
             vals, vecs = scipy.linalg.eigh(m.toarray(),
                                            subset_by_index=[0, count - 1])
         else:
-            try:  # a fixed start vector keeps ARPACK's output deterministic
-                vals, vecs = scipy.sparse.linalg.eigsh(
-                    m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0,
-                    ncv=ncv, v0=np.random.default_rng(0).standard_normal(dim))
-            except scipy.sparse.linalg.ArpackNoConvergence as exc:
-                raise ConvergenceError(
-                    f"Lanczos did not converge in {_LANCZOS_MAXITER} "
-                    f"iterations",
-                    residuals=getattr(exc, "eigenvalues", None)) from exc
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
+            vals, vecs = _lanczos(m, count, ncv)
         vals = np.asarray(vals, dtype=float)
         # before the complex cast: a real matrix times complex vectors copies
         max_residual = checked_residual(m @ vecs, vecs, vals, h.norm_bound())
-        vecs = np.asarray(vecs, dtype=np.complex128)
+        states = tuple(StateVector(L, vecs[:, i]) for i in range(vals.size))
+        del m, vecs
 
     width = CLUSTER_RTOL * max(1.0, abs(vals[0]))
     degeneracy = int(np.sum(vals <= vals[0] + width))
@@ -398,15 +405,29 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
 
     # re-orthonormalize the ground cluster; degenerate eigenvectors from the
     # solver are orthogonal only to solver precision
-    q, _ = np.linalg.qr(vecs[:, :degeneracy])
-    vecs = vecs.copy()
-    vecs[:, :degeneracy] = q
-
-    states = tuple(StateVector(L, vecs[:, i], copy=True)
-                   for i in range(vals.size))
+    q, _ = np.linalg.qr(_as_columns(states[:degeneracy]))
+    states = tuple(StateVector(L, q[:, i]) for i in range(degeneracy)) \
+        + states[degeneracy:]
     return SpectrumResult(
         eigenvalues=vals, states=states, ground_degeneracy=degeneracy,
         gap=gap, max_residual=max_residual, method=method)
+
+
+def _lanczos(m, count: int, ncv: int) -> tuple:
+    """Lowest `count` eigenpairs (vals, vecs) of the Hermitian sparse matrix
+    m, ascending, by implicitly restarted Lanczos (ARPACK) with ncv Krylov
+    vectors, tol=0 and a fixed start vector, which keeps the output
+    deterministic."""
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0, ncv=ncv,
+            v0=np.random.default_rng(0).standard_normal(m.shape[0]))
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"Lanczos did not converge in {_LANCZOS_MAXITER} iterations",
+            residuals=getattr(exc, "eigenvalues", None)) from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def splitting_matrices(states, ops) -> np.ndarray:
@@ -642,16 +663,47 @@ def _check_table(table: _SectorTable, periodic: bool) -> None:
             "sector bases are not an orthonormal eigenbasis of the symmetries")
 
 
+def _check_invariant(op: OperatorSum, periodic: bool, name: str) -> None:
+    """Raise ConvergenceError unless op's coefficients bound its sector leak
+    (_implied_leak) within 1e-12 * max(1, sum|coeff|): check (ii) of
+    project_sectors."""
+    leak = _implied_leak(op, periodic)
+    bound = 1e-12 * max(1.0, op.norm_bound())
+    if leak > bound:
+        raise ConvergenceError(
+            f"{name} is not invariant under the symmetries: its "
+            f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
+            f"{bound:.3e}")
+
+
+def _sector_entries(table: _SectorTable, op: OperatorSum, sec, rep) -> tuple:
+    """(target, values), each (rows, #x masks): op's entries in the sector
+    rows a, row a being the orbit sum of reps[rep[a]] in sector sec[a, 0],
+    from one kernel call (_mask_rows) on the orbit representatives.
+
+    M|c> has amplitude B[c', c] / sqrt(N_r) at the representative r of
+    column c', so row r's entry from r ^ x, times chi(g_{r^x})
+    sqrt(N_r / N_{orbit(r^x)}), lands in column target = cols[i,
+    orbit(r ^ x)] of sector i, -1 where that orbit's sum vanishes in i.
+    project_sectors scatters these entries into dense blocks, _sector_blocks
+    takes each sector's rows as a CSR block.
+    """
+    indices, data = _mask_rows(op, table.reps)
+    orbit, elem = table.orbit[indices], table.elem[indices]
+    del indices
+    data *= np.sqrt(table.size[:, None] / table.size[orbit])
+    target = table.cols[sec, orbit[rep]]
+    del orbit
+    return target, table.chars[sec, elem[rep]] * data[rep]
+
+
 def project_sectors(ops, periodic: bool) -> tuple:
     """Every operator of `ops` (one lattice) in every symmetry sector:
     (table, [(k, p, blocks)]), the lattice's orbit table (_sector_table) and
     per sector blocks[m] = V^H M_m V, V the sector's orbit-sum basis
-    (_row_form).  Each operator's kernel (_mask_rows) runs once on the orbit
-    representatives: M|c> has amplitude B[c', c] / sqrt(N_r) at the
-    representative r of column c', so row r's entry from r ^ x, times
-    chi(g_{r^x}) sqrt(N_r / N_{orbit(r^x)}), lands in column
-    cols[i, orbit(r ^ x)] of every sector i that keeps r, all sectors in one
-    scatter.  A block is float64 exactly when its operator is real
+    (_row_form).  Each operator's entries in every sector come from one
+    kernel call on the orbit representatives (_sector_entries), all sectors
+    in one scatter.  A block is float64 exactly when its operator is real
     (has_real_matrix) and its sector's character is real (2k = 0 mod L).
     Between the guard below and the first kernel call, the blocks, the
     scattered rows and sector_low's largest solve are charged against
@@ -700,13 +752,7 @@ def project_sectors(ops, periodic: bool) -> tuple:
     ops = [_as_sum(op) for op in ops]
     L = ops[0].length
     for m, op in enumerate(ops):
-        leak = _implied_leak(op, periodic)
-        bound = 1e-12 * max(1.0, op.norm_bound())
-        if leak > bound:
-            raise ConvergenceError(
-                f"operator {m} is not invariant under the symmetries: its "
-                f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
-                f"{bound:.3e}")
+        _check_invariant(op, periodic, f"operator {m}")
     dim = 1 << L
     table = _sector_table(L, periodic)
     _check_table(table, periodic)
@@ -733,13 +779,9 @@ def project_sectors(ops, periodic: bool) -> tuple:
              + dims[sec] * table.cols[sec, rep[:, None]])
     flats = []
     for op in ops:
-        indices, data = _mask_rows(op, table.reps)
-        orbit = table.orbit[indices]
-        data *= np.sqrt(table.size[:, None] / table.size[orbit])
-        values = table.chars[sec, table.elem[indices][rep]] * data[rep]
+        target, values = _sector_entries(table, op, sec, rep)
         # an entry into an orbit whose sum vanishes in the sector (column
         # -1) goes to a spare slot past the blocks
-        target = table.cols[sec, orbit[rep]]
         target = np.where(target >= 0, start + target, ends[-1])
         # one bincount adds the entries in order, as np.add.at would; a
         # complex entry's real and imaginary parts go to slots 2t and 2t + 1
@@ -764,15 +806,16 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
 
     Returns (vals, labels, states, max_residual) like eig_low's eigenvalues
     followed by resolve_sectors: ascending energies, each level's spin-flip
-    parity, the states V w, and the worst residual of any block.  Only the
-    kept levels are expanded to 2^L amplitudes, each from its sector's row
-    form (_row_form).  Inside each cluster of levels within `atol` the
-    labels and states come in ascending parity, as resolve_sectors orders
-    them.  A real H has conjugate blocks at momenta k and -k; when the block
-    of -k matches the conjugate of the solved block of k, its solution is
-    reused conjugated, which halves the complex solves; the sum of k is
-    formed again for the test, so no summed block outlives its solve.  Every
-    pair passes checked_residual against norm_h on its own block.
+    parity, the states V w, and the worst residual of any block.  The
+    merge, shared with sector_lanczos (_merge_levels), expands only the kept
+    levels to 2^L amplitudes and orders the labels and states inside each
+    cluster of levels within `atol` by ascending parity, as resolve_sectors
+    orders them.  A real H has conjugate blocks at momenta k and -k; when
+    the block of -k matches the conjugate of the solved block of k, its
+    solution is reused conjugated, which halves the complex solves; the sum
+    of k is formed again for the test, so no summed block outlives its
+    solve.  Every pair passes checked_residual against norm_h on its own
+    block.
     """
     table, sectors = projected
     L = table.length
@@ -799,8 +842,17 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
         worst = max(worst, checked_residual(h @ w, w, e, norm_h))
         del h   # before the next sum allocates its block
         found += [(e[c], p, i, w[:, c]) for c in range(n)]
-    found.sort(key=lambda level: level[0])
-    found = found[:count]
+    return (*_merge_levels(table, found, count, atol), worst)
+
+
+def _merge_levels(table: _SectorTable, found: list, count: int,
+                  atol: float) -> tuple:
+    """(vals, labels, states) of the lowest `count` levels of `found`, each
+    level (energy, parity, sector, sector vector w): ascending energies,
+    inside each cluster within `atol` in ascending parity (the order
+    resolve_sectors gives), each state V w expanded from its sector's row
+    form (_row_form)."""
+    found = sorted(found, key=lambda level: level[0])[:count]
     vals = np.array([level[0] for level in found])
     for c in _clusters(vals, atol):
         found[c] = sorted(found[c], key=lambda level: level[1])
@@ -808,8 +860,80 @@ def sector_low(projected, coeffs, count: int, norm_h: float,
     states = []
     for _, _, i, w in found:
         col, val = _row_form(table, i)
-        states.append(StateVector(L, val * w[col]))
-    return vals, labels, tuple(states), worst
+        states.append(StateVector(table.length, val * w[col]))
+    return vals, labels, tuple(states)
+
+
+def _sector_blocks(table: _SectorTable, op: OperatorSum) -> list:
+    """op's block in every sector of `table` as a CSR matrix, from one
+    _sector_entries call over the rows of all sectors (sector-major, as
+    project_sectors takes them): sector i's rows are one slice of the
+    entries, kept as its block's own memory.  An entry into an orbit whose
+    sum vanishes in the sector (a ring's) is stored as a zero in column 0."""
+    alive = table.cols >= 0
+    sec, rep = np.nonzero(alive)
+    target, values = _sector_entries(table, op, sec[:, None], rep)
+    values[target < 0] = 0
+    np.maximum(target, 0, out=target)
+    dims = alive.sum(axis=1)
+    return [_csr(target[end - d:end], values[end - d:end])
+            for d, end in zip(dims, np.cumsum(dims))]
+
+
+def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
+    """Lowest `count` levels of a Hermitian h invariant under the spin flip
+    P, one Lanczos solve per parity block.
+
+    Returns (vals, labels, states, max_residual) as sector_low does.  The
+    two blocks of 2^(L-1) states come as CSR matrices from one kernel call
+    on the open chain's orbit table (_sector_blocks), on rings too, since
+    only P is used.  Each block gives its lowest min(count, d) levels, by
+    ARPACK (_lanczos) or, for a block too small for it, a dense eigh; every
+    pair passes checked_residual on its own block, and sector_low's merge
+    (_merge_levels) keeps the lowest `count`.  Before the orbit table or
+    any kernel is built, the larger of the build (the table and the
+    entries) and the solve (the blocks, the Lanczos and sector vectors, the
+    expanded states and eig_low's re-orthonormalized copies) is charged
+    against physical memory (_check_memory).
+    """
+    h = _as_sum(h)
+    _check_invariant(h, False, "the operator")
+    L = h.length
+    dim = 1 << L
+    d = dim // 2
+    n = min(count, d)
+    # Krylov vectors per block: fewer than the full space's 40 run faster,
+    # and 28 kept every window of the benchmark's spectra exact at 12-14
+    # sites, where 20-24 dropped a copy of a multiplet now and then
+    ncv = int(min(d, max(2 * n + 1, 28)))
+    item = 8 if has_real_matrix(h) else 16
+    x_masks = len({x for x, _ in h.items()})
+    # the larger of two phases.  Building: the orbit table with its check,
+    # and _sector_entries' half-size kernel rows, gathered rows and values
+    # (tracemalloc: 25.5 bytes per state and x mask, real h, 14-18 sites).
+    # Solving: the table and blocks, one solve's ARPACK vectors, the kept
+    # and residual sector vectors, and the states with eig_low's
+    # re-orthonormalized copies of a ground cluster as wide as the window.
+    build = dim * (64 + x_masks * (3 * item + 8))
+    solve = (dim * (64 + x_masks * (item + 4)) + (ncv + 5 * n + 4) * d * item
+             + 4 * min(count, dim) * dim * 16)
+    _check_memory(max(build, solve), "iterative", L,
+                  f"2 sector blocks, {ncv} Lanczos vectors and the states")
+    table = _sector_table(L, periodic=False)
+    _check_table(table, False)
+    norm_h = h.norm_bound()
+    found, worst = [], 0.0
+    for i, ((_, p), block) in enumerate(zip(table.keys,
+                                            _sector_blocks(table, h))):
+        if n > d - 2:   # ARPACK needs k < d - 1
+            e, w = scipy.linalg.eigh(block.toarray(),
+                                     subset_by_index=[0, n - 1])
+        else:
+            e, w = _lanczos(block, n, ncv)
+        worst = max(worst, checked_residual(block @ w, w, e, norm_h))
+        found += [(e[c], p, i, w[:, c]) for c in range(n)]
+    del block   # it holds both blocks' entries
+    return (*_merge_levels(table, found, count, atol), worst)
 
 
 def _as_columns(states) -> np.ndarray:

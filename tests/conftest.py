@@ -1,14 +1,35 @@
 """Shared fixtures: an independent dense-matrix oracle built from literal
-2x2 matrices via Kronecker products, plus random operator factories.
+2x2 matrices via Kronecker products, plus random operator factories, and
+the benchmark's free-fermion reference (`free_fermion`, bench/oracle.py
+loaded by path) for spectra above the dense sizes.
 
-The oracle never touches the package's own matrix builders, so agreement
-between the two is a real cross-check of the symbolic algebra.
+Neither oracle touches the package's own matrix builders, so agreement
+between them and the package is a real cross-check of the symbolic
+algebra.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clusterspt as cs
+
+
+def _load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# H_C + lam H_I solved exactly by Jordan-Wigner free fermions per spin-flip
+# sector, in O(L^3): spectrum(L, periodic, lam, count) gives the lowest
+# levels as (energy, parity) pairs
+free_fermion = _load_by_path(
+    "free_fermion",
+    Path(__file__).resolve().parents[1] / "bench" / "oracle.py")
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -19,7 +19,7 @@ import pytest
 
 import clusterspt as cs
 from clusterspt import (LatticeSpec, OperatorSum, PauliString, ScanResult,
-                        analysis, engine)
+                        engine)
 from clusterspt.analysis import _detect_crossings
 from clusterspt.errors import DomainError
 
@@ -254,8 +254,8 @@ class TestPhaseScan:
             return recording
 
         monkeypatch.setattr(engine, "sector_low", record(engine.sector_low, 2))
-        monkeypatch.setattr(analysis, "resolve_sectors",
-                            record(analysis.resolve_sectors, 1))
+        monkeypatch.setattr(engine, "sector_lanczos",
+                            record(engine.sector_lanczos, 2))
         scan = cs.phase_scan(LatticeSpec(L, boundary), [0.3, 0.9, 1.2],
                              method=method)
         assert len(grounds) == 3

@@ -355,13 +355,15 @@ class TestParserReuse:
 
 class TestMemoryBudget:
     def test_oversized_run_fails_early(self, capsys, monkeypatch):
-        # 24 x masks of 2^24 rows at 12 bytes, plus 40 float64 Lanczos vectors
+        # the two 2^23-state parity blocks' solve phase: 24 x masks at 12
+        # bytes plus the table, 28 Lanczos vectors and the kept sector
+        # vectors, and 8 complex states with the ground cluster's copies
         monkeypatch.setattr(engine, "_physical_memory", lambda: 7 << 30)
         t0 = time.perf_counter()
         assert main(["spectrum", "--size", "24", "--boundary", "periodic",
                      "--method", "iterative"]) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "needs about 10.2 GB" in capsys.readouterr().err
+        assert "needs about 19.3 GB" in capsys.readouterr().err
         assert main(["spectrum", "--size", "14", "--method",
                      "iterative"]) == 0
 

@@ -68,6 +68,9 @@ COMMANDS = [
     "protect --size 9 --max-probes 20 --seed 5",
     "protect --size 9 --probe X1Z9 --probe Y5",
     "verify --size 9 --global-symmetry --tamper B2",
+    "spectrum --size 14 --boundary open --lambda 0.15 --method iterative",
+    "scan --size 13 --boundary periodic --lambda 0.9:1.1:0.1 --method "
+    "iterative",
 ]
 
 
