@@ -436,9 +436,11 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     coupling is nonzero.  Both paths solve H_C + lam * H_I as an OperatorSum
     keeps it, a |lam| <= COEFF_TOL counting as 0 (rows print the grid as
     given).  Up to the dense size cap (method auto or dense) H_C and H_I are
-    projected once into the translation x spin-flip sectors and every
-    coupling is a set of small dense solves (sector_low); otherwise each
-    coupling is one Lanczos solve per spin-flip block (sector_lanczos).
+    projected once into the translation x spin-flip sectors, which also
+    decides once which momentum -k blocks reuse the solution of k, and
+    every coupling is a set of small dense solves (sector_low); otherwise
+    each coupling is one Lanczos solve per spin-flip block
+    (sector_lanczos).
     Either way the parity labels come by construction.  The matrices of the
     string order, H_I and probes are built once, after the first solve, so
     a size over its memory budget (project_sectors' or sector_lanczos')
@@ -472,9 +474,10 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     parts = (h_c, yy_unit) if np.any(couplings != 0.0) else (h_c,)
     parity_ok = all(commutes(parity_op, op) for op in parts)
     treal_ok = all(engine.has_real_matrix(op) for op in parts)
-    sectors = None
+    projected = None
     if method in ("auto", "dense") and L <= engine.DENSE_SITE_CAP:
-        sectors = engine.project_sectors((h_c, yy_unit), lattice.is_periodic)
+        projected = engine.project_sectors((h_c, yy_unit),
+                                           lattice.is_periodic)
         norm_c, norm_i = h_c.norm_bound(), yy_unit.norm_bound()
 
     probe_ops = {}
@@ -500,9 +503,9 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     extras = {name: np.zeros(n) for name in probe_ops}
 
     for i, lam in enumerate(couplings):
-        if sectors is not None:
+        if projected is not None:
             vals, labels, states, _ = engine.sector_low(
-                sectors, (1.0, lam), count, norm_c + abs(lam) * norm_i,
+                projected, (1.0, lam), count, norm_c + abs(lam) * norm_i,
                 atol=sector_atol)
         else:
             vals, labels, states, _ = engine.sector_lanczos(

@@ -16,12 +16,16 @@ representatives of the translation x spin-flip group, from one orbit table
 per lattice (`_sector_table`: each index's orbit and group element, and
 each sector's character and columns), and one helper gives each row's
 entries in its sector (`_sector_entries`).  `project_sectors` scatters
-them into small dense blocks of every sector at once, which `sector_low`
-solves for phase scans up to 12 sites and for every dense `eig_low` of a
-symmetric operator; `_sector_blocks` keeps each spin-flip sector's rows as
-a CSR block, which `sector_lanczos` solves by Lanczos for every iterative
-`eig_low` of a P-invariant operator and for larger scans.  All golden
-values depend on this ordering.
+them into small dense blocks of every sector at once and decides each
+momentum -k block's conjugate twin once, so that `sector_low`, which
+solves them for phase scans up to 12 sites and for every dense `eig_low`
+of a symmetric operator, takes per coupling and sector only a sum, an
+eigh and a residual check.  `_sector_blocks` keeps each spin-flip
+sector's rows as a CSR block, which `sector_lanczos` solves by Lanczos
+for every iterative `eig_low` of a P-invariant operator and for larger
+scans, retrying a solve once with more Krylov vectors when a pair
+misses its residual bound (`_checked_lanczos`).  All golden values depend
+on this ordering.
 """
 
 from __future__ import annotations
@@ -382,17 +386,20 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
         item = 8 if has_real_matrix(h) else 16
         x_masks = len({x for x, _ in h.items()})
         vectors = dim if method == "dense" else ncv
-        _check_memory(dim * (x_masks * (item + 4) + vectors * item), method,
-                      L, f"CSR matrix plus {vectors} vectors")
+        need = dim * (x_masks * (item + 4) + vectors * item)
+        _check_memory(need, method, L, f"CSR matrix plus {vectors} vectors")
         m = operator_matrix(h)
+        # the residuals come before the complex cast: a real matrix times
+        # complex vectors copies
         if method == "dense":
             vals, vecs = scipy.linalg.eigh(m.toarray(),
                                            subset_by_index=[0, count - 1])
+            max_residual = checked_residual(m @ vecs, vecs, vals,
+                                            h.norm_bound())
         else:
-            vals, vecs = _lanczos(m, count, ncv)
+            vals, vecs, max_residual = _checked_lanczos(
+                m, count, ncv, h.norm_bound(), need, L)
         vals = np.asarray(vals, dtype=float)
-        # before the complex cast: a real matrix times complex vectors copies
-        max_residual = checked_residual(m @ vecs, vecs, vals, h.norm_bound())
         states = tuple(StateVector(L, vecs[:, i]) for i in range(vals.size))
         del m, vecs
 
@@ -428,6 +435,29 @@ def _lanczos(m, count: int, ncv: int) -> tuple:
             residuals=getattr(exc, "eigenvalues", None)) from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _checked_lanczos(m, count: int, ncv: int, norm_h: float, need: int,
+                     length: int) -> tuple:
+    """(vals, vecs, max_residual): _lanczos(m, count, ncv) whose pairs pass
+    checked_residual against norm_h.  ARPACK can call a Ritz pair converged
+    above that bound; such a solve is retried once, deterministically, with
+    twice the Krylov vectors capped at the dimension, before the
+    ConvergenceError stands.  `need` is the memory charge of the first
+    solve on `length` sites; the retry's extra vectors are charged on top
+    of it (_check_memory) before it runs."""
+    vals, vecs = _lanczos(m, count, ncv)
+    try:
+        return vals, vecs, checked_residual(m @ vecs, vecs, vals, norm_h)
+    except ConvergenceError:
+        wider = min(2 * ncv, m.shape[0])
+        if wider == ncv:
+            raise
+    del vecs
+    _check_memory(need + (wider - ncv) * m.shape[0] * m.dtype.itemsize,
+                  "iterative", length, f"a Lanczos retry with {wider} vectors")
+    vals, vecs = _lanczos(m, count, wider)
+    return vals, vecs, checked_residual(m @ vecs, vecs, vals, norm_h)
 
 
 def splitting_matrices(states, ops) -> np.ndarray:
@@ -697,16 +727,34 @@ def _sector_entries(table: _SectorTable, op: OperatorSum, sec, rep) -> tuple:
     return target, table.chars[sec, elem[rep]] * data[rep]
 
 
-def project_sectors(ops, periodic: bool) -> tuple:
-    """Every operator of `ops` (one lattice) in every symmetry sector:
-    (table, [(k, p, blocks)]), the lattice's orbit table (_sector_table) and
-    per sector blocks[m] = V^H M_m V, V the sector's orbit-sum basis
-    (_row_form).  Each operator's entries in every sector come from one
-    kernel call on the orbit representatives (_sector_entries), all sectors
-    in one scatter.  A block is float64 exactly when its operator is real
+@dataclass(frozen=True)
+class _Projection:
+    """What project_sectors gives sector_low, for one lattice and a fixed
+    list of operators: the orbit table, per sector (k, p, blocks) with
+    blocks[m] = V^H M_m V, twins[i] the index j < i of the sector whose
+    blocks, conjugated, are sector i's for every operator (-1 when none),
+    and forms, the row forms (_row_form) of the sectors whose levels a
+    merge kept, each built once on first use.  It holds every piece of
+    state that outlives one coupling, and goes with its holder."""
+
+    table: _SectorTable
+    sectors: list
+    twins: tuple
+    forms: dict
+
+
+def project_sectors(ops, periodic: bool) -> _Projection:
+    """Every operator of `ops` (one lattice) in every symmetry sector: a
+    _Projection of the lattice's orbit table (_sector_table) and per sector
+    blocks[m] = V^H M_m V, V the sector's orbit-sum basis (_row_form).
+    Each operator's entries in every sector come from one kernel call on
+    the orbit representatives (_sector_entries), all sectors in one
+    scatter.  A block is float64 exactly when its operator is real
     (has_real_matrix) and its sector's character is real (2k = 0 mod L).
-    Between the guard below and the first kernel call, the blocks, the
-    scattered rows and sector_low's largest solve are charged against
+    The momentum -k twin of each sector is decided here, once
+    (_conjugate_twins).  Between the guard below and the first kernel
+    call, the blocks, the scattered rows, the row forms and the larger of
+    the twin test and sector_low's largest solve are charged against
     physical memory (_check_memory).
 
     The result is guarded once per lattice, without forming any M: a leaky
@@ -759,14 +807,15 @@ def project_sectors(ops, periodic: bool) -> tuple:
     dims = np.count_nonzero(table.cols >= 0, axis=1)
     real = [has_real_matrix(op) for op in ops]
     # the blocks, float64 when the operator and every character are real;
-    # sector_low's largest sum and eigh's copy of it, or on a ring the sum
-    # of k, its twin's sum and their difference; the orbit table and
-    # scattered rows, at most 48 bytes per state and x mask (9-12 sites)
+    # the larger of sector_low's largest sum with eigh's copy of it and the
+    # twin test's conjugate and difference of one block; every sector's
+    # row form; the orbit table and scattered rows, at most 48 bytes per
+    # state and x mask (9-12 sites)
     x_masks = sum(len({x for x, _ in op.items()}) for op in ops)
     items = [8 if r and np.isrealobj(table.chars) else 16 for r in real]
-    solve = 3 if np.iscomplexobj(table.chars) else 2
-    _check_memory(int(dims @ dims) * sum(items) + solve * max(items)
-                  * int(dims.max()) ** 2 + dim * (64 + 48 * x_masks),
+    _check_memory(int(dims @ dims) * sum(items) + 2 * max(items)
+                  * int(dims.max()) ** 2 + dims.size * dim
+                  * (4 + table.chars.itemsize) + dim * (64 + 48 * x_masks),
                   "dense", L, f"{len(ops) * dims.size} sector blocks plus "
                   "row tables")
     # the rows of all sectors, sector-major: row a of the scatter is
@@ -791,77 +840,98 @@ def project_sectors(ops, periodic: bool) -> tuple:
         slots = (width * target.reshape(-1, 1) + np.arange(width)).ravel()
         flats.append(np.bincount(slots, values.reshape(-1).view(np.float64),
                                  width * (ends[-1] + 1)).view(values.dtype))
-    out = []
+    del sec, rep, start, target, values, slots   # before the twin test
+    sectors = []
     for (k, p), d, end in zip(table.keys, dims, ends):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
-        out.append((k, p, [b.real if r and 2 * k % L == 0 else b
-                           for b, r in zip(blocks, real)]))
-    return table, out
+        sectors.append((k, p, [b.real if r and 2 * k % L == 0 else b
+                               for b, r in zip(blocks, real)]))
+    return _Projection(table, sectors, _conjugate_twins(sectors, ops, L), {})
 
 
-def sector_low(projected, coeffs, count: int, norm_h: float,
+def _conjugate_twins(sectors, ops, L: int) -> tuple:
+    """twins[i] = j when sector j < i has momentum -k and the same parity as
+    sector i and, for every operator m, |B_m(i) - conj B_m(j)| <= 1e-13 *
+    max(1, sum|coeff_m|) entry by entry, else -1.  A real operator has
+    V(-k) = conj V(k) and so conjugate blocks at k and -k; one with an
+    imaginary matrix has not.  Sector i of a real combination of the
+    operators then has the conjugate eigenpairs of sector j."""
+    index = {(k, p): i for i, (k, p, _) in enumerate(sectors)}
+    twins = []
+    for i, (k, p, blocks) in enumerate(sectors):
+        j = index[(-k % L, p)]
+        if j < i and all(
+                np.abs(b - t.conj()).max()
+                <= 1e-13 * max(1.0, op.norm_bound())
+                for b, t, op in zip(blocks, sectors[j][2], ops)):
+            twins.append(j)
+        else:
+            twins.append(-1)
+    return tuple(twins)
+
+
+def sector_low(projected: _Projection, coeffs, count: int, norm_h: float,
                atol: float = 1e-8) -> tuple:
     """Lowest `count` levels of H = sum_m coeffs[m] * op_m from the blocks of
     project_sectors, one dense eigh per sector.
 
     Returns (vals, labels, states, max_residual) like eig_low's eigenvalues
     followed by resolve_sectors: ascending energies, each level's spin-flip
-    parity, the states V w, and the worst residual of any block.  The
-    merge, shared with sector_lanczos (_merge_levels), expands only the kept
-    levels to 2^L amplitudes and orders the labels and states inside each
-    cluster of levels within `atol` by ascending parity, as resolve_sectors
-    orders them.  A real H has conjugate blocks at momenta k and -k; when
-    the block of -k matches the conjugate of the solved block of k, its
-    solution is reused conjugated, which halves the complex solves; the sum
-    of k is formed again for the test, so no summed block outlives its
-    solve.  Every pair passes checked_residual against norm_h on its own
-    block.
+    parity, the states V w, and the worst residual of any block.  Per
+    sector a coupling takes three steps: one sum of its blocks, one eigh
+    (or, for the -k twin that project_sectors found, the conjugate of the
+    solution of k when every coefficient is real, which halves the
+    complex solves) and checked_residual of every pair against norm_h on
+    the sector's own block, reused twins included.  The merge, shared with
+    sector_lanczos (_merge_levels), expands only the kept levels to 2^L
+    amplitudes from the projection's row forms, and orders the labels and
+    states inside each cluster of levels within `atol` by ascending
+    parity, as resolve_sectors orders them.
     """
-    table, sectors = projected
-    L = table.length
-
-    def summed(blocks):
-        h = np.zeros_like(blocks[0], np.result_type(*coeffs, *blocks))
-        for c, b in zip(coeffs, blocks):
+    real = not np.any(np.imag(coeffs))
+    solved, worst = [], 0.0
+    for (_, p, blocks), twin in zip(projected.sectors, projected.twins):
+        h = np.multiply(coeffs[0], blocks[0],
+                        dtype=np.result_type(*coeffs, *blocks))
+        for c, b in zip(coeffs[1:], blocks[1:]):
             h += c * b
-        return h
-
-    solved, found, worst = {}, [], 0.0
-    for i, (k, p, blocks) in enumerate(sectors):
-        h = summed(blocks)
-        n = min(count, h.shape[0])
-        twin = solved.pop((-k % L, p), None)
-        if twin is not None and (
-                np.abs(h - summed(sectors[twin[0]][2]).conj()).max()
-                <= 1e-13 * max(1.0, norm_h)):
-            e, w = twin[1], twin[2].conj()
+        if real and twin >= 0:
+            e, w = solved[twin][1], solved[twin][2].conj()
         else:
-            e, w = scipy.linalg.eigh(h, subset_by_index=[0, n - 1])
-            if -k % L != k:   # a complex block, whose twin may come later
-                solved[(k, p)] = (i, e, w)
+            n = min(count, h.shape[0])
+            e, w = scipy.linalg.eigh(h, subset_by_index=[0, n - 1],
+                                     check_finite=False)
         worst = max(worst, checked_residual(h @ w, w, e, norm_h))
         del h   # before the next sum allocates its block
-        found += [(e[c], p, i, w[:, c]) for c in range(n)]
-    return (*_merge_levels(table, found, count, atol), worst)
+        solved.append((p, e, w))
+    return (*_merge_levels(projected.table, solved, count, atol,
+                           projected.forms), worst)
 
 
-def _merge_levels(table: _SectorTable, found: list, count: int,
-                  atol: float) -> tuple:
-    """(vals, labels, states) of the lowest `count` levels of `found`, each
-    level (energy, parity, sector, sector vector w): ascending energies,
-    inside each cluster within `atol` in ascending parity (the order
-    resolve_sectors gives), each state V w expanded from its sector's row
-    form (_row_form)."""
-    found = sorted(found, key=lambda level: level[0])[:count]
-    vals = np.array([level[0] for level in found])
+def _merge_levels(table: _SectorTable, solved: list, count: int,
+                  atol: float, forms: dict) -> tuple:
+    """(vals, labels, states) of the lowest `count` levels of `solved`, per
+    sector i of `table` its (parity, energies e, vectors w): ascending
+    energies, ties in sector then column order, inside each cluster within
+    `atol` in ascending parity (the order resolve_sectors gives), each
+    kept state V w expanded from its sector's row form, taken from `forms`
+    or built there once (_row_form)."""
+    sizes = [e.size for _, e, _ in solved]
+    energies = np.concatenate([e for _, e, _ in solved])
+    sector = np.repeat(np.arange(len(solved)), sizes)
+    parity = np.repeat([p for p, _, _ in solved], sizes)
+    column = np.concatenate([np.arange(n) for n in sizes])
+    order = np.argsort(energies, kind="stable")[:count]
+    vals = energies[order]
     for c in _clusters(vals, atol):
-        found[c] = sorted(found[c], key=lambda level: level[1])
-    labels = np.array([float(level[1]) for level in found])
+        order[c] = order[c][np.argsort(parity[order[c]], kind="stable")]
     states = []
-    for _, _, i, w in found:
-        col, val = _row_form(table, i)
-        states.append(StateVector(table.length, val * w[col]))
-    return vals, labels, tuple(states)
+    for i, c in zip(sector[order], column[order]):
+        if i not in forms:
+            forms[i] = _row_form(table, i)
+        col, val = forms[i]
+        states.append(StateVector(table.length, val * solved[i][2][col, c]))
+    return vals, parity[order].astype(float), tuple(states)
 
 
 def _sector_blocks(table: _SectorTable, op: OperatorSum) -> list:
@@ -888,13 +958,14 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     two blocks of 2^(L-1) states come as CSR matrices from one kernel call
     on the open chain's orbit table (_sector_blocks), on rings too, since
     only P is used.  Each block gives its lowest min(count, d) levels, by
-    ARPACK (_lanczos) or, for a block too small for it, a dense eigh; every
-    pair passes checked_residual on its own block, and sector_low's merge
-    (_merge_levels) keeps the lowest `count`.  Before the orbit table or
-    any kernel is built, the larger of the build (the table and the
-    entries) and the solve (the blocks, the Lanczos and sector vectors, the
-    expanded states and eig_low's re-orthonormalized copies) is charged
-    against physical memory (_check_memory).
+    ARPACK (_checked_lanczos) or, for a block too small for it, a dense
+    eigh; every pair passes checked_residual on its own block, and
+    sector_low's merge (_merge_levels) keeps the lowest `count`.  Before
+    the orbit table or any kernel is built, the larger of the build (the
+    table and the entries) and the solve (the blocks, the Lanczos and
+    sector vectors, the expanded states and eig_low's re-orthonormalized
+    copies) is charged against physical memory (_check_memory), and a
+    Lanczos retry's extra vectors on top of the solve.
     """
     h = _as_sum(h)
     _check_invariant(h, False, "the operator")
@@ -922,18 +993,19 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     table = _sector_table(L, periodic=False)
     _check_table(table, False)
     norm_h = h.norm_bound()
-    found, worst = [], 0.0
-    for i, ((_, p), block) in enumerate(zip(table.keys,
-                                            _sector_blocks(table, h))):
+    solved, worst = [], 0.0
+    for (_, p), block in zip(table.keys, _sector_blocks(table, h)):
         if n > d - 2:   # ARPACK needs k < d - 1
             e, w = scipy.linalg.eigh(block.toarray(),
                                      subset_by_index=[0, n - 1])
+            residual = checked_residual(block @ w, w, e, norm_h)
         else:
-            e, w = _lanczos(block, n, ncv)
-        worst = max(worst, checked_residual(block @ w, w, e, norm_h))
-        found += [(e[c], p, i, w[:, c]) for c in range(n)]
+            e, w, residual = _checked_lanczos(block, n, ncv, norm_h,
+                                              solve, L)
+        worst = max(worst, residual)
+        solved.append((p, e, w))
     del block   # it holds both blocks' entries
-    return (*_merge_levels(table, found, count, atol), worst)
+    return (*_merge_levels(table, solved, count, atol, {}), worst)
 
 
 def _as_columns(states) -> np.ndarray:

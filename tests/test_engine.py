@@ -2,14 +2,16 @@
 construction, sector resolution, and projector analysis."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import clusterspt as cs
-from clusterspt import LatticeSpec, OperatorSum, PauliString, StateVector
-from clusterspt.errors import DomainError, ResourceLimitError
+from clusterspt import (LatticeSpec, OperatorSum, PauliString, StateVector,
+                        engine)
+from clusterspt.errors import ConvergenceError, DomainError, ResourceLimitError
 
 from conftest import oracle_sum_matrix, random_hermitian_sum, random_pauli
 
@@ -174,6 +176,44 @@ class TestEigLow:
         assert spect.ground_energy == pytest.approx(-13.0, abs=1e-8)
         assert spect.ground_degeneracy == 1
         assert spect.gap == pytest.approx(2.0, abs=1e-8)
+
+    def test_lanczos_retries_a_failed_residual_once(self, monkeypatch):
+        # with 40 Krylov vectors ARPACK calls a pair of this full-space solve
+        # converged at a residual of 2.5e-8, above the 1.06e-8 bound; 80 do
+        h = cs.perturbed_hamiltonian(LatticeSpec(12, "open"), 0.05)
+        monkeypatch.setattr(engine, "_symmetry_group", lambda op: None)
+        with mock.patch.object(engine, "_lanczos",
+                               wraps=engine._lanczos) as solves, \
+                mock.patch.object(engine, "_check_memory",
+                                  wraps=engine._check_memory) as charges:
+            spect = cs.eig_low(h, count=2, method="iterative")
+        assert [c.args[2] for c in solves.call_args_list] == [40, 80]
+        # the retry's 40 extra vectors of 4096 floats are charged on top
+        first, retry = (c.args[0] for c in charges.call_args_list)
+        assert retry - first == 40 * 4096 * 8
+        assert spect.max_residual <= engine.RESIDUAL_RTOL * h.norm_bound()
+        monkeypatch.undo()
+        want = cs.eig_low(h, count=2, method="dense").eigenvalues
+        np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("L,widths", [(8, [28, 56]), (6, [28, 32]),
+                                          (5, [16])])
+    def test_lanczos_retry_is_made_once(self, L, widths):
+        # every solve of the parity blocks misses its bound: one retry with
+        # twice the vectors, capped at the block's 2^(L-1) states, and none
+        # when the first solve already spans the block
+        solve = engine._lanczos
+
+        def shifted(m, count, ncv):
+            vals, vecs = solve(m, count, ncv)
+            return vals + 1e-6, vecs
+
+        h = cs.perturbed_hamiltonian(LatticeSpec(L, "open"), 0.3)
+        with mock.patch.object(engine, "_lanczos", wraps=shifted) as spy, \
+                pytest.raises(ConvergenceError, match="residual"):
+            cs.eig_low(h, count=4, method="iterative")
+        assert [c.args[2] for c in spy.call_args_list] == widths
 
     def test_eigenvalues_against_oracle(self, rng):
         op = random_hermitian_sum(rng, 5)

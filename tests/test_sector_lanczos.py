@@ -66,8 +66,9 @@ def test_csr_blocks_are_the_dense_projection(L, boundary):
     # sums that vanish in some sectors, whose entries the blocks drop
     lat = LatticeSpec(L, boundary)
     h = cs.perturbed_hamiltonian(lat, 0.7)
-    table, sectors = engine.project_sectors([h], lat.is_periodic)
-    blocks = engine._sector_blocks(table, h)
+    projected = engine.project_sectors([h], lat.is_periodic)
+    blocks = engine._sector_blocks(projected.table, h)
+    sectors = projected.sectors
     assert len(blocks) == len(sectors)
     for (_, _, (dense,)), block in zip(sectors, blocks):
         np.testing.assert_array_equal(block.toarray(), dense)

@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 from clusterspt.errors import ConvergenceError
 
-from conftest import (kron_from_letters, oracle_sum_matrix,
+from conftest import (free_fermion, kron_from_letters, oracle_sum_matrix,
                       random_hermitian_sum)
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
@@ -170,6 +171,103 @@ def test_sector_solve_matches_dense(L, boundary, lam):
             <= 1e-9
 
 
+@pytest.mark.parametrize("L,solves,sectors", [(10, 12, 20), (12, 14, 24)])
+def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
+    # a real ring H: per coupling one eigh for k = 0, L/2 and each pair
+    # k, -k, the -k twin decided by one conjugate test per projection; every
+    # sector, reused or solved, passes its own residual check
+    grid = [0.8, 0.9, 1.0, 1.1, 1.2]
+    with mock.patch.object(engine, "_conjugate_twins",
+                           wraps=engine._conjugate_twins) as twins, \
+            mock.patch.object(engine.scipy.linalg, "eigh",
+                              wraps=scipy.linalg.eigh) as eigh, \
+            mock.patch.object(engine, "checked_residual",
+                              wraps=engine.checked_residual) as residual:
+        scan = cs.phase_scan(LatticeSpec(L, "periodic"), grid)
+    assert twins.call_count == 1
+    assert eigh.call_count == solves * len(grid)
+    assert residual.call_count == sectors * len(grid)
+    for i, lam in enumerate(grid):
+        assert scan.energy[i] == pytest.approx(
+            free_fermion.spectrum(L, True, lam, 1)[0][0], abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_imaginary_coefficients_solve_every_sector(L):
+    # sum_j 0.7 Y_j Z_{j+1} is invariant under T and P and Hermitian, with
+    # an imaginary matrix (Y = i X Z), so its blocks at k and -k are not
+    # conjugate: no solution is reused, and each sector is solved directly
+    lat = LatticeSpec(L, "periodic")
+    h = cs.cluster_hamiltonian(lat) + OperatorSum.from_terms(
+        L, [(0.7, PauliString.from_sites(L, {j: "Y", j % L + 1: "Z"}))
+            for j in range(1, L + 1)])
+    assert not engine.has_real_matrix(h) and engine._symmetry_group(h)
+    projected = engine.project_sectors([h], True)
+    assert projected.twins == (-1,) * len(projected.sectors)
+    with mock.patch.object(engine.scipy.linalg, "eigh",
+                           wraps=scipy.linalg.eigh) as eigh:
+        spect = cs.eig_low(h, count=12, method="dense")
+    assert eigh.call_count == len(projected.sectors)
+    want = np.linalg.eigvalsh(oracle_sum_matrix(h))
+    np.testing.assert_allclose(spect.eigenvalues, want[:12], rtol=0,
+                               atol=1e-12)
+
+
+def test_merge_keeps_the_sorted_reference_order(rng):
+    # energies on an integer grid tie across sectors and columns; with
+    # atol 0.5 each cluster is one energy.  The reference is Python's
+    # stable sort of the levels by energy, cut to the window, then by
+    # parity inside each energy; each kept state is V w from the row form
+    table = engine._sector_table(6, True)
+    count = 10
+    for _ in range(5):
+        solved = []
+        for i, (_, p) in enumerate(table.keys):
+            d = int(np.count_nonzero(table.cols[i] >= 0))
+            n = min(3, d)
+            w = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+            solved.append((p, np.sort(rng.integers(0, 4, n)).astype(float),
+                           w))
+        forms = {}
+        vals, labels, states = engine._merge_levels(table, solved, count,
+                                                    0.5, forms)
+        levels = sorted(((e[c], p, i, c) for i, (p, e, _) in enumerate(solved)
+                         for c in range(e.size)), key=lambda lv: lv[0])
+        kept = sorted(levels[:count], key=lambda lv: lv[:2])
+        np.testing.assert_array_equal(vals, [lv[0] for lv in kept])
+        np.testing.assert_array_equal(labels, [lv[1] for lv in kept])
+        for (_, _, i, c), psi in zip(kept, states):
+            col, val = engine._row_form(table, i)
+            np.testing.assert_array_equal(psi.amps, val * solved[i][2][col, c])
+        assert set(forms) == {i for _, _, i, _ in kept}
+
+
+@pytest.fixture(scope="module")
+def ring_12_window():
+    return cs.phase_scan(LatticeSpec(12, "periodic"), [0.0, 0.05])
+
+
+@pytest.mark.xfail(strict=True, reason="the 12-level window cuts the "
+                   "multiplet that holds the sector gap (ROADMAP item 4)")
+def test_ring_12_sector_gap_is_the_free_fermion_gap(ring_12_window):
+    # the oracle gives 4.0 and 3.8612; the scan reports nan at both
+    for i, lam in enumerate(ring_12_window.grid):
+        levels = free_fermion.spectrum(12, True, lam)
+        e0, p0 = levels[0]
+        want = next(e for e, p in levels[1:] if p == p0) - e0
+        assert ring_12_window.gap_sector[i] == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.xfail(strict=True, reason="the 12-level window cuts the "
+                   "first excited multiplet (ROADMAP item 4)")
+def test_ring_12_excited_multiplet_is_whole(ring_12_window):
+    # at lambda = 0 the oracle's first excited multiplet has 12 levels,
+    # and the window keeps 11 of them
+    energies = [e for e, _ in free_fermion.spectrum(12, True, 0.0)]
+    assert ring_12_window.exc_multiplicity[0] == free_fermion.multiplet(
+        energies, 1, 1e-8)
+
+
 def rotated(mask, L):
     """A mask moved one site along the ring (site i to i+1), through its
     binary string with site 1 first."""
@@ -207,7 +305,7 @@ def test_direct_blocks_match_the_sparse_projection(case):
     scale = max(1.0, op.norm_bound())
     m = cs.operator_matrix(op)
     real = engine.has_real_matrix(op)
-    _, projected = engine.project_sectors((op,), boundary == "periodic")
+    projected = engine.project_sectors((op,), boundary == "periodic").sectors
     sectors = reference_sectors(L, boundary == "periodic")
     assert [(k, p) for k, p, _ in projected] == list(sectors)
     for k, p, (block,) in projected:
@@ -361,6 +459,21 @@ def test_dense_budget_covers_the_ring_solve(solve):
             else:
                 cs.eig_low(cs.cluster_hamiltonian(lat), count=6,
                            method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert spy.call_count == 1
+    assert peak <= spy.call_args.args[0]
+
+
+def test_dense_budget_covers_the_chain_scan():
+    # the two parity blocks of both operators of the 12-site chain, then
+    # each coupling's sum of them and the copy eigh makes of it
+    with mock.patch.object(engine, "_check_memory",
+                           wraps=engine._check_memory) as spy:
+        tracemalloc.start()
+        try:
+            cs.phase_scan(LatticeSpec(12, "open"), [0.0, 0.5, 1.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
