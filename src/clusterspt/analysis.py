@@ -37,7 +37,8 @@ from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      cross_check_global, ising_perturbation,
                      local_symmetry_pair, printed_global_string,
                      spin_flip_symmetries, stabilizer)
-from .pauli import COEFF_TOL, OperatorSum, PauliString, anticommutes, commutes
+from .pauli import (COEFF_TOL, OperatorSum, PauliString, TermTable,
+                    brackets_vanish, commutes)
 
 _LETTERS = ("X", "Y", "Z")
 
@@ -180,7 +181,8 @@ def default_probe_set(lattice: LatticeSpec) -> dict:
 def symmetry_pair_algebra(model: ModelSpec, tamper: str | None = None,
                           local_only: bool = False) -> tuple:
     """The protecting pair T_s = (A_s + B_s) / sqrt(2) and its algebra:
-    returns (t1, t2, {identity name: holds}) for seven identities.
+    returns (t1, t2, {identity name: holds}) for seven identities, the
+    five brackets among them decided in one brackets_vanish call.
 
     `local_only` takes the edge-localized halves (open chains of >= 4 sites)
     instead of the extensive ones; `tamper` swaps one extensive half for its
@@ -218,14 +220,17 @@ def symmetry_pair_algebra(model: ModelSpec, tamper: str | None = None,
 
     h = reg["H_C"]
     ident = OperatorSum.identity(L)
+    t1_h, t2_h, a1_b1, a2_b2, t1_t2 = brackets_vanish((
+        (h, t1, 1), (h, t2, 1), (halves["A1"], halves["B1"], 0),
+        (halves["A2"], halves["B2"], 0), (t1, t2, 1)))
     algebra = {
-        "t1_commutes_h": commutes(h, t1),
-        "t2_commutes_h": commutes(h, t2),
+        "t1_commutes_h": bool(t1_h),
+        "t2_commutes_h": bool(t2_h),
         "t1_squares_to_identity": (t1 @ t1).allclose(ident),
         "t2_squares_to_identity": (t2 @ t2).allclose(ident),
-        "a1_b1_anticommute": anticommutes(halves["A1"], halves["B1"]),
-        "a2_b2_anticommute": anticommutes(halves["A2"], halves["B2"]),
-        "t1_t2_commute": commutes(t1, t2),
+        "a1_b1_anticommute": bool(a1_b1),
+        "a2_b2_anticommute": bool(a2_b2),
+        "t1_t2_commute": bool(t1_t2),
     }
     return t1, t2, algebra
 
@@ -237,9 +242,10 @@ def certify_protection(model, probes: dict | None = None,
                        local_only: bool = False) -> ProtectionReport:
     """Audit every probe against a protecting symmetry pair.
 
-    Symbolic part: commutation of each probe with H and with each T_s, and
-    the symmetry algebra itself (symmetry_pair_algebra, which also reads
-    `tamper` and `local_only`).  Numeric part (dense sizes only): the
+    Symbolic part: commutation of each probe with H and with each T_s, all
+    decided in one pass on a TermTable of H, T1, T2 and the probes, which
+    also gives each probe's support; and the symmetry algebra itself
+    (symmetry_pair_algebra, which also reads `tamper` and `local_only`).  Numeric part (dense sizes only): the
     first-order splitting matrix of each probe over the fourfold ground
     space, all from one engine.splitting_matrices call on the stacked
     ground basis, straight off the mask kernel with no matrix built.
@@ -268,24 +274,32 @@ def certify_protection(model, probes: dict | None = None,
         probes = {n: probes[n] for n in probes if n in keep}
 
     names = sorted(probes)
+    ops = [probes[name] for name in names]
     numeric = numeric and L <= engine.DENSE_SITE_CAP
     splits = [None] * len(names)
     if numeric:
-        splits = splitting_matrices(eig_low(h, count=6).ground_basis,
-                                    [probes[name] for name in names])
+        splits = splitting_matrices(eig_low(h, count=6).ground_basis, ops)
+
+    # operators 0-2 of the table are H, T1, T2 and operator 3 + k is probe k
+    n = len(ops)
+    table = TermTable((h, t1, t2, *ops))
+    left = np.repeat(np.arange(3), n)
+    with_h, with_t1, with_t2 = table.brackets_vanish(
+        left, np.tile(np.arange(3, 3 + n), 3), np.ones_like(left)
+    ).reshape(3, n)
+    # bulk-local: one site, neither site 1 nor site L
+    every = (1 << L) - 1
+    weight, bulk_weight = table.weights((every, every ^ (1 << (L - 1) | 1)))
+    bulk_local = (weight[3:] == 1) & (bulk_weight[3:] == 1)
 
     verdicts = []
-    for name, m in zip(names, splits):
-        op = probes[name]
-        sites = op.supports()
-        bulk_local = (len(sites) == 1
-                      and all(2 <= s <= L - 1 for s in sites))
+    for k, (name, m) in enumerate(zip(names, splits)):
         verdicts.append(ProbeVerdict(
             name=name,
-            commutes_with_h=commutes(h, op),
-            commutes_with_t1=commutes(t1, op),
-            commutes_with_t2=commutes(t2, op),
-            is_bulk_local=bulk_local,
+            commutes_with_h=bool(with_h[k]),
+            commutes_with_t1=bool(with_t1[k]),
+            commutes_with_t2=bool(with_t2[k]),
+            is_bulk_local=bool(bulk_local[k]),
             is_forbidden=name.startswith("Sigma_"),
             splitting=None if m is None else splitting_class(m),
             splitting_norm=None if m is None else float(np.linalg.norm(m)),
@@ -430,10 +444,10 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
 
     Per coupling: low spectrum, raw and parity-tracked gaps, string order,
     nearest-neighbour YY correlator and parity expectation in the ground
-    state.  Once per scan, a symbolic audit that the spin-flip parity
-    commutes with the Hamiltonian and that its matrix stays real
-    (time-reversal witness); by linearity it covers H_C, and H_I when some
-    coupling is nonzero.  Both paths solve H_C + lam * H_I as an OperatorSum
+    state.  Once per scan, a symbolic audit (one brackets_vanish call)
+    that the spin-flip parity commutes with the Hamiltonian and that its
+    matrix stays real (time-reversal witness); by linearity it covers H_C,
+    and H_I when some coupling is nonzero.  Both paths solve H_C + lam * H_I as an OperatorSum
     keeps it, a |lam| <= COEFF_TOL counting as 0 (rows print the grid as
     given).  Up to the dense size cap (method auto or dense) H_C and H_I are
     projected once into the translation x spin-flip sectors, which also
@@ -472,7 +486,8 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     # the couplings h_c + lam * yy_unit keeps, the same on both paths
     couplings = np.where(np.abs(grid) > COEFF_TOL, grid, 0.0)
     parts = (h_c, yy_unit) if np.any(couplings != 0.0) else (h_c,)
-    parity_ok = all(commutes(parity_op, op) for op in parts)
+    parity_ok = bool(brackets_vanish((parity_op, op, 1)
+                                     for op in parts).all())
     treal_ok = all(engine.has_real_matrix(op) for op in parts)
     projected = None
     if method in ("auto", "dense") and L <= engine.DENSE_SITE_CAP:

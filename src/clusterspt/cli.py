@@ -284,6 +284,19 @@ def cmd_scan(args):
     return payload, ok, rows
 
 
+def _seed(text: str) -> int:
+    """--seed of protect: an integer numpy's default_rng accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -329,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", action="append", default=None,
                    help="probe name like X3 or Z1X9 (repeatable)")
     p.add_argument("--max-probes", type=int, default=None, dest="max_probes")
-    p.add_argument("--seed", type=int, default=0, help="probe sample seed")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="probe sample seed (non-negative)")
 
     p = sub.add_parser("scan", help="coupling sweep of the perturbed model")
     common(p, 12, "periodic")

@@ -7,11 +7,15 @@ backend.  Y on a site is the pair x=z=1 together with one factor of i in the pha
 so every letter string built from {I, X, Y, Z} with a +1 prefix is Hermitian.
 
 All values are immutable and every operation is a pure function.
+Brackets of sums are decided in batches on a TermTable, the terms of
+several operators packed as arrays of 64-bit mask words.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from .errors import LengthMismatchError
 
@@ -458,50 +462,166 @@ def _term_items(op):
     raise TypeError("expected a PauliString or OperatorSum")
 
 
-def _bracket_vanishes(a, b, parity: int) -> bool:
-    """Whether AB - BA (parity 1) or AB + BA (parity 0) is zero.
+_WORD = (1 << 64) - 1
 
-    A term pair with symplectic parity w = <x1,z2> + <z1,x2> mod 2 has
-    P2 P1 = (-1)**w P1 P2, so in the bracket it cancels exactly unless w
-    equals `parity`; then it adds 2 (-1)**(z1.x2) c1 c2 at key
-    (x1 ^ x2, z1 ^ z2), the product of OperatorSum.compose.  The bracket
-    vanishes iff every key sums to at most COEFF_TOL in magnitude.  Only the
-    surviving pairs are multiplied, and no operator is built.  Unlike
-    commutator(a, b).is_zero, no partial product is rounded to zero first,
-    so the two verdicts can differ only when some coefficient products sit
-    within rounding of COEFF_TOL.
+
+def _mask_words(masks, n_words: int) -> np.ndarray:
+    """(n_words, len(masks)) uint64 array; row k holds bits 64k..64k+63."""
+    if n_words == 1:    # every mask fits one word as it is
+        return np.array(masks, dtype=np.uint64).reshape(1, -1)
+    return np.array([[m >> s & _WORD for m in masks]
+                     for s in range(0, 64 * n_words, 64)], dtype=np.uint64)
+
+
+def _odd(words: np.ndarray) -> np.ndarray:
+    """Per column of a (words, n) uint64 array, 1 if its popcount is odd
+    and 0 if it is even (the parity of an XOR is the XOR of parities)."""
+    acc = words[0]
+    for row in words[1:]:
+        acc = acc ^ row
+    return np.bitwise_count(acc) & 1
+
+
+class TermTable:
+    """The terms of several operators on one length, packed as arrays.
+
+    Operator k owns columns bounds[k]:bounds[k + 1] of `masks` and entries
+    bounds[k]:bounds[k + 1] of `coeff`, in the operator's own term order.
+    Rows 0..words-1 of `masks` hold the terms' x masks and rows
+    words..2 words-1 their z masks, split into 64-bit words (as many as the
+    length needs); `coeff` multiplies X**x Z**z.  Strings and sums mix
+    freely.
     """
-    _check_same_length(a, b)
-    right = tuple(_term_items(b))
-    acc = {}
-    for (x1, z1), c1 in _term_items(a):
-        for (x2, z2), c2 in right:
-            if ((x1 & z2) ^ (z1 & x2)).bit_count() & 1 != parity:
-                continue
-            c = 2.0 * c1 * c2
-            if (z1 & x2).bit_count() & 1:
-                c = -c
-            key = (x1 ^ x2, z1 ^ z2)
-            acc[key] = acc.get(key, 0j) + c
-    return all(abs(c) <= COEFF_TOL for c in acc.values())
+
+    __slots__ = ("words", "bounds", "masks", "coeff")
+
+    def __init__(self, ops):
+        ops = list(ops)
+        if not ops:
+            raise ValueError("a term table needs at least one operator")
+        xs, zs, cs, bounds = [], [], [], [0]
+        for op in ops:
+            _check_same_length(ops[0], op)
+            for (x, z), c in _term_items(op):
+                xs.append(x)
+                zs.append(z)
+                cs.append(c)
+            bounds.append(len(cs))
+        self.words = -(-ops[0].length // 64)
+        self.bounds = np.array(bounds, dtype=np.intp)
+        self.masks = np.vstack((_mask_words(xs, self.words),
+                                _mask_words(zs, self.words)))
+        self.coeff = np.array(cs, dtype=complex)
+
+    def weights(self, site_masks) -> np.ndarray:
+        """Entry (m, k): on how many of the sites whose bit is set in
+        site_masks[m] some term of operator k acts."""
+        w = self.words
+        owner = np.repeat(np.arange(self.bounds.size - 1),
+                          np.diff(self.bounds))
+        support = np.zeros((w, self.bounds.size - 1), dtype=np.uint64)
+        for k in range(w):
+            np.bitwise_or.at(support[k], owner,
+                             self.masks[k] | self.masks[w + k])
+        sites = _mask_words(site_masks, w)
+        return np.bitwise_count(sites.T[:, :, None] & support).sum(
+            axis=1, dtype=np.intp)
+
+    def brackets_vanish(self, left, right, parity) -> np.ndarray:
+        """Whether each bracket A B - B A (parity[k] = 1) or A B + B A
+        (parity[k] = 0) of operators A = left[k], B = right[k] is zero,
+        from one pass over every term pair of every bracket.
+
+        A term pair with symplectic parity w = <x1,z2> + <z1,x2> mod 2 has
+        P2 P1 = (-1)**w P1 P2, so in the bracket it cancels exactly unless
+        w equals the parity; then it adds 2 (-1)**(z1.x2) c1 c2 at key
+        (x1 ^ x2, z1 ^ z2), the product of OperatorSum.compose.  A bracket
+        vanishes iff every key sums to at most COEFF_TOL in magnitude.  Only
+        the surviving pairs are multiplied.  The products are formed as
+        Python's complex product forms them (a numpy complex product may
+        round differently), and each key sums them in the order of a loop
+        over A's terms with a loop over B's terms inside, so a verdict does
+        not depend on the batch it is decided in.  Unlike
+        commutator(a, b).is_zero, no partial product is rounded to zero
+        first, so the two verdicts can differ only when some coefficient
+        products sit within rounding of COEFF_TOL.
+        """
+        left = np.asarray(left, dtype=np.intp)
+        right = np.asarray(right, dtype=np.intp)
+        vanish = np.ones(left.size, dtype=bool)
+        start_a, start_b = self.bounds[left], self.bounds[right]
+        n_b = self.bounds[right + 1] - start_b
+        n_pairs = (self.bounds[left + 1] - start_a) * n_b
+        bracket = np.repeat(np.arange(left.size), n_pairs)
+        # pair q of bracket k is (A term q // n_b, B term q % n_b)
+        q = np.arange(bracket.size) - (np.cumsum(n_pairs) - n_pairs)[bracket]
+        i, j = np.divmod(q, n_b[bracket])
+        i += start_a[bracket]
+        j += start_b[bracket]
+        w = self.words
+        m1, m2 = self.masks.take(i, axis=1), self.masks.take(j, axis=1)
+        zx = m1[w:] & m2[:w]
+        keep = np.flatnonzero(_odd(m1[:w] & m2[w:] ^ zx)
+                              == np.asarray(parity)[bracket])
+        if not keep.size:
+            return vanish
+        bracket, i, j = bracket[keep], i[keep], j[keep]
+        # 2 (-1)**(z1.x2) c1 c2, with the real and imaginary parts of
+        # Python's (2 * c1) * c2
+        factor = 2.0 - 4.0 * _odd(zx[:, keep])
+        c1, c2 = self.coeff[i], self.coeff[j]
+        re1, im1 = factor * c1.real, factor * c1.imag
+        re = re1 * c2.real - im1 * c2.imag
+        im = re1 * c2.imag + im1 * c2.real
+
+        # number the distinct (bracket, x1 ^ x2, z1 ^ z2) keys; bincount
+        # then sums each key's products in pair order
+        keys = (bracket, *(m1 ^ m2).take(keep, axis=1))
+        order = np.lexsort(keys[::-1])
+        starts = np.zeros(order.size, dtype=bool)
+        for key in keys:
+            key = key[order]
+            starts[1:] |= key[1:] != key[:-1]
+        group = np.empty_like(order)
+        group[order] = np.cumsum(starts)
+        total = np.hypot(np.bincount(group, re), np.bincount(group, im))
+        vanish[bracket[(total > COEFF_TOL)[group]]] = False
+        return vanish
+
+
+def brackets_vanish(brackets) -> np.ndarray:
+    """Decide a batch of (a, b, parity) brackets in one TermTable pass:
+    entry k is whether a b - b a (parity 1) or a b + b a (parity 0) is
+    zero, each operand packed once however many brackets name it."""
+    ops, slot, left, right, parity = [], {}, [], [], []
+    for a, b, p in brackets:
+        for op, side in ((a, left), (b, right)):
+            if id(op) not in slot:
+                slot[id(op)] = len(ops)
+                ops.append(op)
+            side.append(slot[id(op)])
+        parity.append(p)
+    if not ops:
+        return np.ones(0, dtype=bool)
+    return TermTable(ops).brackets_vanish(left, right, parity)
 
 
 def commutes(a, b) -> bool:
     """Whether [a, b] = 0, for Pauli strings or sums in any mix.
 
-    Two strings take the symplectic test alone; otherwise only the
-    anticommuting term pairs are multiplied (see _bracket_vanishes), with
-    the verdict of commutator(a, b).is_zero.
+    Two strings take the symplectic test alone; otherwise this is the
+    one-bracket case of TermTable.brackets_vanish, with the verdict of
+    commutator(a, b).is_zero.
     """
     if isinstance(a, PauliString) and isinstance(b, PauliString):
         return a.commutes_with(b)
-    return _bracket_vanishes(a, b, 1)
+    return bool(brackets_vanish(((a, b, 1),))[0])
 
 
 def anticommutes(a, b) -> bool:
-    """Whether {a, b} = 0: the counterpart of commutes, multiplying only the
-    commuting term pairs, with the verdict of anticommutator(a, b).is_zero.
+    """Whether {a, b} = 0: the counterpart of commutes, with the verdict of
+    anticommutator(a, b).is_zero.
     """
     if isinstance(a, PauliString) and isinstance(b, PauliString):
         return not a.commutes_with(b)
-    return _bracket_vanishes(a, b, 0)
+    return bool(brackets_vanish(((a, b, 0),))[0])

@@ -174,6 +174,72 @@ class TestProtectionSuite:
         assert sum(p.is_forbidden for p in r1.probes) == 15
 
 
+def reference_verdicts(model, probes, tamper=None, local_only=False):
+    """Per probe name, (commutes with H, T1, T2, bulk-local) from the
+    expanded commutators and OperatorSum.supports."""
+    L = model.lattice.length
+    t1, t2, _ = cs.analysis.symmetry_pair_algebra(model, tamper, local_only)
+    h = model.registry["H_C"]
+    out = {}
+    for name, op in probes.items():
+        sites = op.supports()
+        out[name] = (cs.commutator(h, op).is_zero,
+                     cs.commutator(t1, op).is_zero,
+                     cs.commutator(t2, op).is_zero,
+                     len(sites) == 1 and 2 <= min(sites) <= L - 1)
+    return out
+
+
+def audited_verdicts(rep):
+    return {p.name: (p.commutes_with_h, p.commutes_with_t1,
+                     p.commutes_with_t2, p.is_bulk_local)
+            for p in rep.probes}
+
+
+class TestProtectionAgainstExpandedBrackets:
+    """certify_protection's batched brackets and packed supports against
+    the compose-based reference, probe by probe."""
+
+    @pytest.mark.parametrize("tamper", [None, "A1", "B1", "A2", "B2"])
+    @pytest.mark.parametrize("L", [9, 15, 21])
+    def test_default_probes(self, L, tamper):
+        model = cs.build_model(LatticeSpec(L, "open"))
+        rep = cs.certify_protection(model, numeric=False, tamper=tamper)
+        probes = cs.analysis.default_probe_set(model.lattice)
+        probes.update({n: op for n, op in model.registry.items()
+                       if n.startswith("Sigma_")})
+        assert audited_verdicts(rep) == reference_verdicts(model, probes,
+                                                           tamper)
+
+    @pytest.mark.parametrize("L", [4, 16, 24])
+    def test_local_only(self, L):
+        model = cs.build_model(LatticeSpec(L, "open"))
+        rep = cs.certify_protection(model, numeric=False, local_only=True)
+        probes = cs.analysis.default_probe_set(model.lattice)
+        probes.update({n: op for n, op in model.registry.items()
+                       if n.startswith("Sigma_")})
+        assert audited_verdicts(rep) == reference_verdicts(
+            model, probes, local_only=True)
+
+    @pytest.mark.parametrize("local_only", [False, True])
+    def test_multi_term_probes(self, local_only):
+        model = cs.build_model(LatticeSpec(9, "open"))
+        reg = model.registry
+        probes = {n: reg[n] for n in ("T1_loc", "T2_loc", "T1")}
+        probes["H_I"] = cs.ising_perturbation(model.lattice, 0.3)
+        probes["X5+S5"] = reg["S_5"] + 0.5 * cs.analysis.default_probe_set(
+            model.lattice)["X5"]
+        assert all(op.term_count > 1 for op in probes.values())
+        # no term at all: no support, and every bracket vanishes
+        probes["zero"] = OperatorSum.zero(9)
+        rep = cs.certify_protection(model, probes=probes, numeric=False,
+                                    local_only=local_only)
+        probes.update({n: op for n, op in reg.items()
+                       if n.startswith("Sigma_")})
+        assert audited_verdicts(rep) == reference_verdicts(
+            model, probes, local_only=local_only)
+
+
 class TestPhaseScan:
     def test_unperturbed_point(self):
         # window wide enough to hold the full two-flip multiplet, so the

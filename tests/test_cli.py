@@ -141,6 +141,20 @@ class TestProtect:
         assert sum(p["forbidden"] for p in doc["results"]["probes"]) == 15
 
 
+    @pytest.mark.parametrize("extra", [(), ("--max-probes", "20")])
+    def test_negative_seed_is_a_usage_error(self, capsys, extra):
+        # rejected while parsing, whether or not a probe is sampled
+        assert main(["protect", "--size", "9", "--seed", "-1",
+                     *extra]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "argument --seed: must be a non-negative integer, got -1" \
+            in captured.err
+        assert main(["protect", "--size", "9", "--seed", "x"]) == 2
+        assert "argument --seed: invalid int value: 'x'" in \
+            capsys.readouterr().err
+
+
 class TestScan:
     def test_single_point(self, capsys):
         code, doc = run_json(capsys, "scan", "--size", "6",

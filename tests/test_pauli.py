@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import clusterspt as cs
 from clusterspt import OperatorSum, PauliString
 from clusterspt.errors import LengthMismatchError
+from clusterspt.pauli import TermTable, brackets_vanish
 
 from conftest import (kron_from_letters, oracle_matrix, oracle_sum_matrix,
                       random_hermitian_sum, random_pauli)
@@ -225,12 +226,11 @@ class TestCommutes:
 
 
 @st.composite
-def bracket_operands(draw):
-    """Two operands on L <= 4 sites, each a signed Pauli string or a sum
-    whose terms share x masks, so different term pairs multiply onto one
-    key.  The second operand is sometimes the first or its square, so sums
+def bracket_operands(draw, L):
+    """Two operands on L sites, each a signed Pauli string or a sum whose
+    terms share x masks, so different term pairs multiply onto one key.
+    The second operand is sometimes the first or its square, so sums
     commute whose term pairs do not, or a sum anticommuting with a string."""
-    L = draw(st.integers(1, 4))
     masks = st.integers(0, (1 << L) - 1)
     parts = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -267,12 +267,100 @@ def bracket_operands(draw):
     return (b, a) if draw(st.booleans()) else (a, b)
 
 
+@st.composite
+def bracket_batches(draw):
+    """One to six brackets (a, b, parity) on one length L <= 4, so terms
+    that cancel sit in one batch with brackets that do not vanish."""
+    L = draw(st.integers(1, 4))
+    return [(*draw(bracket_operands(L)), draw(st.integers(0, 1)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def expanded_vanishes(a, b, parity):
+    """The bracket's verdict from the operator it expands to."""
+    return (cs.commutator if parity else cs.anticommutator)(a, b).is_zero
+
+
+def loop_vanishes(a, b, parity):
+    """The bracket's verdict from a loop over its term pairs, in Python
+    complex arithmetic: each surviving pair adds 2 (-1)**(z1.x2) c1 c2 at
+    key (x1 ^ x2, z1 ^ z2), A's terms outside, B's inside."""
+    def items(op):
+        if isinstance(op, PauliString):
+            return (((op.x_mask, op.z_mask), op.phase),)
+        return tuple(op.items())
+
+    acc = {}
+    for (x1, z1), c1 in items(a):
+        for (x2, z2), c2 in items(b):
+            if ((x1 & z2) ^ (z1 & x2)).bit_count() & 1 != parity:
+                continue
+            c = 2.0 * c1 * c2
+            if (z1 & x2).bit_count() & 1:
+                c = -c
+            key = (x1 ^ x2, z1 ^ z2)
+            acc[key] = acc.get(key, 0j) + c
+    return all(abs(c) <= cs.pauli.COEFF_TOL for c in acc.values())
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(bracket_operands())
-def test_commutes_matches_the_expanded_brackets(ops):
-    a, b = ops
-    assert cs.commutes(a, b) == cs.commutator(a, b).is_zero
-    assert cs.anticommutes(a, b) == cs.anticommutator(a, b).is_zero
+@given(bracket_batches())
+def test_commutes_matches_the_expanded_brackets(batch):
+    got = brackets_vanish(batch).tolist()
+    assert got == [expanded_vanishes(*br) for br in batch]
+    assert got == [loop_vanishes(*br) for br in batch]
+    for a, b, _ in batch:
+        assert cs.commutes(a, b) == cs.commutator(a, b).is_zero
+        assert cs.anticommutes(a, b) == cs.anticommutator(a, b).is_zero
+
+
+def tolerance_edge(a, b, parity):
+    """(a * s, b * s) at adjacent floats s_lo < s_hi where the pair loop's
+    verdict turns from zero to nonzero: its largest key sum is then within
+    rounding of COEFF_TOL, so arithmetic that rounds any product or partial
+    sum differently flips one of the two verdicts."""
+    def scaled(s):
+        return a * s, b * s
+
+    lo, hi = 1e-9, 1.0           # the bracket vanishes at lo, not at hi
+    ilo, ihi = (np.array([lo, hi]).view(np.int64)).tolist()
+    while ihi - ilo > 1:         # bisect over the float bit patterns
+        mid = (ilo + ihi) // 2
+        s = float(np.array(mid).view(np.float64))
+        if loop_vanishes(*scaled(s), parity):
+            ilo = mid
+        else:
+            ihi = mid
+    return [scaled(float(np.array(k).view(np.float64))) for k in (ilo, ihi)]
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_batches_match_the_pair_loop_on_the_tolerance(L):
+    rng = np.random.default_rng(7)
+    # pairwise anticommuting strings: in an anticommutator of two sums of
+    # them only the pairs of equal strings survive, and all their products
+    # land on the identity, so the order of summation matters as well
+    anti = {1: ("X", "Y", "Z"), 2: ("XI", "YI", "ZX", "ZY", "ZZ")}[L]
+
+    def random_sum(strings):
+        return OperatorSum.from_terms(L, (
+            (complex(*rng.normal(size=2)), PauliString.from_letters(p))
+            for p in strings))
+
+    batch = []
+    while len(batch) < 80:
+        if len(batch) % 4:
+            strings = ["".join(p) for p in rng.choice(list("IXYZ"), (4, L))]
+            a, b = random_sum(strings), random_sum(strings[::-1])
+            parity = int(rng.integers(0, 2))
+        else:
+            a, b, parity = random_sum(anti), random_sum(anti), 0
+        if loop_vanishes(a, b, parity):
+            continue
+        (a_lo, b_lo), (a_hi, b_hi) = tolerance_edge(a, b, parity)
+        batch += [(a_lo, b_lo, parity), (a_hi, b_hi, parity)]
+    assert [loop_vanishes(*br) for br in batch] == [True, False] * 40
+    assert brackets_vanish(batch).tolist() == [True, False] * 40
 
 
 class TestCommutesSums:
@@ -294,6 +382,54 @@ class TestCommutesSums:
             assert cs.anticommutes(l, r)
             assert not cs.commutes(l, r)
             assert cs.anticommutator(l, r).is_zero
+
+    def test_cancelling_brackets_share_a_batch(self):
+        # the two sums above, with brackets that do not vanish beside them
+        a = (OperatorSum.from_pauli(PauliString.single(2, 1, "X"))
+             + OperatorSum.from_pauli(PauliString.single(2, 1, "Z")))
+        s = (OperatorSum.from_pauli(PauliString.from_letters("XZ"))
+             + OperatorSum.from_pauli(PauliString.from_letters("ZI"), 0.5j))
+        y = PauliString.from_letters("YI")
+        batch = [(a, a, 1), (a, a, 0), (s, y, 0), (y, s, 0), (s, y, 1),
+                 (y, s, 1), (a, y, 1), (a, s, 0), (s, s, 1)]
+        want = [True, False, True, True, False, False, False, False, True]
+        assert [expanded_vanishes(*br) for br in batch] == want
+        assert brackets_vanish(batch).tolist() == want
+        # one table, the parities given per bracket
+        table = TermTable((a, s, y))
+        got = table.brackets_vanish([0, 0, 1, 2, 1, 2, 0, 0, 1],
+                                    [0, 0, 2, 1, 2, 1, 2, 1, 1],
+                                    [1, 0, 0, 0, 1, 1, 1, 0, 1])
+        assert got.tolist() == want
+
+    def test_batch_at_99_sites(self):
+        # site s is bit 99 - s: sites 35 and 36 sit on either side of the
+        # 64-bit word boundary, and the stabilizers there straddle it
+        L = 99
+        h = cs.cluster_hamiltonian(cs.LatticeSpec(L, "open"))
+        one = {s: OperatorSum.from_pauli(PauliString.single(L, s, "X"))
+               for s in (1, 35, 36, 99)}
+        chain = cs.LatticeSpec(L, "open")
+        s35 = cs.stabilizer(35, chain)
+        # Z33 X34 X36 Z37: telescoped, so it commutes with every term
+        string = cs.stabilizer(34, chain) * cs.stabilizer(36, chain)
+        near = OperatorSum.from_pauli(
+            PauliString.from_sites(L, {34: "X", 36: "X", 37: "Z"}), 2.0)
+        z35 = PauliString.single(L, 35, "Z")
+        pair = one[35] + OperatorSum.from_pauli(z35)
+        wide = OperatorSum.from_terms(L, (
+            (0.5, PauliString.from_sites(L, {1: "Y", 36: "Z", 99: "X"})),
+            (0.5j, PauliString.from_sites(L, {35: "Y", 64: "X"}))))
+        batch = [(h, s35, 1), (h, z35, 1), (h, one[35], 1),
+                 (h, one[1], 1), (h, one[99], 1), (pair, pair, 1),
+                 (pair, pair, 0), (z35, one[35], 0), (s35, z35, 0),
+                 (h, wide, 1), (wide, wide, 1), (wide, h, 0),
+                 (one[36], wide, 1), (h, h, 1), (h, string, 1),
+                 (string, one[35], 0), (string, one[35] + near, 1)]
+        want = [True, False, False, False, False, True, False, True, True,
+                False, True, False, False, True, True, False, True]
+        assert [expanded_vanishes(*br) for br in batch] == want
+        assert brackets_vanish(batch).tolist() == want
 
     def test_two_strings(self):
         x, z = PauliString.from_letters("XI"), PauliString.from_letters("ZI")

@@ -71,6 +71,9 @@ COMMANDS = [
     "spectrum --size 14 --boundary open --lambda 0.15 --method iterative",
     "scan --size 13 --boundary periodic --lambda 0.9:1.1:0.1 --method "
     "iterative",
+    "protect --size 21 --symbolic-only --tamper A1",
+    "verify --size 21 --global-symmetry --symbolic-only",
+    "protect --size 24 --local-only --symbolic-only",
 ]
 
 
