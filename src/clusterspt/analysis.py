@@ -41,6 +41,7 @@ from .pauli import (COEFF_TOL, OperatorSum, PauliString, TermTable,
                     brackets_vanish, commutes)
 
 _LETTERS = ("X", "Y", "Z")
+_Y_PHASE = (1 + 0j, 1j, -1 + 0j)   # i**(number of Y letters)
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,14 @@ def default_probe_set(lattice: LatticeSpec) -> dict:
     edge_sites = sorted({1, 2, L - 1, L})
     for ii, i in enumerate(edge_sites):
         for j in edge_sites[ii + 1:]:
+            bi, bj = 1 << (L - i), 1 << (L - j)
             for a in _LETTERS:
                 for b in _LETTERS:
-                    probes[f"{a}{i}{b}{j}"] = OperatorSum.from_pauli(
-                        PauliString.from_sites(L, {i: a, j: b}))
+                    x = (bi if a != "Z" else 0) | (bj if b != "Z" else 0)
+                    z = (bi if a != "X" else 0) | (bj if b != "X" else 0)
+                    # one i per Y, as OperatorSum.from_pauli folds it in
+                    probes[f"{a}{i}{b}{j}"] = OperatorSum(
+                        L, {(x, z): _Y_PHASE[(x & z).bit_count()]})
     return probes
 
 
@@ -257,15 +262,16 @@ def certify_protection(model, probes: dict | None = None,
         model = build_model(model)
     lattice = model.lattice
     L = lattice.length
-    h = model.registry["H_C"]
+    reg = model.registry
+    h = reg["H_C"]
     t1, t2, algebra = symmetry_pair_algebra(model, tamper, local_only)
 
     if probes is None:
         probes = default_probe_set(lattice)
     probes = dict(probes)
-    for name, op in model.registry.items():
+    for name in reg:   # names only: items() would build every entry
         if name.startswith("Sigma_"):
-            probes[name] = op
+            probes[name] = reg[name]
     if max_probes is not None and len(probes) > max_probes:
         rng = rng or np.random.default_rng(0)
         keep = {str(n) for n in

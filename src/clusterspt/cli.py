@@ -6,6 +6,12 @@ sweep).  Output is JSON, or CSV for tabular results, with a fixed schema and
 12-significant-digit float formatting so identical configurations produce
 byte-identical reports apart from the timings block.
 
+The JSON writer `_json` prints what `json.dumps(sort_keys=True, indent=2)`
+prints in one walk: scalars are written by a writer looked up on their exact
+type, and a list of dicts that share one key set (the probe and scan rows) is
+written flat, from one sorted key order and one key prefix per key; any other
+value takes the recursive walk.
+
 `main` may be called any number of times in one process: the argument
 parser is built on the first call and reused, and each call dispatches to
 the module's `cmd_<command>` function as it is bound at that moment.
@@ -50,21 +56,40 @@ def _round12(x) -> float | None:
     return float(f"{x:.12g}") + 0.0   # -0.0 + 0.0 is 0.0
 
 
+def _float_text(x) -> str:
+    x = _round12(x)
+    return "null" if x is None else float.__repr__(x)
+
+
+def _bool_text(b) -> str:
+    return "true" if b else "false"
+
+
+# writers of the scalar types a report holds, looked up by exact type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    bool: _bool_text,
+    int: int.__repr__,
+    float: _float_text,
+    type(None): lambda _: "null",
+}
+
+
 def _json(obj, pad: str = "") -> str:
     """JSON text of obj as `json.dumps(sort_keys=True, indent=2)` writes it,
     with floats through `_round12`, keys through `str`, and numpy scalars,
     arrays and tuples written as Python scalars and lists, in one walk."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
+        return _bool_text(obj)
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = _round12(obj)
-        return "null" if x is None else float.__repr__(x)
-    if obj is None:
-        return "null"
+        return _float_text(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     inner = pad + "  "
@@ -79,10 +104,41 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = f",\n{inner}".join(_json(v, inner) for v in obj)
+        body = _rows_text(obj, inner)
+        if body is None:
+            body = f",\n{inner}".join(_json(v, inner) for v in obj)
         return f"[\n{inner}{body}\n{pad}]"
     raise TypeError(
         f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _rows_text(rows, pad: str) -> str | None:
+    """The items of a list of dicts that share one nonempty set of str keys
+    (probe and scan rows), joined as `_json` joins list items, from one
+    sorted key order and one prefix per key; None for any other list."""
+    first = rows[0]
+    if type(first) is not dict or not first \
+            or not all(type(k) is str for k in first):
+        return None
+    keys = first.keys()
+    if not all(type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    inner = pad + "  "
+    order = sorted(keys)
+    heads = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in order]
+    heads[0] = "{" + heads[0][1:]
+    scalars = _SCALARS
+    texts = []
+    for row in rows:
+        parts = []
+        for key, head in zip(order, heads):
+            v = row[key]
+            write = scalars.get(type(v))
+            parts.append(head + (write(v) if write is not None
+                                 else _json(v, inner)))
+        parts.append(f"\n{pad}}}")
+        texts.append("".join(parts))
+    return f",\n{pad}".join(texts)
 
 
 def _parse_grid(text: str) -> np.ndarray:

@@ -6,6 +6,12 @@ with a Z at the other end and fixes Z.  A full chain circuit (one CZ per bond)
 implements the basis change that turns each three-site cluster term into a
 single X letter.  Circuits are stored as edge lists only; the dense form never
 appears outside test oracles.
+
+The bond circuit of a lattice has a closed form on the masks, which
+`conjugate_ucp` takes in one step: every X bit drops a Z on both neighbours,
+z ^= (x << 1) ^ (x >> 1) (bit rotations on a ring), and each bond with an X
+at both ends adds a sign, phase_exp += 2 popcount(x & (x >> 1)).  A general
+CzCircuit goes gate by gate through `conjugate_circuit`.
 """
 
 from __future__ import annotations
@@ -97,7 +103,35 @@ def conjugate_ucp(obj, lattice):
 
     The circuit is an involution (CZ squared is the identity), so applying
     this twice returns the input.  On open chains the basis change sends each
-    bulk cluster term Z X Z to a single X letter.
+    bulk cluster term Z X Z to a single X letter.  Equal to
+    conjugate_circuit(obj, CzCircuit.chain(...)), phases and term order
+    included, but in closed form on the masks: one step per string and per
+    term of a sum.
     """
-    circuit = CzCircuit.chain(lattice.length, periodic=lattice.is_periodic)
-    return conjugate_circuit(obj, circuit)
+    if not isinstance(obj, (PauliString, OperatorSum)):
+        raise TypeError(f"cannot conjugate {type(obj).__name__}")
+    length = lattice.length
+    if obj.length != length:
+        kind = "string" if isinstance(obj, PauliString) else "sum"
+        raise LengthMismatchError(
+            f"{kind} on {obj.length} sites, circuit on {length}")
+    full = (1 << length) - 1
+    periodic = lattice.is_periodic
+
+    def image(x, z):
+        """z mask after the circuit, and whether the sign flips."""
+        # site j + 1 is the bit below site j's; a ring wraps the end bits
+        right = x >> 1 | (x & 1) << (length - 1) if periodic else x >> 1
+        left = (x << 1 | x >> (length - 1) if periodic else x << 1) & full
+        return z ^ left ^ right, (x & right).bit_count() & 1
+
+    if isinstance(obj, PauliString):
+        z, odd = image(obj.x_mask, obj.z_mask)
+        return PauliString(length, obj.phase_exp + 2 * odd, obj.x_mask, z)
+    # the masks map one to one, so each term keeps its own coefficient up to
+    # sign; 0j + keeps the signed zeros of the gate-by-gate sum
+    terms = {}
+    for (x, z), c in sorted(obj.items()):
+        z, odd = image(x, z)
+        terms[(x, z)] = 0j - c if odd else 0j + c
+    return OperatorSum(length, terms)

@@ -12,11 +12,17 @@ written for the dual convention with the roles of X and Z exchanged; those
 literal forms are exposed unmodified (`parity_and_timereversal`) next to their
 translations into this convention (`spin_flip_symmetries`), and a cross-check
 reports where the literal forms fail instead of silently correcting them.
+
+`build_model` returns a registry that knows every operator name up front and
+builds each entry on its first read, memoized on that model only: an audit
+that reads H_C, the symmetry halves and the forbidden products never builds
+the S_i entries, the parity pairs or the local symmetries.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -303,57 +309,109 @@ def spin_flip_symmetries(lattice: LatticeSpec):
     return (OperatorSum.from_pauli(parity_x), OperatorSum.from_pauli(yx_string))
 
 
+class LazyRegistry(Mapping):
+    """Read-only map from operator name to OperatorSum whose names are fixed
+    up front and whose entries are built on first read.
+
+    `groups` lists (names, build) pairs in key order; build() returns the
+    operators for all of its names at once (the 15 forbidden products come
+    from one forbidden_set call).  Built entries are kept by this registry
+    only, so a second read returns the same object and two registries share
+    nothing.  Assignment raises TypeError, as on a MappingProxyType.
+    """
+
+    __slots__ = ("_group", "_built")
+
+    def __init__(self, groups):
+        self._group = {}
+        for names, build in groups:
+            for name in names:
+                self._group[name] = (names, build)
+        self._built = {}
+
+    def __getitem__(self, name):
+        try:
+            return self._built[name]
+        except KeyError:
+            names, build = self._group[name]   # KeyError for unknown names
+        self._built.update(zip(names, build(), strict=True))
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._group)
+
+    def __len__(self):
+        return len(self._group)
+
+    def __contains__(self, name):
+        return name in self._group
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A lattice, its Hamiltonian, and a registry of every named operator."""
 
     lattice: LatticeSpec
     hamiltonian: OperatorSum
-    registry: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
+    registry: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
         if not self.hamiltonian.is_hermitian:
             raise DomainError("model Hamiltonian must be Hermitian")
+        if isinstance(self.registry, LazyRegistry):
+            return   # its entries are built from the lattice itself
         for name, op in self.registry.items():
             if op.length != self.lattice.length:
                 raise DomainError(f"registry entry {name} has wrong length")
 
 
-def build_model(lattice: LatticeSpec, lam: float = 0.0) -> ModelSpec:
-    """Assemble the full operator registry for a lattice.
+def _registry_groups(lattice: LatticeSpec, lam: float) -> list:
+    """(names, build) pairs of the registry, in key order."""
+    def pauli(strings):
+        return [OperatorSum.from_pauli(p) for p in strings]
 
-    Global symmetries and the forbidden set are included when the lattice
-    supports them (open chains; odd multiples of 3 for the global pair).
-    """
-    reg = {}
-    for i in lattice.stabilizer_sites():
-        reg[f"S_{i}"] = OperatorSum.from_pauli(stabilizer(i, lattice))
-    reg["H_C"] = cluster_hamiltonian(lattice)
-    reg["H_I"] = ising_perturbation(lattice, lam)
-    parity_z, zy_string = parity_and_timereversal(lattice)
-    reg["parity_z"] = parity_z
-    reg["string_zy"] = zy_string
-    parity_x, yx_string = spin_flip_symmetries(lattice)
-    reg["parity_x"] = parity_x
-    reg["string_yx"] = yx_string
+    groups = [((f"S_{i}",),
+               lambda i=i: (OperatorSum.from_pauli(stabilizer(i, lattice)),))
+              for i in lattice.stabilizer_sites()]
+    groups += [
+        (("H_C",), lambda: (cluster_hamiltonian(lattice),)),
+        (("H_I",), lambda: (ising_perturbation(lattice, lam),)),
+        (("parity_z", "string_zy"), lambda: parity_and_timereversal(lattice)),
+        (("parity_x", "string_yx"), lambda: spin_flip_symmetries(lattice)),
+    ]
     if lattice.is_open:
-        for k, g in enumerate(edge_generators(lattice), start=1):
-            reg[f"G_{k}"] = OperatorSum.from_pauli(g)
-        for k, op in enumerate(forbidden_set(lattice), start=1):
-            reg[f"Sigma_{k:02d}"] = op
+        groups.append((("G_1", "G_2", "G_3", "G_4"),
+                       lambda: pauli(edge_generators(lattice))))
+        # the four generators are independent, so all 15 products differ
+        groups.append((tuple(f"Sigma_{k:02d}" for k in range(1, 16)),
+                       lambda: forbidden_set(lattice)))
         if lattice.length >= 4:
-            reg["T1_loc"] = local_symmetry(1, lattice)
-            reg["T2_loc"] = local_symmetry(2, lattice)
+            groups += [((f"T{s}_loc",), lambda s=s: (local_symmetry(s, lattice),))
+                       for s in (1, 2)]
     if lattice.supports_global_symmetry():
         for s in (1, 2):
-            a, b = global_symmetry_pair(s, lattice)
-            reg[f"A{s}"] = OperatorSum.from_pauli(a)
-            reg[f"B{s}"] = OperatorSum.from_pauli(b)
-            reg[f"T{s}"] = (reg[f"A{s}"] + reg[f"B{s}"]) / _SQRT2
+            groups.append(((f"A{s}", f"B{s}"),
+                           lambda s=s: pauli(global_symmetry_pair(s, lattice))))
+            groups.append(((f"T{s}",),
+                           lambda s=s: (global_symmetry(s, lattice),)))
+    return groups
+
+
+def build_model(lattice: LatticeSpec, lam: float = 0.0) -> ModelSpec:
+    """The model of a lattice with a lazy registry of every named operator.
+
+    The registry holds, in this key order, the stabilizers S_i, H_C, H_I,
+    both parity pairs, and on open chains the edge generators G_k, the
+    forbidden set Sigma_01..Sigma_15 and (from 4 sites) T1_loc/T2_loc, then
+    the global halves and symmetries A1, B1, T1, A2, B2, T2 when the lattice
+    supports them.  Each entry is built on its first read (LazyRegistry);
+    the Hamiltonian H_C + H_I is built here.
+    """
+    reg = LazyRegistry(_registry_groups(lattice, lam))
     return ModelSpec(
         lattice=lattice,
         hamiltonian=reg["H_C"] + reg["H_I"],
-        registry=MappingProxyType(reg),
+        registry=reg,
     )
 
 

@@ -22,6 +22,8 @@ from .errors import LengthMismatchError
 # letter -> (x_bit, z_bit)
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+# (x digit, z digit) of the binary-formatted masks -> letter
+_DIGITS_LETTER = {(str(x), str(z)): k for (x, z), k in _BITS_LETTER.items()}
 _PHASE_LABEL = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 _LABEL_PHASE = {"+1": 0, "1": 0, "+": 0, "+i": 1, "i": 1, "-1": 2, "-": 2, "-i": 3}
 _PHASE_VALUE = (1, 1j, -1, -1j)
@@ -160,7 +162,11 @@ class PauliString:
 
     @property
     def letters(self) -> str:
-        return "".join(self.letter_at(j) for j in range(1, self.length + 1))
+        """The letter string, site 1 first: the masks' binary digits read
+        pairwise, most significant (site 1) first."""
+        n = self.length
+        return "".join(map(_DIGITS_LETTER.__getitem__,
+                           zip(f"{self.x_mask:0{n}b}", f"{self.z_mask:0{n}b}")))
 
     @property
     def display_phase_exp(self) -> int:

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, report schema, determinism, formats."""
 
+import collections
 import csv
 import io
 import json
@@ -277,12 +278,30 @@ _LEAVES = st.one_of(
     _TEXT,
     hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
                hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)))
+_KEYS = st.integers(-3, 3) | _TEXT
+
+
+def _rows(kids):
+    """Lists of dicts as the report's probe and scan rows are: one shared
+    key set (str keys, or a mix with ints), or keys drawn per row from a
+    small alphabet so that they often differ."""
+    shared = st.lists(_KEYS, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(
+            st.fixed_dictionaries({k: kids for k in keys}),
+            min_size=1, max_size=4))
+    mixed = st.lists(st.dictionaries(st.sampled_from(["a", "b", "c"]), kids,
+                                     max_size=3), min_size=1, max_size=4)
+    rows = st.one_of(shared, mixed)
+    return st.one_of(rows, rows.map(tuple))
+
+
 _PAYLOADS = st.recursive(
     _LEAVES,
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(st.integers(-3, 3) | _TEXT, kids, max_size=4)),
+        st.dictionaries(_KEYS, kids, max_size=4),
+        _rows(kids)),
     max_leaves=30)
 
 
@@ -312,6 +331,15 @@ class TestJsonWriter:
         for x in _floats(json.loads(text)):
             assert x == float(f"{x:.12g}")
             assert math.copysign(1.0, x) == 1.0 or x != 0.0
+
+    def test_rows_with_shared_keys(self):
+        rows = [{"b": np.float64(0.5), "a": [1, (2.0,)], "c": np.bool_(1)},
+                {"c": None, "a": {"k": -0.0}, "b": np.int64(3)}]
+        for payload in (rows, {"rows": rows}, [dict(r) for r in rows[:1]],
+                        [rows[0], {"a": 1, "b": 2}], [{1: 1, "1": 2}] * 2,
+                        [collections.OrderedDict(r) for r in rows]):
+            assert _json(payload) == json.dumps(
+                _expected(payload), sort_keys=True, indent=2)
 
     def test_float_rule(self):
         assert _json(-0.0) == "0.0"

@@ -6,10 +6,12 @@ the symbolic rule must reproduce it exactly for every input.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clusterspt as cs
-from clusterspt import CzCircuit, PauliString
-from clusterspt.errors import DomainError
+from clusterspt import CzCircuit, OperatorSum, PauliString
+from clusterspt.errors import DomainError, LengthMismatchError
 
 from conftest import oracle_matrix, oracle_sum_matrix, random_pauli
 
@@ -176,3 +178,74 @@ class TestBondCircuit:
             got = oracle_sum_matrix(cs.conjugate_ucp(h, lat))
             want = u @ oracle_sum_matrix(h) @ u
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@st.composite
+def lattice_strings(draw, min_size=3, max_size=130):
+    """(lattice, string) with any masks and phase, open or periodic; above
+    64 sites the masks span several words."""
+    L = draw(st.integers(min_size, max_size))
+    lat = cs.LatticeSpec(L, draw(st.sampled_from(("open", "periodic"))))
+    masks = st.integers(0, (1 << L) - 1)
+    return lat, PauliString(L, draw(st.integers(0, 3)), draw(masks),
+                            draw(masks))
+
+
+_COMPONENTS = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@st.composite
+def lattice_sums(draw):
+    """(lattice, sum) with up to 12 terms, coefficients with signed zeros."""
+    lat, _ = draw(lattice_strings())
+    L = lat.length
+    masks = st.integers(0, (1 << L) - 1)
+    terms = draw(st.dictionaries(
+        st.tuples(masks, masks),
+        st.builds(complex, _COMPONENTS, _COMPONENTS), max_size=12))
+    return lat, OperatorSum(L, terms)
+
+
+def _exact_items(op):
+    """Terms in order, coefficients down to the sign of a zero."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in op.items()]
+
+
+class TestClosedFormBondCircuit:
+    """conjugate_ucp takes the bond circuit in one mask step; it must equal
+    the gate-by-gate conjugate_circuit exactly, phases and order included."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(lattice_strings())
+    def test_string_matches_gate_by_gate(self, case):
+        lat, p = case
+        circ = CzCircuit.chain(lat.length, periodic=lat.is_periodic)
+        got, want = cs.conjugate_ucp(p, lat), cs.conjugate_circuit(p, circ)
+        assert (got.phase_exp, got.x_mask, got.z_mask) == \
+            (want.phase_exp, want.x_mask, want.z_mask)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(lattice_sums())
+    def test_sum_matches_gate_by_gate(self, case):
+        lat, op = case
+        circ = CzCircuit.chain(lat.length, periodic=lat.is_periodic)
+        assert _exact_items(cs.conjugate_ucp(op, lat)) == \
+            _exact_items(cs.conjugate_circuit(op, circ))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(lattice_strings(max_size=8))
+    def test_matches_cz_diagonal_oracle(self, case):
+        lat, p = case
+        d = cs.cz_diagonal(CzCircuit.chain(lat.length,
+                                           periodic=lat.is_periodic))
+        want = d[:, None] * oracle_matrix(p) * d[None, :]
+        assert np.array_equal(oracle_matrix(cs.conjugate_ucp(p, lat)), want)
+
+    def test_rejects_wrong_length_and_type(self):
+        lat = cs.LatticeSpec(5)
+        with pytest.raises(LengthMismatchError):
+            cs.conjugate_ucp(PauliString.identity(4), lat)
+        with pytest.raises(LengthMismatchError):
+            cs.conjugate_ucp(OperatorSum.identity(6), lat)
+        with pytest.raises(TypeError):
+            cs.conjugate_ucp("ZXZ", lat)

@@ -1,11 +1,14 @@
 """Model constructors: stabilizers, Hamiltonians, symmetry operators, and
 the documented discrepancies between printed and reconstructed forms."""
 
+import math
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
 import clusterspt as cs
-from clusterspt import LatticeSpec, OperatorSum, PauliString
+from clusterspt import LatticeSpec, OperatorSum, PauliString, models
 from clusterspt.errors import DomainError
 
 from conftest import oracle_sum_matrix
@@ -295,3 +298,102 @@ class TestModelSpec:
         m = oracle_sum_matrix(h)
         assert np.allclose(m, m.conj().T)
         assert np.allclose(m, cs.dense_matrix(h), atol=1e-12)
+
+
+def _eager_registry(lattice, lam=0.0):
+    """Every registry entry built at once from the public constructors, in
+    the key order of the registry: the reference for the lazy one."""
+    reg = {f"S_{i}": OperatorSum.from_pauli(cs.stabilizer(i, lattice))
+           for i in lattice.stabilizer_sites()}
+    reg["H_C"] = cs.cluster_hamiltonian(lattice)
+    reg["H_I"] = cs.ising_perturbation(lattice, lam)
+    reg["parity_z"], reg["string_zy"] = cs.parity_and_timereversal(lattice)
+    reg["parity_x"], reg["string_yx"] = cs.spin_flip_symmetries(lattice)
+    if lattice.is_open:
+        for k, g in enumerate(cs.edge_generators(lattice), start=1):
+            reg[f"G_{k}"] = OperatorSum.from_pauli(g)
+        for k, op in enumerate(cs.forbidden_set(lattice), start=1):
+            reg[f"Sigma_{k:02d}"] = op
+        if lattice.length >= 4:
+            reg["T1_loc"] = cs.local_symmetry(1, lattice)
+            reg["T2_loc"] = cs.local_symmetry(2, lattice)
+    if lattice.supports_global_symmetry():
+        for s in (1, 2):
+            a, b = cs.global_symmetry_pair(s, lattice)
+            reg[f"A{s}"] = OperatorSum.from_pauli(a)
+            reg[f"B{s}"] = OperatorSum.from_pauli(b)
+            reg[f"T{s}"] = (reg[f"A{s}"] + reg[f"B{s}"]) / math.sqrt(2.0)
+    return reg
+
+
+class TestLazyRegistry:
+    """build_model's registry knows every name up front and builds each
+    entry on its first read, memoized on that model only."""
+
+    @pytest.mark.parametrize("lattice", [
+        LatticeSpec(9, "open"), LatticeSpec(15, "open"),
+        LatticeSpec(8, "periodic"), LatticeSpec(4, "open"),
+        LatticeSpec(3, "open")],
+        ids=["open9", "open15", "ring8", "open4", "open3"])
+    def test_matches_eager_construction(self, lattice):
+        model = cs.build_model(lattice, lam=0.3)
+        eager = _eager_registry(lattice, lam=0.3)
+        assert list(model.registry) == list(eager)
+        assert len(model.registry) == len(eager)
+        reference = cs.ModelSpec(lattice, model.hamiltonian,
+                                 MappingProxyType(eager))
+        assert cs.registry_manifest(model) == \
+            cs.registry_manifest(reference)
+        for name, op in eager.items():
+            assert list(model.registry[name].items()) == list(op.items())
+
+    def test_reading_h_c_builds_nothing_else(self, monkeypatch):
+        calls = []
+        for name in ("forbidden_set", "local_symmetry", "stabilizer",
+                     "global_symmetry_pair"):
+            original = getattr(models, name)
+            monkeypatch.setattr(
+                models, name,
+                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        lattice = LatticeSpec(15, "open")
+        model = cs.build_model(lattice)
+        reg = model.registry
+        assert reg["H_C"] is reg["H_C"]
+        # one cluster Hamiltonian's stabilizers, and no S_i, T*_loc,
+        # Sigma_* or global half
+        assert calls == ["stabilizer"] * len(lattice.stabilizer_sites())
+        calls.clear()
+        assert "Sigma_07" in reg and "T2_loc" in reg and "S_3" in reg
+        assert calls == []
+        reg["Sigma_07"]
+        assert calls == ["forbidden_set"]
+        reg["Sigma_01"], reg["Sigma_15"]
+        assert calls == ["forbidden_set"]
+        reg["S_3"]
+        reg["T1_loc"]
+        assert calls == ["forbidden_set", "stabilizer", "local_symmetry"]
+
+    def test_second_read_is_the_same_object(self):
+        reg = cs.build_model(LatticeSpec(9)).registry
+        for name in ("H_C", "Sigma_03", "A1", "T1", "T1_loc", "S_4"):
+            assert reg[name] is reg[name]
+        assert dict(reg.items())["B2"] is reg["B2"]
+
+    def test_two_models_share_no_entry(self):
+        a = cs.build_model(LatticeSpec(9)).registry
+        b = cs.build_model(LatticeSpec(9)).registry
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name] is not b[name], name
+            assert a[name] == b[name], name
+
+    def test_mapping_behaviour(self):
+        reg = cs.build_model(LatticeSpec(8, "periodic")).registry
+        assert "H_C" in reg and "Sigma_01" not in reg and 3 not in reg
+        assert reg.get("T1") is None
+        with pytest.raises(KeyError):
+            reg["T1"]
+        with pytest.raises(TypeError):
+            reg["H_C"] = OperatorSum.identity(8)
+        with pytest.raises(TypeError):
+            del reg["H_C"]

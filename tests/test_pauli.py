@@ -107,6 +107,15 @@ def test_from_sites_is_the_product_of_singles(case):
     assert p.is_hermitian
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 130).flatmap(lambda L: st.tuples(
+    st.just(L), st.integers(0, (1 << L) - 1), st.integers(0, (1 << L) - 1))))
+def test_letters_read_site_by_site(case):
+    L, x, z = case
+    p = PauliString(L, 0, x, z)
+    assert p.letters == "".join(p.letter_at(j) for j in range(1, L + 1))
+
+
 def test_from_sites_errors():
     with pytest.raises(ValueError, match="invalid Pauli letter 'Q'"):
         PauliString.from_sites(4, {1: "X", 2: "Q"})

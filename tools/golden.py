@@ -74,6 +74,9 @@ COMMANDS = [
     "protect --size 21 --symbolic-only --tamper A1",
     "verify --size 21 --global-symmetry --symbolic-only",
     "protect --size 24 --local-only --symbolic-only",
+    "protect --size 15 --symbolic-only --max-probes 7 --seed 3",
+    "protect --size 15 --symbolic-only --tamper A2",
+    "verify --size 15 --global-symmetry --symbolic-only --tamper A2",
 ]
 
 
