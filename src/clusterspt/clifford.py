@@ -105,33 +105,34 @@ def conjugate_ucp(obj, lattice):
     this twice returns the input.  On open chains the basis change sends each
     bulk cluster term Z X Z to a single X letter.  Equal to
     conjugate_circuit(obj, CzCircuit.chain(...)), phases and term order
-    included, but in closed form on the masks: one step per string and per
-    term of a sum.
+    included, but in closed form on the masks: one step per string, and a
+    sum term by term as conjugate_circuit takes it.
     """
-    if not isinstance(obj, (PauliString, OperatorSum)):
-        raise TypeError(f"cannot conjugate {type(obj).__name__}")
-    length = lattice.length
-    if obj.length != length:
-        kind = "string" if isinstance(obj, PauliString) else "sum"
-        raise LengthMismatchError(
-            f"{kind} on {obj.length} sites, circuit on {length}")
-    full = (1 << length) - 1
-    periodic = lattice.is_periodic
-
-    def image(x, z):
-        """z mask after the circuit, and whether the sign flips."""
-        # site j + 1 is the bit below site j's; a ring wraps the end bits
-        right = x >> 1 | (x & 1) << (length - 1) if periodic else x >> 1
-        left = (x << 1 | x >> (length - 1) if periodic else x << 1) & full
-        return z ^ left ^ right, (x & right).bit_count() & 1
-
     if isinstance(obj, PauliString):
-        z, odd = image(obj.x_mask, obj.z_mask)
-        return PauliString(length, obj.phase_exp + 2 * odd, obj.x_mask, z)
-    # the masks map one to one, so each term keeps its own coefficient up to
-    # sign; 0j + keeps the signed zeros of the gate-by-gate sum
-    terms = {}
-    for (x, z), c in sorted(obj.items()):
-        z, odd = image(x, z)
-        terms[(x, z)] = 0j - c if odd else 0j + c
-    return OperatorSum(length, terms)
+        if obj.length != lattice.length:
+            raise LengthMismatchError(
+                f"string on {obj.length} sites, circuit on {lattice.length}")
+        return _bond_image(obj, lattice.is_periodic)
+    if isinstance(obj, OperatorSum):
+        if obj.length != lattice.length:
+            raise LengthMismatchError(
+                f"sum on {obj.length} sites, circuit on {lattice.length}")
+        periodic = lattice.is_periodic
+        return OperatorSum.from_terms(
+            obj.length,
+            ((coeff, _bond_image(p, periodic)) for coeff, p in obj.iter_terms()))
+    raise TypeError(f"cannot conjugate {type(obj).__name__}")
+
+
+def _bond_image(p: PauliString, periodic: bool) -> PauliString:
+    """p conjugated by the bond circuit of its chain (a ring if periodic)."""
+    length, x = p.length, p.x_mask
+    # site j + 1 is the bit below site j's; a ring wraps the end bits
+    if periodic:
+        right = x >> 1 | (x & 1) << (length - 1)
+        left = (x << 1 | x >> (length - 1)) & ((1 << length) - 1)
+    else:
+        right = x >> 1
+        left = (x << 1) & ((1 << length) - 1)
+    sign = 2 * ((x & right).bit_count() & 1)
+    return PauliString(length, p.phase_exp + sign, x, p.z_mask ^ left ^ right)

@@ -358,8 +358,6 @@ class ModelSpec:
     def __post_init__(self):
         if not self.hamiltonian.is_hermitian:
             raise DomainError("model Hamiltonian must be Hermitian")
-        if isinstance(self.registry, LazyRegistry):
-            return   # its entries are built from the lattice itself
         for name, op in self.registry.items():
             if op.length != self.lattice.length:
                 raise DomainError(f"registry entry {name} has wrong length")
@@ -408,11 +406,11 @@ def build_model(lattice: LatticeSpec, lam: float = 0.0) -> ModelSpec:
     the Hamiltonian H_C + H_I is built here.
     """
     reg = LazyRegistry(_registry_groups(lattice, lam))
-    return ModelSpec(
-        lattice=lattice,
-        hamiltonian=reg["H_C"] + reg["H_I"],
-        registry=reg,
-    )
+    model = ModelSpec(lattice=lattice, hamiltonian=reg["H_C"] + reg["H_I"])
+    # every entry is built from this lattice, so the registry is attached
+    # past ModelSpec's per-entry length check, which would build them all
+    object.__setattr__(model, "registry", reg)
+    return model
 
 
 def registry_manifest(model: ModelSpec) -> str:

@@ -387,6 +387,12 @@ class TestLazyRegistry:
             assert a[name] is not b[name], name
             assert a[name] == b[name], name
 
+    def test_model_spec_checks_a_registry_it_is_given(self):
+        model = cs.build_model(LatticeSpec(9))
+        other = cs.build_model(LatticeSpec(15)).registry
+        with pytest.raises(DomainError, match="wrong length"):
+            cs.ModelSpec(model.lattice, model.hamiltonian, other)
+
     def test_mapping_behaviour(self):
         reg = cs.build_model(LatticeSpec(8, "periodic")).registry
         assert "H_C" in reg and "Sigma_01" not in reg and 3 not in reg
