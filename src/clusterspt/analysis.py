@@ -30,7 +30,7 @@ import numpy as np
 
 from . import engine
 from .engine import (StateVector, apply, build_cluster_state, eig_low,
-                     expectation, expectations, splitting_class,
+                     expectation, expectations, splitting_classes,
                      splitting_matrices, subspace_distance)
 from .errors import DomainError, LengthMismatchError, ResourceLimitError
 from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
@@ -252,8 +252,9 @@ def certify_protection(model, probes: dict | None = None,
     also gives each probe's support; and the symmetry algebra itself
     (symmetry_pair_algebra, which also reads `tamper` and `local_only`).  Numeric part (dense sizes only): the
     first-order splitting matrix of each probe over the fourfold ground
-    space, all from one engine.splitting_matrices call on the stacked
-    ground basis, straight off the mask kernel with no matrix built.
+    space, all from one gather in engine.splitting_matrices on the stacked
+    ground basis, with no matrix built, then classified and normed in one
+    array pass (engine.splitting_classes).
     """
     if max_probes is not None and max_probes < 0:
         raise DomainError(
@@ -282,9 +283,10 @@ def certify_protection(model, probes: dict | None = None,
     names = sorted(probes)
     ops = [probes[name] for name in names]
     numeric = numeric and L <= engine.DENSE_SITE_CAP
-    splits = [None] * len(names)
+    classes = norms = [None] * len(names)
     if numeric:
-        splits = splitting_matrices(eig_low(h, count=6).ground_basis, ops)
+        classes, norms = splitting_classes(splitting_matrices(
+            eig_low(h, count=6).ground_basis, ops))
 
     # operators 0-2 of the table are H, T1, T2 and operator 3 + k is probe k
     n = len(ops)
@@ -299,7 +301,7 @@ def certify_protection(model, probes: dict | None = None,
     bulk_local = (weight[3:] == 1) & (bulk_weight[3:] == 1)
 
     verdicts = []
-    for k, (name, m) in enumerate(zip(names, splits)):
+    for k, (name, kind, norm) in enumerate(zip(names, classes, norms)):
         verdicts.append(ProbeVerdict(
             name=name,
             commutes_with_h=bool(with_h[k]),
@@ -307,8 +309,8 @@ def certify_protection(model, probes: dict | None = None,
             commutes_with_t2=bool(with_t2[k]),
             is_bulk_local=bool(bulk_local[k]),
             is_forbidden=name.startswith("Sigma_"),
-            splitting=None if m is None else splitting_class(m),
-            splitting_norm=None if m is None else float(np.linalg.norm(m)),
+            splitting=None if kind is None else str(kind),
+            splitting_norm=None if norm is None else float(norm),
         ))
 
     per_s = {}
@@ -456,11 +458,11 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     and H_I when some coupling is nonzero.  Both paths solve H_C + lam * H_I as an OperatorSum
     keeps it, a |lam| <= COEFF_TOL counting as 0 (rows print the grid as
     given).  Up to the dense size cap (method auto or dense) H_C and H_I are
-    projected once into the translation x spin-flip sectors, which also
-    decides once which momentum -k blocks reuse the solution of k, and
-    every coupling is a set of small dense solves (sector_low); otherwise
-    each coupling is one Lanczos solve per spin-flip block
-    (sector_lanczos).
+    projected once into the translation x spin-flip sectors of a ring, which
+    also decides once which momentum -k blocks reuse the solution of k, or
+    the reflection x spin-flip sectors of an open chain, and every coupling
+    is a set of small dense solves (sector_low); otherwise each coupling is
+    one Lanczos solve per reflection x spin-flip block (sector_lanczos).
     Either way the parity labels come by construction.  The matrices of the
     string order, H_I and probes are built once, after the first solve, so
     a size over its memory budget (project_sectors' or sector_lanczos')
@@ -497,8 +499,8 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     treal_ok = all(engine.has_real_matrix(op) for op in parts)
     projected = None
     if method in ("auto", "dense") and L <= engine.DENSE_SITE_CAP:
-        projected = engine.project_sectors((h_c, yy_unit),
-                                           lattice.is_periodic)
+        projected = engine.project_sectors(
+            (h_c, yy_unit), "TP" if lattice.is_periodic else "RP")
         norm_c, norm_i = h_c.norm_bound(), yy_unit.norm_bound()
 
     probe_ops = {}

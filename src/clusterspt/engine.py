@@ -7,29 +7,33 @@ a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
 sum is a sum of signed permutations.  One kernel, `_mask_rows`, reads every
 matrix element off the masks, per x mask and row.  Every product of an
 operator with states runs straight off its rows (`_act`: `apply`,
-`expectations`, `splitting_matrices`, `resolve_sectors`), x masks in
-ascending order, with no matrix built.  `operator_matrix` wraps the rows of
-every basis index into a CSR matrix, which only the full-space solves of
-`eig_low` (an operator with neither symmetry) and a scan's observables
+`expectations`, `resolve_sectors`), x masks in ascending order, with no
+matrix built; `splitting_matrices` gathers the rows of all its operators
+at once, in the same order.  `operator_matrix` wraps the rows of every
+basis index into a CSR matrix, which only the full-space solves of
+`eig_low` (an operator without the spin flip) and a scan's observables
 build.  Sector blocks come from the kernel run once on the orbit
-representatives of the translation x spin-flip group, from one orbit table
-per lattice (`_sector_table`: each index's orbit and group element, and
-each sector's character and columns), and one helper gives each row's
-entries in its sector (`_sector_entries`).  `project_sectors` scatters
-them into small dense blocks of every sector at once and decides each
-momentum -k block's conjugate twin once, so that `sector_low`, which
-solves them for phase scans up to 12 sites and for every dense `eig_low`
-of a symmetric operator, takes per coupling and sector only a sum, an
-eigh and a residual check.  `_sector_blocks` keeps each spin-flip
-sector's rows as a CSR block, which `sector_lanczos` solves by Lanczos
-for every iterative `eig_low` of a P-invariant operator and for larger
-scans, retrying a solve once with more Krylov vectors when a pair
-misses its residual bound (`_checked_lanczos`).  All golden values depend
-on this ordering.
+representatives of a symmetry group, the spin flip P times the
+translation T on a ring ("TP"), times the reflection R ("RP"), or alone
+("P"), from one orbit table per lattice and group (`_sector_table`: each
+index's orbit and group element, and each sector's character and
+columns), and one helper gives each row's entries in its sector
+(`_sector_entries`).  `project_sectors` scatters them into small dense
+blocks of every sector at once and decides each momentum -k block's
+conjugate twin once, so that `sector_low`, which solves them for phase
+scans up to 12 sites and for every dense `eig_low` of a symmetric
+operator, takes per coupling and sector only a sum, an eigh and a
+residual check.  `_sector_blocks` keeps each sector's rows as a CSR
+block, which `sector_lanczos` solves by Lanczos, on the (r, p) blocks of
+R x P whenever R conserves the operator, for every iterative `eig_low` of
+a P-invariant operator and for larger scans, retrying a solve once with
+more Krylov vectors when a pair misses its residual bound
+(`_checked_lanczos`).  All golden values depend on this ordering.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 from dataclasses import dataclass
 
@@ -327,25 +331,28 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     """Lowest `count` eigenpairs of a Hermitian operator sum.
 
     The symmetry group is read off h's coefficients with the test
-    project_sectors applies (_implied_leak): translation x spin flip when h
-    is invariant under both T and P, the spin flip alone when only under P.
-    dense: L <= 12, per symmetry sector when h is invariant.  Each sector
-    block then gives its lowest min(count, d) levels to sector_low, whose
-    merged window is exactly the lowest `count` levels.  iterative: L <= 24,
-    one implicitly restarted Lanczos solve per spin-flip block when h is
-    invariant under P (sector_lanczos, on rings too), whose CSR blocks come
-    straight from the orbit table.  An h with neither symmetry is solved on
-    the full space: one dense matrix, or Lanczos on its CSR operator matrix.
+    project_sectors applies (_implied_leak), in this order: translation x
+    spin flip when h is invariant under both T and P, reflection x spin
+    flip when under R and P, the spin flip alone when only under P.
+    dense: L <= 12, per symmetry sector when h is invariant: a ring's (k,
+    p) blocks, an open chain's four (r, p) blocks of about 2^(L-2) states.
+    Each sector block then gives its lowest min(count, d) levels to
+    sector_low, whose merged window is exactly the lowest `count` levels.
+    iterative: L <= 24, one implicitly restarted Lanczos solve per (r, p)
+    block, or per spin-flip block when R does not conserve h, whenever h
+    is invariant under P (sector_lanczos, on rings too), whose CSR blocks
+    come straight from the orbit table.  An h without P is solved on the
+    full space: one dense matrix, or Lanczos on its CSR operator matrix.
     A run whose memory estimate exceeds physical memory raises
     ResourceLimitError before allocating anything large (project_sectors
     charges the dense blocks, sector_lanczos the CSR blocks).  Every
     reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL * max(1,
     sum|coeff|) (see checked_residual).  The iterative path guarantees each
     returned pair is a true eigenpair but, like any Krylov method, may
-    return fewer copies of a level degenerate inside one spin-flip sector
-    (or, for an h without P, on the full space) than exist; ask for enough
-    eigenvalues (count comfortably above the expected multiplicity) or use
-    the dense path when exact multiplicities matter.
+    return fewer copies of a level degenerate inside one block (or, for an
+    h without P, on the full space) than exist; ask for enough eigenvalues
+    (count comfortably above the expected multiplicity) or use the dense
+    path when exact multiplicities matter.
     """
     h = _as_sum(h)
     if not h.is_hermitian:
@@ -373,12 +380,12 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
         if L > DENSE_SITE_CAP:
             raise ResourceLimitError("count too close to the full dimension")
 
-    # True: ring sectors, False: spin-flip sectors, None: the full space
-    periodic = _symmetry_group(h)
-    if periodic is not None and method == "dense":
+    # the sectors of "TP", "RP" or "P", or None: the full space
+    group = _symmetry_group(h)
+    if group is not None and method == "dense":
         vals, _, states, max_residual = sector_low(
-            project_sectors([h], periodic), [1.0], count, h.norm_bound())
-    elif periodic is not None:
+            project_sectors([h], group), [1.0], count, h.norm_bound())
+    elif group is not None:
         vals, _, states, max_residual = sector_lanczos(h, count)
     else:
         # a wide Krylov subspace improves capture of degenerate multiplets
@@ -424,11 +431,15 @@ def _lanczos(m, count: int, ncv: int) -> tuple:
     """Lowest `count` eigenpairs (vals, vecs) of the Hermitian sparse matrix
     m, ascending, by implicitly restarted Lanczos (ARPACK) with ncv Krylov
     vectors, tol=0 and a fixed start vector, which keeps the output
-    deterministic."""
+    deterministic.  Where scipy's eigsh takes an `rng`, the
+    vector it draws to go on past an invariant subspace, which a level
+    degenerate inside the block can give, comes from a fixed seed too."""
+    seeded = {"rng": np.random.default_rng(1)} if "rng" in inspect.signature(
+        scipy.sparse.linalg.eigsh).parameters else {}
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
             m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0, ncv=ncv,
-            v0=np.random.default_rng(0).standard_normal(m.shape[0]))
+            v0=np.random.default_rng(0).standard_normal(m.shape[0]), **seeded)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos did not converge in {_LANCZOS_MAXITER} iterations",
@@ -462,15 +473,59 @@ def _checked_lanczos(m, count: int, ncv: int, norm_h: float, need: int,
 
 def splitting_matrices(states, ops) -> np.ndarray:
     """(n, d, d) array of V^H O_m V for the n operators of `ops`, V the
-    columns of `states` (StateVectors or a 2D array), stacked once: every
-    probe's first-order splitting matrix over a ground space, each from one
-    product off the operator's rows (_act, which raises
-    LengthMismatchError when an operator's length is not the states')."""
+    columns of `states` (StateVectors or a 2D array): every probe's
+    first-order splitting matrix over a ground space, from one gather for
+    all of them (LengthMismatchError when an operator's length is not the
+    states').
+
+    The terms of every operator are packed once, grouped per operator by x
+    mask in ascending order as _mask_rows groups them, and each group's
+    row data, sum_z c (-1)^popcount(z & (r ^ x)), multiplies the gathered
+    V[r ^ x] of all groups at once.  An operator's groups are then added
+    in order, as _act adds them, and one batched V^H @ moved gives every
+    matrix."""
     basis = _as_columns(states)
-    bra = basis.conj().T
-    d = basis.shape[1]
-    return np.array([bra @ _act(_as_sum(op), basis) for op in ops],
-                    dtype=np.complex128).reshape(len(ops), d, d)
+    ops = [_as_sum(op) for op in ops]
+    dim, d = basis.shape
+    owner, xs, term_group, zs, coeffs = [], [], [], [], []
+    for m, op in enumerate(ops):
+        _check_length(op, dim)
+        real = has_real_matrix(op)
+        groups = {}
+        for (x, z), c in op.items():
+            groups.setdefault(x, []).append((z, c.real if real else c))
+        for x in sorted(groups):
+            for z, c in groups[x]:
+                term_group.append(len(xs))
+                zs.append(z)
+                coeffs.append(c)
+            owner.append(m)
+            xs.append(x)
+    out = np.zeros((len(ops), d, d), dtype=np.complex128)
+    if not xs:
+        return out
+    rows = np.arange(dim, dtype=np.int32)
+    cols = rows ^ np.array(xs, dtype=np.int32)[:, None]
+    coeffs = np.array(coeffs)
+    signs = 1.0 - 2.0 * (np.bitwise_count(
+        cols[term_group] & np.array(zs, dtype=np.int32)[:, None]) & 1)
+    terms = coeffs[:, None] * signs
+    del signs
+    # each group's terms added in order: a + b, as _mask_rows adds 0 + a + b
+    data = terms if len(zs) == len(xs) else np.add.reduceat(
+        terms, np.searchsorted(term_group, np.arange(len(xs))))
+    moved = np.take(basis.astype(np.complex128, copy=False), cols, axis=0)
+    # data first, as in _act
+    np.multiply(data[:, :, None], moved, out=moved)
+    # an operator's groups added in ascending order, as _act adds them
+    # (addition commutes), so its last group holds the sum
+    owner = np.array(owner)
+    for g in np.flatnonzero(owner[1:] == owner[:-1]) + 1:
+        moved[g] += moved[g - 1]
+    last = np.flatnonzero(np.diff(owner, append=-1))
+    out[owner[last]] = basis.conj().T @ (moved if last.size == len(xs)
+                                         else moved[last])
+    return out
 
 
 def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:
@@ -480,15 +535,31 @@ def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:
     return splitting_matrices(spectrum.ground_basis, [op])[0]
 
 
+def splitting_classes(ms: np.ndarray, tol: float = 1e-10) -> tuple:
+    """(classes, norms) of a stack of n splitting matrices (n, d, d), in
+    one array pass: each matrix's Frobenius norm and its class, 'zero'
+    when the norm is at most tol, else 'scalar' when its traceless part's
+    norm is, else 'non-scalar'."""
+    def norm(a):
+        """Each matrix's Frobenius norm, summed as np.linalg.norm sums it."""
+        flat = a.reshape(len(a), d * d)
+        return np.sqrt(np.vecdot(flat.real, flat.real)
+                       + np.vecdot(flat.imag, flat.imag))
+
+    ms = np.asarray(ms)
+    d = ms.shape[-1]
+    norms = norm(ms)
+    scalar = norm(ms - (np.trace(ms, axis1=1, axis2=2) / d)[:, None, None]
+                  * np.eye(d)) <= tol
+    classes = np.where(norms <= tol, "zero",
+                       np.where(scalar, "scalar", "non-scalar"))
+    return classes, norms
+
+
 def splitting_class(m: np.ndarray, tol: float = 1e-10) -> str:
-    """Classify a splitting matrix as 'zero', 'scalar', or 'non-scalar'."""
-    d = m.shape[0]
-    if np.linalg.norm(m) <= tol:
-        return "zero"
-    trace_part = (np.trace(m) / d) * np.eye(d)
-    if np.linalg.norm(m - trace_part) <= tol:
-        return "scalar"
-    return "non-scalar"
+    """Classify a splitting matrix as 'zero', 'scalar', or 'non-scalar':
+    the one-matrix case of splitting_classes."""
+    return str(splitting_classes(np.asarray(m)[None], tol)[0][0])
 
 
 def resolve_sectors(spectrum: SpectrumResult, sym,
@@ -540,21 +611,48 @@ def _rotate(b, length: int):
     return (b >> 1) | ((b & 1) << (length - 1))
 
 
+def _reflect(b, length: int):
+    """The reflection R (site i to site L+1-i) on basis indices or Pauli
+    masks b: the L bits in reverse order."""
+    out = b & 0
+    for i in range(length):
+        out |= ((b >> i) & 1) << (length - 1 - i)
+    return out
+
+
+def _generator(group: str, length: int) -> tuple:
+    """(move, order) of the second generator of an orbit table's group, the
+    spin flip P times that generator's cyclic group: the translation T
+    (order L) for "TP", the reflection R (order 2) for "RP", and none
+    (order 1) for "P", the spin flip alone."""
+    if group == "TP":
+        return _rotate, length
+    if group == "RP":
+        return _reflect, 2
+    if group == "P":
+        return None, 1
+    raise ValueError(f"unknown symmetry group {group!r}")
+
+
 @dataclass(frozen=True)
 class _SectorTable:
-    """The orbits of one lattice's basis indices under the translations T^j
-    and the spin flip P (P alone on an open chain), and its sectors.
+    """The orbits of one lattice's basis indices under a group G^j P^s, and
+    its sectors: P the spin flip and G the second generator of `group`
+    (_generator), of order n: the translation T (n = L) on a ring, the
+    reflection R (n = 2), or none (n = 1).
 
-    T^j P^s is coded g = 2j + s; P b = b ^ (2^L - 1), T b = _rotate(b, L).
-    reps holds each orbit's smallest index r, ascending; size[n] counts the
-    states of orbit n; orbit[b] (int32) is the position of b's orbit in
-    reps; elem[b] (int8) is the g_b with g_b b = r.  Sector i, (k, p) =
-    keys[i] in ascending k then p = +1, -1 (k = 0 on an open chain), has
-    the character chars[i, 2j + s] = e^{2 pi i k j / L} p^s, and cols[i, n]
-    is the column of reps[n]'s orbit sum in it, -1 where the sum vanishes.
+    G^j P^s is coded g = 2j + s; P b = b ^ (2^L - 1), T b = _rotate(b, L),
+    R b = _reflect(b, L).  reps holds each orbit's smallest index r,
+    ascending; size[n] counts the states of orbit n; orbit[b] (int32) is
+    the position of b's orbit in reps; elem[b] (int8) is the g_b with g_b b
+    = r.  Sector i, (k, p) = keys[i] in ascending k then p = +1, -1, has
+    the character chars[i, 2j + s] = e^{2 pi i k j / n} p^s (so r =
+    (-1)^k under R), and cols[i, n] is the column of reps[n]'s orbit sum in
+    it, -1 where the sum vanishes.
     """
 
     length: int
+    group: str
     reps: np.ndarray
     size: np.ndarray
     orbit: np.ndarray
@@ -563,21 +661,27 @@ class _SectorTable:
     chars: np.ndarray
     cols: np.ndarray
 
+    @property
+    def order(self) -> int:
+        """The order n of the second generator."""
+        return _generator(self.group, self.length)[1]
 
-def _sector_table(length: int, periodic: bool) -> _SectorTable:
-    """The orbit table (_SectorTable) of `length` sites, ring or chain."""
+
+def _sector_table(length: int, group: str) -> _SectorTable:
+    """The orbit table (_SectorTable) of `length` sites under `group`."""
     if length > APPLY_SITE_CAP:
         raise ResourceLimitError(
             f"symmetry sectors capped at {APPLY_SITE_CAP} sites, got {length}")
     dim = 1 << length
-    shifts = length if periodic else 1
+    move, order = _generator(group, length)
 
     def images(b):
-        """Yield T^j P^s b for every group element g = 2j + s."""
-        for _ in range(shifts):
+        """Yield G^j P^s b for every group element g = 2j + s."""
+        for j in range(order):
+            if j:
+                b = move(b, length)
             yield b
             yield b ^ (dim - 1)
-            b = _rotate(b, length)
 
     rep = np.arange(dim, dtype=np.int32)
     elem = np.zeros(dim, dtype=np.int8)
@@ -589,12 +693,13 @@ def _sector_table(length: int, periodic: bool) -> _SectorTable:
     reps = np.flatnonzero(is_rep)
     orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
     keys, chars = [], []
-    for k in range(shifts):
+    for k in range(order):
         # the phase reduced mod 2 pi keeps the characters multiplicative to
-        # rounding; k = 0 and k = L/2 (every open-chain sector) have a real
-        # character, so their blocks and solves stay real
-        phase = 2 * np.pi * (k * np.arange(shifts) % length) / length
-        twist = np.cos(phase) if 2 * k % length == 0 else np.exp(1j * phase)
+        # rounding; 2k = 0 mod n (every sector of R or P alone, and k = 0
+        # and L/2 on a ring) gives a real character, so the blocks and
+        # solves stay real
+        phase = 2 * np.pi * (k * np.arange(order) % order) / order
+        twist = np.cos(phase) if 2 * k % order == 0 else np.exp(1j * phase)
         for p in (1, -1):
             keys.append((k, p))
             chars.append(np.outer(twist, (1, p)).ravel())
@@ -605,7 +710,7 @@ def _sector_table(length: int, periodic: bool) -> _SectorTable:
     some = alive.any(axis=1)
     alive = alive[some]
     cols = np.where(alive, np.cumsum(alive, axis=1) - 1, -1).astype(np.int32)
-    return _SectorTable(length, reps, np.bincount(orbit), orbit, elem,
+    return _SectorTable(length, group, reps, np.bincount(orbit), orbit, elem,
                         tuple(key for key, s in zip(keys, some) if s),
                         chars[some], cols)
 
@@ -620,34 +725,36 @@ def _row_form(table: _SectorTable, i: int) -> tuple:
     return col, val
 
 
-def _implied_leak(op: OperatorSum, periodic: bool) -> float:
-    """sqrt(2^L) (||dc||_2 / (2 sin(pi/L)) + ||c_odd||_2): the bound on
-    ||M V - V B||_F that op's coefficients imply in every sector (see
-    project_sectors); dc is the coefficient change under T, on a ring only,
+def _implied_leak(op: OperatorSum, group: str) -> float:
+    """sqrt(2^L) (||dc||_2 / (2 sin(pi/n)) + ||c_odd||_2): the bound on
+    ||M V - V B||_F that op's coefficients imply in every sector of `group`
+    (see project_sectors); dc is the coefficient change under its second
+    generator G of order n (T on a ring, R; none for the spin flip alone),
     and c_odd holds the coefficients of odd z weight."""
     L = op.length
     terms = dict(op.items())
     leak = np.sqrt(sum(abs(c) ** 2 for (_, z), c in terms.items()
                        if z.bit_count() & 1))
-    if periodic:
-        moved = {(_rotate(x, L), _rotate(z, L)): c
-                 for (x, z), c in terms.items()}
+    move, order = _generator(group, L)
+    if move is not None:
+        moved = {(move(x, L), move(z, L)): c for (x, z), c in terms.items()}
         dc = np.sqrt(sum(abs(moved.get(key, 0) - terms.get(key, 0)) ** 2
                          for key in moved.keys() | terms.keys()))
         if dc:
-            leak += dc / (2 * np.sin(np.pi / L))
+            leak += dc / (2 * np.sin(np.pi / order))
     return float(np.sqrt(1 << L) * leak)
 
 
-def _symmetry_group(op: OperatorSum):
-    """True when op is invariant under the translation T and the spin flip P
-    (ring sectors), False when under P alone (chain sectors), None
-    otherwise: the coefficient test of project_sectors, _implied_leak <=
-    1e-12 * max(1, sum|coeff|)."""
+def _symmetry_group(op: OperatorSum, groups=("TP", "RP", "P")):
+    """The first of `groups` (_generator) whose symmetries conserve op, None
+    when none does: the coefficient test of project_sectors, _implied_leak
+    <= 1e-12 * max(1, sum|coeff|).  By default the translation x spin flip
+    (ring sectors), then the reflection x spin flip, then the spin flip
+    alone."""
     bound = 1e-12 * max(1.0, op.norm_bound())
-    for periodic in (True, False):
-        if _implied_leak(op, periodic) <= bound:
-            return periodic
+    for group in groups:
+        if _implied_leak(op, group) <= bound:
+            return group
     return None
 
 
@@ -660,25 +767,26 @@ def _check_memory(need: int, method: str, length: int, what: str) -> None:
             f"{_physical_memory() / 1e9:.1f} GB of physical memory")
 
 
-def _check_table(table: _SectorTable, periodic: bool) -> None:
+def _check_table(table: _SectorTable) -> None:
     """Raise ConvergenceError unless the orbit table passes checks (i) and
     (iii) (a)-(d) of project_sectors, each to BASIS_ATOL."""
     L, chars, orbit, cols = table.length, table.chars, table.orbit, table.cols
     b, g = np.arange(orbit.size, dtype=orbit.dtype), np.arange(chars.shape[1])
     k, p = np.array(table.keys).T
     elem, alive = table.elem, cols >= 0
+    move, order = _generator(table.group, L)
     ok = {"span": alive.sum() == orbit.size, "orbit": True, "stabilizer": True,
           "character": np.abs(chars[:, 0] - 1).max() <= BASIS_ATOL,
           "size": np.array_equal(table.size, np.bincount(orbit))
           and np.array_equal(cols, np.where(alive, alive.cumsum(1) - 1, -1))}
     # each generator s: its code, g s for every g, s b for every b, chi(s)
     gens = [(1, g ^ 1, b ^ (orbit.size - 1), p)]
-    if periodic:
-        gens.append((2, (g + 2) % g.size, _rotate(b, L),
-                     np.exp(2j * np.pi * k / L)))
+    if move is not None:
+        gens.append((2, (g + 2) % g.size, move(b, L),
+                     np.exp(2j * np.pi * k / order)))
     for code, times, image, chi in gens:
-        # h = g_{sb} s g_b^-1: translations add mod L and flips xor
-        h = (2 * ((elem[image] // 2 + code // 2 - elem // 2) % (g.size // 2))
+        # h = g_{sb} s g_b^-1: powers of G add mod n and flips xor
+        h = (2 * ((elem[image] // 2 + code // 2 - elem // 2) % order)
              + ((elem[image] ^ code ^ elem) & 1))
         moved = h != 0
         ok["character"] &= bool(np.abs(chars[:, times] - chars * chi[:, None])
@@ -693,11 +801,11 @@ def _check_table(table: _SectorTable, periodic: bool) -> None:
             "sector bases are not an orthonormal eigenbasis of the symmetries")
 
 
-def _check_invariant(op: OperatorSum, periodic: bool, name: str) -> None:
+def _check_invariant(op: OperatorSum, group: str, name: str) -> None:
     """Raise ConvergenceError unless op's coefficients bound its sector leak
-    (_implied_leak) within 1e-12 * max(1, sum|coeff|): check (ii) of
-    project_sectors."""
-    leak = _implied_leak(op, periodic)
+    in `group` (_implied_leak) within 1e-12 * max(1, sum|coeff|): check
+    (ii) of project_sectors."""
+    leak = _implied_leak(op, group)
     bound = 1e-12 * max(1.0, op.norm_bound())
     if leak > bound:
         raise ConvergenceError(
@@ -743,14 +851,15 @@ class _Projection:
     forms: dict
 
 
-def project_sectors(ops, periodic: bool) -> _Projection:
-    """Every operator of `ops` (one lattice) in every symmetry sector: a
-    _Projection of the lattice's orbit table (_sector_table) and per sector
-    blocks[m] = V^H M_m V, V the sector's orbit-sum basis (_row_form).
-    Each operator's entries in every sector come from one kernel call on
-    the orbit representatives (_sector_entries), all sectors in one
-    scatter.  A block is float64 exactly when its operator is real
-    (has_real_matrix) and its sector's character is real (2k = 0 mod L).
+def project_sectors(ops, group: str) -> _Projection:
+    """Every operator of `ops` (one lattice) in every sector of `group`
+    ("TP", "RP" or "P", _generator): a _Projection of the lattice's orbit
+    table (_sector_table) and per sector blocks[m] = V^H M_m V, V the
+    sector's orbit-sum basis (_row_form).  Each operator's entries in every
+    sector come from one kernel call on the orbit representatives
+    (_sector_entries), all sectors in one scatter.  A block is float64
+    exactly when its operator is real (has_real_matrix) and its sector's
+    character is real (2k = 0 mod n: every sector of R x P or P alone).
     The momentum -k twin of each sector is decided here, once
     (_conjugate_twins).  Between the guard below and the first kernel
     call, the blocks, the scattered rows, the row forms and the larger of
@@ -764,15 +873,16 @@ def project_sectors(ops, periodic: bool) -> _Projection:
     raises ConvergenceError when it fails:
 
     (i) the sector dimensions sum to 2^L (_check_table);
-    (ii) every operator is invariant under P and, on a ring, under T, read
-         off its masks (_implied_leak): conjugating by a site permutation g
-         only moves coefficients between mask pairs, and Pauli strings are
-         orthogonal with squared Frobenius norm 2^L, so
-         ||g M g^-1 - M||_F = sqrt(2^L) ||dc||_2; P flips the sign of the
-         terms of odd z weight, so ||P M P - M||_F = 2 sqrt(2^L) ||c_odd||_2;
-    (iii) each V is an orthonormal eigenbasis with T V = e^{2 pi i k/L} V and
-         P V = p V, read off the orbit table (_check_table) per orbit, for
-         each generator s (P, and T on a ring) and every g and b:
+    (ii) every operator is invariant under P and the second generator G (T
+         or R, if any), read off its masks (_implied_leak): conjugating by
+         a site permutation g only moves coefficients between mask pairs,
+         and Pauli strings are orthogonal with squared Frobenius norm 2^L,
+         so ||g M g^-1 - M||_F = sqrt(2^L) ||dc||_2; P flips the sign of
+         the terms of odd z weight, so ||P M P - M||_F = 2 sqrt(2^L)
+         ||c_odd||_2;
+    (iii) each V is an orthonormal eigenbasis with G V = e^{2 pi i k/n} V
+         and P V = p V, read off the orbit table (_check_table) per orbit,
+         for each generator s (P, and G if any) and every g and b:
          (a) chars[i] is the character of keys[i]: chars[i, 0] = 1 and
              chars[i, g s] = chars[i, g] chi(s);
          (b) size = bincount(orbit), and each sector numbers its surviving
@@ -786,13 +896,13 @@ def project_sectors(ops, periodic: bool) -> _Projection:
     By (iii) the columns of all sectors are orthonormal, sectors with
     distinct (k, p) being orthogonal eigenspaces, and by (i) there are 2^L
     of them, so each V spans its whole (k, p) eigenspace.  Y = (1 - V V^H)
-    M V then lies in the other eigenspaces, where T differs from
-    e^{2 pi i k/L} by at least 2 sin(pi/L) or, at the same momentum, P
-    differs from p by 2.  Since e^{2 pi i k/L} Y - T Y = (1 - V V^H)[M, T] V
+    M V then lies in the other eigenspaces, where G differs from
+    e^{2 pi i k/n} by at least 2 sin(pi/n) (2 for R) or, at the same k, P
+    differs from p by 2.  Since e^{2 pi i k/n} Y - G Y = (1 - V V^H)[M, G] V
     and p Y - P Y = (1 - V V^H)[M, P] V,
 
-        leak <= ||[M, T]||_F / (2 sin(pi/L)) + ||[M, P]||_F / 2
-              = sqrt(2^L) (||dc||_2 / (2 sin(pi/L)) + ||c_odd||_2),
+        leak <= ||[M, G]||_F / (2 sin(pi/n)) + ||[M, P]||_F / 2
+              = sqrt(2^L) (||dc||_2 / (2 sin(pi/n)) + ||c_odd||_2),
 
     and (ii) requires this bound, not the leak itself, to stay within
     1e-12 * max(1, sum|coeff|), or reports the operator not invariant.
@@ -800,10 +910,10 @@ def project_sectors(ops, periodic: bool) -> _Projection:
     ops = [_as_sum(op) for op in ops]
     L = ops[0].length
     for m, op in enumerate(ops):
-        _check_invariant(op, periodic, f"operator {m}")
+        _check_invariant(op, group, f"operator {m}")
     dim = 1 << L
-    table = _sector_table(L, periodic)
-    _check_table(table, periodic)
+    table = _sector_table(L, group)
+    _check_table(table)
     dims = np.count_nonzero(table.cols >= 0, axis=1)
     real = [has_real_matrix(op) for op in ops]
     # the blocks, float64 when the operator and every character are real;
@@ -844,13 +954,15 @@ def project_sectors(ops, periodic: bool) -> _Projection:
     sectors = []
     for (k, p), d, end in zip(table.keys, dims, ends):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
-        sectors.append((k, p, [b.real if r and 2 * k % L == 0 else b
-                               for b, r in zip(blocks, real)]))
-    return _Projection(table, sectors, _conjugate_twins(sectors, ops, L), {})
+        sectors.append((k, p, [b.real if r and 2 * k % table.order == 0
+                               else b for b, r in zip(blocks, real)]))
+    return _Projection(table, sectors,
+                       _conjugate_twins(sectors, ops, table.order), {})
 
 
-def _conjugate_twins(sectors, ops, L: int) -> tuple:
-    """twins[i] = j when sector j < i has momentum -k and the same parity as
+def _conjugate_twins(sectors, ops, order: int) -> tuple:
+    """twins[i] = j when sector j < i has label -k mod `order` (the second
+    generator's order; a momentum -k on a ring) and the same parity as
     sector i and, for every operator m, |B_m(i) - conj B_m(j)| <= 1e-13 *
     max(1, sum|coeff_m|) entry by entry, else -1.  A real operator has
     V(-k) = conj V(k) and so conjugate blocks at k and -k; one with an
@@ -859,7 +971,7 @@ def _conjugate_twins(sectors, ops, L: int) -> tuple:
     index = {(k, p): i for i, (k, p, _) in enumerate(sectors)}
     twins = []
     for i, (k, p, blocks) in enumerate(sectors):
-        j = index[(-k % L, p)]
+        j = index[(-k % order, p)]
         if j < i and all(
                 np.abs(b - t.conj()).max()
                 <= 1e-13 * max(1.0, op.norm_bound())
@@ -939,7 +1051,7 @@ def _sector_blocks(table: _SectorTable, op: OperatorSum) -> list:
     _sector_entries call over the rows of all sectors (sector-major, as
     project_sectors takes them): sector i's rows are one slice of the
     entries, kept as its block's own memory.  An entry into an orbit whose
-    sum vanishes in the sector (a ring's) is stored as a zero in column 0."""
+    sum vanishes in the sector is stored as a zero in column 0."""
     alive = table.cols >= 0
     sec, rep = np.nonzero(alive)
     target, values = _sector_entries(table, op, sec[:, None], rep)
@@ -952,59 +1064,75 @@ def _sector_blocks(table: _SectorTable, op: OperatorSum) -> list:
 
 def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     """Lowest `count` levels of a Hermitian h invariant under the spin flip
-    P, one Lanczos solve per parity block.
+    P, one Lanczos solve per symmetry block.
 
     Returns (vals, labels, states, max_residual) as sector_low does.  The
-    two blocks of 2^(L-1) states come as CSR matrices from one kernel call
-    on the open chain's orbit table (_sector_blocks), on rings too, since
-    only P is used.  Each block gives its lowest min(count, d) levels, by
-    ARPACK (_checked_lanczos) or, for a block too small for it, a dense
-    eigh; every pair passes checked_residual on its own block, and
-    sector_low's merge (_merge_levels) keeps the lowest `count`.  Before
-    the orbit table or any kernel is built, the larger of the build (the
-    table and the entries) and the solve (the blocks, the Lanczos and
+    blocks are those of the reflection x spin flip (about 2^(L-2) states
+    each) when h is also invariant under the reflection R, as every
+    Hamiltonian of an open chain or a ring is, and otherwise the two
+    parity blocks of 2^(L-1) states (_symmetry_group).  They come as CSR
+    matrices from one kernel call on the orbit table (_sector_blocks).
+    Each block gives its lowest min(count, d) levels, by ARPACK
+    (_checked_lanczos) or, for a block too small for it, a dense eigh;
+    every pair passes checked_residual on its own block, and sector_low's
+    merge (_merge_levels) keeps the lowest `count`, labelled by parity.
+    Before the orbit table or any kernel is built, the larger of the build
+    (the table and the entries) and the solve (the blocks, the Lanczos and
     sector vectors, the expanded states and eig_low's re-orthonormalized
-    copies) is charged against physical memory (_check_memory), and a
-    Lanczos retry's extra vectors on top of the solve.
+    copies, with every block taken as large as a parity block) is charged
+    against physical memory (_check_memory), and a Lanczos retry's extra
+    vectors on top of the solve.
     """
     h = _as_sum(h)
-    _check_invariant(h, False, "the operator")
+    group = _symmetry_group(h, ("RP", "P"))
+    if group is None:   # raises: h is not invariant under P
+        _check_invariant(h, "P", "the operator")
     L = h.length
     dim = 1 << L
     d = dim // 2
     n = min(count, d)
-    # Krylov vectors per block: fewer than the full space's 40 run faster,
-    # and 28 kept every window of the benchmark's spectra exact at 12-14
-    # sites, where 20-24 dropped a copy of a multiplet now and then
-    ncv = int(min(d, max(2 * n + 1, 28)))
+
+    def krylov(k, size):
+        """Krylov vectors for k levels of a block of `size` states: fewer
+        than the full space's 40 run faster, 28 kept every window of the
+        benchmark's spectra exact at 12-14 sites, where 20-24 dropped a
+        copy of a multiplet now and then, and 3 per level kept the 14-site
+        ring's window of 12 at lambda = 0 exact, where 28 dropped copies
+        of a level sevenfold in one (r, p) block."""
+        return int(min(size, max(3 * k, 28)))
+
+    ncv = krylov(n, d)
     item = 8 if has_real_matrix(h) else 16
     x_masks = len({x for x, _ in h.items()})
     # the larger of two phases.  Building: the orbit table with its check,
-    # and _sector_entries' half-size kernel rows, gathered rows and values
-    # (tracemalloc: 25.5 bytes per state and x mask, real h, 14-18 sites).
-    # Solving: the table and blocks, one solve's ARPACK vectors, the kept
-    # and residual sector vectors, and the states with eig_low's
-    # re-orthonormalized copies of a ground cluster as wide as the window.
+    # and _sector_entries' kernel rows, gathered rows and values
+    # (tracemalloc: 25.5 bytes per state and x mask, real h, 14-18 sites,
+    # on the parity blocks).  Solving: the table and blocks, one solve's
+    # ARPACK vectors, the kept and residual sector vectors, and the states
+    # with eig_low's re-orthonormalized copies of a ground cluster as wide
+    # as the window.
     build = dim * (64 + x_masks * (3 * item + 8))
     solve = (dim * (64 + x_masks * (item + 4)) + (ncv + 5 * n + 4) * d * item
              + 4 * min(count, dim) * dim * 16)
     _check_memory(max(build, solve), "iterative", L,
-                  f"2 sector blocks, {ncv} Lanczos vectors and the states")
-    table = _sector_table(L, periodic=False)
-    _check_table(table, False)
+                  f"the sector blocks, {ncv} Lanczos vectors and the states")
+    table = _sector_table(L, group)
+    _check_table(table)
     norm_h = h.norm_bound()
     solved, worst = [], 0.0
     for (_, p), block in zip(table.keys, _sector_blocks(table, h)):
-        if n > d - 2:   # ARPACK needs k < d - 1
+        size = block.shape[0]
+        k = min(count, size)
+        if k > size - 2:   # ARPACK needs k < d - 1
             e, w = scipy.linalg.eigh(block.toarray(),
-                                     subset_by_index=[0, n - 1])
+                                     subset_by_index=[0, k - 1])
             residual = checked_residual(block @ w, w, e, norm_h)
         else:
-            e, w, residual = _checked_lanczos(block, n, ncv, norm_h,
-                                              solve, L)
+            e, w, residual = _checked_lanczos(block, k, krylov(k, size),
+                                              norm_h, solve, L)
         worst = max(worst, residual)
         solved.append((p, e, w))
-    del block   # it holds both blocks' entries
+    del block   # it holds every block's entries
     return (*_merge_levels(table, solved, count, atol, {}), worst)
 
 

@@ -122,24 +122,25 @@ def forbidden_set(lattice: LatticeSpec) -> list:
 
     The generators square to the identity and commute pairwise up to sign, so
     subset products exhaust the generated group up to phase.  Each product is
-    canonicalized to its Hermitian representative with a +1 prefix; the list
+    canonicalized to its Hermitian representative with a +1 prefix, so only
+    its masks matter: they are the XOR of the generators' masks.  The list
     is deduplicated by masks and sorted by (weight, letters) for stable
     reports.  Any one of these operators, added to the Hamiltonian, splits the
     ground degeneracy, which is what the global symmetries must rule out.
     """
-    gens = edge_generators(lattice)
     L = lattice.length
-    seen = {}
-    for mask in range(1, 16):
-        prod = PauliString.identity(L)
-        for b, g in enumerate(gens):
-            if mask & (1 << b):
-                prod = prod * g
-        n_y = (prod.x_mask & prod.z_mask).bit_count()
-        canon = PauliString(L, n_y, prod.x_mask, prod.z_mask)
-        seen[(canon.x_mask, canon.z_mask)] = canon
-    out = sorted(seen.values(), key=lambda p: (p.weight, p.letters))
-    return [OperatorSum.from_pauli(p) for p in out]
+    masks = [(0, 0)]
+    for g in edge_generators(lattice):
+        masks += [(x ^ g.x_mask, z ^ g.z_mask) for x, z in masks]
+
+    def order(xz):
+        """(weight, letters), the letters as the number whose base-4 digits
+        are 2z + (x ^ z) per site, site 1 first: I, X, Y, Z ascending."""
+        x, z = xz
+        return (x | z).bit_count(), 2 * int(f"{z:b}", 4) + int(f"{x ^ z:b}", 4)
+
+    return [OperatorSum.from_pauli(PauliString(L, (x & z).bit_count(), x, z))
+            for x, z in sorted(set(masks[1:]), key=order)]
 
 
 def local_symmetry_pair(s: int, lattice: LatticeSpec):

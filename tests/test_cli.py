@@ -397,9 +397,10 @@ class TestParserReuse:
 
 class TestMemoryBudget:
     def test_oversized_run_fails_early(self, capsys, monkeypatch):
-        # the two 2^23-state parity blocks' solve phase: 24 x masks at 12
-        # bytes plus the table, 28 Lanczos vectors and the kept sector
-        # vectors, and 8 complex states with the ground cluster's copies
+        # the solve phase, each block charged as a 2^23-state parity block:
+        # 24 x masks at 12 bytes plus the table, 28 Lanczos vectors and the
+        # kept sector vectors, and 8 complex states with the ground
+        # cluster's copies
         monkeypatch.setattr(engine, "_physical_memory", lambda: 7 << 30)
         t0 = time.perf_counter()
         assert main(["spectrum", "--size", "24", "--boundary", "periodic",
@@ -410,15 +411,16 @@ class TestMemoryBudget:
                      "iterative"]) == 0
 
     def test_dense_budget_counts_sector_blocks(self, capsys, monkeypatch):
-        # 64 MiB holds the 24 blocks of about 171 states of the 12-site
-        # ring, not the two 2048 x 2048 float64 parity blocks of the chain
-        monkeypatch.setattr(engine, "_physical_memory", lambda: 64 << 20)
+        # 32 MiB holds the 24 blocks of about 171 states of the 12-site
+        # ring, not the four (r, p) blocks of about 1024 x 1024 float64 of
+        # the chain
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 32 << 20)
         assert main(["spectrum", "--size", "12", "--boundary", "periodic",
                      "--method", "dense"]) == 0
         capsys.readouterr()
         assert main(["spectrum", "--size", "12", "--boundary", "open",
                      "--method", "dense"]) == 2
-        assert "needs about 0.1 GB (2 sector blocks plus row tables)" in \
+        assert "needs about 0.1 GB (4 sector blocks plus row tables)" in \
             capsys.readouterr().err
 
     def test_scan_sector_path_checks_the_budget(self, capsys, monkeypatch):

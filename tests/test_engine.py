@@ -197,12 +197,12 @@ class TestEigLow:
         np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("L,widths", [(8, [28, 56]), (6, [28, 32]),
-                                          (5, [16])])
+    @pytest.mark.parametrize("L,widths", [(8, [28, 56]), (6, [20]),
+                                          (5, [10]), (7, [28, 36])])
     def test_lanczos_retry_is_made_once(self, L, widths):
-        # every solve of the parity blocks misses its bound: one retry with
-        # twice the vectors, capped at the block's 2^(L-1) states, and none
-        # when the first solve already spans the block
+        # every solve of the (r, p) blocks misses its bound: one retry with
+        # twice the vectors, capped at the first block's 72, 20, 10 or 36
+        # states, and none when the first solve already spans the block
         solve = engine._lanczos
 
         def shifted(m, count, ncv):

@@ -103,6 +103,26 @@ class TestEdgeAlgebra:
             seen.add((p.x_mask, p.z_mask))
         assert len(seen) == 15
 
+    @pytest.mark.parametrize("L", [3, 4, 9, 15, 21])
+    def test_forbidden_set_matches_the_string_products(self, L):
+        # the reference multiplies the generators of every subset as
+        # PauliStrings and sorts by weight, then the letter string
+        lat = LatticeSpec(L, "open")
+        gens = cs.edge_generators(lat)
+        seen = {}
+        for subset in range(1, 16):
+            prod = PauliString.identity(L)
+            for b, g in enumerate(gens):
+                if subset & (1 << b):
+                    prod = prod * g
+            n_y = (prod.x_mask & prod.z_mask).bit_count()
+            canon = PauliString(L, n_y, prod.x_mask, prod.z_mask)
+            seen[(canon.x_mask, canon.z_mask)] = canon
+        want = sorted(seen.values(), key=lambda p: (p.weight, p.letters))
+        got = cs.forbidden_set(lat)
+        assert [op.items() for op in got] == \
+            [OperatorSum.from_pauli(p).items() for p in want]
+
     def test_forbidden_set_contains_named_products(self):
         lat = LatticeSpec(9, "open")
         letters = {op.manifest_lines()[0].split()[-1]

@@ -1,4 +1,4 @@
-"""Lanczos per spin-flip block (engine.sector_lanczos): against the dense
+"""Lanczos per symmetry block (engine.sector_lanczos): against the dense
 sector path up to 12 sites, against the free-fermion levels of
 bench/oracle.py at 13-14 sites, and its memory budget."""
 
@@ -38,7 +38,7 @@ def test_sector_lanczos_matches_the_dense_sector_path(L, boundary, lam,
     # a wider dense window, so a level Krylov returned in place of a
     # dropped copy is in it too
     want, want_labels, _, _ = engine.sector_low(
-        engine.project_sectors([h], lat.is_periodic), [1.0],
+        engine.project_sectors([h], "TP" if lat.is_periodic else "RP"), [1.0],
         min(4 * count, (1 << L) - 2), h.norm_bound())
     assert vals.shape == (count,)
     assert worst <= engine.RESIDUAL_RTOL * max(1.0, h.norm_bound())
@@ -62,11 +62,12 @@ def test_sector_lanczos_matches_the_dense_sector_path(L, boundary, lam,
 @pytest.mark.parametrize("L,boundary", [(6, "periodic"), (7, "periodic"),
                                         (8, "open")])
 def test_csr_blocks_are_the_dense_projection(L, boundary):
-    # both layouts take _sector_entries' rows; a ring's table has orbit
-    # sums that vanish in some sectors, whose entries the blocks drop
+    # both layouts take _sector_entries' rows; a ring's and a reflection's
+    # tables have orbit sums that vanish in some sectors, whose entries the
+    # blocks drop
     lat = LatticeSpec(L, boundary)
     h = cs.perturbed_hamiltonian(lat, 0.7)
-    projected = engine.project_sectors([h], lat.is_periodic)
+    projected = engine.project_sectors([h], "TP" if lat.is_periodic else "RP")
     blocks = engine._sector_blocks(projected.table, h)
     sectors = projected.sectors
     assert len(blocks) == len(sectors)
@@ -111,6 +112,45 @@ def test_iterative_window_is_the_free_fermion_window(L, boundary, lam):
     assert spect.ground_degeneracy == min(free_fermion.multiplet(want), 8)
 
 
+# Windows that the two parity blocks cut, each holding a level degenerate
+# inside one parity block: they dropped copies by 2.0e-4 (the chain), 1.4e-3
+# (the 8-site ring) and 2.0 (the rings at lambda = 0, whose level above the
+# ground state is 13- and 14-fold).  The (r, p) blocks hold them whole.
+PARITY_CUT = [(12, "open", 0.001, 8), (8, "periodic", 0.001, 4),
+              (13, "periodic", 0.0, 12), (14, "periodic", 0.0, 12)]
+
+
+@pytest.mark.parametrize("L,boundary,lam,count", PARITY_CUT)
+def test_windows_the_parity_blocks_cut_are_whole(L, boundary, lam, count):
+    h = cs.perturbed_hamiltonian(LatticeSpec(L, boundary), lam)
+    spect = cs.eig_low(h, count=count, method="iterative")
+    want = np.array([e for e, _ in
+                     free_fermion.spectrum(L, boundary == "periodic", lam)])
+    np.testing.assert_allclose(spect.eigenvalues, want[:count], rtol=0,
+                               atol=1e-12)
+    assert spect.ground_degeneracy == min(free_fermion.multiplet(want),
+                                          count)
+
+
+# the benchmark's lanczos-spectrum couplings: the midpoints of its five
+# strata of [0, 1.5]
+STRATA = [0.15, 0.45, 0.75, 1.05, 1.35]
+
+
+@pytest.mark.parametrize("L", [13, 14])
+@pytest.mark.parametrize("lam", STRATA)
+def test_chain_windows_at_the_benchmark_couplings(L, lam):
+    vals, labels, _, _ = engine.sector_lanczos(
+        cs.perturbed_hamiltonian(LatticeSpec(L, "open"), lam), 8)
+    levels = free_fermion.spectrum(L, False, lam)
+    np.testing.assert_allclose(vals, [e for e, _ in levels[:8]], rtol=0,
+                               atol=1e-12)
+    # the window ends on a whole multiplet at these couplings, so its
+    # levels carry the oracle's parities
+    assert levels[8][0] - levels[7][0] > 1e-8
+    assert sorted(labels) == sorted(p for _, p in levels[:8])
+
+
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_labels_are_the_free_fermion_parities(boundary):
     # every cluster the window keeps whole carries the oracle's parities
@@ -140,8 +180,8 @@ def test_scan_above_the_dense_sizes_matches_the_free_fermion_levels():
 
 
 def test_budget_covers_the_chain_solve():
-    # building the two 8192-state blocks of the 14-site chain, then their
-    # solves and the expanded states
+    # building the four (r, p) blocks of about 4096 states of the 14-site
+    # chain, then their solves and the expanded states
     h = cs.perturbed_hamiltonian(LatticeSpec(14, "open"), 0.45)
     with mock.patch.object(engine, "_check_memory",
                            wraps=engine._check_memory) as spy:

@@ -1,7 +1,8 @@
-"""Symmetry-sector exact diagonalization: the translation x spin-flip bases,
-the once-per-lattice projection with its invariance guard, the
-per-sector solve against the full dense spectrum, and eig_low's dense path,
-per sector or on the full space, against the Kronecker oracle."""
+"""Symmetry-sector exact diagonalization: the translation x spin-flip,
+reflection x spin-flip and spin-flip bases, the once-per-lattice projection
+with its invariance guard, the per-sector solve against the full dense
+spectrum, and eig_low's dense path, per sector or on the full space, against
+the Kronecker oracle."""
 
 import dataclasses
 import tracemalloc
@@ -34,38 +35,59 @@ def translation_matrix(L):
     return t
 
 
-def reference_sectors(L, periodic):
-    """{(k, p): V} for every nonempty sector, in ascending k then p = +1,
-    -1, built from binary strings: the columns of V are the normalized orbit
-    sums sum_{j,s} e^{-2 pi i k j / L} p^s T^j P^s |r> over the orbits'
-    smallest indices r in ascending order, T as in translation_matrix and P
-    the complement of every bit.  Open chains have P alone, as k = 0.  A
-    real character (2k = 0 mod L) gives a real V."""
+def reflection_matrix(L):
+    """The reflection R (site i to L+1-i) as a permutation matrix, built
+    from binary strings with site 1 first."""
     dim = 1 << L
-    shifts = L if periodic else 1
+    r = np.zeros((dim, dim))
+    for b in range(dim):
+        r[int(format(b, f"0{L}b")[::-1], 2), b] = 1.0
+    return r
+
+
+# each boundary's orbit-table groups: a ring's translation x spin flip, and
+# on an open chain the reflection x spin flip and the spin flip alone
+GROUPS = {"periodic": ("TP",), "open": ("RP", "P")}
+ORDER = {"TP": lambda L: L, "RP": lambda L: 2, "P": lambda L: 1}
+
+
+def reference_sectors(L, group):
+    """{(k, p): V} for every nonempty sector of `group`, in ascending k then
+    p = +1, -1, built from binary strings: the columns of V are the
+    normalized orbit sums sum_{j,s} e^{-2 pi i k j / n} p^s G^j P^s |r> over
+    the orbits' smallest indices r in ascending order, P the complement of
+    every bit and G of order n the translation T of translation_matrix
+    ("TP", n = L), the reflection R of reflection_matrix ("RP", n = 2), or
+    none ("P", n = 1, k = 0).  A real character (2k = 0 mod n) gives a
+    real V."""
+    dim = 1 << L
+    order = ORDER[group](L)
     orbits = {}
     for b in range(dim):
         bits = format(b, f"0{L}b")
-        images = []   # (j, s, T^j P^s b)
-        for j in range(shifts):
-            t = bits[L - j:] + bits[:L - j]
+        images = []   # (j, s, G^j P^s b)
+        for j in range(order):
+            if group == "RP":
+                t = bits[::-1] if j else bits
+            else:
+                t = bits[L - j:] + bits[:L - j]
             flip = "".join("1" if c == "0" else "0" for c in t)
             images += [(j, 0, int(t, 2)), (j, 1, int(flip, 2))]
         orbits.setdefault(min(img for _, _, img in images), images)
     sectors = {}
-    for k in range(shifts):
+    for k in range(order):
         for p in (1, -1):
             cols = []
             for _, images in sorted(orbits.items()):
                 u = np.zeros(dim, dtype=complex)
                 for j, s, img in images:
-                    u[img] += np.exp(-2j * np.pi * k * j / L) * p ** s
+                    u[img] += np.exp(-2j * np.pi * k * j / order) * p ** s
                 norm = np.linalg.norm(u)
                 if norm > 1e-9:
                     cols.append(u / norm)
             if cols:
                 v = np.column_stack(cols)
-                if 2 * k % L == 0:
+                if 2 * k % order == 0:
                     assert np.abs(v.imag).max() <= 1e-15
                     v = v.real
                 sectors[(k, p)] = v
@@ -80,44 +102,48 @@ SECTOR_CASES = pytest.mark.parametrize(
 @SECTOR_CASES
 def test_concatenated_sector_bases_are_unitary(L, boundary):
     lat = LatticeSpec(L, boundary)
-    sectors = reference_sectors(L, lat.is_periodic)
-    v = np.hstack(list(sectors.values()))
-    assert v.shape == (1 << L, 1 << L)
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(1 << L), atol=1e-13)
     parity = cs.dense_matrix(cs.spin_flip_symmetries(lat)[0])
-    t = translation_matrix(L)
-    for (k, p), basis in sectors.items():
-        np.testing.assert_allclose(parity @ basis, p * basis, atol=1e-13)
-        if lat.is_periodic:
-            np.testing.assert_allclose(
-                t @ basis, np.exp(2j * np.pi * k / L) * basis, atol=1e-13)
-        else:
-            assert k == 0
+    moves = {"TP": translation_matrix(L), "RP": reflection_matrix(L)}
+    for group in GROUPS[boundary]:
+        sectors = reference_sectors(L, group)
+        v = np.hstack(list(sectors.values()))
+        assert v.shape == (1 << L, 1 << L)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(1 << L),
+                                   atol=1e-13)
+        order = ORDER[group](L)
+        for (k, p), basis in sectors.items():
+            np.testing.assert_allclose(parity @ basis, p * basis, atol=1e-13)
+            if group in moves:
+                np.testing.assert_allclose(
+                    moves[group] @ basis,
+                    np.exp(2j * np.pi * k / order) * basis, atol=1e-13)
+            else:
+                assert k == 0
 
 
 @SECTOR_CASES
 def test_row_forms_match_the_reference_bases(L, boundary):
-    periodic = boundary == "periodic"
-    table = engine._sector_table(L, periodic)
-    sectors = reference_sectors(L, periodic)
-    assert list(table.keys) == list(sectors)
-    for i, ((k, p), want) in enumerate(sectors.items()):
-        col, val = engine._row_form(table, i)
-        rows = np.flatnonzero(col >= 0)
-        basis = np.zeros(want.shape, dtype=complex)
-        basis[rows, col[rows]] = val[rows]
-        np.testing.assert_allclose(basis, want, rtol=0, atol=1e-14)
-        # a real character (k = 0 or L/2, every open-chain sector) keeps
-        # the blocks, and so their solves, real
-        assert (not np.iscomplexobj(val) or not val.imag.any()) \
-            == (2 * k % L == 0)
+    for group in GROUPS[boundary]:
+        table = engine._sector_table(L, group)
+        sectors = reference_sectors(L, group)
+        assert list(table.keys) == list(sectors)
+        for i, ((k, p), want) in enumerate(sectors.items()):
+            col, val = engine._row_form(table, i)
+            rows = np.flatnonzero(col >= 0)
+            basis = np.zeros(want.shape, dtype=complex)
+            basis[rows, col[rows]] = val[rows]
+            np.testing.assert_allclose(basis, want, rtol=0, atol=1e-14)
+            # a real character (k = 0 or L/2 on a ring, every sector of R x
+            # P or P alone) keeps the blocks, and so their solves, real
+            assert (not np.iscomplexobj(val) or not val.imag.any()) \
+                == (2 * k % table.order == 0)
 
 
 def test_projection_guard_rejects_a_symmetry_breaking_operator():
     lat = LatticeSpec(6, "periodic")
     field = OperatorSum.from_pauli(PauliString.single(6, 3, "Z"), 0.1)
     with pytest.raises(ConvergenceError, match="not invariant"):
-        engine.project_sectors((cs.cluster_hamiltonian(lat) + field,), True)
+        engine.project_sectors((cs.cluster_hamiltonian(lat) + field,), "TP")
 
 
 def test_residual_message_states_the_applied_bound():
@@ -140,7 +166,8 @@ def test_sector_solve_matches_dense(L, boundary, lam):
     h_i = cs.ising_perturbation(lat, 1.0)
     h = cs.perturbed_hamiltonian(lat, lam)
     count, atol = 12, 1e-8
-    projected = engine.project_sectors((h_c, h_i), lat.is_periodic)
+    projected = engine.project_sectors(
+        (h_c, h_i), "TP" if lat.is_periodic else "RP")
     vals, labels, states, _ = engine.sector_low(projected, (1.0, lam), count,
                                                 h.norm_bound(), atol=atol)
 
@@ -201,8 +228,8 @@ def test_imaginary_coefficients_solve_every_sector(L):
     h = cs.cluster_hamiltonian(lat) + OperatorSum.from_terms(
         L, [(0.7, PauliString.from_sites(L, {j: "Y", j % L + 1: "Z"}))
             for j in range(1, L + 1)])
-    assert not engine.has_real_matrix(h) and engine._symmetry_group(h)
-    projected = engine.project_sectors([h], True)
+    assert not engine.has_real_matrix(h) and engine._symmetry_group(h) == "TP"
+    projected = engine.project_sectors([h], "TP")
     assert projected.twins == (-1,) * len(projected.sectors)
     with mock.patch.object(engine.scipy.linalg, "eigh",
                            wraps=scipy.linalg.eigh) as eigh:
@@ -218,7 +245,7 @@ def test_merge_keeps_the_sorted_reference_order(rng):
     # atol 0.5 each cluster is one energy.  The reference is Python's
     # stable sort of the levels by energy, cut to the window, then by
     # parity inside each energy; each kept state is V w from the row form
-    table = engine._sector_table(6, True)
+    table = engine._sector_table(6, "TP")
     count = 10
     for _ in range(5):
         solved = []
@@ -305,8 +332,9 @@ def test_direct_blocks_match_the_sparse_projection(case):
     scale = max(1.0, op.norm_bound())
     m = cs.operator_matrix(op)
     real = engine.has_real_matrix(op)
-    projected = engine.project_sectors((op,), boundary == "periodic").sectors
-    sectors = reference_sectors(L, boundary == "periodic")
+    group = "TP" if boundary == "periodic" else "P"
+    projected = engine.project_sectors((op,), group).sectors
+    sectors = reference_sectors(L, group)
     assert [(k, p) for k, p, _ in projected] == list(sectors)
     for k, p, (block,) in projected:
         # the projection on the reference basis: two matrix products
@@ -351,14 +379,17 @@ def test_dense_path_matches_the_oracle(case, count):
 
     flip = conserves(kron_from_letters("X" * L).real)
     ring = flip and conserves(translation_matrix(L))
+    mirror = flip and conserves(reflection_matrix(L))
     with mock.patch.object(engine, "project_sectors",
                            wraps=engine.project_sectors) as spy:
         spect = cs.eig_low(op, count=count, method="dense")
     # the sector path runs exactly for the invariant sums, on the ring's
-    # sectors when the translation conserves them too
+    # sectors when the translation conserves them too, else on the
+    # reflection's when it does
     assert spy.call_count == flip
     if flip:
-        assert spy.call_args.args[1] == ring
+        assert spy.call_args.args[1] == ("TP" if ring else
+                                         "RP" if mirror else "P")
 
     want = np.linalg.eigvalsh(m)
     n = min(count, 1 << L)
@@ -389,7 +420,7 @@ def test_projection_guard_rejects_a_broken_bond():
                                   1e-9)
     with pytest.raises(ConvergenceError, match="not invariant"):
         engine.project_sectors((cs.cluster_hamiltonian(lat),
-                                cs.ising_perturbation(lat, 1.0) + bond), True)
+                                cs.ising_perturbation(lat, 1.0) + bond), "TP")
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -398,7 +429,8 @@ def test_projection_guard_rejects_a_flip_odd_field(boundary):
     field = OperatorSum.from_terms(
         7, [(1.0, PauliString.single(7, i, "Z")) for i in range(1, 8)])
     with pytest.raises(ConvergenceError, match="not invariant"):
-        engine.project_sectors((field,), lat.is_periodic)
+        engine.project_sectors((field,),
+                               "TP" if lat.is_periodic else "RP")
 
 
 def test_projection_guard_rejects_a_broken_basis(monkeypatch):
@@ -410,29 +442,29 @@ def test_projection_guard_rejects_a_broken_basis(monkeypatch):
                                  ("elem", 1, lambda v: (v + 2) % 12),
                                  ("orbit", 1, lambda v: v + 1),
                                  ("size", 0, lambda v: v + 1)]:
-        def tampered(length, periodic):
-            table = build(length, periodic)
+        def tampered(length, group):
+            table = build(length, group)
             values = getattr(table, field).copy()
             values[index] = change(values[index])
             return dataclasses.replace(table, **{field: values})
 
         monkeypatch.setattr(engine, "_sector_table", tampered)
         with pytest.raises(ConvergenceError, match="orthonormal eigenbasis"):
-            engine.project_sectors((cs.cluster_hamiltonian(lat),), True)
+            engine.project_sectors((cs.cluster_hamiltonian(lat),), "TP")
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_orbit_table_check_accepts_every_size(boundary):
     # the characters pass the check from 13 sites up only when their
     # phases are reduced mod 2 pi
-    periodic = boundary == "periodic"
     for L in range(3, 17):
-        engine._check_table(engine._sector_table(L, periodic), periodic)
+        for group in GROUPS[boundary]:
+            engine._check_table(engine._sector_table(L, group))
 
 
 def test_dense_budget_covers_the_chain_solve():
-    # the two 2048-state parity blocks of the 12-site chain, then the
-    # summed block of one and the copy eigh makes of it
+    # the four (r, p) blocks of about 1024 states of the 12-site chain,
+    # then the summed block of one and the copy eigh makes of it
     h = cs.cluster_hamiltonian(LatticeSpec(12, "open"))
     with mock.patch.object(engine, "_check_memory",
                            wraps=engine._check_memory) as spy:
@@ -467,7 +499,7 @@ def test_dense_budget_covers_the_ring_solve(solve):
 
 
 def test_dense_budget_covers_the_chain_scan():
-    # the two parity blocks of both operators of the 12-site chain, then
+    # the four (r, p) blocks of both operators of the 12-site chain, then
     # each coupling's sum of them and the copy eigh makes of it
     with mock.patch.object(engine, "_check_memory",
                            wraps=engine._check_memory) as spy:
@@ -479,3 +511,169 @@ def test_dense_budget_covers_the_chain_scan():
             tracemalloc.stop()
     assert spy.call_count == 1
     assert peak <= spy.call_args.args[0]
+
+
+def reflected(mask, L):
+    """A mask mirrored along the chain (site i to L+1-i), through its
+    binary string with site 1 first."""
+    return int(format(mask, f"0{L}b")[::-1], 2)
+
+
+@st.composite
+def mirror_operators(draw):
+    """(L, M): M a random Hermitian sum of Pauli strings of even z weight,
+    each with its mirror image, so that the reflection R and the spin flip
+    P conserve it, on the open chain's H_C + lam H_I or not; coefficients
+    real or complex, L odd or even."""
+    L = draw(st.integers(3, 10))
+    complex_coeffs = draw(st.booleans())
+    op = OperatorSum.zero(L)
+    if draw(st.booleans()):
+        op = cs.perturbed_hamiltonian(LatticeSpec(L, "open"),
+                                      draw(st.floats(0.0, 1.5)))
+    for _ in range(draw(st.integers(1, 5))):
+        x = draw(st.integers(0, (1 << L) - 1))
+        z = draw(st.integers(0, (1 << L) - 1))
+        if bin(z).count("1") % 2:
+            z ^= 1
+        coeff = draw(st.floats(-2.0, 2.0))
+        if complex_coeffs:
+            coeff += 1j * draw(st.floats(-2.0, 2.0))
+        for xm, zm in ((x, z), (reflected(x, L), reflected(z, L))):
+            op = op + OperatorSum.from_pauli(PauliString(L, 0, xm, zm), coeff)
+    op = op + op.adjoint()
+    assume(not op.is_zero)
+    return L, op
+
+
+MIRROR = settings(max_examples=15, derandomize=True, deadline=None)
+
+# the open chain's Hamiltonian, with its edge quartet at lambda = 0, and
+# a ring's, which the reflection conserves too
+NINE_SITES = (9, cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3))
+EDGE_QUARTET = (10, cs.perturbed_hamiltonian(LatticeSpec(10, "open"), 0.0))
+RING = (6, cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"), 0.7))
+
+
+@MIRROR
+@given(mirror_operators())
+@example(NINE_SITES)
+@example(EDGE_QUARTET)
+@example(RING)
+def test_reflection_blocks_match_the_oracle(case):
+    # each (r, p) block of the projection is V^H M V on the reference
+    # basis of binary strings, M the Kronecker oracle, with no leak
+    L, op = case
+    m = oracle_sum_matrix(op)
+    scale = max(1.0, op.norm_bound())
+    assert engine._symmetry_group(op, ("RP", "P")) == "RP"
+    projected = engine.project_sectors((op,), "RP")
+    sectors = reference_sectors(L, "RP")
+    assert [(k, p) for k, p, _ in projected.sectors] == list(sectors)
+    real = engine.has_real_matrix(op)
+    for k, p, (block,) in projected.sectors:
+        v = sectors[(k, p)]
+        assert np.abs(block - v.conj().T @ m @ v).max() <= 1e-13 * scale
+        assert np.linalg.norm(m @ v - v @ block) <= 1e-12 * scale
+        assert block.dtype == (np.float64 if real else np.complex128)
+
+
+@MIRROR
+@given(mirror_operators(), st.integers(1, 12))
+@example(NINE_SITES, 6)
+@example(EDGE_QUARTET, 8)
+@example(RING, 12)
+def test_reflection_solves_match_the_full_space(case, count):
+    # eig_low takes the (r, p) blocks; dense, it gives the
+    # full space's lowest levels and ground multiplicity exactly, and so
+    # does Lanczos unless a level of the window is degenerate inside one
+    # block, where each level it returns is still a true level
+    L, op = case
+    m = oracle_sum_matrix(op)
+    want = np.linalg.eigvalsh(m)
+    inside = [np.linalg.eigvalsh(v.conj().T @ m @ v)
+              for v in reference_sectors(L, "RP").values()]
+    n = min(count, 1 << L)
+    width = engine.CLUSTER_RTOL * max(1.0, abs(want[0]))
+    deg = min(n, int(np.sum(want <= want[0] + width)))
+    with mock.patch.object(engine, "_sector_table",
+                           wraps=engine._sector_table) as spy:
+        dense = cs.eig_low(op, count=count, method="dense")
+        iterative = cs.eig_low(op, count=count, method="iterative")
+    # a ring's (k, p) blocks go first on the dense path, for the ring's
+    # Hamiltonian and any sum the translation happens to conserve too
+    # (a count too close to 2^L solves densely on both)
+    group = "TP" if engine._implied_leak(op, "TP") <= 1e-12 * max(
+        1.0, op.norm_bound()) else "RP"
+    lanczos = "RP" if count <= (1 << L) - 2 else group
+    assert [c.args for c in spy.call_args_list] == [(L, group),
+                                                    (L, lanczos)]
+    np.testing.assert_allclose(dense.eigenvalues, want[:n], rtol=0,
+                               atol=1e-12)
+    assert dense.ground_degeneracy == deg
+    degenerate = any(np.sum(np.abs(e - w) <= 1e-8) > 1
+                     for w in inside for e in want[:n])
+    if degenerate:
+        assert np.abs(iterative.eigenvalues[:, None] - want).min(axis=1) \
+            .max() <= 1e-12
+    else:
+        np.testing.assert_allclose(iterative.eigenvalues, want[:n], rtol=0,
+                                   atol=1e-12)
+        assert iterative.ground_degeneracy == deg
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+def test_palindromes_survive_only_in_their_sectors(L):
+    # a palindrome (R b = b) has an orbit sum only where r = +1, and an
+    # anti-palindrome (R b = P b, even L only) only where r p = +1; every
+    # other orbit has four states and a sum in every sector
+    table = engine._sector_table(L, "RP")
+    b = np.arange(1 << L)
+    mirror = np.array([reflected(int(v), L) for v in b])
+    flip = b ^ ((1 << L) - 1)
+    assert (mirror == flip).any() == (L % 2 == 0)
+    for i, (k, p) in enumerate(table.keys):
+        r = (-1) ** k
+        alive = table.cols[i][table.orbit] >= 0
+        assert (alive[mirror == b] == (r == 1)).all()
+        assert (alive[mirror == flip] == (r * p == 1)).all()
+        assert alive[(mirror != b) & (mirror != flip)].all()
+
+
+@pytest.mark.parametrize("field", ["chars", "elem"])
+def test_orbit_table_check_rejects_a_wrong_reflection(field):
+    # the character of R in sector (1, +1) flipped to +1, or the group
+    # element of the first state mapped by R to its orbit's smallest index
+    # with R dropped
+    table = engine._sector_table(8, "RP")
+    values = getattr(table, field).copy()
+    if field == "chars":
+        i = table.keys.index((1, 1))
+        values[i, 2:] = -values[i, 2:]
+    else:
+        b = int(np.flatnonzero(values >= 2)[0])
+        values[b] ^= 2
+    with pytest.raises(ConvergenceError, match="orthonormal eigenbasis"):
+        engine._check_table(dataclasses.replace(table, **{field: values}))
+
+
+def test_groups_are_read_off_the_coefficients():
+    # translation first, then the reflection, then the spin flip alone: a
+    # ring solves densely on (k, p) blocks and by Lanczos on (r, p) ones,
+    # a chain on (r, p) blocks, and a chain with a field on site 2, which
+    # P conserves and R does not, on the parity blocks
+    chain = cs.perturbed_hamiltonian(LatticeSpec(8, "open"), 0.4)
+    field = OperatorSum.from_pauli(PauliString.single(8, 2, "X"), 0.3)
+    cases = [(cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 0.4),
+              "TP", "RP"), (chain, "RP", "RP"), (chain + field, "P", "P")]
+    for h, dense_group, lanczos_group in cases:
+        assert engine._symmetry_group(h) == dense_group
+        want = np.linalg.eigvalsh(oracle_sum_matrix(h))[:6]
+        for method, group in (("dense", dense_group),
+                              ("iterative", lanczos_group)):
+            with mock.patch.object(engine, "_sector_table",
+                                   wraps=engine._sector_table) as spy:
+                spect = cs.eig_low(h, count=6, method=method)
+            assert spy.call_args.args == (8, group)
+            np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
+                                       atol=1e-12)

@@ -77,6 +77,10 @@ COMMANDS = [
     "protect --size 15 --symbolic-only --max-probes 7 --seed 3",
     "protect --size 15 --symbolic-only --tamper A2",
     "verify --size 15 --global-symmetry --symbolic-only --tamper A2",
+    "spectrum --size 12 --boundary open --lambda 0.001 --method iterative "
+    "--count 8",
+    "spectrum --size 14 --boundary periodic --lambda 1.05 --method iterative",
+    "scan --size 11 --boundary open --lambda 0:0.6:0.3",
 ]
 
 
