@@ -57,6 +57,11 @@ RESIDUAL_RTOL = 1e-9
 
 _LANCZOS_MAXITER = 20000   # implicit restarts allowed to ARPACK
 
+# Amplitudes splitting_matrices gathers at a time (1 MiB of complex128):
+# all 96 probes of the 9-site audit at once would take 3 MiB, more than
+# the audit's own eigensolve.
+_GATHER_ENTRIES = 1 << 16
+
 # Entry tolerance of the orbit-table check in project_sectors: characters
 # from phases reduced mod 2 pi are multiplicative to 2.2e-15 on rings and
 # open chains of 3-20 sites (unreduced, to 1.7e-14 at 17 sites).
@@ -474,22 +479,39 @@ def _checked_lanczos(m, count: int, ncv: int, norm_h: float, need: int,
 def splitting_matrices(states, ops) -> np.ndarray:
     """(n, d, d) array of V^H O_m V for the n operators of `ops`, V the
     columns of `states` (StateVectors or a 2D array): every probe's
-    first-order splitting matrix over a ground space, from one gather for
-    all of them (LengthMismatchError when an operator's length is not the
-    states').
+    first-order splitting matrix over a ground space, gathered for many
+    operators at once (LengthMismatchError when an operator's length is not
+    the states').
 
-    The terms of every operator are packed once, grouped per operator by x
-    mask in ascending order as _mask_rows groups them, and each group's
+    The operators go in batches whose gathered rows hold at most
+    _GATHER_ENTRIES amplitudes (1 MiB), one operator at least; per batch
+    (_gathered_splittings) the terms are packed once, grouped per operator
+    by x mask in ascending order as _mask_rows groups them, each group's
     row data, sum_z c (-1)^popcount(z & (r ^ x)), multiplies the gathered
-    V[r ^ x] of all groups at once.  An operator's groups are then added
-    in order, as _act adds them, and one batched V^H @ moved gives every
+    V[r ^ x] of all groups at once, an operator's groups are added in
+    order, as _act adds them, and one batched V^H @ moved gives every
     matrix."""
     basis = _as_columns(states)
     ops = [_as_sum(op) for op in ops]
     dim, d = basis.shape
+    for op in ops:
+        _check_length(op, dim)
+    basis = basis.astype(np.complex128, copy=False)
+    step = max(1, _GATHER_ENTRIES // (dim * d))
+    out = np.zeros((len(ops), d, d), dtype=np.complex128)
+    for start in range(0, len(ops), step):
+        _gathered_splittings(basis, ops[start:start + step],
+                             out[start:start + step])
+    return out
+
+
+def _gathered_splittings(basis: np.ndarray, ops: list,
+                         out: np.ndarray) -> None:
+    """Write V^H O_m V of each operator of `ops` into out[m], from one
+    gather of the rows of all their x-mask groups (see
+    splitting_matrices); an operator without terms leaves its zeros."""
     owner, xs, term_group, zs, coeffs = [], [], [], [], []
     for m, op in enumerate(ops):
-        _check_length(op, dim)
         real = has_real_matrix(op)
         groups = {}
         for (x, z), c in op.items():
@@ -501,31 +523,35 @@ def splitting_matrices(states, ops) -> np.ndarray:
                 coeffs.append(c)
             owner.append(m)
             xs.append(x)
-    out = np.zeros((len(ops), d, d), dtype=np.complex128)
     if not xs:
-        return out
-    rows = np.arange(dim, dtype=np.int32)
+        return
+    rows = np.arange(basis.shape[0], dtype=np.int32)
     cols = rows ^ np.array(xs, dtype=np.int32)[:, None]
-    coeffs = np.array(coeffs)
     signs = 1.0 - 2.0 * (np.bitwise_count(
         cols[term_group] & np.array(zs, dtype=np.int32)[:, None]) & 1)
-    terms = coeffs[:, None] * signs
+    terms = np.array(coeffs)[:, None] * signs
     del signs
-    # each group's terms added in order: a + b, as _mask_rows adds 0 + a + b
-    data = terms if len(zs) == len(xs) else np.add.reduceat(
-        terms, np.searchsorted(term_group, np.arange(len(xs))))
-    moved = np.take(basis.astype(np.complex128, copy=False), cols, axis=0)
+    # each group's terms summed as _mask_rows sums them
+    last = _run_sums(terms, np.array(term_group))
+    data = terms if last.size == len(zs) else terms[last]
+    moved = np.take(basis, cols, axis=0)
     # data first, as in _act
     np.multiply(data[:, :, None], moved, out=moved)
-    # an operator's groups added in ascending order, as _act adds them
-    # (addition commutes), so its last group holds the sum
+    # each operator's groups summed as _act sums them
     owner = np.array(owner)
-    for g in np.flatnonzero(owner[1:] == owner[:-1]) + 1:
-        moved[g] += moved[g - 1]
-    last = np.flatnonzero(np.diff(owner, append=-1))
+    last = _run_sums(moved, owner)
     out[owner[last]] = basis.conj().T @ (moved if last.size == len(xs)
                                          else moved[last])
-    return out
+
+
+def _run_sums(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Sum each run of rows with equal `owner` into the run's last row, in
+    order, and return those rows' indices: ((a + b) + c), bit for bit what
+    adding the rows one by one to zeros gives (addition commutes; np.add
+    reductions may pair them otherwise)."""
+    for g in np.flatnonzero(owner[1:] == owner[:-1]) + 1:
+        rows[g] += rows[g - 1]
+    return np.flatnonzero(np.diff(owner, append=-1))
 
 
 def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:

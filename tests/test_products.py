@@ -80,6 +80,69 @@ def test_splitting_matrices_match_the_csr_projection(data, lattice, count,
         assert np.abs(m - want).max() <= 1e-13
 
 
+def _splitting_loop(basis, ops):
+    """The reference: one product off each operator's rows (engine._act)
+    and one V^H times it, operator by operator."""
+    bra = basis.conj().T
+    return [bra @ engine._act(op, basis) for op in ops]
+
+
+@PROPERTY
+@given(st.data(), lattices(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_one_gather_is_the_per_operator_loop(data, lattice, count, seed):
+    # the same sums in the same order: equal to the last bit, for sums
+    # with shared x masks, complex coefficients and none at all
+    L = lattice.length
+    probes = [data.draw(multi_term_sums(L)) for _ in range(count)]
+    probes.insert(data.draw(st.integers(0, count)), OperatorSum.zero(L))
+    basis = np.column_stack(
+        [psi.amps for psi in
+         cs.eig_low(cs.cluster_hamiltonian(lattice), count=6).ground_basis]
+        + [_random_states(seed, L, 2)])
+    got = engine.splitting_matrices(basis, probes)
+    for m, want in zip(got, _splitting_loop(basis, probes)):
+        np.testing.assert_array_equal(m, want)
+
+
+@pytest.mark.parametrize("L", [5, 9, 12])
+def test_audit_splittings_are_the_per_operator_loop(L):
+    # every probe of the audit, then its verdicts and norms against the
+    # one-matrix rule, norms as np.linalg.norm gives them
+    model = cs.build_model(LatticeSpec(L, "open"))
+    probes = dict(cs.default_probe_set(model.lattice))
+    probes.update((name, model.registry[name]) for name in model.registry
+                  if name.startswith("Sigma_"))
+    ops = [probes[name] for name in sorted(probes)]
+    basis = np.column_stack([psi.amps for psi in cs.eig_low(
+        model.registry["H_C"], count=6).ground_basis])
+    got = engine.splitting_matrices(basis, ops)
+    np.testing.assert_array_equal(got, _splitting_loop(basis, ops))
+    classes, norms = engine.splitting_classes(got)
+    for m, kind, norm in zip(got, classes, norms):
+        d = m.shape[0]
+        want = ("zero" if np.linalg.norm(m) <= 1e-10 else "scalar"
+                if np.linalg.norm(m - np.trace(m) / d * np.eye(d)) <= 1e-10
+                else "non-scalar")
+        assert kind == want == cs.splitting_class(m)
+        assert norm == np.linalg.norm(m)
+    assert {"zero", "non-scalar"} <= set(classes)
+
+
+def test_splitting_classes_at_the_tolerance():
+    # a norm just inside tol is zero and just outside is not, and the
+    # norm of the traceless part decides between scalar and non-scalar
+    eye = np.eye(4, dtype=complex)
+    stack = np.array([0.9e-10 * eye / 2, 1.1e-10 * eye / 2, 3.0 * eye,
+                      3.0 * eye + np.diag([0.9e-10, 0, 0, 0]),
+                      3.0 * eye + np.diag([2e-10, 0, 0, 0]),
+                      np.zeros((4, 4))])
+    classes, norms = engine.splitting_classes(stack)
+    assert list(classes) == ["zero", "scalar", "scalar", "scalar",
+                             "non-scalar", "zero"]
+    np.testing.assert_array_equal(norms, [np.linalg.norm(m) for m in stack])
+    assert engine.splitting_classes(np.zeros((0, 4, 4)))[0].size == 0
+
+
 def test_ground_projector_is_the_one_operator_case():
     spect = cs.eig_low(cs.cluster_hamiltonian(LatticeSpec(7, "open")))
     ops = [OperatorSum.from_pauli(PauliString.from_compact(name, 7))
