@@ -496,7 +496,6 @@ def splitting_matrices(states, ops) -> np.ndarray:
     dim, d = basis.shape
     for op in ops:
         _check_length(op, dim)
-    basis = basis.astype(np.complex128, copy=False)
     step = max(1, _GATHER_ENTRIES // (dim * d))
     out = np.zeros((len(ops), d, d), dtype=np.complex128)
     for start in range(0, len(ops), step):
@@ -534,7 +533,8 @@ def _gathered_splittings(basis: np.ndarray, ops: list,
     # each group's terms summed as _mask_rows sums them
     last = _run_sums(terms, np.array(term_group))
     data = terms if last.size == len(zs) else terms[last]
-    moved = np.take(basis, cols, axis=0)
+    moved = np.take(basis, cols, axis=0).astype(
+        np.result_type(data, basis), copy=False)
     # data first, as in _act
     np.multiply(data[:, :, None], moved, out=moved)
     # each operator's groups summed as _act sums them
