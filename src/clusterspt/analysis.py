@@ -254,7 +254,8 @@ def certify_protection(model, probes: dict | None = None,
     first-order splitting matrix of each probe over the fourfold ground
     space, all from one gather in engine.splitting_matrices on the stacked
     ground basis, with no matrix built, then classified and normed in one
-    array pass (engine.splitting_classes).
+    array pass (engine.splitting_classes); a probe of class 'zero' reports
+    norm 0.0.
     """
     if max_probes is not None and max_probes < 0:
         raise DomainError(
@@ -310,7 +311,10 @@ def certify_protection(model, probes: dict | None = None,
             is_bulk_local=bool(bulk_local[k]),
             is_forbidden=name.startswith("Sigma_"),
             splitting=None if kind is None else str(kind),
-            splitting_norm=None if norm is None else float(norm),
+            # a zero-class norm is rounding noise of whichever basis of
+            # the ground space the solver gave, reported as 0
+            splitting_norm=None if norm is None
+            else 0.0 if kind == "zero" else float(norm),
         ))
 
     per_s = {}

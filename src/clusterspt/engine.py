@@ -19,11 +19,12 @@ translation T on a ring ("TP"), times the reflection R ("RP"), or alone
 index's orbit and group element, and each sector's character and
 columns), and one helper gives each row's entries in its sector
 (`_sector_entries`).  `project_sectors` scatters them into small dense
-blocks of every sector at once and decides each momentum -k block's
-conjugate twin once, so that `sector_low`, which solves them for phase
-scans up to 12 sites and for every dense `eig_low` of a symmetric
-operator, takes per coupling and sector only a sum, an eigh and a
-residual check.  `_sector_blocks` keeps each sector's rows as a CSR
+blocks of every sector at once, real on a ring when every operator is
+real and reflection-invariant (in the bases of `_real_bases`), and
+decides each momentum -k block's conjugate twin once, so that
+`sector_low`, which solves them for phase scans up to 12 sites and for
+every dense `eig_low` of a symmetric operator, takes per coupling and
+sector only a sum, an eigh and a residual check.  `_sector_blocks` keeps each sector's rows as a CSR
 block, which `sector_lanczos` solves by Lanczos, on the (r, p) blocks of
 R x P whenever R conserves the operator, for every iterative `eig_low` of
 a P-invariant operator and for larger scans, retrying a solve once with
@@ -340,7 +341,8 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     spin flip when h is invariant under both T and P, reflection x spin
     flip when under R and P, the spin flip alone when only under P.
     dense: L <= 12, per symmetry sector when h is invariant: a ring's (k,
-    p) blocks, an open chain's four (r, p) blocks of about 2^(L-2) states.
+    p) blocks, all real when h is real and R conserves it, an open chain's
+    four (r, p) blocks of about 2^(L-2) states.
     Each sector block then gives its lowest min(count, d) levels to
     sector_low, whose merged window is exactly the lowest `count` levels.
     iterative: L <= 24, one implicitly restarted Lanczos solve per (r, p)
@@ -861,19 +863,95 @@ def _sector_entries(table: _SectorTable, op: OperatorSum, sec, rep) -> tuple:
     return target, table.chars[sec, elem[rep]] * data[rep]
 
 
+def _conjugation_pairs(table: _SectorTable) -> tuple:
+    """(sigma, phi) over the columns of every sector, sector-major as
+    project_sectors scatters them: R K |c> = phi_c |sigma_c> in c's own
+    sector, R the reflection and K the complex conjugation, sigma_c a
+    column of that sector.  R K conserves every (k, p) sector of a ring, as
+    R turns k into -k and K turns it back; R takes c's representative r
+    to the orbit of sigma_c, where its group element g_{R r} gives phi_c =
+    conj(chi(g_{R r})), the amplitude of |sigma_c> at R r being chi(g_{R
+    r}) / sqrt(N_r) where R K |c> has 1 / sqrt(N_r)."""
+    sec, rep = np.nonzero(table.cols >= 0)
+    mirror = _reflect(table.reps, table.length)[rep]
+    return (table.cols[sec, table.orbit[mirror]],
+            table.chars[sec, table.elem[mirror]].conj())
+
+
+def _real_bases(table: _SectorTable) -> tuple:
+    """(sigma, a, b) over the columns of every sector, sector-major as
+    project_sectors scatters them: the rows of a unitary U per sector, U[c,
+    c] = a_c and U[c, sigma_c] = b_c, whose columns R K conserves
+    (_conjugation_pairs), so that U^H B U is real for every block B of a
+    real operator that R conserves.  In a ring sector with a complex
+    character (2k != 0 mod L), an orbit R K maps to itself (sigma_c = c)
+    takes the half angle of phi_c, column e^{i arg(phi_c) / 2} |c>, and a
+    pair c < c' = sigma_c takes columns (|c> + phi_c |c'>) / sqrt 2 and i
+    (|c> - phi_c |c'>) / sqrt 2.  The sector of -k takes U(-k) = conj U(k),
+    so that its real blocks are those of k, and a sector with a real
+    character takes U = 1.  Raises ConvergenceError unless sigma is an involution
+    with phi_{sigma_c} = phi_c to BASIS_ATOL, which (R K)^2 = 1 requires."""
+    sigma, phi = _conjugation_pairs(table)
+    dims = np.count_nonzero(table.cols >= 0, axis=1)
+    first = np.cumsum(dims) - dims
+    sec = np.repeat(np.arange(dims.size), dims)
+    col = np.arange(sigma.size) - first[sec]
+    back = first[sec] + sigma
+    if not ((sigma >= 0).all() and np.array_equal(sigma[back], col)
+            and np.abs(phi[back] - phi).max() <= BASIS_ATOL):
+        raise ConvergenceError(
+            f"{table.length}-site reflection map is not an involution on "
+            "the sector columns: no real basis")
+    half = np.sqrt(0.5)
+    alone, lower = sigma == col, col < sigma
+    a = np.where(alone, np.exp(0.5j * np.angle(phi)),
+                 np.where(lower, half, -1j * half * phi))
+    b = np.where(alone, 0, np.where(lower, 1j * half, half * phi))
+    index = {key: i for i, key in enumerate(table.keys)}
+    for i, (k, p) in enumerate(table.keys):
+        part = slice(first[i], first[i] + dims[i])
+        if 2 * k % table.order == 0:
+            sigma[part], a[part], b[part] = col[part], 1, 0
+        elif 2 * k > table.order:
+            twin = first[index[(table.order - k, p)]]
+            a[part] = a[twin:twin + dims[i]].conj()
+            b[part] = b[twin:twin + dims[i]].conj()
+    return sigma, a, b
+
+
+def _in_real_basis(basis: tuple, first: np.ndarray, own: np.ndarray,
+                   target: np.ndarray, values: np.ndarray) -> tuple:
+    """(rows, cols, values) of U^H B U, broadcast to (2, 2, rows, #x
+    masks), from the entries B[own, target] = values of _sector_entries,
+    U's rows (sigma, a, b) from _real_bases and first[a] the offset of row
+    a's sector in them: with two entries in each row of U, entry (c, t, v)
+    gives conj(U[c, j]) v U[t, l] at (j, l) for j in (c, sigma_c) and l in
+    (t, sigma_t).  A target -1 (an orbit sum that vanishes) reads U's first
+    row of the sector; the caller drops its entries."""
+    sigma, a, b = basis
+    at_row, at_col = first + own, first + np.maximum(target, 0)
+    left = np.array([a[at_row], b[at_row]]).conj()[:, None]
+    right = np.array([a[at_col], b[at_col]])[None]
+    return (np.array([own, sigma[at_row]])[:, None],
+            np.array([target, sigma[at_col]])[None], left * values * right)
+
+
 @dataclass(frozen=True)
 class _Projection:
     """What project_sectors gives sector_low, for one lattice and a fixed
     list of operators: the orbit table, per sector (k, p, blocks) with
-    blocks[m] = V^H M_m V, twins[i] the index j < i of the sector whose
-    blocks, conjugated, are sector i's for every operator (-1 when none),
-    and forms, the row forms (_row_form) of the sectors whose levels a
-    merge kept, each built once on first use.  It holds every piece of
-    state that outlives one coupling, and goes with its holder."""
+    blocks[m] = U^H V^H M_m V U (U = 1 outside `bases`), twins[i] the index
+    j < i of the sector whose blocks, conjugated, are sector i's for every
+    operator (-1 when none), bases, the unitaries U of _real_bases by
+    sector (empty when they do not apply), and forms, the row forms
+    (_row_form) of the sectors whose levels a merge kept, each built once
+    on first use.  It holds every piece of state that outlives one
+    coupling, and goes with its holder."""
 
     table: _SectorTable
     sectors: list
     twins: tuple
+    bases: dict
     forms: dict
 
 
@@ -884,13 +962,19 @@ def project_sectors(ops, group: str) -> _Projection:
     sector's orbit-sum basis (_row_form).  Each operator's entries in every
     sector come from one kernel call on the orbit representatives
     (_sector_entries), all sectors in one scatter.  A block is float64
-    exactly when its operator is real (has_real_matrix) and its sector's
-    character is real (2k = 0 mod n: every sector of R x P or P alone).
-    The momentum -k twin of each sector is decided here, once
-    (_conjugate_twins).  Between the guard below and the first kernel
-    call, the blocks, the scattered rows, the row forms and the larger of
-    the twin test and sector_low's largest solve are charged against
-    physical memory (_check_memory).
+    when its operator is real (has_real_matrix) and its sector's character
+    is real (2k = 0 mod n: every sector of R x P or P alone).  On a ring
+    whose operators are all real and conserved by the reflection R
+    (_implied_leak), every block is float64: a sector with a complex
+    character takes blocks[m] = U^H V^H M_m V U in a basis U that R times
+    complex conjugation conserves (_real_bases), each entry of V^H M_m V
+    scattered as its four entries in U (_in_real_basis), and -k takes
+    U(-k) = conj U(k), so that its blocks are those of k.  The momentum -k
+    twin of each sector is decided here, once (_conjugate_twins).  Between
+    the guard below and the first kernel call, the blocks, the scattered
+    rows, the row forms, the real bases and the larger of the twin test
+    and sector_low's largest solve are charged against physical memory
+    (_check_memory).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -932,6 +1016,13 @@ def project_sectors(ops, group: str) -> _Projection:
 
     and (ii) requires this bound, not the leak itself, to stay within
     1e-12 * max(1, sum|coeff|), or reports the operator not invariant.
+
+    In real bases U^H V^H M V U differs from V^H M V by a unitary change of
+    basis inside the sector, so the leak is the same; two more checks,
+    each raising ConvergenceError, guard U: R K maps the columns of each
+    sector onto themselves as an involution (_real_bases), and no entry of
+    any block has an imaginary part above 1e-13 * max(1, sum|coeff|)
+    before the real parts are kept.
     """
     ops = [_as_sum(op) for op in ops]
     L = ops[0].length
@@ -942,48 +1033,87 @@ def project_sectors(ops, group: str) -> _Projection:
     _check_table(table)
     dims = np.count_nonzero(table.cols >= 0, axis=1)
     real = [has_real_matrix(op) for op in ops]
-    # the blocks, float64 when the operator and every character are real;
-    # the larger of sector_low's largest sum with eigh's copy of it and the
-    # twin test's conjugate and difference of one block; every sector's
-    # row form; the orbit table and scattered rows, at most 48 bytes per
-    # state and x mask (9-12 sites)
-    x_masks = sum(len({x for x, _ in op.items()}) for op in ops)
-    items = [8 if r and np.isrealobj(table.chars) else 16 for r in real]
-    _check_memory(int(dims @ dims) * sum(items) + 2 * max(items)
-                  * int(dims.max()) ** 2 + dims.size * dim
-                  * (4 + table.chars.itemsize) + dim * (64 + 48 * x_masks),
+    scales = [max(1.0, op.norm_bound()) for op in ops]
+    # a ring's complex sectors take real bases when every operator is real
+    # and R conserves it (_real_bases)
+    mirrored = group == "TP" and all(real) and all(
+        _implied_leak(op, "RP") <= 1e-12 * s for op, s in zip(ops, scales))
+    # the blocks, float64 when the operator and every character are real
+    # and in real bases, where one more real scatter (the guard's
+    # imaginary parts, then the real ones) is open at a time; the larger of
+    # sector_low's largest sum with eigh's copy of it and the twin test's
+    # conjugate and difference of one block; every sector's row form; the
+    # orbit table and scattered rows, at most 48 bytes per state and x
+    # mask (9-12 sites), and in real bases the bases and their build, 160
+    # bytes per state, and an operator's entries four times over
+    x_masks = [len({x for x, _ in op.items()}) for op in ops]
+    items = [8 if mirrored or r and np.isrealobj(table.chars) else 16
+             for r in real]
+    held = int(dims @ dims) * (8 * (len(ops) + 1) if mirrored else sum(items))
+    _check_memory(held + 2 * max(items) * int(dims.max()) ** 2 + dims.size
+                  * dim * (4 + table.chars.itemsize)
+                  + dim * (64 + 48 * sum(x_masks))
+                  + (dim * (160 + 144 * max(x_masks)) if mirrored else 0),
                   "dense", L, f"{len(ops) * dims.size} sector blocks plus "
                   "row tables")
+    basis = _real_bases(table) if mirrored else None
     # the rows of all sectors, sector-major: row a of the scatter is
-    # reps[rep[a]] in sector sec[a]
+    # reps[rep[a]] in sector sec[a], column own[a] of its block
     sec, rep = np.nonzero(table.cols >= 0)
     sec = sec[:, None]
-    # block i fills flat[ends[i] - d_i^2:ends[i]] row by row
+    own = table.cols[sec, rep[:, None]]
+    # block i fills flat[ends[i] - d_i^2:ends[i]] row by row; sector i's
+    # columns start at first[i] in the bases
     ends = np.cumsum(dims ** 2)
-    start = ((ends - dims ** 2)[sec]
-             + dims[sec] * table.cols[sec, rep[:, None]])
+    first = np.cumsum(dims) - dims
     flats = []
-    for op in ops:
+    for op, scale in zip(ops, scales):
         target, values = _sector_entries(table, op, sec, rep)
-        # an entry into an orbit whose sum vanishes in the sector (column
+        rows, cols = own, target
+        if mirrored:
+            rows, cols, values = _in_real_basis(basis, first[sec], own,
+                                                target, values)
+        # an entry into an orbit whose sum vanishes in the sector (target
         # -1) goes to a spare slot past the blocks
-        target = np.where(target >= 0, start + target, ends[-1])
-        # one bincount adds the entries in order, as np.add.at would; a
-        # complex entry's real and imaginary parts go to slots 2t and 2t + 1
-        # of one float array, read back as complex without a copy (the
-        # int64 zeros an empty operator's bincount gives read as zeros too)
-        width = values.itemsize // 8
-        slots = (width * target.reshape(-1, 1) + np.arange(width)).ravel()
-        flats.append(np.bincount(slots, values.reshape(-1).view(np.float64),
-                                 width * (ends[-1] + 1)).view(values.dtype))
-    del sec, rep, start, target, values, slots   # before the twin test
+        slot = np.where(target >= 0, ends[sec] - dims[sec] * (dims[sec] - rows)
+                        + cols, ends[-1]).ravel()
+        del rows, cols, target
+        # one bincount adds the entries in order, as np.add.at would
+        if mirrored:
+            # the imaginary parts for the guard alone, freed before the real
+            # ones are summed (as float64 also for an operator without
+            # terms, whose bincount gives int64)
+            worst = np.abs(np.bincount(slot, values.imag.ravel(),
+                                       ends[-1] + 1)[:-1]).max(initial=0.0)
+            if worst > 1e-13 * scale:
+                raise ConvergenceError(
+                    f"sector blocks are not real in the reflection basis: "
+                    f"imaginary part {worst:.3e} above {1e-13 * scale:.3e}")
+            flat = np.bincount(slot, values.real.ravel(), ends[-1] + 1
+                               ).astype(np.float64, copy=False)
+        else:
+            # a complex entry's real and imaginary parts go to slots 2t and
+            # 2t + 1 of one float array, read back as complex without a
+            # copy (the int64 zeros an empty operator's bincount gives read
+            # as zeros too)
+            width = values.itemsize // 8
+            flat = np.bincount((width * slot[:, None]
+                                + np.arange(width)).ravel(),
+                               values.reshape(-1).view(np.float64),
+                               width * (ends[-1] + 1)).view(values.dtype)
+        del values, slot
+        flats.append(flat)
+    del sec, rep, own   # before the twin test
     sectors = []
     for (k, p), d, end in zip(table.keys, dims, ends):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
         sectors.append((k, p, [b.real if r and 2 * k % table.order == 0
                                else b for b, r in zip(blocks, real)]))
+    bases = {i: tuple(x[first[i]:first[i] + dims[i]] for x in basis)
+             for i, (k, _) in enumerate(table.keys)
+             if 2 * k % table.order} if mirrored else {}
     return _Projection(table, sectors,
-                       _conjugate_twins(sectors, ops, table.order), {})
+                       _conjugate_twins(sectors, ops, table.order), bases, {})
 
 
 def _conjugate_twins(sectors, ops, order: int) -> tuple:
@@ -991,7 +1121,8 @@ def _conjugate_twins(sectors, ops, order: int) -> tuple:
     generator's order; a momentum -k on a ring) and the same parity as
     sector i and, for every operator m, |B_m(i) - conj B_m(j)| <= 1e-13 *
     max(1, sum|coeff_m|) entry by entry, else -1.  A real operator has
-    V(-k) = conj V(k) and so conjugate blocks at k and -k; one with an
+    V(-k) = conj V(k) and so conjugate blocks at k and -k, and in real
+    bases, where U(-k) = conj U(k), equal real ones; one with an
     imaginary matrix has not.  Sector i of a real combination of the
     operators then has the conjugate eigenpairs of sector j."""
     index = {(k, p): i for i, (k, p, _) in enumerate(sectors)}
@@ -1019,7 +1150,8 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h: float,
     sector a coupling takes three steps: one sum of its blocks, one eigh
     (or, for the -k twin that project_sectors found, the conjugate of the
     solution of k when every coefficient is real, which halves the
-    complex solves) and checked_residual of every pair against norm_h on
+    solves; in real bases the blocks and so the solution are real, and
+    taken as they are) and checked_residual of every pair against norm_h on
     the sector's own block, reused twins included.  The merge, shared with
     sector_lanczos (_merge_levels), expands only the kept levels to 2^L
     amplitudes from the projection's row forms, and orders the labels and
@@ -1043,17 +1175,19 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h: float,
         del h   # before the next sum allocates its block
         solved.append((p, e, w))
     return (*_merge_levels(projected.table, solved, count, atol,
-                           projected.forms), worst)
+                           projected.forms, projected.bases), worst)
 
 
 def _merge_levels(table: _SectorTable, solved: list, count: int,
-                  atol: float, forms: dict) -> tuple:
+                  atol: float, forms: dict, bases=None) -> tuple:
     """(vals, labels, states) of the lowest `count` levels of `solved`, per
     sector i of `table` its (parity, energies e, vectors w): ascending
     energies, ties in sector then column order, inside each cluster within
     `atol` in ascending parity (the order resolve_sectors gives), each
-    kept state V w expanded from its sector's row form, taken from `forms`
-    or built there once (_row_form)."""
+    kept state V U w expanded from its sector's row form, taken from
+    `forms` or built there once (_row_form), after U w, in O(d), for a
+    sector with a unitary U in `bases`, its rows (sigma, a, b) of
+    _real_bases: (U w)_c = a_c w_c + b_c w_{sigma_c}."""
     sizes = [e.size for _, e, _ in solved]
     energies = np.concatenate([e for _, e, _ in solved])
     sector = np.repeat(np.arange(len(solved)), sizes)
@@ -1068,7 +1202,11 @@ def _merge_levels(table: _SectorTable, solved: list, count: int,
         if i not in forms:
             forms[i] = _row_form(table, i)
         col, val = forms[i]
-        states.append(StateVector(table.length, val * solved[i][2][col, c]))
+        w = solved[i][2][:, c]
+        if bases and i in bases:
+            sigma, a, b = bases[i]
+            w = a * w + b * w[sigma]
+        states.append(StateVector(table.length, val * w[col]))
     return vals, parity[order].astype(float), tuple(states)
 
 

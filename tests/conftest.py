@@ -81,6 +81,16 @@ def random_hermitian_sum(rng, length: int, terms: int = 6) -> cs.OperatorSum:
     return op + op.adjoint()
 
 
+def basis_matrix(basis) -> np.ndarray:
+    """The dense d x d unitary U of a sector's real basis, from its rows
+    (sigma, a, b) as engine._real_bases gives them: U[c, c] = a_c and
+    U[c, sigma_c] = b_c (b_c = 0 where sigma_c = c)."""
+    sigma, a, b = basis
+    u = np.diag(a).astype(complex)
+    u[np.arange(a.size), sigma] += b
+    return u
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

@@ -123,6 +123,29 @@ class TestProtectionSuite:
             if not p.excluded and p.splitting is not None:
                 assert p.splitting in ("zero", "scalar"), p.name
 
+    def test_zero_class_norms_are_zero(self):
+        # a zero-class norm is the rounding noise of whichever ground basis
+        # the solver gave, reported as 0; every other norm is the Frobenius
+        # norm of splitting_classes bit for bit
+        lat = LatticeSpec(9, "open")
+        rep = cs.certify_protection(lat)
+        model = cs.build_model(lat)
+        probes = dict(cs.default_probe_set(lat))
+        probes.update((name, model.registry[name]) for name in model.registry
+                      if name.startswith("Sigma_"))
+        names = sorted(probes)
+        basis = cs.eig_low(model.registry["H_C"], count=6).ground_basis
+        classes, norms = engine.splitting_classes(engine.splitting_matrices(
+            basis, [probes[name] for name in names]))
+        raw = dict(zip(names, norms))
+        zero = [p for p in rep.probes if p.splitting == "zero"]
+        assert len(zero) == 74 and any(raw[p.name] > 0 for p in zero)
+        for p in rep.probes:
+            assert p.splitting == classes[names.index(p.name)]
+            want = 0.0 if p.splitting == "zero" else float(raw[p.name])
+            assert p.splitting_norm == want
+            assert type(p.splitting_norm) is float
+
     def test_symbolic_only_at_fifteen(self):
         rep = cs.certify_protection(LatticeSpec(15, "open"), numeric=False)
         assert rep.verdict == "protected"

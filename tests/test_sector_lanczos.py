@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import clusterspt as cs
 from clusterspt import LatticeSpec, engine
 
-from conftest import free_fermion
+from conftest import basis_matrix, free_fermion
 
 PROPERTY = settings(max_examples=12, derandomize=True, deadline=None)
 
@@ -64,15 +64,24 @@ def test_sector_lanczos_matches_the_dense_sector_path(L, boundary, lam,
 def test_csr_blocks_are_the_dense_projection(L, boundary):
     # both layouts take _sector_entries' rows; a ring's and a reflection's
     # tables have orbit sums that vanish in some sectors, whose entries the
-    # blocks drop
+    # blocks drop.  A ring sector with a complex character keeps its dense
+    # block in a real basis U, so U B U^H is the orbit-basis block, up to
+    # the rounding of the change of basis
     lat = LatticeSpec(L, boundary)
     h = cs.perturbed_hamiltonian(lat, 0.7)
     projected = engine.project_sectors([h], "TP" if lat.is_periodic else "RP")
     blocks = engine._sector_blocks(projected.table, h)
     sectors = projected.sectors
     assert len(blocks) == len(sectors)
-    for (_, _, (dense,)), block in zip(sectors, blocks):
-        np.testing.assert_array_equal(block.toarray(), dense)
+    assert lat.is_periodic == bool(projected.bases)
+    for i, ((_, _, (dense,)), block) in enumerate(zip(sectors, blocks)):
+        if i in projected.bases:
+            u = basis_matrix(projected.bases[i])
+            np.testing.assert_allclose(u @ dense @ u.conj().T,
+                                       block.toarray(), rtol=0,
+                                       atol=1e-14 * h.norm_bound())
+        else:
+            np.testing.assert_array_equal(block.toarray(), dense)
 
 
 def test_eig_low_takes_the_blocks_only_for_symmetric_operators():

@@ -18,8 +18,8 @@ import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 from clusterspt.errors import ConvergenceError
 
-from conftest import (free_fermion, kron_from_letters, oracle_sum_matrix,
-                      random_hermitian_sum)
+from conftest import (basis_matrix, free_fermion, kron_from_letters,
+                      oracle_sum_matrix, random_hermitian_sum)
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 
@@ -327,24 +327,43 @@ def invariant_operators(draw, boundary=None):
 
 @PROPERTY
 @given(invariant_operators())
+@example((6, "periodic", cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"),
+                                                  0.7)))
+@example((7, "periodic", cs.perturbed_hamiltonian(LatticeSpec(7, "periodic"),
+                                                  1.3)))
+@example((3, "periodic", OperatorSum.zero(3)))   # terms that cancel
 def test_direct_blocks_match_the_sparse_projection(case):
+    # a ring sector with a complex character keeps its block in a real
+    # basis U exactly when the operator is real and R conserves it, so the
+    # orbit-basis block is U B U^H and the projection's basis V U
     L, boundary, op = case
     scale = max(1.0, op.norm_bound())
     m = cs.operator_matrix(op)
     real = engine.has_real_matrix(op)
     group = "TP" if boundary == "periodic" else "P"
-    projected = engine.project_sectors((op,), group).sectors
+    projection = engine.project_sectors((op,), group)
+    projected = projection.sectors
     sectors = reference_sectors(L, group)
     assert [(k, p) for k, p, _ in projected] == list(sectors)
-    for k, p, (block,) in projected:
+    mirror = [reflected(b, L) for b in range(1 << L)]
+    dense = m.toarray()
+    mirrored = boundary == "periodic" and real and np.abs(
+        dense[np.ix_(mirror, mirror)] - dense).max() <= 1e-12 * scale
+    for i, (k, p, (block,)) in enumerate(projected):
         # the projection on the reference basis: two matrix products
         v = sectors[(k, p)]
+        u = np.eye(v.shape[1])
+        if i in projection.bases:
+            u = basis_matrix(projection.bases[i])
         old = v.conj().T @ (m @ v)
-        assert np.abs(block - old).max(initial=0.0) <= 1e-13 * scale
-        leak = np.linalg.norm(m @ v - v @ block)
+        assert np.abs(u @ block @ u.conj().T - old).max(initial=0.0) \
+            <= 1e-13 * scale
+        leak = np.linalg.norm(m @ (v @ u) - (v @ u) @ block)
         assert leak <= 1e-12 * scale
-        want = np.float64 if real and 2 * k % L == 0 else np.complex128
+        want = np.float64 if real and (2 * k % L == 0 or mirrored) \
+            else np.complex128
         assert block.dtype == want
+        assert (i in projection.bases) == (mirrored and 2 * k % L != 0)
 
 
 @st.composite
@@ -491,6 +510,21 @@ def test_dense_budget_covers_the_ring_solve(solve):
             else:
                 cs.eig_low(cs.cluster_hamiltonian(lat), count=6,
                            method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert spy.call_count == 1
+    assert peak <= spy.call_args.args[0]
+
+
+def test_dense_budget_covers_the_odd_ring_scan():
+    # an odd ring: every sector but k = 0 has a complex character, so every
+    # block of both operators but those is scattered in its real basis
+    with mock.patch.object(engine, "_check_memory",
+                           wraps=engine._check_memory) as spy:
+        tracemalloc.start()
+        try:
+            cs.phase_scan(LatticeSpec(11, "periodic"), [0.9, 1.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

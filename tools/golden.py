@@ -81,6 +81,10 @@ COMMANDS = [
     "--count 8",
     "spectrum --size 14 --boundary periodic --lambda 1.05 --method iterative",
     "scan --size 11 --boundary open --lambda 0:0.6:0.3",
+    "spectrum --size 9 --boundary periodic --lambda 1.3 --count 12",
+    "spectrum --size 11 --boundary periodic --lambda 0.45 --method dense "
+    "--count 16",
+    "scan --size 12 --boundary periodic --lambda 0.5:1.5:0.05",
 ]
 
 
