@@ -296,7 +296,9 @@ class SpectrumResult:
     """Low-lying spectrum with its degeneracy structure.
 
     eigenvalues are ascending; the ground cluster is every eigenvalue within
-    CLUSTER_RTOL * max(1, |E0|) of E0; gap is the first eigenvalue above the
+    CLUSTER_RTOL * max(1, |E0|) of E0, and each next one within RESIDUAL_RTOL
+    * max(1, sum|coeff|) of the last counted, so that rounding never splits
+    a pair at the cluster's edge; gap is the first eigenvalue above the
     cluster minus E0 (nan when the requested count never left the cluster).
     """
 
@@ -343,8 +345,10 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     dense: L <= 12, per symmetry sector when h is invariant: a ring's (k,
     p) blocks, all real when h is real and R conserves it, an open chain's
     four (r, p) blocks of about 2^(L-2) states.
-    Each sector block then gives its lowest min(count, d) levels to
-    sector_low, whose merged window is exactly the lowest `count` levels.
+    Each dense sector block gives sector_low as many of its lowest levels
+    as the merged window can use: a first pass of min(count, ceil(4 count
+    / n)) levels, n the sectors it solves, and min(count, d) where the
+    window needs more.  The merged window is exactly the lowest `count`.
     iterative: L <= 24, one implicitly restarted Lanczos solve per (r, p)
     block, or per spin-flip block when R does not conserve h, whenever h
     is invariant under P (sector_lanczos, on rings too), whose CSR blocks
@@ -419,6 +423,12 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
 
     width = CLUSTER_RTOL * max(1.0, abs(vals[0]))
     degeneracy = int(np.sum(vals <= vals[0] + width))
+    # a level within rounding of the last counted one joins it, so that a
+    # cluster that ends at the width is counted whole, not split by rounding
+    step = RESIDUAL_RTOL * max(1.0, h.norm_bound())
+    while (degeneracy < vals.size
+           and vals[degeneracy] - vals[degeneracy - 1] <= step):
+        degeneracy += 1
     if degeneracy < vals.size:
         gap = float(vals[degeneracy] - vals[0])
     else:
@@ -1142,38 +1152,67 @@ def _conjugate_twins(sectors, ops, order: int) -> tuple:
 def sector_low(projected: _Projection, coeffs, count: int, norm_h: float,
                atol: float = 1e-8) -> tuple:
     """Lowest `count` levels of H = sum_m coeffs[m] * op_m from the blocks of
-    project_sectors, one dense eigh per sector.
+    project_sectors, one dense eigh per sector, and a second one for the
+    few sectors the window needs more levels of.
 
     Returns (vals, labels, states, max_residual) like eig_low's eigenvalues
     followed by resolve_sectors: ascending energies, each level's spin-flip
     parity, the states V w, and the worst residual of any block.  Per
-    sector a coupling takes three steps: one sum of its blocks, one eigh
-    (or, for the -k twin that project_sectors found, the conjugate of the
-    solution of k when every coefficient is real, which halves the
-    solves; in real bases the blocks and so the solution are real, and
-    taken as they are) and checked_residual of every pair against norm_h on
-    the sector's own block, reused twins included.  The merge, shared with
-    sector_lanczos (_merge_levels), expands only the kept levels to 2^L
-    amplitudes from the projection's row forms, and orders the labels and
-    states inside each cluster of levels within `atol` by ascending
-    parity, as resolve_sectors orders them.
+    sector a solve takes three steps: one sum of its blocks, one eigh (or,
+    for the -k twin that project_sectors found, the conjugate of the
+    solution of k when every coefficient is real, which halves the solves;
+    in real bases the blocks and so the solution are real, and taken as
+    they are) and checked_residual of every pair against norm_h on the
+    sector's own block, reused twins included.  A coupling takes two
+    passes.  The first solves each own (not reused) sector for its lowest
+    min(start, d) levels, start = min(count, ceil(4 count / own sectors)),
+    which is `count` with four own sectors or fewer (an open chain's, or
+    the spin flip's alone).  With `top` the count-th lowest level found
+    (inf when fewer were), the second solves again, at min(count, d), each
+    own sector that gave fewer levels than that and whose highest lies
+    within `top` + atol, and its twin takes the new solution.  Every level
+    a sector leaves out then lies above `top` + atol, so the merged window
+    is the one of solving every sector at min(count, d): exactly the
+    lowest `count` levels.  The merge, shared with sector_lanczos
+    (_merge_levels), expands only the kept levels to 2^L amplitudes from
+    the projection's row forms, and orders the labels and states inside
+    each cluster of levels within `atol` by ascending parity, as
+    resolve_sectors orders them.
     """
+    twins = projected.twins
     real = not np.any(np.imag(coeffs))
+    reused = [real and t >= 0 for t in twins]
+    start = min(count, -(-4 * count // reused.count(False)))
     solved, worst = [], 0.0
-    for (_, p, blocks), twin in zip(projected.sectors, projected.twins):
+
+    def solve(i, n):
+        """Sector i's (parity, energies, vectors), its lowest min(n, d)
+        levels, with the residual of every pair on its own block."""
+        nonlocal worst
+        _, p, blocks = projected.sectors[i]
         h = np.multiply(coeffs[0], blocks[0],
                         dtype=np.result_type(*coeffs, *blocks))
         for c, b in zip(coeffs[1:], blocks[1:]):
             h += c * b
-        if real and twin >= 0:
-            e, w = solved[twin][1], solved[twin][2].conj()
+        if reused[i]:
+            e, w = solved[twins[i]][1], solved[twins[i]][2].conj()
         else:
-            n = min(count, h.shape[0])
-            e, w = scipy.linalg.eigh(h, subset_by_index=[0, n - 1],
-                                     check_finite=False)
+            e, w = scipy.linalg.eigh(
+                h, subset_by_index=[0, min(n, h.shape[0]) - 1],
+                check_finite=False)
         worst = max(worst, checked_residual(h @ w, w, e, norm_h))
-        del h   # before the next sum allocates its block
-        solved.append((p, e, w))
+        return p, e, w
+
+    for i in range(len(twins)):
+        solved.append(solve(i, start))
+    found = np.sort(np.concatenate([e for _, e, _ in solved]))
+    top = found[count - 1] if found.size >= count else np.inf
+    again = set()
+    for i, (_, e, w) in enumerate(solved):
+        if (twins[i] in again if reused[i] else
+                e.size < min(count, w.shape[0]) and e[-1] <= top + atol):
+            again.add(i)
+            solved[i] = solve(i, count)
     return (*_merge_levels(projected.table, solved, count, atol,
                            projected.forms, projected.bases), worst)
 
@@ -1236,7 +1275,8 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     Hamiltonian of an open chain or a ring is, and otherwise the two
     parity blocks of 2^(L-1) states (_symmetry_group).  They come as CSR
     matrices from one kernel call on the orbit table (_sector_blocks).
-    Each block gives its lowest min(count, d) levels, by ARPACK
+    Each block gives its lowest min(count, d) levels (sector_low's
+    per-sector counts apply to the dense blocks only), by ARPACK
     (_checked_lanczos) or, for a block too small for it, a dense eigh;
     every pair passes checked_residual on its own block, and sector_low's
     merge (_merge_levels) keeps the lowest `count`, labelled by parity.

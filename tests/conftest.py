@@ -11,8 +11,11 @@ algebra.
 import importlib.util
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import clusterspt as cs
 
@@ -89,6 +92,28 @@ def basis_matrix(basis) -> np.ndarray:
     u = np.diag(a).astype(complex)
     u[np.arange(a.size), sigma] += b
     return u
+
+
+def for_each_size(sizes: dict, strategy, check, examples=()):
+    """check(L, *case) on n cases hypothesis draws from strategy(L), for
+    each site count L and count n of `sizes`, then check(*case) on each
+    explicit case of `examples`.
+
+    The size is a loop, not a draw: the installed hypothesis mixes the
+    literal constants of the local modules under test into its draws, so a
+    drawn size moves with unrelated source edits, and a test's time with
+    it.  Each size is seeded by L, so that the draws repeat from run to run
+    and no size replays those of another."""
+    for L, n in sizes.items():
+        @hypothesis.seed(L)
+        @hypothesis.settings(max_examples=n, derandomize=True, deadline=None)
+        @given(st.data())
+        def drawn(data):
+            check(L, *data.draw(strategy(L)))
+
+        drawn()
+    for case in examples:
+        check(*case)
 
 
 @pytest.fixture

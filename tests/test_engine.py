@@ -246,6 +246,21 @@ class TestEigLow:
         assert spect.ground_degeneracy == 4
         assert math.isnan(spect.gap)
 
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_a_pair_at_the_cluster_width_is_counted_whole(self, method,
+                                                          count):
+        # at lambda = 1e-8 the 4-site chain's lowest levels are -2.00000001
+        # and -1.99999999, each twice: the upper pair sits at the cluster
+        # width CLUSTER_RTOL * |E0|, where rounding alone once counted one
+        # copy of it and not the other
+        h = cs.perturbed_hamiltonian(LatticeSpec(4, "open"), 1e-8)
+        spect = cs.eig_low(h, count=count, method=method)
+        np.testing.assert_allclose(
+            spect.eigenvalues[:4], [-2.00000001] * 2 + [-1.99999999] * 2,
+            rtol=0, atol=1e-12)
+        assert spect.ground_degeneracy in (2, 4)
+
 
 class TestProjectorsAndSectors:
     def test_bulk_single_projects_to_zero(self):

@@ -1,0 +1,219 @@
+"""Per-sector level counts in the dense sector solve (engine.sector_low):
+a first pass of ceil(4 count / own sectors) levels per solved sector, and a
+second solve at the full count for a sector the window needs, against the
+Kronecker oracle and against solving every sector at min(count, d)."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume
+from hypothesis import strategies as st
+
+import clusterspt as cs
+from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
+
+from conftest import for_each_size, oracle_sum_matrix
+from test_real_ring_blocks import parity_levels
+from test_sectors import rotated, sizes
+
+ATOL = 1e-8
+EIGH = scipy.linalg.eigh   # the solver itself, for the spies to call
+
+
+@st.composite
+def ring_operators(draw, L):
+    """(H, count): H the ring's H_C + lam H_I with 1-3 drawn strings of
+    even z weight on L sites, each summed over its translates with a real
+    coefficient, made Hermitian: a real sum that the translation T and the
+    spin flip P conserve, and the reflection as a rule not; count the
+    levels to ask for."""
+    op = cs.perturbed_hamiltonian(LatticeSpec(L, "periodic"),
+                                  draw(st.floats(0.0, 1.5)))
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(st.integers(0, (1 << L) - 1))
+        z = draw(st.integers(0, (1 << L) - 1))
+        if bin(z).count("1") % 2:
+            z ^= 1
+        coeff = draw(st.floats(-2.0, 2.0))
+        for _ in range(L):
+            op = op + OperatorSum.from_pauli(PauliString(L, 0, x, z), coeff)
+            x, z = rotated(x, L), rotated(z, L)
+    op = op + op.adjoint()
+    assume(not op.is_zero)
+    return op, draw(st.integers(1, 16))
+
+
+def full_count(projection, coeffs, count):
+    """(vals, labels) of every sector solved at min(count, d) by the same
+    subset eigh, merged by _merge_levels."""
+    solved = []
+    for _, p, blocks in projection.sectors:
+        h = sum(c * b for c, b in zip(coeffs, blocks))
+        n = min(count, h.shape[0])
+        e, w = EIGH(h, subset_by_index=[0, n - 1], check_finite=False)
+        solved.append((p, e, w))
+    vals, labels, _ = engine._merge_levels(projection.table, solved, count,
+                                           ATOL, {}, projection.bases)
+    return vals, labels
+
+
+def check_window(projection, coeffs, count, norm):
+    """sector_low against full_count: levels to 1e-12 and equal labels;
+    and every level a sector left out lies above the window's top + atol
+    (up to rounding: atol / 2)."""
+    with mock.patch.object(engine, "_merge_levels",
+                           wraps=engine._merge_levels) as merge:
+        vals, labels, _, _ = engine.sector_low(projection, coeffs, count,
+                                               norm, atol=ATOL)
+    want, want_labels = full_count(projection, coeffs, count)
+    np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(labels, want_labels)
+    solved = merge.call_args.args[1]
+    found = np.sort(np.concatenate([e for _, e, _ in solved]))
+    top = found[count - 1] if found.size >= count else np.inf
+    for (_, e, _), (_, _, blocks) in zip(solved, projection.sectors):
+        levels = np.linalg.eigvalsh(sum(c * b for c, b in zip(coeffs,
+                                                              blocks)))
+        assert e.size >= np.sum(levels[:count] <= top + ATOL / 2)
+
+
+def check_ring_sum(L, op, count):
+    """eig_low's dense path against the Kronecker oracle at `count` and at a
+    count above every sector's dimension: levels to 1e-12, the ground
+    multiplicity, and the parities of every cluster the window holds whole;
+    sector_low against full_count at both."""
+    m = oracle_sum_matrix(op).real
+    scale = max(1.0, op.norm_bound())
+    want = parity_levels(m, L)
+    energies = np.array([e for e, _ in want])
+    projection = engine.project_sectors([op], "TP")
+    largest = max(block.shape[0] for _, _, (block,) in projection.sectors)
+    flip = np.arange(1 << L)[::-1]   # P reverses the basis index
+    for c in (count, min(largest + 1, 1 << L)):
+        n = min(c, 1 << L)
+        spect = cs.eig_low(op, count=c, method="dense")
+        vals = spect.eigenvalues
+        np.testing.assert_allclose(vals, energies[:n], rtol=0, atol=1e-12)
+        width = engine.CLUSTER_RTOL * max(1.0, abs(energies[0]))
+        assert spect.ground_degeneracy == min(
+            n, np.sum(energies <= energies[0] + width))
+        vecs = np.column_stack([psi.amps for psi in spect.states])
+        assert np.linalg.norm(m @ vecs - vecs * vals, axis=0).max() \
+            <= 1e-9 * scale
+        for cluster in engine._clusters(vals, ATOL):
+            if cluster.stop < n or n == len(want) \
+                    or energies[n] - vals[-1] > ATOL:
+                span = vecs[:, cluster]
+                parities = np.linalg.eigvalsh(span.conj().T @ span[flip])
+                np.testing.assert_allclose(
+                    parities, sorted(p for _, p in want[cluster]), atol=1e-8)
+        check_window(projection, [1.0], n, op.norm_bound())
+
+
+def test_ring_sums_match_the_oracle():
+    for_each_size(
+        sizes(3, 2, 1), ring_operators, check_ring_sum,
+        [(10, cs.perturbed_hamiltonian(LatticeSpec(10, "periodic"), 1.0),
+          12),   # the ring at its transition
+         (10, cs.perturbed_hamiltonian(LatticeSpec(10, "periodic"), 0.0),
+          12),   # H_C: every level massively degenerate
+         (6, cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"), 1.0), 6)])
+
+
+@pytest.mark.parametrize("L", [6, 8, 10])
+def test_windows_match_the_full_count_solve(L):
+    # the ring's (H_C, H_I) at couplings and counts that make sectors solve
+    # again: at lambda = 0 most levels are degenerate across sectors, so
+    # the window's top ties levels the first pass returned last
+    lat = LatticeSpec(L, "periodic")
+    h_c, h_i = cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0)
+    projection = engine.project_sectors((h_c, h_i), "TP")
+    for lam in (0.0, 1.0, 1.5):
+        for count in (1, 3, 4, 6, 10, 12, 16, 30):
+            check_window(projection, (1.0, lam), count,
+                         h_c.norm_bound() + lam * h_i.norm_bound())
+
+
+def test_a_sector_the_window_needs_is_solved_again():
+    # on the 6-site ring at lambda = 1 with count 6, the first pass takes
+    # ceil(4 * 6 / 8) = 3 levels per own sector; the window's top, -2
+    # sqrt(2), is the highest of them in (0, +1) and (2, +1), both of which
+    # hold more copies of it, so both are solved again at 6 levels, and
+    # (4, +1), the twin of (2, +1), takes its second solution, checked on
+    # its own block
+    h = cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"), 1.0)
+    projection = engine.project_sectors([h], "TP")
+    blocks = [block for _, _, (block,) in projection.sectors]
+    keys = [(k, p) for k, p, _ in projection.sectors]
+    own = [i for i, t in enumerate(projection.twins) if t < 0]
+    assert len(own) == 8
+    solves = []
+
+    def eigh(a, **kwargs):
+        e, w = EIGH(a, **kwargs)
+        # a twin's real block equals its source's; eigh sees only sources
+        i = next(i for i in own if np.array_equal(blocks[i], a))
+        solves.append((keys[i], kwargs["subset_by_index"][1] + 1, e, w))
+        return e, w
+
+    with mock.patch.object(engine.scipy.linalg, "eigh", side_effect=eigh), \
+            mock.patch.object(engine, "checked_residual",
+                              wraps=engine.checked_residual) as residual:
+        vals, _, _, _ = engine.sector_low(projection, [1.0], 6,
+                                          h.norm_bound(), atol=ATOL)
+    first, again = solves[:len(own)], solves[len(own):]
+    assert [n for _, n, _, _ in first] == [min(3, blocks[i].shape[0])
+                                           for i in own]
+    assert [(key, n) for key, n, _, _ in again] == [((0, 1), 6), ((2, 1), 6)]
+    # every sector is checked once in the first pass, then (0, +1), (2, +1)
+    # and its twin (4, +1), on the second solve of (2, +1)
+    twin = keys.index((4, 1))
+    assert projection.twins[twin] == keys.index((2, 1))
+    calls = residual.call_args_list
+    assert len(calls) == len(keys) + 3
+    _, _, e, w = again[1]
+    hv, vecs, levels, _ = calls[-1].args
+    assert levels is e
+    np.testing.assert_array_equal(vecs, w.conj())
+    np.testing.assert_array_equal(hv, blocks[twin] @ vecs)
+    want = np.linalg.eigvalsh(oracle_sum_matrix(h))
+    np.testing.assert_allclose(vals, want[:6], rtol=0, atol=1e-12)
+    check_window(projection, [1.0], 6, h.norm_bound())
+
+
+def test_open_chain_solves_are_the_full_count():
+    # four own sectors: the first pass is the whole count, as before the
+    # per-sector rule, and nothing is solved again
+    h = cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)
+    with mock.patch.object(engine.scipy.linalg, "eigh",
+                           wraps=EIGH) as eigh:
+        cs.eig_low(h, count=6)
+    assert [(c.args[0].shape[0], c.kwargs["subset_by_index"])
+            for c in eigh.call_args_list] == [(d, [0, 5])
+                                              for d in (136, 136, 120, 120)]
+    grid = [0.5, 1.0, 1.5]
+    with mock.patch.object(engine.scipy.linalg, "eigh",
+                           wraps=EIGH) as eigh:
+        cs.phase_scan(LatticeSpec(8, "open"), grid)
+    assert [(c.args[0].shape[0], c.kwargs["subset_by_index"])
+            for c in eigh.call_args_list] == [(d, [0, 11])
+                                              for d in (72, 64, 56, 64)] * 3
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_criterion_8_scans_solve_each_sector_once(L):
+    # over criterion 8's grid no sector of the 8- and 10-site rings needs
+    # more than the first pass's ceil(4 * 12 / own sectors) levels
+    lat = LatticeSpec(L, "periodic")
+    projection = engine.project_sectors(
+        (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0)), "TP")
+    own = sum(t < 0 for t in projection.twins)
+    grid = np.round(np.arange(0.5, 1.5001, 0.05), 10)
+    with mock.patch.object(engine.scipy.linalg, "eigh",
+                           wraps=EIGH) as eigh:
+        cs.phase_scan(lat, grid)
+    assert eigh.call_count == own * grid.size
+    assert max(c.kwargs["subset_by_index"][1] + 1
+               for c in eigh.call_args_list) <= -(-4 * 12 // own)

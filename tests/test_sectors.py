@@ -11,17 +11,23 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import assume
 from hypothesis import strategies as st
 
 import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 from clusterspt.errors import ConvergenceError
 
-from conftest import (basis_matrix, free_fermion, kron_from_letters,
-                      oracle_sum_matrix, random_hermitian_sum)
+from conftest import (basis_matrix, for_each_size, free_fermion,
+                      kron_from_letters, oracle_sum_matrix,
+                      random_hermitian_sum)
 
-PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
+
+def sizes(low, n, n_top):
+    """for_each_size's cases per site count: n from `low` to 9 sites, and
+    n_top at 10, whose Kronecker oracle costs about ten times the 9-site
+    one."""
+    return {**dict.fromkeys(range(low, 10), n), 10: n_top}
 
 
 def translation_matrix(L):
@@ -154,13 +160,17 @@ def test_residual_message_states_the_applied_bound():
         engine.checked_residual(hv, vecs, np.array([1.0, 2.0]), 0.5)
 
 
-@PROPERTY
-@given(st.integers(4, 10), st.sampled_from(["open", "periodic"]),
-       st.floats(0.0, 1.5))
-@example(10, "periodic", 1.0)   # the ring at its transition
-@example(9, "open", 0.0)        # a fourfold ground cluster split by parity
-@example(4, "open", 1e-12)      # a coupling perturbed_hamiltonian drops
-def test_sector_solve_matches_dense(L, boundary, lam):
+def test_sector_solve_matches_dense():
+    for_each_size(
+        sizes(4, 4, 2), lambda L: st.tuples(
+            st.sampled_from(["open", "periodic"]), st.floats(0.0, 1.5)),
+        check_sector_solve,
+        [(10, "periodic", 1.0),   # the ring at its transition
+         (9, "open", 0.0),        # a fourfold ground cluster split by parity
+         (4, "open", 1e-12)])     # a coupling perturbed_hamiltonian drops
+
+
+def check_sector_solve(L, boundary, lam):
     lat = LatticeSpec(L, boundary)
     h_c = cs.cluster_hamiltonian(lat)
     h_i = cs.ising_perturbation(lat, 1.0)
@@ -200,9 +210,11 @@ def test_sector_solve_matches_dense(L, boundary, lam):
 
 @pytest.mark.parametrize("L,solves,sectors", [(10, 12, 20), (12, 14, 24)])
 def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
-    # a real ring H: per coupling one eigh for k = 0, L/2 and each pair
-    # k, -k, the -k twin decided by one conjugate test per projection; every
-    # sector, reused or solved, passes its own residual check
+    # a real ring H: per coupling a first eigh for k = 0, L/2 and each pair
+    # k, -k, of ceil(4 * 12 / solves) levels, the -k twin decided by one
+    # conjugate test per projection; every sector, reused or solved, passes
+    # its own residual check.  A sector the window needs all 12 levels of
+    # is solved again, and its twin, if any, checked again
     grid = [0.8, 0.9, 1.0, 1.1, 1.2]
     with mock.patch.object(engine, "_conjugate_twins",
                            wraps=engine._conjugate_twins) as twins, \
@@ -211,9 +223,15 @@ def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
             mock.patch.object(engine, "checked_residual",
                               wraps=engine.checked_residual) as residual:
         scan = cs.phase_scan(LatticeSpec(L, "periodic"), grid)
+    first = -(-4 * 12 // solves)
+    levels = [c.kwargs["subset_by_index"][1] + 1 for c in eigh.call_args_list]
+    again = sum(n > first for n in levels)
+    checked_again = sum(c.args[1].shape[1] > first
+                        for c in residual.call_args_list)
     assert twins.call_count == 1
-    assert eigh.call_count == solves * len(grid)
-    assert residual.call_count == sectors * len(grid)
+    assert eigh.call_count == solves * len(grid) + again
+    assert residual.call_count == sectors * len(grid) + checked_again
+    assert again <= checked_again <= 2 * again
     for i, lam in enumerate(grid):
         assert scan.energy[i] == pytest.approx(
             free_fermion.spectrum(L, True, lam, 1)[0][0], abs=1e-12)
@@ -303,11 +321,11 @@ def rotated(mask, L):
 
 
 @st.composite
-def invariant_operators(draw, boundary=None):
-    """(L, boundary, M): M a random sum of Pauli strings of even z weight,
-    so the spin flip conserves it, summed over all translates on a ring;
-    coefficients real or complex.  The boundary is drawn unless given."""
-    L = draw(st.integers(3, 10))
+def invariant_operators(draw, L, boundary=None):
+    """(boundary, M): M a random sum of Pauli strings of even z weight on
+    L sites, so the spin flip conserves it, summed over all translates on
+    a ring; coefficients real or complex.  The boundary is drawn unless
+    given."""
     boundary = boundary or draw(st.sampled_from(["open", "periodic"]))
     complex_coeffs = draw(st.booleans())
     op = OperatorSum.zero(L)
@@ -322,21 +340,23 @@ def invariant_operators(draw, boundary=None):
         for _ in range(L if boundary == "periodic" else 1):
             op = op + OperatorSum.from_pauli(PauliString(L, 0, x, z), coeff)
             x, z = rotated(x, L), rotated(z, L)
-    return L, boundary, op
+    return boundary, op
 
 
-@PROPERTY
-@given(invariant_operators())
-@example((6, "periodic", cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"),
-                                                  0.7)))
-@example((7, "periodic", cs.perturbed_hamiltonian(LatticeSpec(7, "periodic"),
-                                                  1.3)))
-@example((3, "periodic", OperatorSum.zero(3)))   # terms that cancel
-def test_direct_blocks_match_the_sparse_projection(case):
+def test_direct_blocks_match_the_sparse_projection():
+    for_each_size(
+        sizes(3, 4, 1), invariant_operators, check_direct_blocks,
+        [(6, "periodic", cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"),
+                                                  0.7)),
+         (7, "periodic", cs.perturbed_hamiltonian(LatticeSpec(7, "periodic"),
+                                                  1.3)),
+         (3, "periodic", OperatorSum.zero(3))])   # terms that cancel
+
+
+def check_direct_blocks(L, boundary, op):
     # a ring sector with a complex character keeps its block in a real
     # basis U exactly when the operator is real and R conserves it, so the
     # orbit-basis block is U B U^H and the projection's basis V U
-    L, boundary, op = case
     scale = max(1.0, op.norm_bound())
     m = cs.operator_matrix(op)
     real = engine.has_real_matrix(op)
@@ -367,27 +387,30 @@ def test_direct_blocks_match_the_sparse_projection(case):
 
 
 @st.composite
-def dense_cases(draw):
-    """(L, H): a nonzero Hermitian sum invariant under the translation and
-    the spin flip, or under the spin flip alone (invariant_operators made
-    Hermitian), or a random sum that as a rule has neither symmetry."""
+def dense_cases(draw, L):
+    """(H, count): H a nonzero Hermitian sum on L sites invariant under the
+    translation and the spin flip, or under the spin flip alone
+    (invariant_operators made Hermitian), or a random sum that as a rule
+    has neither symmetry; count the levels to ask for."""
     boundary = draw(st.sampled_from(["periodic", "open", None]))
     if boundary is None:
-        L = draw(st.integers(3, 10))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        return L, random_hermitian_sum(rng, L)
-    L, _, op = draw(invariant_operators(boundary))
-    op = op + op.adjoint()
-    assume(not op.is_zero)
-    return L, op
+        op = random_hermitian_sum(rng, L)
+    else:
+        _, op = draw(invariant_operators(L, boundary))
+        op = op + op.adjoint()
+        assume(not op.is_zero)
+    return op, draw(st.integers(1, 16))
 
 
-@PROPERTY
-@given(dense_cases(), st.integers(1, 16))
-@example((8, cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 1.0)), 12)
-@example((9, cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)), 8)
-def test_dense_path_matches_the_oracle(case, count):
-    L, op = case
+def test_dense_path_matches_the_oracle():
+    for_each_size(
+        sizes(3, 2, 1), dense_cases, check_dense_path,
+        [(8, cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 1.0), 12),
+         (9, cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3), 8)])
+
+
+def check_dense_path(L, op, count):
     m = oracle_sum_matrix(op)
     scale = max(1.0, op.norm_bound())
 
@@ -554,12 +577,11 @@ def reflected(mask, L):
 
 
 @st.composite
-def mirror_operators(draw):
-    """(L, M): M a random Hermitian sum of Pauli strings of even z weight,
-    each with its mirror image, so that the reflection R and the spin flip
-    P conserve it, on the open chain's H_C + lam H_I or not; coefficients
-    real or complex, L odd or even."""
-    L = draw(st.integers(3, 10))
+def mirror_operators(draw, L):
+    """A random Hermitian sum of Pauli strings of even z weight on
+    L sites, each with its mirror image, so that the reflection R and the
+    spin flip P conserve it, on the open chain's H_C + lam H_I or not;
+    coefficients real or complex."""
     complex_coeffs = draw(st.booleans())
     op = OperatorSum.zero(L)
     if draw(st.booleans()):
@@ -577,10 +599,8 @@ def mirror_operators(draw):
             op = op + OperatorSum.from_pauli(PauliString(L, 0, xm, zm), coeff)
     op = op + op.adjoint()
     assume(not op.is_zero)
-    return L, op
+    return op
 
-
-MIRROR = settings(max_examples=15, derandomize=True, deadline=None)
 
 # the open chain's Hamiltonian, with its edge quartet at lambda = 0, and
 # a ring's, which the reflection conserves too
@@ -589,15 +609,15 @@ EDGE_QUARTET = (10, cs.perturbed_hamiltonian(LatticeSpec(10, "open"), 0.0))
 RING = (6, cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"), 0.7))
 
 
-@MIRROR
-@given(mirror_operators())
-@example(NINE_SITES)
-@example(EDGE_QUARTET)
-@example(RING)
-def test_reflection_blocks_match_the_oracle(case):
+def test_reflection_blocks_match_the_oracle():
+    for_each_size(sizes(3, 3, 1), lambda L: st.tuples(mirror_operators(L)),
+                  check_reflection_blocks,
+                  [NINE_SITES, EDGE_QUARTET, RING])
+
+
+def check_reflection_blocks(L, op):
     # each (r, p) block of the projection is V^H M V on the reference
     # basis of binary strings, M the Kronecker oracle, with no leak
-    L, op = case
     m = oracle_sum_matrix(op)
     scale = max(1.0, op.norm_bound())
     assert engine._symmetry_group(op, ("RP", "P")) == "RP"
@@ -612,17 +632,19 @@ def test_reflection_blocks_match_the_oracle(case):
         assert block.dtype == (np.float64 if real else np.complex128)
 
 
-@MIRROR
-@given(mirror_operators(), st.integers(1, 12))
-@example(NINE_SITES, 6)
-@example(EDGE_QUARTET, 8)
-@example(RING, 12)
-def test_reflection_solves_match_the_full_space(case, count):
+def test_reflection_solves_match_the_full_space():
+    for_each_size(
+        sizes(3, 3, 1), lambda L: st.tuples(mirror_operators(L),
+                                            st.integers(1, 12)),
+        check_reflection_solves,
+        [(*NINE_SITES, 6), (*EDGE_QUARTET, 8), (*RING, 12)])
+
+
+def check_reflection_solves(L, op, count):
     # eig_low takes the (r, p) blocks; dense, it gives the
     # full space's lowest levels and ground multiplicity exactly, and so
     # does Lanczos unless a level of the window is degenerate inside one
     # block, where each level it returns is still a true level
-    L, op = case
     m = oracle_sum_matrix(op)
     want = np.linalg.eigvalsh(m)
     inside = [np.linalg.eigvalsh(v.conj().T @ m @ v)

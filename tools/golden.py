@@ -85,6 +85,10 @@ COMMANDS = [
     "spectrum --size 11 --boundary periodic --lambda 0.45 --method dense "
     "--count 16",
     "scan --size 12 --boundary periodic --lambda 0.5:1.5:0.05",
+    "spectrum --size 12 --boundary periodic --lambda 1.0 --count 40",
+    "scan --size 10 --boundary periodic --lambda 0:0.2:0.1 --count 30",
+    "spectrum --size 6 --boundary periodic --lambda 0.5 --count 60",
+    "scan --size 12 --boundary periodic --lambda 0.95:1.05:0.05 --count 24",
 ]
 
 
