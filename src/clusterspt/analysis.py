@@ -465,8 +465,11 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     projected once into the translation x spin-flip sectors of a ring, which
     also decides once which momentum -k blocks reuse the solution of k, or
     the reflection x spin-flip sectors of an open chain, and every coupling
-    is a set of small dense solves (sector_low); otherwise each coupling is
-    one Lanczos solve per reflection x spin-flip block (sector_lanczos).
+    is a set of small dense solves (sector_low); otherwise each coupling
+    solves the same sectors one block at a time (sector_lanczos): a ring's
+    real (k, p) blocks, each -k sector reusing the solution of k, or an
+    open chain's (r, p) blocks, by Lanczos above engine.DENSE_BLOCK_STATES
+    states.
     Either way the parity labels come by construction.  The matrices of the
     string order, H_I and probes are built once, after the first solve, so
     a size over its memory budget (project_sectors' or sector_lanczos')

@@ -20,16 +20,20 @@ index's orbit and group element, and each sector's character and
 columns), and one helper gives each row's entries in its sector
 (`_sector_entries`).  `project_sectors` scatters them into small dense
 blocks of every sector at once, real on a ring when every operator is
-real and reflection-invariant (in the bases of `_real_bases`), and
-decides each momentum -k block's conjugate twin once, so that
-`sector_low`, which solves them for phase scans up to 12 sites and for
-every dense `eig_low` of a symmetric operator, takes per coupling and
-sector only a sum, an eigh and a residual check.  `_sector_blocks` keeps each sector's rows as a CSR
-block, which `sector_lanczos` solves by Lanczos, on the (r, p) blocks of
-R x P whenever R conserves the operator, for every iterative `eig_low` of
-a P-invariant operator and for larger scans, retrying a solve once with
-more Krylov vectors when a pair misses its residual bound
-(`_checked_lanczos`).  All golden values depend on this ordering.
+real and reflection-invariant (in the bases of `_real_bases`, for the
+sectors with a complex character, `_takes_basis`), and decides each
+momentum -k block's conjugate twin once, so that `sector_low`, which
+solves them for phase scans up to 12 sites and for every dense `eig_low`
+of a symmetric operator, takes per coupling and sector only a sum, an
+eigh and a residual check.  `sector_lanczos`, for every iterative
+`eig_low` of a P-invariant operator and for larger scans, takes the same
+group and builds one sector's rows at a time as a CSR block
+(`_sector_block`, on a ring the real U^H B U), solves it, densely up to
+DENSE_BLOCK_STATES states and by Lanczos above, retrying a Lanczos solve
+once with more Krylov vectors when a pair misses its residual bound
+(`_checked_lanczos`), and drops it; a real operator's -k sector reuses
+the solution of k.  Both sector solvers take their per-sector level
+counts from `_sector_counts`.  All golden values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -349,14 +353,19 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     as the merged window can use: a first pass of min(count, ceil(4 count
     / n)) levels, n the sectors it solves, and min(count, d) where the
     window needs more.  The merged window is exactly the lowest `count`.
-    iterative: L <= 24, one implicitly restarted Lanczos solve per (r, p)
-    block, or per spin-flip block when R does not conserve h, whenever h
-    is invariant under P (sector_lanczos, on rings too), whose CSR blocks
-    come straight from the orbit table.  An h without P is solved on the
-    full space: one dense matrix, or Lanczos on its CSR operator matrix.
+    iterative: L <= 24, whenever h is invariant under P, one solve per
+    sector of the same group, one sector at a time (sector_lanczos): a
+    ring's (k, p) blocks of about 2^L / 2L states, real when h is real and
+    R conserves it, with each -k sector reusing the solution of k, an
+    open chain's (r, p) blocks, or the spin-flip blocks; a CSR block of
+    more than DENSE_BLOCK_STATES states is solved by implicitly restarted
+    Lanczos, a smaller one densely, for the same per-sector counts as the
+    dense path.  An h without P is solved on the full space: one dense
+    matrix, or Lanczos on its CSR operator matrix.
     A run whose memory estimate exceeds physical memory raises
     ResourceLimitError before allocating anything large (project_sectors
-    charges the dense blocks, sector_lanczos the CSR blocks).  Every
+    charges the dense blocks, sector_lanczos its largest CSR block and the
+    states).  Every
     reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL * max(1,
     sum|coeff|) (see checked_residual).  The iterative path guarantees each
     returned pair is a true eigenpair but, like any Krylov method, may
@@ -807,7 +816,11 @@ def _check_memory(need: int, method: str, length: int, what: str) -> None:
 
 def _check_table(table: _SectorTable) -> None:
     """Raise ConvergenceError unless the orbit table passes checks (i) and
-    (iii) (a)-(d) of project_sectors, each to BASIS_ATOL."""
+    (iii) (a)-(d) of project_sectors, each to BASIS_ATOL, and the twin
+    check: the sector (-k mod n, p) of every (k, p) exists, with the
+    conjugate character and the same columns, so that a real operator has
+    conjugate blocks in the two (sector_lanczos reuses the solution of k
+    for -k on that alone)."""
     L, chars, orbit, cols = table.length, table.chars, table.orbit, table.cols
     b, g = np.arange(orbit.size, dtype=orbit.dtype), np.arange(chars.shape[1])
     k, p = np.array(table.keys).T
@@ -832,6 +845,14 @@ def _check_table(table: _SectorTable) -> None:
         ok["orbit"] &= np.array_equal(orbit[image], orbit)
         ok["stabilizer"] &= bool(np.abs(chars[:, h[moved]] - 1)[
             alive[:, orbit[moved]]].max(initial=0) <= BASIS_ATOL)
+    # the sector of (-k, p) has the conjugate character and the same columns
+    # as (k, p), so a real operator's blocks there are conjugate
+    index = {key: i for i, key in enumerate(table.keys)}
+    twin = np.array([index.get((-kk % order, pp), -1)
+                     for kk, pp in table.keys])
+    ok["twin"] = bool((twin >= 0).all()) and bool(
+        np.abs(chars[twin] - chars.conj()).max() <= BASIS_ATOL) \
+        and np.array_equal(cols[twin], cols)
     failed = [name for name, good in ok.items() if not good]
     if failed:
         raise ConvergenceError(
@@ -852,22 +873,24 @@ def _check_invariant(op: OperatorSum, group: str, name: str) -> None:
             f"{bound:.3e}")
 
 
-def _sector_entries(table: _SectorTable, op: OperatorSum, sec, rep) -> tuple:
+def _sector_entries(table: _SectorTable, op: OperatorSum, sec, rep,
+                    orbits=slice(None)) -> tuple:
     """(target, values), each (rows, #x masks): op's entries in the sector
-    rows a, row a being the orbit sum of reps[rep[a]] in sector sec[a, 0],
-    from one kernel call (_mask_rows) on the orbit representatives.
+    rows a, row a being the orbit sum of the representative rep[a] of
+    `orbits` (all by default) in sector sec[a, 0], from one kernel call
+    (_mask_rows) on the representatives of `orbits`.
 
     M|c> has amplitude B[c', c] / sqrt(N_r) at the representative r of
     column c', so row r's entry from r ^ x, times chi(g_{r^x})
     sqrt(N_r / N_{orbit(r^x)}), lands in column target = cols[i,
     orbit(r ^ x)] of sector i, -1 where that orbit's sum vanishes in i.
-    project_sectors scatters these entries into dense blocks, _sector_blocks
-    takes each sector's rows as a CSR block.
+    project_sectors scatters the rows of every sector into dense blocks,
+    _sector_block takes the rows of one sector's orbits as its CSR block.
     """
-    indices, data = _mask_rows(op, table.reps)
+    indices, data = _mask_rows(op, table.reps[orbits])
     orbit, elem = table.orbit[indices], table.elem[indices]
     del indices
-    data *= np.sqrt(table.size[:, None] / table.size[orbit])
+    data *= np.sqrt(table.size[orbits, None] / table.size[orbit])
     target = table.cols[sec, orbit[rep]]
     del orbit
     return target, table.chars[sec, elem[rep]] * data[rep]
@@ -886,6 +909,13 @@ def _conjugation_pairs(table: _SectorTable) -> tuple:
     mirror = _reflect(table.reps, table.length)[rep]
     return (table.cols[sec, table.orbit[mirror]],
             table.chars[sec, table.elem[mirror]].conj())
+
+
+def _takes_basis(table: _SectorTable) -> np.ndarray:
+    """Per sector of `table`, whether its character is complex (2k != 0
+    mod n, only on a ring): in real bases, the sectors whose blocks change
+    basis by the unitary U of _real_bases, which is 1 in every other one."""
+    return np.array([2 * k % table.order != 0 for k, _ in table.keys])
 
 
 def _real_bases(table: _SectorTable) -> tuple:
@@ -918,9 +948,9 @@ def _real_bases(table: _SectorTable) -> tuple:
                  np.where(lower, half, -1j * half * phi))
     b = np.where(alone, 0, np.where(lower, 1j * half, half * phi))
     index = {key: i for i, key in enumerate(table.keys)}
-    for i, (k, p) in enumerate(table.keys):
+    for i, ((k, p), takes) in enumerate(zip(table.keys, _takes_basis(table))):
         part = slice(first[i], first[i] + dims[i])
-        if 2 * k % table.order == 0:
+        if not takes:
             sigma[part], a[part], b[part] = col[part], 1, 0
         elif 2 * k > table.order:
             twin = first[index[(table.order - k, p)]]
@@ -976,10 +1006,12 @@ def project_sectors(ops, group: str) -> _Projection:
     is real (2k = 0 mod n: every sector of R x P or P alone).  On a ring
     whose operators are all real and conserved by the reflection R
     (_implied_leak), every block is float64: a sector with a complex
-    character takes blocks[m] = U^H V^H M_m V U in a basis U that R times
-    complex conjugation conserves (_real_bases), each entry of V^H M_m V
-    scattered as its four entries in U (_in_real_basis), and -k takes
-    U(-k) = conj U(k), so that its blocks are those of k.  The momentum -k
+    character (_takes_basis) takes blocks[m] = U^H V^H M_m V U in a basis U
+    that R times complex conjugation conserves (_real_bases), each entry
+    of V^H M_m V scattered as its four entries in U (_in_real_basis), and
+    -k takes U(-k) = conj U(k), so that its blocks are those of k; the
+    entries of a sector with a real character, where U = 1, are scattered
+    as they are.  The momentum -k
     twin of each sector is decided here, once (_conjugate_twins).  Between
     the guard below and the first kernel call, the blocks, the scattered
     rows, the row forms, the real bases and the larger of the twin test
@@ -1073,55 +1105,72 @@ def project_sectors(ops, group: str) -> _Projection:
     sec = sec[:, None]
     own = table.cols[sec, rep[:, None]]
     # block i fills flat[ends[i] - d_i^2:ends[i]] row by row; sector i's
-    # columns start at first[i] in the bases
+    # rows, and its columns in the bases, start at first[i]
     ends = np.cumsum(dims ** 2)
     first = np.cumsum(dims) - dims
+    takes = _takes_basis(table)
+
+    def slots(s, rows, cols, target, spare):
+        """Each entry's slot in the flat blocks, an entry into an orbit
+        whose sum vanishes in the sector (target -1) at `spare`."""
+        return np.where(target >= 0, ends[s] - dims[s] * (dims[s] - rows)
+                        + cols, spare).ravel()
+
     flats = []
     for op, scale in zip(ops, scales):
         target, values = _sector_entries(table, op, sec, rep)
-        rows, cols = own, target
-        if mirrored:
-            rows, cols, values = _in_real_basis(basis, first[sec], own,
-                                                target, values)
-        # an entry into an orbit whose sum vanishes in the sector (target
-        # -1) goes to a spare slot past the blocks
-        slot = np.where(target >= 0, ends[sec] - dims[sec] * (dims[sec] - rows)
-                        + cols, ends[-1]).ravel()
-        del rows, cols, target
         # one bincount adds the entries in order, as np.add.at would
         if mirrored:
-            # the imaginary parts for the guard alone, freed before the real
-            # ones are summed (as float64 also for an operator without
-            # terms, whose bincount gives int64)
-            worst = np.abs(np.bincount(slot, values.imag.ravel(),
-                                       ends[-1] + 1)[:-1]).max(initial=0.0)
-            if worst > 1e-13 * scale:
-                raise ConvergenceError(
-                    f"sector blocks are not real in the reflection basis: "
-                    f"imaginary part {worst:.3e} above {1e-13 * scale:.3e}")
-            flat = np.bincount(slot, values.real.ravel(), ends[-1] + 1
-                               ).astype(np.float64, copy=False)
+            # each run's rows alone into its own blocks, as they are where
+            # U = 1 and as their four entries in U elsewhere; no slot is
+            # two runs', so each adds its entries in the order of one
+            # bincount of all.  The imaginary parts go to the guard alone,
+            # freed before the real ones are summed.  A run [lo, hi) is a
+            # maximal range of consecutive sectors that take U or do not
+            edges = [0, *np.flatnonzero(np.diff(takes)) + 1, takes.size]
+            flat = np.empty(ends[-1])
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                part = slice(first[lo], first[hi - 1] + dims[hi - 1])
+                s, t, v = sec[part], target[part], values[part]
+                rows, cols = own[part], t
+                if takes[lo]:
+                    rows, cols, v = _in_real_basis(basis, first[s], rows, t,
+                                                   v)
+                begin, stop = ends[lo] - dims[lo] ** 2, ends[hi - 1]
+                slot = slots(s, rows, cols, t, stop) - begin
+                del rows, cols
+                worst = np.abs(np.bincount(slot, v.imag.ravel(), stop - begin
+                                           + 1)[:-1]).max(initial=0.0)
+                if worst > 1e-13 * scale:
+                    raise ConvergenceError(
+                        f"sector blocks are not real in the reflection "
+                        f"basis: imaginary part {worst:.3e} above "
+                        f"{1e-13 * scale:.3e}")
+                flat[begin:stop] = np.bincount(slot, v.real.ravel(),
+                                               stop - begin + 1)[:-1]
+                del v, slot
         else:
             # a complex entry's real and imaginary parts go to slots 2t and
             # 2t + 1 of one float array, read back as complex without a
             # copy (the int64 zeros an empty operator's bincount gives read
             # as zeros too)
+            slot = slots(sec, own, target, target, ends[-1])
             width = values.itemsize // 8
             flat = np.bincount((width * slot[:, None]
                                 + np.arange(width)).ravel(),
                                values.reshape(-1).view(np.float64),
                                width * (ends[-1] + 1)).view(values.dtype)
-        del values, slot
+            del slot
+        del target, values
         flats.append(flat)
     del sec, rep, own   # before the twin test
     sectors = []
-    for (k, p), d, end in zip(table.keys, dims, ends):
+    for (k, p), d, end, u in zip(table.keys, dims, ends, takes):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
-        sectors.append((k, p, [b.real if r and 2 * k % table.order == 0
-                               else b for b, r in zip(blocks, real)]))
-    bases = {i: tuple(x[first[i]:first[i] + dims[i]] for x in basis)
-             for i, (k, _) in enumerate(table.keys)
-             if 2 * k % table.order} if mirrored else {}
+        sectors.append((k, p, [b.real if r and not u else b
+                               for b, r in zip(blocks, real)]))
+    bases = {int(i): tuple(x[first[i]:first[i] + dims[i]] for x in basis)
+             for i in np.flatnonzero(takes)} if mirrored else {}
     return _Projection(table, sectors,
                        _conjugate_twins(sectors, ops, table.order), bases, {})
 
@@ -1163,8 +1212,53 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h: float,
     solution of k when every coefficient is real, which halves the solves;
     in real bases the blocks and so the solution are real, and taken as
     they are) and checked_residual of every pair against norm_h on the
-    sector's own block, reused twins included.  A coupling takes two
-    passes.  The first solves each own (not reused) sector for its lowest
+    sector's own block, reused twins included.  A coupling takes the two
+    passes of _sector_counts over the own (not reused) sectors, shared with
+    sector_lanczos: a first one at min(count, ceil(4 count / own
+    sectors)) levels, and a second at min(count, d) for the sectors the
+    window needs more of, so that the merged window is exactly the lowest
+    `count` levels.  The merge, shared with sector_lanczos
+    (_merge_levels), expands only the kept levels to 2^L amplitudes from
+    the projection's row forms, and orders the labels and states inside
+    each cluster of levels within `atol` by ascending parity, as
+    resolve_sectors orders them.
+    """
+    real = not np.any(np.imag(coeffs))
+    worst = 0.0
+
+    def solve(i, n, source):
+        """Sector i's (parity, energies, vectors), its lowest min(n, d)
+        levels or the conjugate of its twin's `source`, with the residual
+        of every pair on its own block."""
+        nonlocal worst
+        _, p, blocks = projected.sectors[i]
+        h = np.multiply(coeffs[0], blocks[0],
+                        dtype=np.result_type(*coeffs, *blocks))
+        for c, b in zip(coeffs[1:], blocks[1:]):
+            h += c * b
+        if source is not None:
+            e, w = source[1], source[2].conj()
+        else:
+            e, w = scipy.linalg.eigh(
+                h, subset_by_index=[0, min(n, h.shape[0]) - 1],
+                check_finite=False)
+        worst = max(worst, checked_residual(h @ w, w, e, norm_h))
+        return p, e, w
+
+    solved = _sector_counts(solve, [t if real else -1
+                                    for t in projected.twins], count, atol)
+    return (*_merge_levels(projected.table, solved, count, atol,
+                           projected.forms, projected.bases), worst)
+
+
+def _sector_counts(solve, twins, count: int, atol: float) -> list:
+    """Per sector i, (parity, energies, vectors) of as many of its lowest
+    levels as a merged window of `count` can use, from solve(i, n,
+    source): the lowest min(n, d) levels of an own sector (twins[i] = -1,
+    source None), or, for a sector that reuses the solution of its twin j
+    = twins[i] < i, the conjugate of source = sector j's (parity, energies,
+    vectors).  Both sector solvers (sector_low, sector_lanczos) take their
+    counts here, in two passes.  The first solves each own sector for
     min(start, d) levels, start = min(count, ceil(4 count / own sectors)),
     which is `count` with four own sectors or fewer (an open chain's, or
     the spin flip's alone).  With `top` the count-th lowest level found
@@ -1173,48 +1267,21 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h: float,
     within `top` + atol, and its twin takes the new solution.  Every level
     a sector leaves out then lies above `top` + atol, so the merged window
     is the one of solving every sector at min(count, d): exactly the
-    lowest `count` levels.  The merge, shared with sector_lanczos
-    (_merge_levels), expands only the kept levels to 2^L amplitudes from
-    the projection's row forms, and orders the labels and states inside
-    each cluster of levels within `atol` by ascending parity, as
-    resolve_sectors orders them.
-    """
-    twins = projected.twins
-    real = not np.any(np.imag(coeffs))
-    reused = [real and t >= 0 for t in twins]
-    start = min(count, -(-4 * count // reused.count(False)))
-    solved, worst = [], 0.0
-
-    def solve(i, n):
-        """Sector i's (parity, energies, vectors), its lowest min(n, d)
-        levels, with the residual of every pair on its own block."""
-        nonlocal worst
-        _, p, blocks = projected.sectors[i]
-        h = np.multiply(coeffs[0], blocks[0],
-                        dtype=np.result_type(*coeffs, *blocks))
-        for c, b in zip(coeffs[1:], blocks[1:]):
-            h += c * b
-        if reused[i]:
-            e, w = solved[twins[i]][1], solved[twins[i]][2].conj()
-        else:
-            e, w = scipy.linalg.eigh(
-                h, subset_by_index=[0, min(n, h.shape[0]) - 1],
-                check_finite=False)
-        worst = max(worst, checked_residual(h @ w, w, e, norm_h))
-        return p, e, w
-
-    for i in range(len(twins)):
-        solved.append(solve(i, start))
+    lowest `count` levels (up to the copies a Krylov solve can miss)."""
+    start = min(count, -(-4 * count // list(twins).count(-1)))
+    solved = []
+    for i, j in enumerate(twins):
+        solved.append(solve(i, start, solved[j] if j >= 0 else None))
     found = np.sort(np.concatenate([e for _, e, _ in solved]))
     top = found[count - 1] if found.size >= count else np.inf
     again = set()
     for i, (_, e, w) in enumerate(solved):
-        if (twins[i] in again if reused[i] else
+        j = twins[i]
+        if (j in again if j >= 0 else
                 e.size < min(count, w.shape[0]) and e[-1] <= top + atol):
             again.add(i)
-            solved[i] = solve(i, count)
-    return (*_merge_levels(projected.table, solved, count, atol,
-                           projected.forms, projected.bases), worst)
+            solved[i] = solve(i, count, solved[j] if j >= 0 else None)
+    return solved
 
 
 def _merge_levels(table: _SectorTable, solved: list, count: int,
@@ -1224,8 +1291,9 @@ def _merge_levels(table: _SectorTable, solved: list, count: int,
     energies, ties in sector then column order, inside each cluster within
     `atol` in ascending parity (the order resolve_sectors gives), each
     kept state V U w expanded from its sector's row form, taken from
-    `forms` or built there once (_row_form), after U w, in O(d), for a
-    sector with a unitary U in `bases`, its rows (sigma, a, b) of
+    `forms` or built there once (_row_form), or, when `forms` is None,
+    built for that sector's states alone and dropped, after U w, in O(d),
+    for a sector with a unitary U in `bases`, its rows (sigma, a, b) of
     _real_bases: (U w)_c = a_c w_c + b_c w_{sigma_c}."""
     sizes = [e.size for _, e, _ in solved]
     energies = np.concatenate([e for _, e, _ in solved])
@@ -1236,108 +1304,218 @@ def _merge_levels(table: _SectorTable, solved: list, count: int,
     vals = energies[order]
     for c in _clusters(vals, atol):
         order[c] = order[c][np.argsort(parity[order[c]], kind="stable")]
-    states = []
-    for i, c in zip(sector[order], column[order]):
-        if i not in forms:
-            forms[i] = _row_form(table, i)
-        col, val = forms[i]
-        w = solved[i][2][:, c]
-        if bases and i in bases:
-            sigma, a, b = bases[i]
-            w = a * w + b * w[sigma]
-        states.append(StateVector(table.length, val * w[col]))
+    kept = sector[order]
+    states = [None] * kept.size
+    for i in dict.fromkeys(kept.tolist()):
+        form = forms.get(i) if forms is not None else None
+        if form is None:
+            form = _row_form(table, i)
+            if forms is not None:
+                forms[i] = form
+        col, val = form
+        for m in np.flatnonzero(kept == i):
+            w = solved[i][2][:, column[order[m]]]
+            if bases and i in bases:
+                sigma, a, b = bases[i]
+                w = a * w + b * w[sigma]
+            states[m] = StateVector(table.length, val * w[col])
     return vals, parity[order].astype(float), tuple(states)
 
 
-def _sector_blocks(table: _SectorTable, op: OperatorSum) -> list:
-    """op's block in every sector of `table` as a CSR matrix, from one
-    _sector_entries call over the rows of all sectors (sector-major, as
-    project_sectors takes them): sector i's rows are one slice of the
-    entries, kept as its block's own memory.  An entry into an orbit whose
-    sum vanishes in the sector is stored as a zero in column 0."""
-    alive = table.cols >= 0
-    sec, rep = np.nonzero(alive)
-    target, values = _sector_entries(table, op, sec[:, None], rep)
+def _sector_block(table: _SectorTable, op: OperatorSum, i: int,
+                  basis=None) -> scipy.sparse.csr_array:
+    """op's block in sector i of `table` as a CSR matrix, from one
+    _sector_entries call on the sector's orbit representatives, its rows'
+    entries kept as the block's own memory: float64 when op is real
+    (has_real_matrix) and the character is (_takes_basis).  An entry into
+    an orbit whose sum vanishes in the sector is stored as a zero in
+    column 0.  With `basis`, the rows (sigma, a, b) of the sector's unitary
+    U (_real_bases, two entries per row), the block is the real U^H B U,
+    formed as a sparse product, and raises ConvergenceError, as
+    project_sectors does, when an entry keeps an imaginary part above
+    1e-13 * max(1, sum|coeff|)."""
+    orbits = np.flatnonzero(table.cols[i] >= 0)
+    target, values = _sector_entries(table, op, i, slice(None), orbits)
     values[target < 0] = 0
     np.maximum(target, 0, out=target)
-    dims = alive.sum(axis=1)
-    return [_csr(target[end - d:end], values[end - d:end])
-            for d, end in zip(dims, np.cumsum(dims))]
+    if has_real_matrix(op) and not _takes_basis(table)[i]:
+        values = values.real
+    block = _csr(target, values)
+    del target, values
+    if basis is None:
+        return block
+    # row c of U holds a_c at c and b_c at sigma_c, row j of U^H conj a_j
+    # at j and conj b_{sigma_j} at sigma_j (sigma is an involution); where
+    # sigma_c = c, b_c = 0 adds nothing
+    sigma, a, b = basis
+    pairs = np.column_stack([np.arange(sigma.size, dtype=sigma.dtype), sigma])
+    block = _csr(pairs, np.column_stack([a, b[sigma]]).conj()) @ (
+        block @ _csr(pairs, np.column_stack([a, b])))
+    scale = 1e-13 * max(1.0, op.norm_bound())
+    worst = np.abs(block.data.imag).max(initial=0.0)
+    if worst > scale:
+        raise ConvergenceError(
+            f"sector blocks are not real in the reflection basis: "
+            f"imaginary part {worst:.3e} above {scale:.3e}")
+    # the real parts as the block's own contiguous data (a strided view
+    # would be copied at every product), without the entries that cancel
+    block = scipy.sparse.csr_array(
+        (block.data.real.copy(), block.indices, block.indptr),
+        shape=block.shape)
+    block.eliminate_zeros()
+    return block
+
+
+def _krylov(k: int, size: int) -> int:
+    """Krylov vectors for k levels of a block of `size` states: fewer than
+    the full space's 40 run faster, 28 kept every window of the
+    benchmark's spectra exact at 12-14 sites, where 20-24 dropped a copy
+    of a multiplet now and then, and 3 per level kept the 14-site ring's
+    window of 12 at lambda = 0 exact, where 28 dropped copies of a level
+    sevenfold in one (r, p) block."""
+    return int(min(size, max(3 * k, 28)))
+
+
+def _largest_sector(length: int, group: str) -> int:
+    """A bound on the states of any sector of `group` on `length` sites,
+    read without the orbit table: no sector holds more than the group's
+    orbits, which number 2^L / |G| plus the mean over G of the states each
+    element other than 1 fixes (Burnside's lemma), at most 2^ceil(L/2) per
+    element."""
+    return ((1 << length) // (2 * _generator(group, length)[1])
+            + 2 ** ((length + 1) // 2))
+
+
+def _lanczos_charge(h: OperatorSum, group: str, count: int,
+                    mirrored: bool) -> int:
+    """Bytes sector_lanczos charges for h on the sectors of `group`, in real
+    bases when `mirrored`, before the orbit table exists: what lives
+    through the solves (the orbit table, the real bases and every sector's
+    kept vectors) plus the largest of four passes, each measured with
+    tracemalloc at 14-18 sites: building the table and checking it (at
+    most 64 bytes per state), the real bases (100 per state), the largest
+    block's build or solve, and the merge (the row form's transients and
+    the states with eig_low's copies of a ground cluster as wide as the
+    window)."""
+    L = h.length
+    dim = 1 << L
+    d = _largest_sector(L, group)
+    item = 8 if has_real_matrix(h) and (mirrored or group != "TP") else 16
+    x_masks = len({x for x, _ in h.items()})
+    n = min(count, d)
+    ncv = _krylov(n, d)
+    # the block's build, 96 bytes per row and x mask for the product in
+    # real bases (30 without), and its solve: the block (1.5 entries per x
+    # mask in real bases), ARPACK's vectors (about two per Krylov vector),
+    # the residual's, and a dense block with eigh's copy
+    build = d * x_masks * (100 if mirrored else 32)
+    solve = (d * x_masks * (24 if mirrored else item + 4)
+             + (2 * ncv + 3 * n + 8) * d * item
+             + 3 * min(d, DENSE_BLOCK_STATES) ** 2 * item)
+    kept = dim * (16 + (36 if mirrored else 0) + min(count, dim) * item)
+    return kept + max(dim * 64, dim * 100 if mirrored else 0, build, solve,
+                      dim * (100 + 64 * min(count, dim)))
+
+
+# Blocks of at most this many states take a dense subset eigh in
+# sector_lanczos, larger ones ARPACK.  Measured at a block's lowest 2 / 8
+# levels (one BLAS thread, 2-core host): 165 states (a 12-site ring's real
+# (k, p) block) 0.9 / 1.1 ms dense against 1.5 / 2.2 ms ARPACK, 315 (a
+# 13-site ring's) 3.9 / 4.5 ms against 3.5 / 5.7 ms, 528 (an 11-site
+# chain's (r, p) block) 12.9 / 15.4 ms against 4.3 / 6.3 ms.  A dense
+# solve also keeps every copy of a level degenerate inside its block.
+DENSE_BLOCK_STATES = 400
 
 
 def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     """Lowest `count` levels of a Hermitian h invariant under the spin flip
-    P, one Lanczos solve per symmetry block.
+    P, one solve per symmetry sector, one sector at a time.
 
     Returns (vals, labels, states, max_residual) as sector_low does.  The
-    blocks are those of the reflection x spin flip (about 2^(L-2) states
-    each) when h is also invariant under the reflection R, as every
-    Hamiltonian of an open chain or a ring is, and otherwise the two
-    parity blocks of 2^(L-1) states (_symmetry_group).  They come as CSR
-    matrices from one kernel call on the orbit table (_sector_blocks).
-    Each block gives its lowest min(count, d) levels (sector_low's
-    per-sector counts apply to the dense blocks only), by ARPACK
-    (_checked_lanczos) or, for a block too small for it, a dense eigh;
-    every pair passes checked_residual on its own block, and sector_low's
-    merge (_merge_levels) keeps the lowest `count`, labelled by parity.
-    Before the orbit table or any kernel is built, the larger of the build
-    (the table and the entries) and the solve (the blocks, the Lanczos and
-    sector vectors, the expanded states and eig_low's re-orthonormalized
-    copies, with every block taken as large as a parity block) is charged
-    against physical memory (_check_memory), and a Lanczos retry's extra
-    vectors on top of the solve.
+    group is read off h as eig_low reads it (_symmetry_group, in the order
+    TP, RP, P): a ring's 2L (k, p) sectors of about 2^L / 2L states, an
+    open chain's four (r, p) blocks of about 2^(L-2), or, for an h that R
+    does not conserve either, the two parity blocks of 2^(L-1).  Each own
+    sector's block is built alone as a CSR matrix (_sector_block), solved,
+    and dropped before the next one is built; when h is real and R
+    conserves it, a sector with a complex character takes the real block
+    U^H B U in the basis of _real_bases.  When h is real (has_real_matrix)
+    the -k sector builds no block: the orbit table's twin check
+    (_check_table) gives it the conjugate block of k, so it takes the
+    conjugate of the solution of k (in real bases, where U(-k) = conj
+    U(k), that solution as it is).  A block of at most DENSE_BLOCK_STATES
+    states takes a dense subset eigh, a larger one ARPACK
+    (_checked_lanczos); every pair passes checked_residual on its own
+    block.  The own sectors' counts are sector_low's two passes
+    (_sector_counts), which ask each of four own sectors or fewer for the
+    whole count, and sector_low's merge (_merge_levels) keeps the lowest
+    `count`, labelled by parity, each sector's row form built for its
+    kept states and dropped.  Before the orbit table or any kernel is
+    built, the table, in real bases the bases, the largest sector's block
+    build or solve, the kept sector vectors and the expanded states with
+    eig_low's re-orthonormalized copies are charged against physical
+    memory (_check_memory), and a Lanczos retry's extra vectors on top of
+    that.
     """
     h = _as_sum(h)
-    group = _symmetry_group(h, ("RP", "P"))
+    group = _symmetry_group(h)
     if group is None:   # raises: h is not invariant under P
         _check_invariant(h, "P", "the operator")
     L = h.length
     dim = 1 << L
-    d = dim // 2
-    n = min(count, d)
+    norm_h = h.norm_bound()
+    real = has_real_matrix(h)
+    # a ring's complex sectors take real bases when R conserves h too
+    mirrored = group == "TP" and real and (
+        _implied_leak(h, "RP") <= 1e-12 * max(1.0, norm_h))
 
-    def krylov(k, size):
-        """Krylov vectors for k levels of a block of `size` states: fewer
-        than the full space's 40 run faster, 28 kept every window of the
-        benchmark's spectra exact at 12-14 sites, where 20-24 dropped a
-        copy of a multiplet now and then, and 3 per level kept the 14-site
-        ring's window of 12 at lambda = 0 exact, where 28 dropped copies
-        of a level sevenfold in one (r, p) block."""
-        return int(min(size, max(3 * k, 28)))
-
-    ncv = krylov(n, d)
-    item = 8 if has_real_matrix(h) else 16
-    x_masks = len({x for x, _ in h.items()})
-    # the larger of two phases.  Building: the orbit table with its check,
-    # and _sector_entries' kernel rows, gathered rows and values
-    # (tracemalloc: 25.5 bytes per state and x mask, real h, 14-18 sites,
-    # on the parity blocks).  Solving: the table and blocks, one solve's
-    # ARPACK vectors, the kept and residual sector vectors, and the states
-    # with eig_low's re-orthonormalized copies of a ground cluster as wide
-    # as the window.
-    build = dim * (64 + x_masks * (3 * item + 8))
-    solve = (dim * (64 + x_masks * (item + 4)) + (ncv + 5 * n + 4) * d * item
-             + 4 * min(count, dim) * dim * 16)
-    _check_memory(max(build, solve), "iterative", L,
-                  f"the sector blocks, {ncv} Lanczos vectors and the states")
+    need = _lanczos_charge(h, group, count, mirrored)
+    _check_memory(need, "iterative", L,
+                  f"the largest sector block, {_krylov(count, dim)} Lanczos "
+                  "vectors and the states")
     table = _sector_table(L, group)
     _check_table(table)
-    norm_h = h.norm_bound()
-    solved, worst = [], 0.0
-    for (_, p), block in zip(table.keys, _sector_blocks(table, h)):
+    takes = _takes_basis(table)
+    bases = {}
+    if mirrored:
+        dims = np.count_nonzero(table.cols >= 0, axis=1)
+        first = np.cumsum(dims) - dims
+        basis = _real_bases(table)
+        bases = {int(i): tuple(x[first[i]:first[i] + dims[i]] for x in basis)
+                 for i in np.flatnonzero(takes)}
+        del basis
+    # a real h reuses the solution of k for -k (the table's twin check)
+    index = {key: i for i, key in enumerate(table.keys)}
+    twins = [-1] * len(table.keys)
+    if real:
+        for i, (k, p) in enumerate(table.keys):
+            j = index[(-k % table.order, p)]
+            twins[i] = j if j < i else -1
+    worst = 0.0
+
+    def solve(i, n, source):
+        """Sector i's (parity, energies, vectors): its lowest min(n, d)
+        levels, or the conjugate of its twin's `source`."""
+        nonlocal worst
+        p = table.keys[i][1]
+        if source is not None:
+            return p, source[1], source[2].conj()
+        block = _sector_block(table, h, i, bases.get(i))
         size = block.shape[0]
-        k = min(count, size)
-        if k > size - 2:   # ARPACK needs k < d - 1
+        k = min(n, size)
+        if size <= DENSE_BLOCK_STATES or k > size - 2:
+            # ARPACK needs k < d - 1
             e, w = scipy.linalg.eigh(block.toarray(),
                                      subset_by_index=[0, k - 1])
             residual = checked_residual(block @ w, w, e, norm_h)
         else:
-            e, w, residual = _checked_lanczos(block, k, krylov(k, size),
-                                              norm_h, solve, L)
+            e, w, residual = _checked_lanczos(block, k, _krylov(k, size),
+                                              norm_h, need, L)
         worst = max(worst, residual)
-        solved.append((p, e, w))
-    del block   # it holds every block's entries
-    return (*_merge_levels(table, solved, count, atol, {}), worst)
+        return p, e, w
+
+    solved = _sector_counts(solve, twins, count, atol)
+    return (*_merge_levels(table, solved, count, atol, None, bases), worst)
 
 
 def _as_columns(states) -> np.ndarray:

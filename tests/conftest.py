@@ -14,6 +14,7 @@ from pathlib import Path
 import hypothesis
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -55,11 +56,17 @@ def oracle_matrix(p: cs.PauliString) -> np.ndarray:
 
 
 def oracle_sum_matrix(op: cs.OperatorSum) -> np.ndarray:
+    """Dense matrix of a sum, each term the sparse Kronecker product of the
+    same literal 2x2 matrices as oracle_matrix, summed sparse and densified
+    once."""
     dim = 1 << op.length
-    m = np.zeros((dim, dim), dtype=complex)
+    m = scipy.sparse.csr_array((dim, dim), dtype=complex)
     for coeff, p in op.iter_terms():
-        m += coeff * oracle_matrix(p)
-    return m
+        term = scipy.sparse.csr_array([[1.0 + 0j]])
+        for ch in p.letters:
+            term = scipy.sparse.kron(term, SINGLE[ch], format="csr")
+        m = m + coeff * (PHASES[p.display_phase_exp] * term)
+    return m.toarray()
 
 
 def random_pauli(rng, length: int, phase: bool = True) -> cs.PauliString:

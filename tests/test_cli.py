@@ -397,16 +397,17 @@ class TestParserReuse:
 
 class TestMemoryBudget:
     def test_oversized_run_fails_early(self, capsys, monkeypatch):
-        # the solve phase, each block charged as a 2^23-state parity block:
-        # 24 x masks at 12 bytes plus the table, 28 Lanczos vectors and the
-        # kept sector vectors, and 8 complex states with the ground
-        # cluster's copies
+        # the orbit table, the real bases and the kept vectors of every
+        # (k, p) sector, then the merge: 8 complex states of 2^24 amplitudes
+        # with the copies of a ground cluster as wide as the window
         monkeypatch.setattr(engine, "_physical_memory", lambda: 7 << 30)
         t0 = time.perf_counter()
-        assert main(["spectrum", "--size", "24", "--boundary", "periodic",
-                     "--method", "iterative"]) == 2
+        with mock.patch.object(engine, "_sector_table") as table:
+            assert main(["spectrum", "--size", "24", "--boundary",
+                         "periodic", "--method", "iterative"]) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "needs about 19.3 GB" in capsys.readouterr().err
+        assert table.call_count == 0
+        assert "needs about 12.2 GB" in capsys.readouterr().err
         assert main(["spectrum", "--size", "14", "--method",
                      "iterative"]) == 0
 

@@ -199,16 +199,18 @@ class TestEigLow:
 
     @pytest.mark.parametrize("L,widths", [(8, [28, 56]), (6, [20]),
                                           (5, [10]), (7, [28, 36])])
-    def test_lanczos_retry_is_made_once(self, L, widths):
+    def test_lanczos_retry_is_made_once(self, L, widths, monkeypatch):
         # every solve of the (r, p) blocks misses its bound: one retry with
         # twice the vectors, capped at the first block's 72, 20, 10 or 36
-        # states, and none when the first solve already spans the block
+        # states, and none when the first solve already spans the block.
+        # Blocks this small take a dense eigh, unless the dense cap is 0
         solve = engine._lanczos
 
         def shifted(m, count, ncv):
             vals, vecs = solve(m, count, ncv)
             return vals + 1e-6, vecs
 
+        monkeypatch.setattr(engine, "DENSE_BLOCK_STATES", 0)
         h = cs.perturbed_hamiltonian(LatticeSpec(L, "open"), 0.3)
         with mock.patch.object(engine, "_lanczos", wraps=shifted) as spy, \
                 pytest.raises(ConvergenceError, match="residual"):

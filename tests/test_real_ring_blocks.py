@@ -155,10 +155,17 @@ def test_operators_without_the_symmetry_keep_complex_blocks(build, L):
     for k, _, (block,) in projection.sectors:
         assert block.dtype == (np.float64 if 2 * k % L == 0
                                and build is skewed else np.complex128)
-    spect = cs.eig_low(op, count=12, method="dense")
-    want = np.linalg.eigvalsh(oracle_sum_matrix(op))
-    np.testing.assert_allclose(spect.eigenvalues, want[:12], rtol=0,
-                               atol=1e-12)
+    m = oracle_sum_matrix(op)
+    want = np.linalg.eigvalsh(m)
+    # the sector solve keeps the complex blocks too, and a real sum's -k
+    # sectors take the conjugate solutions of k, states included
+    for method in ("dense", "iterative"):
+        spect = cs.eig_low(op, count=12, method=method)
+        np.testing.assert_allclose(spect.eigenvalues, want[:12], rtol=0,
+                                   atol=1e-12)
+        for e, psi in zip(spect.eigenvalues, spect.states):
+            assert np.linalg.norm(m @ psi.amps - e * psi.amps) \
+                <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("L,grid", [(8, [0.9, 1.1]), (10, [0.9, 1.1]),

@@ -1,18 +1,29 @@
-"""Lanczos per symmetry block (engine.sector_lanczos): against the dense
-sector path up to 12 sites, against the free-fermion levels of
-bench/oracle.py at 13-14 sites, and its memory budget."""
+"""Sector solves one symmetry block at a time (engine.sector_lanczos): a
+ring's real (k, p) blocks and an open chain's (r, p) blocks, against the
+dense sector path up to 12 sites and the free-fermion levels of
+bench/oracle.py at 13-14 sites; which blocks a ring builds and solves,
+the -k twins that reuse a solution, the table's twin check, and its
+memory budget."""
 
+import collections
+import dataclasses
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import strategies as st
 
 import clusterspt as cs
 from clusterspt import LatticeSpec, engine
+from clusterspt.errors import ConvergenceError
 
 from conftest import basis_matrix, for_each_size, free_fermion
+
+# the solvers themselves, for the spies to call
+EIGH, EIGSH = scipy.linalg.eigh, scipy.sparse.linalg.eigsh
 
 
 def _window(vals):
@@ -29,8 +40,9 @@ def test_sector_lanczos_matches_the_dense_sector_path():
             st.integers(1, 8)),
         check_sector_lanczos,
         [(4, "open", 0.3, 8),        # 8-state blocks: dense eigh, not ARPACK
-         (5, "periodic", 0.7, 8),    # ncv is the whole 16-state block
-         (10, "open", 0.0, 8)])      # the edge quartet, two in each block
+         (5, "periodic", 0.7, 8),    # ten (k, p) blocks of 2-4 states
+         (10, "open", 0.0, 8),       # the edge quartet, two in each block
+         (11, "open", 0.6, 8)])      # blocks of 528 states: ARPACK
 
 
 def check_sector_lanczos(L, boundary, lam, count):
@@ -66,22 +78,26 @@ def check_sector_lanczos(L, boundary, lam, count):
 def test_csr_blocks_are_the_dense_projection(L, boundary):
     # both layouts take _sector_entries' rows; a ring's and a reflection's
     # tables have orbit sums that vanish in some sectors, whose entries the
-    # blocks drop.  A ring sector with a complex character keeps its dense
-    # block in a real basis U, so U B U^H is the orbit-basis block, up to
-    # the rounding of the change of basis
+    # blocks drop.  A ring sector with a complex character takes its block
+    # in the real basis U on both paths: the CSR block as the sparse
+    # product U^H B U, equal to the dense scatter up to rounding, and the
+    # orbit-basis block U B U^H with no basis
     lat = LatticeSpec(L, boundary)
     h = cs.perturbed_hamiltonian(lat, 0.7)
     projected = engine.project_sectors([h], "TP" if lat.is_periodic else "RP")
-    blocks = engine._sector_blocks(projected.table, h)
-    sectors = projected.sectors
-    assert len(blocks) == len(sectors)
+    table = projected.table
     assert lat.is_periodic == bool(projected.bases)
-    for i, ((_, _, (dense,)), block) in enumerate(zip(sectors, blocks)):
+    for i, (_, _, (dense,)) in enumerate(projected.sectors):
+        block = engine._sector_block(table, h, i, projected.bases.get(i))
+        assert block.dtype == np.float64
         if i in projected.bases:
-            u = basis_matrix(projected.bases[i])
-            np.testing.assert_allclose(u @ dense @ u.conj().T,
-                                       block.toarray(), rtol=0,
+            np.testing.assert_allclose(block.toarray(), dense, rtol=0,
                                        atol=1e-14 * h.norm_bound())
+            u = basis_matrix(projected.bases[i])
+            np.testing.assert_allclose(
+                u @ dense @ u.conj().T,
+                engine._sector_block(table, h, i).toarray(), rtol=0,
+                atol=1e-14 * h.norm_bound())
         else:
             np.testing.assert_array_equal(block.toarray(), dense)
 
@@ -162,6 +178,123 @@ def test_chain_windows_at_the_benchmark_couplings(L, lam):
     assert sorted(labels) == sorted(p for _, p in levels[:8])
 
 
+def check_oracle_window(L, periodic, lam, count, vals, labels):
+    """A sector_lanczos window against the free-fermion levels: energies
+    to 1e-10, the ground multiplicity exactly, the parities of every
+    multiplet the window holds whole, and, for the one it cuts, kept
+    parities the multiplet has."""
+    levels = free_fermion.spectrum(L, periodic, lam)
+    want = np.array([e for e, _ in levels])
+    np.testing.assert_allclose(vals, want[:count], rtol=0, atol=1e-10)
+    assert _window(vals) == min(free_fermion.multiplet(want), count)
+    start = 0
+    while start < count:
+        size = free_fermion.multiplet(list(want), start, 1e-8)
+        kept = collections.Counter(labels[start:start + size])
+        have = collections.Counter(p for _, p in levels[start:start + size])
+        assert kept == have if start + size <= count else kept <= have
+        start += size
+
+
+@pytest.mark.parametrize("L", [13, 14])
+@pytest.mark.parametrize("lam", STRATA)
+def test_ring_windows_at_the_benchmark_couplings(L, lam):
+    # the rings' (k, p) blocks: most of these windows end inside a
+    # momentum pair or a larger multiplet
+    h = cs.perturbed_hamiltonian(LatticeSpec(L, "periodic"), lam)
+    vals, labels, _, _ = engine.sector_lanczos(h, 8)
+    check_oracle_window(L, True, lam, 8, vals, labels)
+
+
+def solve_spied(h, count):
+    """sector_lanczos(h, count) with the sectors whose blocks it builds,
+    each solve's matrix and level count (eigh or eigsh), and the solutions
+    it merges."""
+    solves = []
+
+    def eigh(a, **kwargs):
+        solves.append((a, kwargs["subset_by_index"][1] + 1))
+        return EIGH(a, **kwargs)
+
+    def eigsh(a, **kwargs):
+        solves.append((a, kwargs["k"]))
+        return EIGSH(a, **kwargs)
+
+    with mock.patch.object(engine, "_sector_block",
+                           wraps=engine._sector_block) as blocks, \
+            mock.patch.object(engine.scipy.linalg, "eigh",
+                              side_effect=eigh), \
+            mock.patch.object(engine.scipy.sparse.linalg, "eigsh",
+                              side_effect=eigsh), \
+            mock.patch.object(engine, "_merge_levels",
+                              wraps=engine._merge_levels) as merge:
+        result = engine.sector_lanczos(h, count)
+    built = [c.args[2] for c in blocks.call_args_list]
+    return result, built, solves, merge.call_args.args[1]
+
+
+@pytest.mark.parametrize("L,lam", [(13, 0.75), (14, 0.45)])
+def test_ring_builds_only_its_own_sectors(L, lam):
+    # a real, R-invariant ring Hamiltonian: every sector k <= L/2 builds
+    # its block once, real, and solves it once at ceil(4 * 8 / own)
+    # levels, dense at 13 sites (blocks of 315 states), by ARPACK at 14
+    # (576-596); every -k sector builds nothing and takes the solution of
+    # k as it is (real bases)
+    h = cs.perturbed_hamiltonian(LatticeSpec(L, "periodic"), lam)
+    (vals, labels, _, _), built, solves, solved = solve_spied(h, 8)
+    table = engine._sector_table(L, "TP")
+    own = [i for i, (k, _) in enumerate(table.keys) if 2 * k <= L]
+    assert len(table.keys) == 2 * L and len(own) == L // 2 * 2 + 2
+    assert built == own
+    assert [n for _, n in solves] == [-(-32 // len(own))] * len(own)
+    assert all(a.dtype == np.float64 for a, _ in solves)
+    assert all(isinstance(a, np.ndarray) == (L == 13) for a, _ in solves)
+    index = {key: i for i, key in enumerate(table.keys)}
+    for i, (k, p) in enumerate(table.keys):
+        if 2 * k > L:
+            j = index[(L - k, p)]
+            assert solved[i][0] == p and solved[i][1] is solved[j][1]
+            np.testing.assert_array_equal(solved[i][2], solved[j][2])
+    spect = cs.eig_low(h, 8, "iterative")
+    np.testing.assert_array_equal(spect.eigenvalues, vals)
+    assert spect.ground_degeneracy == _window(vals)
+    check_oracle_window(L, True, lam, 8, vals, labels)
+
+
+def test_a_ring_sector_the_window_needs_is_solved_again():
+    # 14-site ring at lambda = 1.35, count 8: the first pass takes 2 levels
+    # of each of the 16 own sectors; (0, +1) and (7, -1), which have no
+    # twin, each give 2 levels at or below the window's top and hold
+    # more, and are solved again for 8
+    L, lam = 14, 1.35
+    h = cs.perturbed_hamiltonian(LatticeSpec(L, "periodic"), lam)
+    (vals, labels, _, _), built, solves, _ = solve_spied(h, 8)
+    keys = engine._sector_table(L, "TP").keys
+    assert len(built) == 18
+    assert [keys[i] for i in built[16:]] == [(0, 1), (7, -1)]
+    assert [n for _, n in solves] == [2] * 16 + [8, 8]
+    check_oracle_window(L, True, lam, 8, vals, labels)
+
+
+def test_a_table_without_conjugate_twins_is_rejected(monkeypatch):
+    # the character of (-1, +1) replaced by that of (1, +1): the -k block
+    # would not be the conjugate of the k block, so no solution may be
+    # reused
+    build = engine._sector_table
+
+    def tampered(length, group):
+        table = build(length, group)
+        chars = table.chars.copy()
+        chars[table.keys.index((length - 1, 1))] = \
+            chars[table.keys.index((1, 1))]
+        return dataclasses.replace(table, chars=chars)
+
+    monkeypatch.setattr(engine, "_sector_table", tampered)
+    h = cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 0.7)
+    with pytest.raises(ConvergenceError, match="twin"):
+        engine.sector_lanczos(h, 4)
+
+
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_labels_are_the_free_fermion_parities(boundary):
     # every cluster the window keeps whole carries the oracle's parities
@@ -204,6 +337,33 @@ def test_budget_covers_the_chain_solve():
             tracemalloc.stop()
     assert spy.call_count == 1
     assert peak <= spy.call_args.args[0]
+
+
+@pytest.mark.parametrize("L", [14, 16])
+@pytest.mark.parametrize("count", [8, 12])
+def test_budget_covers_the_ring_solve(L, count):
+    # the orbit table, the real bases, each (k, p) block's build and solve
+    # one at a time, the kept sector vectors and the expanded states
+    h = cs.perturbed_hamiltonian(LatticeSpec(L, "periodic"), 0.9)
+    with mock.patch.object(engine, "_check_memory",
+                           wraps=engine._check_memory) as spy:
+        tracemalloc.start()
+        try:
+            cs.eig_low(h, count=count, method="iterative")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert spy.call_count == 1
+    assert peak <= spy.call_args.args[0]
+
+
+@pytest.mark.parametrize("group", ["TP", "RP", "P"])
+def test_the_charged_block_bound_holds(group):
+    # the charge reads the largest block off its bound, before any table
+    for L in range(2, 15):
+        table = engine._sector_table(L, group)
+        assert np.count_nonzero(table.cols >= 0, axis=1).max() \
+            <= engine._largest_sector(L, group)
 
 
 def test_budget_is_charged_before_the_orbit_table(monkeypatch):

@@ -656,14 +656,11 @@ def check_reflection_solves(L, op, count):
                            wraps=engine._sector_table) as spy:
         dense = cs.eig_low(op, count=count, method="dense")
         iterative = cs.eig_low(op, count=count, method="iterative")
-    # a ring's (k, p) blocks go first on the dense path, for the ring's
+    # a ring's (k, p) blocks go first on both paths, for the ring's
     # Hamiltonian and any sum the translation happens to conserve too
-    # (a count too close to 2^L solves densely on both)
     group = "TP" if engine._implied_leak(op, "TP") <= 1e-12 * max(
         1.0, op.norm_bound()) else "RP"
-    lanczos = "RP" if count <= (1 << L) - 2 else group
-    assert [c.args for c in spy.call_args_list] == [(L, group),
-                                                    (L, lanczos)]
+    assert [c.args for c in spy.call_args_list] == [(L, group), (L, group)]
     np.testing.assert_allclose(dense.eigenvalues, want[:n], rtol=0,
                                atol=1e-12)
     assert dense.ground_degeneracy == deg
@@ -714,19 +711,18 @@ def test_orbit_table_check_rejects_a_wrong_reflection(field):
 
 
 def test_groups_are_read_off_the_coefficients():
-    # translation first, then the reflection, then the spin flip alone: a
-    # ring solves densely on (k, p) blocks and by Lanczos on (r, p) ones,
-    # a chain on (r, p) blocks, and a chain with a field on site 2, which
-    # P conserves and R does not, on the parity blocks
+    # translation first, then the reflection, then the spin flip alone,
+    # dense and by Lanczos alike: a ring solves on (k, p) blocks, a chain
+    # on (r, p) blocks, and a chain with a field on site 2, which P
+    # conserves and R does not, on the parity blocks
     chain = cs.perturbed_hamiltonian(LatticeSpec(8, "open"), 0.4)
     field = OperatorSum.from_pauli(PauliString.single(8, 2, "X"), 0.3)
     cases = [(cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 0.4),
-              "TP", "RP"), (chain, "RP", "RP"), (chain + field, "P", "P")]
-    for h, dense_group, lanczos_group in cases:
-        assert engine._symmetry_group(h) == dense_group
+              "TP"), (chain, "RP"), (chain + field, "P")]
+    for h, group in cases:
+        assert engine._symmetry_group(h) == group
         want = np.linalg.eigvalsh(oracle_sum_matrix(h))[:6]
-        for method, group in (("dense", dense_group),
-                              ("iterative", lanczos_group)):
+        for method in ("dense", "iterative"):
             with mock.patch.object(engine, "_sector_table",
                                    wraps=engine._sector_table) as spy:
                 spect = cs.eig_low(h, count=6, method=method)

@@ -89,6 +89,9 @@ COMMANDS = [
     "scan --size 10 --boundary periodic --lambda 0:0.2:0.1 --count 30",
     "spectrum --size 6 --boundary periodic --lambda 0.5 --count 60",
     "scan --size 12 --boundary periodic --lambda 0.95:1.05:0.05 --count 24",
+    "spectrum --size 14 --boundary periodic --lambda 1.35 --method iterative",
+    "spectrum --size 16 --boundary periodic --lambda 1.0 --method iterative "
+    "--count 12",
 ]
 
 
