@@ -464,18 +464,22 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     given).  Up to the dense size cap (method auto or dense) H_C and H_I are
     projected once into the translation x spin-flip sectors of a ring, which
     also decides once which momentum -k blocks reuse the solution of k, or
-    the reflection x spin-flip sectors of an open chain, and every coupling
-    is a set of small dense solves (sector_low); otherwise each coupling
-    solves the same sectors one block at a time (sector_lanczos): a ring's
-    real (k, p) blocks, each -k sector reusing the solution of k, or an
-    open chain's (r, p) blocks, by Lanczos above engine.DENSE_BLOCK_STATES
-    states.
-    Either way the parity labels come by construction.  The matrices of the
-    string order, H_I and probes are built once, after the first solve, so
-    a size over its memory budget (project_sectors' or sector_lanczos')
-    fails first; each coupling then takes one matrix-vector product per
-    observable and reads the parity off the ground state's label.  Scan
-    points are independent, assembled in grid order.
+    the reflection x spin-flip sectors of an open chain, and the grid is
+    solved in chunks of couplings, as many as the projection's chunk
+    budget holds (engine._Projection.rows), one sector_low call each:
+    sector-major, every coupling of the chunk solved on one sector's
+    summed blocks before the next sector.  Otherwise each coupling solves
+    the same sectors one block at a time (sector_lanczos): a ring's real
+    (k, p) blocks, each -k sector reusing the solution of k, or an open
+    chain's (r, p) blocks, by Lanczos above engine.DENSE_BLOCK_STATES
+    states.  Either way the parity labels come by construction, and the
+    levels stay in sector form: only the ground state is expanded to 2^L
+    amplitudes.  The matrices of the string order, H_I and probes are
+    built once, after the first solve, so a size over its memory budget
+    (project_sectors' or sector_lanczos') fails first; each coupling then
+    takes one matrix-vector product per observable and reads the parity
+    off the ground state's label.  Scan points are independent, assembled
+    in grid order: a point's values do not depend on the chunk it is in.
     """
     grid = np.asarray(lam_grid, dtype=float)
     _check_grid(grid)
@@ -532,14 +536,24 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     exc_parities = []
     extras = {name: np.zeros(n) for name in probe_ops}
 
-    for i, lam in enumerate(couplings):
-        if projected is not None:
-            vals, labels, states, _ = engine.sector_low(
-                projected, (1.0, lam), count, norm_c + abs(lam) * norm_i,
-                atol=sector_atol)
-        else:
-            vals, labels, states, _ = engine.sector_lanczos(
-                h_c + float(lam) * yy_unit, count, atol=sector_atol)
+    def solutions():
+        """Each coupling's (vals, labels, states, max_residual), in grid
+        order: per chunk of couplings one sector_low call, or per coupling
+        one sector_lanczos call."""
+        if projected is None:
+            for lam in couplings:
+                yield engine.sector_lanczos(h_c + float(lam) * yy_unit, count,
+                                            atol=sector_atol)
+            return
+        rows = np.column_stack([np.ones(n), couplings])
+        norms = norm_c + np.abs(couplings) * norm_i
+        chunk = projected.rows(count)
+        for start in range(0, n, chunk):
+            part = slice(start, start + chunk)
+            yield from engine.sector_low(projected, rows[part], count,
+                                         norms[part], atol=sector_atol)
+
+    for i, (vals, labels, states, _) in enumerate(solutions()):
         if i == 0:
             so_mat, yy_mat = map(engine.operator_matrix, (so_op, yy_unit))
             probe_mats = {name: engine.operator_matrix(op)

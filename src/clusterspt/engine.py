@@ -22,18 +22,23 @@ columns), and one helper gives each row's entries in its sector
 blocks of every sector at once, real on a ring when every operator is
 real and reflection-invariant (in the bases of `_real_bases`, for the
 sectors with a complex character, `_takes_basis`), and decides each
-momentum -k block's conjugate twin once, so that `sector_low`, which
-solves them for phase scans up to 12 sites and for every dense `eig_low`
-of a symmetric operator, takes per coupling and sector only a sum, an
-eigh and a residual check.  `sector_lanczos`, for every iterative
-`eig_low` of a P-invariant operator and for larger scans, takes the same
-group and builds one sector's rows at a time as a CSR block
-(`_sector_block`, on a ring the real U^H B U), solves it, densely up to
-DENSE_BLOCK_STATES states and by Lanczos above, retrying a Lanczos solve
-once with more Krylov vectors when a pair misses its residual bound
-(`_checked_lanczos`), and drops it; a real operator's -k sector reuses
-the solution of k.  Both sector solvers take their per-sector level
-counts from `_sector_counts`.  All golden values depend on this ordering.
+momentum -k block's conjugate twin once.  `sector_low` solves them for
+phase scans up to 12 sites, a chunk of couplings per call, and for every
+dense `eig_low` of a symmetric operator, one coupling: sector-major, per
+sector one stack of the couplings' summed blocks, one LAPACK call per
+coupling (`_subset_eigh`, scipy's subset eigh without its per-call
+workspace query) and one batched residual check.  `sector_lanczos`, for
+every iterative `eig_low` of a P-invariant operator and for larger
+scans, takes the same group and builds one sector's rows at a time as a
+CSR block (`_sector_block`, on a ring the real U^H B U), solves it,
+densely (`_subset_eigh`) up to DENSE_BLOCK_STATES states and by Lanczos
+above, retrying a Lanczos solve once with more Krylov vectors when a
+pair misses its residual bound (`_checked_lanczos`), and drops it; a
+real operator's -k sector reuses the solution of k.  Both sector solvers
+take their per-sector level counts from `_sector_counts` and merge in
+`_merge_levels`, which keeps each level in sector form (`_SectorState`),
+expanded to 2^L amplitudes on the first read of its `amps`.  All golden
+values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -67,6 +72,12 @@ _LANCZOS_MAXITER = 20000   # implicit restarts allowed to ARPACK
 # the audit's own eigensolve.
 _GATHER_ENTRIES = 1 << 16
 
+# Bytes of the coupling rows one sector_low call takes (1 MiB): their
+# summed blocks of the largest sector and their solutions of every sector
+# (_Projection.rows), one row at least.  At 12 levels an 8-site ring scan
+# takes 37 couplings at once, a 10-site one 8, a 12-site ring or chain one.
+_CHUNK_BYTES = 1 << 20
+
 # Entry tolerance of the orbit-table check in project_sectors: characters
 # from phases reduced mod 2 pi are multiplicative to 2.2e-15 on rings and
 # open chains of 3-20 sites (unreduced, to 1.7e-14 at 17 sites).
@@ -85,7 +96,7 @@ def _as_sum(op) -> OperatorSum:
 class StateVector:
     """A 2^L amplitude vector over the computational basis."""
 
-    __slots__ = ("length", "amps")
+    __slots__ = ("length", "_amps")
 
     def __init__(self, length: int, amps, normalize: bool = False, copy: bool = True):
         amps = np.array(amps, dtype=np.complex128, copy=copy)
@@ -98,8 +109,13 @@ class StateVector:
                 raise ValueError("cannot normalize the zero vector")
             amps = amps / n
         self.length = length
-        self.amps = amps
-        self.amps.setflags(write=False)
+        self._amps = amps
+        amps.setflags(write=False)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The 2^L amplitudes, read-only."""
+        return self._amps
 
     @classmethod
     def computational(cls, length: int, bits: int) -> "StateVector":
@@ -323,20 +339,62 @@ class SpectrumResult:
 
 
 def checked_residual(hv: np.ndarray, vecs: np.ndarray, vals: np.ndarray,
-                     norm_h: float) -> float:
+                     norm_h) -> float | np.ndarray:
     """Largest residual ||Hv - Ev|| over the columns, given hv = H @ vecs.
+    For stacks of pairs, one per coupling row r (vecs (rows, d, n), vals
+    (rows, n), norm_h (rows,)), each row's largest, as an array.
 
-    Raises ConvergenceError when it exceeds RESIDUAL_RTOL * max(1, norm_h),
-    norm_h being sum|coeff| of H; every eigensolver path reports through here.
+    Raises ConvergenceError when one exceeds RESIDUAL_RTOL * max(1,
+    norm_h), norm_h being sum|coeff| of that row's H; every eigensolver
+    path reports through here.
     """
-    residuals = np.linalg.norm(hv - vecs * vals, axis=0)
-    worst = float(residuals.max())
-    bound = RESIDUAL_RTOL * max(1.0, norm_h)
-    if worst > bound:
+    residuals = np.linalg.norm(hv - vecs * np.asarray(vals)[..., None, :],
+                               axis=-2)
+    worst = residuals.max(axis=-1)
+    bound = RESIDUAL_RTOL * np.maximum(1.0, norm_h)
+    over = np.flatnonzero(worst > bound)
+    if over.size:
         raise ConvergenceError(
-            f"residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * "
-            f"max(1, ||H||) = {bound:.3e}", residuals=residuals)
-    return worst
+            f"residual {np.ravel(worst)[over[0]]:.3e} exceeds "
+            f"{RESIDUAL_RTOL:.1e} * max(1, ||H||) = "
+            f"{np.ravel(bound)[over[0]]:.3e}", residuals=residuals)
+    return worst if worst.ndim else float(worst)
+
+
+# LAPACK's ?syevr or ?heevr and the workspace sizes it asks for, per
+# (dtype, d), filled by _subset_eigh
+_EVR = {}
+
+
+def _subset_eigh(h: np.ndarray, n: int) -> tuple:
+    """(e, w): the lowest n eigenpairs of the real symmetric or complex
+    Hermitian d x d array h (its lower triangle), ascending, bit for bit
+    what scipy.linalg.eigh(h, subset_by_index=[0, n - 1]) gives: one call
+    of the LAPACK driver eigh picks, ?syevr or ?heevr, with the workspace
+    sizes eigh queries on every call, here queried once per (dtype, d).
+    The vectors are in Fortran order, as LAPACK gives them.  Raises
+    ConvergenceError when LAPACK reports a failure."""
+    d = h.shape[0]
+    key = (h.dtype.char, d)
+    if key not in _EVR:
+        real = h.dtype.kind != "c"
+        driver, query = scipy.linalg.get_lapack_funcs(
+            ("syevr", "syevr_lwork") if real else ("heevr", "heevr_lwork"),
+            (h,))
+        *sizes, info = query(n=d, lower=True)
+        if info:
+            raise ConvergenceError(f"LAPACK workspace query failed: {info}")
+        _EVR[key] = driver, dict(zip(
+            ("lwork", "liwork") if real else ("lwork", "lrwork", "liwork"),
+            (int(x.real) for x in sizes)))
+    driver, work = _EVR[key]
+    e, w, m, _, info = driver(h, compute_v=1, range="I", il=1, iu=n,
+                              lower=True, **work)
+    if info:
+        raise ConvergenceError(
+            f"LAPACK {driver.__name__} failed on a "
+            f"{d} x {d} block: info {info}")
+    return e[:m], w[:, :m]
 
 
 def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
@@ -403,8 +461,8 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     # the sectors of "TP", "RP" or "P", or None: the full space
     group = _symmetry_group(h)
     if group is not None and method == "dense":
-        vals, _, states, max_residual = sector_low(
-            project_sectors([h], group), [1.0], count, h.norm_bound())
+        (vals, _, states, max_residual), = sector_low(
+            project_sectors([h], group), [[1.0]], count, [h.norm_bound()])
     elif group is not None:
         vals, _, states, max_residual = sector_lanczos(h, count)
     else:
@@ -419,8 +477,7 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
         # the residuals come before the complex cast: a real matrix times
         # complex vectors copies
         if method == "dense":
-            vals, vecs = scipy.linalg.eigh(m.toarray(),
-                                           subset_by_index=[0, count - 1])
+            vals, vecs = _subset_eigh(m.toarray(), count)
             max_residual = checked_residual(m @ vecs, vecs, vals,
                                             h.norm_bound())
         else:
@@ -453,6 +510,11 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
         gap=gap, max_residual=max_residual, method=method)
 
 
+# whether scipy's eigsh takes an `rng` (scipy 1.15 on), read once
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(
+    scipy.sparse.linalg.eigsh).parameters
+
+
 def _lanczos(m, count: int, ncv: int) -> tuple:
     """Lowest `count` eigenpairs (vals, vecs) of the Hermitian sparse matrix
     m, ascending, by implicitly restarted Lanczos (ARPACK) with ncv Krylov
@@ -460,8 +522,7 @@ def _lanczos(m, count: int, ncv: int) -> tuple:
     deterministic.  Where scipy's eigsh takes an `rng`, the
     vector it draws to go on past an invariant subspace, which a level
     degenerate inside the block can give, comes from a fixed seed too."""
-    seeded = {"rng": np.random.default_rng(1)} if "rng" in inspect.signature(
-        scipy.sparse.linalg.eigsh).parameters else {}
+    seeded = {"rng": np.random.default_rng(1)} if _EIGSH_TAKES_RNG else {}
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
             m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0, ncv=ncv,
@@ -984,15 +1045,26 @@ class _Projection:
     j < i of the sector whose blocks, conjugated, are sector i's for every
     operator (-1 when none), bases, the unitaries U of _real_bases by
     sector (empty when they do not apply), and forms, the row forms
-    (_row_form) of the sectors whose levels a merge kept, each built once
-    on first use.  It holds every piece of state that outlives one
-    coupling, and goes with its holder."""
+    (_row_form) of the sectors of the merged levels whose amplitudes were
+    read, each built on the first read.  It holds every piece of state
+    that outlives one chunk of couplings, and goes with its holder."""
 
     table: _SectorTable
     sectors: list
     twins: tuple
     bases: dict
     forms: dict
+
+    def rows(self, count: int) -> int:
+        """The coupling rows one sector_low call takes for windows of
+        `count` levels: as many as fit _CHUNK_BYTES with, per row, the
+        summed blocks of the largest sector and the solutions of every
+        sector at min(count, d) levels; one row at least."""
+        dims = np.array([blocks[0].shape[0] for _, _, blocks in self.sectors])
+        item = max(b.itemsize for _, _, blocks in self.sectors
+                   for b in blocks)
+        row = item * int(dims.max() ** 2 + dims @ np.minimum(count, dims))
+        return max(1, _CHUNK_BYTES // row)
 
 
 def project_sectors(ops, group: str) -> _Projection:
@@ -1014,9 +1086,10 @@ def project_sectors(ops, group: str) -> _Projection:
     as they are.  The momentum -k
     twin of each sector is decided here, once (_conjugate_twins).  Between
     the guard below and the first kernel call, the blocks, the scattered
-    rows, the row forms, the real bases and the larger of the twin test
-    and sector_low's largest solve are charged against physical memory
-    (_check_memory).
+    rows, the row forms, the real bases, one chunk of sector_low's
+    coupling rows (_CHUNK_BYTES, _Projection.rows) and the larger of the
+    twin test and one row's largest solve are charged against physical
+    memory (_check_memory).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -1082,17 +1155,22 @@ def project_sectors(ops, group: str) -> _Projection:
         _implied_leak(op, "RP") <= 1e-12 * s for op, s in zip(ops, scales))
     # the blocks, float64 when the operator and every character are real
     # and in real bases, where one more real scatter (the guard's
-    # imaginary parts, then the real ones) is open at a time; the larger of
-    # sector_low's largest sum with eigh's copy of it and the twin test's
-    # conjugate and difference of one block; every sector's row form; the
-    # orbit table and scattered rows, at most 48 bytes per state and x
-    # mask (9-12 sites), and in real bases the bases and their build, 160
-    # bytes per state, and an operator's entries four times over
+    # imaginary parts, then the real ones) is open at a time; one chunk of
+    # sector_low's coupling rows (_CHUNK_BYTES of summed blocks and
+    # solutions, _Projection.rows) and as much again for the first pass's
+    # solutions a second pass leaves alive and one sector's products and
+    # residuals; the larger of one row's largest sum with LAPACK's copy of
+    # it and the twin test's conjugate and difference of one block; every
+    # sector's row form; the orbit table and scattered rows, at most 48
+    # bytes per state and x mask (9-12 sites), and in real bases the bases
+    # and their build, 160 bytes per state, and an operator's entries four
+    # times over
     x_masks = [len({x for x, _ in op.items()}) for op in ops]
     items = [8 if mirrored or r and np.isrealobj(table.chars) else 16
              for r in real]
     held = int(dims @ dims) * (8 * (len(ops) + 1) if mirrored else sum(items))
-    _check_memory(held + 2 * max(items) * int(dims.max()) ** 2 + dims.size
+    _check_memory(held + 2 * _CHUNK_BYTES
+                  + 2 * max(items) * int(dims.max()) ** 2 + dims.size
                   * dim * (4 + table.chars.itemsize)
                   + dim * (64 + 48 * sum(x_masks))
                   + (dim * (160 + 144 * max(x_masks)) if mirrored else 0),
@@ -1198,90 +1276,171 @@ def _conjugate_twins(sectors, ops, order: int) -> tuple:
     return tuple(twins)
 
 
-def sector_low(projected: _Projection, coeffs, count: int, norm_h: float,
-               atol: float = 1e-8) -> tuple:
-    """Lowest `count` levels of H = sum_m coeffs[m] * op_m from the blocks of
-    project_sectors, one dense eigh per sector, and a second one for the
-    few sectors the window needs more levels of.
+def sector_low(projected: _Projection, coeffs, count: int, norm_h,
+               atol: float = 1e-8) -> list:
+    """Lowest `count` levels of H_r = sum_m coeffs[r, m] * op_m for each
+    coupling row r of `coeffs`, from the blocks of project_sectors,
+    sector-major: each sector is solved for every row that needs it before
+    the next sector, one dense solve per row, and a second one for the few
+    sectors a row's window needs more levels of.
 
-    Returns (vals, labels, states, max_residual) like eig_low's eigenvalues
-    followed by resolve_sectors: ascending energies, each level's spin-flip
-    parity, the states V w, and the worst residual of any block.  Per
-    sector a solve takes three steps: one sum of its blocks, one eigh (or,
-    for the -k twin that project_sectors found, the conjugate of the
-    solution of k when every coefficient is real, which halves the solves;
-    in real bases the blocks and so the solution are real, and taken as
-    they are) and checked_residual of every pair against norm_h on the
-    sector's own block, reused twins included.  A coupling takes the two
-    passes of _sector_counts over the own (not reused) sectors, shared with
-    sector_lanczos: a first one at min(count, ceil(4 count / own
-    sectors)) levels, and a second at min(count, d) for the sectors the
-    window needs more of, so that the merged window is exactly the lowest
-    `count` levels.  The merge, shared with sector_lanczos
-    (_merge_levels), expands only the kept levels to 2^L amplitudes from
-    the projection's row forms, and orders the labels and states inside
-    each cluster of levels within `atol` by ascending parity, as
+    Returns per row (vals, labels, states, max_residual) like eig_low's
+    eigenvalues followed by resolve_sectors: ascending energies, each
+    level's spin-flip parity, the states V w in sector form, and the worst
+    residual of any of the row's blocks.  A call takes at most
+    projected.rows(count) rows, the chunk project_sectors charges
+    (_CHUNK_BYTES), and raises ValueError above it.  Per sector and pass,
+    the rows' summed blocks form one (rows, d, d) stack; each row takes
+    its lowest levels from one LAPACK call (_subset_eigh) or, for the -k
+    twin that project_sectors found, the conjugate of the solution of k
+    when every coefficient is real, which halves the solves (in real bases
+    the blocks and so the solution are real, and taken as they are); and
+    one checked_residual checks every pair of every row on the row's own
+    block against its own norm_h[r], reused twins included.  Each row
+    takes the two passes of _sector_counts over the own (not reused)
+    sectors, shared with sector_lanczos: a first one at min(count, ceil(4
+    count / own sectors)) levels, and a second at min(count, d) for the
+    sectors the row's window needs more of, so that its merged window is
+    exactly the lowest `count` levels.  The merge, shared with
+    sector_lanczos (_merge_levels), keeps each level in sector form,
+    expanded to 2^L amplitudes from the projection's row forms on the
+    first read of its amps, and orders the labels and states inside each
+    cluster of levels within `atol` by ascending parity, as
     resolve_sectors orders them.
     """
+    coeffs = np.asarray(coeffs)
+    norm_h = np.asarray(norm_h, dtype=float)
+    rows = coeffs.shape[0]
+    if coeffs.ndim != 2 or norm_h.shape != (rows,) \
+            or rows > projected.rows(count):
+        raise ValueError(
+            f"sector_low takes a (rows, operators) stack of at most "
+            f"{projected.rows(count)} coupling rows and one norm per row")
     real = not np.any(np.imag(coeffs))
-    worst = 0.0
+    worst = np.zeros(rows)
 
-    def solve(i, n, source):
-        """Sector i's (parity, energies, vectors), its lowest min(n, d)
-        levels or the conjugate of its twin's `source`, with the residual
-        of every pair on its own block."""
-        nonlocal worst
+    def solve(i, n, at, sources):
+        """Sector i's (parity, energies, vectors) for each row of `at`: its
+        lowest min(n, d) levels, or the conjugates of its twin's
+        `sources`, one per row, with the residual of every pair on the
+        row's own block."""
         _, p, blocks = projected.sectors[i]
-        h = np.multiply(coeffs[0], blocks[0],
-                        dtype=np.result_type(*coeffs, *blocks))
-        for c, b in zip(coeffs[1:], blocks[1:]):
-            h += c * b
-        if source is not None:
-            e, w = source[1], source[2].conj()
-        else:
-            e, w = scipy.linalg.eigh(
-                h, subset_by_index=[0, min(n, h.shape[0]) - 1],
-                check_finite=False)
-        worst = max(worst, checked_residual(h @ w, w, e, norm_h))
-        return p, e, w
+        c = coeffs[at, :, None, None]
+        h = np.multiply(c[:, 0], blocks[0], dtype=np.result_type(c, *blocks))
+        for m in range(1, len(blocks)):
+            h += c[:, m] * blocks[m]
+        d = h.shape[1]
+        k = min(n, d) if sources is None else sources[0][1].size
+        # each row's vectors in Fortran order, as LAPACK gives them, so
+        # that the batched product rounds as one row's product does
+        w = np.empty((len(at), k, d), dtype=h.dtype).transpose(0, 2, 1)
+        e = np.empty((len(at), k))
+        for r in range(len(at)):
+            if sources is None:
+                e[r], w[r] = _subset_eigh(h[r], k)
+            else:
+                e[r] = sources[r][1]
+                np.conjugate(sources[r][2], out=w[r])
+        worst[at] = np.maximum(worst[at],
+                               checked_residual(h @ w, w, e, norm_h[at]))
+        return [(p, e[r], w[r]) for r in range(len(at))]
 
     solved = _sector_counts(solve, [t if real else -1
-                                    for t in projected.twins], count, atol)
-    return (*_merge_levels(projected.table, solved, count, atol,
-                           projected.forms, projected.bases), worst)
+                                    for t in projected.twins], count, atol,
+                            rows)
+    return [(*_merge_levels(projected.table, levels, count, atol,
+                            projected.forms, projected.bases), float(top))
+            for levels, top in zip(solved, worst)]
 
 
-def _sector_counts(solve, twins, count: int, atol: float) -> list:
-    """Per sector i, (parity, energies, vectors) of as many of its lowest
-    levels as a merged window of `count` can use, from solve(i, n,
-    source): the lowest min(n, d) levels of an own sector (twins[i] = -1,
-    source None), or, for a sector that reuses the solution of its twin j
-    = twins[i] < i, the conjugate of source = sector j's (parity, energies,
-    vectors).  Both sector solvers (sector_low, sector_lanczos) take their
-    counts here, in two passes.  The first solves each own sector for
-    min(start, d) levels, start = min(count, ceil(4 count / own sectors)),
-    which is `count` with four own sectors or fewer (an open chain's, or
-    the spin flip's alone).  With `top` the count-th lowest level found
-    (inf when fewer were), the second solves again, at min(count, d), each
-    own sector that gave fewer levels than that and whose highest lies
-    within `top` + atol, and its twin takes the new solution.  Every level
-    a sector leaves out then lies above `top` + atol, so the merged window
-    is the one of solving every sector at min(count, d): exactly the
-    lowest `count` levels (up to the copies a Krylov solve can miss)."""
+def _sector_counts(solve, twins, count: int, atol: float,
+                   rows: int = 1) -> list:
+    """Per coupling row r < `rows` and sector i, solved[r][i] = (parity,
+    energies, vectors) of as many of its lowest levels as a merged window
+    of `count` can use, from solve(i, n, at, sources), which returns one
+    such triple per row of `at`: the lowest min(n, d) levels of an own
+    sector (twins[i] = -1, sources None), or, for a sector that reuses the
+    solution of its twin j = twins[i] < i, the conjugates of sources =
+    sector j's triples of those rows.  Both sector solvers (sector_low,
+    sector_lanczos) take their counts here, in two passes per row, each
+    pass sector by sector, every row that needs a sector in one call.  The
+    first solves each own sector for min(start, d) levels, start =
+    min(count, ceil(4 count / own sectors)), which is `count` with four
+    own sectors or fewer (an open chain's, or the spin flip's alone).
+    With `top` the row's count-th lowest level found (inf when fewer
+    were), the second solves again, at min(count, d), each own sector
+    that gave the row fewer levels than that and whose highest lies within
+    `top` + atol, and its twin takes the new solution.  Every level a
+    sector leaves out then lies above `top` + atol, so each row's merged
+    window is the one of solving every sector at min(count, d): exactly
+    the lowest `count` levels (up to the copies a Krylov solve can
+    miss)."""
     start = min(count, -(-4 * count // list(twins).count(-1)))
-    solved = []
-    for i, j in enumerate(twins):
-        solved.append(solve(i, start, solved[j] if j >= 0 else None))
-    found = np.sort(np.concatenate([e for _, e, _ in solved]))
-    top = found[count - 1] if found.size >= count else np.inf
-    again = set()
-    for i, (_, e, w) in enumerate(solved):
+    solved = [[None] * len(twins) for _ in range(rows)]
+
+    def take(i, n, at):
         j = twins[i]
-        if (j in again if j >= 0 else
-                e.size < min(count, w.shape[0]) and e[-1] <= top + atol):
-            again.add(i)
-            solved[i] = solve(i, count, solved[j] if j >= 0 else None)
+        sources = [solved[r][j] for r in at] if j >= 0 else None
+        for r, levels in zip(at, solve(i, n, at, sources)):
+            solved[r][i] = levels
+
+    for i in range(len(twins)):
+        take(i, start, list(range(rows)))
+    tops = []
+    for levels in solved:
+        found = np.sort(np.concatenate([e for _, e, _ in levels]))
+        tops.append(found[count - 1] if found.size >= count else np.inf)
+    again = [set() for _ in range(rows)]
+    for i, j in enumerate(twins):
+        at = [r for r, (_, e, w) in enumerate(row[i] for row in solved)
+              if (j in again[r] if j >= 0 else
+                  e.size < min(count, w.shape[0]) and e[-1] <= tops[r] + atol)]
+        if at:
+            take(i, count, at)
+            for r in at:
+                again[r].add(i)
     return solved
+
+
+class _SectorState(StateVector):
+    """A level a merge keeps, in sector form: `vector`, the solution w of
+    column `column` of sector `sector` of its orbit table, in the sector's
+    real basis when `basis` holds the rows (sigma, a, b) of its unitary U
+    (_real_bases).  Its 2^L amplitudes V U w are formed on the first read
+    of amps and kept: (U w)_c = a_c w_c + b_c w_{sigma_c}, in O(d), then V
+    from the sector's row form (_row_form), taken from `forms` or built
+    there once, or, when `forms` is None, built for this state alone and
+    dropped."""
+
+    __slots__ = ("sector", "column", "vector", "_table", "_forms", "_basis")
+
+    def __init__(self, table: _SectorTable, sector: int, column: int,
+                 vector: np.ndarray, forms: dict | None, basis=None):
+        self.length = table.length
+        self._amps = None
+        self.sector, self.column, self.vector = sector, column, vector
+        self._table, self._forms, self._basis = table, forms, basis
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The 2^L amplitudes, read-only, formed on the first read."""
+        if self._amps is None:
+            i, forms = self.sector, self._forms
+            form = forms.get(i) if forms is not None else None
+            if form is None:
+                form = _row_form(self._table, i)
+                if forms is not None:
+                    forms[i] = form
+            col, val = form
+            w = self.vector
+            if self._basis is not None:
+                sigma, a, b = self._basis
+                w = a * w + b * w[sigma]
+            amps = np.asarray(val * w[col], dtype=np.complex128)
+            amps.setflags(write=False)
+            self._amps = amps
+            self._table = self._forms = self._basis = None
+        return self._amps
 
 
 def _merge_levels(table: _SectorTable, solved: list, count: int,
@@ -1290,11 +1449,10 @@ def _merge_levels(table: _SectorTable, solved: list, count: int,
     sector i of `table` its (parity, energies e, vectors w): ascending
     energies, ties in sector then column order, inside each cluster within
     `atol` in ascending parity (the order resolve_sectors gives), each
-    kept state V U w expanded from its sector's row form, taken from
-    `forms` or built there once (_row_form), or, when `forms` is None,
-    built for that sector's states alone and dropped, after U w, in O(d),
-    for a sector with a unitary U in `bases`, its rows (sigma, a, b) of
-    _real_bases: (U w)_c = a_c w_c + b_c w_{sigma_c}."""
+    kept level in sector form (_SectorState), expanded to V U w on the
+    first read of its amps from its sector's row form in `forms` (or, when
+    `forms` is None, from one built for it alone), U the unitary of that
+    sector in `bases`, if any (_real_bases)."""
     sizes = [e.size for _, e, _ in solved]
     energies = np.concatenate([e for _, e, _ in solved])
     sector = np.repeat(np.arange(len(solved)), sizes)
@@ -1304,22 +1462,11 @@ def _merge_levels(table: _SectorTable, solved: list, count: int,
     vals = energies[order]
     for c in _clusters(vals, atol):
         order[c] = order[c][np.argsort(parity[order[c]], kind="stable")]
-    kept = sector[order]
-    states = [None] * kept.size
-    for i in dict.fromkeys(kept.tolist()):
-        form = forms.get(i) if forms is not None else None
-        if form is None:
-            form = _row_form(table, i)
-            if forms is not None:
-                forms[i] = form
-        col, val = form
-        for m in np.flatnonzero(kept == i):
-            w = solved[i][2][:, column[order[m]]]
-            if bases and i in bases:
-                sigma, a, b = bases[i]
-                w = a * w + b * w[sigma]
-            states[m] = StateVector(table.length, val * w[col])
-    return vals, parity[order].astype(float), tuple(states)
+    states = tuple(
+        _SectorState(table, i, c, solved[i][2][:, c], forms,
+                     bases.get(i) if bases else None)
+        for i, c in zip(sector[order].tolist(), column[order].tolist()))
+    return vals, parity[order].astype(float), states
 
 
 def _sector_block(table: _SectorTable, op: OperatorSum, i: int,
@@ -1431,8 +1578,8 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     """Lowest `count` levels of a Hermitian h invariant under the spin flip
     P, one solve per symmetry sector, one sector at a time.
 
-    Returns (vals, labels, states, max_residual) as sector_low does.  The
-    group is read off h as eig_low reads it (_symmetry_group, in the order
+    Returns (vals, labels, states, max_residual) as sector_low does for a
+    row.  The group is read off h as eig_low reads it (_symmetry_group, in the order
     TP, RP, P): a ring's 2L (k, p) sectors of about 2^L / 2L states, an
     open chain's four (r, p) blocks of about 2^(L-2), or, for an h that R
     does not conserve either, the two parity blocks of 2^(L-1).  Each own
@@ -1449,8 +1596,9 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     block.  The own sectors' counts are sector_low's two passes
     (_sector_counts), which ask each of four own sectors or fewer for the
     whole count, and sector_low's merge (_merge_levels) keeps the lowest
-    `count`, labelled by parity, each sector's row form built for its
-    kept states and dropped.  Before the orbit table or any kernel is
+    `count`, labelled by parity, in sector form, each expanded on the
+    first read of its amps from a row form built for it alone and
+    dropped.  Before the orbit table or any kernel is
     built, the table, in real bases the bases, the largest sector's block
     build or solve, the kept sector vectors and the expanded states with
     eig_low's re-orthonormalized copies are charged against physical
@@ -1493,28 +1641,27 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
             twins[i] = j if j < i else -1
     worst = 0.0
 
-    def solve(i, n, source):
-        """Sector i's (parity, energies, vectors): its lowest min(n, d)
-        levels, or the conjugate of its twin's `source`."""
+    def solve(i, n, at, sources):
+        """[Sector i's (parity, energies, vectors)] for the one row: its
+        lowest min(n, d) levels, or the conjugate of its twin's."""
         nonlocal worst
         p = table.keys[i][1]
-        if source is not None:
-            return p, source[1], source[2].conj()
+        if sources is not None:
+            return [(p, sources[0][1], sources[0][2].conj())]
         block = _sector_block(table, h, i, bases.get(i))
         size = block.shape[0]
         k = min(n, size)
         if size <= DENSE_BLOCK_STATES or k > size - 2:
             # ARPACK needs k < d - 1
-            e, w = scipy.linalg.eigh(block.toarray(),
-                                     subset_by_index=[0, k - 1])
+            e, w = _subset_eigh(block.toarray(), k)
             residual = checked_residual(block @ w, w, e, norm_h)
         else:
             e, w, residual = _checked_lanczos(block, k, _krylov(k, size),
                                               norm_h, need, L)
         worst = max(worst, residual)
-        return p, e, w
+        return [(p, e, w)]
 
-    solved = _sector_counts(solve, twins, count, atol)
+    solved, = _sector_counts(solve, twins, count, atol)
     return (*_merge_levels(table, solved, count, atol, None, bases), worst)
 
 

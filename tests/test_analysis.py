@@ -335,16 +335,18 @@ class TestPhaseScan:
         # <gs|X...X|gs> of the solved ground state on the Kronecker oracle
         grounds = []
 
-        def record(solve, at):
+        def record(solve, rows):
             def recording(*args, **kwargs):
                 out = solve(*args, **kwargs)
-                grounds.append(out[at][0])
+                grounds.extend(states[0] for _, _, states, _ in rows(out))
                 return out
             return recording
 
-        monkeypatch.setattr(engine, "sector_low", record(engine.sector_low, 2))
+        # sector_low solves a chunk of couplings, one result per coupling
+        monkeypatch.setattr(engine, "sector_low",
+                            record(engine.sector_low, lambda out: out))
         monkeypatch.setattr(engine, "sector_lanczos",
-                            record(engine.sector_lanczos, 2))
+                            record(engine.sector_lanczos, lambda out: [out]))
         scan = cs.phase_scan(LatticeSpec(L, boundary), [0.3, 0.9, 1.2],
                              method=method)
         assert len(grounds) == 3

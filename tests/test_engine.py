@@ -217,6 +217,41 @@ class TestEigLow:
             cs.eig_low(h, count=4, method="iterative")
         assert [c.args[2] for c in spy.call_args_list] == widths
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("d", [1, 16, 52, 170])
+    def test_subset_solver_is_scipys_subset_eigh(self, rng, dtype, d):
+        # the dense solves call LAPACK's driver directly, with workspace
+        # sizes cached per (dtype, d): bit for bit scipy's subset eigh
+        a = rng.standard_normal((d, d)).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.standard_normal((d, d))
+        a += a.conj().T
+        for n in sorted({1, d}):
+            for _ in range(2):   # the query, then the cached sizes
+                e, w = engine._subset_eigh(a, n)
+                want_e, want_w = scipy.linalg.eigh(
+                    a, subset_by_index=[0, n - 1])
+                np.testing.assert_array_equal(e, want_e)
+                np.testing.assert_array_equal(w, want_w)
+
+    def test_stacked_residuals_are_each_rows(self, rng):
+        # a stack of pairs, one per coupling row: each row's largest
+        # residual, the value one row's check gives, against its own bound
+        h = rng.standard_normal((3, 20, 20))
+        h += h.transpose(0, 2, 1)
+        pairs = [engine._subset_eigh(m, 4) for m in h]
+        vals = np.array([e for e, _ in pairs])
+        vecs = np.array([w for _, w in pairs])
+        vals[1] += [0, 0, 1e-7, 0]   # residual 1e-7 in row 1 alone
+        norms = [1.0, 1e3, 1.0]
+        worst = engine.checked_residual(h @ vecs, vecs, vals, norms)
+        assert worst.shape == (3,)
+        for m, v, e, norm, got in zip(h, vecs, vals, norms, worst):
+            assert got == engine.checked_residual(m @ v, v, e, norm)
+        assert 1e-7 <= worst[1] <= 1.1e-7
+        with pytest.raises(ConvergenceError, match="residual 1.0"):
+            engine.checked_residual(h @ vecs, vecs, vals, [1e3, 1.0, 1e3])
+
     def test_eigenvalues_against_oracle(self, rng):
         op = random_hermitian_sum(rng, 5)
         want = np.linalg.eigvalsh(oracle_sum_matrix(op))[:4]

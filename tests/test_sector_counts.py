@@ -19,7 +19,8 @@ from test_real_ring_blocks import parity_levels
 from test_sectors import rotated, sizes
 
 ATOL = 1e-8
-EIGH = scipy.linalg.eigh   # the solver itself, for the spies to call
+EIGH = scipy.linalg.eigh   # the reference solver
+SUBSET_EIGH = engine._subset_eigh   # the solver itself, for the spies
 
 
 @st.composite
@@ -65,8 +66,8 @@ def check_window(projection, coeffs, count, norm):
     (up to rounding: atol / 2)."""
     with mock.patch.object(engine, "_merge_levels",
                            wraps=engine._merge_levels) as merge:
-        vals, labels, _, _ = engine.sector_low(projection, coeffs, count,
-                                               norm, atol=ATOL)
+        (vals, labels, _, _), = engine.sector_low(projection, [coeffs], count,
+                                                  [norm], atol=ATOL)
     want, want_labels = full_count(projection, coeffs, count)
     np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(labels, want_labels)
@@ -151,33 +152,36 @@ def test_a_sector_the_window_needs_is_solved_again():
     assert len(own) == 8
     solves = []
 
-    def eigh(a, **kwargs):
-        e, w = EIGH(a, **kwargs)
-        # a twin's real block equals its source's; eigh sees only sources
+    def eigh(a, n):
+        e, w = SUBSET_EIGH(a, n)
+        # a twin's real block equals its source's; the solver sees only
+        # sources
         i = next(i for i in own if np.array_equal(blocks[i], a))
-        solves.append((keys[i], kwargs["subset_by_index"][1] + 1, e, w))
+        solves.append((keys[i], n, e, w))
         return e, w
 
-    with mock.patch.object(engine.scipy.linalg, "eigh", side_effect=eigh), \
+    with mock.patch.object(engine, "_subset_eigh", side_effect=eigh), \
             mock.patch.object(engine, "checked_residual",
                               wraps=engine.checked_residual) as residual:
-        vals, _, _, _ = engine.sector_low(projection, [1.0], 6,
-                                          h.norm_bound(), atol=ATOL)
+        (vals, _, _, _), = engine.sector_low(projection, [[1.0]], 6,
+                                             [h.norm_bound()], atol=ATOL)
     first, again = solves[:len(own)], solves[len(own):]
     assert [n for _, n, _, _ in first] == [min(3, blocks[i].shape[0])
                                            for i in own]
     assert [(key, n) for key, n, _, _ in again] == [((0, 1), 6), ((2, 1), 6)]
     # every sector is checked once in the first pass, then (0, +1), (2, +1)
-    # and its twin (4, +1), on the second solve of (2, +1)
+    # and its twin (4, +1), on the second solve of (2, +1); each check is
+    # a stack of the one coupling row
     twin = keys.index((4, 1))
     assert projection.twins[twin] == keys.index((2, 1))
     calls = residual.call_args_list
     assert len(calls) == len(keys) + 3
+    assert all(c.args[0].shape[0] == 1 for c in calls)
     _, _, e, w = again[1]
     hv, vecs, levels, _ = calls[-1].args
-    assert levels is e
-    np.testing.assert_array_equal(vecs, w.conj())
-    np.testing.assert_array_equal(hv, blocks[twin] @ vecs)
+    np.testing.assert_array_equal(levels[0], e)
+    np.testing.assert_array_equal(vecs[0], w.conj())
+    np.testing.assert_array_equal(hv[0], blocks[twin] @ vecs[0])
     want = np.linalg.eigvalsh(oracle_sum_matrix(h))
     np.testing.assert_allclose(vals, want[:6], rtol=0, atol=1e-12)
     check_window(projection, [1.0], 6, h.norm_bound())
@@ -185,21 +189,23 @@ def test_a_sector_the_window_needs_is_solved_again():
 
 def test_open_chain_solves_are_the_full_count():
     # four own sectors: the first pass is the whole count, as before the
-    # per-sector rule, and nothing is solved again
+    # per-sector rule, and nothing is solved again; a scan solves each
+    # sector for every coupling before the next sector
     h = cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)
-    with mock.patch.object(engine.scipy.linalg, "eigh",
-                           wraps=EIGH) as eigh:
+    with mock.patch.object(engine, "_subset_eigh",
+                           wraps=SUBSET_EIGH) as eigh:
         cs.eig_low(h, count=6)
-    assert [(c.args[0].shape[0], c.kwargs["subset_by_index"])
-            for c in eigh.call_args_list] == [(d, [0, 5])
+    assert [(c.args[0].shape[0], c.args[1])
+            for c in eigh.call_args_list] == [(d, 6)
                                               for d in (136, 136, 120, 120)]
     grid = [0.5, 1.0, 1.5]
-    with mock.patch.object(engine.scipy.linalg, "eigh",
-                           wraps=EIGH) as eigh:
+    with mock.patch.object(engine, "_subset_eigh",
+                           wraps=SUBSET_EIGH) as eigh:
         cs.phase_scan(LatticeSpec(8, "open"), grid)
-    assert [(c.args[0].shape[0], c.kwargs["subset_by_index"])
-            for c in eigh.call_args_list] == [(d, [0, 11])
-                                              for d in (72, 64, 56, 64)] * 3
+    assert [(c.args[0].shape[0], c.args[1])
+            for c in eigh.call_args_list] == [(d, 12)
+                                              for d in (72, 64, 56, 64)
+                                              for _ in grid]
 
 
 @pytest.mark.parametrize("L", [8, 10])
@@ -211,9 +217,8 @@ def test_criterion_8_scans_solve_each_sector_once(L):
         (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0)), "TP")
     own = sum(t < 0 for t in projection.twins)
     grid = np.round(np.arange(0.5, 1.5001, 0.05), 10)
-    with mock.patch.object(engine.scipy.linalg, "eigh",
-                           wraps=EIGH) as eigh:
+    with mock.patch.object(engine, "_subset_eigh",
+                           wraps=SUBSET_EIGH) as eigh:
         cs.phase_scan(lat, grid)
     assert eigh.call_count == own * grid.size
-    assert max(c.kwargs["subset_by_index"][1] + 1
-               for c in eigh.call_args_list) <= -(-4 * 12 // own)
+    assert max(c.args[1] for c in eigh.call_args_list) <= -(-4 * 12 // own)

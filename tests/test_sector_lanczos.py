@@ -12,7 +12,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import strategies as st
 
@@ -23,7 +22,7 @@ from clusterspt.errors import ConvergenceError
 from conftest import basis_matrix, for_each_size, free_fermion
 
 # the solvers themselves, for the spies to call
-EIGH, EIGSH = scipy.linalg.eigh, scipy.sparse.linalg.eigsh
+EIGH, EIGSH = engine._subset_eigh, scipy.sparse.linalg.eigsh
 
 
 def _window(vals):
@@ -51,9 +50,9 @@ def check_sector_lanczos(L, boundary, lam, count):
     vals, labels, states, worst = engine.sector_lanczos(h, count)
     # a wider dense window, so a level Krylov returned in place of a
     # dropped copy is in it too
-    want, want_labels, _, _ = engine.sector_low(
-        engine.project_sectors([h], "TP" if lat.is_periodic else "RP"), [1.0],
-        min(4 * count, (1 << L) - 2), h.norm_bound())
+    (want, want_labels, _, _), = engine.sector_low(
+        engine.project_sectors([h], "TP" if lat.is_periodic else "RP"),
+        [[1.0]], min(4 * count, (1 << L) - 2), [h.norm_bound()])
     assert vals.shape == (count,)
     assert worst <= engine.RESIDUAL_RTOL * max(1.0, h.norm_bound())
     # every level is a true level, and one of its own parity sector up to
@@ -208,13 +207,13 @@ def test_ring_windows_at_the_benchmark_couplings(L, lam):
 
 def solve_spied(h, count):
     """sector_lanczos(h, count) with the sectors whose blocks it builds,
-    each solve's matrix and level count (eigh or eigsh), and the solutions
-    it merges."""
+    each solve's matrix and level count (dense or eigsh), and the
+    solutions it merges."""
     solves = []
 
-    def eigh(a, **kwargs):
-        solves.append((a, kwargs["subset_by_index"][1] + 1))
-        return EIGH(a, **kwargs)
+    def eigh(a, n):
+        solves.append((a, n))
+        return EIGH(a, n)
 
     def eigsh(a, **kwargs):
         solves.append((a, kwargs["k"]))
@@ -222,8 +221,7 @@ def solve_spied(h, count):
 
     with mock.patch.object(engine, "_sector_block",
                            wraps=engine._sector_block) as blocks, \
-            mock.patch.object(engine.scipy.linalg, "eigh",
-                              side_effect=eigh), \
+            mock.patch.object(engine, "_subset_eigh", side_effect=eigh), \
             mock.patch.object(engine.scipy.sparse.linalg, "eigsh",
                               side_effect=eigsh), \
             mock.patch.object(engine, "_merge_levels",

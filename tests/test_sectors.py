@@ -10,7 +10,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -178,8 +177,8 @@ def check_sector_solve(L, boundary, lam):
     count, atol = 12, 1e-8
     projected = engine.project_sectors(
         (h_c, h_i), "TP" if lat.is_periodic else "RP")
-    vals, labels, states, _ = engine.sector_low(projected, (1.0, lam), count,
-                                                h.norm_bound(), atol=atol)
+    (vals, labels, states, _), = engine.sector_low(
+        projected, [(1.0, lam)], count, [h.norm_bound()], atol=atol)
 
     # the reference is the full space, since eig_low solves h per sector;
     # it is H_C + lam H_I itself, whose coupling h drops at or below the
@@ -210,27 +209,30 @@ def check_sector_solve(L, boundary, lam):
 
 @pytest.mark.parametrize("L,solves,sectors", [(10, 12, 20), (12, 14, 24)])
 def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
-    # a real ring H: per coupling a first eigh for k = 0, L/2 and each pair
-    # k, -k, of ceil(4 * 12 / solves) levels, the -k twin decided by one
-    # conjugate test per projection; every sector, reused or solved, passes
-    # its own residual check.  A sector the window needs all 12 levels of
-    # is solved again, and its twin, if any, checked again
+    # a real ring H: per coupling a first solve for k = 0, L/2 and each
+    # pair k, -k, of ceil(4 * 12 / solves) levels, the -k twin decided by
+    # one conjugate test per projection; every sector, reused or solved,
+    # passes its own residual check, one stack of the chunk's couplings
+    # per sector and pass.  A sector the window needs all 12 levels of is
+    # solved again, and its twin, if any, checked again
     grid = [0.8, 0.9, 1.0, 1.1, 1.2]
     with mock.patch.object(engine, "_conjugate_twins",
                            wraps=engine._conjugate_twins) as twins, \
-            mock.patch.object(engine.scipy.linalg, "eigh",
-                              wraps=scipy.linalg.eigh) as eigh, \
+            mock.patch.object(engine, "_subset_eigh",
+                              wraps=engine._subset_eigh) as eigh, \
             mock.patch.object(engine, "checked_residual",
                               wraps=engine.checked_residual) as residual:
         scan = cs.phase_scan(LatticeSpec(L, "periodic"), grid)
     first = -(-4 * 12 // solves)
-    levels = [c.kwargs["subset_by_index"][1] + 1 for c in eigh.call_args_list]
+    levels = [c.args[1] for c in eigh.call_args_list]
     again = sum(n > first for n in levels)
-    checked_again = sum(c.args[1].shape[1] > first
-                        for c in residual.call_args_list)
+    # the (sector, coupling) pairs each check covers
+    checked = [c.args[1].shape[0] for c in residual.call_args_list]
+    checked_again = sum(n for n, c in zip(checked, residual.call_args_list)
+                        if c.args[1].shape[2] > first)
     assert twins.call_count == 1
     assert eigh.call_count == solves * len(grid) + again
-    assert residual.call_count == sectors * len(grid) + checked_again
+    assert sum(checked) == sectors * len(grid) + checked_again
     assert again <= checked_again <= 2 * again
     for i, lam in enumerate(grid):
         assert scan.energy[i] == pytest.approx(
@@ -249,8 +251,8 @@ def test_imaginary_coefficients_solve_every_sector(L):
     assert not engine.has_real_matrix(h) and engine._symmetry_group(h) == "TP"
     projected = engine.project_sectors([h], "TP")
     assert projected.twins == (-1,) * len(projected.sectors)
-    with mock.patch.object(engine.scipy.linalg, "eigh",
-                           wraps=scipy.linalg.eigh) as eigh:
+    with mock.patch.object(engine, "_subset_eigh",
+                           wraps=engine._subset_eigh) as eigh:
         spect = cs.eig_low(h, count=12, method="dense")
     assert eigh.call_count == len(projected.sectors)
     want = np.linalg.eigvalsh(oracle_sum_matrix(h))
@@ -293,7 +295,7 @@ def ring_12_window():
 
 
 @pytest.mark.xfail(strict=True, reason="the 12-level window cuts the "
-                   "multiplet that holds the sector gap (ROADMAP item 4)")
+                   "multiplet that holds the sector gap (ROADMAP item 3)")
 def test_ring_12_sector_gap_is_the_free_fermion_gap(ring_12_window):
     # the oracle gives 4.0 and 3.8612; the scan reports nan at both
     for i, lam in enumerate(ring_12_window.grid):
@@ -304,7 +306,7 @@ def test_ring_12_sector_gap_is_the_free_fermion_gap(ring_12_window):
 
 
 @pytest.mark.xfail(strict=True, reason="the 12-level window cuts the "
-                   "first excited multiplet (ROADMAP item 4)")
+                   "first excited multiplet (ROADMAP item 3)")
 def test_ring_12_excited_multiplet_is_whole(ring_12_window):
     # at lambda = 0 the oracle's first excited multiplet has 12 levels,
     # and the window keeps 11 of them
@@ -538,6 +540,91 @@ def test_dense_budget_covers_the_ring_solve(solve):
             tracemalloc.stop()
     assert spy.call_count == 1
     assert peak <= spy.call_args.args[0]
+
+
+@pytest.mark.parametrize("L,grid,calls", [
+    (12, [0.9, 1.0, 1.1], 3),                         # one coupling a call
+    (10, np.round(np.arange(0.5, 1.45, 0.05), 10), 3)])   # 8 a call
+def test_dense_budget_covers_a_multi_chunk_ring_scan(L, grid, calls):
+    # a scan whose couplings take several sector_low calls, each chunk's
+    # summed blocks and solutions within the one charge
+    with mock.patch.object(engine, "_check_memory",
+                           wraps=engine._check_memory) as spy, \
+            mock.patch.object(engine, "sector_low",
+                              wraps=engine.sector_low) as solve:
+        tracemalloc.start()
+        try:
+            cs.phase_scan(LatticeSpec(L, "periodic"), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert solve.call_count == calls
+    assert spy.call_count == 1
+    assert peak <= spy.call_args.args[0]
+
+
+SCAN_FIELDS = ("energy", "gap", "gap_sector", "string_order",
+               "yy_correlator", "parity_expectation", "gs_parity",
+               "exc_multiplicity")
+
+
+@pytest.mark.parametrize("boundary,grid", [
+    ("periodic", np.round(np.arange(0.5, 1.55, 0.1), 10)),
+    ("open", np.round(np.arange(0.0, 1.55, 0.15), 10))])
+def test_chunked_scans_are_one_point_scans(monkeypatch, boundary, grid):
+    # the chunk budget cut to about three couplings, so that an 8-site
+    # scan spans three sector_low calls or more: every array it reports
+    # is, bit for bit, that of one-point scans, and its crossings are
+    # those of the scan in one chunk
+    lat = LatticeSpec(8, boundary)
+    probes = {"X1": "X1"}
+    whole = cs.phase_scan(lat, grid, probes=probes)
+    projected = engine.project_sectors(
+        (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0)),
+        "TP" if lat.is_periodic else "RP")
+    assert projected.rows(12) >= grid.size
+    monkeypatch.setattr(engine, "_CHUNK_BYTES",
+                        engine._CHUNK_BYTES * 3 // projected.rows(12))
+    rows = projected.rows(12)
+    assert rows >= 2
+    with mock.patch.object(engine, "sector_low",
+                           wraps=engine.sector_low) as solve:
+        chunked = cs.phase_scan(lat, grid, probes=probes)
+    assert solve.call_count == -(-grid.size // rows) >= 3
+    for i, lam in enumerate(grid):
+        point = cs.phase_scan(lat, [lam], probes=probes)
+        for name in SCAN_FIELDS:
+            assert getattr(chunked, name)[i:i + 1].tobytes() \
+                == getattr(point, name).tobytes(), name
+        assert chunked.extras["X1"][i:i + 1].tobytes() \
+            == point.extras["X1"].tobytes()
+        assert chunked.exc_parities[i] == point.exc_parities[0]
+    for name in SCAN_FIELDS:
+        assert getattr(chunked, name).tobytes() \
+            == getattr(whole, name).tobytes(), name
+    assert chunked.crossings == whole.crossings
+
+
+def test_scan_points_expand_only_their_ground_state(monkeypatch):
+    # merged levels stay in sector form: a scan reads each point's ground
+    # state alone, so no other level is expanded to 2^L amplitudes
+    merged = []
+    merge = engine._merge_levels
+
+    def recording(*args):
+        out = merge(*args)
+        merged.append(out[2])
+        return out
+
+    monkeypatch.setattr(engine, "_merge_levels", recording)
+    grid = [0.6, 0.9, 1.2]
+    for lat in (LatticeSpec(8, "periodic"), LatticeSpec(7, "open")):
+        merged.clear()
+        cs.phase_scan(lat, grid)
+        assert len(merged) == len(grid)
+        for states in merged:
+            assert states[0]._amps is not None
+            assert all(psi._amps is None for psi in states[1:])
 
 
 def test_dense_budget_covers_the_odd_ring_scan():

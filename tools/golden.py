@@ -92,6 +92,8 @@ COMMANDS = [
     "spectrum --size 14 --boundary periodic --lambda 1.35 --method iterative",
     "spectrum --size 16 --boundary periodic --lambda 1.0 --method iterative "
     "--count 12",
+    "scan --size 10 --boundary periodic --lambda 0.5:1.5:0.01",
+    "scan --size 8 --boundary open --lambda 0:1.5:0.05",
 ]
 
 
