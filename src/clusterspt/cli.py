@@ -404,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="coupling sweep of the perturbed model")
     common(p, 12, "periodic")
     p.add_argument("--lambda", dest="lam", default="0.5:1.5:0.05",
-                   help="grid as start:stop:step (inclusive)")
+                   help="grid as start:stop:step (inclusive); a grid that "
+                   "starts below zero takes the = form, --lambda=-1:1:0.5, "
+                   "since argparse reads -1:1:0.5 as an option")
     p.add_argument("--count", type=int, default=12,
                    help="eigenvalues per grid point")
     p.add_argument("--method", choices=("auto", "dense", "iterative"),

@@ -16,13 +16,16 @@ build.  Sector blocks come from the kernel run once on the orbit
 representatives of a symmetry group, the spin flip P times the
 translation T on a ring ("TP"), times the reflection R ("RP"), or alone
 ("P"), from one orbit table per lattice and group (`_sector_table`: each
-index's orbit and group element, and each sector's character and
-columns), and one helper gives each row's entries in its sector
-(`_sector_entries`).  `project_sectors` scatters them into small dense
-blocks of every sector at once, real on a ring when every operator is
-real and reflection-invariant (in the bases of `_real_bases`, for the
-sectors with a complex character, `_takes_basis`), and decides each
-momentum -k block's conjugate twin once.  `sector_low` solves them for
+index's orbit and group element, and each sector's character, columns
+and momentum -k twin), and one helper gives each row's entries in its
+sector (`_sector_entries`).  The checked table (`_check_table`) is the
+one source of both sector solvers' bookkeeping: the sector dimensions
+and offsets, the sectors with a complex character (`takes`), the twin a
+sector reuses (`_SectorTable.reused`: the twin j < i of a real operator)
+and, on a ring whose operators are all real and reflection-invariant
+(`_mirrored`), the real bases of the complex sectors (`_real_bases`).
+`project_sectors` scatters the rows into small dense blocks of every
+sector at once, real in those bases.  `sector_low` solves them for
 phase scans up to 12 sites, a chunk of couplings per call, and for every
 dense `eig_low` of a symmetric operator, one coupling: sector-major, per
 sector one stack of the couplings' summed blocks, one LAPACK call per
@@ -33,9 +36,9 @@ scans, takes the same group and builds one sector's rows at a time as a
 CSR block (`_sector_block`, on a ring the real U^H B U), solves it,
 densely (`_subset_eigh`) up to DENSE_BLOCK_STATES states and by Lanczos
 above, retrying a Lanczos solve once with more Krylov vectors when a
-pair misses its residual bound (`_checked_lanczos`), and drops it; a
-real operator's -k sector reuses the solution of k.  Both sector solvers
-take their per-sector level counts from `_sector_counts` and merge in
+pair misses its residual bound (`_checked_lanczos`), and drops it.  In
+both, a real operator's -k sector reuses the solution of k.  Both take
+their per-sector level counts from `_sector_counts` and merge in
 `_merge_levels`, which keeps each level in sector form (`_SectorState`),
 expanded to 2^L amplitudes on the first read of its `amps`.  All golden
 values depend on this ordering.
@@ -46,6 +49,7 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -755,8 +759,10 @@ class _SectorTable:
     the position of b's orbit in reps; elem[b] (int8) is the g_b with g_b b
     = r.  Sector i, (k, p) = keys[i] in ascending k then p = +1, -1, has
     the character chars[i, 2j + s] = e^{2 pi i k j / n} p^s (so r =
-    (-1)^k under R), and cols[i, n] is the column of reps[n]'s orbit sum in
-    it, -1 where the sum vanishes.
+    (-1)^k under R), cols[i, n] is the column of reps[n]'s orbit sum in
+    it, -1 where the sum vanishes, and twin[i] is the index of the sector
+    (-k mod n, p), i itself where 2k = 0 mod n, which _check_table proves
+    has the conjugate character and the same columns.
     """
 
     length: int
@@ -768,11 +774,38 @@ class _SectorTable:
     keys: tuple
     chars: np.ndarray
     cols: np.ndarray
+    twin: np.ndarray
 
     @property
     def order(self) -> int:
         """The order n of the second generator."""
         return _generator(self.group, self.length)[1]
+
+    @cached_property
+    def dims(self) -> np.ndarray:
+        """Each sector's dimension, the orbits whose sum survives in it."""
+        return np.count_nonzero(self.cols >= 0, axis=1)
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """Each sector's offset in the columns of every sector, sector-major
+        as project_sectors scatters them and _real_bases builds them."""
+        return np.cumsum(self.dims) - self.dims
+
+    @cached_property
+    def takes(self) -> np.ndarray:
+        """Per sector, whether its character is complex (2k != 0 mod n, only
+        on a ring): in real bases, the sectors whose blocks change basis by
+        the unitary U of _real_bases, which is 1 in every other one."""
+        return np.array([2 * k % self.order != 0 for k, _ in self.keys])
+
+    def reused(self, real: bool) -> tuple:
+        """Per sector i, the sector j whose solution it reuses, conjugated,
+        -1 for none: its twin j when j < i and `real`, every operator having
+        a real matrix (has_real_matrix), so that the blocks of i are the
+        conjugates of those of j.  Both sector solvers reuse by this rule."""
+        return tuple(int(j) if real and j < i else -1
+                     for i, j in enumerate(self.twin))
 
 
 def _sector_table(length: int, group: str) -> _SectorTable:
@@ -818,9 +851,11 @@ def _sector_table(length: int, group: str) -> _SectorTable:
     some = alive.any(axis=1)
     alive = alive[some]
     cols = np.where(alive, np.cumsum(alive, axis=1) - 1, -1).astype(np.int32)
+    keys = [key for key, s in zip(keys, some) if s]
+    index = {key: i for i, key in enumerate(keys)}
+    twin = np.array([index.get((-k % order, p), -1) for k, p in keys])
     return _SectorTable(length, group, reps, np.bincount(orbit), orbit, elem,
-                        tuple(key for key, s in zip(keys, some) if s),
-                        chars[some], cols)
+                        tuple(keys), chars[some], cols, twin)
 
 
 def _row_form(table: _SectorTable, i: int) -> tuple:
@@ -866,6 +901,16 @@ def _symmetry_group(op: OperatorSum, groups=("TP", "RP", "P")):
     return None
 
 
+def _mirrored(ops, group: str) -> bool:
+    """Whether the sectors of `group` take the real bases of _real_bases
+    for the operators `ops`, in both sector solvers: on a ring ("TP")
+    whose operators are all real (has_real_matrix) and conserved by the
+    reflection R too (_symmetry_group's test)."""
+    return group == "TP" and all(
+        has_real_matrix(op) and _symmetry_group(op, ("RP",)) == "RP"
+        for op in ops)
+
+
 def _check_memory(need: int, method: str, length: int, what: str) -> None:
     """Raise ResourceLimitError when `need` bytes exceed physical memory."""
     if need > _physical_memory():
@@ -878,10 +923,10 @@ def _check_memory(need: int, method: str, length: int, what: str) -> None:
 def _check_table(table: _SectorTable) -> None:
     """Raise ConvergenceError unless the orbit table passes checks (i) and
     (iii) (a)-(d) of project_sectors, each to BASIS_ATOL, and the twin
-    check: the sector (-k mod n, p) of every (k, p) exists, with the
-    conjugate character and the same columns, so that a real operator has
-    conjugate blocks in the two (sector_lanczos reuses the solution of k
-    for -k on that alone)."""
+    check: every sector has a twin, with the conjugate character and the
+    same columns, so that a real operator has conjugate blocks in the two
+    (both sector solvers reuse the solution of k for -k on that alone,
+    _SectorTable.reused)."""
     L, chars, orbit, cols = table.length, table.chars, table.orbit, table.cols
     b, g = np.arange(orbit.size, dtype=orbit.dtype), np.arange(chars.shape[1])
     k, p = np.array(table.keys).T
@@ -906,11 +951,9 @@ def _check_table(table: _SectorTable) -> None:
         ok["orbit"] &= np.array_equal(orbit[image], orbit)
         ok["stabilizer"] &= bool(np.abs(chars[:, h[moved]] - 1)[
             alive[:, orbit[moved]]].max(initial=0) <= BASIS_ATOL)
-    # the sector of (-k, p) has the conjugate character and the same columns
-    # as (k, p), so a real operator's blocks there are conjugate
-    index = {key: i for i, key in enumerate(table.keys)}
-    twin = np.array([index.get((-kk % order, pp), -1)
-                     for kk, pp in table.keys])
+    # the twin of (k, p) has the conjugate character and the same columns,
+    # so a real operator's blocks there are conjugate
+    twin = table.twin
     ok["twin"] = bool((twin >= 0).all()) and bool(
         np.abs(chars[twin] - chars.conj()).max() <= BASIS_ATOL) \
         and np.array_equal(cols[twin], cols)
@@ -972,29 +1015,22 @@ def _conjugation_pairs(table: _SectorTable) -> tuple:
             table.chars[sec, table.elem[mirror]].conj())
 
 
-def _takes_basis(table: _SectorTable) -> np.ndarray:
-    """Per sector of `table`, whether its character is complex (2k != 0
-    mod n, only on a ring): in real bases, the sectors whose blocks change
-    basis by the unitary U of _real_bases, which is 1 in every other one."""
-    return np.array([2 * k % table.order != 0 for k, _ in table.keys])
-
-
-def _real_bases(table: _SectorTable) -> tuple:
-    """(sigma, a, b) over the columns of every sector, sector-major as
-    project_sectors scatters them: the rows of a unitary U per sector, U[c,
-    c] = a_c and U[c, sigma_c] = b_c, whose columns R K conserves
-    (_conjugation_pairs), so that U^H B U is real for every block B of a
-    real operator that R conserves.  In a ring sector with a complex
-    character (2k != 0 mod L), an orbit R K maps to itself (sigma_c = c)
-    takes the half angle of phi_c, column e^{i arg(phi_c) / 2} |c>, and a
-    pair c < c' = sigma_c takes columns (|c> + phi_c |c'>) / sqrt 2 and i
-    (|c> - phi_c |c'>) / sqrt 2.  The sector of -k takes U(-k) = conj U(k),
-    so that its real blocks are those of k, and a sector with a real
-    character takes U = 1.  Raises ConvergenceError unless sigma is an involution
-    with phi_{sigma_c} = phi_c to BASIS_ATOL, which (R K)^2 = 1 requires."""
+def _real_bases(table: _SectorTable) -> dict:
+    """{i: (sigma, a, b)} for every sector i of `table` with a complex
+    character (table.takes: 2k != 0 mod L, only on a ring), the rows of a
+    unitary U, U[c, c] = a_c and U[c, sigma_c] = b_c, whose columns R K
+    conserves (_conjugation_pairs), so that U^H B U is real for every block
+    B of a real operator that R conserves.  An orbit R K maps to itself
+    (sigma_c = c) takes the half angle of phi_c, column e^{i arg(phi_c) /
+    2} |c>, and a pair c < c' = sigma_c takes columns (|c> + phi_c |c'>) /
+    sqrt 2 and i (|c> - phi_c |c'>) / sqrt 2.  A sector whose twin j
+    (_SectorTable.twin) comes first takes U = conj U(j), so that its real
+    blocks are those of j; a sector with a real character takes U = 1 and
+    has no entry.  Both sector solvers take their bases here.  Raises
+    ConvergenceError unless sigma is an involution with phi_{sigma_c} =
+    phi_c to BASIS_ATOL, which (R K)^2 = 1 requires."""
     sigma, phi = _conjugation_pairs(table)
-    dims = np.count_nonzero(table.cols >= 0, axis=1)
-    first = np.cumsum(dims) - dims
+    dims, first = table.dims, table.first
     sec = np.repeat(np.arange(dims.size), dims)
     col = np.arange(sigma.size) - first[sec]
     back = first[sec] + sigma
@@ -1008,27 +1044,25 @@ def _real_bases(table: _SectorTable) -> tuple:
     a = np.where(alone, np.exp(0.5j * np.angle(phi)),
                  np.where(lower, half, -1j * half * phi))
     b = np.where(alone, 0, np.where(lower, 1j * half, half * phi))
-    index = {key: i for i, key in enumerate(table.keys)}
-    for i, ((k, p), takes) in enumerate(zip(table.keys, _takes_basis(table))):
-        part = slice(first[i], first[i] + dims[i])
-        if not takes:
-            sigma[part], a[part], b[part] = col[part], 1, 0
-        elif 2 * k > table.order:
-            twin = first[index[(table.order - k, p)]]
-            a[part] = a[twin:twin + dims[i]].conj()
-            b[part] = b[twin:twin + dims[i]].conj()
-    return sigma, a, b
+    bases = {}
+    for i in np.flatnonzero(table.takes).tolist():
+        part, j = slice(first[i], first[i] + dims[i]), table.twin[i]
+        if j < i:
+            a[part], b[part] = bases[j][1].conj(), bases[j][2].conj()
+        bases[i] = sigma[part], a[part], b[part]
+    return bases
 
 
 def _in_real_basis(basis: tuple, first: np.ndarray, own: np.ndarray,
                    target: np.ndarray, values: np.ndarray) -> tuple:
     """(rows, cols, values) of U^H B U, broadcast to (2, 2, rows, #x
     masks), from the entries B[own, target] = values of _sector_entries,
-    U's rows (sigma, a, b) from _real_bases and first[a] the offset of row
-    a's sector in them: with two entries in each row of U, entry (c, t, v)
-    gives conj(U[c, j]) v U[t, l] at (j, l) for j in (c, sigma_c) and l in
-    (t, sigma_t).  A target -1 (an orbit sum that vanishes) reads U's first
-    row of the sector; the caller drops its entries."""
+    U's rows (sigma, a, b) over a run of consecutive sectors of _real_bases
+    and first[a] the offset of row a's sector in them: with two entries in
+    each row of U, entry (c, t, v) gives conj(U[c, j]) v U[t, l] at (j, l)
+    for j in (c, sigma_c) and l in (t, sigma_t).  A target -1 (an orbit
+    sum that vanishes) reads U's first row of the sector; the caller drops
+    its entries."""
     sigma, a, b = basis
     at_row, at_col = first + own, first + np.maximum(target, 0)
     left = np.array([a[at_row], b[at_row]]).conj()[:, None]
@@ -1043,7 +1077,8 @@ class _Projection:
     list of operators: the orbit table, per sector (k, p, blocks) with
     blocks[m] = U^H V^H M_m V U (U = 1 outside `bases`), twins[i] the index
     j < i of the sector whose blocks, conjugated, are sector i's for every
-    operator (-1 when none), bases, the unitaries U of _real_bases by
+    operator (-1 when none): the table's twin when every operator is real
+    (_SectorTable.reused), bases, the unitaries U of _real_bases by
     sector (empty when they do not apply), and forms, the row forms
     (_row_form) of the sectors of the merged levels whose amplitudes were
     read, each built on the first read.  It holds every piece of state
@@ -1060,7 +1095,7 @@ class _Projection:
         `count` levels: as many as fit _CHUNK_BYTES with, per row, the
         summed blocks of the largest sector and the solutions of every
         sector at min(count, d) levels; one row at least."""
-        dims = np.array([blocks[0].shape[0] for _, _, blocks in self.sectors])
+        dims = self.table.dims
         item = max(b.itemsize for _, _, blocks in self.sectors
                    for b in blocks)
         row = item * int(dims.max() ** 2 + dims @ np.minimum(count, dims))
@@ -1077,19 +1112,18 @@ def project_sectors(ops, group: str) -> _Projection:
     when its operator is real (has_real_matrix) and its sector's character
     is real (2k = 0 mod n: every sector of R x P or P alone).  On a ring
     whose operators are all real and conserved by the reflection R
-    (_implied_leak), every block is float64: a sector with a complex
-    character (_takes_basis) takes blocks[m] = U^H V^H M_m V U in a basis U
-    that R times complex conjugation conserves (_real_bases), each entry
-    of V^H M_m V scattered as its four entries in U (_in_real_basis), and
-    -k takes U(-k) = conj U(k), so that its blocks are those of k; the
+    (_mirrored), every block is float64: a sector with a complex character
+    (table.takes) takes blocks[m] = U^H V^H M_m V U in a basis U that R
+    times complex conjugation conserves (_real_bases), each entry of V^H
+    M_m V scattered as its four entries in U (_in_real_basis), and -k
+    takes U(-k) = conj U(k), so that its blocks are those of k; the
     entries of a sector with a real character, where U = 1, are scattered
-    as they are.  The momentum -k
-    twin of each sector is decided here, once (_conjugate_twins).  Between
-    the guard below and the first kernel call, the blocks, the scattered
-    rows, the row forms, the real bases, one chunk of sector_low's
-    coupling rows (_CHUNK_BYTES, _Projection.rows) and the larger of the
-    twin test and one row's largest solve are charged against physical
-    memory (_check_memory).
+    as they are.  The twins sector_low reuses are the table's, by the rule
+    sector_lanczos follows too (_SectorTable.reused).  Between the guard
+    below and the first kernel call, the blocks, the scattered rows, the
+    row forms, the real bases, one chunk of sector_low's coupling rows
+    (_CHUNK_BYTES, _Projection.rows) and one row's largest solve are
+    charged against physical memory (_check_memory).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -1146,21 +1180,17 @@ def project_sectors(ops, group: str) -> _Projection:
     dim = 1 << L
     table = _sector_table(L, group)
     _check_table(table)
-    dims = np.count_nonzero(table.cols >= 0, axis=1)
+    dims, first, takes = table.dims, table.first, table.takes
     real = [has_real_matrix(op) for op in ops]
     scales = [max(1.0, op.norm_bound()) for op in ops]
-    # a ring's complex sectors take real bases when every operator is real
-    # and R conserves it (_real_bases)
-    mirrored = group == "TP" and all(real) and all(
-        _implied_leak(op, "RP") <= 1e-12 * s for op, s in zip(ops, scales))
+    mirrored = _mirrored(ops, group)
     # the blocks, float64 when the operator and every character are real
     # and in real bases, where one more real scatter (the guard's
     # imaginary parts, then the real ones) is open at a time; one chunk of
     # sector_low's coupling rows (_CHUNK_BYTES of summed blocks and
     # solutions, _Projection.rows) and as much again for the first pass's
     # solutions a second pass leaves alive and one sector's products and
-    # residuals; the larger of one row's largest sum with LAPACK's copy of
-    # it and the twin test's conjugate and difference of one block; every
+    # residuals; one row's largest sum with LAPACK's copy of it; every
     # sector's row form; the orbit table and scattered rows, at most 48
     # bytes per state and x mask (9-12 sites), and in real bases the bases
     # and their build, 160 bytes per state, and an operator's entries four
@@ -1176,17 +1206,15 @@ def project_sectors(ops, group: str) -> _Projection:
                   + (dim * (160 + 144 * max(x_masks)) if mirrored else 0),
                   "dense", L, f"{len(ops) * dims.size} sector blocks plus "
                   "row tables")
-    basis = _real_bases(table) if mirrored else None
+    bases = _real_bases(table) if mirrored else {}
     # the rows of all sectors, sector-major: row a of the scatter is
     # reps[rep[a]] in sector sec[a], column own[a] of its block
     sec, rep = np.nonzero(table.cols >= 0)
     sec = sec[:, None]
     own = table.cols[sec, rep[:, None]]
     # block i fills flat[ends[i] - d_i^2:ends[i]] row by row; sector i's
-    # rows, and its columns in the bases, start at first[i]
+    # rows start at first[i]
     ends = np.cumsum(dims ** 2)
-    first = np.cumsum(dims) - dims
-    takes = _takes_basis(table)
 
     def slots(s, rows, cols, target, spare):
         """Each entry's slot in the flat blocks, an entry into an orbit
@@ -1204,7 +1232,9 @@ def project_sectors(ops, group: str) -> _Projection:
             # two runs', so each adds its entries in the order of one
             # bincount of all.  The imaginary parts go to the guard alone,
             # freed before the real ones are summed.  A run [lo, hi) is a
-            # maximal range of consecutive sectors that take U or do not
+            # maximal range of consecutive sectors that take U or do not,
+            # and U's rows over a run that takes it are its sectors' rows
+            # end to end
             edges = [0, *np.flatnonzero(np.diff(takes)) + 1, takes.size]
             flat = np.empty(ends[-1])
             for lo, hi in zip(edges[:-1], edges[1:]):
@@ -1212,8 +1242,10 @@ def project_sectors(ops, group: str) -> _Projection:
                 s, t, v = sec[part], target[part], values[part]
                 rows, cols = own[part], t
                 if takes[lo]:
-                    rows, cols, v = _in_real_basis(basis, first[s], rows, t,
-                                                   v)
+                    run = tuple(np.concatenate(x) for x in
+                                zip(*(bases[i] for i in range(lo, hi))))
+                    rows, cols, v = _in_real_basis(run, first[s] - first[lo],
+                                                   rows, t, v)
                 begin, stop = ends[lo] - dims[lo] ** 2, ends[hi - 1]
                 slot = slots(s, rows, cols, t, stop) - begin
                 del rows, cols
@@ -1241,39 +1273,12 @@ def project_sectors(ops, group: str) -> _Projection:
             del slot
         del target, values
         flats.append(flat)
-    del sec, rep, own   # before the twin test
     sectors = []
     for (k, p), d, end, u in zip(table.keys, dims, ends, takes):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
         sectors.append((k, p, [b.real if r and not u else b
                                for b, r in zip(blocks, real)]))
-    bases = {int(i): tuple(x[first[i]:first[i] + dims[i]] for x in basis)
-             for i in np.flatnonzero(takes)} if mirrored else {}
-    return _Projection(table, sectors,
-                       _conjugate_twins(sectors, ops, table.order), bases, {})
-
-
-def _conjugate_twins(sectors, ops, order: int) -> tuple:
-    """twins[i] = j when sector j < i has label -k mod `order` (the second
-    generator's order; a momentum -k on a ring) and the same parity as
-    sector i and, for every operator m, |B_m(i) - conj B_m(j)| <= 1e-13 *
-    max(1, sum|coeff_m|) entry by entry, else -1.  A real operator has
-    V(-k) = conj V(k) and so conjugate blocks at k and -k, and in real
-    bases, where U(-k) = conj U(k), equal real ones; one with an
-    imaginary matrix has not.  Sector i of a real combination of the
-    operators then has the conjugate eigenpairs of sector j."""
-    index = {(k, p): i for i, (k, p, _) in enumerate(sectors)}
-    twins = []
-    for i, (k, p, blocks) in enumerate(sectors):
-        j = index[(-k % order, p)]
-        if j < i and all(
-                np.abs(b - t.conj()).max()
-                <= 1e-13 * max(1.0, op.norm_bound())
-                for b, t, op in zip(blocks, sectors[j][2], ops)):
-            twins.append(j)
-        else:
-            twins.append(-1)
-    return tuple(twins)
+    return _Projection(table, sectors, table.reused(all(real)), bases, {})
 
 
 def sector_low(projected: _Projection, coeffs, count: int, norm_h,
@@ -1291,12 +1296,14 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     projected.rows(count) rows, the chunk project_sectors charges
     (_CHUNK_BYTES), and raises ValueError above it.  Per sector and pass,
     the rows' summed blocks form one (rows, d, d) stack; each row takes
-    its lowest levels from one LAPACK call (_subset_eigh) or, for the -k
-    twin that project_sectors found, the conjugate of the solution of k
-    when every coefficient is real, which halves the solves (in real bases
+    its lowest levels from one LAPACK call (_subset_eigh) or, for a -k
+    sector of projected.twins (the orbit table's twin when every operator
+    is real, _SectorTable.reused), the conjugate of the solution of k when
+    every coefficient is real too, which halves the solves (in real bases
     the blocks and so the solution are real, and taken as they are); and
     one checked_residual checks every pair of every row on the row's own
-    block against its own norm_h[r], reused twins included.  Each row
+    block against its own norm_h[r], reused twins included, so that a
+    wrong reuse raises ConvergenceError.  Each row
     takes the two passes of _sector_counts over the own (not reused)
     sectors, shared with sector_lanczos: a first one at min(count, ceil(4
     count / own sectors)) levels, and a second at min(count, d) for the
@@ -1474,7 +1481,7 @@ def _sector_block(table: _SectorTable, op: OperatorSum, i: int,
     """op's block in sector i of `table` as a CSR matrix, from one
     _sector_entries call on the sector's orbit representatives, its rows'
     entries kept as the block's own memory: float64 when op is real
-    (has_real_matrix) and the character is (_takes_basis).  An entry into
+    (has_real_matrix) and the character is (table.takes).  An entry into
     an orbit whose sum vanishes in the sector is stored as a zero in
     column 0.  With `basis`, the rows (sigma, a, b) of the sector's unitary
     U (_real_bases, two entries per row), the block is the real U^H B U,
@@ -1485,7 +1492,7 @@ def _sector_block(table: _SectorTable, op: OperatorSum, i: int,
     target, values = _sector_entries(table, op, i, slice(None), orbits)
     values[target < 0] = 0
     np.maximum(target, 0, out=target)
-    if has_real_matrix(op) and not _takes_basis(table)[i]:
+    if has_real_matrix(op) and not table.takes[i]:
         values = values.real
     block = _csr(target, values)
     del target, values
@@ -1585,15 +1592,16 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     does not conserve either, the two parity blocks of 2^(L-1).  Each own
     sector's block is built alone as a CSR matrix (_sector_block), solved,
     and dropped before the next one is built; when h is real and R
-    conserves it, a sector with a complex character takes the real block
-    U^H B U in the basis of _real_bases.  When h is real (has_real_matrix)
-    the -k sector builds no block: the orbit table's twin check
-    (_check_table) gives it the conjugate block of k, so it takes the
-    conjugate of the solution of k (in real bases, where U(-k) = conj
-    U(k), that solution as it is).  A block of at most DENSE_BLOCK_STATES
-    states takes a dense subset eigh, a larger one ARPACK
-    (_checked_lanczos); every pair passes checked_residual on its own
-    block.  The own sectors' counts are sector_low's two passes
+    conserves it (_mirrored), a sector with a complex character takes the
+    real block U^H B U in the basis of _real_bases, as in project_sectors.
+    When h is real (has_real_matrix) the -k sector builds no block: the
+    orbit table's twin check (_check_table) gives it the conjugate block
+    of k, so it takes the conjugate of the solution of k (in real bases,
+    where U(-k) = conj U(k), that solution as it is), by the rule
+    project_sectors gives sector_low (_SectorTable.reused).  A block of at
+    most DENSE_BLOCK_STATES states takes a dense subset eigh, a larger one
+    ARPACK (_checked_lanczos); every pair passes checked_residual on its
+    own block.  The own sectors' counts are sector_low's two passes
     (_sector_counts), which ask each of four own sectors or fewer for the
     whole count, and sector_low's merge (_merge_levels) keeps the lowest
     `count`, labelled by parity, in sector form, each expanded on the
@@ -1612,10 +1620,7 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     L = h.length
     dim = 1 << L
     norm_h = h.norm_bound()
-    real = has_real_matrix(h)
-    # a ring's complex sectors take real bases when R conserves h too
-    mirrored = group == "TP" and real and (
-        _implied_leak(h, "RP") <= 1e-12 * max(1.0, norm_h))
+    mirrored = _mirrored([h], group)
 
     need = _lanczos_charge(h, group, count, mirrored)
     _check_memory(need, "iterative", L,
@@ -1623,22 +1628,7 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
                   "vectors and the states")
     table = _sector_table(L, group)
     _check_table(table)
-    takes = _takes_basis(table)
-    bases = {}
-    if mirrored:
-        dims = np.count_nonzero(table.cols >= 0, axis=1)
-        first = np.cumsum(dims) - dims
-        basis = _real_bases(table)
-        bases = {int(i): tuple(x[first[i]:first[i] + dims[i]] for x in basis)
-                 for i in np.flatnonzero(takes)}
-        del basis
-    # a real h reuses the solution of k for -k (the table's twin check)
-    index = {key: i for i, key in enumerate(table.keys)}
-    twins = [-1] * len(table.keys)
-    if real:
-        for i, (k, p) in enumerate(table.keys):
-            j = index[(-k % table.order, p)]
-            twins[i] = j if j < i else -1
+    bases = _real_bases(table) if mirrored else {}
     worst = 0.0
 
     def solve(i, n, at, sources):
@@ -1661,7 +1651,8 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
         worst = max(worst, residual)
         return [(p, e, w)]
 
-    solved, = _sector_counts(solve, twins, count, atol)
+    solved, = _sector_counts(solve, table.reused(has_real_matrix(h)), count,
+                             atol)
     return (*_merge_levels(table, solved, count, atol, None, bases), worst)
 
 

@@ -93,8 +93,8 @@ def random_hermitian_sum(rng, length: int, terms: int = 6) -> cs.OperatorSum:
 
 def basis_matrix(basis) -> np.ndarray:
     """The dense d x d unitary U of a sector's real basis, from its rows
-    (sigma, a, b) as engine._real_bases gives them: U[c, c] = a_c and
-    U[c, sigma_c] = b_c (b_c = 0 where sigma_c = c)."""
+    (sigma, a, b), the sector's value in engine._real_bases: U[c, c] = a_c
+    and U[c, sigma_c] = b_c (b_c = 0 where sigma_c = c)."""
     sigma, a, b = basis
     u = np.diag(a).astype(complex)
     u[np.arange(a.size), sigma] += b

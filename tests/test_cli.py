@@ -174,6 +174,18 @@ class TestScan:
         assert main(["scan", "--size", "6", "--lambda", "abc"]) == 2
         assert main(["scan", "--size", "6", "--lambda", "0:1:-0.1"]) == 2
 
+    def test_negative_start_needs_the_equals_form(self, capsys):
+        # argparse reads "-1:1:0.5" as an option, not as --lambda's value
+        assert main(["scan", "--size", "6", "--lambda", "-1:1:0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: clusterspt scan")
+        assert "argument --lambda: expected one argument" in err
+        code, doc = run_json(capsys, "scan", "--size", "6",
+                             "--lambda=-1:1:0.5")
+        assert code == 0
+        assert [row["lam"] for row in doc["results"]["rows"]] == \
+            [-1.0, -0.5, 0.0, 0.5, 1.0]
+
     def test_estimate_in_json(self, capsys):
         code, doc = run_json(capsys, "scan", "--size", "8",
                              "--lambda", "0.8:1.2:0.05")

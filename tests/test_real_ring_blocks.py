@@ -184,11 +184,13 @@ def test_realness_guard_rejects_a_tampered_basis(monkeypatch):
     lat = LatticeSpec(8, "periodic")
 
     def tampered(table):
-        sigma, a, b = build(table)
-        start = np.count_nonzero(table.cols[:2] >= 0)   # sector (1, +1)
+        bases = build(table)
+        i = table.keys.index((1, 1))
+        sigma, a, b = bases[i]
         a = a.copy()
-        a[start:start + 5] *= 1j
-        return sigma, a, b
+        a[:5] *= 1j
+        bases[i] = sigma, a, b
+        return bases
 
     monkeypatch.setattr(engine, "_real_bases", tampered)
     with pytest.raises(ConvergenceError, match="not real"):

@@ -274,23 +274,31 @@ def test_a_ring_sector_the_window_needs_is_solved_again():
     check_oracle_window(L, True, lam, 8, vals, labels)
 
 
-def test_a_table_without_conjugate_twins_is_rejected(monkeypatch):
-    # the character of (-1, +1) replaced by that of (1, +1): the -k block
-    # would not be the conjugate of the k block, so no solution may be
-    # reused
+@pytest.mark.parametrize("method", ["iterative", "dense"])
+@pytest.mark.parametrize("field", ["chars", "twin"])
+def test_a_table_without_conjugate_twins_is_rejected(monkeypatch, field,
+                                                     method):
+    # the character of (-1, +1) replaced by that of (1, +1), or the twin
+    # of (-1, +1) pointed at (1, -1): the -k block would not be the
+    # conjugate of its twin's, so no solution may be reused, on the
+    # Lanczos path or the dense one
     build = engine._sector_table
 
     def tampered(length, group):
         table = build(length, group)
-        chars = table.chars.copy()
-        chars[table.keys.index((length - 1, 1))] = \
-            chars[table.keys.index((1, 1))]
-        return dataclasses.replace(table, chars=chars)
+        i = table.keys.index((length - 1, 1))
+        values = getattr(table, field).copy()
+        values[i] = (values[table.keys.index((1, 1))] if field == "chars"
+                     else table.keys.index((1, -1)))
+        return dataclasses.replace(table, **{field: values})
 
     monkeypatch.setattr(engine, "_sector_table", tampered)
     h = cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 0.7)
     with pytest.raises(ConvergenceError, match="twin"):
-        engine.sector_lanczos(h, 4)
+        if method == "iterative":
+            engine.sector_lanczos(h, 4)
+        else:
+            cs.eig_low(h, 4, method="dense")
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])

@@ -210,14 +210,14 @@ def check_sector_solve(L, boundary, lam):
 @pytest.mark.parametrize("L,solves,sectors", [(10, 12, 20), (12, 14, 24)])
 def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
     # a real ring H: per coupling a first solve for k = 0, L/2 and each
-    # pair k, -k, of ceil(4 * 12 / solves) levels, the -k twin decided by
-    # one conjugate test per projection; every sector, reused or solved,
+    # pair k, -k, of ceil(4 * 12 / solves) levels, the -k twin read off
+    # the one orbit table of the scan; every sector, reused or solved,
     # passes its own residual check, one stack of the chunk's couplings
     # per sector and pass.  A sector the window needs all 12 levels of is
     # solved again, and its twin, if any, checked again
     grid = [0.8, 0.9, 1.0, 1.1, 1.2]
-    with mock.patch.object(engine, "_conjugate_twins",
-                           wraps=engine._conjugate_twins) as twins, \
+    with mock.patch.object(engine, "_sector_table",
+                           wraps=engine._sector_table) as tables, \
             mock.patch.object(engine, "_subset_eigh",
                               wraps=engine._subset_eigh) as eigh, \
             mock.patch.object(engine, "checked_residual",
@@ -230,7 +230,7 @@ def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
     checked = [c.args[1].shape[0] for c in residual.call_args_list]
     checked_again = sum(n for n, c in zip(checked, residual.call_args_list)
                         if c.args[1].shape[2] > first)
-    assert twins.call_count == 1
+    assert tables.call_count == 1
     assert eigh.call_count == solves * len(grid) + again
     assert sum(checked) == sectors * len(grid) + checked_again
     assert again <= checked_again <= 2 * again
@@ -239,7 +239,7 @@ def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
             free_fermion.spectrum(L, True, lam, 1)[0][0], abs=1e-12)
 
 
-@pytest.mark.parametrize("L", [6, 8])
+@pytest.mark.parametrize("L", [4, 6, 8])
 def test_imaginary_coefficients_solve_every_sector(L):
     # sum_j 0.7 Y_j Z_{j+1} is invariant under T and P and Hermitian, with
     # an imaginary matrix (Y = i X Z), so its blocks at k and -k are not
