@@ -9,7 +9,8 @@ Four entry points:
   of all probes over the once-stacked ground basis.
 * string_order / phase_scan: nonlocal order parameter and the coupling scan
   of the perturbed model, with parity-sector tracking and level-crossing
-  detection.
+  detection; the scan's solves are one engine.family_low call, and its
+  observables are read with engine.expectations.
 * transition_estimate: the scan's transition-point estimate.
 
 Transition estimation policy: at finite size the symmetric-sector gap
@@ -32,11 +33,11 @@ from . import engine
 from .engine import (StateVector, apply, build_cluster_state, eig_low,
                      expectation, expectations, splitting_classes,
                      splitting_matrices, subspace_distance)
-from .errors import DomainError, LengthMismatchError, ResourceLimitError
-from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
-                     cross_check_global, ising_perturbation,
-                     local_symmetry_pair, printed_global_string,
-                     spin_flip_symmetries, stabilizer)
+from .errors import DomainError, LengthMismatchError
+from .models import (COUPLING_CAP, LatticeSpec, ModelSpec, build_model,
+                     cluster_hamiltonian, cross_check_global,
+                     ising_perturbation, local_symmetry_pair,
+                     printed_global_string, spin_flip_symmetries, stabilizer)
 from .pauli import (COEFF_TOL, OperatorSum, PauliString, TermTable,
                     brackets_vanish, commutes)
 
@@ -443,8 +444,9 @@ class ScanResult:
 def _check_grid(grid: np.ndarray):
     if grid.size == 0:
         raise DomainError("empty coupling grid")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("coupling grid must be finite")
+    if not np.all(np.abs(grid) <= COUPLING_CAP):
+        raise DomainError(f"coupling grid must be finite and at most "
+                          f"{COUPLING_CAP:g} in magnitude")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("coupling grid must be strictly increasing")
 
@@ -459,27 +461,17 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     state.  Once per scan, a symbolic audit (one brackets_vanish call)
     that the spin-flip parity commutes with the Hamiltonian and that its
     matrix stays real (time-reversal witness); by linearity it covers H_C,
-    and H_I when some coupling is nonzero.  Both paths solve H_C + lam * H_I as an OperatorSum
-    keeps it, a |lam| <= COEFF_TOL counting as 0 (rows print the grid as
-    given).  Up to the dense size cap (method auto or dense) H_C and H_I are
-    projected once into the translation x spin-flip sectors of a ring, which
-    also decides once which momentum -k blocks reuse the solution of k, or
-    the reflection x spin-flip sectors of an open chain, and the grid is
-    solved in chunks of couplings, as many as the projection's chunk
-    budget holds (engine._Projection.rows), one sector_low call each:
-    sector-major, every coupling of the chunk solved on one sector's
-    summed blocks before the next sector.  Otherwise each coupling solves
-    the same sectors one block at a time (sector_lanczos): a ring's real
-    (k, p) blocks, each -k sector reusing the solution of k, or an open
-    chain's (r, p) blocks, by Lanczos above engine.DENSE_BLOCK_STATES
-    states.  Either way the parity labels come by construction, and the
-    levels stay in sector form: only the ground state is expanded to 2^L
-    amplitudes.  The matrices of the string order, H_I and probes are
-    built once, after the first solve, so a size over its memory budget
-    (project_sectors' or sector_lanczos') fails first; each coupling then
-    takes one matrix-vector product per observable and reads the parity
-    off the ground state's label.  Scan points are independent, assembled
-    in grid order: a point's values do not depend on the chunk it is in.
+    and H_I when some coupling is nonzero.  The couplings are solved as
+    one family, rows (1, lam) of (H_C, H_I), by engine.family_low, which
+    picks the solver (method, as in eig_low) and the symmetry sectors and
+    yields the levels a chunk of couplings at a time, each labelled by its
+    spin-flip parity, with the memory budget checked before anything is
+    solved; a |lam| <= COEFF_TOL counts as 0, as an OperatorSum keeps it
+    (rows print the grid as given).  Per chunk, the string order, YY and
+    probes are read in the chunk's ground states (engine.expectations),
+    one product per observable, and the parity off each ground state's
+    label.  Scan points are independent, assembled in grid order: a
+    point's values do not depend on the chunk it is in.
     """
     grid = np.asarray(lam_grid, dtype=float)
     _check_grid(grid)
@@ -489,12 +481,6 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
         raise DomainError(
             f"sector tolerance must be finite and positive, got {sector_atol}")
     L = lattice.length
-    if method not in ("auto", "dense", "iterative"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "dense" and L > engine.DENSE_SITE_CAP:
-        raise ResourceLimitError(
-            f"dense diagonalization capped at {engine.DENSE_SITE_CAP} "
-            f"sites, got {L}")
     count = int(min(eig_count, (1 << L) - 2))
     parity_op, _ = spin_flip_symmetries(lattice)
     a, b = longest_string_sites(L)
@@ -508,11 +494,6 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     parity_ok = bool(brackets_vanish((parity_op, op, 1)
                                      for op in parts).all())
     treal_ok = all(engine.has_real_matrix(op) for op in parts)
-    projected = None
-    if method in ("auto", "dense") and L <= engine.DENSE_SITE_CAP:
-        projected = engine.project_sectors(
-            (h_c, yy_unit), "TP" if lattice.is_periodic else "RP")
-        norm_c, norm_i = h_c.norm_bound(), yy_unit.norm_bound()
 
     probe_ops = {}
     if probes:
@@ -536,64 +517,43 @@ def phase_scan(lattice: LatticeSpec, lam_grid, probes: dict | None = None,
     exc_parities = []
     extras = {name: np.zeros(n) for name in probe_ops}
 
-    def solutions():
-        """Each coupling's (vals, labels, states, max_residual), in grid
-        order: per chunk of couplings one sector_low call, or per coupling
-        one sector_lanczos call."""
-        if projected is None:
-            for lam in couplings:
-                yield engine.sector_lanczos(h_c + float(lam) * yy_unit, count,
-                                            atol=sector_atol)
-            return
-        rows = np.column_stack([np.ones(n), couplings])
-        norms = norm_c + np.abs(couplings) * norm_i
-        chunk = projected.rows(count)
-        for start in range(0, n, chunk):
-            part = slice(start, start + chunk)
-            yield from engine.sector_low(projected, rows[part], count,
-                                         norms[part], atol=sector_atol)
+    i = 0
+    for chunk in engine.family_low(
+            (h_c, yy_unit), np.column_stack([np.ones(n), couplings]), count,
+            method, sector_atol):
+        at = slice(i, i + len(chunk))
+        ground = [states[0] for _, _, states, _ in chunk]
+        so[at] = [_real_string(v) for v in expectations(ground, so_op)]
+        yy[at] = expectations(ground, yy_unit).real / n_bonds
+        for name, op in probe_ops.items():
+            extras[name][at] = expectations(ground, op).real
+        for vals, labels, _, _ in chunk:
+            energy[i] = vals[0]
+            g = float(vals[1] - vals[0]) if vals.size > 1 else np.nan
+            if g < -1e-9:
+                raise DomainError(f"negative gap {g} at coupling {grid[i]}")
+            gap[i] = max(g, 0.0)
 
-    for i, (vals, labels, states, _) in enumerate(solutions()):
-        if i == 0:
-            so_mat, yy_mat = map(engine.operator_matrix, (so_op, yy_unit))
-            probe_mats = {name: engine.operator_matrix(op)
-                          for name, op in probe_ops.items()}
-        gs = states[0]
+            p0 = round(float(labels[0]))
+            gsp[i] = p0
+            # the trailing degenerate cluster may be cut by the eigenvalue
+            # window, in which case its parity labels are unreliable; trust
+            # only states strictly below the last computed level
+            trusted = vals < vals[-1] - sector_atol
+            same = [k for k in range(1, vals.size)
+                    if trusted[k] and round(float(labels[k])) == p0]
+            if same:
+                gap_sector[i] = max(float(vals[same[0]] - vals[0]), 0.0)
 
-        energy[i] = vals[0]
-        g = float(vals[1] - vals[0]) if vals.size > 1 else np.nan
-        if g < -1e-9:
-            raise DomainError(f"negative gap {g} at coupling {grid[i]}")
-        gap[i] = max(g, 0.0)
-
-        p0 = round(float(labels[0]))
-        gsp[i] = p0
-        # the trailing degenerate cluster may be cut by the eigenvalue
-        # window, in which case its parity labels are unreliable; trust only
-        # states strictly below the last computed level
-        trusted = vals < vals[-1] - sector_atol
-        same = [k for k in range(1, vals.size)
-                if trusted[k] and round(float(labels[k])) == p0]
-        if same:
-            gap_sector[i] = max(float(vals[same[0]] - vals[0]), 0.0)
-
-        if vals.size > 1:
+            # the first excited cluster, empty when the window holds one level
             cluster = [k for k in range(1, vals.size)
                        if vals[k] - vals[1] <= sector_atol]
             mult[i] = len(cluster)
             exc_parities.append(
                 tuple(sorted(round(float(labels[k])) for k in cluster)))
-        else:
-            mult[i] = 0
-            exc_parities.append(())
-
-        amps = gs.amps
-        so[i] = _real_string(np.vdot(amps, so_mat @ amps))
-        yy[i] = np.vdot(amps, yy_mat @ amps).real / n_bonds
-        # <gs|P|gs>: the ground state's sector parity p
-        par[i] = labels[0]
-        for name, m in probe_mats.items():
-            extras[name][i] = np.vdot(amps, m @ amps).real
+            # <gs|P|gs>: the ground state's sector parity p
+            par[i] = labels[0]
+            i += 1
 
     crossings = _detect_crossings(grid, mult, exc_parities)
 

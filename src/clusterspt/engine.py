@@ -1,47 +1,51 @@
 """Numerical backend: states, the operator matrix, low spectra, degeneracy
 clusters, and ground-space projections.
 
-Basis convention: computational basis |b_1 b_2 ... b_L> with site 1 as the
-most significant bit of the index.  A term X^x Z^z acts on a basis index b as
-a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so every operator
-sum is a sum of signed permutations.  One kernel, `_mask_rows`, reads every
-matrix element off the masks, per x mask and row.  Every product of an
-operator with states runs straight off its rows (`_act`: `apply`,
-`expectations`, `resolve_sectors`), x masks in ascending order, with no
-matrix built; `splitting_matrices` gathers the rows of all its operators
-at once, in the same order.  `operator_matrix` wraps the rows of every
-basis index into a CSR matrix, which only the full-space solves of
-`eig_low` (an operator without the spin flip) and a scan's observables
-build.  Sector blocks come from the kernel run once on the orbit
-representatives of a symmetry group, the spin flip P times the
-translation T on a ring ("TP"), times the reflection R ("RP"), or alone
-("P"), from one orbit table per lattice and group (`_sector_table`: each
-index's orbit and group element, and each sector's character, columns
-and momentum -k twin), and one helper gives each row's entries in its
-sector (`_sector_entries`).  The checked table (`_check_table`) is the
-one source of both sector solvers' bookkeeping: the sector dimensions
-and offsets, the sectors with a complex character (`takes`), the twin a
-sector reuses (`_SectorTable.reused`: the twin j < i of a real operator)
-and, on a ring whose operators are all real and reflection-invariant
-(`_mirrored`), the real bases of the complex sectors (`_real_bases`).
-`project_sectors` scatters the rows into small dense blocks of every
-sector at once, real in those bases.  `sector_low` solves them for
-phase scans up to 12 sites, a chunk of couplings per call, and for every
-dense `eig_low` of a symmetric operator, one coupling: sector-major, per
-sector one stack of the couplings' summed blocks, one LAPACK call per
-coupling (`_subset_eigh`, scipy's subset eigh without its per-call
-workspace query) and one batched residual check.  `sector_lanczos`, for
-every iterative `eig_low` of a P-invariant operator and for larger
-scans, takes the same group and builds one sector's rows at a time as a
-CSR block (`_sector_block`, on a ring the real U^H B U), solves it,
-densely (`_subset_eigh`) up to DENSE_BLOCK_STATES states and by Lanczos
-above, retrying a Lanczos solve once with more Krylov vectors when a
-pair misses its residual bound (`_checked_lanczos`), and drops it.  In
-both, a real operator's -k sector reuses the solution of k.  Both take
-their per-sector level counts from `_sector_counts` and merge in
-`_merge_levels`, which keeps each level in sector form (`_SectorState`),
-expanded to 2^L amplitudes on the first read of its `amps`.  All golden
-values depend on this ordering.
+Basis convention: computational basis |b_1 b_2 ... b_L> with site 1 as
+the most significant bit of the index.  A term X^x Z^z acts on a basis
+index b as a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so
+every operator sum is a sum of signed permutations.  One kernel,
+`_mask_rows`, reads every matrix element off the masks, per x mask and
+row.  Every product of an operator with states runs straight off its rows
+(`_act`: `apply`, `expectations`, `resolve_sectors`), x masks in ascending
+order, with no matrix built; `expectations` takes the states as contiguous
+columns, so that each value is, bit for bit, the vdot with the CSR
+product.  `splitting_matrices` gathers the rows of all its operators at
+once, in the same order.  `operator_matrix` wraps the rows of every basis
+index into a CSR matrix, which only the full-space solves of `eig_low` (an
+operator without the spin flip) build.  Sector blocks come from the kernel
+run once on the orbit representatives of a symmetry group, the spin flip P
+times the translation T on a ring ("TP"), times the reflection R ("RP"),
+or alone ("P"), from one orbit table per lattice and group
+(`_sector_table`: each index's orbit and group element, and each sector's
+character, columns and momentum -k twin), and one helper gives each row's
+entries in its sector (`_sector_entries`).  The checked table
+(`_check_table`) is the one source of both sector solvers' bookkeeping:
+the sector dimensions and offsets, the sectors with a complex character
+(`takes`), the twin a sector reuses (`_SectorTable.reused`: the twin j < i
+of a real operator) and, on a ring whose operators are all real and
+reflection-invariant (`_mirrored`), the real bases of the complex sectors
+(`_real_bases`).  `family_low` is the one entry for the low levels of a
+family H_r = sum_m coeffs[r, m] ops[m] (a phase scan's couplings; the
+sector solves of `eig_low` are its one-row call): it picks the solver
+(`_solver`, shared with `eig_low`) and the group, and calls one of the two
+sector solvers.  `project_sectors` scatters the rows into small dense
+blocks of every sector at once, real in those bases.  `sector_low` solves
+them for every dense family, a chunk of coupling rows per call:
+sector-major, per sector one stack of the couplings' summed blocks, one
+LAPACK call per coupling (`_subset_eigh`, scipy's subset eigh without its
+per-call workspace query) and one batched residual check.
+`sector_lanczos`, for each row of an iterative family, takes the same
+group and builds one sector's rows at a time as a CSR block
+(`_sector_block`, on a ring the real U^H B U), solves it, densely
+(`_subset_eigh`) up to DENSE_BLOCK_STATES states and by Lanczos above,
+retrying a Lanczos solve once with more Krylov vectors when a pair misses
+its residual bound (`_checked_lanczos`), and drops it.  In both, a real
+operator's -k sector reuses the solution of k.  Both take their per-sector
+level counts from `_sector_counts` and merge in `_merge_levels`, which
+keeps each level in sector form (`_SectorState`), expanded to 2^L
+amplitudes on the first read of its `amps`.  All golden values depend on
+this ordering.
 """
 
 from __future__ import annotations
@@ -246,6 +250,10 @@ def expectations(states, op) -> np.ndarray:
     columns of a 2D array), from one product of op with all of them."""
     vecs = _as_columns(states)
     moved = _act(_as_sum(op), vecs)
+    # the vdots on contiguous columns, which np.vdot adds as it adds one
+    # state's (a strided column rounds otherwise); the gathers of _act run
+    # faster on rows
+    vecs, moved = np.asfortranarray(vecs), np.asfortranarray(moved)
     return np.array([np.vdot(vecs[:, j], moved[:, j])
                      for j in range(vecs.shape[1])])
 
@@ -404,10 +412,13 @@ def _subset_eigh(h: np.ndarray, n: int) -> tuple:
 def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     """Lowest `count` eigenpairs of a Hermitian operator sum.
 
-    The symmetry group is read off h's coefficients with the test
-    project_sectors applies (_implied_leak), in this order: translation x
-    spin flip when h is invariant under both T and P, reflection x spin
-    flip when under R and P, the spin flip alone when only under P.
+    The method is checked and resolved by _solver, which family_low shares:
+    auto is dense up to DENSE_SITE_CAP sites, iterative above.  An h that
+    some symmetry group conserves is family_low's one-row call, which reads
+    the group off h's coefficients with the test project_sectors applies
+    (_implied_leak), in this order: translation x spin flip when h is
+    invariant under both T and P, reflection x spin flip when under R and
+    P, the spin flip alone when only under P.
     dense: L <= 12, per symmetry sector when h is invariant: a ring's (k,
     p) blocks, all real when h is real and R conserves it, an open chain's
     four (r, p) blocks of about 2^(L-2) states.
@@ -445,30 +456,12 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     if count < 1:
         raise DomainError("count must be positive")
     count = min(count, dim)
+    method = _solver(method, L, count)
 
-    if method == "auto":
-        method = "dense" if L <= DENSE_SITE_CAP else "iterative"
-    if method == "dense" and L > DENSE_SITE_CAP:
-        raise ResourceLimitError(
-            f"dense diagonalization capped at {DENSE_SITE_CAP} sites, got {L}")
-    if method == "iterative" and L > APPLY_SITE_CAP:
-        raise ResourceLimitError(
-            f"iterative diagonalization capped at {APPLY_SITE_CAP} sites, got {L}")
-    if method not in ("dense", "iterative"):
-        raise DomainError(f"unknown method {method!r}")
-
-    if method == "iterative" and count > dim - 2:
-        method = "dense"  # ARPACK needs k < dim-1; these are tiny anyway
-        if L > DENSE_SITE_CAP:
-            raise ResourceLimitError("count too close to the full dimension")
-
-    # the sectors of "TP", "RP" or "P", or None: the full space
-    group = _symmetry_group(h)
-    if group is not None and method == "dense":
-        (vals, _, states, max_residual), = sector_low(
-            project_sectors([h], group), [[1.0]], count, [h.norm_bound()])
-    elif group is not None:
-        vals, _, states, max_residual = sector_lanczos(h, count)
+    # an h that no symmetry group conserves is solved on the full space
+    if _symmetry_group(h) is not None:
+        [[(vals, _, states, max_residual)]] = family_low([h], [[1.0]], count,
+                                                         method)
     else:
         # a wide Krylov subspace improves capture of degenerate multiplets
         ncv = int(min(dim, max(4 * count + 1, 40)))
@@ -512,6 +505,68 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     return SpectrumResult(
         eigenvalues=vals, states=states, ground_degeneracy=degeneracy,
         gap=gap, max_residual=max_residual, method=method)
+
+
+def _solver(method: str, length: int, count: int) -> str:
+    """The solver, "dense" or "iterative", of `count` levels on `length`
+    sites: "auto" takes dense up to DENSE_SITE_CAP sites; raises
+    ResourceLimitError above the dense cap (dense) or APPLY_SITE_CAP
+    (iterative) and DomainError for an unknown method.  An iterative
+    solve of more than 2^L - 2 levels is dense, since ARPACK needs k <
+    dim - 1."""
+    if method == "auto":
+        method = "dense" if length <= DENSE_SITE_CAP else "iterative"
+    if method == "dense" and length > DENSE_SITE_CAP:
+        raise ResourceLimitError(
+            f"dense diagonalization capped at {DENSE_SITE_CAP} sites, "
+            f"got {length}")
+    if method == "iterative" and length > APPLY_SITE_CAP:
+        raise ResourceLimitError(
+            f"iterative diagonalization capped at {APPLY_SITE_CAP} sites, "
+            f"got {length}")
+    if method not in ("dense", "iterative"):
+        raise DomainError(f"unknown method {method!r}")
+    if method == "iterative" and count > (1 << length) - 2:
+        if length > DENSE_SITE_CAP:
+            raise ResourceLimitError("count too close to the full dimension")
+        method = "dense"
+    return method
+
+
+def family_low(ops, coeffs, count: int, method: str = "auto",
+               atol: float = 1e-8):
+    """Lowest `count` levels of H_r = sum_m coeffs[r, m] * ops[m] for every
+    coupling row r of `coeffs`, yielded a chunk of rows at a time, in row
+    order: per row (vals, labels, states, max_residual) as sector_low
+    gives it.
+
+    The solver is eig_low's (_solver).  Dense: every operator is projected
+    once into the sectors of the first group that conserves them all, by
+    _symmetry_group's test (translation x spin flip, then reflection x
+    spin flip, else the spin flip alone, which project_sectors checks),
+    and each chunk of as many rows as the projection's budget holds
+    (_Projection.rows) is one sector_low call, each row's residuals
+    checked against sum_m |coeffs[r, m]| ||ops[m]||, with ||op|| =
+    sum|coeff| (norm_bound), which bounds sum|coeff| of H_r.  Iterative: each row is one sector_lanczos call on
+    its sum, a chunk of its own.  eig_low's sector solves are the one-row
+    call.  The solves start, and raise, on the first chunk's read."""
+    ops = [_as_sum(op) for op in ops]
+    coeffs = np.asarray(coeffs)
+    if _solver(method, ops[0].length, count) == "iterative":
+        for row in coeffs:
+            h = sum((op * c for op, c in zip(ops[1:], row[1:])),
+                    ops[0] * row[0])
+            yield [sector_lanczos(h, count, atol=atol)]
+        return
+    group = next((g for g in ("TP", "RP")
+                  if all(_symmetry_group(op, (g,)) for op in ops)), "P")
+    projected = project_sectors(ops, group)
+    norms = np.abs(coeffs) @ [op.norm_bound() for op in ops]
+    chunk = projected.rows(count)
+    for start in range(0, len(coeffs), chunk):
+        part = slice(start, start + chunk)
+        yield sector_low(projected, coeffs[part], count, norms[part],
+                         atol=atol)
 
 
 # whether scipy's eigsh takes an `rng` (scipy 1.15 on), read once

@@ -32,6 +32,11 @@ from .pauli import OperatorSum, PauliString
 
 _SQRT2 = math.sqrt(2.0)
 
+# The largest |lambda| a model takes: the solvers' float checks square
+# coefficient sums (_implied_leak, the residual norms), which overflow
+# above about 1e154.
+COUPLING_CAP = 1e150
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -263,8 +268,9 @@ def cross_check_global(lattice: LatticeSpec) -> list:
 
 def ising_perturbation(lattice: LatticeSpec, lam: float) -> OperatorSum:
     """lam * sum over bonds of Y_i Y_{i+1}; empty at lam = 0."""
-    if not math.isfinite(lam):
-        raise DomainError("coupling must be finite")
+    if not abs(lam) <= COUPLING_CAP:
+        raise DomainError(f"coupling must be finite and at most "
+                          f"{COUPLING_CAP:g} in magnitude, got {lam:g}")
     L = lattice.length
     return OperatorSum.from_terms(
         L,

@@ -449,11 +449,10 @@ class TestMemoryBudget:
 
     def test_scan_checks_the_budget_before_its_observables(self, capsys,
                                                            monkeypatch):
-        # 14 sites take eig_low per coupling; its estimate must fail before
-        # the scan builds its observables' matrices
+        # 14 sites take sector_lanczos per coupling; its estimate must fail
+        # before the scan forms any observable's product with a state
         monkeypatch.setattr(engine, "_physical_memory", lambda: 1 << 20)
-        with mock.patch.object(engine, "operator_matrix",
-                               wraps=engine.operator_matrix) as spy:
+        with mock.patch.object(engine, "_act", wraps=engine._act) as spy:
             assert main(["scan", "--size", "14", "--lambda", "1:1:1"]) == 2
         assert spy.call_count == 0
         assert "needs about" in capsys.readouterr().err
@@ -464,7 +463,7 @@ class TestScanValidation:
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_checked_on_both_paths(self, capsys, count):
-        # 8 sites take the sector path, 13 the full-space one
+        # 8 sites take the dense sector path, 13 the iterative one
         errors = []
         for size in ("8", "13"):
             assert main(["scan", "--size", size, "--lambda", "0.5:0.5:1",
@@ -490,6 +489,31 @@ class TestScanValidation:
         err = capsys.readouterr().err
         assert "asks for 1e+13 couplings" in err
         assert "1000000" in err
+
+
+class TestCouplingBound:
+    """A coupling above 1e150 in magnitude, where the solvers' float checks
+    overflow, exits 2 naming the bound; the bound itself runs."""
+
+    @pytest.mark.parametrize("lam", ["1e151", "-1e151", "1e200", "-1e308"])
+    def test_spectrum_refuses_it(self, capsys, lam):
+        assert main(["spectrum", "--size", "5", f"--lambda={lam}"]) == 2
+        assert "at most 1e+150 in magnitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1e300:1e300:1", "-1e308:-1e308:1",
+                                      "-1e151:0:1e151", "0:2e150:1e150"])
+    def test_scan_refuses_it(self, capsys, grid):
+        assert main(["scan", "--size", "5", f"--lambda={grid}"]) == 2
+        assert "at most 1e+150 in magnitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--size", "5", "--lambda=1e150"],
+        ["spectrum", "--size", "5", "--lambda=-1e150"],
+        ["spectrum", "--size", "13", "--lambda=-1e150"],
+        ["scan", "--size", "5", "--lambda=1e150:1e150:1"],
+        ["scan", "--size", "5", "--lambda=-1e150:-1e150:1"]])
+    def test_the_bound_itself_runs(self, capsys, argv):
+        assert main(argv) == 0
 
 
 class TestFlagScope:

@@ -627,6 +627,19 @@ def test_scan_points_expand_only_their_ground_state(monkeypatch):
             assert all(psi._amps is None for psi in states[1:])
 
 
+@pytest.mark.parametrize("L,method", [(8, "dense"), (13, "iterative")])
+def test_scans_build_no_operator_matrix(L, method):
+    # a scan solves in sectors and reads its string order, YY and probes
+    # with engine.expectations on each chunk's ground states: no 2^L CSR
+    # matrix is built on either path
+    with mock.patch.object(engine, "operator_matrix",
+                           wraps=engine.operator_matrix) as spy:
+        scan = cs.phase_scan(LatticeSpec(L, "periodic"), [0.9, 1.0],
+                             probes={"X1": "X1"}, method=method)
+    assert spy.call_count == 0
+    assert np.all(np.isfinite(scan.extras["X1"]))
+
+
 def test_dense_budget_covers_the_odd_ring_scan():
     # an odd ring: every sector but k = 0 has a complex character, so every
     # block of both operators but those is scattered in its real basis

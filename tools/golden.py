@@ -94,6 +94,12 @@ COMMANDS = [
     "--count 12",
     "scan --size 10 --boundary periodic --lambda 0.5:1.5:0.01",
     "scan --size 8 --boundary open --lambda 0:1.5:0.05",
+    "scan --size 8 --boundary periodic --lambda 0:2:0.05 --probe X1 --probe "
+    "Z1Z2",
+    "scan --size 13 --boundary periodic --lambda 0.9:1.0:0.1 --probe X1 "
+    "--probe Z1Z2",
+    "scan --size 12 --boundary open --lambda 0.2:0.6:0.2 --probe X1 --probe "
+    "Z1X2",
 ]
 
 
