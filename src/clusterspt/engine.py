@@ -7,11 +7,12 @@ index b as a sign (-1)^popcount(z & b) followed by the bit flip b ^ x, so
 every operator sum is a sum of signed permutations.  One kernel,
 `_mask_rows`, reads every matrix element off the masks, per x mask and
 row.  Every product of an operator with states runs straight off its rows
-(`_act`: `apply`, `expectations`, `resolve_sectors`), x masks in ascending
-order, with no matrix built; `expectations` takes the states as contiguous
-columns, so that each value is, bit for bit, the vdot with the CSR
-product.  `splitting_matrices` gathers the rows of all its operators at
-once, in the same order.  `operator_matrix` wraps the rows of every basis
+(`_act`: `apply`, `expectations`, `resolve_sectors`), formed a range of
+rows at a time (`_ACT_BYTES`), x masks in ascending order, with no matrix
+built; `expectations` takes the states as contiguous columns, so that
+each value is, bit for bit, the vdot with the CSR product.
+`splitting_matrices` gathers the rows of all its operators at once, in
+the same order.  `operator_matrix` wraps the rows of every basis
 index into a CSR matrix, which only the full-space solves of `eig_low` (an
 operator without the spin flip) build.  Sector blocks come from the kernel
 run once on the orbit representatives of a symmetry group, the spin flip P
@@ -29,8 +30,12 @@ reflection-invariant (`_mirrored`), the real bases of the complex sectors
 family H_r = sum_m coeffs[r, m] ops[m] (a phase scan's couplings; the
 sector solves of `eig_low` are its one-row call): it picks the solver
 (`_solver`, shared with `eig_low`) and the group, and calls one of the two
-sector solvers.  `project_sectors` scatters the rows into small dense
-blocks of every sector at once, real in those bases.  `sector_low` solves
+sector solvers.  Each dense projection it builds is kept for later calls
+with the same operators, keyed by their terms in order, in one memo
+(`_KEPT`) of at most `_KEEP_BYTES`, least recently used out first: a
+later call builds no table, check, basis or block, and is charged for
+memory as the first was.  `project_sectors` scatters the rows into small
+dense blocks of every sector at once, real in those bases.  `sector_low` solves
 them for every dense family, a chunk of coupling rows per call:
 sector-major, per sector one stack of the couplings' summed blocks, one
 LAPACK call per coupling (`_subset_eigh`, scipy's subset eigh without its
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import inspect
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,6 +91,21 @@ _GATHER_ENTRIES = 1 << 16
 # (_Projection.rows), one row at least.  At 12 levels an 8-site ring scan
 # takes 37 couplings at once, a 10-site one 8, a 12-site ring or chain one.
 _CHUNK_BYTES = 1 << 20
+
+# Bytes of the rows _act forms at a time (4 MiB): per basis index an int32
+# column and a value per x mask, and the gathered states.  Every product
+# of the CLI's operators up to 12 sites takes one range; one YY
+# expectation of an 18-site ring state peaked at 75.5 MB under
+# tracemalloc with all 2^18 rows at once.
+_ACT_BYTES = 4 << 20
+
+# Bytes of the projections family_low keeps between calls (4 MiB, each
+# counted by _Projection.nbytes), least recently used out first: an 8-site
+# ring's H_C and H_I take 0.16 MB, a 10-site ring's 1.3 MB, a 9-site
+# chain's 0.56 MB; a 12-site ring's (13.3 MB) or chain's (67.4 MB) is not
+# kept.  A byte bound, not a count: the projections span 400-fold.
+_KEEP_BYTES = 4 << 20
+_KEPT = OrderedDict()
 
 # Entry tolerance of the orbit-table check in project_sectors: characters
 # from phases reduced mod 2 pi are multiplicative to 2.2e-15 on rings and
@@ -221,21 +242,29 @@ def _check_length(op: OperatorSum, dim: int) -> None:
 def _act(op: OperatorSum, vecs: np.ndarray) -> np.ndarray:
     """op @ vecs for a (2^L,) or (2^L, n) array, off op's rows (_mask_rows):
     per x mask, ascending, the row data times vecs[r ^ x], added in the
-    order a CSR product with operator_matrix(op) adds them.  The product is
-    formed in the gathered copy, so one 2^L x n temporary is open at a
-    time."""
+    order a CSR product with operator_matrix(op) adds them.  The rows are
+    formed a range at a time, each range's kernel rows and gathered states
+    within _ACT_BYTES; the product is formed in the gathered copy, so
+    besides the result one range's temporaries are open at a time."""
     dim = vecs.shape[0]
     _check_length(op, dim)
-    indices, data = _mask_rows(op, np.arange(dim, dtype=np.int32))
-    vecs = vecs.astype(np.result_type(data, vecs), copy=False)
+    dtype = np.float64 if has_real_matrix(op) else np.complex128
+    vecs = vecs.astype(np.result_type(dtype, vecs), copy=False)
     out = np.zeros_like(vecs)
+    x_masks = len({x for x, _ in op.items()})
+    per_row = x_masks * (4 + np.dtype(dtype).itemsize) + vecs[0].nbytes
+    step = max(1, _ACT_BYTES // max(1, per_row))
     shape = (-1,) + (1,) * (vecs.ndim - 1)
-    for k in range(indices.shape[1]):
-        gathered = np.take(vecs, indices[:, k], axis=0)
-        # data first, as in the CSR product: a fused complex multiply is
-        # not symmetric in its operands
-        np.multiply(data[:, k].reshape(shape), gathered, out=gathered)
-        out += gathered
+    for lo in range(0, dim, step):
+        indices, data = _mask_rows(
+            op, np.arange(lo, min(lo + step, dim), dtype=np.int32))
+        part = out[lo:lo + step]
+        for k in range(indices.shape[1]):
+            gathered = np.take(vecs, indices[:, k], axis=0)
+            # data first, as in the CSR product: a fused complex multiply
+            # is not symmetric in its operands
+            np.multiply(data[:, k].reshape(shape), gathered, out=gathered)
+            part += gathered
     return out
 
 
@@ -540,33 +569,62 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
     order: per row (vals, labels, states, max_residual) as sector_low
     gives it.
 
-    The solver is eig_low's (_solver).  Dense: every operator is projected
-    once into the sectors of the first group that conserves them all, by
-    _symmetry_group's test (translation x spin flip, then reflection x
-    spin flip, else the spin flip alone, which project_sectors checks),
-    and each chunk of as many rows as the projection's budget holds
+    The solver is eig_low's (_solver).  Coefficients of complex dtype whose
+    imaginary parts all vanish are taken as real.  Dense: every operator
+    is projected once per process into the sectors of the first group
+    that conserves them all, by _symmetry_group's test (translation x spin
+    flip, then reflection x spin flip, else the spin flip alone, which
+    project_sectors checks).  The projection is kept in _KEPT, keyed by
+    the operators' terms in order, while the projections kept stay within
+    _KEEP_BYTES (_keep); a later call with the same terms takes it, group
+    and checks included, and only its memory charge runs again
+    (_Projection.charge), so a call under less memory still raises.  Each
+    chunk of as many rows as the projection's budget holds
     (_Projection.rows) is one sector_low call, each row's residuals
     checked against sum_m |coeffs[r, m]| ||ops[m]||, with ||op|| =
-    sum|coeff| (norm_bound), which bounds sum|coeff| of H_r.  Iterative: each row is one sector_lanczos call on
-    its sum, a chunk of its own.  eig_low's sector solves are the one-row
-    call.  The solves start, and raise, on the first chunk's read."""
+    sum|coeff| (norm_bound), which bounds sum|coeff| of H_r.  Iterative:
+    each row is one sector_lanczos call on its sum, a chunk of its own.
+    eig_low's sector solves are the one-row call.  The solves start, and
+    raise, on the first chunk's read."""
     ops = [_as_sum(op) for op in ops]
     coeffs = np.asarray(coeffs)
+    if not np.any(np.imag(coeffs)):
+        coeffs = coeffs.real
     if _solver(method, ops[0].length, count) == "iterative":
         for row in coeffs:
             h = sum((op * c for op, c in zip(ops[1:], row[1:])),
                     ops[0] * row[0])
             yield [sector_lanczos(h, count, atol=atol)]
         return
-    group = next((g for g in ("TP", "RP")
-                  if all(_symmetry_group(op, (g,)) for op in ops)), "P")
-    projected = project_sectors(ops, group)
+    # _mask_rows adds each row's terms in this order, so that a kept
+    # projection is, bit for bit, the one a rebuild would give
+    key = tuple((op.length, tuple(op.items())) for op in ops)
+    projected = _KEPT.get(key)
+    if projected is None:
+        group = next((g for g in ("TP", "RP")
+                      if all(_symmetry_group(op, (g,)) for op in ops)), "P")
+        projected = project_sectors(ops, group)
+        _keep(key, projected)
+    else:
+        _KEPT.move_to_end(key)
+        _check_memory(*projected.charge)
     norms = np.abs(coeffs) @ [op.norm_bound() for op in ops]
-    chunk = projected.rows(count)
+    chunk = projected.rows(count, coeffs.dtype)
     for start in range(0, len(coeffs), chunk):
         part = slice(start, start + chunk)
         yield sector_low(projected, coeffs[part], count, norms[part],
                          atol=atol)
+
+
+def _keep(key: tuple, projected: "_Projection") -> None:
+    """Keep `projected` in _KEPT under `key`, evicting the least recently
+    used projections until the kept ones' nbytes sum to at most
+    _KEEP_BYTES; one larger than that alone is not kept."""
+    if projected.nbytes > _KEEP_BYTES:
+        return
+    _KEPT[key] = projected
+    while sum(p.nbytes for p in _KEPT.values()) > _KEEP_BYTES:
+        _KEPT.popitem(last=False)
 
 
 # whether scipy's eigsh takes an `rng` (scipy 1.15 on), read once
@@ -920,6 +978,10 @@ def _row_form(table: _SectorTable, i: int) -> tuple:
     col = table.cols[i][table.orbit]
     val = np.where(col >= 0, table.chars[i][table.elem]
                    / np.sqrt(table.size[table.orbit]), 0)
+    # a projection's forms are shared by the states of every call that
+    # takes it (_KEPT)
+    col.setflags(write=False)
+    val.setflags(write=False)
     return col, val
 
 
@@ -1134,27 +1196,86 @@ class _Projection:
     j < i of the sector whose blocks, conjugated, are sector i's for every
     operator (-1 when none): the table's twin when every operator is real
     (_SectorTable.reused), bases, the unitaries U of _real_bases by
-    sector (empty when they do not apply), and forms, the row forms
+    sector (empty when they do not apply), forms, the row forms
     (_row_form) of the sectors of the merged levels whose amplitudes were
-    read, each built on the first read.  It holds every piece of state
-    that outlives one chunk of couplings, and goes with its holder."""
+    read, each built on the first read, and charge, the arguments of the
+    projection's _check_memory call.  It holds every piece of state that
+    outlives one chunk of couplings; family_low keeps it for later calls
+    with the same operators (_KEPT), so every array in it is read-only."""
 
     table: _SectorTable
     sectors: list
     twins: tuple
     bases: dict
     forms: dict
+    charge: tuple
 
-    def rows(self, count: int) -> int:
-        """The coupling rows one sector_low call takes for windows of
-        `count` levels: as many as fit _CHUNK_BYTES with, per row, the
-        summed blocks of the largest sector and the solutions of every
-        sector at min(count, d) levels; one row at least."""
+    def rows(self, count: int, dtype=np.float64) -> int:
+        """The coupling rows of `dtype` one sector_low call takes for
+        windows of `count` levels: as many as fit _CHUNK_BYTES with, per
+        row, the summed blocks of the largest sector and the solutions of
+        every sector at min(count, d) levels, both of the dtype the rows
+        and blocks sum to; one row at least."""
         dims = self.table.dims
-        item = max(b.itemsize for _, _, blocks in self.sectors
-                   for b in blocks)
+        item = np.result_type(dtype, *(b.dtype for _, _, blocks
+                                       in self.sectors
+                                       for b in blocks)).itemsize
         row = item * int(dims.max() ** 2 + dims @ np.minimum(count, dims))
         return max(1, _CHUNK_BYTES // row)
+
+    def arrays(self) -> list:
+        """Every array of the blocks, the orbit table and the real bases."""
+        t = self.table
+        return [t.reps, t.size, t.orbit, t.elem, t.chars, t.cols, t.twin,
+                t.dims, t.first, t.takes,
+                *(b for _, _, blocks in self.sectors for b in blocks),
+                *(x for basis in self.bases.values() for x in basis)]
+
+    @cached_property
+    def nbytes(self) -> int:
+        """Bytes the projection holds, as _keep counts them: its arrays,
+        each buffer under them once, and the row form of every sector,
+        built or not."""
+        owners = {}
+        for a in self.arrays():
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            owners[id(a)] = a.nbytes
+        t = self.table
+        return sum(owners.values()) \
+            + t.dims.size * t.orbit.size * (4 + t.chars.itemsize)
+
+
+def _projection_charge(ops: list, table: _SectorTable,
+                       mirrored: bool) -> tuple:
+    """The arguments of the _check_memory call that charges projecting
+    `ops` into the sectors of `table`, in real bases when `mirrored`: the
+    blocks, float64 when the operator and every character are real and
+    in real bases, where one more real scatter (the guard's imaginary
+    parts, then the real ones) is open at a time; one chunk of
+    sector_low's coupling rows (_CHUNK_BYTES of summed blocks and
+    solutions, _Projection.rows) and as much again for the first pass's
+    solutions a second pass leaves alive and one sector's products and
+    residuals; one row's largest sum with LAPACK's copy of it; every
+    sector's row form; the orbit table and scattered rows, at most 48
+    bytes per state and x mask (9-12 sites), and in real bases the bases
+    and their build, 160 bytes per state, and an operator's entries four
+    times over.  project_sectors charges it before its first kernel call,
+    and family_low again on every call that takes a kept projection."""
+    L = table.length
+    dim = 1 << L
+    dims = table.dims
+    x_masks = [len({x for x, _ in op.items()}) for op in ops]
+    items = [8 if mirrored or has_real_matrix(op)
+             and np.isrealobj(table.chars) else 16 for op in ops]
+    held = int(dims @ dims) * (8 * (len(ops) + 1) if mirrored else sum(items))
+    return (held + 2 * _CHUNK_BYTES
+            + 2 * max(items) * int(dims.max()) ** 2 + dims.size
+            * dim * (4 + table.chars.itemsize)
+            + dim * (64 + 48 * sum(x_masks))
+            + (dim * (160 + 144 * max(x_masks)) if mirrored else 0),
+            "dense", L, f"{len(ops) * dims.size} sector blocks plus "
+            "row tables")
 
 
 def project_sectors(ops, group: str) -> _Projection:
@@ -1178,7 +1299,9 @@ def project_sectors(ops, group: str) -> _Projection:
     below and the first kernel call, the blocks, the scattered rows, the
     row forms, the real bases, one chunk of sector_low's coupling rows
     (_CHUNK_BYTES, _Projection.rows) and one row's largest solve are
-    charged against physical memory (_check_memory).
+    charged against physical memory (_projection_charge, _check_memory).
+    Every array of the result is read-only, since family_low shares it
+    with later calls (_KEPT).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -1232,35 +1355,14 @@ def project_sectors(ops, group: str) -> _Projection:
     L = ops[0].length
     for m, op in enumerate(ops):
         _check_invariant(op, group, f"operator {m}")
-    dim = 1 << L
     table = _sector_table(L, group)
     _check_table(table)
     dims, first, takes = table.dims, table.first, table.takes
     real = [has_real_matrix(op) for op in ops]
     scales = [max(1.0, op.norm_bound()) for op in ops]
     mirrored = _mirrored(ops, group)
-    # the blocks, float64 when the operator and every character are real
-    # and in real bases, where one more real scatter (the guard's
-    # imaginary parts, then the real ones) is open at a time; one chunk of
-    # sector_low's coupling rows (_CHUNK_BYTES of summed blocks and
-    # solutions, _Projection.rows) and as much again for the first pass's
-    # solutions a second pass leaves alive and one sector's products and
-    # residuals; one row's largest sum with LAPACK's copy of it; every
-    # sector's row form; the orbit table and scattered rows, at most 48
-    # bytes per state and x mask (9-12 sites), and in real bases the bases
-    # and their build, 160 bytes per state, and an operator's entries four
-    # times over
-    x_masks = [len({x for x, _ in op.items()}) for op in ops]
-    items = [8 if mirrored or r and np.isrealobj(table.chars) else 16
-             for r in real]
-    held = int(dims @ dims) * (8 * (len(ops) + 1) if mirrored else sum(items))
-    _check_memory(held + 2 * _CHUNK_BYTES
-                  + 2 * max(items) * int(dims.max()) ** 2 + dims.size
-                  * dim * (4 + table.chars.itemsize)
-                  + dim * (64 + 48 * sum(x_masks))
-                  + (dim * (160 + 144 * max(x_masks)) if mirrored else 0),
-                  "dense", L, f"{len(ops) * dims.size} sector blocks plus "
-                  "row tables")
+    charge = _projection_charge(ops, table, mirrored)
+    _check_memory(*charge)
     bases = _real_bases(table) if mirrored else {}
     # the rows of all sectors, sector-major: row a of the scatter is
     # reps[rep[a]] in sector sec[a], column own[a] of its block
@@ -1333,7 +1435,11 @@ def project_sectors(ops, group: str) -> _Projection:
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
         sectors.append((k, p, [b.real if r and not u else b
                                for b, r in zip(blocks, real)]))
-    return _Projection(table, sectors, table.reused(all(real)), bases, {})
+    projected = _Projection(table, sectors, table.reused(all(real)), bases,
+                            {}, charge)
+    for a in projected.arrays():
+        a.setflags(write=False)
+    return projected
 
 
 def sector_low(projected: _Projection, coeffs, count: int, norm_h,
@@ -1347,9 +1453,11 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     Returns per row (vals, labels, states, max_residual) like eig_low's
     eigenvalues followed by resolve_sectors: ascending energies, each
     level's spin-flip parity, the states V w in sector form, and the worst
-    residual of any of the row's blocks.  A call takes at most
-    projected.rows(count) rows, the chunk project_sectors charges
-    (_CHUNK_BYTES), and raises ValueError above it.  Per sector and pass,
+    residual of any of the row's blocks.  Coefficients of complex dtype
+    whose imaginary parts all vanish are taken as real.  A call takes at
+    most projected.rows(count, coeffs.dtype) rows, the chunk
+    project_sectors charges (_CHUNK_BYTES), and raises ValueError above
+    it.  Per sector and pass,
     the rows' summed blocks form one (rows, d, d) stack; each row takes
     its lowest levels from one LAPACK call (_subset_eigh) or, for a -k
     sector of projected.twins (the orbit table's twin when every operator
@@ -1371,14 +1479,16 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     resolve_sectors orders them.
     """
     coeffs = np.asarray(coeffs)
+    real = not np.any(np.imag(coeffs))
+    if real:
+        coeffs = coeffs.real
     norm_h = np.asarray(norm_h, dtype=float)
     rows = coeffs.shape[0]
-    if coeffs.ndim != 2 or norm_h.shape != (rows,) \
-            or rows > projected.rows(count):
+    most = projected.rows(count, coeffs.dtype)
+    if coeffs.ndim != 2 or norm_h.shape != (rows,) or rows > most:
         raise ValueError(
-            f"sector_low takes a (rows, operators) stack of at most "
-            f"{projected.rows(count)} coupling rows and one norm per row")
-    real = not np.any(np.imag(coeffs))
+            f"sector_low takes a (rows, operators) stack of at most {most} "
+            "coupling rows and one norm per row")
     worst = np.zeros(rows)
 
     def solve(i, n, at, sources):

@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import clusterspt as cs
+from clusterspt import engine
 
 
 def _load_by_path(name: str, path: Path):
@@ -121,6 +122,16 @@ def for_each_size(sizes: dict, strategy, check, examples=()):
         drawn()
     for case in examples:
         check(*case)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_projections():
+    """Every test starts and ends with family_low's memo of projections
+    (engine._KEPT) empty, so that no test takes another's projections and
+    the spies on the projection's builders count every build."""
+    engine._KEPT.clear()
+    yield
+    engine._KEPT.clear()
 
 
 @pytest.fixture

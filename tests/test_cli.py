@@ -447,6 +447,20 @@ class TestMemoryBudget:
         assert spy.call_count == 0
         assert "sector blocks plus row tables" in capsys.readouterr().err
 
+    def test_a_kept_projection_is_charged_again(self, capsys, monkeypatch):
+        # the second scan of the 8-site ring takes the projection the first
+        # one kept, and is charged as the first was: under 1 MiB it exits 2
+        argv = ["scan", "--size", "8", "--boundary", "periodic", "--lambda",
+                "0.5:1.5:0.5"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 1 << 20)
+        with mock.patch.object(engine, "project_sectors",
+                               wraps=engine.project_sectors) as spy:
+            assert main(argv) == 2
+        assert spy.call_count == 0 and len(engine._KEPT) == 1
+        assert "sector blocks plus row tables" in capsys.readouterr().err
+
     def test_scan_checks_the_budget_before_its_observables(self, capsys,
                                                            monkeypatch):
         # 14 sites take sector_lanczos per coupling; its estimate must fail

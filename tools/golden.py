@@ -100,6 +100,11 @@ COMMANDS = [
     "--probe Z1Z2",
     "scan --size 12 --boundary open --lambda 0.2:0.6:0.2 --probe X1 --probe "
     "Z1X2",
+    # warm repeats: lattices an earlier command already projected
+    "scan --size 8 --boundary periodic --lambda 0.5:1.5:0.05",
+    "scan --size 10 --boundary periodic --lambda 0.55:0.85:0.05",
+    "protect --size 9",
+    "verify --size 9 --global-symmetry",
 ]
 
 
