@@ -26,8 +26,8 @@ from .models import (LatticeSpec, ModelSpec, build_model, cluster_hamiltonian,
                      global_symmetry, global_symmetry_pair, ising_perturbation,
                      local_symmetry, local_symmetry_pair,
                      parity_and_timereversal, perturbed_hamiltonian,
-                     printed_global_string, registry_manifest,
-                     spin_flip_symmetries, stabilizer)
+                     printed_global_string, spin_flip_symmetries,
+                     stabilizer)
 from .pauli import (OperatorSum, PauliString, anticommutator, anticommutes,
                     commutator, commutes, multiply)
 
@@ -49,7 +49,7 @@ __all__ = [
     "local_symmetry_pair", "longest_string_sites", "multiply",
     "operator_matrix", "parity_and_timereversal",
     "perturbed_hamiltonian", "phase_scan", "printed_global_string",
-    "registry_manifest", "resolve_sectors", "spin_flip_symmetries",
+    "resolve_sectors", "spin_flip_symmetries",
     "splitting_class", "stabilizer", "string_order", "string_order_operator",
     "subspace_distance", "transition_estimate", "verify_stabilizer_algebra",
 ]

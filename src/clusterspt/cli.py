@@ -184,7 +184,8 @@ def _csv_text(rows) -> str:
 
 
 def _emit(payload: dict, args, csv_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+    # only protect and scan give rows, and only they take --format
+    if csv_rows is not None and args.format == "csv":
         text = _csv_text(csv_rows)
     else:
         text = _json(payload) + "\n"
@@ -368,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--boundary", choices=("open", "periodic"),
                        default=boundary_default)
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify", help="stabilizer algebra suite")
     common(p, 9, "open")
@@ -390,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protect", help="probe audit against the symmetries")
     common(p, 9, "open")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv gives one row per probe")
     p.add_argument("--local-only", action="store_true", dest="local_only",
                    help="audit against the edge-localized pair")
     p.add_argument("--tamper", choices=("A1", "B1", "A2", "B2"), default=None)
@@ -403,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="coupling sweep of the perturbed model")
     common(p, 12, "periodic")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv gives one row per grid point")
     p.add_argument("--lambda", dest="lam", default="0.5:1.5:0.05",
                    help="grid as start:stop:step (inclusive); a grid that "
                    "starts below zero takes the = form, --lambda=-1:1:0.5, "

@@ -475,6 +475,10 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     h without P, on the full space) than exist; ask for enough eigenvalues
     (count comfortably above the expected multiplicity) or use the dense
     path when exact multiplicities matter.
+    The levels are returned as the solver gives them, orthonormal to
+    rounding: a sector solve's in sector form (_SectorState), their
+    amplitudes formed only when read, a full-space solve's as
+    StateVectors.
     """
     h = _as_sum(h)
     if not h.is_hermitian:
@@ -525,12 +529,6 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
         gap = float(vals[degeneracy] - vals[0])
     else:
         gap = float("nan")
-
-    # re-orthonormalize the ground cluster; degenerate eigenvectors from the
-    # solver are orthogonal only to solver precision
-    q, _ = np.linalg.qr(_as_columns(states[:degeneracy]))
-    states = tuple(StateVector(L, q[:, i]) for i in range(degeneracy)) \
-        + states[degeneracy:]
     return SpectrumResult(
         eigenvalues=vals, states=states, ground_degeneracy=degeneracy,
         gap=gap, max_residual=max_residual, method=method)
@@ -1714,8 +1712,8 @@ def _lanczos_charge(h: OperatorSum, group: str, count: int,
     tracemalloc at 14-18 sites: building the table and checking it (at
     most 64 bytes per state), the real bases (100 per state), the largest
     block's build or solve, and the merge (the row form's transients and
-    the states with eig_low's copies of a ground cluster as wide as the
-    window)."""
+    four complex copies of every returned level's amplitudes, which bound
+    a caller that reads them all)."""
     L = h.length
     dim = 1 << L
     d = _largest_sector(L, group)
@@ -1773,10 +1771,10 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     first read of its amps from a row form built for it alone and
     dropped.  Before the orbit table or any kernel is
     built, the table, in real bases the bases, the largest sector's block
-    build or solve, the kept sector vectors and the expanded states with
-    eig_low's re-orthonormalized copies are charged against physical
-    memory (_check_memory), and a Lanczos retry's extra vectors on top of
-    that.
+    build or solve, the kept sector vectors and every returned level's
+    amplitudes, as a caller that reads them all forms them, are charged
+    against physical memory (_lanczos_charge, _check_memory), and a
+    Lanczos retry's extra vectors on top of that.
     """
     h = _as_sum(h)
     group = _symmetry_group(h)

@@ -266,11 +266,17 @@ def cross_check_global(lattice: LatticeSpec) -> list:
     return entries
 
 
+def _check_coupling(lam) -> None:
+    """Raise DomainError unless lam is real, finite and at most
+    COUPLING_CAP in magnitude."""
+    if not abs(lam) <= COUPLING_CAP or lam.imag:
+        raise DomainError(f"coupling must be real, finite and at most "
+                          f"{COUPLING_CAP:g} in magnitude, got {lam:g}")
+
+
 def ising_perturbation(lattice: LatticeSpec, lam: float) -> OperatorSum:
     """lam * sum over bonds of Y_i Y_{i+1}; empty at lam = 0."""
-    if not abs(lam) <= COUPLING_CAP:
-        raise DomainError(f"coupling must be finite and at most "
-                          f"{COUPLING_CAP:g} in magnitude, got {lam:g}")
+    _check_coupling(lam)
     L = lattice.length
     return OperatorSum.from_terms(
         L,
@@ -356,15 +362,12 @@ class LazyRegistry(Mapping):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A lattice, its Hamiltonian, and a registry of every named operator."""
+    """A lattice and a registry of every named operator."""
 
     lattice: LatticeSpec
-    hamiltonian: OperatorSum
     registry: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        if not self.hamiltonian.is_hermitian:
-            raise DomainError("model Hamiltonian must be Hermitian")
         for name, op in self.registry.items():
             if op.length != self.lattice.length:
                 raise DomainError(f"registry entry {name} has wrong length")
@@ -410,25 +413,13 @@ def build_model(lattice: LatticeSpec, lam: float = 0.0) -> ModelSpec:
     forbidden set Sigma_01..Sigma_15 and (from 4 sites) T1_loc/T2_loc, then
     the global halves and symmetries A1, B1, T1, A2, B2, T2 when the lattice
     supports them.  Each entry is built on its first read (LazyRegistry);
-    the Hamiltonian H_C + H_I is built here.
+    the coupling is checked here, as ising_perturbation checks it.
     """
+    _check_coupling(lam)
     reg = LazyRegistry(_registry_groups(lattice, lam))
-    model = ModelSpec(lattice=lattice, hamiltonian=reg["H_C"] + reg["H_I"])
+    model = ModelSpec(lattice=lattice)
     # every entry is built from this lattice, so the registry is attached
     # past ModelSpec's per-entry length check, which would build them all
     object.__setattr__(model, "registry", reg)
     return model
 
-
-def registry_manifest(model: ModelSpec) -> str:
-    """Deterministic text manifest of the registry, for golden-file tests."""
-    lines = [f"# L={model.lattice.length} boundary={model.lattice.boundary} "
-             "basis=sigma"]
-    for name in sorted(model.registry):
-        op = model.registry[name]
-        if op.is_zero:
-            lines.append(f"{name}: 0")
-            continue
-        terms = op.manifest_lines()
-        lines.append(f"{name}: " + " | ".join(terms))
-    return "\n".join(lines) + "\n"

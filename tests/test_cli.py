@@ -410,8 +410,8 @@ class TestParserReuse:
 class TestMemoryBudget:
     def test_oversized_run_fails_early(self, capsys, monkeypatch):
         # the orbit table, the real bases and the kept vectors of every
-        # (k, p) sector, then the merge: 8 complex states of 2^24 amplitudes
-        # with the copies of a ground cluster as wide as the window
+        # (k, p) sector, then the merge: four complex copies of each of the
+        # 8 returned levels' 2^24 amplitudes, for a caller that reads them
         monkeypatch.setattr(engine, "_physical_memory", lambda: 7 << 30)
         t0 = time.perf_counter()
         with mock.patch.object(engine, "_sector_table") as table:
@@ -539,6 +539,8 @@ class TestFlagScope:
         ["protect", "--tol", "1e-3", "--symbolic-only"],
         ["verify", "--seed", "5"],
         ["spectrum", "--size", "6", "--seed", "5"],
+        ["verify", "--size", "5", "--format", "csv"],
+        ["spectrum", "--size", "5", "--format", "csv"],
     ])
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2

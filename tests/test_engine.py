@@ -298,6 +298,56 @@ class TestEigLow:
             rtol=0, atol=1e-12)
         assert spect.ground_degeneracy in (2, 4)
 
+    @pytest.mark.parametrize("solver", ["dense", "iterative", "lanczos",
+                                        "full dense", "full lanczos"])
+    def test_every_returned_level_is_orthonormal(self, solver, monkeypatch):
+        # levels are returned as the solver gives them, fourfold ground
+        # clusters included: sector levels (dense blocks, or ARPACK on every
+        # block under "lanczos") and full-space ones, the latter from H_C
+        # with a Z field on site 1, which P does not conserve, or from H_C
+        # alone with no symmetry group read off it
+        method = "dense" if solver.endswith("dense") else "iterative"
+        if solver == "lanczos":
+            monkeypatch.setattr(engine, "DENSE_BLOCK_STATES", 0)
+        worst = 0.0
+        for L in (4, 7, 10):
+            for boundary in ("open", "periodic"):
+                lat = LatticeSpec(L, boundary)
+                if solver.startswith("full"):
+                    h_c = cs.cluster_hamiltonian(lat)
+                    z1 = OperatorSum.from_pauli(PauliString.single(L, 1, "Z"))
+                    hs = [h_c + z1 * 1e-9, h_c + z1 * 0.3,
+                          cs.perturbed_hamiltonian(lat, 0.3) + z1 * 0.2]
+                else:
+                    hs = [cs.perturbed_hamiltonian(lat, lam)
+                          for lam in (0.0, 1e-9, 0.3, 1.0)]
+                for h in hs:
+                    spect = cs.eig_low(h, count=8, method=method)
+                    g = cs.gram_matrix(spect.states)
+                    worst = max(worst, np.abs(g - np.eye(len(g))).max())
+            if solver.startswith("full"):
+                with mock.patch.object(engine, "_symmetry_group",
+                                       return_value=None):
+                    spect = cs.eig_low(cs.cluster_hamiltonian(
+                        LatticeSpec(L, "open")), count=8, method=method)
+                assert spect.ground_degeneracy == 4
+                g = cs.gram_matrix(spect.states)
+                worst = max(worst, np.abs(g - np.eye(len(g))).max())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_sector_levels_stay_in_sector_form(self, method):
+        # eig_low forms no 2^L amplitude: no row form is built, and every
+        # level is expanded only when a caller reads it
+        for boundary in ("periodic", "open"):
+            h = cs.cluster_hamiltonian(LatticeSpec(10, boundary))
+            with mock.patch.object(engine, "_row_form",
+                                   wraps=engine._row_form) as spy:
+                spect = cs.eig_low(h, count=8, method=method)
+            assert spy.call_count == 0
+            assert all(psi._amps is None for psi in spect.states)
+            assert spect.ground_degeneracy == (4 if boundary == "open" else 1)
+
 
 class TestProjectorsAndSectors:
     def test_bulk_single_projects_to_zero(self):

@@ -2,7 +2,6 @@
 the documented discrepancies between printed and reconstructed forms."""
 
 import math
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -302,14 +301,29 @@ class TestModelSpec:
             model.registry["H_C"] = OperatorSum.identity(6)
 
     def test_hamiltonian_matches_registry(self):
-        model = cs.build_model(LatticeSpec(6, "periodic"), lam=0.25)
+        reg = cs.build_model(LatticeSpec(6, "periodic"), lam=0.25).registry
         want = cs.perturbed_hamiltonian(LatticeSpec(6, "periodic"), 0.25)
-        assert model.hamiltonian.allclose(want)
+        assert (reg["H_C"] + reg["H_I"]).allclose(want)
 
-    def test_manifest_deterministic(self):
-        a = cs.registry_manifest(cs.build_model(LatticeSpec(9, "open")))
-        b = cs.registry_manifest(cs.build_model(LatticeSpec(9, "open")))
-        assert a == b and "H_C" in a
+    def test_model_builds_no_perturbation(self, monkeypatch):
+        # the registry builds H_I on its first read, and the symbolic
+        # audit reads only H_C, the symmetry halves and the probes
+        calls = []
+        original = models.ising_perturbation
+        monkeypatch.setattr(models, "ising_perturbation",
+                            lambda *a: calls.append(a) or original(*a))
+        model = cs.build_model(LatticeSpec(9), lam=0.3)
+        cs.certify_protection(LatticeSpec(9), numeric=False)
+        assert calls == []
+        model.registry["H_I"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("lam", [1j, 0.3 - 1e-9j, float("inf"), 2e150])
+    def test_rejects_a_coupling_it_cannot_take(self, lam):
+        with pytest.raises(DomainError, match="coupling must be real"):
+            cs.build_model(LatticeSpec(9), lam)
+        with pytest.raises(DomainError, match="coupling must be real"):
+            cs.ising_perturbation(LatticeSpec(9), lam)
 
     def test_dense_agreement_small(self):
         # model Hamiltonian matches the independent kron oracle
@@ -360,10 +374,6 @@ class TestLazyRegistry:
         eager = _eager_registry(lattice, lam=0.3)
         assert list(model.registry) == list(eager)
         assert len(model.registry) == len(eager)
-        reference = cs.ModelSpec(lattice, model.hamiltonian,
-                                 MappingProxyType(eager))
-        assert cs.registry_manifest(model) == \
-            cs.registry_manifest(reference)
         for name, op in eager.items():
             assert list(model.registry[name].items()) == list(op.items())
 
@@ -411,7 +421,7 @@ class TestLazyRegistry:
         model = cs.build_model(LatticeSpec(9))
         other = cs.build_model(LatticeSpec(15)).registry
         with pytest.raises(DomainError, match="wrong length"):
-            cs.ModelSpec(model.lattice, model.hamiltonian, other)
+            cs.ModelSpec(model.lattice, other)
 
     def test_mapping_behaviour(self):
         reg = cs.build_model(LatticeSpec(8, "periodic")).registry

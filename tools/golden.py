@@ -105,6 +105,9 @@ COMMANDS = [
     "scan --size 10 --boundary periodic --lambda 0.55:0.85:0.05",
     "protect --size 9",
     "verify --size 9 --global-symmetry",
+    # exactly fourfold ground clusters, dense and iterative
+    "spectrum --size 10 --lambda 0 --count 8",
+    "spectrum --size 14 --lambda 0 --method iterative --count 8",
 ]
 
 
