@@ -47,7 +47,8 @@ group and builds one sector's rows at a time as a CSR block
 retrying a Lanczos solve once with more Krylov vectors when a pair misses
 its residual bound (`_checked_lanczos`), and drops it.  In both, a real
 operator's -k sector reuses the solution of k.  Both take their per-sector
-level counts from `_sector_counts` and merge in `_merge_levels`, which
+level counts from `_sector_counts`, sector_lanczos with a smaller first
+pass (LANCZOS_LEVEL_FLOOR), and merge in `_merge_levels`, which
 keeps each level in sector form (`_SectorState`), expanded to 2^L
 amplitudes on the first read of its `amps`.  All golden values depend on
 this ordering.
@@ -461,8 +462,13 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     R conserves it, with each -k sector reusing the solution of k, an
     open chain's (r, p) blocks, or the spin-flip blocks; a CSR block of
     more than DENSE_BLOCK_STATES states is solved by implicitly restarted
-    Lanczos, a smaller one densely, for the same per-sector counts as the
-    dense path.  An h without P is solved on the full space: one dense
+    Lanczos, a smaller one densely.  Its first pass asks each sector it
+    solves for min(count, ceil(4 count / n), max(4, ceil(2 count / n)))
+    levels (LANCZOS_LEVEL_FLOOR), twice its even share of the window:
+    half the count, at least 4, on an open chain's four blocks, the whole
+    count on the spin flip's two, and the dense path's ceil(4 count / n)
+    on a ring of 12 sites or more up to count 14; its second pass is the
+    dense path's.  An h without P is solved on the full space: one dense
     matrix, or Lanczos on its CSR operator matrix.
     A run whose memory estimate exceeds physical memory raises
     ResourceLimitError before allocating anything large (project_sectors
@@ -632,16 +638,21 @@ _EIGSH_TAKES_RNG = "rng" in inspect.signature(
 
 def _lanczos(m, count: int, ncv: int) -> tuple:
     """Lowest `count` eigenpairs (vals, vecs) of the Hermitian sparse matrix
-    m, ascending, by implicitly restarted Lanczos (ARPACK) with ncv Krylov
-    vectors, tol=0 and a fixed start vector, which keeps the output
-    deterministic.  Where scipy's eigsh takes an `rng`, the
+    m, ascending, by implicitly restarted Lanczos (ARPACK) on the product
+    m @ x, with ncv Krylov vectors, tol=0 and a fixed start vector, which
+    keeps the output deterministic.  Where scipy's eigsh takes an `rng`, the
     vector it draws to go on past an invariant subspace, which a level
     degenerate inside the block can give, comes from a fixed seed too."""
     seeded = {"rng": np.random.default_rng(1)} if _EIGSH_TAKES_RNG else {}
+    # ARPACK multiplies by m itself: scipy would wrap m so that each
+    # product goes through its one-column matmat, which rounds the same
+    product = scipy.sparse.linalg.LinearOperator(
+        m.shape, matvec=lambda x: m @ x, dtype=m.dtype)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            m, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0, ncv=ncv,
-            v0=np.random.default_rng(0).standard_normal(m.shape[0]), **seeded)
+            product, k=count, which="SA", maxiter=_LANCZOS_MAXITER, tol=0,
+            ncv=ncv, v0=np.random.default_rng(0).standard_normal(m.shape[0]),
+            **seeded)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos did not converge in {_LANCZOS_MAXITER} iterations",
@@ -1466,10 +1477,13 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     block against its own norm_h[r], reused twins included, so that a
     wrong reuse raises ConvergenceError.  Each row
     takes the two passes of _sector_counts over the own (not reused)
-    sectors, shared with sector_lanczos: a first one at min(count, ceil(4
-    count / own sectors)) levels, and a second at min(count, d) for the
-    sectors the row's window needs more of, so that its merged window is
-    exactly the lowest `count` levels.  The merge, shared with
+    sectors: a first one at min(count, ceil(4 count / own sectors))
+    levels, and a second at min(count, d) for the sectors the row's
+    window needs more of, so that its merged window is exactly the lowest
+    `count` levels.  sector_lanczos shares the second pass but asks less
+    in its first (LANCZOS_LEVEL_FLOOR); here a LAPACK subset solve costs
+    about the same at any level count, so a smaller first pass would only
+    add second solves.  The merge, shared with
     sector_lanczos (_merge_levels), keeps each level in sector form,
     expanded to 2^L amplitudes from the projection's row forms on the
     first read of its amps, and orders the labels and states inside each
@@ -1524,7 +1538,7 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
 
 
 def _sector_counts(solve, twins, count: int, atol: float,
-                   rows: int = 1) -> list:
+                   rows: int = 1, floor: int | None = None) -> list:
     """Per coupling row r < `rows` and sector i, solved[r][i] = (parity,
     energies, vectors) of as many of its lowest levels as a merged window
     of `count` can use, from solve(i, n, at, sources), which returns one
@@ -1536,16 +1550,23 @@ def _sector_counts(solve, twins, count: int, atol: float,
     pass sector by sector, every row that needs a sector in one call.  The
     first solves each own sector for min(start, d) levels, start =
     min(count, ceil(4 count / own sectors)), which is `count` with four
-    own sectors or fewer (an open chain's, or the spin flip's alone).
-    With `top` the row's count-th lowest level found (inf when fewer
-    were), the second solves again, at min(count, d), each own sector
-    that gave the row fewer levels than that and whose highest lies within
-    `top` + atol, and its twin takes the new solution.  Every level a
-    sector leaves out then lies above `top` + atol, so each row's merged
-    window is the one of solving every sector at min(count, d): exactly
-    the lowest `count` levels (up to the copies a Krylov solve can
-    miss)."""
-    start = min(count, -(-4 * count // list(twins).count(-1)))
+    own sectors or fewer (an open chain's, or the spin flip's alone); with
+    a `floor` (sector_lanczos's LANCZOS_LEVEL_FLOOR), start is at most
+    max(floor, ceil(2 count / own sectors)) too, twice a sector's even
+    share of the window, which leaves the spin flip's two sectors the
+    whole count and gives an open chain's four half of it, at least
+    `floor`.  With `top` the row's count-th lowest level found (inf when
+    fewer were), the second solves again, at min(count, d), each own
+    sector that gave the row fewer levels than that and whose highest
+    lies within `top` + atol, and its twin takes the new solution.  Every
+    level a sector leaves out then lies above `top` + atol, so each row's
+    merged window is the one of solving every sector at min(count, d):
+    exactly the lowest `count` levels (up to the copies a Krylov solve
+    can miss)."""
+    own = list(twins).count(-1)
+    start = min(count, -(-4 * count // own))
+    if floor is not None:
+        start = min(start, max(floor, -(-2 * count // own)))
     solved = [[None] * len(twins) for _ in range(rows)]
 
     def take(i, n, at):
@@ -1743,6 +1764,15 @@ def _lanczos_charge(h: OperatorSum, group: str, count: int,
 # solve also keeps every copy of a level degenerate inside its block.
 DENSE_BLOCK_STATES = 400
 
+# Fewest levels sector_lanczos's first pass asks of an own sector, which
+# otherwise asks for twice its even share of the window.  ARPACK's cost
+# grows with the levels it converges: the 52 open-chain (r, p) block
+# solves of one lanczos-spectrum block (12-14 sites, ncv 28, one BLAS
+# thread, 2-core host, best of 7) took 0.72 s at 3 levels, 0.83 s at 4,
+# 0.87 s at 6 and 0.97 s at 8.  Fewer than 4 saves little and makes a
+# second pass more likely.
+LANCZOS_LEVEL_FLOOR = 4
+
 
 def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     """Lowest `count` levels of a Hermitian h invariant under the spin flip
@@ -1764,9 +1794,15 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     project_sectors gives sector_low (_SectorTable.reused).  A block of at
     most DENSE_BLOCK_STATES states takes a dense subset eigh, a larger one
     ARPACK (_checked_lanczos); every pair passes checked_residual on its
-    own block.  The own sectors' counts are sector_low's two passes
-    (_sector_counts), which ask each of four own sectors or fewer for the
-    whole count, and sector_low's merge (_merge_levels) keeps the lowest
+    own block.  The own sectors' counts are _sector_counts' two passes
+    with a first pass of twice each sector's even share of the window,
+    never below LANCZOS_LEVEL_FLOOR levels nor above sector_low's:
+    min(count, ceil(4 count / own), max(4, ceil(2 count / own))), which
+    is half the count, at least 4, on an open chain's four (r, p) blocks,
+    the whole count on the spin flip's two, and sector_low's on a ring of
+    12 sites or more up to count 14; the second pass re-solves at
+    min(count, d) each sector the window needs more of, as sector_low's
+    does.  Then sector_low's merge (_merge_levels) keeps the lowest
     `count`, labelled by parity, in sector form, each expanded on the
     first read of its amps from a row form built for it alone and
     dropped.  Before the orbit table or any kernel is
@@ -1815,7 +1851,7 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
         return [(p, e, w)]
 
     solved, = _sector_counts(solve, table.reused(has_real_matrix(h)), count,
-                             atol)
+                             atol, floor=LANCZOS_LEVEL_FLOOR)
     return (*_merge_levels(table, solved, count, atol, None, bases), worst)
 
 

@@ -2,8 +2,9 @@
 ring's real (k, p) blocks and an open chain's (r, p) blocks, against the
 dense sector path up to 12 sites and the free-fermion levels of
 bench/oracle.py at 13-14 sites; which blocks a ring builds and solves,
-the -k twins that reuse a solution, the table's twin check, and its
-memory budget."""
+the levels each first and second pass asks of a block, ARPACK on a
+block's own product, the -k twins that reuse a solution, the table's twin
+check, and its memory budget."""
 
 import collections
 import dataclasses
@@ -272,6 +273,93 @@ def test_a_ring_sector_the_window_needs_is_solved_again():
     assert [keys[i] for i in built[16:]] == [(0, 1), (7, -1)]
     assert [n for _, n in solves] == [2] * 16 + [8, 8]
     check_oracle_window(L, True, lam, 8, vals, labels)
+
+
+def lanczos_counts(h, count):
+    """sector_lanczos(h, count) with the (states, levels) of each ARPACK
+    solve (_checked_lanczos), in order."""
+    with mock.patch.object(engine, "_checked_lanczos",
+                           wraps=engine._checked_lanczos) as spy:
+        result = engine.sector_lanczos(h, count)
+    return result, [(c.args[0].shape[0], c.args[1])
+                    for c in spy.call_args_list]
+
+
+CHAIN_BLOCKS = (2080, 2080, 2016, 2016)   # the 13-site chain's (r, p) blocks
+
+
+@pytest.mark.parametrize("count,first", [(8, 4), (12, 6)])
+def test_chain_first_pass_is_twice_each_share(count, first):
+    # four own sectors: each is asked for twice its even share of the
+    # window, max(4, ceil(2 count / 4)) levels, not the whole count, and
+    # none is solved again at this coupling
+    h = cs.perturbed_hamiltonian(LatticeSpec(13, "open"), 0.45)
+    (vals, labels, _, _), solves = lanczos_counts(h, count)
+    assert solves == [(d, first) for d in CHAIN_BLOCKS]
+    check_oracle_window(13, False, 0.45, count, vals, labels)
+
+
+def test_chain_blocks_the_window_needs_are_solved_again():
+    # at lambda = 0 every (r, p) block holds many copies of the first
+    # excited level, which is the window's top: each gives its 4 levels at
+    # or below it and is solved again at the whole count
+    h = cs.perturbed_hamiltonian(LatticeSpec(13, "open"), 0.0)
+    (vals, labels, _, _), solves = lanczos_counts(h, 8)
+    assert solves == ([(d, 4) for d in CHAIN_BLOCKS]
+                      + [(d, 8) for d in CHAIN_BLOCKS])
+    check_oracle_window(13, False, 0.0, 8, vals, labels)
+
+
+def test_spin_flip_blocks_are_asked_for_the_whole_count():
+    # an X1 X2 term keeps P but breaks R: two own sectors, whose twice-
+    # the-share is the whole count, each solved once
+    lat = LatticeSpec(13, "open")
+    h = cs.perturbed_hamiltonian(lat, 0.45) + cs.OperatorSum.from_pauli(
+        cs.PauliString.from_letters("XX" + "I" * 11), 0.3)
+    assert engine._symmetry_group(h) == "P"
+    (vals, _, _, _), solves = lanczos_counts(h, 8)
+    assert solves == [(4096, 8), (4096, 8)]
+    assert vals.shape == (8,) and np.all(np.diff(vals) >= 0)
+
+
+def real_ring_block():
+    """A 14-site ring sector with a complex character, as its real block
+    U^H B U."""
+    h = cs.perturbed_hamiltonian(LatticeSpec(14, "periodic"), 0.9)
+    table = engine._sector_table(14, "TP")
+    engine._check_table(table)
+    bases = engine._real_bases(table)
+    i = min(bases)
+    return engine._sector_block(table, h, i, bases[i])
+
+
+def chain_block():
+    """The first (r, p) block of the 12-site chain."""
+    h = cs.perturbed_hamiltonian(LatticeSpec(12, "open"), 0.45)
+    table = engine._sector_table(12, "RP")
+    engine._check_table(table)
+    return engine._sector_block(table, h, 0)
+
+
+@pytest.mark.parametrize("build", [chain_block, real_ring_block])
+def test_lanczos_is_eigsh_on_the_block_bit_for_bit(build):
+    # ARPACK on the block's own product gives the values and vectors of
+    # eigsh on the CSR block itself, with the same arguments
+    block = build()
+    d = block.shape[0]
+    assert block.dtype == np.float64 and d > engine.DENSE_BLOCK_STATES
+    k = 8
+    ncv = engine._krylov(k, d)
+    seeded = ({"rng": np.random.default_rng(1)} if engine._EIGSH_TAKES_RNG
+              else {})
+    want, vecs = EIGSH(block, k=k, which="SA",
+                       maxiter=engine._LANCZOS_MAXITER, tol=0, ncv=ncv,
+                       v0=np.random.default_rng(0).standard_normal(d),
+                       **seeded)
+    order = np.argsort(want)
+    vals, got = engine._lanczos(block, k, ncv)
+    np.testing.assert_array_equal(vals, want[order])
+    np.testing.assert_array_equal(got, vecs[:, order])
 
 
 @pytest.mark.parametrize("method", ["iterative", "dense"])

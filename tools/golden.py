@@ -108,6 +108,13 @@ COMMANDS = [
     # exactly fourfold ground clusters, dense and iterative
     "spectrum --size 10 --lambda 0 --count 8",
     "spectrum --size 14 --lambda 0 --method iterative --count 8",
+    # open-chain Lanczos first passes of half the count, the lambda = 0
+    # point of the scan solved again in every block
+    "spectrum --size 13 --boundary open --lambda 0.75 --method iterative "
+    "--count 12",
+    "spectrum --size 13 --boundary open --lambda 1.2 --method iterative "
+    "--count 6",
+    "scan --size 13 --boundary open --lambda 0:1:0.5",
 ]
 
 
