@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .engine import (StateVector, apply, build_cluster_state, eig_low,
+from .engine import (StateVector, build_cluster_state, eig_low,
                      expectation, expectations, splitting_classes,
-                     splitting_matrices, subspace_distance)
+                     splitting_matrices)
 from .errors import DomainError, LengthMismatchError
 from .models import (COUPLING_CAP, LatticeSpec, ModelSpec, build_model,
                      cluster_hamiltonian, cross_check_global,

@@ -50,8 +50,8 @@ operator's -k sector reuses the solution of k.  Both take their per-sector
 level counts from `_sector_counts`, sector_lanczos with a smaller first
 pass (LANCZOS_LEVEL_FLOOR), and merge in `_merge_levels`, which
 keeps each level in sector form (`_SectorState`), expanded to 2^L
-amplitudes on the first read of its `amps`.  All golden values depend on
-this ordering.
+amplitudes straight from its orbit table on the first read of its `amps`.
+All golden values depend on this ordering.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ _ACT_BYTES = 4 << 20
 
 # Bytes of the projections family_low keeps between calls (4 MiB, each
 # counted by _Projection.nbytes), least recently used out first: an 8-site
-# ring's H_C and H_I take 0.16 MB, a 10-site ring's 1.3 MB, a 9-site
-# chain's 0.56 MB; a 12-site ring's (13.3 MB) or chain's (67.4 MB) is not
-# kept.  A byte bound, not a count: the projections span 400-fold.
+# ring's H_C and H_I take 0.08 MiB, a 10-site ring's 0.85 MiB, a 9-site
+# chain's Hamiltonian 0.51 MiB; a 12-site ring's (10.9 MiB) or chain's
+# (64.1 MiB) is not kept.  A byte bound, not a count: the projections span
+# 800-fold.
 _KEEP_BYTES = 4 << 20
 _KEPT = OrderedDict()
 
@@ -574,7 +575,8 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
     gives it.
 
     The solver is eig_low's (_solver).  Coefficients of complex dtype whose
-    imaginary parts all vanish are taken as real.  Dense: every operator
+    imaginary parts all vanish are taken as real; any other imaginary part
+    raises DomainError.  Dense: every operator
     is projected once per process into the sectors of the first group
     that conserves them all, by _symmetry_group's test (translation x spin
     flip, then reflection x spin flip, else the spin flip alone, which
@@ -592,8 +594,9 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
     raise, on the first chunk's read."""
     ops = [_as_sum(op) for op in ops]
     coeffs = np.asarray(coeffs)
-    if not np.any(np.imag(coeffs)):
-        coeffs = coeffs.real
+    if np.any(np.imag(coeffs)):
+        raise DomainError("coupling rows must be real")
+    coeffs = coeffs.real
     if _solver(method, ops[0].length, count) == "iterative":
         for row in coeffs:
             h = sum((op * c for op, c in zip(ops[1:], row[1:])),
@@ -613,7 +616,7 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
         _KEPT.move_to_end(key)
         _check_memory(*projected.charge)
     norms = np.abs(coeffs) @ [op.norm_bound() for op in ops]
-    chunk = projected.rows(count, coeffs.dtype)
+    chunk = projected.rows(count)
     for start in range(0, len(coeffs), chunk):
         part = slice(start, start + chunk)
         yield sector_low(projected, coeffs[part], count, norms[part],
@@ -980,20 +983,6 @@ def _sector_table(length: int, group: str) -> _SectorTable:
                         tuple(keys), chars[some], cols, twin)
 
 
-def _row_form(table: _SectorTable, i: int) -> tuple:
-    """(col, val) of sector i over the basis indices: b sits in column
-    col[b] (-1 outside the sector) with entry val[b] = chi(g_b) / sqrt(N_r),
-    0 outside, so the sector's basis is V[b, col[b]] = val[b]."""
-    col = table.cols[i][table.orbit]
-    val = np.where(col >= 0, table.chars[i][table.elem]
-                   / np.sqrt(table.size[table.orbit]), 0)
-    # a projection's forms are shared by the states of every call that
-    # takes it (_KEPT)
-    col.setflags(write=False)
-    val.setflags(write=False)
-    return col, val
-
-
 def _implied_leak(op: OperatorSum, group: str) -> float:
     """sqrt(2^L) (||dc||_2 / (2 sin(pi/n)) + ||c_odd||_2): the bound on
     ||M V - V B||_F that op's coefficients imply in every sector of `group`
@@ -1205,30 +1194,27 @@ class _Projection:
     j < i of the sector whose blocks, conjugated, are sector i's for every
     operator (-1 when none): the table's twin when every operator is real
     (_SectorTable.reused), bases, the unitaries U of _real_bases by
-    sector (empty when they do not apply), forms, the row forms
-    (_row_form) of the sectors of the merged levels whose amplitudes were
-    read, each built on the first read, and charge, the arguments of the
-    projection's _check_memory call.  It holds every piece of state that
-    outlives one chunk of couplings; family_low keeps it for later calls
-    with the same operators (_KEPT), so every array in it is read-only."""
+    sector (empty when they do not apply), and charge, the arguments of
+    the projection's _check_memory call.  It holds every piece of state
+    that outlives one chunk of couplings, and nothing writes to it once
+    project_sectors returns it; family_low keeps it for later calls with
+    the same operators (_KEPT), so every array in it is read-only."""
 
     table: _SectorTable
     sectors: list
     twins: tuple
     bases: dict
-    forms: dict
     charge: tuple
 
-    def rows(self, count: int, dtype=np.float64) -> int:
-        """The coupling rows of `dtype` one sector_low call takes for
-        windows of `count` levels: as many as fit _CHUNK_BYTES with, per
-        row, the summed blocks of the largest sector and the solutions of
-        every sector at min(count, d) levels, both of the dtype the rows
-        and blocks sum to; one row at least."""
+    def rows(self, count: int) -> int:
+        """The real coupling rows one sector_low call takes for windows of
+        `count` levels: as many as fit _CHUNK_BYTES with, per row, the
+        summed blocks of the largest sector and the solutions of every
+        sector at min(count, d) levels, both of the blocks' dtype; one row
+        at least."""
         dims = self.table.dims
-        item = np.result_type(dtype, *(b.dtype for _, _, blocks
-                                       in self.sectors
-                                       for b in blocks)).itemsize
+        item = np.result_type(*(b.dtype for _, _, blocks in self.sectors
+                                for b in blocks)).itemsize
         row = item * int(dims.max() ** 2 + dims @ np.minimum(count, dims))
         return max(1, _CHUNK_BYTES // row)
 
@@ -1243,16 +1229,13 @@ class _Projection:
     @cached_property
     def nbytes(self) -> int:
         """Bytes the projection holds, as _keep counts them: its arrays,
-        each buffer under them once, and the row form of every sector,
-        built or not."""
+        each buffer under them once."""
         owners = {}
         for a in self.arrays():
             while isinstance(a.base, np.ndarray):
                 a = a.base
             owners[id(a)] = a.nbytes
-        t = self.table
-        return sum(owners.values()) \
-            + t.dims.size * t.orbit.size * (4 + t.chars.itemsize)
+        return sum(owners.values())
 
 
 def _projection_charge(ops: list, table: _SectorTable,
@@ -1265,12 +1248,14 @@ def _projection_charge(ops: list, table: _SectorTable,
     sector_low's coupling rows (_CHUNK_BYTES of summed blocks and
     solutions, _Projection.rows) and as much again for the first pass's
     solutions a second pass leaves alive and one sector's products and
-    residuals; one row's largest sum with LAPACK's copy of it; every
-    sector's row form; the orbit table and scattered rows, at most 48
-    bytes per state and x mask (9-12 sites), and in real bases the bases
-    and their build, 160 bytes per state, and an operator's entries four
-    times over.  project_sectors charges it before its first kernel call,
-    and family_low again on every call that takes a kept projection."""
+    residuals; one row's largest sum with LAPACK's copy of it; per
+    sector a 2^L column of an int32 and a character, margin for the
+    ground states a chunk expands (_SectorState.amps); the orbit table
+    and scattered rows, at most 48 bytes per state and x mask (9-12
+    sites), and in real bases the bases and their build, 160 bytes per
+    state, and an operator's entries four times over.  project_sectors
+    charges it before its first kernel call, and family_low again on every
+    call that takes a kept projection."""
     L = table.length
     dim = 1 << L
     dims = table.dims
@@ -1291,7 +1276,7 @@ def project_sectors(ops, group: str) -> _Projection:
     """Every operator of `ops` (one lattice) in every sector of `group`
     ("TP", "RP" or "P", _generator): a _Projection of the lattice's orbit
     table (_sector_table) and per sector blocks[m] = V^H M_m V, V the
-    sector's orbit-sum basis (_row_form).  Each operator's entries in every
+    sector's orbit-sum basis (_SectorTable).  Each operator's entries in every
     sector come from one kernel call on the orbit representatives
     (_sector_entries), all sectors in one scatter.  A block is float64
     when its operator is real (has_real_matrix) and its sector's character
@@ -1306,10 +1291,11 @@ def project_sectors(ops, group: str) -> _Projection:
     as they are.  The twins sector_low reuses are the table's, by the rule
     sector_lanczos follows too (_SectorTable.reused).  Between the guard
     below and the first kernel call, the blocks, the scattered rows, the
-    row forms, the real bases, one chunk of sector_low's coupling rows
-    (_CHUNK_BYTES, _Projection.rows) and one row's largest solve are
-    charged against physical memory (_projection_charge, _check_memory).
-    Every array of the result is read-only, since family_low shares it
+    real bases, one chunk of sector_low's coupling rows (_CHUNK_BYTES,
+    _Projection.rows), one row's largest solve and a margin for the
+    ground states a chunk expands are charged against physical memory
+    (_projection_charge, _check_memory).  Every array of the result is
+    read-only, and nothing writes to it later, since family_low shares it
     with later calls (_KEPT).
 
     The result is guarded once per lattice, without forming any M: a leaky
@@ -1445,7 +1431,7 @@ def project_sectors(ops, group: str) -> _Projection:
         sectors.append((k, p, [b.real if r and not u else b
                                for b, r in zip(blocks, real)]))
     projected = _Projection(table, sectors, table.reused(all(real)), bases,
-                            {}, charge)
+                            charge)
     for a in projected.arrays():
         a.setflags(write=False)
     return projected
@@ -1462,41 +1448,36 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     Returns per row (vals, labels, states, max_residual) like eig_low's
     eigenvalues followed by resolve_sectors: ascending energies, each
     level's spin-flip parity, the states V w in sector form, and the worst
-    residual of any of the row's blocks.  Coefficients of complex dtype
-    whose imaginary parts all vanish are taken as real.  A call takes at
-    most projected.rows(count, coeffs.dtype) rows, the chunk
-    project_sectors charges (_CHUNK_BYTES), and raises ValueError above
-    it.  Per sector and pass,
-    the rows' summed blocks form one (rows, d, d) stack; each row takes
-    its lowest levels from one LAPACK call (_subset_eigh) or, for a -k
-    sector of projected.twins (the orbit table's twin when every operator
-    is real, _SectorTable.reused), the conjugate of the solution of k when
-    every coefficient is real too, which halves the solves (in real bases
-    the blocks and so the solution are real, and taken as they are); and
-    one checked_residual checks every pair of every row on the row's own
-    block against its own norm_h[r], reused twins included, so that a
-    wrong reuse raises ConvergenceError.  Each row
-    takes the two passes of _sector_counts over the own (not reused)
+    residual of any of the row's blocks.  The coefficients are real, as
+    family_low checks them.  A call takes at most projected.rows(count)
+    rows, the chunk project_sectors charges (_CHUNK_BYTES), and raises
+    ValueError above it.  Per sector and pass, the rows' summed blocks
+    form one (rows, d, d) stack; each row takes its lowest levels from one
+    LAPACK call (_subset_eigh) or, for a -k sector of projected.twins (the
+    orbit table's twin when every operator is real, _SectorTable.reused),
+    the conjugate of the solution of k, which halves the solves (in real
+    bases the blocks and so the solution are real, and taken as they
+    are); and one checked_residual checks every pair of every row on the
+    row's own block against its own norm_h[r], reused twins included, so
+    that a wrong reuse raises ConvergenceError.  Each row takes the two
+    passes of _sector_counts over the own (not reused)
     sectors: a first one at min(count, ceil(4 count / own sectors))
     levels, and a second at min(count, d) for the sectors the row's
     window needs more of, so that its merged window is exactly the lowest
     `count` levels.  sector_lanczos shares the second pass but asks less
     in its first (LANCZOS_LEVEL_FLOOR); here a LAPACK subset solve costs
     about the same at any level count, so a smaller first pass would only
-    add second solves.  The merge, shared with
-    sector_lanczos (_merge_levels), keeps each level in sector form,
-    expanded to 2^L amplitudes from the projection's row forms on the
-    first read of its amps, and orders the labels and states inside each
+    add second solves.  The merge, shared with sector_lanczos
+    (_merge_levels), keeps each level in sector form, expanded to 2^L
+    amplitudes from the orbit table on the first read of its amps, and
+    orders the labels and states inside each
     cluster of levels within `atol` by ascending parity, as
     resolve_sectors orders them.
     """
     coeffs = np.asarray(coeffs)
-    real = not np.any(np.imag(coeffs))
-    if real:
-        coeffs = coeffs.real
     norm_h = np.asarray(norm_h, dtype=float)
     rows = coeffs.shape[0]
-    most = projected.rows(count, coeffs.dtype)
+    most = projected.rows(count)
     if coeffs.ndim != 2 or norm_h.shape != (rows,) or rows > most:
         raise ValueError(
             f"sector_low takes a (rows, operators) stack of at most {most} "
@@ -1529,11 +1510,9 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
                                checked_residual(h @ w, w, e, norm_h[at]))
         return [(p, e[r], w[r]) for r in range(len(at))]
 
-    solved = _sector_counts(solve, [t if real else -1
-                                    for t in projected.twins], count, atol,
-                            rows)
+    solved = _sector_counts(solve, projected.twins, count, atol, rows)
     return [(*_merge_levels(projected.table, levels, count, atol,
-                            projected.forms, projected.bases), float(top))
+                            projected.bases), float(top))
             for levels, top in zip(solved, worst)]
 
 
@@ -1598,51 +1577,49 @@ class _SectorState(StateVector):
     column `column` of sector `sector` of its orbit table, in the sector's
     real basis when `basis` holds the rows (sigma, a, b) of its unitary U
     (_real_bases).  Its 2^L amplitudes V U w are formed on the first read
-    of amps and kept: (U w)_c = a_c w_c + b_c w_{sigma_c}, in O(d), then V
-    from the sector's row form (_row_form), taken from `forms` or built
-    there once, or, when `forms` is None, built for this state alone and
-    dropped."""
+    of amps and kept: (U w)_c = a_c w_c + b_c w_{sigma_c}, in O(d), then
+    V[b, col] = chi(g_b) / sqrt(N_n) at the column col of b's orbit n,
+    read off the orbit table, with one gather of U w per orbit (0 where
+    the orbit's sum vanishes); nothing else is built or kept."""
 
-    __slots__ = ("sector", "column", "vector", "_table", "_forms", "_basis")
+    __slots__ = ("sector", "column", "vector", "_table", "_basis")
 
     def __init__(self, table: _SectorTable, sector: int, column: int,
-                 vector: np.ndarray, forms: dict | None, basis=None):
+                 vector: np.ndarray, basis=None):
         self.length = table.length
         self._amps = None
         self.sector, self.column, self.vector = sector, column, vector
-        self._table, self._forms, self._basis = table, forms, basis
+        self._table, self._basis = table, basis
 
     @property
     def amps(self) -> np.ndarray:
         """The 2^L amplitudes, read-only, formed on the first read."""
         if self._amps is None:
-            i, forms = self.sector, self._forms
-            form = forms.get(i) if forms is not None else None
-            if form is None:
-                form = _row_form(self._table, i)
-                if forms is not None:
-                    forms[i] = form
-            col, val = form
-            w = self.vector
+            t, i, w = self._table, self.sector, self.vector
             if self._basis is not None:
                 sigma, a, b = self._basis
                 w = a * w + b * w[sigma]
-            amps = np.asarray(val * w[col], dtype=np.complex128)
+            at = np.where(t.cols[i] >= 0, w[t.cols[i]], 0)
+            # val is named and the gathered column a temporary: numpy
+            # forms a product with a temporary of 256 KiB or more in place,
+            # the temporary first, and complex products round by operand
+            # order, so this order fixes the amplitudes' last bits
+            val = t.chars[i][t.elem] / np.sqrt(t.size)[t.orbit]
+            amps = np.asarray(val * at[t.orbit], dtype=np.complex128)
             amps.setflags(write=False)
             self._amps = amps
-            self._table = self._forms = self._basis = None
+            self._table = self._basis = None
         return self._amps
 
 
 def _merge_levels(table: _SectorTable, solved: list, count: int,
-                  atol: float, forms: dict, bases=None) -> tuple:
+                  atol: float, bases=None) -> tuple:
     """(vals, labels, states) of the lowest `count` levels of `solved`, per
     sector i of `table` its (parity, energies e, vectors w): ascending
     energies, ties in sector then column order, inside each cluster within
     `atol` in ascending parity (the order resolve_sectors gives), each
-    kept level in sector form (_SectorState), expanded to V U w on the
-    first read of its amps from its sector's row form in `forms` (or, when
-    `forms` is None, from one built for it alone), U the unitary of that
+    kept level in sector form (_SectorState), expanded to V U w from the
+    orbit table on the first read of its amps, U the unitary of that
     sector in `bases`, if any (_real_bases)."""
     sizes = [e.size for _, e, _ in solved]
     energies = np.concatenate([e for _, e, _ in solved])
@@ -1654,7 +1631,7 @@ def _merge_levels(table: _SectorTable, solved: list, count: int,
     for c in _clusters(vals, atol):
         order[c] = order[c][np.argsort(parity[order[c]], kind="stable")]
     states = tuple(
-        _SectorState(table, i, c, solved[i][2][:, c], forms,
+        _SectorState(table, i, c, solved[i][2][:, c],
                      bases.get(i) if bases else None)
         for i, c in zip(sector[order].tolist(), column[order].tolist()))
     return vals, parity[order].astype(float), states
@@ -1732,7 +1709,7 @@ def _lanczos_charge(h: OperatorSum, group: str, count: int,
     kept vectors) plus the largest of four passes, each measured with
     tracemalloc at 14-18 sites: building the table and checking it (at
     most 64 bytes per state), the real bases (100 per state), the largest
-    block's build or solve, and the merge (the row form's transients and
+    block's build or solve, and the merge (an expansion's transients and
     four complex copies of every returned level's amplitudes, which bound
     a caller that reads them all)."""
     L = h.length
@@ -1803,14 +1780,13 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
     12 sites or more up to count 14; the second pass re-solves at
     min(count, d) each sector the window needs more of, as sector_low's
     does.  Then sector_low's merge (_merge_levels) keeps the lowest
-    `count`, labelled by parity, in sector form, each expanded on the
-    first read of its amps from a row form built for it alone and
-    dropped.  Before the orbit table or any kernel is
-    built, the table, in real bases the bases, the largest sector's block
-    build or solve, the kept sector vectors and every returned level's
-    amplitudes, as a caller that reads them all forms them, are charged
-    against physical memory (_lanczos_charge, _check_memory), and a
-    Lanczos retry's extra vectors on top of that.
+    `count`, labelled by parity, in sector form, each expanded from the
+    orbit table on the first read of its amps.  Before the orbit table or
+    any kernel is built, the table, in real bases the bases, the largest
+    sector's block build or solve, the kept sector vectors and every
+    returned level's amplitudes, as a caller that reads them all forms
+    them, are charged against physical memory (_lanczos_charge,
+    _check_memory), and a Lanczos retry's extra vectors on top of that.
     """
     h = _as_sum(h)
     group = _symmetry_group(h)
@@ -1852,7 +1828,7 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
 
     solved, = _sector_counts(solve, table.reused(has_real_matrix(h)), count,
                              atol, floor=LANCZOS_LEVEL_FLOOR)
-    return (*_merge_levels(table, solved, count, atol, None, bases), worst)
+    return (*_merge_levels(table, solved, count, atol, bases), worst)
 
 
 def _as_columns(states) -> np.ndarray:

@@ -2,6 +2,7 @@
 of the same operators takes the kept projection, bit for bit what a
 rebuild gives, and the memo holds at most engine._KEEP_BYTES."""
 
+import dataclasses
 import re
 from contextlib import ExitStack
 from unittest import mock
@@ -12,6 +13,7 @@ import pytest
 import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 from clusterspt.cli import main
+from clusterspt.errors import DomainError
 
 SCAN_FIELDS = ("energy", "gap", "gap_sector", "string_order",
                "yy_correlator", "parity_expectation", "gs_parity",
@@ -85,7 +87,7 @@ def test_a_repeated_chain_solve_builds_nothing():
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_twelve_site_projections_are_not_kept(boundary):
-    # 13.3 MB on the ring, 67.4 MB on the chain, both above _KEEP_BYTES
+    # 10.9 MiB on the ring, 64.1 MiB on the chain, both above _KEEP_BYTES
     lat = LatticeSpec(12, boundary)
     cs.phase_scan(lat, [1.0])
     assert len(engine._KEPT) == 0
@@ -96,10 +98,11 @@ def test_twelve_site_projections_are_not_kept(boundary):
 
 
 def test_the_memo_stays_within_its_bytes():
-    # kept sizes in MiB: 10-site ring scan 1.24, 9-site chain scan 1.03,
-    # 8-site ring scan 0.16, 10-site chain Hamiltonian 2.06; a 12-site
-    # ring (12.7) is never kept.  The 10-site ring, used again, outlives
-    # the 9-site chain, which the 10-site chain's projection evicts
+    # kept sizes in MiB: 10-site ring scan 0.853, 9-site chain scan 1.011,
+    # 8-site ring scan 0.079, 10-site chain Hamiltonian 2.017 (3.960 in
+    # all), 9-site chain Hamiltonian 0.509; a 12-site ring (10.861) is
+    # never kept.  The 10-site ring, used again, outlives the 9-site chain
+    # scan, which the 9-site chain Hamiltonian's projection evicts
     ring, chain = LatticeSpec(10, "periodic"), LatticeSpec(9, "open")
     calls = [lambda: cs.phase_scan(ring, [0.8]),
              lambda: cs.phase_scan(chain, [0.8]),
@@ -107,12 +110,14 @@ def test_the_memo_stays_within_its_bytes():
              lambda: cs.phase_scan(ring, [1.1]),
              lambda: cs.eig_low(cs.perturbed_hamiltonian(
                  LatticeSpec(10, "open"), 0.3), count=6),
+             lambda: cs.eig_low(cs.perturbed_hamiltonian(chain, 0.3),
+                                count=6),
              lambda: cs.phase_scan(LatticeSpec(12, "periodic"), [1.0])]
     for call in calls:
         call()
         assert kept_bytes() <= engine._KEEP_BYTES
     assert [(p.table.length, p.table.group) for p in engine._KEPT.values()] \
-        == [(8, "TP"), (10, "TP"), (10, "RP")]
+        == [(8, "TP"), (10, "TP"), (10, "RP"), (9, "RP")]
 
 
 def test_shared_arrays_are_read_only():
@@ -123,8 +128,7 @@ def test_shared_arrays_are_read_only():
     _, _, blocks = projected.sectors[1]
     arrays = [blocks[0], blocks[1], table.orbit, table.elem, table.chars,
               table.cols, table.reps, table.dims, table.first,
-              *next(iter(projected.bases.values())),
-              *next(iter(projected.forms.values()))]
+              *next(iter(projected.bases.values()))]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
@@ -175,14 +179,69 @@ def test_complex_rows_without_imaginary_parts_solve_real_blocks():
         assert states[0].amps.tobytes() == s[0].amps.tobytes()
 
 
-def test_complex_rows_take_at_most_half_the_chunk():
-    # the summed blocks of complex rows are complex128 even where the
-    # blocks are float64: a chunk holds half as many of them
+def test_complex_rows_raise():
+    # a coupling row with an imaginary part is no Hermitian family member
+    lat = LatticeSpec(8, "periodic")
+    ops = (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0))
+    for method in ("dense", "iterative"):
+        with pytest.raises(DomainError, match="coupling rows must be real"):
+            next(engine.family_low(ops, [[1.0, 0.5], [1.0, 0.5 + 1e-9j]], 4,
+                                   method))
+
+
+def snapshot(obj, seen: dict):
+    """A copy of obj, every list, tuple, dict, array and dataclass under it
+    copied too (a dataclass as its attributes, cached ones included), with
+    every object met recorded in `seen` by id."""
+    seen[id(obj)] = obj
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if dataclasses.is_dataclass(obj):
+        return {k: snapshot(v, seen) for k, v in vars(obj).items()}
+    if isinstance(obj, dict):
+        return {k: snapshot(v, seen) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [snapshot(v, seen) for v in obj]
+    return obj
+
+
+def assert_same(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert_same(a[k], b[k])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert a == b
+
+
+def test_a_kept_projection_is_never_written():
+    # states of later calls expand from the kept table and write nothing
+    # into the projection: it keeps its fields, values and objects
     lat = LatticeSpec(10, "periodic")
-    projected = engine.project_sectors(
-        (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0)), "TP")
-    real, complex_ = projected.rows(12), projected.rows(12, np.complex128)
-    assert real == 8 and complex_ <= real // 2
-    rows = np.full((complex_ + 1, 2), 1.0 + 0.5j)
-    with pytest.raises(ValueError, match=f"at most {complex_} coupling"):
-        engine.sector_low(projected, rows, 12, np.ones(complex_ + 1))
+    cs.phase_scan(lat, [0.8, 1.2])
+    [projected] = engine._KEPT.values()
+    before_ids = {}
+    before = snapshot(projected, before_ids)
+    ops = (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0))
+    for grid in ([0.5, 0.9, 1.0], [1.1, 1.4]):
+        for chunk in engine.family_low(
+                ops, np.column_stack([np.ones(len(grid)), grid]), 12):
+            for _, _, states, _ in chunk:
+                for psi in states:
+                    psi.amps
+    [taken] = engine._KEPT.values()
+    assert taken is projected
+    for psi in cs.eig_low(cs.perturbed_hamiltonian(lat, 0.7), count=6).states:
+        psi.amps
+    assert any(p is projected for p in engine._KEPT.values())
+    after_ids = {}
+    assert_same(snapshot(projected, after_ids), before)
+    assert after_ids.keys() == before_ids.keys()

@@ -56,7 +56,7 @@ def full_count(projection, coeffs, count):
         e, w = EIGH(h, subset_by_index=[0, n - 1], check_finite=False)
         solved.append((p, e, w))
     vals, labels, _ = engine._merge_levels(projection.table, solved, count,
-                                           ATOL, {}, projection.bases)
+                                           ATOL, projection.bases)
     return vals, labels
 
 

@@ -128,20 +128,27 @@ def test_concatenated_sector_bases_are_unitary(L, boundary):
 
 @SECTOR_CASES
 def test_row_forms_match_the_reference_bases(L, boundary):
+    # the amplitudes of a sector level w = e_c, stacked over c, are the
+    # sector's basis V, and V U in a ring's real bases
     for group in GROUPS[boundary]:
         table = engine._sector_table(L, group)
         sectors = reference_sectors(L, group)
         assert list(table.keys) == list(sectors)
+        bases = engine._real_bases(table) if group == "TP" else {}
         for i, ((k, p), want) in enumerate(sectors.items()):
-            col, val = engine._row_form(table, i)
-            rows = np.flatnonzero(col >= 0)
-            basis = np.zeros(want.shape, dtype=complex)
-            basis[rows, col[rows]] = val[rows]
+            unit = np.eye(want.shape[1])
+            basis = np.column_stack([engine._SectorState(
+                table, i, c, unit[:, c]).amps for c in range(unit.shape[1])])
             np.testing.assert_allclose(basis, want, rtol=0, atol=1e-14)
+            if i in bases:
+                mixed = np.column_stack([engine._SectorState(
+                    table, i, c, unit[:, c], bases[i]).amps
+                    for c in range(unit.shape[1])])
+                np.testing.assert_allclose(
+                    mixed, want @ basis_matrix(bases[i]), rtol=0, atol=1e-14)
             # a real character (k = 0 or L/2 on a ring, every sector of R x
             # P or P alone) keeps the blocks, and so their solves, real
-            assert (not np.iscomplexobj(val) or not val.imag.any()) \
-                == (2 * k % table.order == 0)
+            assert bool(basis.imag.any()) == (2 * k % table.order != 0)
 
 
 def test_projection_guard_rejects_a_symmetry_breaking_operator():
@@ -264,29 +271,36 @@ def test_merge_keeps_the_sorted_reference_order(rng):
     # energies on an integer grid tie across sectors and columns; with
     # atol 0.5 each cluster is one energy.  The reference is Python's
     # stable sort of the levels by energy, cut to the window, then by
-    # parity inside each energy; each kept state is V w from the row form
-    table = engine._sector_table(6, "TP")
+    # parity inside each energy; each kept state is V w, written out here
+    # as V's rows, column col[b] and value val[b] at b.  At 14 sites a
+    # complex state is 256 KiB, where numpy forms a product with its
+    # gathered column in place
     count = 10
-    for _ in range(5):
-        solved = []
-        for i, (_, p) in enumerate(table.keys):
-            d = int(np.count_nonzero(table.cols[i] >= 0))
-            n = min(3, d)
-            w = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-            solved.append((p, np.sort(rng.integers(0, 4, n)).astype(float),
-                           w))
-        forms = {}
-        vals, labels, states = engine._merge_levels(table, solved, count,
-                                                    0.5, forms)
-        levels = sorted(((e[c], p, i, c) for i, (p, e, _) in enumerate(solved)
-                         for c in range(e.size)), key=lambda lv: lv[0])
-        kept = sorted(levels[:count], key=lambda lv: lv[:2])
-        np.testing.assert_array_equal(vals, [lv[0] for lv in kept])
-        np.testing.assert_array_equal(labels, [lv[1] for lv in kept])
-        for (_, _, i, c), psi in zip(kept, states):
-            col, val = engine._row_form(table, i)
-            np.testing.assert_array_equal(psi.amps, val * solved[i][2][col, c])
-        assert set(forms) == {i for _, _, i, _ in kept}
+    for table in (engine._sector_table(6, "TP"),
+                  engine._sector_table(14, "TP")):
+        for _ in range(5):
+            solved = []
+            for i, (_, p) in enumerate(table.keys):
+                d = int(np.count_nonzero(table.cols[i] >= 0))
+                n = min(3, d)
+                w = (rng.standard_normal((d, n))
+                     + 1j * rng.standard_normal((d, n)))
+                solved.append((p, np.sort(rng.integers(0, 4, n)).astype(float),
+                               w))
+            vals, labels, states = engine._merge_levels(table, solved, count,
+                                                        0.5)
+            levels = sorted(((e[c], p, i, c)
+                             for i, (p, e, _) in enumerate(solved)
+                             for c in range(e.size)), key=lambda lv: lv[0])
+            kept = sorted(levels[:count], key=lambda lv: lv[:2])
+            np.testing.assert_array_equal(vals, [lv[0] for lv in kept])
+            np.testing.assert_array_equal(labels, [lv[1] for lv in kept])
+            for (_, _, i, c), psi in zip(kept, states):
+                col = table.cols[i][table.orbit]
+                val = np.where(col >= 0, table.chars[i][table.elem]
+                               / np.sqrt(table.size[table.orbit]), 0)
+                np.testing.assert_array_equal(psi.amps,
+                                              val * solved[i][2][col, c])
 
 
 @pytest.fixture(scope="module")

@@ -115,6 +115,14 @@ COMMANDS = [
     "spectrum --size 13 --boundary open --lambda 1.2 --method iterative "
     "--count 6",
     "scan --size 13 --boundary open --lambda 0:1:0.5",
+    # amplitudes read on a ring's Lanczos levels in real bases, on an
+    # iterative chain scan, and warm on a chain projected above
+    "scan --size 14 --boundary periodic --lambda 0.8:0.8:0.1 --probe X1 "
+    "--probe Z1Z2",
+    "scan --size 13 --boundary open --lambda 0.3:0.6:0.3 --probe X1 --probe "
+    "Z1X2",
+    "scan --size 9 --boundary open --lambda 0.5:1.5:0.25 --probe X1 --probe "
+    "Y5",
 ]
 
 
