@@ -74,28 +74,36 @@ def conjugate_cz(p: PauliString, i: int, j: int) -> PauliString:
     return PauliString(length, e, p.x_mask, z)
 
 
+def _conjugate(obj, length: int, image):
+    """image(p) of a PauliString p, or of each term of an OperatorSum in
+    order, once the object is checked to live on the circuit's `length`
+    sites."""
+    if isinstance(obj, PauliString):
+        kind = "string"
+    elif isinstance(obj, OperatorSum):
+        kind = "sum"
+    else:
+        raise TypeError(f"cannot conjugate {type(obj).__name__}")
+    if obj.length != length:
+        raise LengthMismatchError(
+            f"{kind} on {obj.length} sites, circuit on {length}")
+    if kind == "string":
+        return image(obj)
+    return OperatorSum.from_terms(
+        length, ((coeff, image(p)) for coeff, p in obj.iter_terms()))
+
+
 def conjugate_circuit(obj, circuit: CzCircuit):
     """Conjugate a PauliString or OperatorSum by every edge of the circuit.
 
     Linear over terms; coefficients keep their magnitude (signs may flip).
     """
-    if isinstance(obj, PauliString):
-        if obj.length != circuit.length:
-            raise LengthMismatchError(
-                f"string on {obj.length} sites, circuit on {circuit.length}")
-        out = obj
+    def image(p):
         for (i, j) in circuit.edges:
-            out = conjugate_cz(out, i, j)
-        return out
-    if isinstance(obj, OperatorSum):
-        if obj.length != circuit.length:
-            raise LengthMismatchError(
-                f"sum on {obj.length} sites, circuit on {circuit.length}")
-        return OperatorSum.from_terms(
-            obj.length,
-            ((coeff, conjugate_circuit(p, circuit))
-             for coeff, p in obj.iter_terms()))
-    raise TypeError(f"cannot conjugate {type(obj).__name__}")
+            p = conjugate_cz(p, i, j)
+        return p
+
+    return _conjugate(obj, circuit.length, image)
 
 
 def conjugate_ucp(obj, lattice):
@@ -108,20 +116,9 @@ def conjugate_ucp(obj, lattice):
     included, but in closed form on the masks: one step per string, and a
     sum term by term as conjugate_circuit takes it.
     """
-    if isinstance(obj, PauliString):
-        if obj.length != lattice.length:
-            raise LengthMismatchError(
-                f"string on {obj.length} sites, circuit on {lattice.length}")
-        return _bond_image(obj, lattice.is_periodic)
-    if isinstance(obj, OperatorSum):
-        if obj.length != lattice.length:
-            raise LengthMismatchError(
-                f"sum on {obj.length} sites, circuit on {lattice.length}")
-        periodic = lattice.is_periodic
-        return OperatorSum.from_terms(
-            obj.length,
-            ((coeff, _bond_image(p, periodic)) for coeff, p in obj.iter_terms()))
-    raise TypeError(f"cannot conjugate {type(obj).__name__}")
+    periodic = lattice.is_periodic
+    return _conjugate(obj, lattice.length,
+                      lambda p: _bond_image(p, periodic))
 
 
 def _bond_image(p: PauliString, periodic: bool) -> PauliString:

@@ -20,35 +20,39 @@ times the translation T on a ring ("TP"), times the reflection R ("RP"),
 or alone ("P"), from one orbit table per lattice and group
 (`_sector_table`: each index's orbit and group element, and each sector's
 character, columns and momentum -k twin), and one helper gives each row's
-entries in its sector (`_sector_entries`).  The checked table
-(`_check_table`) is the one source of both sector solvers' bookkeeping:
-the sector dimensions and offsets, the sectors with a complex character
-(`takes`), the twin a sector reuses (`_SectorTable.reused`: the twin j < i
-of a real operator) and, on a ring whose operators are all real and
+entries in its sector (`_sector_entries`).  One frame builder
+(`_sector_frame`) gives both sector solvers their sectors, once per
+family of operators: it checks that the group conserves every operator,
+builds and checks the orbit table (`_check_table`), which holds the sector
+dimensions and offsets and the sectors with a complex character
+(`takes`), builds, on a ring whose operators are all real and
 reflection-invariant (`_mirrored`), the real bases of the complex sectors
-(`_real_bases`).  `family_low` is the one entry for the low levels of a
-family H_r = sum_m coeffs[r, m] ops[m] (a phase scan's couplings; the
-sector solves of `eig_low` are its one-row call): it picks the solver
-(`_solver`, shared with `eig_low`) and the group, and calls one of the two
-sector solvers.  Each dense projection it builds is kept for later calls
-with the same operators, keyed by their terms in order, in one memo
-(`_KEPT`) of at most `_KEEP_BYTES`, least recently used out first: a
-later call builds no table, check, basis or block, and is charged for
-memory as the first was.  `project_sectors` scatters the rows into small
-dense blocks of every sector at once, real in those bases.  `sector_low` solves
-them for every dense family, a chunk of coupling rows per call:
-sector-major, per sector one stack of the couplings' summed blocks, one
-LAPACK call per coupling (`_subset_eigh`, scipy's subset eigh without its
-per-call workspace query) and one batched residual check.
-`sector_lanczos`, for each row of an iterative family, takes the same
-group and builds one sector's rows at a time as a CSR block
-(`_sector_block`, on a ring the real U^H B U), solves it, densely
-(`_subset_eigh`) up to DENSE_BLOCK_STATES states and by Lanczos above,
-retrying a Lanczos solve once with more Krylov vectors when a pair misses
-its residual bound (`_checked_lanczos`), and drops it.  In both, a real
-operator's -k sector reuses the solution of k.  Both take their per-sector
-level counts from `_sector_counts`, sector_lanczos with a smaller first
-pass (LANCZOS_LEVEL_FLOOR), and merge in `_merge_levels`, which
+(`_real_bases`), and gives the twin each sector reuses
+(`_SectorTable.reused`: the twin j < i of a real family).  `family_low`
+is the one entry for the low levels of a family H_r = sum_m coeffs[r, m]
+ops[m] (a phase scan's couplings; the sector solves of `eig_low` are its
+one-row call): it picks the solver (`_solver`, shared with `eig_low`),
+reads the group off the operators once, and calls one of the two sector
+solvers.  Each dense projection it builds is kept for later calls with
+the same operators, keyed by their terms in order, in one memo (`_KEPT`)
+of at most `_KEEP_BYTES`, least recently used out first: a later call
+reads no group, builds no table, check, basis or block, and is charged
+for memory as the first was.  `project_sectors` scatters the rows into
+small dense blocks of every sector of its frame at once, real in those
+bases.  `sector_low` solves them for every dense family, a chunk of
+coupling rows per call: sector-major, per sector one stack of the
+couplings' summed blocks, one LAPACK call per coupling (`_subset_eigh`,
+scipy's subset eigh without its per-call workspace query) and one batched
+residual check.  `sector_lanczos` solves each row of an iterative family
+on the family's one frame, building one sector's rows at a time as a CSR
+block (`_sector_block`, on a ring the real U^H B U), solving it
+(`_checked_low`: densely up to DENSE_BLOCK_STATES states, by Lanczos
+above, retrying a Lanczos solve once with more Krylov vectors when a pair
+misses its residual bound, `_checked_lanczos`), and dropping it.  In
+both, a real family's -k sector reuses the solution of k.  Both take
+their per-sector level counts from `_sector_counts`, sector_lanczos with
+a smaller first pass (LANCZOS_LEVEL_FLOOR), and merge in `_merge_levels`,
+which
 keeps each level in sector form (`_SectorState`), expanded to 2^L
 amplitudes straight from its orbit table on the first read of its `amps`.
 All golden values depend on this ordering.
@@ -304,15 +308,16 @@ def dense_matrix(op) -> np.ndarray:
     return operator_matrix(op).toarray()
 
 
-def has_real_matrix(op, tol: float = 1e-12) -> bool:
-    """True iff every matrix element is real in the computational basis.
+def has_real_matrix(op) -> bool:
+    """True iff every matrix element is real in the computational basis, each
+    stored coefficient's imaginary part at most 1e-12.
 
     Each X^x Z^z block is a real signed permutation, so the matrix is real
     exactly when every stored coefficient is real.  This is the operator-level
     witness of time-reversal invariance.
     """
     op = _as_sum(op)
-    return all(abs(c.imag) <= tol for _, c in op.items())
+    return all(abs(c.imag) <= 1e-12 for _, c in op.items())
 
 
 def cz_diagonal(circuit: CzCircuit) -> np.ndarray:
@@ -454,26 +459,21 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     p) blocks, all real when h is real and R conserves it, an open chain's
     four (r, p) blocks of about 2^(L-2) states.
     Each dense sector block gives sector_low as many of its lowest levels
-    as the merged window can use: a first pass of min(count, ceil(4 count
-    / n)) levels, n the sectors it solves, and min(count, d) where the
-    window needs more.  The merged window is exactly the lowest `count`.
+    as the merged window can use (_sector_counts).  The merged window is
+    exactly the lowest `count`.
     iterative: L <= 24, whenever h is invariant under P, one solve per
     sector of the same group, one sector at a time (sector_lanczos): a
     ring's (k, p) blocks of about 2^L / 2L states, real when h is real and
     R conserves it, with each -k sector reusing the solution of k, an
     open chain's (r, p) blocks, or the spin-flip blocks; a CSR block of
     more than DENSE_BLOCK_STATES states is solved by implicitly restarted
-    Lanczos, a smaller one densely.  Its first pass asks each sector it
-    solves for min(count, ceil(4 count / n), max(4, ceil(2 count / n)))
-    levels (LANCZOS_LEVEL_FLOOR), twice its even share of the window:
-    half the count, at least 4, on an open chain's four blocks, the whole
-    count on the spin flip's two, and the dense path's ceil(4 count / n)
-    on a ring of 12 sites or more up to count 14; its second pass is the
-    dense path's.  An h without P is solved on the full space: one dense
-    matrix, or Lanczos on its CSR operator matrix.
+    Lanczos, a smaller one densely, each sector asked for the levels of
+    _sector_counts with LANCZOS_LEVEL_FLOOR.  An h without P is solved on
+    the full space: one dense matrix, or Lanczos on its CSR operator
+    matrix (_checked_low, as a sector block is).
     A run whose memory estimate exceeds physical memory raises
     ResourceLimitError before allocating anything large (project_sectors
-    charges the dense blocks, sector_lanczos its largest CSR block and the
+    charges the dense blocks, family_low the largest CSR block and the
     states).  Every
     reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL * max(1,
     sum|coeff|) (see checked_residual).  The iterative path guarantees each
@@ -504,22 +504,18 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
                                                          method)
     else:
         # a wide Krylov subspace improves capture of degenerate multiplets
-        ncv = int(min(dim, max(4 * count + 1, 40)))
+        ncv = (None if method == "dense"
+               else int(min(dim, max(4 * count + 1, 40))))
         item = 8 if has_real_matrix(h) else 16
         x_masks = len({x for x, _ in h.items()})
-        vectors = dim if method == "dense" else ncv
+        vectors = dim if ncv is None else ncv
         need = dim * (x_masks * (item + 4) + vectors * item)
         _check_memory(need, method, L, f"CSR matrix plus {vectors} vectors")
         m = operator_matrix(h)
         # the residuals come before the complex cast: a real matrix times
         # complex vectors copies
-        if method == "dense":
-            vals, vecs = _subset_eigh(m.toarray(), count)
-            max_residual = checked_residual(m @ vecs, vecs, vals,
-                                            h.norm_bound())
-        else:
-            vals, vecs, max_residual = _checked_lanczos(
-                m, count, ncv, h.norm_bound(), need, L)
+        vals, vecs, max_residual = _checked_low(m, count, ncv, h.norm_bound(),
+                                                need, L)
         vals = np.asarray(vals, dtype=float)
         states = tuple(StateVector(L, vecs[:, i]) for i in range(vals.size))
         del m, vecs
@@ -576,40 +572,54 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
 
     The solver is eig_low's (_solver).  Coefficients of complex dtype whose
     imaginary parts all vanish are taken as real; any other imaginary part
-    raises DomainError.  Dense: every operator
-    is projected once per process into the sectors of the first group
-    that conserves them all, by _symmetry_group's test (translation x spin
-    flip, then reflection x spin flip, else the spin flip alone, which
-    project_sectors checks).  The projection is kept in _KEPT, keyed by
-    the operators' terms in order, while the projections kept stay within
+    raises DomainError.  Both solvers take the sectors of one group, read
+    once off the operators: the first that conserves them all, by
+    _symmetry_group's test (translation x spin flip, then reflection x
+    spin flip, else the spin flip alone, which _sector_frame checks).
+    Dense: the operators are projected once per process into those sectors
+    (project_sectors).  The projection is kept in _KEPT, keyed by the
+    operators' terms in order, while the projections kept stay within
     _KEEP_BYTES (_keep); a later call with the same terms takes it, group
-    and checks included, and only its memory charge runs again
-    (_Projection.charge), so a call under less memory still raises.  Each
-    chunk of as many rows as the projection's budget holds
+    and checks included, without reading the group again, and only its
+    memory charge runs again (_Projection.charge), so a call under less
+    memory still raises.
+    Each chunk of as many rows as the projection's budget holds
     (_Projection.rows) is one sector_low call, each row's residuals
     checked against sum_m |coeffs[r, m]| ||ops[m]||, with ||op|| =
     sum|coeff| (norm_bound), which bounds sum|coeff| of H_r.  Iterative:
-    each row is one sector_lanczos call on its sum, a chunk of its own.
-    eig_low's sector solves are the one-row call.  The solves start, and
-    raise, on the first chunk's read."""
+    each row's sum is charged (_lanczos_charge, _check_memory), the first
+    row before any orbit table is built, then the family's sectors are
+    built once (_sector_frame) and each row is one sector_lanczos call on
+    them, a chunk of its own.  eig_low's sector solves are the one-row
+    call.  The solves start, and raise, on the first chunk's read."""
     ops = [_as_sum(op) for op in ops]
     coeffs = np.asarray(coeffs)
     if np.any(np.imag(coeffs)):
         raise DomainError("coupling rows must be real")
     coeffs = coeffs.real
-    if _solver(method, ops[0].length, count) == "iterative":
-        for row in coeffs:
-            h = sum((op * c for op, c in zip(ops[1:], row[1:])),
-                    ops[0] * row[0])
-            yield [sector_lanczos(h, count, atol=atol)]
-        return
+    L = ops[0].length
+    iterative = _solver(method, L, count) == "iterative"
     # _mask_rows adds each row's terms in this order, so that a kept
     # projection is, bit for bit, the one a rebuild would give
     key = tuple((op.length, tuple(op.items())) for op in ops)
-    projected = _KEPT.get(key)
+    projected = None if iterative else _KEPT.get(key)
     if projected is None:
         group = next((g for g in ("TP", "RP")
                       if all(_symmetry_group(op, (g,)) for op in ops)), "P")
+    if iterative:
+        mirrored = _mirrored(ops, group)
+        frame = None
+        for row in coeffs:
+            h = sum((op * c for op, c in zip(ops[1:], row[1:])),
+                    ops[0] * row[0])
+            need = _lanczos_charge(h, group, count, mirrored)
+            _check_memory(need, "iterative", L,
+                          f"the largest sector block, {_krylov(count, 1 << L)}"
+                          " Lanczos vectors and the states")
+            frame = frame or _sector_frame(ops, group, mirrored)
+            yield [sector_lanczos(h, count, frame, need, atol=atol)]
+        return
+    if projected is None:
         projected = project_sectors(ops, group)
         _keep(key, projected)
     else:
@@ -684,6 +694,20 @@ def _checked_lanczos(m, count: int, ncv: int, norm_h: float, need: int,
     _check_memory(need + (wider - ncv) * m.shape[0] * m.dtype.itemsize,
                   "iterative", length, f"a Lanczos retry with {wider} vectors")
     vals, vecs = _lanczos(m, count, wider)
+    return vals, vecs, checked_residual(m @ vecs, vecs, vals, norm_h)
+
+
+def _checked_low(m, count: int, ncv: int | None, norm_h: float, need: int,
+                 length: int) -> tuple:
+    """(vals, vecs, max_residual) of the lowest `count` pairs of the sparse
+    Hermitian m, every pair through checked_residual against norm_h: one
+    dense subset eigh (_subset_eigh) when ncv is None, else
+    _checked_lanczos with ncv Krylov vectors, `need` and `length`.  The
+    full-space solves of eig_low and each block of sector_lanczos take it,
+    each with its own choice of ncv."""
+    if ncv is not None:
+        return _checked_lanczos(m, count, ncv, norm_h, need, length)
+    vals, vecs = _subset_eigh(m.toarray(), count)
     return vals, vecs, checked_residual(m @ vecs, vecs, vals, norm_h)
 
 
@@ -772,10 +796,10 @@ def ground_projector(spectrum: SpectrumResult, op) -> np.ndarray:
     return splitting_matrices(spectrum.ground_basis, [op])[0]
 
 
-def splitting_classes(ms: np.ndarray, tol: float = 1e-10) -> tuple:
+def splitting_classes(ms: np.ndarray) -> tuple:
     """(classes, norms) of a stack of n splitting matrices (n, d, d), in
     one array pass: each matrix's Frobenius norm and its class, 'zero'
-    when the norm is at most tol, else 'scalar' when its traceless part's
+    when the norm is at most 1e-10, else 'scalar' when its traceless part's
     norm is, else 'non-scalar'."""
     def norm(a):
         """Each matrix's Frobenius norm, summed as np.linalg.norm sums it."""
@@ -787,16 +811,16 @@ def splitting_classes(ms: np.ndarray, tol: float = 1e-10) -> tuple:
     d = ms.shape[-1]
     norms = norm(ms)
     scalar = norm(ms - (np.trace(ms, axis1=1, axis2=2) / d)[:, None, None]
-                  * np.eye(d)) <= tol
-    classes = np.where(norms <= tol, "zero",
+                  * np.eye(d)) <= 1e-10
+    classes = np.where(norms <= 1e-10, "zero",
                        np.where(scalar, "scalar", "non-scalar"))
     return classes, norms
 
 
-def splitting_class(m: np.ndarray, tol: float = 1e-10) -> str:
+def splitting_class(m: np.ndarray) -> str:
     """Classify a splitting matrix as 'zero', 'scalar', or 'non-scalar':
     the one-matrix case of splitting_classes."""
-    return str(splitting_classes(np.asarray(m)[None], tol)[0][0])
+    return str(splitting_classes(np.asarray(m)[None])[0][0])
 
 
 def resolve_sectors(spectrum: SpectrumResult, sym,
@@ -928,7 +952,8 @@ class _SectorTable:
         """Per sector i, the sector j whose solution it reuses, conjugated,
         -1 for none: its twin j when j < i and `real`, every operator having
         a real matrix (has_real_matrix), so that the blocks of i are the
-        conjugates of those of j.  Both sector solvers reuse by this rule."""
+        conjugates of those of j.  Both sector solvers reuse by this rule,
+        through _sector_frame."""
         return tuple(int(j) if real and j < i else -1
                      for i, j in enumerate(self.twin))
 
@@ -1018,7 +1043,7 @@ def _symmetry_group(op: OperatorSum, groups=("TP", "RP", "P")):
 
 def _mirrored(ops, group: str) -> bool:
     """Whether the sectors of `group` take the real bases of _real_bases
-    for the operators `ops`, in both sector solvers: on a ring ("TP")
+    for a family of operators `ops` (_sector_frame): on a ring ("TP")
     whose operators are all real (has_real_matrix) and conserved by the
     reflection R too (_symmetry_group's test)."""
     return group == "TP" and all(
@@ -1041,7 +1066,8 @@ def _check_table(table: _SectorTable) -> None:
     check: every sector has a twin, with the conjugate character and the
     same columns, so that a real operator has conjugate blocks in the two
     (both sector solvers reuse the solution of k for -k on that alone,
-    _SectorTable.reused)."""
+    _SectorTable.reused).  _sector_frame runs it on every table it
+    builds."""
     L, chars, orbit, cols = table.length, table.chars, table.orbit, table.cols
     b, g = np.arange(orbit.size, dtype=orbit.dtype), np.arange(chars.shape[1])
     k, p = np.array(table.keys).T
@@ -1079,17 +1105,31 @@ def _check_table(table: _SectorTable) -> None:
             "sector bases are not an orthonormal eigenbasis of the symmetries")
 
 
-def _check_invariant(op: OperatorSum, group: str, name: str) -> None:
-    """Raise ConvergenceError unless op's coefficients bound its sector leak
-    in `group` (_implied_leak) within 1e-12 * max(1, sum|coeff|): check
-    (ii) of project_sectors."""
-    leak = _implied_leak(op, group)
-    bound = 1e-12 * max(1.0, op.norm_bound())
-    if leak > bound:
-        raise ConvergenceError(
-            f"{name} is not invariant under the symmetries: its "
-            f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
-            f"{bound:.3e}")
+def _sector_frame(ops: list, group: str, mirrored: bool) -> tuple:
+    """(table, bases, twins): the sectors of `group` ("TP", "RP" or "P",
+    _generator) that both sector solvers solve a family of operators `ops`
+    in, built once per family.  Raises ConvergenceError unless every
+    operator's coefficients bound its sector leak (_implied_leak) within
+    1e-12 * max(1, sum|coeff|), check (ii) of project_sectors; then builds
+    the orbit table (_sector_table) and checks it (_check_table), builds
+    the real bases of its complex sectors (_real_bases) when `mirrored`
+    (_mirrored, empty otherwise), and gives the twins every sector
+    solve reuses, -1 for none (_SectorTable.reused, real when every
+    operator has a real matrix).  project_sectors projects every operator
+    into it, and sector_lanczos solves each row of an iterative family on
+    it."""
+    for m, op in enumerate(ops):
+        leak = _implied_leak(op, group)
+        bound = 1e-12 * max(1.0, op.norm_bound())
+        if leak > bound:
+            raise ConvergenceError(
+                f"operator {m} is not invariant under the symmetries: its "
+                f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
+                f"{bound:.3e}")
+    table = _sector_table(ops[0].length, group)
+    _check_table(table)
+    bases = _real_bases(table) if mirrored else {}
+    return table, bases, table.reused(all(map(has_real_matrix, ops)))
 
 
 def _sector_entries(table: _SectorTable, op: OperatorSum, sec, rep,
@@ -1141,7 +1181,8 @@ def _real_bases(table: _SectorTable) -> dict:
     sqrt 2 and i (|c> - phi_c |c'>) / sqrt 2.  A sector whose twin j
     (_SectorTable.twin) comes first takes U = conj U(j), so that its real
     blocks are those of j; a sector with a real character takes U = 1 and
-    has no entry.  Both sector solvers take their bases here.  Raises
+    has no entry.  Both sector solvers take their bases from here, through
+    _sector_frame.  Raises
     ConvergenceError unless sigma is an involution with phi_{sigma_c} =
     phi_c to BASIS_ATOL, which (R K)^2 = 1 requires."""
     sigma, phi = _conjugation_pairs(table)
@@ -1274,8 +1315,9 @@ def _projection_charge(ops: list, table: _SectorTable,
 
 def project_sectors(ops, group: str) -> _Projection:
     """Every operator of `ops` (one lattice) in every sector of `group`
-    ("TP", "RP" or "P", _generator): a _Projection of the lattice's orbit
-    table (_sector_table) and per sector blocks[m] = V^H M_m V, V the
+    ("TP", "RP" or "P", _generator): a _Projection of the family's frame
+    (_sector_frame: the checked orbit table, the real bases when _mirrored
+    holds, the twins) and per sector blocks[m] = V^H M_m V, V the
     sector's orbit-sum basis (_SectorTable).  Each operator's entries in every
     sector come from one kernel call on the orbit representatives
     (_sector_entries), all sectors in one scatter.  A block is float64
@@ -1288,15 +1330,16 @@ def project_sectors(ops, group: str) -> _Projection:
     M_m V scattered as its four entries in U (_in_real_basis), and -k
     takes U(-k) = conj U(k), so that its blocks are those of k; the
     entries of a sector with a real character, where U = 1, are scattered
-    as they are.  The twins sector_low reuses are the table's, by the rule
-    sector_lanczos follows too (_SectorTable.reused).  Between the guard
-    below and the first kernel call, the blocks, the scattered rows, the
-    real bases, one chunk of sector_low's coupling rows (_CHUNK_BYTES,
-    _Projection.rows), one row's largest solve and a margin for the
-    ground states a chunk expands are charged against physical memory
-    (_projection_charge, _check_memory).  Every array of the result is
-    read-only, and nothing writes to it later, since family_low shares it
-    with later calls (_KEPT).
+    as they are.  The twins sector_low reuses are the frame's, by the rule
+    sector_lanczos follows too (_SectorTable.reused).  After the frame is
+    built (its real bases included, which a dense solve builds at 12
+    sites or fewer) and before the first kernel call, the blocks, the
+    scattered rows, the real bases, one chunk of sector_low's coupling
+    rows (_CHUNK_BYTES, _Projection.rows), one row's largest solve and a
+    margin for the ground states a chunk expands are charged against
+    physical memory (_projection_charge, _check_memory).  Every array of
+    the result is read-only, and nothing writes to it later, since
+    family_low shares it with later calls (_KEPT).
 
     The result is guarded once per lattice, without forming any M: a leaky
     basis would silently drop levels from the spectrum.  For every operator
@@ -1306,7 +1349,8 @@ def project_sectors(ops, group: str) -> _Projection:
 
     (i) the sector dimensions sum to 2^L (_check_table);
     (ii) every operator is invariant under P and the second generator G (T
-         or R, if any), read off its masks (_implied_leak): conjugating by
+         or R, if any), read off its masks (_implied_leak, in
+         _sector_frame): conjugating by
          a site permutation g only moves coefficients between mask pairs,
          and Pauli strings are orthogonal with squared Frobenius norm 2^L,
          so ||g M g^-1 - M||_F = sqrt(2^L) ||dc||_2; P flips the sign of
@@ -1347,18 +1391,13 @@ def project_sectors(ops, group: str) -> _Projection:
     before the real parts are kept.
     """
     ops = [_as_sum(op) for op in ops]
-    L = ops[0].length
-    for m, op in enumerate(ops):
-        _check_invariant(op, group, f"operator {m}")
-    table = _sector_table(L, group)
-    _check_table(table)
+    mirrored = _mirrored(ops, group)
+    table, bases, twins = _sector_frame(ops, group, mirrored)
     dims, first, takes = table.dims, table.first, table.takes
     real = [has_real_matrix(op) for op in ops]
     scales = [max(1.0, op.norm_bound()) for op in ops]
-    mirrored = _mirrored(ops, group)
     charge = _projection_charge(ops, table, mirrored)
     _check_memory(*charge)
-    bases = _real_bases(table) if mirrored else {}
     # the rows of all sectors, sector-major: row a of the scatter is
     # reps[rep[a]] in sector sec[a], column own[a] of its block
     sec, rep = np.nonzero(table.cols >= 0)
@@ -1430,8 +1469,7 @@ def project_sectors(ops, group: str) -> _Projection:
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
         sectors.append((k, p, [b.real if r and not u else b
                                for b, r in zip(blocks, real)]))
-    projected = _Projection(table, sectors, table.reused(all(real)), bases,
-                            charge)
+    projected = _Projection(table, sectors, twins, bases, charge)
     for a in projected.arrays():
         a.setflags(write=False)
     return projected
@@ -1460,14 +1498,11 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     are); and one checked_residual checks every pair of every row on the
     row's own block against its own norm_h[r], reused twins included, so
     that a wrong reuse raises ConvergenceError.  Each row takes the two
-    passes of _sector_counts over the own (not reused)
-    sectors: a first one at min(count, ceil(4 count / own sectors))
-    levels, and a second at min(count, d) for the sectors the row's
-    window needs more of, so that its merged window is exactly the lowest
-    `count` levels.  sector_lanczos shares the second pass but asks less
-    in its first (LANCZOS_LEVEL_FLOOR); here a LAPACK subset solve costs
-    about the same at any level count, so a smaller first pass would only
-    add second solves.  The merge, shared with sector_lanczos
+    passes of _sector_counts over the own (not reused) sectors, without
+    its floor, so that its merged window is exactly the lowest `count`
+    levels: a LAPACK subset solve costs about the same at any level
+    count, so sector_lanczos's smaller first pass would only add second
+    solves here.  The merge, shared with sector_lanczos
     (_merge_levels), keeps each level in sector form, expanded to 2^L
     amplitudes from the orbit table on the first read of its amps, and
     orders the labels and states inside each
@@ -1703,8 +1738,10 @@ def _largest_sector(length: int, group: str) -> int:
 
 def _lanczos_charge(h: OperatorSum, group: str, count: int,
                     mirrored: bool) -> int:
-    """Bytes sector_lanczos charges for h on the sectors of `group`, in real
-    bases when `mirrored`, before the orbit table exists: what lives
+    """Bytes family_low charges for a row h of an iterative family on the
+    sectors of `group`, in real bases when `mirrored`, read without the
+    orbit table, so that the first row is charged before any table is
+    built: what lives
     through the solves (the orbit table, the real bases and every sector's
     kept vectors) plus the largest of four passes, each measured with
     tracemalloc at 14-18 sites: building the table and checking it (at
@@ -1751,59 +1788,35 @@ DENSE_BLOCK_STATES = 400
 LANCZOS_LEVEL_FLOOR = 4
 
 
-def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
-    """Lowest `count` levels of a Hermitian h invariant under the spin flip
-    P, one solve per symmetry sector, one sector at a time.
+def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
+                   atol: float = 1e-8) -> tuple:
+    """Lowest `count` levels of one row h of an iterative family, on the
+    family's sectors `frame` (_sector_frame: the orbit table, its real
+    bases and its twins), one solve per sector, one sector at a time.
 
     Returns (vals, labels, states, max_residual) as sector_low does for a
-    row.  The group is read off h as eig_low reads it (_symmetry_group, in the order
-    TP, RP, P): a ring's 2L (k, p) sectors of about 2^L / 2L states, an
-    open chain's four (r, p) blocks of about 2^(L-2), or, for an h that R
-    does not conserve either, the two parity blocks of 2^(L-1).  Each own
-    sector's block is built alone as a CSR matrix (_sector_block), solved,
-    and dropped before the next one is built; when h is real and R
-    conserves it (_mirrored), a sector with a complex character takes the
-    real block U^H B U in the basis of _real_bases, as in project_sectors.
-    When h is real (has_real_matrix) the -k sector builds no block: the
-    orbit table's twin check (_check_table) gives it the conjugate block
-    of k, so it takes the conjugate of the solution of k (in real bases,
-    where U(-k) = conj U(k), that solution as it is), by the rule
-    project_sectors gives sector_low (_SectorTable.reused).  A block of at
-    most DENSE_BLOCK_STATES states takes a dense subset eigh, a larger one
-    ARPACK (_checked_lanczos); every pair passes checked_residual on its
-    own block.  The own sectors' counts are _sector_counts' two passes
-    with a first pass of twice each sector's even share of the window,
-    never below LANCZOS_LEVEL_FLOOR levels nor above sector_low's:
-    min(count, ceil(4 count / own), max(4, ceil(2 count / own))), which
-    is half the count, at least 4, on an open chain's four (r, p) blocks,
-    the whole count on the spin flip's two, and sector_low's on a ring of
-    12 sites or more up to count 14; the second pass re-solves at
-    min(count, d) each sector the window needs more of, as sector_low's
-    does.  Then sector_low's merge (_merge_levels) keeps the lowest
-    `count`, labelled by parity, in sector form, each expanded from the
-    orbit table on the first read of its amps.  Before the orbit table or
-    any kernel is built, the table, in real bases the bases, the largest
-    sector's block build or solve, the kept sector vectors and every
-    returned level's amplitudes, as a caller that reads them all forms
-    them, are charged against physical memory (_lanczos_charge,
-    _check_memory), and a Lanczos retry's extra vectors on top of that.
+    row.  family_low reads the group, builds the frame once per family and
+    charges each row before its call, `need` being that row's charge
+    (_lanczos_charge): a ring's 2L (k, p) sectors of about 2^L / 2L
+    states, an open chain's four (r, p) blocks of about 2^(L-2), or, for
+    a family that R does not conserve either, the two parity blocks of
+    2^(L-1).  Each own sector's block is built alone as a CSR matrix
+    (_sector_block), solved, and dropped before the next one is built; a
+    sector the frame gives real bases takes the real block U^H B U, as in
+    project_sectors.  A sector with a twin in the frame builds no block
+    and takes the conjugate of its twin's solution (in real bases, where
+    U(-k) = conj U(k), that solution as it is), as sector_low does.  A
+    block of at most DENSE_BLOCK_STATES states takes a dense subset eigh,
+    a larger one ARPACK with _krylov's vectors (_checked_low), whose retry
+    is charged on top of `need`; every pair passes checked_residual on its
+    own block against sum|coeff| of h.  The own sectors' counts are
+    _sector_counts' two passes with LANCZOS_LEVEL_FLOOR; then sector_low's
+    merge (_merge_levels) keeps the lowest `count`, labelled by parity,
+    in sector form, each expanded from the orbit table on the first read
+    of its amps.
     """
-    h = _as_sum(h)
-    group = _symmetry_group(h)
-    if group is None:   # raises: h is not invariant under P
-        _check_invariant(h, "P", "the operator")
-    L = h.length
-    dim = 1 << L
+    table, bases, twins = frame
     norm_h = h.norm_bound()
-    mirrored = _mirrored([h], group)
-
-    need = _lanczos_charge(h, group, count, mirrored)
-    _check_memory(need, "iterative", L,
-                  f"the largest sector block, {_krylov(count, dim)} Lanczos "
-                  "vectors and the states")
-    table = _sector_table(L, group)
-    _check_table(table)
-    bases = _real_bases(table) if mirrored else {}
     worst = 0.0
 
     def solve(i, n, at, sources):
@@ -1816,18 +1829,15 @@ def sector_lanczos(h, count: int, atol: float = 1e-8) -> tuple:
         block = _sector_block(table, h, i, bases.get(i))
         size = block.shape[0]
         k = min(n, size)
-        if size <= DENSE_BLOCK_STATES or k > size - 2:
-            # ARPACK needs k < d - 1
-            e, w = _subset_eigh(block.toarray(), k)
-            residual = checked_residual(block @ w, w, e, norm_h)
-        else:
-            e, w, residual = _checked_lanczos(block, k, _krylov(k, size),
-                                              norm_h, need, L)
+        # ARPACK needs k < d - 1
+        ncv = (None if size <= DENSE_BLOCK_STATES or k > size - 2
+               else _krylov(k, size))
+        e, w, residual = _checked_low(block, k, ncv, norm_h, need, h.length)
         worst = max(worst, residual)
         return [(p, e, w)]
 
-    solved, = _sector_counts(solve, table.reused(has_real_matrix(h)), count,
-                             atol, floor=LANCZOS_LEVEL_FLOOR)
+    solved, = _sector_counts(solve, twins, count, atol,
+                             floor=LANCZOS_LEVEL_FLOOR)
     return (*_merge_levels(table, solved, count, atol, bases), worst)
 
 

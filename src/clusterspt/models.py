@@ -299,12 +299,7 @@ def parity_and_timereversal(lattice: LatticeSpec):
     antiunitary and is exposed as the realness check on the Hamiltonian's
     computational-basis matrix, not as an operator.
     """
-    L = lattice.length
-    parity_z = PauliString.from_letters("Z" * L)
-    letters = {1: "Y", L: "Y"}
-    letters.update({j: "Z" for j in range(2, L)})
-    zy_string = PauliString.from_sites(L, letters)
-    return (OperatorSum.from_pauli(parity_z), OperatorSum.from_pauli(zy_string))
+    return _parity_pair(lattice.length, "Z")
 
 
 def spin_flip_symmetries(lattice: LatticeSpec):
@@ -314,12 +309,16 @@ def spin_flip_symmetries(lattice: LatticeSpec):
     product commutes with every cluster term and with every Y Y bond, for any
     coupling; the edge string commutes with the cluster terms.
     """
-    L = lattice.length
-    parity_x = PauliString.from_letters("X" * L)
-    letters = {1: "Y", L: "Y"}
-    letters.update({j: "X" for j in range(2, L)})
-    yx_string = PauliString.from_sites(L, letters)
-    return (OperatorSum.from_pauli(parity_x), OperatorSum.from_pauli(yx_string))
+    return _parity_pair(lattice.length, "X")
+
+
+def _parity_pair(length: int, bulk: str):
+    """(the product of `bulk` over all sites, the edge string with Y on
+    sites 1 and L and `bulk` between), as OperatorSums."""
+    letters = {1: "Y", length: "Y"}
+    letters.update({j: bulk for j in range(2, length)})
+    return (OperatorSum.from_pauli(PauliString.from_letters(bulk * length)),
+            OperatorSum.from_pauli(PauliString.from_sites(length, letters)))
 
 
 class LazyRegistry(Mapping):

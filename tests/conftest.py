@@ -102,6 +102,14 @@ def basis_matrix(basis) -> np.ndarray:
     return u
 
 
+def lanczos_row(h, count: int) -> tuple:
+    """(vals, labels, states, max_residual) of engine.sector_lanczos for h,
+    as family_low's one-row iterative call makes it: h charged, its
+    sectors built (engine._sector_frame), then solved on them."""
+    [[levels]] = engine.family_low([h], [[1.0]], count, "iterative")
+    return levels
+
+
 def for_each_size(sizes: dict, strategy, check, examples=()):
     """check(L, *case) on n cases hypothesis draws from strategy(L), for
     each site count L and count n of `sizes`, then check(*case) on each

@@ -4,11 +4,13 @@ dense sector path up to 12 sites and the free-fermion levels of
 bench/oracle.py at 13-14 sites; which blocks a ring builds and solves,
 the levels each first and second pass asks of a block, ARPACK on a
 block's own product, the -k twins that reuse a solution, the table's twin
-check, and its memory budget."""
+check, its memory budget, and the one set of sectors an iterative family
+builds for all its couplings."""
 
 import collections
 import dataclasses
 import tracemalloc
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ import clusterspt as cs
 from clusterspt import LatticeSpec, engine
 from clusterspt.errors import ConvergenceError
 
-from conftest import basis_matrix, for_each_size, free_fermion
+from conftest import basis_matrix, for_each_size, free_fermion, lanczos_row
 
 # the solvers themselves, for the spies to call
 EIGH, EIGSH = engine._subset_eigh, scipy.sparse.linalg.eigsh
@@ -48,7 +50,7 @@ def test_sector_lanczos_matches_the_dense_sector_path():
 def check_sector_lanczos(L, boundary, lam, count):
     lat = LatticeSpec(L, boundary)
     h = cs.perturbed_hamiltonian(lat, lam)
-    vals, labels, states, worst = engine.sector_lanczos(h, count)
+    vals, labels, states, worst = lanczos_row(h, count)
     # a wider dense window, so a level Krylov returned in place of a
     # dropped copy is in it too
     (want, want_labels, _, _), = engine.sector_low(
@@ -167,7 +169,7 @@ STRATA = [0.15, 0.45, 0.75, 1.05, 1.35]
 @pytest.mark.parametrize("L", [13, 14])
 @pytest.mark.parametrize("lam", STRATA)
 def test_chain_windows_at_the_benchmark_couplings(L, lam):
-    vals, labels, _, _ = engine.sector_lanczos(
+    vals, labels, _, _ = lanczos_row(
         cs.perturbed_hamiltonian(LatticeSpec(L, "open"), lam), 8)
     levels = free_fermion.spectrum(L, False, lam)
     np.testing.assert_allclose(vals, [e for e, _ in levels[:8]], rtol=0,
@@ -202,12 +204,12 @@ def test_ring_windows_at_the_benchmark_couplings(L, lam):
     # the rings' (k, p) blocks: most of these windows end inside a
     # momentum pair or a larger multiplet
     h = cs.perturbed_hamiltonian(LatticeSpec(L, "periodic"), lam)
-    vals, labels, _, _ = engine.sector_lanczos(h, 8)
+    vals, labels, _, _ = lanczos_row(h, 8)
     check_oracle_window(L, True, lam, 8, vals, labels)
 
 
 def solve_spied(h, count):
-    """sector_lanczos(h, count) with the sectors whose blocks it builds,
+    """lanczos_row(h, count) with the sectors whose blocks it builds,
     each solve's matrix and level count (dense or eigsh), and the
     solutions it merges."""
     solves = []
@@ -227,7 +229,7 @@ def solve_spied(h, count):
                               side_effect=eigsh), \
             mock.patch.object(engine, "_merge_levels",
                               wraps=engine._merge_levels) as merge:
-        result = engine.sector_lanczos(h, count)
+        result = lanczos_row(h, count)
     built = [c.args[2] for c in blocks.call_args_list]
     return result, built, solves, merge.call_args.args[1]
 
@@ -276,11 +278,11 @@ def test_a_ring_sector_the_window_needs_is_solved_again():
 
 
 def lanczos_counts(h, count):
-    """sector_lanczos(h, count) with the (states, levels) of each ARPACK
+    """lanczos_row(h, count) with the (states, levels) of each ARPACK
     solve (_checked_lanczos), in order."""
     with mock.patch.object(engine, "_checked_lanczos",
                            wraps=engine._checked_lanczos) as spy:
-        result = engine.sector_lanczos(h, count)
+        result = lanczos_row(h, count)
     return result, [(c.args[0].shape[0], c.args[1])
                     for c in spy.call_args_list]
 
@@ -384,7 +386,7 @@ def test_a_table_without_conjugate_twins_is_rejected(monkeypatch, field,
     h = cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 0.7)
     with pytest.raises(ConvergenceError, match="twin"):
         if method == "iterative":
-            engine.sector_lanczos(h, 4)
+            lanczos_row(h, 4)
         else:
             cs.eig_low(h, 4, method="dense")
 
@@ -393,7 +395,7 @@ def test_a_table_without_conjugate_twins_is_rejected(monkeypatch, field,
 def test_labels_are_the_free_fermion_parities(boundary):
     # every cluster the window keeps whole carries the oracle's parities
     L, lam, count = 13, 0.9, 12
-    vals, labels, _, _ = engine.sector_lanczos(
+    vals, labels, _, _ = lanczos_row(
         cs.perturbed_hamiltonian(LatticeSpec(L, boundary), lam), count)
     levels = free_fermion.spectrum(L, boundary == "periodic", lam)
     want = np.array([e for e, _ in levels])
@@ -468,3 +470,40 @@ def test_budget_is_charged_before_the_orbit_table(monkeypatch):
         with pytest.raises(cs.ResourceLimitError, match="needs about"):
             cs.eig_low(h, count=8, method="iterative")
     assert table.call_count == kernel.call_count == 0
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_an_iterative_family_builds_its_sectors_once(boundary):
+    # three couplings of (H_C, H_I) share one orbit table, one table check
+    # and, on the ring, one set of real bases; each coupling's levels are,
+    # bit for bit, those of its own one-row solve
+    lat = LatticeSpec(13, boundary)
+    ops = (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0))
+    grid = [0.6, 0.9, 1.2]
+    with ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(
+            engine, name, wraps=getattr(engine, name)))
+            for name in ("_sector_table", "_check_table", "_real_bases")}
+        family = [levels for chunk in engine.family_low(
+            ops, [[1.0, lam] for lam in grid], 8, "iterative")
+            for levels in chunk]
+    assert {name: spy.call_count for name, spy in spies.items()} == {
+        "_sector_table": 1, "_check_table": 1,
+        "_real_bases": int(lat.is_periodic)}
+    assert len(family) == len(grid)
+    for lam, (vals, labels, states, _) in zip(grid, family):
+        [[(want, want_labels, want_states, _)]] = engine.family_low(
+            ops, [[1.0, lam]], 8, "iterative")
+        assert vals.tobytes() == want.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+        assert states[0].amps.tobytes() == want_states[0].amps.tobytes()
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_a_family_that_breaks_the_spin_flip_is_rejected(method):
+    # a Z field breaks P, so the family has no sectors to solve in
+    lat = LatticeSpec(8, "open")
+    field = cs.OperatorSum.from_pauli(cs.PauliString.single(8, 4, "Z"), 0.3)
+    with pytest.raises(ConvergenceError, match="not invariant"):
+        list(engine.family_low((cs.cluster_hamiltonian(lat), field),
+                               [[1.0, 0.5]], 4, method))

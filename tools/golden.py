@@ -123,6 +123,9 @@ COMMANDS = [
     "Z1X2",
     "scan --size 9 --boundary open --lambda 0.5:1.5:0.25 --probe X1 --probe "
     "Y5",
+    # a multi-coupling ring scan whose (k, p) blocks take ARPACK in real
+    # bases, all couplings on one set of sectors
+    "scan --size 14 --boundary periodic --lambda 0.9:1.1:0.1",
 ]
 
 
