@@ -6,7 +6,9 @@ Four entry points:
   numeric eigenstate and degeneracy checks at desk scale.
 * certify_protection: symbolic commutation audit of every probe operator
   against the two global symmetries, with the first-order splitting matrices
-  of all probes over the once-stacked ground basis.
+  of all probes over the once-stacked ground basis; the probes' terms are
+  packed once as one pauli.TermTable, every bracket and splitting matrix is
+  decided on it, and the ProtectionReport keeps the verdicts as columns.
 * string_order / phase_scan: nonlocal order parameter and the coupling scan
   of the perturbed model, with parity-sector tracking and level-crossing
   detection; the scan's solves are one engine.family_low call, and its
@@ -26,6 +28,7 @@ boundary minima flagged rather than interpolated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,31 +126,72 @@ class ProbeVerdict:
         return not (self.commutes_with_t1 and self.commutes_with_t2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtectionReport:
+    """The verdicts of a protection audit, kept as columns: entry k of each
+    column is probe names[k] (sorted), as certify_protection decided it.
+    `splitting` (the class of each first-order splitting matrix) and
+    `splitting_norm` (its Frobenius norm, 0.0 for class 'zero') hold None
+    for every probe when the audit ran without numeric splitting.  The summary flags and
+    per_s_bulk are derived from the columns on first read, and `probes`,
+    the per-probe ProbeVerdict tuple, is formed only when read.
+    """
+
     lattice: LatticeSpec
-    probes: tuple
+    names: tuple
+    commutes_with_h: np.ndarray
+    commutes_with_t1: np.ndarray
+    commutes_with_t2: np.ndarray
+    is_bulk_local: np.ndarray
+    is_forbidden: np.ndarray
+    splitting: np.ndarray
+    splitting_norm: np.ndarray
     algebra: dict
-    per_s_bulk: dict
     numeric_splitting: bool
     cross_checks: tuple
     mode: str = "global"
 
-    @property
+    @cached_property
+    def excluded(self) -> np.ndarray:
+        """Per probe, whether it fails to commute with some global
+        symmetry."""
+        return ~(self.commutes_with_t1 & self.commutes_with_t2)
+
+    @cached_property
+    def probes(self) -> tuple:
+        return tuple(map(ProbeVerdict, self.names,
+                         self.commutes_with_h.tolist(),
+                         self.commutes_with_t1.tolist(),
+                         self.commutes_with_t2.tolist(),
+                         self.is_bulk_local.tolist(),
+                         self.is_forbidden.tolist(),
+                         self.splitting.tolist(),
+                         self.splitting_norm.tolist()))
+
+    @cached_property
+    def per_s_bulk(self) -> dict:
+        """Per symmetry s, whether every bulk-local probe breaks T_s; empty
+        for the edge-localized pair, which cannot see bulk sites."""
+        if self.mode != "global":
+            return {}
+        bulk = self.is_bulk_local
+        return {1: not (self.commutes_with_t1 & bulk).any(),
+                2: not (self.commutes_with_t2 & bulk).any()}
+
+    @cached_property
     def sigma_all_excluded(self) -> bool:
-        return all(p.excluded for p in self.probes if p.is_forbidden)
+        return bool(self.excluded[self.is_forbidden].all())
 
-    @property
+    @cached_property
     def bulk_all_excluded(self) -> bool:
-        return all(p.excluded for p in self.probes if p.is_bulk_local)
+        return bool(self.excluded[self.is_bulk_local].all())
 
-    @property
+    @cached_property
     def symmetric_probes_harmless(self) -> bool:
         if not self.numeric_splitting:
             return True
-        return all(p.splitting in ("zero", "scalar")
-                   for p in self.probes
-                   if not p.excluded and p.splitting is not None)
+        kinds = self.splitting[~self.excluded]
+        return bool(((kinds == "zero") | (kinds == "scalar")).all())
 
     @property
     def verdict(self) -> str:
@@ -161,8 +205,11 @@ class ProtectionReport:
 
 
 def default_probe_set(lattice: LatticeSpec) -> dict:
-    """Singles on every site, cross-edge two-site products, and the 15
-    forbidden products: the finite proxy for arbitrary quasi-local probes."""
+    """Singles on every site and cross-edge two-site products, by name: the
+    finite proxy for arbitrary quasi-local probes, to which
+    certify_protection adds the 15 forbidden products.  Each is one Pauli
+    string written straight from its masks: X, Y, Z on every site, then the
+    nine letter pairs on each pair of edge sites 1, 2, L-1, L."""
     L = lattice.length
     probes = {}
     for j in range(1, L + 1):
@@ -248,15 +295,21 @@ def certify_protection(model, probes: dict | None = None,
                        local_only: bool = False) -> ProtectionReport:
     """Audit every probe against a protecting symmetry pair.
 
-    Symbolic part: commutation of each probe with H and with each T_s, all
-    decided in one pass on a TermTable of H, T1, T2 and the probes, which
-    also gives each probe's support; and the symmetry algebra itself
-    (symmetry_pair_algebra, which also reads `tamper` and `local_only`).  Numeric part (dense sizes only): the
-    first-order splitting matrix of each probe over the fourfold ground
-    space, all from one gather in engine.splitting_matrices on the stacked
-    ground basis, with no matrix built, then classified and normed in one
-    array pass (engine.splitting_classes); a probe of class 'zero' reports
-    norm 0.0.
+    The probes are `probes` (default_probe_set when None) and the
+    registry's 15 Sigma_ products; with max_probes, a seeded sample of
+    that many names drawn from all of them, with every Sigma_ product
+    kept on top.  Their terms are packed once, in sorted name order, as
+    one pauli.TermTable, behind H, T1 and T2.  Symbolic part: commutation
+    of each probe with H and with each T_s, all decided in one pass on
+    that table (TermTable.brackets_vanish), which also gives each probe's
+    support (TermTable.weights); and the symmetry algebra itself
+    (symmetry_pair_algebra, which also reads `tamper` and `local_only`).
+    Numeric part (dense sizes only): the first-order splitting matrix of
+    each probe over the fourfold ground space, all from the probes' table
+    in engine.splitting_matrices on the stacked ground basis, with no
+    matrix built, then classified and normed in one array pass
+    (engine.splitting_classes); a probe of class 'zero' reports norm 0.0.
+    The verdicts are returned as columns (ProtectionReport).
     """
     if max_probes is not None and max_probes < 0:
         raise DomainError(
@@ -282,56 +335,41 @@ def certify_protection(model, probes: dict | None = None,
         keep |= {n for n in probes if n.startswith("Sigma_")}
         probes = {n: probes[n] for n in probes if n in keep}
 
-    names = sorted(probes)
-    ops = [probes[name] for name in names]
+    names = tuple(sorted(probes))
+    n = len(names)
+    table = TermTable([probes[name] for name in names])
     numeric = numeric and L <= engine.DENSE_SITE_CAP
-    classes = norms = [None] * len(names)
+    classes = norms = np.full(n, None)
     if numeric:
         classes, norms = splitting_classes(splitting_matrices(
-            eig_low(h, count=6).ground_basis, ops))
+            eig_low(h, count=6).ground_basis, table))
+        # a zero-class norm is rounding noise of whichever basis of the
+        # ground space the solver gave, reported as 0
+        norms = np.where(classes == "zero", 0.0, norms)
 
-    # operators 0-2 of the table are H, T1, T2 and operator 3 + k is probe k
-    n = len(ops)
-    table = TermTable((h, t1, t2, *ops))
+    # operators 0-2 of the audit's table are H, T1, T2 and operator 3 + k
+    # is probe k
+    audit = TermTable.concat((TermTable((h, t1, t2)), table))
     left = np.repeat(np.arange(3), n)
-    with_h, with_t1, with_t2 = table.brackets_vanish(
+    with_h, with_t1, with_t2 = audit.brackets_vanish(
         left, np.tile(np.arange(3, 3 + n), 3), np.ones_like(left)
     ).reshape(3, n)
     # bulk-local: one site, neither site 1 nor site L
     every = (1 << L) - 1
     weight, bulk_weight = table.weights((every, every ^ (1 << (L - 1) | 1)))
-    bulk_local = (weight[3:] == 1) & (bulk_weight[3:] == 1)
-
-    verdicts = []
-    for k, (name, kind, norm) in enumerate(zip(names, classes, norms)):
-        verdicts.append(ProbeVerdict(
-            name=name,
-            commutes_with_h=bool(with_h[k]),
-            commutes_with_t1=bool(with_t1[k]),
-            commutes_with_t2=bool(with_t2[k]),
-            is_bulk_local=bool(bulk_local[k]),
-            is_forbidden=name.startswith("Sigma_"),
-            splitting=None if kind is None else str(kind),
-            # a zero-class norm is rounding noise of whichever basis of
-            # the ground space the solver gave, reported as 0
-            splitting_norm=None if norm is None
-            else 0.0 if kind == "zero" else float(norm),
-        ))
-
-    per_s = {}
-    if not local_only:
-        per_s = {
-            1: all(not v.commutes_with_t1 for v in verdicts
-                   if v.is_bulk_local),
-            2: all(not v.commutes_with_t2 for v in verdicts
-                   if v.is_bulk_local),
-        }
 
     return ProtectionReport(
         lattice=lattice,
-        probes=tuple(verdicts),
+        names=names,
+        commutes_with_h=with_h,
+        commutes_with_t1=with_t1,
+        commutes_with_t2=with_t2,
+        is_bulk_local=(weight == 1) & (bulk_weight == 1),
+        is_forbidden=np.array([name.startswith("Sigma_") for name in names],
+                              dtype=bool),
+        splitting=classes,
+        splitting_norm=norms,
         algebra=algebra,
-        per_s_bulk=per_s,
         numeric_splitting=numeric,
         cross_checks=() if local_only else tuple(cross_check_global(lattice)),
         mode="local" if local_only else "global",

@@ -8,9 +8,13 @@ byte-identical reports apart from the timings block.
 
 The JSON writer `_json` prints what `json.dumps(sort_keys=True, indent=2)`
 prints in one walk: scalars are written by a writer looked up on their exact
-type, and a list of dicts that share one key set (the probe and scan rows) is
-written flat, from one sorted key order and one key prefix per key; any other
-value takes the recursive walk.
+type, and rows that share one key set are written as columns
+(`_columns_text`): each column's values to text at once, by one writer when
+they share one scalar type, then every row from one template of the sorted
+keys.  The scan rows are a list of dicts whose columns are read off it;
+the probe rows of `protect` are held as columns from the start (`_Rows`,
+filled from the ProtectionReport's columns), and `_csv_text` writes both
+forms as csv.DictWriter would.  Any other value takes the recursive walk.
 
 `main` may be called any number of times in one process: the argument
 parser is built on the first call and reused, and each call dispatches to
@@ -30,6 +34,7 @@ import math
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,20 +70,38 @@ def _bool_text(b) -> str:
     return "true" if b else "false"
 
 
-# writers of the scalar types a report holds, looked up by exact type
+# writers of the scalar types a report holds, looked up by exact type (the
+# bool and None writers are lookups, so a column of them maps without a
+# Python call per value)
 _SCALARS = {
     str: encode_basestring_ascii,
-    bool: _bool_text,
+    bool: ("false", "true").__getitem__,
     int: int.__repr__,
     float: _float_text,
-    type(None): lambda _: "null",
+    type(None): {None: "null"}.__getitem__,
 }
+
+
+class _Rows:
+    """Report rows held as columns: `columns` maps each key, in the rows'
+    own order (the CSV header's), to its values, one per row.  `_json`
+    writes them as the list of dicts they stand for, and `_csv_text` as
+    one line per row."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _json(obj, pad: str = "") -> str:
     """JSON text of obj as `json.dumps(sort_keys=True, indent=2)` writes it,
-    with floats through `_round12`, keys through `str`, and numpy scalars,
-    arrays and tuples written as Python scalars and lists, in one walk."""
+    with floats through `_round12`, keys through `str`, numpy scalars,
+    arrays and tuples written as Python scalars and lists, and `_Rows` as
+    the list of dicts it holds, in one walk."""
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)
@@ -101,6 +124,10 @@ def _json(obj, pad: str = "") -> str:
             f"{encode_basestring_ascii(k)}: {_json(items[k], inner)}"
             for k in sorted(items))
         return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, _Rows):
+        if not obj:
+            return "[]"
+        return f"[\n{inner}{_columns_text(obj.columns, inner)}\n{pad}]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -114,8 +141,8 @@ def _json(obj, pad: str = "") -> str:
 
 def _rows_text(rows, pad: str) -> str | None:
     """The items of a list of dicts that share one nonempty set of str keys
-    (probe and scan rows), joined as `_json` joins list items, from one
-    sorted key order and one prefix per key; None for any other list."""
+    (scan rows, verify's checks), joined as `_json` joins list items
+    (`_columns_text` on their columns); None for any other list."""
     first = rows[0]
     if type(first) is not dict or not first \
             or not all(type(k) is str for k in first):
@@ -123,22 +150,37 @@ def _rows_text(rows, pad: str) -> str | None:
     keys = first.keys()
     if not all(type(row) is dict and row.keys() == keys for row in rows):
         return None
+    return _columns_text({k: list(map(itemgetter(k), rows)) for k in keys},
+                         pad)
+
+
+def _columns_text(columns: dict, pad: str) -> str:
+    """Rows given as columns (str key -> one value per row), written as
+    `_json` writes a list of dicts at `pad`: each column's values to text
+    at once, by one writer when they share one scalar type, then every
+    row from the key set's one template (`_row_template`)."""
     inner = pad + "  "
-    order = sorted(keys)
-    heads = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in order]
-    heads[0] = "{" + heads[0][1:]
-    scalars = _SCALARS
+    order, template = _row_template(tuple(columns), pad)
     texts = []
-    for row in rows:
-        parts = []
-        for key, head in zip(order, heads):
-            v = row[key]
-            write = scalars.get(type(v))
-            parts.append(head + (write(v) if write is not None
-                                 else _json(v, inner)))
-        parts.append(f"\n{pad}}}")
-        texts.append("".join(parts))
-    return f",\n{pad}".join(texts)
+    for key in order:
+        values = columns[key]
+        kinds = set(map(type, values))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        texts.append(list(map(write, values)) if write is not None
+                     else [_json(v, inner) for v in values])
+    return f",\n{pad}".join(map(template.__mod__, zip(*texts)))
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(keys: tuple, pad: str) -> tuple:
+    """(sorted keys, %-template of one row at `pad` with one %s per value
+    in that order) for rows with these str keys: a report has a handful of
+    key sets, so each template is built once per process."""
+    inner = pad + "  "
+    order = tuple(sorted(keys))
+    return order, "{" + ",".join(
+        f"\n{inner}{encode_basestring_ascii(k).replace('%', '%%')}: %s"
+        for k in order) + f"\n{pad}}}"
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -173,13 +215,17 @@ def _csv_cell(v):
 
 
 def _csv_text(rows) -> str:
+    """CSV text of report rows (`_Rows`, or dicts that share the first
+    row's keys), a header of the keys in row order and one line per row,
+    as csv.DictWriter writes them, floats through `_round12`."""
     buf = io.StringIO()
     if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]),
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+        columns = rows.columns if isinstance(rows, _Rows) else \
+            {k: list(map(itemgetter(k), rows)) for k in rows[0]}
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*(map(_csv_cell, values)
+                               for values in columns.values())))
     return buf.getvalue()
 
 
@@ -274,17 +320,17 @@ def cmd_protect(args):
         lattice, probes=probes, numeric=not args.symbolic_only, rng=rng,
         max_probes=args.max_probes, tamper=args.tamper,
         local_only=args.local_only)
-    rows = [{
-        "probe": v.name,
-        "commutes_with_h": v.commutes_with_h,
-        "commutes_with_t1": v.commutes_with_t1,
-        "commutes_with_t2": v.commutes_with_t2,
-        "excluded": v.excluded,
-        "bulk_local": v.is_bulk_local,
-        "forbidden": v.is_forbidden,
-        "splitting": v.splitting,
-        "splitting_norm": v.splitting_norm,
-    } for v in report.probes]
+    rows = _Rows({
+        "probe": list(report.names),
+        "commutes_with_h": report.commutes_with_h.tolist(),
+        "commutes_with_t1": report.commutes_with_t1.tolist(),
+        "commutes_with_t2": report.commutes_with_t2.tolist(),
+        "excluded": report.excluded.tolist(),
+        "bulk_local": report.is_bulk_local.tolist(),
+        "forbidden": report.is_forbidden.tolist(),
+        "splitting": report.splitting.tolist(),
+        "splitting_norm": report.splitting_norm.tolist(),
+    })
     results = {
         "mode": report.mode,
         "algebra": report.algebra,
@@ -399,7 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="symbolic_only")
     p.add_argument("--probe", action="append", default=None,
                    help="probe name like X3 or Z1X9 (repeatable)")
-    p.add_argument("--max-probes", type=int, default=None, dest="max_probes")
+    p.add_argument("--max-probes", type=int, default=None, dest="max_probes",
+                   help="audit a seeded sample of this many probe names, "
+                   "drawn from all of them; the 15 Sigma_ products are "
+                   "always audited on top")
     p.add_argument("--seed", type=_seed, default=0,
                    help="probe sample seed (non-negative)")
 

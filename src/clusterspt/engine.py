@@ -12,9 +12,10 @@ rows at a time (`_ACT_BYTES`), x masks in ascending order, with no matrix
 built; `expectations` takes the states as contiguous columns, so that
 each value is, bit for bit, the vdot with the CSR product.
 `splitting_matrices` gathers the rows of all its operators at once, in
-the same order.  `operator_matrix` wraps the rows of every basis
-index into a CSR matrix, which only the full-space solves of `eig_low` (an
-operator without the spin flip) build.  Sector blocks come from the kernel
+the same order, off their terms packed as one `pauli.TermTable`.
+`operator_matrix` wraps the rows of every basis index into a CSR matrix,
+which only the full-space solves of `eig_low` (an operator without the
+spin flip) build.  Sector blocks come from the kernel
 run once on the orbit representatives of a symmetry group, the spin flip P
 times the translation T on a ring ("TP"), times the reflection R ("RP"),
 or alone ("P"), from one orbit table per lattice and group
@@ -73,7 +74,7 @@ import scipy.sparse.linalg
 
 from .clifford import CzCircuit
 from .errors import ConvergenceError, DomainError, LengthMismatchError, ResourceLimitError
-from .pauli import OperatorSum, PauliString
+from .pauli import OperatorSum, PauliString, TermTable
 
 DENSE_SITE_CAP = 12
 APPLY_SITE_CAP = 24
@@ -716,66 +717,75 @@ def splitting_matrices(states, ops) -> np.ndarray:
     columns of `states` (StateVectors or a 2D array): every probe's
     first-order splitting matrix over a ground space, gathered for many
     operators at once (LengthMismatchError when an operator's length is not
-    the states').
+    the states').  `ops` is a pauli.TermTable or a sequence of strings and
+    sums, which is packed into one.
 
     The operators go in batches whose gathered rows hold at most
     _GATHER_ENTRIES amplitudes (1 MiB), one operator at least; per batch
-    (_gathered_splittings) the terms are packed once, grouped per operator
-    by x mask in ascending order as _mask_rows groups them, each group's
-    row data, sum_z c (-1)^popcount(z & (r ^ x)), multiplies the gathered
-    V[r ^ x] of all groups at once, an operator's groups are added in
-    order, as _act adds them, and one batched V^H @ moved gives every
-    matrix."""
+    (_gathered_splittings) the terms are grouped per operator by x mask in
+    ascending order as _mask_rows groups them, each group's row data,
+    sum_z c (-1)^popcount(z & (r ^ x)), multiplies the gathered V[r ^ x]
+    of all groups at once, an operator's groups are added in order, as
+    _act adds them, and one batched V^H @ moved gives every matrix."""
     basis = _as_columns(states)
-    ops = [_as_sum(op) for op in ops]
     dim, d = basis.shape
-    for op in ops:
-        _check_length(op, dim)
+    if not isinstance(ops, TermTable):
+        ops = list(ops)
+        if not ops:
+            return np.zeros((0, d, d), dtype=np.complex128)
+        ops = TermTable(ops)
+    _check_length(ops, dim)
+    n = ops.bounds.size - 1
+    # every operator's terms by x mask, ascending, in term order within one:
+    # an operator's terms keep its own columns bounds[m]:bounds[m + 1]
+    owner = np.repeat(np.arange(n), np.diff(ops.bounds))
+    x, z = ops.masks.astype(np.int32)
+    order = np.lexsort((np.arange(owner.size), x, owner))
+    x, z, coeff = x[order], z[order], ops.coeff[order]
+    real = np.bincount(owner, np.abs(coeff.imag) > 1e-12, minlength=n) == 0
+    new_group = np.ones(owner.size, dtype=bool)
+    new_group[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
+    grouped = (owner, x, z, coeff, real[owner], new_group)
     step = max(1, _GATHER_ENTRIES // (dim * d))
-    out = np.zeros((len(ops), d, d), dtype=np.complex128)
-    for start in range(0, len(ops), step):
-        _gathered_splittings(basis, ops[start:start + step],
-                             out[start:start + step])
+    out = np.zeros((n, d, d), dtype=np.complex128)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        lo, hi = ops.bounds[start], ops.bounds[stop]
+        if lo < hi:
+            _gathered_splittings(basis, [t[lo:hi] for t in grouped],
+                                 out[start:stop], start)
     return out
 
 
-def _gathered_splittings(basis: np.ndarray, ops: list,
-                         out: np.ndarray) -> None:
-    """Write V^H O_m V of each operator of `ops` into out[m], from one
-    gather of the rows of all their x-mask groups (see
-    splitting_matrices); an operator without terms leaves its zeros."""
-    owner, xs, term_group, zs, coeffs = [], [], [], [], []
-    for m, op in enumerate(ops):
-        real = has_real_matrix(op)
-        groups = {}
-        for (x, z), c in op.items():
-            groups.setdefault(x, []).append((z, c.real if real else c))
-        for x in sorted(groups):
-            for z, c in groups[x]:
-                term_group.append(len(xs))
-                zs.append(z)
-                coeffs.append(c)
-            owner.append(m)
-            xs.append(x)
-    if not xs:
-        return
+def _gathered_splittings(basis: np.ndarray, grouped: list, out: np.ndarray,
+                         first: int) -> None:
+    """Write V^H O_m V into out[m - first] for the operators m that own the
+    terms `grouped` = (owner, x, z, coeff, real, new_group), arrays of one
+    entry per term, grouped as splitting_matrices groups them (new_group
+    marks each x-mask group's first term), from one gather of the rows of
+    all their groups; an operator without terms leaves its zeros.  The
+    coefficients of an operator whose matrix is real (`real`,
+    has_real_matrix) enter as their real parts, real numbers when every
+    operator of the batch is real."""
+    owner, x, z, coeff, real, new_group = grouped
+    data = coeff.real if real.all() else np.where(real, coeff.real, coeff)
+    term_group = np.cumsum(new_group) - 1
     rows = np.arange(basis.shape[0], dtype=np.int32)
-    cols = rows ^ np.array(xs, dtype=np.int32)[:, None]
-    signs = 1.0 - 2.0 * (np.bitwise_count(
-        cols[term_group] & np.array(zs, dtype=np.int32)[:, None]) & 1)
-    terms = np.array(coeffs)[:, None] * signs
+    cols = rows ^ x[new_group][:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols[term_group] & z[:, None]) & 1)
+    terms = data[:, None] * signs
     del signs
     # each group's terms summed as _mask_rows sums them
-    last = _run_sums(terms, np.array(term_group))
-    data = terms if last.size == len(zs) else terms[last]
+    last = _run_sums(terms, term_group)
+    data = terms if last.size == z.size else terms[last]
     moved = np.take(basis, cols, axis=0).astype(
         np.result_type(data, basis), copy=False)
     # data first, as in _act
     np.multiply(data[:, :, None], moved, out=moved)
     # each operator's groups summed as _act sums them
-    owner = np.array(owner)
+    owner = owner[new_group] - first
     last = _run_sums(moved, owner)
-    out[owner[last]] = basis.conj().T @ (moved if last.size == len(xs)
+    out[owner[last]] = basis.conj().T @ (moved if last.size == owner.size
                                          else moved[last])
 
 

@@ -14,6 +14,7 @@ several operators packed as arrays of 64-bit mask words.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -459,12 +460,12 @@ def anticommutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     return a.compose(b) + b.compose(a)
 
 
-def _term_items(op):
-    """(x_mask, z_mask) -> coeff pairs of a string or a sum."""
+def _term_map(op):
+    """(x_mask, z_mask) -> coeff map of a string or a sum, in term order."""
     if isinstance(op, PauliString):
-        return (((op.x_mask, op.z_mask), op.phase),)
+        return {(op.x_mask, op.z_mask): op.phase}
     if isinstance(op, OperatorSum):
-        return op.items()
+        return op._terms
     raise TypeError("expected a PauliString or OperatorSum")
 
 
@@ -496,28 +497,47 @@ class TermTable:
     Rows 0..words-1 of `masks` hold the terms' x masks and rows
     words..2 words-1 their z masks, split into 64-bit words (as many as the
     length needs); `coeff` multiplies X**x Z**z.  Strings and sums mix
-    freely.
+    freely, and are packed all at once, with no loop over their terms in
+    Python; tables on one length join as arrays (concat).
     """
 
-    __slots__ = ("words", "bounds", "masks", "coeff")
+    __slots__ = ("length", "words", "bounds", "masks", "coeff")
 
     def __init__(self, ops):
         ops = list(ops)
         if not ops:
             raise ValueError("a term table needs at least one operator")
-        xs, zs, cs, bounds = [], [], [], [0]
         for op in ops:
             _check_same_length(ops[0], op)
-            for (x, z), c in _term_items(op):
-                xs.append(x)
-                zs.append(z)
-                cs.append(c)
-            bounds.append(len(cs))
-        self.words = -(-ops[0].length // 64)
-        self.bounds = np.array(bounds, dtype=np.intp)
-        self.masks = np.vstack((_mask_words(xs, self.words),
-                                _mask_words(zs, self.words)))
-        self.coeff = np.array(cs, dtype=complex)
+        terms = list(map(_term_map, ops))
+        keys = list(chain.from_iterable(terms))    # a map iterates its keys
+        xs, zs = zip(*keys) if keys else ((), ())
+        self.length = ops[0].length
+        self.words = -(-self.length // 64)
+        self.bounds = np.array(list(accumulate(map(len, terms), initial=0)),
+                               dtype=np.intp)
+        self.masks = np.array((xs, zs), dtype=np.uint64) if self.words == 1 \
+            else np.vstack((_mask_words(xs, self.words),
+                            _mask_words(zs, self.words)))
+        self.coeff = np.array(
+            list(chain.from_iterable(t.values() for t in terms)),
+            dtype=complex)
+
+    @classmethod
+    def concat(cls, tables) -> "TermTable":
+        """The operators of several tables on one length, in order."""
+        tables = list(tables)
+        for t in tables[1:]:
+            _check_same_length(tables[0], t)
+        table = object.__new__(cls)
+        table.length, table.words = tables[0].length, tables[0].words
+        ends = np.cumsum([t.bounds[-1] for t in tables])
+        table.bounds = np.concatenate(
+            [[0]] + [t.bounds[1:] + end - t.bounds[-1]
+                     for t, end in zip(tables, ends)]).astype(np.intp)
+        table.masks = np.hstack([t.masks for t in tables])
+        table.coeff = np.concatenate([t.coeff for t in tables])
+        return table
 
     def weights(self, site_masks) -> np.ndarray:
         """Entry (m, k): on how many of the sites whose bit is set in

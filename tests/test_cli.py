@@ -317,6 +317,32 @@ _PAYLOADS = st.recursive(
     max_leaves=30)
 
 
+# rows as protect and scan write them: one shared key set (keys that
+# would break a %-template among them) and scalar values only
+_ROW_KEYS = st.lists(
+    st.one_of(_TEXT, st.sampled_from(["%s", "%", "a%%b", "%(x)d", "{}"])),
+    min_size=1, max_size=5, unique=True)
+_ROW_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), _TEXT,
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+_SHARED_ROWS = _ROW_KEYS.flatmap(lambda keys: st.lists(
+    st.fixed_dictionaries({k: _ROW_VALUES for k in keys}),
+    min_size=1, max_size=6))
+
+
+def _dict_writer_text(rows) -> str:
+    """CSV of rows as csv.DictWriter writes them, floats through
+    _round12 and None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]),
+                            lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _round12(v) if type(v) is float else v
+                         for k, v in row.items()})
+    return buf.getvalue()
+
+
 def _floats(doc):
     if isinstance(doc, dict):
         doc = list(doc.values())
@@ -352,6 +378,36 @@ class TestJsonWriter:
                         [collections.OrderedDict(r) for r in rows]):
             assert _json(payload) == json.dumps(
                 _expected(payload), sort_keys=True, indent=2)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_SHARED_ROWS)
+    def test_shared_key_rows(self, rows):
+        # one template per key set: the list, the list as a value and the
+        # rows as columns all print as json.dumps prints them, and their
+        # CSV is DictWriter's
+        want = [{k: _round12(v) if type(v) is float else v
+                 for k, v in row.items()} for row in rows]
+        columns = cli._Rows({k: [row[k] for row in rows] for k in rows[0]})
+        text = json.dumps(want, sort_keys=True, indent=2)
+        assert _json(rows) == _json(columns) == text
+        assert _json({"rows": rows}) == _json({"rows": columns}) == \
+            json.dumps({"rows": want}, sort_keys=True, indent=2)
+        assert cli._csv_text(rows) == cli._csv_text(columns) == \
+            _dict_writer_text(rows)
+
+    def test_shared_key_rows_of_every_scalar(self):
+        rows = [{"b": True, "i": 3, "s": "x%s", "n": None, "f": math.nan,
+                 "%s": math.inf, "z": -0.0},
+                {"b": False, "i": -2**70, "s": "\u03bb", "n": None,
+                 "f": 0.1 + 0.2, "%s": -math.inf, "z": 1 / 3}]
+        want = [{k: _round12(v) if type(v) is float else v
+                 for k, v in row.items()} for row in rows]
+        assert _json(rows) == json.dumps(want, sort_keys=True, indent=2)
+        assert cli._csv_text(rows) == _dict_writer_text(rows) == (
+            "b,i,s,n,f,%s,z\nTrue,3,x%s,,,,0.0\n"
+            "False,-1180591620717411303424,\u03bb,,0.3,,0.333333333333\n")
+        assert _json(cli._Rows({"a": []})) == "[]"
+        assert cli._csv_text(cli._Rows({"a": []})) == ""
 
     def test_float_rule(self):
         assert _json(-0.0) == "0.0"

@@ -8,14 +8,17 @@ The first form imports clusterspt from the given `src/` tree, runs every
 command of COMMANDS in-process through `clusterspt.cli.main` with one BLAS
 thread, and writes each report to `NN-<command>.json` in the output
 directory exactly as the CLI printed it, except that the `total_s` timing
-is replaced by "<masked>".  A command that prints no report is recorded as
-its exit code and error message.
+is replaced by "<masked>"; a `--format csv` report goes to `NN-<command>.csv`
+as printed.  A command that prints no report is recorded as its exit code
+and error message.
 
 The second form prints every field that differs between two such
 directories, with |delta| for floats, and says which files are identical
-byte for byte, so a change of the CLI's JSON formatting shows too.  It
-exits 1 when anything other than a float differs: an integer, boolean,
-string, null or the structure, or a missing file.  To compare a change
+byte for byte, so a change of the CLI's JSON formatting shows too.  A
+report that is not JSON (the CSV ones) is compared byte for byte only,
+and a difference in it counts as one non-float difference.  It exits 1
+when anything other than a float differs: an integer, boolean, string,
+null or the structure, a non-JSON report, or a missing file.  To compare a change
 with its parent, run the first form once on each tree (for example on a
 `git archive` of the parent commit).
 """
@@ -126,6 +129,10 @@ COMMANDS = [
     # a multi-coupling ring scan whose (k, p) blocks take ARPACK in real
     # bases, all couplings on one set of sectors
     "scan --size 14 --boundary periodic --lambda 0.9:1.1:0.1",
+    # CSV reports: numeric and symbolic probe rows, and scan rows
+    "protect --size 9 --format csv",
+    "protect --size 16 --local-only --symbolic-only --format csv",
+    "scan --size 8 --boundary periodic --lambda 0.5:1.5:0.25 --format csv",
 ]
 
 
@@ -150,7 +157,8 @@ def capture(src: Path, out: Path) -> None:
         else:
             text = json.dumps({"exit": code, "stderr": stderr.getvalue()},
                               sort_keys=True, indent=2) + "\n"
-        name = f"{i:02d}-{re.sub(r'[^A-Za-z0-9.]+', '_', command)}.json"
+        suffix = ".csv" if "--format csv" in command else ".json"
+        name = f"{i:02d}-{re.sub(r'[^A-Za-z0-9.]+', '_', command)}{suffix}"
         (out / name).write_text(text)
         print(f"{name}: exit {code}")
 
@@ -178,8 +186,8 @@ def _walk(a, b, path: str, floats: list, others: list) -> None:
 
 
 def compare(dir_a: Path, dir_b: Path) -> int:
-    names = sorted({p.name for p in dir_a.glob("*.json")}
-                   | {p.name for p in dir_b.glob("*.json")})
+    names = sorted({p.name for p in dir_a.glob("*.*")}
+                   | {p.name for p in dir_b.glob("*.*")})
     bad = 0
     worst = 0.0
     for name in names:
@@ -191,9 +199,14 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         if fa.read_bytes() == fb.read_bytes():
             print(f"{name}: identical")
             continue
+        try:
+            docs = json.loads(fa.read_text()), json.loads(fb.read_text())
+        except ValueError:
+            print(f"{name}: differs (not JSON, compared byte for byte)")
+            bad += 1
+            continue
         floats, others = [], []
-        _walk(json.loads(fa.read_text()), json.loads(fb.read_text()), "",
-              floats, others)
+        _walk(*docs, "", floats, others)
         print(f"{name}: {len(floats)} float and {len(others)} other fields "
               f"differ")
         for path, a, b in floats:
