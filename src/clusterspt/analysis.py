@@ -193,6 +193,21 @@ class ProtectionReport:
         kinds = self.splitting[~self.excluded]
         return bool(((kinds == "zero") | (kinds == "scalar")).all())
 
+    def columns(self) -> dict:
+        """The probe table: each key, in row order (the CSV header's), to
+        its values, one per probe."""
+        return {
+            "probe": list(self.names),
+            "commutes_with_h": self.commutes_with_h.tolist(),
+            "commutes_with_t1": self.commutes_with_t1.tolist(),
+            "commutes_with_t2": self.commutes_with_t2.tolist(),
+            "excluded": self.excluded.tolist(),
+            "bulk_local": self.is_bulk_local.tolist(),
+            "forbidden": self.is_forbidden.tolist(),
+            "splitting": self.splitting.tolist(),
+            "splitting_norm": self.splitting_norm.tolist(),
+        }
+
     @property
     def verdict(self) -> str:
         # The edge-localized pair cannot see bulk sites, so only the global
@@ -455,28 +470,25 @@ class ScanResult:
                    exc_parities=tuple(() for _ in grid), crossings=(),
                    parity_commutes=True, time_reversal_real=True)
 
-    def rows(self):
-        """Per-coupling dict rows, CSV and JSON friendly."""
-        out = []
-        crossing_lams = {c["lam"] for c in self.crossings
-                         if c.get("kind") == "collision"}
-        for i, lam in enumerate(self.grid):
-            row = {
-                "lam": float(lam),
-                "energy": float(self.energy[i]),
-                "gap": float(self.gap[i]),
-                "gap_sector": float(self.gap_sector[i]),
-                "string_order": float(self.string_order[i]),
-                "yy_correlator": float(self.yy_correlator[i]),
-                "parity_expectation": float(self.parity_expectation[i]),
-                "gs_parity": float(self.gs_parity[i]),
-                "exc_multiplicity": int(self.exc_multiplicity[i]),
-                "level_collision": bool(lam in crossing_lams),
-            }
-            for name, arr in self.extras.items():
-                row[name] = float(arr[i])
-            out.append(row)
-        return out
+    def columns(self) -> dict:
+        """The per-coupling table, CSV and JSON friendly: each key, in row
+        order (the CSV header's), to its values, one per coupling."""
+        collisions = [c["lam"] for c in self.crossings
+                      if c.get("kind") == "collision"]
+        columns = {key: np.asarray(values, dtype=float).tolist()
+                   for key, values in (
+                       ("lam", self.grid), ("energy", self.energy),
+                       ("gap", self.gap), ("gap_sector", self.gap_sector),
+                       ("string_order", self.string_order),
+                       ("yy_correlator", self.yy_correlator),
+                       ("parity_expectation", self.parity_expectation),
+                       ("gs_parity", self.gs_parity))}
+        columns["exc_multiplicity"] = np.asarray(
+            self.exc_multiplicity, dtype=int).tolist()
+        columns["level_collision"] = np.isin(self.grid, collisions).tolist()
+        for name, values in self.extras.items():
+            columns[name] = np.asarray(values, dtype=float).tolist()
+        return columns
 
 
 def _check_grid(grid: np.ndarray):

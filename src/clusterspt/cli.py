@@ -8,13 +8,14 @@ byte-identical reports apart from the timings block.
 
 The JSON writer `_json` prints what `json.dumps(sort_keys=True, indent=2)`
 prints in one walk: scalars are written by a writer looked up on their exact
-type, and rows that share one key set are written as columns
-(`_columns_text`): each column's values to text at once, by one writer when
-they share one scalar type, then every row from one template of the sorted
-keys.  The scan rows are a list of dicts whose columns are read off it;
-the probe rows of `protect` are held as columns from the start (`_Rows`,
-filled from the ProtectionReport's columns), and `_csv_text` writes both
-forms as csv.DictWriter would.  Any other value takes the recursive walk.
+type.  Every report table (the scan rows, the probe rows of `protect`,
+verify's checks and cross-checks) travels as columns from the report that
+holds it to the writer (`_Rows`, from ScanResult.columns and
+ProtectionReport.columns): `_json` writes it as the list of dicts it stands
+for (`_columns_text`: each column's values to text at once, by one writer
+when they share one scalar type, then every row from one template of the
+sorted keys), and `_csv_text` as csv.DictWriter would.  Any other value,
+a list of dicts included, takes the recursive walk.
 
 `main` may be called any number of times in one process: the argument
 parser is built on the first call and reused, and each call dispatches to
@@ -34,7 +35,6 @@ import math
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -131,27 +131,10 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = _rows_text(obj, inner)
-        if body is None:
-            body = f",\n{inner}".join(_json(v, inner) for v in obj)
+        body = f",\n{inner}".join(_json(v, inner) for v in obj)
         return f"[\n{inner}{body}\n{pad}]"
     raise TypeError(
         f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _rows_text(rows, pad: str) -> str | None:
-    """The items of a list of dicts that share one nonempty set of str keys
-    (scan rows, verify's checks), joined as `_json` joins list items
-    (`_columns_text` on their columns); None for any other list."""
-    first = rows[0]
-    if type(first) is not dict or not first \
-            or not all(type(k) is str for k in first):
-        return None
-    keys = first.keys()
-    if not all(type(row) is dict and row.keys() == keys for row in rows):
-        return None
-    return _columns_text({k: list(map(itemgetter(k), rows)) for k in keys},
-                         pad)
 
 
 def _columns_text(columns: dict, pad: str) -> str:
@@ -214,18 +197,16 @@ def _csv_cell(v):
     return "" if v is None else v
 
 
-def _csv_text(rows) -> str:
-    """CSV text of report rows (`_Rows`, or dicts that share the first
-    row's keys), a header of the keys in row order and one line per row,
-    as csv.DictWriter writes them, floats through `_round12`."""
+def _csv_text(rows: _Rows) -> str:
+    """CSV text of report rows, a header of the keys in row order and one
+    line per row, as csv.DictWriter writes them, floats through
+    `_round12`."""
     buf = io.StringIO()
     if rows:
-        columns = rows.columns if isinstance(rows, _Rows) else \
-            {k: list(map(itemgetter(k), rows)) for k in rows[0]}
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows.columns)
         writer.writerows(zip(*(map(_csv_cell, values)
-                               for values in columns.values())))
+                               for values in rows.columns.values())))
     return buf.getvalue()
 
 
@@ -260,22 +241,20 @@ def cmd_verify(args):
     lattice = _lattice(args)
     report = verify_stabilizer_algebra(lattice, numeric=not args.symbolic_only)
     results = {
-        "checks": [{"name": e.name, "passed": e.passed, "detail": e.detail}
-                   for e in report.entries],
+        "checks": _Rows({key: [getattr(e, key) for e in report.entries]
+                         for key in ("name", "passed", "detail")}),
     }
     ok = report.passed
 
     if args.global_symmetry or args.tamper:
         algebra = symmetry_pair_algebra(build_model(lattice), args.tamper)[2]
+        cross = cross_check_global(lattice)
         results["global_symmetry"] = {
             "algebra": algebra,
             "tamper": args.tamper,
-            "cross_checks": [
-                {"name": c["name"], "matches": c["matches"],
-                 "printed": c["printed"],
-                 "printed_conjugated": c["printed_conjugated"],
-                 "canonical_pattern": c["canonical_pattern"]}
-                for c in cross_check_global(lattice)],
+            "cross_checks": _Rows({key: [c[key] for c in cross] for key in (
+                "name", "matches", "printed", "printed_conjugated",
+                "canonical_pattern")}),
         }
         ok = ok and all(algebra.values())
 
@@ -320,17 +299,7 @@ def cmd_protect(args):
         lattice, probes=probes, numeric=not args.symbolic_only, rng=rng,
         max_probes=args.max_probes, tamper=args.tamper,
         local_only=args.local_only)
-    rows = _Rows({
-        "probe": list(report.names),
-        "commutes_with_h": report.commutes_with_h.tolist(),
-        "commutes_with_t1": report.commutes_with_t1.tolist(),
-        "commutes_with_t2": report.commutes_with_t2.tolist(),
-        "excluded": report.excluded.tolist(),
-        "bulk_local": report.is_bulk_local.tolist(),
-        "forbidden": report.is_forbidden.tolist(),
-        "splitting": report.splitting.tolist(),
-        "splitting_norm": report.splitting_norm.tolist(),
-    })
+    rows = _Rows(report.columns())
     results = {
         "mode": report.mode,
         "algebra": report.algebra,
@@ -362,7 +331,7 @@ def cmd_scan(args):
     scan = phase_scan(lattice, grid, probes=probes or None,
                       method=args.method, eig_count=args.count,
                       sector_atol=args.tol)
-    rows = scan.rows()
+    rows = _Rows(scan.columns())
     results = {
         "rows": rows,
         "crossings": list(scan.crossings),

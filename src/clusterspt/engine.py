@@ -8,7 +8,7 @@ every operator sum is a sum of signed permutations.  One kernel,
 `_mask_rows`, reads every matrix element off the masks, per x mask and
 row.  Every product of an operator with states runs straight off its rows
 (`_act`: `apply`, `expectations`, `resolve_sectors`), formed a range of
-rows at a time (`_ACT_BYTES`), x masks in ascending order, with no matrix
+rows at a time (`_CHUNK_BYTES`), x masks in ascending order, with no matrix
 built; `expectations` takes the states as contiguous columns, so that
 each value is, bit for bit, the vdot with the CSR product.
 `splitting_matrices` gathers the rows of all its operators at once, in
@@ -87,23 +87,22 @@ RESIDUAL_RTOL = 1e-9
 
 _LANCZOS_MAXITER = 20000   # implicit restarts allowed to ARPACK
 
-# Amplitudes splitting_matrices gathers at a time (1 MiB of complex128):
-# all 96 probes of the 9-site audit at once would take 3 MiB, more than
-# the audit's own eigensolve.
-_GATHER_ENTRIES = 1 << 16
-
-# Bytes of the coupling rows one sector_low call takes (1 MiB): their
-# summed blocks of the largest sector and their solutions of every sector
-# (_Projection.rows), one row at least.  At 12 levels an 8-site ring scan
-# takes 37 couplings at once, a 10-site one 8, a 12-site ring or chain one.
+# The one working-memory budget of every chunked pass (1 MiB), one item
+# (a coupling row, a range of basis indices, an operator) at least:
+# - the coupling rows one sector_low call takes, their summed blocks of the
+#   largest sector and their solutions of every sector (_Projection.rows).
+#   At 12 levels an 8-site ring scan takes 37 couplings at once, a 10-site
+#   one 8, a 12-site ring or chain one;
+# - the rows _act forms at a time, per basis index an int32 column and a
+#   value per x mask, and the gathered states.  Every product of the CLI's
+#   operators up to 12 sites takes one range (under 256 B a row; a 12-site
+#   YY read of one ground state takes 160 B); one YY expectation of an
+#   18-site ring state peaked at 75.5 MB under tracemalloc with all 2^18
+#   rows at once;
+# - the amplitudes splitting_matrices gathers at a time (2^16 complex128):
+#   all 96 probes of the 9-site audit at once would take 3 MiB, more than
+#   the audit's own eigensolve.
 _CHUNK_BYTES = 1 << 20
-
-# Bytes of the rows _act forms at a time (4 MiB): per basis index an int32
-# column and a value per x mask, and the gathered states.  Every product
-# of the CLI's operators up to 12 sites takes one range; one YY
-# expectation of an 18-site ring state peaked at 75.5 MB under
-# tracemalloc with all 2^18 rows at once.
-_ACT_BYTES = 4 << 20
 
 # Bytes of the projections family_low keeps between calls (4 MiB, each
 # counted by _Projection.nbytes), least recently used out first: an 8-site
@@ -251,7 +250,7 @@ def _act(op: OperatorSum, vecs: np.ndarray) -> np.ndarray:
     per x mask, ascending, the row data times vecs[r ^ x], added in the
     order a CSR product with operator_matrix(op) adds them.  The rows are
     formed a range at a time, each range's kernel rows and gathered states
-    within _ACT_BYTES; the product is formed in the gathered copy, so
+    within _CHUNK_BYTES; the product is formed in the gathered copy, so
     besides the result one range's temporaries are open at a time."""
     dim = vecs.shape[0]
     _check_length(op, dim)
@@ -260,7 +259,7 @@ def _act(op: OperatorSum, vecs: np.ndarray) -> np.ndarray:
     out = np.zeros_like(vecs)
     x_masks = len({x for x, _ in op.items()})
     per_row = x_masks * (4 + np.dtype(dtype).itemsize) + vecs[0].nbytes
-    step = max(1, _ACT_BYTES // max(1, per_row))
+    step = max(1, _CHUNK_BYTES // max(1, per_row))
     shape = (-1,) + (1,) * (vecs.ndim - 1)
     for lo in range(0, dim, step):
         indices, data = _mask_rows(
@@ -721,7 +720,7 @@ def splitting_matrices(states, ops) -> np.ndarray:
     sums, which is packed into one.
 
     The operators go in batches whose gathered rows hold at most
-    _GATHER_ENTRIES amplitudes (1 MiB), one operator at least; per batch
+    _CHUNK_BYTES of complex amplitudes, one operator at least; per batch
     (_gathered_splittings) the terms are grouped per operator by x mask in
     ascending order as _mask_rows groups them, each group's row data,
     sum_z c (-1)^popcount(z & (r ^ x)), multiplies the gathered V[r ^ x]
@@ -746,7 +745,7 @@ def splitting_matrices(states, ops) -> np.ndarray:
     new_group = np.ones(owner.size, dtype=bool)
     new_group[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
     grouped = (owner, x, z, coeff, real[owner], new_group)
-    step = max(1, _GATHER_ENTRIES // (dim * d))
+    step = max(1, _CHUNK_BYTES // (16 * dim * d))
     out = np.zeros((n, d, d), dtype=np.complex128)
     for start in range(0, n, step):
         stop = min(start + step, n)

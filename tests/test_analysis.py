@@ -298,9 +298,9 @@ class TestPhaseScan:
         assert np.all(scan.gs_parity == 1.0)
         assert scan.parity_commutes and scan.time_reversal_real
         assert scan.crossings == ()
-        rows = scan.rows()
-        assert len(rows) == grid.size
-        assert rows[0]["lam"] == pytest.approx(0.8)
+        columns = scan.columns()
+        assert all(len(values) == grid.size for values in columns.values())
+        assert columns["lam"][0] == pytest.approx(0.8)
 
     def test_extra_probes_recorded(self):
         # a single X flips a neighbouring three-site generator, so its

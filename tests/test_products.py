@@ -87,7 +87,7 @@ def test_products_in_row_ranges_equal_the_csr_form_bit_for_bit(
         + OperatorSum(L, {(5, 3): 0.3j, (5, 6): -0.2j})
     m = cs.operator_matrix(op)
     vecs = _random_states(L, L, 5)
-    monkeypatch.setattr(engine, "_ACT_BYTES", budget)
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
     assert engine._act(op, vecs).tobytes() == (m @ vecs).tobytes()
     assert cs.apply(op, cs.StateVector(L, vecs[:, 0])).amps.tobytes() \
         == (m @ vecs[:, 0]).tobytes()

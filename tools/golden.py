@@ -133,6 +133,11 @@ COMMANDS = [
     "protect --size 9 --format csv",
     "protect --size 16 --local-only --symbolic-only --format csv",
     "scan --size 8 --boundary periodic --lambda 0.5:1.5:0.25 --format csv",
+    # crossings that mix a collision and an interval (two key sets), and
+    # an open-chain scan CSV with a probe column
+    "scan --size 6 --boundary periodic --lambda 0:1.5:0.1",
+    "scan --size 9 --boundary open --lambda 0:1.5:0.1 --probe X1 --format "
+    "csv",
 ]
 
 
