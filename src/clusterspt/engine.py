@@ -44,8 +44,13 @@ bases.  `sector_low` solves them for every dense family, a chunk of
 coupling rows per call: sector-major, per sector one stack of the
 couplings' summed blocks, one LAPACK call per coupling (`_subset_eigh`,
 scipy's subset eigh without its per-call workspace query) and one batched
-residual check.  `sector_lanczos` solves each row of an iterative family
-on the family's one frame, building one sector's rows at a time as a CSR
+residual check.  Past a scan's first coupling, a row first solves the
+seeds, the sectors that held a level of the window before its chunk
+(`_window_sectors`), and every other sector only where one LAPACK
+Cholesky factorization (`_certify`) fails to put all its levels above
+the row's window; a certified sector and its twin take no level.
+`sector_lanczos` solves each row of an iterative family on the family's
+one frame, building one sector's rows at a time as a CSR
 block (`_sector_block`, on a ring the real U^H B U), solving it
 (`_checked_low`: densely up to DENSE_BLOCK_STATES states, by Lanczos
 above, retrying a Lanczos solve once with more Krylov vectors when a pair
@@ -586,12 +591,18 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
     Each chunk of as many rows as the projection's budget holds
     (_Projection.rows) is one sector_low call, each row's residuals
     checked against sum_m |coeffs[r, m]| ||ops[m]||, with ||op|| =
-    sum|coeff| (norm_bound), which bounds sum|coeff| of H_r.  Iterative:
+    sum|coeff| (norm_bound), which bounds sum|coeff| of H_r.  Each chunk
+    after the first is seeded with the own sectors of the previous
+    chunk's last window (_window_sectors, its states' sectors through
+    projected.twins), so that a row's max_residual covers the blocks
+    solved or reused for it, not those certified above its window; the
+    levels, labels and states are those of one-row calls.  Iterative:
     each row's sum is charged (_lanczos_charge, _check_memory), the first
     row before any orbit table is built, then the family's sectors are
     built once (_sector_frame) and each row is one sector_lanczos call on
     them, a chunk of its own.  eig_low's sector solves are the one-row
-    call.  The solves start, and raise, on the first chunk's read."""
+    call, unseeded, which solves every own sector and certifies none.  The
+    solves start, and raise, on the first chunk's read."""
     ops = [_as_sum(op) for op in ops]
     coeffs = np.asarray(coeffs)
     if np.any(np.imag(coeffs)):
@@ -627,10 +638,13 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
         _check_memory(*projected.charge)
     norms = np.abs(coeffs) @ [op.norm_bound() for op in ops]
     chunk = projected.rows(count)
+    seeds = None
     for start in range(0, len(coeffs), chunk):
         part = slice(start, start + chunk)
-        yield sector_low(projected, coeffs[part], count, norms[part],
-                         atol=atol)
+        levels = sector_low(projected, coeffs[part], count, norms[part],
+                            atol=atol, seeds=seeds)
+        seeds = _window_sectors(projected.twins, levels[-1][2])
+        yield levels
 
 
 def _keep(key: tuple, projected: "_Projection") -> None:
@@ -1485,7 +1499,7 @@ def project_sectors(ops, group: str) -> _Projection:
 
 
 def sector_low(projected: _Projection, coeffs, count: int, norm_h,
-               atol: float = 1e-8) -> list:
+               atol: float = 1e-8, seeds=None) -> list:
     """Lowest `count` levels of H_r = sum_m coeffs[r, m] * op_m for each
     coupling row r of `coeffs`, from the blocks of project_sectors,
     sector-major: each sector is solved for every row that needs it before
@@ -1495,23 +1509,31 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     Returns per row (vals, labels, states, max_residual) like eig_low's
     eigenvalues followed by resolve_sectors: ascending energies, each
     level's spin-flip parity, the states V w in sector form, and the worst
-    residual of any of the row's blocks.  The coefficients are real, as
-    family_low checks them.  A call takes at most projected.rows(count)
-    rows, the chunk project_sectors charges (_CHUNK_BYTES), and raises
-    ValueError above it.  Per sector and pass, the rows' summed blocks
-    form one (rows, d, d) stack; each row takes its lowest levels from one
-    LAPACK call (_subset_eigh) or, for a -k sector of projected.twins (the
-    orbit table's twin when every operator is real, _SectorTable.reused),
-    the conjugate of the solution of k, which halves the solves (in real
-    bases the blocks and so the solution are real, and taken as they
-    are); and one checked_residual checks every pair of every row on the
-    row's own block against its own norm_h[r], reused twins included, so
-    that a wrong reuse raises ConvergenceError.  Each row takes the two
-    passes of _sector_counts over the own (not reused) sectors, without
-    its floor, so that its merged window is exactly the lowest `count`
-    levels: a LAPACK subset solve costs about the same at any level
-    count, so sector_lanczos's smaller first pass would only add second
-    solves here.  The merge, shared with sector_lanczos
+    residual of the blocks solved or reused for the row (a block
+    _sector_counts certifies above the window is neither).  The
+    coefficients are real, as family_low checks them.  A call takes at
+    most projected.rows(count) rows, the chunk project_sectors charges
+    (_CHUNK_BYTES), and raises ValueError above it.  Per sector and stage,
+    the rows' summed blocks form one (rows, d, d) stack; each row takes
+    its lowest levels from one LAPACK call (_subset_eigh) or, for a -k
+    sector of projected.twins (the orbit table's twin when every operator
+    is real, _SectorTable.reused), the conjugate of the solution of k,
+    which halves the solves (in real bases the blocks and so the solution
+    are real, and taken as they are); and one checked_residual checks
+    every pair of every row on the row's own block against its own
+    norm_h[r], reused twins included, so that a wrong reuse raises
+    ConvergenceError.  Each row takes the two passes of _sector_counts
+    over the own (not reused) sectors, without its floor, so that its
+    merged window is exactly the lowest `count` levels: a LAPACK subset
+    solve costs about the same at any level count, so sector_lanczos's
+    smaller first pass would only add second solves here.  `seeds`, a set
+    of own sectors (those that held a level of the window of the coupling
+    before this chunk, _window_sectors), has every row solve them first
+    and every other own sector only where its Cholesky certificate
+    (_certify) fails; without seeds the first row is solved in every
+    sector, and the other rows take the sectors of its window as seeds.
+    Either way each row's levels, labels and states are, bit for bit,
+    those of a one-row call.  The merge, shared with sector_lanczos
     (_merge_levels), keeps each level in sector form, expanded to 2^L
     amplitudes from the orbit table on the first read of its amps, and
     orders the labels and states inside each
@@ -1526,42 +1548,114 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
         raise ValueError(
             f"sector_low takes a (rows, operators) stack of at most {most} "
             "coupling rows and one norm per row")
-    worst = np.zeros(rows)
 
-    def solve(i, n, at, sources):
-        """Sector i's (parity, energies, vectors) for each row of `at`: its
-        lowest min(n, d) levels, or the conjugates of its twin's
-        `sources`, one per row, with the residual of every pair on the
-        row's own block."""
-        _, p, blocks = projected.sectors[i]
-        c = coeffs[at, :, None, None]
-        h = np.multiply(c[:, 0], blocks[0], dtype=np.result_type(c, *blocks))
-        for m in range(1, len(blocks)):
-            h += c[:, m] * blocks[m]
-        d = h.shape[1]
-        k = min(n, d) if sources is None else sources[0][1].size
-        # each row's vectors in Fortran order, as LAPACK gives them, so
-        # that the batched product rounds as one row's product does
-        w = np.empty((len(at), k, d), dtype=h.dtype).transpose(0, 2, 1)
-        e = np.empty((len(at), k))
-        for r in range(len(at)):
-            if sources is None:
-                e[r], w[r] = _subset_eigh(h[r], k)
-            else:
-                e[r] = sources[r][1]
-                np.conjugate(sources[r][2], out=w[r])
-        worst[at] = np.maximum(worst[at],
-                               checked_residual(h @ w, w, e, norm_h[at]))
-        return [(p, e[r], w[r]) for r in range(len(at))]
+    def low(part, seeds):
+        """The merged levels of the rows `part`, seeded by `seeds`."""
+        rows_c, norms = coeffs[part], norm_h[part]
+        worst = np.zeros(len(rows_c))
 
-    solved = _sector_counts(solve, projected.twins, count, atol, rows)
-    return [(*_merge_levels(projected.table, levels, count, atol,
-                            projected.bases), float(top))
-            for levels, top in zip(solved, worst)]
+        def solve(i, n, at, sources, tops=None):
+            """Sector i's (parity, energies, vectors) for each row of `at`:
+            its lowest min(n, d) levels, or the conjugates of its twin's
+            `sources`, one per row, with the residual of every pair on the
+            row's own block; with `tops`, per row the top of its window so
+            far, a row whose block _certify puts above tops[r] + atol
+            takes no level and no check."""
+            _, p, blocks = projected.sectors[i]
+            c = rows_c[at, :, None, None]
+            h = np.multiply(c[:, 0], blocks[0],
+                            dtype=np.result_type(c, *blocks))
+            for m in range(1, len(blocks)):
+                h += c[:, m] * blocks[m]
+            d = h.shape[1]
+            empty = (p, np.empty(0), np.empty((d, 0), dtype=h.dtype))
+            out = [empty] * len(at)
+            kept = range(len(at))
+            if tops is not None:
+                kept = np.flatnonzero(~_certify(h, tops[at], atol, norms[at]))
+                if kept.size == 0:
+                    return out
+                if kept.size < len(at):
+                    at, h = [at[r] for r in kept], h[kept]
+            k = min(n, d) if sources is None else sources[0][1].size
+            # each row's vectors in Fortran order, as LAPACK gives them, so
+            # that the batched product rounds as one row's product does
+            w = np.empty((len(at), k, d), dtype=h.dtype).transpose(0, 2, 1)
+            e = np.empty((len(at), k))
+            for r in range(len(at)):
+                if sources is None:
+                    e[r], w[r] = _subset_eigh(h[r], k)
+                else:
+                    e[r] = sources[r][1]
+                    np.conjugate(sources[r][2], out=w[r])
+            worst[at] = np.maximum(worst[at],
+                                   checked_residual(h @ w, w, e, norms[at]))
+            for r, row in enumerate(kept):
+                out[row] = (p, e[r], w[r])
+            return out
+
+        solved = _sector_counts(solve, projected.twins, count, atol,
+                                len(rows_c), seeds=seeds)
+        return [(*_merge_levels(projected.table, levels, count, atol,
+                                projected.bases), float(top))
+                for levels, top in zip(solved, worst)]
+
+    if seeds is None and rows > 1:
+        first = low(slice(0, 1), None)
+        return first + low(slice(1, None),
+                           _window_sectors(projected.twins, first[0][2]))
+    return low(slice(None), seeds)
+
+
+def _window_sectors(twins, states) -> frozenset:
+    """The own sectors that hold a level of a window `states` (sector_low's
+    _SectorStates): each state's sector, or the twin it reuses."""
+    return frozenset(twins[s.sector] if twins[s.sector] >= 0 else s.sector
+                     for s in states)
+
+
+def _certify(h: np.ndarray, tops: np.ndarray, atol: float,
+             norm_h: np.ndarray) -> np.ndarray:
+    """Per block h[r] of the (rows, d, d) stack (its lower triangle, as
+    _subset_eigh reads it), whether every eigenvalue lies above tops[r] +
+    atol, certified by one LAPACK ?potrf of h[r] - sigma_r I, sigma_r =
+    tops[r] + atol + delta_r: a Cholesky factorization that runs to
+    completion is that of A + E, ||E|| <= g ||A||, g = (d + 2)^2 eps
+    (normwise, Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3, with the shift's rounding), and ||A|| <= norm_h[r] +
+    |sigma_r|, norm_h[r] bounding ||h[r]||.  delta_r = max(atol, 2 g
+    (norm_h[r] + |tops[r]| + atol)) is at least g ||A||, so success puts
+    every eigenvalue above sigma_r - delta_r.  False where tops[r] is inf
+    (no potrf) or the factorization fails."""
+    d = h.shape[1]
+    above = np.zeros(len(h), dtype=bool)
+    potrf = scipy.linalg.get_lapack_funcs("potrf", (h,))
+    g = (d + 2) ** 2 * np.finfo(float).eps
+    diagonal = np.arange(d)
+    for r in np.flatnonzero(np.isfinite(tops)):
+        delta = max(atol, 2 * g * (norm_h[r] + abs(tops[r]) + atol))
+        a = h[r].copy()
+        a[diagonal, diagonal] -= tops[r] + atol + delta
+        # a.T is in Fortran order, factored in place; its upper triangle is
+        # the transpose of a's lower one, the conjugate of a's Hermitian
+        # matrix, with the same eigenvalues and, rounded, the same verdict
+        _, info = potrf(a.T, lower=0, overwrite_a=1, clean=0)
+        above[r] = info == 0
+    return above
+
+
+def _window_top(levels: list, count: int) -> float:
+    """The `count`-th lowest energy a row's solved sectors hold (None for a
+    sector not solved yet), inf when they hold fewer."""
+    found = [e for _, e, _ in filter(None, levels)]
+    if sum(e.size for e in found) < count:
+        return np.inf
+    return np.sort(np.concatenate(found))[count - 1]
 
 
 def _sector_counts(solve, twins, count: int, atol: float,
-                   rows: int = 1, floor: int | None = None) -> list:
+                   rows: int = 1, floor: int | None = None,
+                   seeds=None) -> list:
     """Per coupling row r < `rows` and sector i, solved[r][i] = (parity,
     energies, vectors) of as many of its lowest levels as a merged window
     of `count` can use, from solve(i, n, at, sources), which returns one
@@ -1578,37 +1672,61 @@ def _sector_counts(solve, twins, count: int, atol: float,
     max(floor, ceil(2 count / own sectors)) too, twice a sector's even
     share of the window, which leaves the spin flip's two sectors the
     whole count and gives an open chain's four half of it, at least
-    `floor`.  With `top` the row's count-th lowest level found (inf when
-    fewer were), the second solves again, at min(count, d), each own
-    sector that gave the row fewer levels than that and whose highest
-    lies within `top` + atol, and its twin takes the new solution.  Every
-    level a sector leaves out then lies above `top` + atol, so each row's
-    merged window is the one of solving every sector at min(count, d):
-    exactly the lowest `count` levels (up to the copies a Krylov solve
-    can miss)."""
+    `floor`.  With `seeds` (sector_low's, a set of own sectors), the first
+    pass solves the seeds and their twins first; then, per other own
+    sector, solve(i, n, at, None, tops), tops[r] the row's `count`-th
+    lowest level found so far (_window_top), gives a row whose block
+    _certify puts above tops[r] + atol an empty triple, which the twin
+    shares, and solves the rest, whose twins take the solution.  tops[r]
+    only falls as sectors are solved, so every certified level lies above
+    the first pass's top + atol, which is that of solving every sector,
+    and no certified sector is solved again.  With `top` the row's
+    count-th lowest level found (inf when fewer were), the second solves
+    again, at min(count, d), each own sector that gave the row fewer
+    levels than that and whose highest lies within `top` + atol, and its
+    twin takes the new solution.  Every level a sector leaves out then
+    lies above `top` + atol, so each row's merged window is the one of
+    solving every sector at min(count, d): exactly the lowest `count`
+    levels (up to the copies a Krylov solve can miss)."""
     own = list(twins).count(-1)
     start = min(count, -(-4 * count // own))
     if floor is not None:
         start = min(start, max(floor, -(-2 * count // own)))
     solved = [[None] * len(twins) for _ in range(rows)]
+    everyone = list(range(rows))
 
-    def take(i, n, at):
+    def take(i, n, at, *tops):
         j = twins[i]
         sources = [solved[r][j] for r in at] if j >= 0 else None
-        for r, levels in zip(at, solve(i, n, at, sources)):
+        for r, levels in zip(at, solve(i, n, at, sources, *tops)):
             solved[r][i] = levels
 
-    for i in range(len(twins)):
-        take(i, start, list(range(rows)))
-    tops = []
-    for levels in solved:
-        found = np.sort(np.concatenate([e for _, e, _ in levels]))
-        tops.append(found[count - 1] if found.size >= count else np.inf)
+    for i, j in enumerate(twins):
+        if seeds is None or (i if j < 0 else j) in seeds:
+            take(i, start, everyone)
+    if seeds is not None:
+        tops = np.array([_window_top(levels, count) for levels in solved])
+        reuser = {j: i for i, j in enumerate(twins) if j >= 0}
+        for i in range(len(twins)):
+            if twins[i] >= 0 or i in seeds:
+                continue
+            take(i, start, everyone, tops)
+            at = [r for r in everyone if solved[r][i][1].size]
+            if i in reuser:
+                if at:
+                    take(reuser[i], start, at)
+                for r in everyone:
+                    solved[r][reuser[i]] = solved[r][reuser[i]] or solved[r][i]
+            for r in at:
+                tops[r] = _window_top(solved[r], count)
+    tops = [_window_top(levels, count) for levels in solved]
     again = [set() for _ in range(rows)]
     for i, j in enumerate(twins):
+        # a certified sector's solution is empty, and it is not solved again
         at = [r for r, (_, e, w) in enumerate(row[i] for row in solved)
               if (j in again[r] if j >= 0 else
-                  e.size < min(count, w.shape[0]) and e[-1] <= tops[r] + atol)]
+                  0 < e.size < min(count, w.shape[0])
+                  and e[-1] <= tops[r] + atol)]
         if at:
             take(i, count, at)
             for r in at:

@@ -10,6 +10,8 @@ algebra.
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -108,6 +110,42 @@ def lanczos_row(h, count: int) -> tuple:
     sectors built (engine._sector_frame), then solved on them."""
     [[levels]] = engine.family_low([h], [[1.0]], count, "iterative")
     return levels
+
+
+def sector_census(run):
+    """Run `run()` with spies on the dense sector solve (engine.sector_low)
+    and return what it did: `solves`, the (d, levels) of every LAPACK call
+    (_subset_eigh); `certified`, every certificate call (_certify) as its
+    (blocks, tops, verdicts); `checked`, the (rows, levels) of every
+    residual check's stack (checked_residual); `merged`, per coupling row
+    its per-sector solutions as _merge_levels receives them."""
+    census = SimpleNamespace(solves=[], certified=[], checked=[], merged=[])
+    eigh, certify = engine._subset_eigh, engine._certify
+    residual, merge = engine.checked_residual, engine._merge_levels
+
+    def solve(h, n):
+        census.solves.append((h.shape[0], n))
+        return eigh(h, n)
+
+    def certificate(h, tops, atol, norm_h):
+        above = certify(h, tops, atol, norm_h)
+        census.certified.append((h.copy(), np.array(tops), above))
+        return above
+
+    def check(hv, vecs, vals, norm_h):
+        census.checked.append((vecs.shape[0], vecs.shape[-1]))
+        return residual(hv, vecs, vals, norm_h)
+
+    def merging(table, solved, *args):
+        census.merged.append(solved)
+        return merge(table, solved, *args)
+
+    with mock.patch.object(engine, "_subset_eigh", side_effect=solve), \
+            mock.patch.object(engine, "_certify", side_effect=certificate), \
+            mock.patch.object(engine, "checked_residual", side_effect=check), \
+            mock.patch.object(engine, "_merge_levels", side_effect=merging):
+        census.result = run()
+    return census
 
 
 def for_each_size(sizes: dict, strategy, check, examples=()):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 
-from conftest import for_each_size, oracle_sum_matrix
+from conftest import for_each_size, oracle_sum_matrix, sector_census
 from test_real_ring_blocks import parity_levels
 from test_sectors import rotated, sizes
 
@@ -189,8 +189,9 @@ def test_a_sector_the_window_needs_is_solved_again():
 
 def test_open_chain_solves_are_the_full_count():
     # four own sectors: the first pass is the whole count, as before the
-    # per-sector rule, and nothing is solved again; a scan solves each
-    # sector for every coupling before the next sector
+    # per-sector rule, and nothing is solved again; a scan solves its first
+    # coupling in every sector, then, the first window holding levels of
+    # all four, each sector for every other coupling before the next sector
     h = cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)
     with mock.patch.object(engine, "_subset_eigh",
                            wraps=SUBSET_EIGH) as eigh:
@@ -199,26 +200,135 @@ def test_open_chain_solves_are_the_full_count():
             for c in eigh.call_args_list] == [(d, 6)
                                               for d in (136, 136, 120, 120)]
     grid = [0.5, 1.0, 1.5]
+    dims = (72, 64, 56, 64)
     with mock.patch.object(engine, "_subset_eigh",
-                           wraps=SUBSET_EIGH) as eigh:
+                           wraps=SUBSET_EIGH) as eigh, \
+            mock.patch.object(engine, "_certify") as certify:
         cs.phase_scan(LatticeSpec(8, "open"), grid)
-    assert [(c.args[0].shape[0], c.args[1])
-            for c in eigh.call_args_list] == [(d, 12)
-                                              for d in (72, 64, 56, 64)
-                                              for _ in grid]
+    calls = [(c.args[0].shape[0], c.args[1]) for c in eigh.call_args_list]
+    assert calls == [(d, 12) for d in dims] + [(d, 12) for d in dims
+                                               for _ in grid[1:]]
+    assert sorted(calls) == sorted((d, 12) for d in dims for _ in grid)
+    certify.assert_not_called()
 
 
 @pytest.mark.parametrize("L", [8, 10])
 def test_criterion_8_scans_solve_each_sector_once(L):
     # over criterion 8's grid no sector of the 8- and 10-site rings needs
-    # more than the first pass's ceil(4 * 12 / own sectors) levels
+    # more than the first pass's ceil(4 * 12 / own sectors) levels.  Per
+    # coupling each own sector is solved once or certified above the
+    # window (engine._certify), and a certified one and its twin hold no
+    # level; every pair solved or reused passes its residual check
     lat = LatticeSpec(L, "periodic")
     projection = engine.project_sectors(
         (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0)), "TP")
-    own = sum(t < 0 for t in projection.twins)
+    twins = projection.twins
+    own = [i for i, t in enumerate(twins) if t < 0]
     grid = np.round(np.arange(0.5, 1.5001, 0.05), 10)
+    census = sector_census(lambda: cs.phase_scan(lat, grid))
+    certified = sum(int(above.sum()) for _, _, above in census.certified)
+    assert certified > 0
+    assert len(census.solves) + certified == len(own) * grid.size
+    assert max(n for _, n in census.solves) <= -(-4 * 12 // len(own))
+    assert len(census.merged) == grid.size
+    empty = [[e.size == 0 for _, e, _ in solved] for solved in census.merged]
+    assert sum(row[i] for row in empty for i in own) == certified
+    for row in empty:
+        assert all(row[i] == row[j] for i, j in enumerate(twins) if j >= 0)
+    assert sum(rows for rows, _ in census.checked) \
+        == len(twins) * grid.size - sum(map(sum, empty))
+
+
+def test_one_row_dense_solves_certify_nothing():
+    # eig_low's dense path (spectrum, the numeric audits) solves every own
+    # sector of the ring once and certifies none, so that its max_residual
+    # covers every block
+    h = cs.perturbed_hamiltonian(LatticeSpec(10, "periodic"), 0.7)
+    own = engine.project_sectors([h], "TP").twins.count(-1)
     with mock.patch.object(engine, "_subset_eigh",
-                           wraps=SUBSET_EIGH) as eigh:
-        cs.phase_scan(lat, grid)
-    assert eigh.call_count == own * grid.size
-    assert max(c.args[1] for c in eigh.call_args_list) <= -(-4 * 12 // own)
+                           wraps=SUBSET_EIGH) as eigh, \
+            mock.patch.object(engine, "_certify") as certify:
+        cs.eig_low(h, count=12, method="dense")
+    assert own == 12
+    assert eigh.call_count == own
+    certify.assert_not_called()
+
+
+# the ring of test_imaginary_coefficients_solve_every_sector: its blocks
+# are complex, so that certificates take ?potrf of complex blocks
+def imaginary_ring(L):
+    return cs.cluster_hamiltonian(LatticeSpec(L, "periodic")) \
+        + OperatorSum.from_terms(L, [
+            (0.7, PauliString.from_sites(L, {j: "Y", j % L + 1: "Z"}))
+            for j in range(1, L + 1)])
+
+
+@st.composite
+def seeded_rows(draw, L):
+    """(H, count, lams, pick): ring_operators' H and count, 2-8 couplings
+    lam of the family (H, H_I), and the one own sector to seed with, as an
+    index taken modulo the own sectors."""
+    op, count = draw(ring_operators(L))
+    lams = draw(st.lists(st.floats(0.0, 1.5), min_size=2, max_size=8))
+    return op, count, lams, draw(st.integers(0, 63))
+
+
+def summed(blocks, row):
+    """H_r of one sector, summed as sector_low sums it."""
+    h = np.multiply(row[0], blocks[0], dtype=np.result_type(row, *blocks))
+    for c, b in zip(row[1:], blocks[1:]):
+        h += c * b
+    return h
+
+
+def test_seeded_rows_are_one_row_solves():
+    certified = []
+
+    def check(L, op, count, lams, pick):
+        lat = LatticeSpec(L, "periodic")
+        ops = [op, cs.ising_perturbation(lat, 1.0)]
+        projection = engine.project_sectors(ops, "TP")
+        coeffs = np.array([[1.0, lam] for lam in lams])
+        coeffs = coeffs[:projection.rows(count)]
+        norms = np.abs(coeffs) @ [o.norm_bound() for o in ops]
+        twins = projection.twins
+        own = [i for i, t in enumerate(twins) if t < 0]
+        # a one-row call skips nothing
+        alone = sector_census(lambda: [
+            engine.sector_low(projection, coeffs[r:r + 1], count,
+                              norms[r:r + 1], atol=ATOL)[0]
+            for r in range(len(coeffs))])
+        assert alone.certified == []
+        want = alone.result
+        window = set().union(*(engine._window_sectors(twins, states)
+                               for _, _, states, _ in want))
+        seed_sets = [None, frozenset(own), frozenset([own[pick % len(own)]])]
+        seed_sets += [frozenset([i]) for i in own if i not in window][:1]
+        for seeds in seed_sets:
+            got = sector_census(lambda: engine.sector_low(
+                projection, coeffs, count, norms, atol=ATOL, seeds=seeds))
+            for (vals, labels, states, _), (v, lb, s, _) in zip(got.result,
+                                                               want):
+                assert vals.tobytes() == v.tobytes()
+                assert labels.tobytes() == lb.tobytes()
+                assert [(x.sector, x.column, x.vector.tobytes())
+                        for x in states] == [(x.sector, x.column,
+                                              x.vector.tobytes()) for x in s]
+            for h, _, above in got.certified:
+                for block in h[above]:
+                    rows = [r for r, row in enumerate(coeffs) for i in own
+                            if np.array_equal(summed(
+                                projection.sectors[i][2], row), block)]
+                    assert rows
+                    lowest = np.linalg.eigvalsh(block)[0]
+                    for r in rows:
+                        vals = want[r][0]
+                        top = vals[count - 1] if vals.size >= count \
+                            else np.inf
+                        assert lowest > top + ATOL
+                    certified.append(lowest)
+
+    for_each_size(sizes(3, 3, 1), seeded_rows, check,
+                  [(L, imaginary_ring(L), 12, [0.6, 0.9, 1.0, 1.3], 1)
+                   for L in (4, 6, 8)])
+    assert certified

@@ -19,7 +19,7 @@ from clusterspt.errors import ConvergenceError
 
 from conftest import (basis_matrix, for_each_size, free_fermion,
                       kron_from_letters, oracle_sum_matrix,
-                      random_hermitian_sum)
+                      random_hermitian_sum, sector_census)
 
 
 def sizes(low, n, n_top):
@@ -218,29 +218,43 @@ def check_sector_solve(L, boundary, lam):
 def test_ring_scan_reuses_each_twin_decided_once(L, solves, sectors):
     # a real ring H: per coupling a first solve for k = 0, L/2 and each
     # pair k, -k, of ceil(4 * 12 / solves) levels, the -k twin read off
-    # the one orbit table of the scan; every sector, reused or solved,
-    # passes its own residual check, one stack of the chunk's couplings
-    # per sector and pass.  A sector the window needs all 12 levels of is
-    # solved again, and its twin, if any, checked again
+    # the one orbit table of the scan; after the first coupling, a sector
+    # that held no level of the last window is solved only where its
+    # Cholesky certificate (engine._certify) fails, and a certified one
+    # and its twin hold no level.  Every sector, reused or solved, passes
+    # its own residual check, one stack of the chunk's couplings per
+    # sector and stage.  A sector the window needs all 12 levels of is
+    # solved again, where it would be had every sector's first pass been
+    # solved, and its twin, if any, checked again
     grid = [0.8, 0.9, 1.0, 1.1, 1.2]
+    lat = LatticeSpec(L, "periodic")
     with mock.patch.object(engine, "_sector_table",
-                           wraps=engine._sector_table) as tables, \
-            mock.patch.object(engine, "_subset_eigh",
-                              wraps=engine._subset_eigh) as eigh, \
-            mock.patch.object(engine, "checked_residual",
-                              wraps=engine.checked_residual) as residual:
-        scan = cs.phase_scan(LatticeSpec(L, "periodic"), grid)
+                           wraps=engine._sector_table) as tables:
+        census = sector_census(lambda: cs.phase_scan(lat, grid))
+    scan = census.result
     first = -(-4 * 12 // solves)
-    levels = [c.args[1] for c in eigh.call_args_list]
+    levels = [n for _, n in census.solves]
     again = sum(n > first for n in levels)
     # the (sector, coupling) pairs each check covers
-    checked = [c.args[1].shape[0] for c in residual.call_args_list]
-    checked_again = sum(n for n, c in zip(checked, residual.call_args_list)
-                        if c.args[1].shape[2] > first)
+    checked = sum(rows for rows, _ in census.checked)
+    checked_again = sum(rows for rows, n in census.checked if n > first)
+    certified = sum(int(above.sum()) for _, _, above in census.certified)
+    empty = sum(e.size == 0 for solved in census.merged for _, e, _ in solved)
     assert tables.call_count == 1
-    assert eigh.call_count == solves * len(grid) + again
-    assert sum(checked) == sectors * len(grid) + checked_again
+    assert len(levels) + certified == solves * len(grid) + again
+    assert checked == sectors * len(grid) - empty + checked_again
     assert again <= checked_again <= 2 * again
+    projection = engine.project_sectors(
+        (cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, 1.0)), "TP")
+    own = [i for i, t in enumerate(projection.twins) if t < 0]
+    for lam, solved in zip(grid, census.merged):
+        full = [np.linalg.eigvalsh(blocks[0] + lam * blocks[1])
+                for _, _, blocks in projection.sectors]
+        found = np.sort(np.concatenate([e[:first] for e in full]))
+        top = found[11]
+        assert [i for i in own if solved[i][1].size > first] \
+            == [i for i in own if full[i].size > first
+                and full[i][first - 1] <= top + 1e-8]
     for i, lam in enumerate(grid):
         assert scan.energy[i] == pytest.approx(
             free_fermion.spectrum(L, True, lam, 1)[0][0], abs=1e-12)

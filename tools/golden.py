@@ -138,6 +138,11 @@ COMMANDS = [
     "scan --size 6 --boundary periodic --lambda 0:1.5:0.1",
     "scan --size 9 --boundary open --lambda 0:1.5:0.1 --probe X1 --format "
     "csv",
+    # ring scans whose chunks start from the sectors of the last window:
+    # six chunks of couplings, and one-coupling chunks across the lambda =
+    # 1 collision
+    "scan --size 10 --boundary periodic --lambda 0.5:1.5:0.025",
+    "scan --size 12 --boundary periodic --lambda 0.9:1.1:0.02",
 ]
 
 
