@@ -203,7 +203,8 @@ def test_open_chain_solves_are_the_full_count():
     dims = (72, 64, 56, 64)
     with mock.patch.object(engine, "_subset_eigh",
                            wraps=SUBSET_EIGH) as eigh, \
-            mock.patch.object(engine, "_certify") as certify:
+            mock.patch.object(engine, "_certify",
+                              wraps=engine._certify) as certify:
         cs.phase_scan(LatticeSpec(8, "open"), grid)
     calls = [(c.args[0].shape[0], c.args[1]) for c in eigh.call_args_list]
     assert calls == [(d, 12) for d in dims] + [(d, 12) for d in dims
@@ -247,7 +248,8 @@ def test_one_row_dense_solves_certify_nothing():
     own = engine.project_sectors([h], "TP").twins.count(-1)
     with mock.patch.object(engine, "_subset_eigh",
                            wraps=SUBSET_EIGH) as eigh, \
-            mock.patch.object(engine, "_certify") as certify:
+            mock.patch.object(engine, "_certify",
+                              wraps=engine._certify) as certify:
         cs.eig_low(h, count=12, method="dense")
     assert own == 12
     assert eigh.call_count == own
