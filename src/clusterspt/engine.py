@@ -21,7 +21,12 @@ times the translation T on a ring ("TP"), times the reflection R ("RP"),
 or alone ("P"), from one orbit table per lattice and group
 (`_sector_table`: each index's orbit and group element, and each sector's
 character, columns and momentum -k twin), and one helper gives each row's
-entries in its sector (`_sector_entries`).  One frame builder
+entries in its sector (`_sector_entries`).  On an open chain ("RP") the
+group takes a third generator, a Pauli integral of motion Q of the
+family itself, and the sectors pair up by another, Q_a, when there is
+one, both read off the family's Pauli commutant (`_integrals`,
+`pauli.commutant`): the orbit table then keeps a sign per index, and
+each sector's twin is the one Q_a maps it onto.  One frame builder
 (`_sector_frame`) gives both sector solvers their sectors, once per
 family of operators: it checks that the group conserves every operator,
 builds and checks the orbit table (`_check_table`), which holds the sector
@@ -29,7 +34,8 @@ dimensions and offsets and the sectors with a complex character
 (`takes`), builds, on a ring whose operators are all real and
 reflection-invariant (`_mirrored`), the real bases of the complex sectors
 (`_real_bases`), and gives the twin each sector reuses
-(`_SectorTable.reused`: the twin j < i of a real family).  `family_low`
+(`_SectorTable.reused`: the twin j < i of a real family, or of any
+family Q_a pairs).  `family_low`
 is the one entry for the low levels of a family H_r = sum_m coeffs[r, m]
 ops[m] (a phase scan's couplings; the sector solves of `eig_low` are its
 one-row call): it picks the solver (`_solver`, shared with `eig_low`),
@@ -55,7 +61,8 @@ block (`_sector_block`, on a ring the real U^H B U), solving it
 (`_checked_low`: densely up to DENSE_BLOCK_STATES states, by Lanczos
 above, retrying a Lanczos solve once with more Krylov vectors when a pair
 misses its residual bound, `_checked_lanczos`), and dropping it.  In
-both, a real family's -k sector reuses the solution of k.  Both take
+both, a real family's -k sector reuses the solution of k, and a chain's
+Q_a twin that of its source (`_SectorTable.twin_solution`).  Both take
 their per-sector level counts from `_sector_counts`, sector_lanczos with
 a smaller first pass (LANCZOS_LEVEL_FLOOR), and merge in `_merge_levels`,
 which
@@ -79,7 +86,8 @@ import scipy.sparse.linalg
 
 from .clifford import CzCircuit
 from .errors import ConvergenceError, DomainError, LengthMismatchError, ResourceLimitError
-from .pauli import OperatorSum, PauliString, TermTable
+from .pauli import (OperatorSum, PauliString, TermTable, commutant,
+                    kernel_within, row_echelon)
 
 DENSE_SITE_CAP = 12
 APPLY_SITE_CAP = 24
@@ -462,7 +470,9 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     P, the spin flip alone when only under P.
     dense: L <= 12, per symmetry sector when h is invariant: a ring's (k,
     p) blocks, all real when h is real and R conserves it, an open chain's
-    four (r, p) blocks of about 2^(L-2) states.
+    eight (r, p, q) blocks of about 2^(L-3) states, q the eigenvalue of
+    h's own Pauli integral Q (_integrals), of which four are the Q_a
+    twins of the other four when L != 0 mod 3.
     Each dense sector block gives sector_low as many of its lowest levels
     as the merged window can use (_sector_counts).  The merged window is
     exactly the lowest `count`.
@@ -470,7 +480,9 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     sector of the same group, one sector at a time (sector_lanczos): a
     ring's (k, p) blocks of about 2^L / 2L states, real when h is real and
     R conserves it, with each -k sector reusing the solution of k, an
-    open chain's (r, p) blocks, or the spin-flip blocks; a CSR block of
+    open chain's four own (r, p, q) blocks, each Q_a twin reusing the
+    solution of its source, or, where Q has no partner Q_a (L = 0 mod 3),
+    its four (r, p) blocks, or the spin-flip blocks; a CSR block of
     more than DENSE_BLOCK_STATES states is solved by implicitly restarted
     Lanczos, a smaller one densely, each sector asked for the levels of
     _sector_counts with LANCZOS_LEVEL_FLOOR.  An h without P is solved on
@@ -580,14 +592,16 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
     raises DomainError.  Both solvers take the sectors of one group, read
     once off the operators: the first that conserves them all, by
     _symmetry_group's test (translation x spin flip, then reflection x
-    spin flip, else the spin flip alone, which _sector_frame checks).
+    spin flip, else the spin flip alone, which _sector_frame checks),
+    split on an open chain by the family's Pauli integral Q and paired by
+    Q_a (_integrals).
     Dense: the operators are projected once per process into those sectors
-    (project_sectors).  The projection is kept in _KEPT, keyed by the
-    operators' terms in order, while the projections kept stay within
-    _KEEP_BYTES (_keep); a later call with the same terms takes it, group
-    and checks included, without reading the group again, and only its
-    memory charge runs again (_Projection.charge), so a call under less
-    memory still raises.
+    (project_sectors), split by Q whether or not Q_a pairs them.  The
+    projection is kept in _KEPT, keyed by the operators' terms in order,
+    while the projections kept stay within _KEEP_BYTES (_keep); a later
+    call with the same terms takes it, group and checks included, without
+    reading the group again, and only its memory charge runs again
+    (_Projection.charge), so a call under less memory still raises.
     Each chunk of as many rows as the projection's budget holds
     (_Projection.rows) is one sector_low call, each row's residuals
     checked against sum_m |coeffs[r, m]| ||ops[m]||, with ||op|| =
@@ -597,12 +611,14 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
     projected.twins), so that a row's max_residual covers the blocks
     solved or reused for it, not those certified above its window; the
     levels, labels and states are those of one-row calls.  Iterative:
-    each row's sum is charged (_lanczos_charge, _check_memory), the first
-    row before any orbit table is built, then the family's sectors are
-    built once (_sector_frame) and each row is one sector_lanczos call on
-    them, a chunk of its own.  eig_low's sector solves are the one-row
-    call, unseeded, which solves every own sector and certifies none.  The
-    solves start, and raise, on the first chunk's read."""
+    the integrals are read once, and Q kept only where Q_a pairs its
+    sectors; each row's sum is charged (_lanczos_charge, _check_memory),
+    the first row before any orbit table is built, then the family's
+    sectors are built once (_sector_frame) and each row is one
+    sector_lanczos call on them, a chunk of its own.  eig_low's sector
+    solves are the one-row call, unseeded, which solves every own sector
+    and certifies none.  The solves start, and raise, on the first chunk's
+    read."""
     ops = [_as_sum(op) for op in ops]
     coeffs = np.asarray(coeffs)
     if np.any(np.imag(coeffs)):
@@ -619,15 +635,21 @@ def family_low(ops, coeffs, count: int, method: str = "auto",
                       if all(_symmetry_group(op, (g,)) for op in ops)), "P")
     if iterative:
         mirrored = _mirrored(ops, group)
+        # Q alone splits no Lanczos block: a solve costs about as much at
+        # half the states, so eight unpaired blocks cost more than four
+        # (12-site open chain, five couplings: 0.37 s against 0.28 s)
+        integrals = _integrals(ops, group)
+        if integrals[1] is None:
+            integrals = (None, None)
         frame = None
         for row in coeffs:
             h = sum((op * c for op, c in zip(ops[1:], row[1:])),
                     ops[0] * row[0])
-            need = _lanczos_charge(h, group, count, mirrored)
+            need = _lanczos_charge(h, group, count, mirrored, integrals[0])
             _check_memory(need, "iterative", L,
                           f"the largest sector block, {_krylov(count, 1 << L)}"
                           " Lanczos vectors and the states")
-            frame = frame or _sector_frame(ops, group, mirrored)
+            frame = frame or _sector_frame(ops, group, mirrored, integrals)
             yield [sector_lanczos(h, count, frame, need, atol=atol)]
         return
     if projected is None:
@@ -920,21 +942,30 @@ def _generator(group: str, length: int) -> tuple:
 
 @dataclass(frozen=True)
 class _SectorTable:
-    """The orbits of one lattice's basis indices under a group G^j P^s, and
-    its sectors: P the spin flip and G the second generator of `group`
+    """The orbits of one lattice's basis indices under a group G^j P^s Q^t,
+    and its sectors: P the spin flip, G the second generator of `group`
     (_generator), of order n: the translation T (n = L) on a ring, the
-    reflection R (n = 2), or none (n = 1).
+    reflection R (n = 2), or none (n = 1); and Q, on an open chain only,
+    the Pauli integral of motion of _integrals (t = 0 alone without one).
 
-    G^j P^s is coded g = 2j + s; P b = b ^ (2^L - 1), T b = _rotate(b, L),
-    R b = _reflect(b, L).  reps holds each orbit's smallest index r,
-    ascending; size[n] counts the states of orbit n; orbit[b] (int32) is
-    the position of b's orbit in reps; elem[b] (int8) is the g_b with g_b b
-    = r.  Sector i, (k, p) = keys[i] in ascending k then p = +1, -1, has
-    the character chars[i, 2j + s] = e^{2 pi i k j / n} p^s (so r =
-    (-1)^k under R), cols[i, n] is the column of reps[n]'s orbit sum in
-    it, -1 where the sum vanishes, and twin[i] is the index of the sector
-    (-k mod n, p), i itself where 2k = 0 mod n, which _check_table proves
-    has the conjugate character and the same columns.
+    G^j P^s Q^t is coded g = 2j + s + 2n t; P b = b ^ (2^L - 1), T b =
+    _rotate(b, L), R b = _reflect(b, L), and Q|b> = c (-1)^popcount(z & b)
+    |b ^ x> for Q = c X^x Z^z (_pauli_action), applied first.  reps holds
+    each orbit's smallest index r, ascending; size[n] counts the states of
+    orbit n; orbit[b] (int32) is the position of b's orbit in reps;
+    elem[b] (int8) is the g_b with g_b |b> = sign[b] |r>, sign (int8, +-1)
+    None where no Q takes part (every sign +1).  Sector i, keys[i] = (k,
+    p) in ascending k then p = +1, -1, or (k, p, q) with q = +1, -1 last,
+    has the character chars[i, 2j + s + 2n t] = e^{2 pi i k j / n} p^s q^t
+    (so r = (-1)^k under R), cols[i, n] is the column of reps[n]'s orbit
+    sum in it, -1 where the sum vanishes, and twin[i] is the index of its
+    twin sector, i itself for none.  integrals = (Q, Q_a), None where
+    absent.  Without Q_a the twin is (-k mod n, p), i itself where 2k = 0
+    mod n, which _check_table proves has the conjugate character and the
+    same columns; swap is None.  With Q_a (_integrals) the twin is the
+    sector Q_a maps sector i onto, and swap = (mate, phase), over the
+    columns of every sector, sector-major (first): Q_a |c> = phase[c]
+    |mate[c]> in the twin, which _check_table proves as well.
     """
 
     length: int
@@ -947,6 +978,9 @@ class _SectorTable:
     chars: np.ndarray
     cols: np.ndarray
     twin: np.ndarray
+    sign: np.ndarray | None = None
+    integrals: tuple = (None, None)
+    swap: tuple | None = None
 
     @property
     def order(self) -> int:
@@ -969,40 +1003,109 @@ class _SectorTable:
         """Per sector, whether its character is complex (2k != 0 mod n, only
         on a ring): in real bases, the sectors whose blocks change basis by
         the unitary U of _real_bases, which is 1 in every other one."""
-        return np.array([2 * k % self.order != 0 for k, _ in self.keys])
+        return np.array([2 * key[0] % self.order != 0 for key in self.keys])
 
     def reused(self, real: bool) -> tuple:
-        """Per sector i, the sector j whose solution it reuses, conjugated,
-        -1 for none: its twin j when j < i and `real`, every operator having
-        a real matrix (has_real_matrix), so that the blocks of i are the
-        conjugates of those of j.  Both sector solvers reuse by this rule,
-        through _sector_frame."""
+        """Per sector i, the sector j whose solution it reuses, -1 for none:
+        its twin j when j < i, and, for a (-k) twin, `real`, every operator
+        having a real matrix (has_real_matrix), so that the blocks of i are
+        the conjugates of those of j; a Q_a twin's blocks are those of j in
+        the columns of swap for every operator Q_a commutes with, real or
+        not.  Both sector solvers reuse by this rule, through
+        _sector_frame."""
+        real = real or self.swap is not None
         return tuple(int(j) if real and j < i else -1
                      for i, j in enumerate(self.twin))
 
+    def twin_solution(self, i: int, w: np.ndarray) -> np.ndarray:
+        """Sector i's vectors, (d, n), from those w of the twin it reuses
+        (reused): a signed column permutation of w, conjugated for a -k
+        twin, phase[c] w[mate[c]] over sector i's columns c of swap for a
+        Q_a twin (Q_a |mate[c]> = phase[c] |c>, as Q_a^2 = 1)."""
+        if self.swap is None:
+            return w.conj()
+        mate, phase = self.swap
+        part = slice(self.first[i], self.first[i] + self.dims[i])
+        return phase[part, None] * w[mate[part]]
 
-def _sector_table(length: int, group: str) -> _SectorTable:
-    """The orbit table (_SectorTable) of `length` sites under `group`."""
+
+def _pauli_action(p: PauliString) -> tuple:
+    """(x, z, c) with p|b> = c (-1)^popcount(z & b) |b ^ x>, c the
+    coefficient of X^x Z^z in p (the convention of _mask_rows)."""
+    [((x, z), c)] = OperatorSum.from_pauli(p).items()
+    return x, z, c
+
+
+def _pauli_signs(b: np.ndarray, z: int, c) -> np.ndarray:
+    """c (-1)^popcount(z & b) as int8 for every index of b, c = +-1: the
+    sign a real Pauli string (_pauli_action) gives each basis index."""
+    odd = (np.bitwise_count(b & z) & 1).astype(np.int8)
+    return (1 - 2 * odd) * np.int8(round(c.real))
+
+
+def _twin_relations(q: PauliString, qa: PauliString):
+    """Per generator s of R x P x Q, coded 2, 1 and 4 (_SectorTable), the
+    triple (s, s', mu) with Q_a s Q_a = mu s', s' a group element and mu =
+    +-1, from the strings alone: Q_a P Q_a = +-P and Q_a Q Q_a = +-Q by
+    (anti)commutation, Q_a R Q_a = R W with W = (R Q_a R) Q_a.  None when
+    W is not +- one of 1, P, Q, PQ: then Q_a does not map sectors onto
+    sectors.  A state of character chi in (r, p, q) goes to one of
+    character mu chi(s') at s."""
+    L = q.length
+    p = PauliString.from_letters("X" * L)
+    # R Q_a R: the letters in reverse order, the phase kept
+    w = PauliString(L, qa.phase_exp, _reflect(qa.x_mask, L),
+                    _reflect(qa.z_mask, L)) * qa
+    for code in range(4):
+        s, t = code & 1, code >> 1
+        g = PauliString.identity(L)
+        g = g * p if s else g
+        g = g * q if t else g
+        if (g.x_mask, g.z_mask) == (w.x_mask, w.z_mask) \
+                and (w.phase_exp - g.phase_exp) % 2 == 0:
+            mu = 1 if w.phase_exp == g.phase_exp else -1
+            return ((2, 2 + s + 4 * t, mu),
+                    (1, 1, 1 if qa.commutes_with(p) else -1),
+                    (4, 4, 1 if qa.commutes_with(q) else -1))
+    return None
+
+
+def _sector_table(length: int, group: str, integrals=(None, None)
+                  ) -> _SectorTable:
+    """The orbit table (_SectorTable) of `length` sites under `group`, with
+    the Pauli integral Q of integrals = (Q, Q_a) as a third generator and
+    Q_a's twins when they are given (_integrals; "RP" only)."""
     if length > APPLY_SITE_CAP:
         raise ResourceLimitError(
             f"symmetry sectors capped at {APPLY_SITE_CAP} sites, got {length}")
+    q, qa = integrals
     dim = 1 << length
     move, order = _generator(group, length)
+    flips = [None] if q is None else [None, _pauli_action(q)]
 
     def images(b):
-        """Yield G^j P^s b for every group element g = 2j + s."""
-        for j in range(order):
-            if j:
-                b = move(b, length)
-            yield b
-            yield b ^ (dim - 1)
+        """Yield (index, sign) of G^j P^s Q^t |b> for every g = 2j + s +
+        2n t, the sign None for +1."""
+        for flip in flips:
+            img, sign = b, None
+            if flip is not None:
+                x, z, c = flip
+                img, sign = b ^ x, _pauli_signs(b, z, c)
+            for j in range(order):
+                if j:
+                    img = move(img, length)
+                yield img, sign
+                yield img ^ (dim - 1), sign
 
     rep = np.arange(dim, dtype=np.int32)
     elem = np.zeros(dim, dtype=np.int8)
-    for g, img in enumerate(images(rep.copy())):
+    sign = None if q is None else np.ones(dim, dtype=np.int8)
+    for g, (img, s) in enumerate(images(rep.copy())):
         smaller = img < rep
         rep[smaller] = img[smaller]
         elem[smaller] = g
+        if s is not None:
+            sign[smaller] = s[smaller]
     is_rep = rep == np.arange(dim)
     reps = np.flatnonzero(is_rep)
     orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
@@ -1015,20 +1118,54 @@ def _sector_table(length: int, group: str) -> _SectorTable:
         phase = 2 * np.pi * (k * np.arange(order) % order) / order
         twist = np.cos(phase) if 2 * k % order == 0 else np.exp(1j * phase)
         for p in (1, -1):
-            keys.append((k, p))
-            chars.append(np.outer(twist, (1, p)).ravel())
+            base = np.outer(twist, (1, p)).ravel()
+            for qv in (None,) if q is None else (1, -1):
+                keys.append((k, p) if qv is None else (k, p, qv))
+                chars.append(base if qv is None
+                             else np.concatenate([base, qv * base]))
     chars = np.array(chars)
-    # an orbit sum survives iff the character is trivial on the
-    # representative's stabilizer, where the sum is |stabilizer| > 0
-    alive = (chars @ (np.array(list(images(reps))) == reps)).real > 0.5
+    # an orbit sum survives iff chi(h) times the sign h gives the
+    # representative is 1 on its stabilizer, where the sum is
+    # |stabilizer| > 0
+    fixed = np.array([(img == reps) if s is None else (img == reps) * s
+                      for img, s in images(reps)])
+    alive = (chars @ fixed).real > 0.5
     some = alive.any(axis=1)
     alive = alive[some]
     cols = np.where(alive, np.cumsum(alive, axis=1) - 1, -1).astype(np.int32)
     keys = [key for key, s in zip(keys, some) if s]
+    chars = chars[some]
     index = {key: i for i, key in enumerate(keys)}
-    twin = np.array([index.get((-k % order, p), -1) for k, p in keys])
+    relations = None if qa is None else _twin_relations(q, qa)
+    if relations is None:
+        twin = np.array([index.get((-key[0] % order, *key[1:]), -1)
+                         for key in keys])
+        return _SectorTable(length, group, reps, np.bincount(orbit), orbit,
+                            elem, tuple(keys), chars, cols, twin, sign,
+                            integrals)
+    # the twin of sector i has character mu chi_i(s') at each generator s
+    # (_twin_relations)
+    have = chars[:, [s for s, _, _ in relations]]
+    want = np.stack([mu * chars[:, s2] for _, s2, mu in relations], axis=1)
+    twin = np.array([next((j for j in range(len(keys))
+                           if np.abs(have[j] - w).max() < 0.5), -1)
+                     for w in want])
+    # Q_a takes the representative r of column c, where |c> is 1 / sqrt(N),
+    # to c_a (-1)^popcount(z_a & r) |r ^ x_a>, where the twin's column
+    # mate[c], the orbit of r ^ x_a, is chi_twin(g) sign / sqrt(N) (g and
+    # sign those of r ^ x_a): every factor of the phase is +-1
+    x, z, c = _pauli_action(qa)
+    moved = reps ^ x
+    signs = _pauli_signs(reps, z, c) * sign[moved]
+    mate, phase = [], []
+    for i, j in enumerate(twin):
+        live = np.flatnonzero(cols[i] >= 0)
+        mate.append(cols[j, orbit[moved[live]]])
+        phase.append(signs[live] * np.rint(chars[j, elem[moved[live]]].real)
+                     .astype(np.int8))
     return _SectorTable(length, group, reps, np.bincount(orbit), orbit, elem,
-                        tuple(keys), chars[some], cols, twin)
+                        tuple(keys), chars, cols, twin, sign, integrals,
+                        (np.concatenate(mate), np.concatenate(phase)))
 
 
 def _implied_leak(op: OperatorSum, group: str) -> float:
@@ -1086,41 +1223,110 @@ def _check_memory(need: int, method: str, length: int, what: str) -> None:
 def _check_table(table: _SectorTable) -> None:
     """Raise ConvergenceError unless the orbit table passes checks (i) and
     (iii) (a)-(d) of project_sectors, each to BASIS_ATOL, and the twin
-    check: every sector has a twin, with the conjugate character and the
-    same columns, so that a real operator has conjugate blocks in the two
-    (both sector solvers reuse the solution of k for -k on that alone,
-    _SectorTable.reused).  _sector_frame runs it on every table it
-    builds."""
+    check.  Without Q_a, every sector has a twin with the conjugate
+    character and the same columns, so that a real operator has conjugate
+    blocks in the two (both sector solvers reuse the solution of k for -k
+    on that alone, _SectorTable.reused).  With Q_a, swap's map holds
+    entry by entry at every basis index: Q_a V_i[:, c] = phase[c]
+    V_twin[:, mate[c]] for every column c of every sector i, V the orbit
+    sums of _SectorTable, so that (Q_a^2 = 1) a twin's blocks are a signed
+    column permutation of its source's for every operator Q_a commutes
+    with.  _sector_frame runs it on every table it builds."""
     L, chars, orbit, cols = table.length, table.chars, table.orbit, table.cols
     b, g = np.arange(orbit.size, dtype=orbit.dtype), np.arange(chars.shape[1])
-    k, p = np.array(table.keys).T
-    elem, alive = table.elem, cols >= 0
+    keys = np.array(table.keys).T
+    elem, alive, sign = table.elem, cols >= 0, table.sign
     move, order = _generator(table.group, L)
+    n2 = 2 * order
     ok = {"span": alive.sum() == orbit.size, "orbit": True, "stabilizer": True,
           "character": np.abs(chars[:, 0] - 1).max() <= BASIS_ATOL,
           "size": np.array_equal(table.size, np.bincount(orbit))
           and np.array_equal(cols, np.where(alive, alive.cumsum(1) - 1, -1))}
-    # each generator s: its code, g s for every g, s b for every b, chi(s)
-    gens = [(1, g ^ 1, b ^ (orbit.size - 1), p)]
+
+    def code(j, s, t):
+        """The code 2j + s + 2n t, j taken mod n."""
+        return 2 * (j % order) + s + n2 * t
+
+    def parts(c):
+        """(j, s, t) of the codes c."""
+        return c % n2 // 2, c & 1, c // n2
+
+    # each generator s: its code, the sign it gives every b (None for +1),
+    # s b for every b, chi(s)
+    gens = [(1, None, b ^ (orbit.size - 1), keys[1])]
     if move is not None:
-        gens.append((2, (g + 2) % g.size, move(b, L),
-                     np.exp(2j * np.pi * k / order)))
-    for code, times, image, chi in gens:
-        # h = g_{sb} s g_b^-1: powers of G add mod n and flips xor
-        h = (2 * ((elem[image] // 2 + code // 2 - elem // 2) % order)
-             + ((elem[image] ^ code ^ elem) & 1))
-        moved = h != 0
+        gens.append((2, None, move(b, L),
+                     np.exp(2j * np.pi * keys[0] / order)))
+    q, qa = table.integrals
+    if q is not None:
+        x, z, c = _pauli_action(q)
+        gens.append((n2, _pauli_signs(b, z, c), b ^ x, keys[2]))
+    for s, tau, image, chi in gens:
+        # h = g_{sb} s g_b^-1: powers of G add mod n, flips and Q xor; it
+        # gives b's representative the sign eps = sign[b] tau[b] sign[sb]
+        (ji, si, ti), (js, ss, ts), (jb, sb, tb) = (
+            parts(elem[image]), parts(s), parts(elem))
+        h = code(ji + js - jb, si ^ ss ^ sb, ti ^ ts ^ tb)
+        times = code(g % n2 // 2 + js, g & 1 ^ ss, g // n2 ^ ts)
         ok["character"] &= bool(np.abs(chars[:, times] - chars * chi[:, None])
                                 .max() <= BASIS_ATOL)
         ok["orbit"] &= np.array_equal(orbit[image], orbit)
-        ok["stabilizer"] &= bool(np.abs(chars[:, h[moved]] - 1)[
-            alive[:, orbit[moved]]].max(initial=0) <= BASIS_ATOL)
-    # the twin of (k, p) has the conjugate character and the same columns,
-    # so a real operator's blocks there are conjugate
+        moved = h != 0
+        if sign is None:
+            ok["stabilizer"] &= bool(np.abs(chars[:, h[moved]] - 1)[
+                alive[:, orbit[moved]]].max(initial=0) <= BASIS_ATOL)
+            continue
+        eps = sign * sign[image] * (1 if tau is None else tau)
+        ok["stabilizer"] &= bool((eps[~moved] == 1).all())
+        # per code and sign of h, the orbits that take it, one pass each
+        taken = 2 * h[moved].astype(np.int16) + (eps[moved] < 0)
+        orbits = orbit[moved]
+        for key in np.flatnonzero(np.bincount(taken)).tolist():
+            on = np.zeros(len(table.reps), dtype=bool)
+            on[orbits[taken == key]] = True
+            value = chars[:, key // 2] * (1 - 2 * (key & 1))
+            ok["stabilizer"] &= bool(np.abs(value - 1)[
+                alive[:, on].any(axis=1)].max(initial=0) <= BASIS_ATOL)
     twin = table.twin
-    ok["twin"] = bool((twin >= 0).all()) and bool(
-        np.abs(chars[twin] - chars.conj()).max() <= BASIS_ATOL) \
-        and np.array_equal(cols[twin], cols)
+    if table.swap is None:
+        # the twin of (k, p) has the conjugate character and the same
+        # columns, so a real operator's blocks there are conjugate
+        ok["twin"] = bool((twin >= 0).all()) and bool(
+            np.abs(chars[twin] - chars.conj()).max() <= BASIS_ATOL) \
+            and np.array_equal(cols[twin], cols)
+    else:
+        # Q_a |c> = phase[c] |mate[c]> in the twin, entry by entry: at every
+        # b of column c's orbit, c_a (-1)^popcount(z_a & b) V_i[b] is phase
+        # times V_twin[b ^ x_a], both orbits of one size.  The characters
+        # are +-1 here, as check (iii) (a) has it, and so is every phase:
+        # both sides are read as int8, a range of indices at a time (per
+        # index a few int8 per sector and a few int32, about _CHUNK_BYTES
+        # in all)
+        mate, phase = table.swap
+        x, z, c = _pauli_action(qa)
+        f = orbit[table.reps ^ x]
+        ok["twin"] = bool((twin >= 0).all()) \
+            and np.array_equal(table.size[f], table.size) \
+            and np.array_equal(np.abs(phase), np.ones_like(phase))
+        # per sector and orbit, the phase of its column (0 where dead)
+        phase_of = np.zeros(cols.shape, dtype=np.int8)
+        for i, j in enumerate(twin.tolist() if ok["twin"] else ()):
+            live = np.flatnonzero(alive[i])
+            own = table.first[i] + cols[i, live]
+            ok["twin"] &= np.array_equal(cols[j, f[live]], mate[own])
+            phase_of[i, live] = phase[own]
+        sign_of = np.rint(chars.real).astype(np.int8)
+        twin_of = sign_of[twin]
+        step = max(1, _CHUNK_BYTES // (8 * len(twin) + 32))
+        for lo in range(0, orbit.size if ok["twin"] else 0, step):
+            part = b[lo:lo + step]
+            moved = part ^ x
+            n = orbit[part]
+            ok["twin"] &= np.array_equal(orbit[moved], f[n])
+            eps = _pauli_signs(part, z, c) * sign[part] * sign[moved]
+            lhs = sign_of[:, elem[part]] * eps
+            lhs -= phase_of[:, n] * twin_of[:, elem[moved]]
+            ok["twin"] &= not lhs[alive[:, n]].any()
     failed = [name for name, good in ok.items() if not good]
     if failed:
         raise ConvergenceError(
@@ -1128,12 +1334,84 @@ def _check_table(table: _SectorTable) -> None:
             "sector bases are not an orthonormal eigenbasis of the symmetries")
 
 
-def _sector_frame(ops: list, group: str, mirrored: bool) -> tuple:
+def _integrals(ops: list, group: str) -> tuple:
+    """(Q, Q_a): the Pauli integrals of motion an "RP" family's sectors
+    split by and pair up by, read off the commutant of its terms
+    (pauli.commutant), each a Hermitian real string or None; (None, None)
+    for any other group.
+
+    The commutant is a GF(2) space of (x, z) masks, coded as 2L-bit ints,
+    x above z.  Q is the first row, leading bits descending, of the
+    reduced row-echelon basis (pauli.kernel_within) of its elements that R
+    conserves (mirror-symmetric masks) and that commute with P (even z
+    weight), leaving out the one row that leads at site 1's X bit (P's
+    own), whose Y count is even (a real string): Q commutes with R and P,
+    and lies outside <P>.  Q_a is the first row of that basis of the
+    elements whose image under R is themselves times an element of <P, Q>
+    (masks only) that has odd z weight (anticommutes with P, so it maps a
+    sector of parity p onto one of -p) and an even Y count, and whose
+    relations with R, P and Q put it in the group's normalizer
+    (_twin_relations), None when no row qualifies; where R Q_a R = +-Q_a P
+    Q, the letters of P Q then take Q's place.  For H_C + lambda H_I,
+    lambda != 0, on an open chain of 6-24 sites the commutant has
+    dimension 3: Q is a period-3 string (where L != 0 mod 3 a product of
+    disjoint YY bonds, IYYIYYIYYIYYI at 13 sites), and Q_a, when L != 0
+    mod 3, a product of ZXZ stabilizers of period 3 (ZXZZXZZXZZXZZ at 13
+    sites) with R Q_a R = Q_a Q, which takes (r, p, q) to (r q, -p, q)."""
+    if group != "RP":
+        return None, None
+    L = ops[0].length
+    full = (1 << L) - 1
+
+    def mirror(v):
+        return (_reflect(v >> L, L) << L) | _reflect(v & full, L)
+
+    def odd_z(v):
+        return (v & full).bit_count() & 1
+
+    def string(v):
+        x, z = v >> L, v & full
+        if (x & z).bit_count() & 1:
+            return None
+        return PauliString(L, (x & z).bit_count(), x, z)
+
+    basis = [(x << L) | z for x, z in commutant(ops)]
+    even = kernel_within(basis, lambda v: (mirror(v) ^ v) << 1 | odd_z(v))
+    q = next(filter(None, (string(v) for v in even
+                           if v.bit_length() < 2 * L)), None)
+    if q is None:
+        return None, None
+    group_rows = row_echelon([full << L, (q.x_mask << L) | q.z_mask])
+
+    def off_group(v):
+        """R v + v, reduced modulo <P, Q>."""
+        w = mirror(v) ^ v
+        for row in group_rows:
+            if w >> (row.bit_length() - 1) & 1:
+                w ^= row
+        return w
+
+    qa = next((s for s in map(string, filter(odd_z, kernel_within(
+        basis, off_group))) if s is not None and _twin_relations(q, s)),
+        None)
+    if qa is not None and _twin_relations(q, qa)[0][1] == 7:
+        # R Q_a R = +-Q_a P Q: P Q (its letters) takes Q's place, which
+        # leaves the group as it is and gives R Q_a R = +-Q_a Q
+        pq = PauliString.from_letters("X" * L) * q
+        q = string((pq.x_mask << L) | pq.z_mask)
+    return q, qa
+
+
+def _sector_frame(ops: list, group: str, mirrored: bool,
+                  integrals: tuple) -> tuple:
     """(table, bases, twins): the sectors of `group` ("TP", "RP" or "P",
     _generator) that both sector solvers solve a family of operators `ops`
-    in, built once per family.  Raises ConvergenceError unless every
-    operator's coefficients bound its sector leak (_implied_leak) within
-    1e-12 * max(1, sum|coeff|), check (ii) of project_sectors; then builds
+    in, built once per family, split by the family's Pauli integral Q and
+    paired by Q_a where integrals = (Q, Q_a) holds them (_integrals, "RP"
+    only).  Raises ConvergenceError unless every operator's coefficients
+    bound its sector leak (_implied_leak) within 1e-12 * max(1,
+    sum|coeff|), check (ii) of project_sectors (Q leaks nothing: it
+    commutes with every term, which pauli.commutant confirms); then builds
     the orbit table (_sector_table) and checks it (_check_table), builds
     the real bases of its complex sectors (_real_bases) when `mirrored`
     (_mirrored, empty otherwise), and gives the twins every sector
@@ -1149,7 +1427,7 @@ def _sector_frame(ops: list, group: str, mirrored: bool) -> tuple:
                 f"operator {m} is not invariant under the symmetries: its "
                 f"coefficients allow ||MV - VB|| = {leak:.3e}, above "
                 f"{bound:.3e}")
-    table = _sector_table(ops[0].length, group)
+    table = _sector_table(ops[0].length, group, integrals)
     _check_table(table)
     bases = _real_bases(table) if mirrored else {}
     return table, bases, table.reused(all(map(has_real_matrix, ops)))
@@ -1163,14 +1441,17 @@ def _sector_entries(table: _SectorTable, op: OperatorSum, sec, rep,
     (_mask_rows) on the representatives of `orbits`.
 
     M|c> has amplitude B[c', c] / sqrt(N_r) at the representative r of
-    column c', so row r's entry from r ^ x, times chi(g_{r^x})
-    sqrt(N_r / N_{orbit(r^x)}), lands in column target = cols[i,
-    orbit(r ^ x)] of sector i, -1 where that orbit's sum vanishes in i.
+    column c', so row r's entry from r ^ x, times chi(g_{r^x}) sign[r ^ x]
+    sqrt(N_r / N_{orbit(r^x)}) (sign 1 without Q), lands in column target
+    = cols[i, orbit(r ^ x)] of sector i, -1 where that orbit's sum
+    vanishes in i.
     project_sectors scatters the rows of every sector into dense blocks,
     _sector_block takes the rows of one sector's orbits as its CSR block.
     """
     indices, data = _mask_rows(op, table.reps[orbits])
     orbit, elem = table.orbit[indices], table.elem[indices]
+    if table.sign is not None:
+        data *= table.sign[indices]
     del indices
     data *= np.sqrt(table.size[orbits, None] / table.size[orbit])
     target = table.cols[sec, orbit[rep]]
@@ -1255,9 +1536,11 @@ class _Projection:
     """What project_sectors gives sector_low, for one lattice and a fixed
     list of operators: the orbit table, per sector (k, p, blocks) with
     blocks[m] = U^H V^H M_m V U (U = 1 outside `bases`), twins[i] the index
-    j < i of the sector whose blocks, conjugated, are sector i's for every
-    operator (-1 when none): the table's twin when every operator is real
-    (_SectorTable.reused), bases, the unitaries U of _real_bases by
+    j < i of the sector whose blocks, conjugated (a -k twin) or in the
+    columns Q_a maps them to (a chain's Q_a twin), are sector i's for
+    every operator (-1 when none): the table's twin when every operator is
+    real or Q_a pairs them (_SectorTable.reused), bases, the unitaries U
+    of _real_bases by
     sector (empty when they do not apply), and charge, the arguments of
     the projection's _check_memory call.  It holds every piece of state
     that outlives one chunk of couplings, and nothing writes to it once
@@ -1287,6 +1570,7 @@ class _Projection:
         t = self.table
         return [t.reps, t.size, t.orbit, t.elem, t.chars, t.cols, t.twin,
                 t.dims, t.first, t.takes,
+                *(x for x in (t.sign, *(t.swap or ())) if x is not None),
                 *(b for _, _, blocks in self.sectors for b in blocks),
                 *(x for basis in self.bases.values() for x in basis)]
 
@@ -1405,6 +1689,12 @@ def project_sectors(ops, group: str) -> _Projection:
 
     and (ii) requires this bound, not the leak itself, to stay within
     1e-12 * max(1, sum|coeff|), or reports the operator not invariant.
+    On an open chain split by a Pauli integral Q (_integrals) the same
+    argument runs over the sectors (r, p, q), Q a third generator with
+    [M, Q] = 0 exactly, since Q commutes with every term of every
+    operator (pauli.commutant confirms it), so the bound gains no term;
+    (iii) then checks each generator's sign on every index too
+    (_check_table).
 
     In real bases U^H V^H M V U differs from V^H M V by a unitary change of
     basis inside the sector, so the leak is the same; two more checks,
@@ -1415,7 +1705,8 @@ def project_sectors(ops, group: str) -> _Projection:
     """
     ops = [_as_sum(op) for op in ops]
     mirrored = _mirrored(ops, group)
-    table, bases, twins = _sector_frame(ops, group, mirrored)
+    table, bases, twins = _sector_frame(ops, group, mirrored,
+                                        _integrals(ops, group))
     dims, first, takes = table.dims, table.first, table.takes
     real = [has_real_matrix(op) for op in ops]
     scales = [max(1.0, op.norm_bound()) for op in ops]
@@ -1488,7 +1779,7 @@ def project_sectors(ops, group: str) -> _Projection:
         del target, values
         flats.append(flat)
     sectors = []
-    for (k, p), d, end, u in zip(table.keys, dims, ends, takes):
+    for (k, p, *_), d, end, u in zip(table.keys, dims, ends, takes):
         blocks = [f[end - d * d:end].reshape(d, d) for f in flats]
         sectors.append((k, p, [b.real if r and not u else b
                                for b, r in zip(blocks, real)]))
@@ -1515,11 +1806,12 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     most projected.rows(count) rows, the chunk project_sectors charges
     (_CHUNK_BYTES), and raises ValueError above it.  Per sector and stage,
     the rows' summed blocks form one (rows, d, d) stack; each row takes
-    its lowest levels from one LAPACK call (_subset_eigh) or, for a -k
-    sector of projected.twins (the orbit table's twin when every operator
-    is real, _SectorTable.reused), the conjugate of the solution of k,
-    which halves the solves (in real bases the blocks and so the solution
-    are real, and taken as they are); and one checked_residual checks
+    its lowest levels from one LAPACK call (_subset_eigh) or, for a twin
+    of projected.twins (_SectorTable.reused), its twin's solution as a
+    signed column permutation (_SectorTable.twin_solution): the conjugate
+    of the solution of k for a -k sector (in real bases the blocks and so
+    the solution are real, and taken as they are), Q_a applied for a
+    chain's Q_a twin, which halves the solves; and one checked_residual checks
     every pair of every row on the row's own block against its own
     norm_h[r], reused twins included, so that a wrong reuse raises
     ConvergenceError.  Each row takes the two passes of _sector_counts
@@ -1556,11 +1848,11 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
 
         def solve(i, n, at, sources, tops=None):
             """Sector i's (parity, energies, vectors) for each row of `at`:
-            its lowest min(n, d) levels, or the conjugates of its twin's
-            `sources`, one per row, with the residual of every pair on the
-            row's own block; with `tops`, per row the top of its window so
-            far, a row whose block _certify puts above tops[r] + atol
-            takes no level and no check."""
+            its lowest min(n, d) levels, or its twin's `sources` as
+            twin_solution maps them, one per row, with the residual of
+            every pair on the row's own block; with `tops`, per row the
+            top of its window so far, a row whose block _certify puts
+            above tops[r] + atol takes no level and no check."""
             _, p, blocks = projected.sectors[i]
             c = rows_c[at, :, None, None]
             h = np.multiply(c[:, 0], blocks[0],
@@ -1587,7 +1879,7 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
                     e[r], w[r] = _subset_eigh(h[r], k)
                 else:
                     e[r] = sources[r][1]
-                    np.conjugate(sources[r][2], out=w[r])
+                    w[r] = projected.table.twin_solution(i, sources[r][2])
             worst[at] = np.maximum(worst[at],
                                    checked_residual(h @ w, w, e, norms[at]))
             for r, row in enumerate(kept):
@@ -1661,18 +1953,18 @@ def _sector_counts(solve, twins, count: int, atol: float,
     of `count` can use, from solve(i, n, at, sources), which returns one
     such triple per row of `at`: the lowest min(n, d) levels of an own
     sector (twins[i] = -1, sources None), or, for a sector that reuses the
-    solution of its twin j = twins[i] < i, the conjugates of sources =
-    sector j's triples of those rows.  Both sector solvers (sector_low,
-    sector_lanczos) take their counts here, in two passes per row, each
-    pass sector by sector, every row that needs a sector in one call.  The
-    first solves each own sector for min(start, d) levels, start =
-    min(count, ceil(4 count / own sectors)), which is `count` with four
-    own sectors or fewer (an open chain's, or the spin flip's alone); with
-    a `floor` (sector_lanczos's LANCZOS_LEVEL_FLOOR), start is at most
-    max(floor, ceil(2 count / own sectors)) too, twice a sector's even
-    share of the window, which leaves the spin flip's two sectors the
-    whole count and gives an open chain's four half of it, at least
-    `floor`.  With `seeds` (sector_low's, a set of own sectors), the first
+    solution of its twin j = twins[i] < i, sources = sector j's triples of
+    those rows, mapped by _SectorTable.twin_solution.  Both sector solvers
+    (sector_low, sector_lanczos) take their counts here, in two passes per
+    row, each pass sector by sector, every row that needs a sector in one
+    call.  The first solves each own sector for min(start, d) levels,
+    start = min(count, ceil(4 count / own sectors)), which is `count` with
+    four own sectors or fewer (an open chain's with twins, or the spin
+    flip's alone); with a `floor` (sector_lanczos's LANCZOS_LEVEL_FLOOR),
+    start is at most max(floor, ceil(2 count / own sectors)) too, twice a
+    sector's even share of the window, which leaves the spin flip's two
+    sectors the whole count and gives an open chain's four own half of it,
+    at least `floor`.  With `seeds` (sector_low's, a set of own sectors), the first
     pass solves the seeds and their twins first; then, per other own
     sector, solve(i, n, at, None, tops), tops[r] the row's `count`-th
     lowest level found so far (_window_top), gives a row whose block
@@ -1740,7 +2032,8 @@ class _SectorState(StateVector):
     real basis when `basis` holds the rows (sigma, a, b) of its unitary U
     (_real_bases).  Its 2^L amplitudes V U w are formed on the first read
     of amps and kept: (U w)_c = a_c w_c + b_c w_{sigma_c}, in O(d), then
-    V[b, col] = chi(g_b) / sqrt(N_n) at the column col of b's orbit n,
+    V[b, col] = chi(g_b) sign[b] / sqrt(N_n) at the column col of b's
+    orbit n,
     read off the orbit table, with one gather of U w per orbit (0 where
     the orbit's sum vanishes); nothing else is built or kept."""
 
@@ -1767,6 +2060,8 @@ class _SectorState(StateVector):
             # the temporary first, and complex products round by operand
             # order, so this order fixes the amplitudes' last bits
             val = t.chars[i][t.elem] / np.sqrt(t.size)[t.orbit]
+            if t.sign is not None:
+                val *= t.sign
             amps = np.asarray(val * at[t.orbit], dtype=np.complex128)
             amps.setflags(write=False)
             self._amps = amps
@@ -1853,32 +2148,37 @@ def _krylov(k: int, size: int) -> int:
     return int(min(size, max(3 * k, 28)))
 
 
-def _largest_sector(length: int, group: str) -> int:
+def _largest_sector(length: int, group: str, q=None) -> int:
     """A bound on the states of any sector of `group` on `length` sites,
-    read without the orbit table: no sector holds more than the group's
-    orbits, which number 2^L / |G| plus the mean over G of the states each
-    element other than 1 fixes (Burnside's lemma), at most 2^ceil(L/2) per
-    element."""
-    return ((1 << length) // (2 * _generator(group, length)[1])
-            + 2 ** ((length + 1) // 2))
+    split by the Pauli integral q too when there is one (_integrals), read
+    without the orbit table: a sector's dimension is the mean over the
+    group G of conj(chi(g)) tr(g), at most 2^L / |G| plus the largest
+    |tr(g)| of an element other than 1, which is at most the states g
+    fixes up to sign, 2^ceil(L/2) (a Pauli string other than +-1 has trace
+    0).  |G| = 2n, twice that with q."""
+    order = 2 * _generator(group, length)[1] * (1 if q is None else 2)
+    return (1 << length) // order + 2 ** ((length + 1) // 2)
 
 
 def _lanczos_charge(h: OperatorSum, group: str, count: int,
-                    mirrored: bool) -> int:
+                    mirrored: bool, q=None) -> int:
     """Bytes family_low charges for a row h of an iterative family on the
-    sectors of `group`, in real bases when `mirrored`, read without the
-    orbit table, so that the first row is charged before any table is
-    built: what lives
-    through the solves (the orbit table, the real bases and every sector's
-    kept vectors) plus the largest of four passes, each measured with
-    tracemalloc at 14-18 sites: building the table and checking it (at
-    most 64 bytes per state), the real bases (100 per state), the largest
+    sectors of `group`, split by the Pauli integral q when there is one
+    (_integrals), in real bases when `mirrored`, read without the orbit
+    table, so that the first row is charged before any table is built
+    (a block is built only for an own sector, none larger than
+    _largest_sector): what lives through the solves (the orbit table, the
+    real bases and every sector's kept vectors) plus the largest of four
+    passes, each measured with tracemalloc at 14-18 sites: building the
+    table and checking it (at most 64 bytes per state, but for the (r, p,
+    q) table of 14 sites, 74, its checks' fixed ranges weighing more
+    there), the real bases (100 per state), the largest
     block's build or solve, and the merge (an expansion's transients and
     four complex copies of every returned level's amplitudes, which bound
     a caller that reads them all)."""
     L = h.length
     dim = 1 << L
-    d = _largest_sector(L, group)
+    d = _largest_sector(L, group, q)
     item = 8 if has_real_matrix(h) and (mirrored or group != "TP") else 16
     x_masks = len({x for x, _ in h.items()})
     n = min(count, d)
@@ -1891,7 +2191,8 @@ def _lanczos_charge(h: OperatorSum, group: str, count: int,
     solve = (d * x_masks * (24 if mirrored else item + 4)
              + (2 * ncv + 3 * n + 8) * d * item
              + 3 * min(d, DENSE_BLOCK_STATES) ** 2 * item)
-    kept = dim * (16 + (36 if mirrored else 0) + min(count, dim) * item)
+    kept = dim * (16 + (q is not None) + (36 if mirrored else 0)
+                  + min(count, dim) * item)
     return kept + max(dim * 64, dim * 100 if mirrored else 0, build, solve,
                       dim * (100 + 64 * min(count, dim)))
 
@@ -1925,14 +2226,19 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
     row.  family_low reads the group, builds the frame once per family and
     charges each row before its call, `need` being that row's charge
     (_lanczos_charge): a ring's 2L (k, p) sectors of about 2^L / 2L
-    states, an open chain's four (r, p) blocks of about 2^(L-2), or, for
-    a family that R does not conserve either, the two parity blocks of
-    2^(L-1).  Each own sector's block is built alone as a CSR matrix
-    (_sector_block), solved, and dropped before the next one is built; a
-    sector the frame gives real bases takes the real block U^H B U, as in
-    project_sectors.  A sector with a twin in the frame builds no block
-    and takes the conjugate of its twin's solution (in real bases, where
-    U(-k) = conj U(k), that solution as it is), as sector_low does.  A
+    states, an open chain's eight (r, p, q) blocks of about 2^(L-3),
+    four of them the Q_a twins of the other four (L != 0 mod 3; family_low
+    frames a chain whose Q has no partner, L = 0 mod 3, on its four (r,
+    p) blocks of about 2^(L-2), as eight unpaired Lanczos solves cost more
+    than four), or, for a family that R does not conserve either, the two
+    parity blocks of 2^(L-1).  Each own sector's block is built alone as
+    a CSR matrix (_sector_block), solved, and dropped before the next one
+    is built; a sector the frame gives real bases takes the real block
+    U^H B U, as in project_sectors.  A sector with a twin in the frame
+    builds no block and takes its twin's solution as a signed column
+    permutation (_SectorTable.twin_solution): conjugated for a -k twin
+    (in real bases, where U(-k) = conj U(k), that solution as it is), Q_a
+    applied for a chain's, as sector_low does.  A
     block of at most DENSE_BLOCK_STATES states takes a dense subset eigh,
     a larger one ARPACK with _krylov's vectors (_checked_low), whose retry
     is charged on top of `need`; every pair passes checked_residual on its
@@ -1948,11 +2254,11 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
 
     def solve(i, n, at, sources):
         """[Sector i's (parity, energies, vectors)] for the one row: its
-        lowest min(n, d) levels, or the conjugate of its twin's."""
+        lowest min(n, d) levels, or its twin's, mapped (twin_solution)."""
         nonlocal worst
         p = table.keys[i][1]
         if sources is not None:
-            return [(p, sources[0][1], sources[0][2].conj())]
+            return [(p, sources[0][1], table.twin_solution(i, sources[0][2]))]
         block = _sector_block(table, h, i, bases.get(i))
         size = block.shape[0]
         k = min(n, size)

@@ -632,6 +632,82 @@ def brackets_vanish(brackets) -> np.ndarray:
     return TermTable(ops).brackets_vanish(left, right, parity)
 
 
+def row_echelon(vectors) -> list:
+    """The reduced row-echelon basis over GF(2) of the span of `vectors`
+    (ints read as bit vectors), leading bits descending: each row's
+    highest set bit is zero in every other row, so the basis is the span's
+    own, whatever the order of `vectors`."""
+    rows = {}
+    for v in vectors:
+        for lead, row in rows.items():
+            if v >> lead & 1:
+                v ^= row
+        if v:
+            lead = v.bit_length() - 1
+            for k, row in rows.items():
+                if row >> lead & 1:
+                    rows[k] = row ^ v
+            rows[lead] = v
+    return [rows[k] for k in sorted(rows, reverse=True)]
+
+
+def kernel_within(vectors, image) -> list:
+    """The reduced row-echelon basis (row_echelon) of {v in span(vectors):
+    image(v) = 0} for a GF(2)-linear map `image` of ints to ints: the
+    vectors are eliminated on their images, each carrying its own bits
+    along, and those whose image clears span the kernel."""
+    pivots, kernel = {}, []
+    for v in vectors:
+        w = image(v)
+        # each pivot is clear at the leads of those before it, so one pass
+        # in insertion order clears them all
+        for lead, (row, src) in pivots.items():
+            if w >> lead & 1:
+                w, v = w ^ row, v ^ src
+        if w:
+            pivots[w.bit_length() - 1] = (w, v)
+        else:
+            kernel.append(v)
+    return row_echelon(kernel)
+
+
+def commutant(ops) -> list:
+    """The Pauli strings that commute with every term of every operator of
+    `ops` (one length), as the (x, z) mask pairs of a basis over GF(2): the
+    kernel of the terms' symplectic matrix, found by Gaussian elimination.
+
+    A string X^u Z^v commutes with X^x Z^z iff <u, z> + <v, x> is even,
+    the dot product of (u, v) with (z, x), so the commutant is the kernel
+    (kernel_within, over the 2L unit vectors) of the map whose bit t is
+    that product with term t, every mask pair read as a 2L-bit int, the x
+    mask above the z mask.  The basis is its reduced row-echelon one
+    (row_echelon), unique for the space, and TermTable.brackets_vanish
+    confirms every element against every operator before it is handed
+    out (ValueError otherwise)."""
+    ops = list(ops)
+    length = ops[0].length
+    full = (1 << length) - 1
+    rows = [(z << length) | x for op in ops for x, z in _term_map(op)]
+
+    def products(v):
+        return sum(((v & row).bit_count() & 1) << t
+                   for t, row in enumerate(rows))
+
+    basis = kernel_within((1 << f for f in range(2 * length)), products)
+    pairs = [(v >> length, v & full) for v in basis]
+    strings = [PauliString(length, (x & z).bit_count(), x, z)
+               for x, z in pairs]
+    if strings:
+        table = TermTable(strings + ops)
+        n = len(strings)
+        left = np.repeat(np.arange(n), len(ops))
+        right = np.tile(np.arange(n, n + len(ops)), n)
+        if not table.brackets_vanish(left, right,
+                                     np.ones_like(left)).all():
+            raise ValueError("a commutant element fails its bracket check")
+    return pairs
+
+
 def commutes(a, b) -> bool:
     """Whether [a, b] = 0, for Pauli strings or sums in any mix.
 

@@ -481,21 +481,23 @@ class TestMemoryBudget:
 
     def test_dense_budget_counts_sector_blocks(self, capsys, monkeypatch):
         # 32 MiB holds the 24 blocks of about 171 states of the 12-site
-        # ring, not the four (r, p) blocks of about 1024 x 1024 float64 of
-        # the chain
+        # ring and the eight (r, p, q) blocks of about 512 x 512 float64 of
+        # the chain; 24 MiB holds neither
         monkeypatch.setattr(engine, "_physical_memory", lambda: 32 << 20)
-        assert main(["spectrum", "--size", "12", "--boundary", "periodic",
-                     "--method", "dense"]) == 0
+        for boundary in ("periodic", "open"):
+            assert main(["spectrum", "--size", "12", "--boundary", boundary,
+                         "--method", "dense"]) == 0
         capsys.readouterr()
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 24 << 20)
         assert main(["spectrum", "--size", "12", "--boundary", "open",
                      "--method", "dense"]) == 2
-        assert "needs about 0.1 GB (4 sector blocks plus row tables)" in \
+        assert "needs about 0.0 GB (8 sector blocks plus row tables)" in \
             capsys.readouterr().err
 
     def test_scan_sector_path_checks_the_budget(self, capsys, monkeypatch):
         # the two-operator projection of the 12-site chain is charged in
         # project_sectors, before its kernel runs
-        monkeypatch.setattr(engine, "_physical_memory", lambda: 64 << 20)
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 32 << 20)
         with mock.patch.object(engine, "_mask_rows",
                                wraps=engine._mask_rows) as spy:
             assert main(["scan", "--size", "12", "--boundary", "open",

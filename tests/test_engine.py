@@ -197,13 +197,15 @@ class TestEigLow:
         np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("L,widths", [(8, [28, 56]), (6, [20]),
-                                          (5, [10]), (7, [28, 36])])
+    @pytest.mark.parametrize("L,widths", [(8, [28, 36]), (6, [20]),
+                                          (5, [6]), (7, [20])])
     def test_lanczos_retry_is_made_once(self, L, widths, monkeypatch):
-        # every solve of the (r, p) blocks misses its bound: one retry with
-        # twice the vectors, capped at the first block's 72, 20, 10 or 36
-        # states, and none when the first solve already spans the block.
-        # Blocks this small take a dense eigh, unless the dense cap is 0
+        # every solve of the sector blocks misses its bound: one retry with
+        # twice the vectors, capped at the first block's 36, 20, 6 or 20
+        # states (the first own (r, p, q) block where Q_a pairs the
+        # sectors, L = 5, 7, 8; the first (r, p) block at 6 sites), and
+        # none when the first solve already spans the block.  Blocks this
+        # small take a dense eigh, unless the dense cap is 0
         solve = engine._lanczos
 
         def shifted(m, count, ncv):

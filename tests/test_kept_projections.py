@@ -42,7 +42,20 @@ def cli_report(capsys, argv) -> str:
 
 @pytest.mark.parametrize("L", [8, 10])
 def test_a_repeated_ring_scan_builds_nothing(capsys, L):
-    lat = LatticeSpec(L, "periodic")
+    check_repeated_scan(capsys, LatticeSpec(L, "periodic"))
+
+
+def test_a_repeated_chain_scan_builds_nothing(capsys):
+    # the 10-site chain's (H_C, H_I) projection counts 2.033 MiB in its
+    # eight (r, p, q) sectors, within _KEEP_BYTES (4.021 MiB in the four
+    # (r, p) sectors it had before Q split them)
+    check_repeated_scan(capsys, LatticeSpec(10, "open"))
+
+
+def check_repeated_scan(capsys, lat):
+    """A second scan of `lat` takes the kept projection and builds nothing,
+    bit for bit the first; so does the CLI's report, cold and warm."""
+    L = lat.length
     grid = [0.6, 0.9, 1.0, 1.3]
     first = cs.phase_scan(lat, grid, probes={"X1": "X1"})
     assert len(engine._KEPT) == 1
@@ -59,7 +72,7 @@ def test_a_repeated_ring_scan_builds_nothing(capsys, L):
     assert again.crossings == first.crossings
 
     # the CLI's report, cold (an emptied memo) and warm
-    argv = ["scan", "--size", str(L), "--boundary", "periodic",
+    argv = ["scan", "--size", str(L), "--boundary", lat.boundary,
             "--lambda", "0.5:1.5:0.25", "--probe", "Z1Z2"]
     engine._KEPT.clear()
     cold = cli_report(capsys, argv)
@@ -98,11 +111,12 @@ def test_twelve_site_projections_are_not_kept(boundary):
 
 
 def test_the_memo_stays_within_its_bytes():
-    # kept sizes in MiB: 10-site ring scan 0.853, 9-site chain scan 1.011,
-    # 8-site ring scan 0.079, 10-site chain Hamiltonian 2.017 (3.960 in
-    # all), 9-site chain Hamiltonian 0.509; a 12-site ring (10.861) is
-    # never kept.  The 10-site ring, used again, outlives the 9-site chain
-    # scan, which the 9-site chain Hamiltonian's projection evicts
+    # kept sizes in MiB: 10-site ring scan 0.853, 9-site chain scan 0.511,
+    # 8-site ring scan 0.079, 10-site chain Hamiltonian 1.029, 10-site
+    # chain scan 2.033 (3.994 in all, the 9-site chain scan evicted),
+    # 9-site chain Hamiltonian 0.259 (the 8- and then the 10-site ring
+    # evicted); a 12-site ring (10.861) is never kept.  The 10-site ring,
+    # used again, outlives the 9-site chain scan
     ring, chain = LatticeSpec(10, "periodic"), LatticeSpec(9, "open")
     calls = [lambda: cs.phase_scan(ring, [0.8]),
              lambda: cs.phase_scan(chain, [0.8]),
@@ -110,14 +124,18 @@ def test_the_memo_stays_within_its_bytes():
              lambda: cs.phase_scan(ring, [1.1]),
              lambda: cs.eig_low(cs.perturbed_hamiltonian(
                  LatticeSpec(10, "open"), 0.3), count=6),
+             lambda: cs.phase_scan(LatticeSpec(10, "open"), [0.8]),
              lambda: cs.eig_low(cs.perturbed_hamiltonian(chain, 0.3),
                                 count=6),
              lambda: cs.phase_scan(LatticeSpec(12, "periodic"), [1.0])]
+    kept = []
     for call in calls:
         call()
         assert kept_bytes() <= engine._KEEP_BYTES
-    assert [(p.table.length, p.table.group) for p in engine._KEPT.values()] \
-        == [(8, "TP"), (10, "TP"), (10, "RP"), (9, "RP")]
+        kept.append([(p.table.length, p.table.group)
+                     for p in engine._KEPT.values()])
+    assert kept[5] == [(8, "TP"), (10, "TP"), (10, "RP"), (10, "RP")]
+    assert kept[-1] == [(10, "RP"), (10, "RP"), (9, "RP")]
 
 
 def test_shared_arrays_are_read_only():

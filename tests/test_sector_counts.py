@@ -188,19 +188,28 @@ def test_a_sector_the_window_needs_is_solved_again():
 
 
 def test_open_chain_solves_are_the_full_count():
-    # four own sectors: the first pass is the whole count, as before the
-    # per-sector rule, and nothing is solved again; a scan solves its first
-    # coupling in every sector, then, the first window holding levels of
-    # all four, each sector for every other coupling before the next sector
-    h = cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)
+    # where Q_a pairs the eight (r, p, q) sectors (L != 0 mod 3), four own
+    # sectors: the first pass is the whole count, and nothing is solved
+    # again; a scan solves its first coupling in every own sector, then,
+    # the first window holding levels of all four, each sector for every
+    # other coupling before the next sector.  Unpaired (9 sites), eight own
+    # sectors take ceil(4 * 6 / 8) = 3 levels each
+    h = cs.perturbed_hamiltonian(LatticeSpec(10, "open"), 0.3)
     with mock.patch.object(engine, "_subset_eigh",
                            wraps=SUBSET_EIGH) as eigh:
         cs.eig_low(h, count=6)
     assert [(c.args[0].shape[0], c.args[1])
             for c in eigh.call_args_list] == [(d, 6)
                                               for d in (136, 136, 120, 120)]
+    h = cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.3)
+    with mock.patch.object(engine, "_subset_eigh",
+                           wraps=SUBSET_EIGH) as eigh:
+        cs.eig_low(h, count=6)
+    assert [(c.args[0].shape[0], c.args[1])
+            for c in eigh.call_args_list] == [
+                (d, 3) for d in (64, 72, 72, 64, 64, 56, 56, 64)]
     grid = [0.5, 1.0, 1.5]
-    dims = (72, 64, 56, 64)
+    dims = (36, 36, 28, 28)
     with mock.patch.object(engine, "_subset_eigh",
                            wraps=SUBSET_EIGH) as eigh, \
             mock.patch.object(engine, "_certify",

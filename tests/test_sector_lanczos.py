@@ -287,7 +287,9 @@ def lanczos_counts(h, count):
                     for c in spy.call_args_list]
 
 
-CHAIN_BLOCKS = (2080, 2080, 2016, 2016)   # the 13-site chain's (r, p) blocks
+# the 13-site chain's own (r, p, q) blocks, which Q_a pairs with the other
+# four
+CHAIN_BLOCKS = (1056, 1024, 1024, 992)
 
 
 @pytest.mark.parametrize("count,first", [(8, 4), (12, 6)])
@@ -302,7 +304,7 @@ def test_chain_first_pass_is_twice_each_share(count, first):
 
 
 def test_chain_blocks_the_window_needs_are_solved_again():
-    # at lambda = 0 every (r, p) block holds many copies of the first
+    # at lambda = 0 every own block holds many copies of the first
     # excited level, which is the window's top: each gives its 4 levels at
     # or below it and is solved again at the whole count
     h = cs.perturbed_hamiltonian(LatticeSpec(13, "open"), 0.0)
@@ -374,8 +376,8 @@ def test_a_table_without_conjugate_twins_is_rejected(monkeypatch, field,
     # Lanczos path or the dense one
     build = engine._sector_table
 
-    def tampered(length, group):
-        table = build(length, group)
+    def tampered(length, group, *integrals):
+        table = build(length, group, *integrals)
         i = table.keys.index((length - 1, 1))
         values = getattr(table, field).copy()
         values[i] = (values[table.keys.index((1, 1))] if field == "chars"
@@ -420,8 +422,8 @@ def test_scan_above_the_dense_sizes_matches_the_free_fermion_levels():
 
 
 def test_budget_covers_the_chain_solve():
-    # building the four (r, p) blocks of about 4096 states of the 14-site
-    # chain, then their solves and the expanded states
+    # building the four own (r, p, q) blocks of about 2048 states of the
+    # 14-site chain, then their solves and the expanded states
     h = cs.perturbed_hamiltonian(LatticeSpec(14, "open"), 0.45)
     with mock.patch.object(engine, "_check_memory",
                            wraps=engine._check_memory) as spy:
@@ -507,3 +509,56 @@ def test_a_family_that_breaks_the_spin_flip_is_rejected(method):
     with pytest.raises(ConvergenceError, match="not invariant"):
         list(engine.family_low((cs.cluster_hamiltonian(lat), field),
                                [[1.0, 0.5]], 4, method))
+
+
+@pytest.mark.parametrize("L", [13, 14, 15, 16])
+def test_paired_chain_sectors_are_solved_once(L):
+    # where L != 0 mod 3, Q_a pairs the eight (r, p, q) sectors: the
+    # Lanczos path builds and solves the four own blocks only, and each
+    # twin takes its source's levels; at 15 sites Q has no partner and
+    # the four (r, p) blocks are solved.  Windows are the free fermions'
+    lam = 0.7
+    h = cs.perturbed_hamiltonian(LatticeSpec(L, "open"), lam)
+    with mock.patch.object(engine, "_checked_low",
+                           wraps=engine._checked_low) as solves, \
+            mock.patch.object(engine, "_sector_block",
+                              wraps=engine._sector_block) as blocks:
+        vals, labels, states, _ = lanczos_row(h, 8)
+    table = blocks.call_args.args[0]
+    own = [i for i, j in enumerate(table.reused(True)) if j < 0]
+    assert len(table.keys) == (4 if L == 15 else 8)
+    assert len(own) == 4
+    assert sorted({c.args[2] for c in blocks.call_args_list}) == own
+    assert [c.args[0].shape[0] for c in solves.call_args_list] \
+        == [table.dims[i] for i in own]
+    check_oracle_window(L, False, lam, 8, vals, labels)
+    # a twin's level is a true eigenstate of h, of its sector's parity
+    for state, label in zip(states, labels):
+        if table.reused(True)[state.sector] >= 0:
+            moved = cs.apply(h, state).amps
+            energy = np.vdot(state.amps, moved).real
+            assert np.linalg.norm(moved - energy * state.amps) <= 1e-9
+            flip = cs.PauliString.from_letters("X" * L)
+            assert np.allclose(cs.apply(flip, state).amps,
+                               label * state.amps, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", range(6, 13))
+def test_split_chain_levels_are_the_unsplit_ones(L, monkeypatch):
+    # the dense path's (r, p, q) sectors against the four (r, p) blocks
+    # alone (no integral): energies to 1e-12, the same ground multiplicity
+    # and the parities of every cluster the window holds whole
+    for lam in (0.0, 0.45) if L < 12 else (1.05,):
+        h = cs.perturbed_hamiltonian(LatticeSpec(L, "open"), lam)
+        levels = []
+        for integrals in (engine._integrals, lambda ops, group: (None,) * 2):
+            monkeypatch.setattr(engine, "_integrals", integrals)
+            engine._KEPT.clear()
+            [[(vals, labels, _, _)]] = engine.family_low([h], [[1.0]], 8)
+            levels.append((vals, labels))
+        (vals, labels), (want, want_labels) = levels
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
+        assert _window(vals) == _window(want)
+        clusters = list(engine._clusters(want, 1e-8))
+        for c in clusters[:-1]:
+            assert sorted(labels[c]) == sorted(want_labels[c])

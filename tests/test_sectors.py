@@ -18,7 +18,7 @@ from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 from clusterspt.errors import ConvergenceError
 
 from conftest import (basis_matrix, for_each_size, free_fermion,
-                      kron_from_letters, oracle_sum_matrix,
+                      kron_from_letters, oracle_matrix, oracle_sum_matrix,
                       random_hermitian_sum, sector_census)
 
 
@@ -56,7 +56,7 @@ GROUPS = {"periodic": ("TP",), "open": ("RP", "P")}
 ORDER = {"TP": lambda L: L, "RP": lambda L: 2, "P": lambda L: 1}
 
 
-def reference_sectors(L, group):
+def reference_sectors(L, group, q=None):
     """{(k, p): V} for every nonempty sector of `group`, in ascending k then
     p = +1, -1, built from binary strings: the columns of V are the
     normalized orbit sums sum_{j,s} e^{-2 pi i k j / n} p^s G^j P^s |r> over
@@ -64,38 +64,50 @@ def reference_sectors(L, group):
     every bit and G of order n the translation T of translation_matrix
     ("TP", n = L), the reflection R of reflection_matrix ("RP", n = 2), or
     none ("P", n = 1, k = 0).  A real character (2k = 0 mod n) gives a
-    real V."""
+    real V.  With a real Pauli string q that commutes with G and P, the
+    sectors are (k, p, q') with q' = +1, -1 last, and the sums run over
+    G^j P^s Q^t too, with the factor q'^t, Q's matrix the Kronecker
+    oracle's (oracle_matrix)."""
     dim = 1 << L
     order = ORDER[group](L)
+    flips = [(0, 1.0)]
+    if q is not None:
+        qm = oracle_matrix(q)
+        flips.append((q.x_mask, None))
     orbits = {}
     for b in range(dim):
-        bits = format(b, f"0{L}b")
-        images = []   # (j, s, G^j P^s b)
-        for j in range(order):
-            if group == "RP":
-                t = bits[::-1] if j else bits
-            else:
-                t = bits[L - j:] + bits[:L - j]
-            flip = "".join("1" if c == "0" else "0" for c in t)
-            images += [(j, 0, int(t, 2)), (j, 1, int(flip, 2))]
-        orbits.setdefault(min(img for _, _, img in images), images)
+        images = []   # (j, s, t, sign, G^j P^s Q^t b)
+        for t, (x, _) in enumerate(flips):
+            bits = format(b ^ x, f"0{L}b")
+            sign = 1.0 if not t else qm[b ^ x, b].real
+            for j in range(order):
+                if group == "RP":
+                    g = bits[::-1] if j else bits
+                else:
+                    g = bits[L - j:] + bits[:L - j]
+                flip = "".join("1" if c == "0" else "0" for c in g)
+                images += [(j, 0, t, sign, int(g, 2)),
+                           (j, 1, t, sign, int(flip, 2))]
+        orbits.setdefault(min(img[-1] for img in images), images)
     sectors = {}
     for k in range(order):
         for p in (1, -1):
-            cols = []
-            for _, images in sorted(orbits.items()):
-                u = np.zeros(dim, dtype=complex)
-                for j, s, img in images:
-                    u[img] += np.exp(-2j * np.pi * k * j / order) * p ** s
-                norm = np.linalg.norm(u)
-                if norm > 1e-9:
-                    cols.append(u / norm)
-            if cols:
-                v = np.column_stack(cols)
-                if 2 * k % order == 0:
-                    assert np.abs(v.imag).max() <= 1e-15
-                    v = v.real
-                sectors[(k, p)] = v
+            for qv in (None,) if q is None else (1, -1):
+                cols = []
+                for _, images in sorted(orbits.items()):
+                    u = np.zeros(dim, dtype=complex)
+                    for j, s, t, sign, img in images:
+                        u[img] += (np.exp(-2j * np.pi * k * j / order)
+                                   * p ** s * (qv or 1) ** t * sign)
+                    norm = np.linalg.norm(u)
+                    if norm > 1e-9:
+                        cols.append(u / norm)
+                if cols:
+                    v = np.column_stack(cols)
+                    if 2 * k % order == 0:
+                        assert np.abs(v.imag).max() <= 1e-15
+                        v = v.real
+                    sectors[(k, p) if qv is None else (k, p, qv)] = v
     return sectors
 
 
@@ -514,8 +526,8 @@ def test_projection_guard_rejects_a_broken_basis(monkeypatch):
                                  ("elem", 1, lambda v: (v + 2) % 12),
                                  ("orbit", 1, lambda v: v + 1),
                                  ("size", 0, lambda v: v + 1)]:
-        def tampered(length, group):
-            table = build(length, group)
+        def tampered(length, group, *integrals):
+            table = build(length, group, *integrals)
             values = getattr(table, field).copy()
             values[index] = change(values[index])
             return dataclasses.replace(table, **{field: values})
@@ -535,7 +547,7 @@ def test_orbit_table_check_accepts_every_size(boundary):
 
 
 def test_dense_budget_covers_the_chain_solve():
-    # the four (r, p) blocks of about 1024 states of the 12-site chain,
+    # the eight (r, p, q) blocks of about 512 states of the 12-site chain,
     # then the summed block of one and the copy eigh makes of it
     h = cs.cluster_hamiltonian(LatticeSpec(12, "open"))
     with mock.patch.object(engine, "_check_memory",
@@ -684,8 +696,8 @@ def test_dense_budget_covers_the_odd_ring_scan():
 
 
 def test_dense_budget_covers_the_chain_scan():
-    # the four (r, p) blocks of both operators of the 12-site chain, then
-    # each coupling's sum of them and the copy eigh makes of it
+    # the eight (r, p, q) blocks of both operators of the 12-site chain,
+    # then each coupling's sum of them and the copy eigh makes of it
     with mock.patch.object(engine, "_check_memory",
                            wraps=engine._check_memory) as spy:
         tracemalloc.start()
@@ -744,17 +756,21 @@ def test_reflection_blocks_match_the_oracle():
 
 
 def check_reflection_blocks(L, op):
-    # each (r, p) block of the projection is V^H M V on the reference
-    # basis of binary strings, M the Kronecker oracle, with no leak
+    # each (r, p) block of the projection, or (r, p, q) block where the
+    # operator's commutant holds a Pauli integral Q (engine._integrals), is
+    # V^H M V on the reference basis of binary strings, M the Kronecker
+    # oracle, with no leak
     m = oracle_sum_matrix(op)
     scale = max(1.0, op.norm_bound())
     assert engine._symmetry_group(op, ("RP", "P")) == "RP"
     projected = engine.project_sectors((op,), "RP")
-    sectors = reference_sectors(L, "RP")
-    assert [(k, p) for k, p, _ in projected.sectors] == list(sectors)
+    q, _ = engine._integrals([op], "RP")
+    sectors = reference_sectors(L, "RP", q)
+    assert list(projected.table.keys) == list(sectors)
     real = engine.has_real_matrix(op)
-    for k, p, (block,) in projected.sectors:
-        v = sectors[(k, p)]
+    for key, (_, _, (block,)) in zip(projected.table.keys,
+                                      projected.sectors):
+        v = sectors[key]
         assert np.abs(block - v.conj().T @ m @ v).max() <= 1e-13 * scale
         assert np.linalg.norm(m @ v - v @ block) <= 1e-12 * scale
         assert block.dtype == (np.float64 if real else np.complex128)
@@ -769,7 +785,7 @@ def test_reflection_solves_match_the_full_space():
 
 
 def check_reflection_solves(L, op, count):
-    # eig_low takes the (r, p) blocks; dense, it gives the
+    # eig_low takes the (r, p) or (r, p, q) blocks; dense, it gives the
     # full space's lowest levels and ground multiplicity exactly, and so
     # does Lanczos unless a level of the window is degenerate inside one
     # block, where each level it returns is still a true level
@@ -793,7 +809,7 @@ def check_reflection_solves(L, op, count):
     # Hamiltonian and any sum the translation happens to conserve too
     group = "TP" if engine._implied_leak(op, "TP") <= 1e-12 * max(
         1.0, op.norm_bound()) else "RP"
-    assert [c.args for c in spy.call_args_list] == [(L, group), (L, group)]
+    assert [c.args[:2] for c in spy.call_args_list] == [(L, group)] * 2
     np.testing.assert_allclose(dense.eigenvalues, want[:n], rtol=0,
                                atol=1e-12)
     assert dense.ground_degeneracy == deg
@@ -846,7 +862,7 @@ def test_orbit_table_check_rejects_a_wrong_reflection(field):
 def test_groups_are_read_off_the_coefficients():
     # translation first, then the reflection, then the spin flip alone,
     # dense and by Lanczos alike: a ring solves on (k, p) blocks, a chain
-    # on (r, p) blocks, and a chain with a field on site 2, which P
+    # on (r, p, q) blocks, and a chain with a field on site 2, which P
     # conserves and R does not, on the parity blocks
     chain = cs.perturbed_hamiltonian(LatticeSpec(8, "open"), 0.4)
     field = OperatorSum.from_pauli(PauliString.single(8, 2, "X"), 0.3)
@@ -859,6 +875,6 @@ def test_groups_are_read_off_the_coefficients():
             with mock.patch.object(engine, "_sector_table",
                                    wraps=engine._sector_table) as spy:
                 spect = cs.eig_low(h, count=6, method=method)
-            assert spy.call_args.args == (8, group)
+            assert spy.call_args.args[:2] == (8, group)
             np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
                                        atol=1e-12)

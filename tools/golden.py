@@ -143,6 +143,14 @@ COMMANDS = [
     # 1 collision
     "scan --size 10 --boundary periodic --lambda 0.5:1.5:0.025",
     "scan --size 12 --boundary periodic --lambda 0.9:1.1:0.02",
+    # open chains split by their Pauli integral Q: Lanczos on the four own
+    # (r, p, q) blocks Q_a pairs (14 sites) and on the four (r, p) blocks
+    # of a chain it does not pair (12), and a dense scan on eight blocks
+    "spectrum --size 14 --boundary open --lambda 1.05 --method iterative "
+    "--count 8",
+    "spectrum --size 12 --boundary open --lambda 0.45 --method iterative "
+    "--count 8",
+    "scan --size 10 --boundary open --lambda 0:1.5:0.25 --probe X1",
 ]
 
 
