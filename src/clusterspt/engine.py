@@ -60,12 +60,13 @@ one frame, building one sector's rows at a time as a CSR
 block (`_sector_block`, on a ring the real U^H B U), solving it
 (`_checked_low`: densely up to DENSE_BLOCK_STATES states, by Lanczos
 above, retrying a Lanczos solve once with more Krylov vectors when a pair
-misses its residual bound, `_checked_lanczos`), and dropping it.  In
-both, a real family's -k sector reuses the solution of k, and a chain's
-Q_a twin that of its source (`_SectorTable.twin_solution`).  Both take
-their per-sector level counts from `_sector_counts`, sector_lanczos with
-a smaller first pass (LANCZOS_LEVEL_FLOOR), and merge in `_merge_levels`,
-which
+misses its residual bound, `_checked_lanczos`), and dropping it.  Both
+take their per-sector level counts from `_sector_counts`, sector_lanczos
+with a smaller first pass (LANCZOS_LEVEL_FLOOR), which schedules own
+sectors only: the call that solves an own sector also gives the twin
+that reuses it, a real family's -k sector or a chain's Q_a image, the
+solution mapped (`_SectorTable.twin_solution`), which sector_low checks
+on the twin's own blocks.  Both merge in `_merge_levels`, which
 keeps each level in sector form (`_SectorState`), expanded to 2^L
 amplitudes straight from its orbit table on the first read of its `amps`.
 All golden values depend on this ordering.
@@ -1793,9 +1794,10 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
                atol: float = 1e-8, seeds=None) -> list:
     """Lowest `count` levels of H_r = sum_m coeffs[r, m] * op_m for each
     coupling row r of `coeffs`, from the blocks of project_sectors,
-    sector-major: each sector is solved for every row that needs it before
-    the next sector, one dense solve per row, and a second one for the few
-    sectors a row's window needs more levels of.
+    sector-major: each own sector is solved for every row that needs it
+    before the next, one dense solve per row, and its twin mapped from it,
+    and a second time for the few sectors a row's window needs more
+    levels of.
 
     Returns per row (vals, labels, states, max_residual) like eig_low's
     eigenvalues followed by resolve_sectors: ascending energies, each
@@ -1804,18 +1806,20 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
     _sector_counts certifies above the window is neither).  The
     coefficients are real, as family_low checks them.  A call takes at
     most projected.rows(count) rows, the chunk project_sectors charges
-    (_CHUNK_BYTES), and raises ValueError above it.  Per sector and stage,
-    the rows' summed blocks form one (rows, d, d) stack; each row takes
-    its lowest levels from one LAPACK call (_subset_eigh) or, for a twin
-    of projected.twins (_SectorTable.reused), its twin's solution as a
-    signed column permutation (_SectorTable.twin_solution): the conjugate
-    of the solution of k for a -k sector (in real bases the blocks and so
-    the solution are real, and taken as they are), Q_a applied for a
-    chain's Q_a twin, which halves the solves; and one checked_residual checks
-    every pair of every row on the row's own block against its own
-    norm_h[r], reused twins included, so that a wrong reuse raises
+    (_CHUNK_BYTES), and raises ValueError above it.  Per own sector (not
+    a twin of projected.twins, _SectorTable.reused) and pass, one solve
+    call sums the rows' blocks into one (rows, d, d) stack, and each row
+    takes its lowest levels from one LAPACK call (_subset_eigh); when a
+    twin reuses the sector, the same call sums the twin's own blocks and
+    gives each row the twin's solution as a signed column permutation of
+    the sector's (_SectorTable.twin_solution): the conjugate of the
+    solution of k for a -k sector (in real bases the blocks and so the
+    solution are real, and taken as they are), Q_a applied for a chain's
+    Q_a twin, which halves the solves.  One checked_residual per stack
+    checks every pair of every row on the row's own blocks against its
+    own norm_h[r], the twin's included, so that a wrong map raises
     ConvergenceError.  Each row takes the two passes of _sector_counts
-    over the own (not reused) sectors, without its floor, so that its
+    over the own sectors, without its floor, so that its
     merged window is exactly the lowest `count` levels: a LAPACK subset
     solve costs about the same at any level count, so sector_lanczos's
     smaller first pass would only add second solves here.  `seeds`, a set
@@ -1846,22 +1850,28 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
         rows_c, norms = coeffs[part], norm_h[part]
         worst = np.zeros(len(rows_c))
 
-        def solve(i, n, at, sources, tops=None):
-            """Sector i's (parity, energies, vectors) for each row of `at`:
-            its lowest min(n, d) levels, or its twin's `sources` as
-            twin_solution maps them, one per row, with the residual of
-            every pair on the row's own block; with `tops`, per row the
-            top of its window so far, a row whose block _certify puts
-            above tops[r] + atol takes no level and no check."""
-            _, p, blocks = projected.sectors[i]
+        def summed(s, at):
+            """Sector s's parity and its (rows, d, d) stack of the summed
+            blocks of the rows `at`."""
+            _, p, blocks = projected.sectors[s]
             c = rows_c[at, :, None, None]
             h = np.multiply(c[:, 0], blocks[0],
                             dtype=np.result_type(c, *blocks))
             for m in range(1, len(blocks)):
                 h += c[:, m] * blocks[m]
+            return p, h
+
+        def solve(i, t, n, at, tops=None):
+            """Per row of `at`, sector i's (parity, energies, vectors), its
+            lowest min(n, d) levels, followed, for a twin t >= 0, by the
+            twin's, as twin_solution maps them, with the residual of every
+            pair on the row's own blocks; with `tops`, per row the top of
+            its window so far, a row whose block _certify puts above
+            tops[r] + atol takes no level and no check, in i or t."""
+            p, h = summed(i, at)
             d = h.shape[1]
             empty = (p, np.empty(0), np.empty((d, 0), dtype=h.dtype))
-            out = [empty] * len(at)
+            out = [(empty, empty) if t >= 0 else (empty,)] * len(at)
             kept = range(len(at))
             if tops is not None:
                 kept = np.flatnonzero(~_certify(h, tops[at], atol, norms[at]))
@@ -1869,21 +1879,25 @@ def sector_low(projected: _Projection, coeffs, count: int, norm_h,
                     return out
                 if kept.size < len(at):
                     at, h = [at[r] for r in kept], h[kept]
-            k = min(n, d) if sources is None else sources[0][1].size
+            k = min(n, d)
             # each row's vectors in Fortran order, as LAPACK gives them, so
             # that the batched product rounds as one row's product does
             w = np.empty((len(at), k, d), dtype=h.dtype).transpose(0, 2, 1)
             e = np.empty((len(at), k))
             for r in range(len(at)):
-                if sources is None:
-                    e[r], w[r] = _subset_eigh(h[r], k)
-                else:
-                    e[r] = sources[r][1]
-                    w[r] = projected.table.twin_solution(i, sources[r][2])
-            worst[at] = np.maximum(worst[at],
-                                   checked_residual(h @ w, w, e, norms[at]))
+                e[r], w[r] = _subset_eigh(h[r], k)
+            sides = [(p, h, w)]
+            if t >= 0:
+                q, g = summed(t, at)
+                v = np.empty((len(at), k, d), dtype=g.dtype).transpose(0, 2, 1)
+                for r in range(len(at)):
+                    v[r] = projected.table.twin_solution(t, w[r])
+                sides.append((q, g, v))
+            for _, g, v in sides:
+                worst[at] = np.maximum(
+                    worst[at], checked_residual(g @ v, v, e, norms[at]))
             for r, row in enumerate(kept):
-                out[row] = (p, e[r], w[r])
+                out[row] = tuple((q, e[r], v[r]) for q, _, v in sides)
             return out
 
         solved = _sector_counts(solve, projected.twins, count, atol,
@@ -1950,79 +1964,68 @@ def _sector_counts(solve, twins, count: int, atol: float,
                    seeds=None) -> list:
     """Per coupling row r < `rows` and sector i, solved[r][i] = (parity,
     energies, vectors) of as many of its lowest levels as a merged window
-    of `count` can use, from solve(i, n, at, sources), which returns one
-    such triple per row of `at`: the lowest min(n, d) levels of an own
-    sector (twins[i] = -1, sources None), or, for a sector that reuses the
-    solution of its twin j = twins[i] < i, sources = sector j's triples of
-    those rows, mapped by _SectorTable.twin_solution.  Both sector solvers
-    (sector_low, sector_lanczos) take their counts here, in two passes per
-    row, each pass sector by sector, every row that needs a sector in one
-    call.  The first solves each own sector for min(start, d) levels,
-    start = min(count, ceil(4 count / own sectors)), which is `count` with
-    four own sectors or fewer (an open chain's with twins, or the spin
-    flip's alone); with a `floor` (sector_lanczos's LANCZOS_LEVEL_FLOOR),
-    start is at most max(floor, ceil(2 count / own sectors)) too, twice a
+    of `count` can use, from solve(i, t, n, at[, tops]), called for own
+    sectors i only (twins[i] = -1), which returns per row of `at` a tuple
+    of sector i's triple, its lowest min(n, d) levels, and, when a twin t
+    reuses i's solution (twins[t] = i, t = -1 for none), the twin's, that
+    solution mapped by _SectorTable.twin_solution.  Both sector solvers
+    (sector_low, sector_lanczos) take their counts here, in two passes,
+    each pass one call per own sector, with every row that needs it.  The
+    first solves each own sector for min(start, d) levels, start =
+    min(count, ceil(4 count / own sectors)), which is `count` with four
+    own sectors or fewer (an open chain's with twins, or the spin flip's
+    alone); with a `floor` (sector_lanczos's LANCZOS_LEVEL_FLOOR), start
+    is at most max(floor, ceil(2 count / own sectors)) too, twice a
     sector's even share of the window, which leaves the spin flip's two
-    sectors the whole count and gives an open chain's four own half of it,
-    at least `floor`.  With `seeds` (sector_low's, a set of own sectors), the first
-    pass solves the seeds and their twins first; then, per other own
-    sector, solve(i, n, at, None, tops), tops[r] the row's `count`-th
-    lowest level found so far (_window_top), gives a row whose block
-    _certify puts above tops[r] + atol an empty triple, which the twin
-    shares, and solves the rest, whose twins take the solution.  tops[r]
-    only falls as sectors are solved, so every certified level lies above
-    the first pass's top + atol, which is that of solving every sector,
-    and no certified sector is solved again.  With `top` the row's
-    count-th lowest level found (inf when fewer were), the second solves
-    again, at min(count, d), each own sector that gave the row fewer
-    levels than that and whose highest lies within `top` + atol, and its
-    twin takes the new solution.  Every level a sector leaves out then
-    lies above `top` + atol, so each row's merged window is the one of
-    solving every sector at min(count, d): exactly the lowest `count`
-    levels (up to the copies a Krylov solve can miss)."""
-    own = list(twins).count(-1)
-    start = min(count, -(-4 * count // own))
+    sectors the whole count and gives an open chain's four own half of
+    it, at least `floor`.  With `seeds` (sector_low's, a set of own
+    sectors), the first pass takes the seeds first, then passes every
+    other own sector tops, tops[r] the row's `count`-th lowest level found
+    so far (_window_top), so that a row whose block _certify puts above
+    tops[r] + atol takes an empty triple, in the sector and its twin.
+    tops[r] only falls as sectors are solved, so every certified level
+    lies above the first pass's top + atol, which is that of solving
+    every sector, and no certified sector is solved again.  With `top`
+    the row's count-th lowest level found (inf when fewer were), the
+    second solves again, at min(count, d), each own sector that gave the
+    row fewer levels than that and whose highest lies within `top` +
+    atol, its twin with it.  Every level a sector leaves out then lies
+    above `top` + atol, so each row's merged window is the one of solving
+    every sector at min(count, d): exactly the lowest `count` levels (up
+    to the copies a Krylov solve can miss)."""
+    reuser = {j: i for i, j in enumerate(twins) if j >= 0}
+    own = sorted((i for i, j in enumerate(twins) if j < 0),
+                 key=lambda i: seeds is not None and i not in seeds)
+    start = min(count, -(-4 * count // len(own)))
     if floor is not None:
-        start = min(start, max(floor, -(-2 * count // own)))
+        start = min(start, max(floor, -(-2 * count // len(own))))
     solved = [[None] * len(twins) for _ in range(rows)]
     everyone = list(range(rows))
+    tops = None
 
-    def take(i, n, at, *tops):
-        j = twins[i]
-        sources = [solved[r][j] for r in at] if j >= 0 else None
-        for r, levels in zip(at, solve(i, n, at, sources, *tops)):
-            solved[r][i] = levels
-
-    for i, j in enumerate(twins):
-        if seeds is None or (i if j < 0 else j) in seeds:
-            take(i, start, everyone)
-    if seeds is not None:
-        tops = np.array([_window_top(levels, count) for levels in solved])
-        reuser = {j: i for i, j in enumerate(twins) if j >= 0}
-        for i in range(len(twins)):
-            if twins[i] >= 0 or i in seeds:
-                continue
-            take(i, start, everyone, tops)
-            at = [r for r in everyone if solved[r][i][1].size]
-            if i in reuser:
-                if at:
-                    take(reuser[i], start, at)
-                for r in everyone:
-                    solved[r][reuser[i]] = solved[r][reuser[i]] or solved[r][i]
-            for r in at:
+    def take(i, n, at, *certify):
+        t = reuser.get(i, -1)
+        for r, levels in zip(at, solve(i, t, n, at, *certify)):
+            for s, triple in zip((i, t), levels):
+                solved[r][s] = triple
+            if certify and levels[0][1].size:
                 tops[r] = _window_top(solved[r], count)
+
+    for i in own:
+        if seeds is None or i in seeds:
+            take(i, start, everyone)
+            continue
+        if tops is None:
+            tops = np.array([_window_top(levels, count) for levels in solved])
+        take(i, start, everyone, tops)
     tops = [_window_top(levels, count) for levels in solved]
-    again = [set() for _ in range(rows)]
-    for i, j in enumerate(twins):
+    for i in own:
         # a certified sector's solution is empty, and it is not solved again
-        at = [r for r, (_, e, w) in enumerate(row[i] for row in solved)
-              if (j in again[r] if j >= 0 else
-                  0 < e.size < min(count, w.shape[0])
-                  and e[-1] <= tops[r] + atol)]
+        at = [r for r, row in enumerate(solved)
+              if 0 < row[i][1].size < min(count, row[i][2].shape[0])
+              and row[i][1][-1] <= tops[r] + atol]
         if at:
             take(i, count, at)
-            for r in at:
-                again[r].add(i)
     return solved
 
 
@@ -2234,11 +2237,12 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
     parity blocks of 2^(L-1).  Each own sector's block is built alone as
     a CSR matrix (_sector_block), solved, and dropped before the next one
     is built; a sector the frame gives real bases takes the real block
-    U^H B U, as in project_sectors.  A sector with a twin in the frame
-    builds no block and takes its twin's solution as a signed column
-    permutation (_SectorTable.twin_solution): conjugated for a -k twin
-    (in real bases, where U(-k) = conj U(k), that solution as it is), Q_a
-    applied for a chain's, as sector_low does.  A
+    U^H B U, as in project_sectors.  A twin in the frame is no sector to
+    solve: the solve of the own sector it reuses builds no block for it
+    and gives it that solution as a signed column permutation
+    (_SectorTable.twin_solution): conjugated for a -k twin (in real bases,
+    where U(-k) = conj U(k), that solution as it is), Q_a applied for a
+    chain's, as sector_low does.  A
     block of at most DENSE_BLOCK_STATES states takes a dense subset eigh,
     a larger one ARPACK with _krylov's vectors (_checked_low), whose retry
     is charged on top of `need`; every pair passes checked_residual on its
@@ -2252,13 +2256,11 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
     norm_h = h.norm_bound()
     worst = 0.0
 
-    def solve(i, n, at, sources):
-        """[Sector i's (parity, energies, vectors)] for the one row: its
-        lowest min(n, d) levels, or its twin's, mapped (twin_solution)."""
+    def solve(i, t, n, at):
+        """[(Sector i's (parity, energies, vectors), its lowest min(n, d)
+        levels, followed, for a twin t >= 0, by the twin's, mapped by
+        twin_solution)] for the one row."""
         nonlocal worst
-        p = table.keys[i][1]
-        if sources is not None:
-            return [(p, sources[0][1], table.twin_solution(i, sources[0][2]))]
         block = _sector_block(table, h, i, bases.get(i))
         size = block.shape[0]
         k = min(n, size)
@@ -2267,7 +2269,10 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
                else _krylov(k, size))
         e, w, residual = _checked_low(block, k, ncv, norm_h, need, h.length)
         worst = max(worst, residual)
-        return [(p, e, w)]
+        levels = [(table.keys[i][1], e, w)]
+        if t >= 0:
+            levels.append((table.keys[t][1], e, table.twin_solution(t, w)))
+        return [tuple(levels)]
 
     solved, = _sector_counts(solve, twins, count, atol,
                              floor=LANCZOS_LEVEL_FLOOR)

@@ -3,6 +3,7 @@ a first pass of ceil(4 count / own sectors) levels per solved sector, and a
 second solve at the full count for a sector the window needs, against the
 Kronecker oracle and against solving every sector at min(count, d)."""
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -343,3 +344,120 @@ def test_seeded_rows_are_one_row_solves():
                   [(L, imaginary_ring(L), 12, [0.6, 0.9, 1.0, 1.3], 1)
                    for L in (4, 6, 8)])
     assert certified
+
+
+def scheduled(run):
+    """sector_census of `run()` with a spy on the `solve` that each
+    engine._sector_counts call receives: census.schedules holds per call
+    its twins, the orbit table its rows merge on (_merge_levels) and the
+    (i, t, levels) of every solve call in order."""
+    schedules = []
+    counts, merge = engine._sector_counts, engine._merge_levels
+
+    def counting(solve, twins, *args, **kwargs):
+        calls = []
+        schedules.append(SimpleNamespace(twins=twins, table=None,
+                                         calls=calls))
+
+        def spy(i, t, *rest):
+            levels = solve(i, t, *rest)
+            calls.append((i, t, levels))
+            return levels
+        return counts(spy, twins, *args, **kwargs)
+
+    def merging(table, *args):
+        schedules[-1].table = table
+        return merge(table, *args)
+
+    def spied():
+        with mock.patch.object(engine, "_sector_counts", counting), \
+                mock.patch.object(engine, "_merge_levels", merging):
+            return run()
+
+    census = sector_census(spied)
+    census.schedules = schedules
+    return census
+
+
+def check_schedule(census, dense: bool) -> int:
+    """Every solve call names an own sector i and the twin t that reuses
+    it (-1 for none); the twin's energies are i's, bit for bit, and its
+    vectors twin_solution of i's.  On the dense path, the rows of the
+    residual checks' stacks are the LAPACK solves plus the twins derived
+    from them.  Returns the certified sources that have a twin."""
+    derived = certified = 0
+    for schedule in census.schedules:
+        twins, table = schedule.twins, schedule.table
+        reuser = {j: i for i, j in enumerate(twins) if j >= 0}
+        for i, t, levels in schedule.calls:
+            assert twins[i] == -1
+            assert t == reuser.get(i, -1)
+            for own, *twin in levels:
+                assert len(twin) == (t >= 0)
+                for p, e, v in twin:
+                    assert e.tobytes() == own[1].tobytes()
+                    want = table.twin_solution(t, own[2])
+                    assert v.shape == want.shape
+                    assert np.ascontiguousarray(v).tobytes() \
+                        == np.ascontiguousarray(want).tobytes()
+                    if e.size:
+                        assert p == table.keys[t][1]
+                        derived += 1
+                    else:
+                        certified += 1
+    if dense:
+        assert sum(rows for rows, _ in census.checked) \
+            == len(census.solves) + derived
+    return certified
+
+
+def test_the_schedule_solves_own_sectors_and_derives_their_twins():
+    # a 10-site ring scan of 17 couplings: its first coupling alone, then
+    # seeded chunks of 8, whose certificates cover -k pairs
+    ring = LatticeSpec(10, "periodic")
+    census = scheduled(lambda: cs.phase_scan(
+        ring, np.round(np.arange(0.5, 1.3001, 0.05), 10)))
+    assert len(census.schedules) == 4
+    assert check_schedule(census, dense=True) > 0
+    # the 11-site chain at count 4: certified sources whose Q_a twins take
+    # the empty solution
+    chain = LatticeSpec(11, "open")
+    census = scheduled(lambda: cs.phase_scan(
+        chain, np.round(np.arange(0.5, 1.5001, 0.05), 10), eig_count=4))
+    assert check_schedule(census, dense=True) > 0
+    assert all(s.table.swap is not None for s in census.schedules)
+    # one-row Lanczos solves: -k twins on the ring, Q_a twins on the chain
+    for boundary in ("periodic", "open"):
+        h = cs.perturbed_hamiltonian(LatticeSpec(13, boundary), 0.8)
+        census = scheduled(lambda: cs.eig_low(h, count=8,
+                                              method="iterative"))
+        [schedule] = census.schedules
+        assert any(t >= 0 for _, t, _ in schedule.calls)
+        check_schedule(census, dense=False)
+
+
+# the ring of test_a_wrong_twin_map_raises: Z_i Z_{i+1} X_{i+2} keeps T
+# and P and breaks R, so the real family's -k blocks are the conjugates of
+# those of k, with no real bases
+def unmirrored_ring(L):
+    return cs.perturbed_hamiltonian(LatticeSpec(L, "periodic"), 0.7) \
+        + OperatorSum.from_terms(L, [
+            (0.3, PauliString.from_sites(L, {j: "Z", j % L + 1: "Z",
+                                            (j + 1) % L + 1: "X"}))
+            for j in range(1, L + 1)])
+
+
+@pytest.mark.parametrize("h", [
+    unmirrored_ring(8),
+    cs.perturbed_hamiltonian(LatticeSpec(10, "open"), 0.7)],
+    ids=["ring-conjugate", "chain-Q_a"])
+def test_a_wrong_twin_map_raises(h):
+    # each twin's pairs are checked on its own blocks, so a twin that takes
+    # its source's vectors unmapped fails its residual check
+    projection = engine.project_sectors([h], engine._symmetry_group(h))
+    assert any(t >= 0 for t in projection.twins)
+    assert not projection.bases
+    with mock.patch.object(engine._SectorTable, "twin_solution",
+                           lambda self, i, w: w):
+        with pytest.raises(cs.ConvergenceError):
+            cs.eig_low(h, method="dense")
