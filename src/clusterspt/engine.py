@@ -1994,18 +1994,17 @@ def _sector_counts(solve, twins, count: int, atol: float,
     every sector at min(count, d): exactly the lowest `count` levels (up
     to the copies a Krylov solve can miss)."""
     reuser = {j: i for i, j in enumerate(twins) if j >= 0}
-    own = sorted((i for i, j in enumerate(twins) if j < 0),
-                 key=lambda i: seeds is not None and i not in seeds)
+    own = [i for i, j in enumerate(twins) if j < 0]
     start = min(count, -(-4 * count // len(own)))
     if floor is not None:
         start = min(start, max(floor, -(-2 * count // len(own))))
     solved = [[None] * len(twins) for _ in range(rows)]
     everyone = list(range(rows))
-    tops = None
 
-    def take(i, n, at, *certify):
+    def take(i, n, at, certify=False):
         t = reuser.get(i, -1)
-        for r, levels in zip(at, solve(i, t, n, at, *certify)):
+        found = solve(i, t, n, at, tops) if certify else solve(i, t, n, at)
+        for r, levels in zip(at, found):
             for s, triple in zip((i, t), levels):
                 solved[r][s] = triple
             if certify and levels[0][1].size:
@@ -2014,10 +2013,11 @@ def _sector_counts(solve, twins, count: int, atol: float,
     for i in own:
         if seeds is None or i in seeds:
             take(i, start, everyone)
-            continue
-        if tops is None:
-            tops = np.array([_window_top(levels, count) for levels in solved])
-        take(i, start, everyone, tops)
+    if seeds is not None:
+        tops = np.array([_window_top(levels, count) for levels in solved])
+        for i in own:
+            if i not in seeds:
+                take(i, start, everyone, certify=True)
     tops = [_window_top(levels, count) for levels in solved]
     for i in own:
         # a certified sector's solution is empty, and it is not solved again

@@ -3,7 +3,7 @@
 each benchmark workload.
 
     python3 tools/census.py --src src
-    python3 tools/census.py --src src --seed 4 --workload ring-scan
+    python3 tools/census.py --src src --seed 4
 
 Imports clusterspt from the given `src/` tree and the workloads from
 `bench/workloads.py` next to this tool (read only, no bytecode written),
@@ -104,17 +104,14 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, required=True,
                         help="src/ tree to import clusterspt from")
     parser.add_argument("--seed", type=int, default=4)
-    parser.add_argument("--workload", action="append",
-                        help="a workload to count (repeatable; default all)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from clusterspt import cli, engine
     workloads = load_workloads()
-    names = args.workload or list(workloads.WORKLOADS)
-    width = max(map(len, names))
+    width = max(map(len, workloads.WORKLOADS))
     print(f"seed {args.seed}, one block per workload")
     print(f"{'workload':{width}}  " + "  ".join(COLUMNS))
-    for name in names:
+    for name in workloads.WORKLOADS:
         counts = census(cli.main, engine, workloads, name, args.seed)
         print(f"{name:{width}}  " + "  ".join(
             f"{counts[c]:{len(c)}d}" for c in COLUMNS), flush=True)

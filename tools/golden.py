@@ -15,13 +15,14 @@ and error message.
 The second form prints every field that differs between two such
 directories, with |delta| for floats, and says which files are identical
 byte for byte, so a change of the CLI's JSON formatting shows too.  A
-CSV report is compared cell by cell: a cell that parses as a float on
-both sides is a float field, while a header, row-count, row-length or
-text-cell difference is not.  Any other report that is not JSON is
-compared byte for byte only, and a difference in it counts as one
-non-float difference.  It exits 1 when anything other than a float
-differs: an integer, boolean, string, null or the structure, a CSV
-header or text cell, a non-JSON report, or a missing file.  To compare a
+CSV report is compared cell by cell: a cell that parses as a float, and
+not as an integer, on both sides is a float field, while a header,
+row-count, row-length, integer-cell or text-cell difference is not.
+Any other report that is not JSON is compared byte for byte only, and a
+difference in it counts as one non-float difference.  It exits 1 when
+anything other than a float differs: an integer, boolean, string, null
+or the structure, a CSV header, integer or text cell, a non-JSON report,
+or a missing file.  To compare a
 change with its parent, run the first form once on each tree (for
 example on a `git archive` of the parent commit).
 """
@@ -211,10 +212,24 @@ def _walk(a, b, path: str, floats: list, others: list) -> None:
         others.append((path, a, b))
 
 
+def _float_cell(x: str) -> float | None:
+    """A CSV cell as a float, None for text and for an int (a count, which
+    _walk does not count as a float either); the reports write every float
+    with a point or an exponent."""
+    try:
+        int(x)
+    except ValueError:
+        try:
+            return float(x)
+        except ValueError:
+            return None
+    return None
+
+
 def _cells(a: list, b: list, floats: list, others: list) -> None:
     """_walk for two CSV reports read as rows of cells, the first row the
-    header: a differing cell past the header that parses as a float on
-    both sides goes to `floats`, as floats; every other difference to
+    header: a differing cell past the header that is a float on both sides
+    (_float_cell) goes to `floats`, as floats; every other difference to
     `others`."""
     if len(a) != len(b):
         others.append(("rows", len(a), len(b)))
@@ -226,11 +241,8 @@ def _cells(a: list, b: list, floats: list, others: list) -> None:
             if x == y:
                 continue
             path = f"[{i}].{header[j] if j < len(header) else j}"
-            try:
-                pair = float(x), float(y)
-            except ValueError:
-                pair = None
-            if i and pair:
+            pair = _float_cell(x), _float_cell(y)
+            if i and None not in pair:
                 floats.append((path, *pair))
             else:
                 others.append((path, x, y))
