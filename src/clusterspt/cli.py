@@ -399,9 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, 9, "open")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="perturbation coupling")
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--count", type=int, default=8,
+                   help="lowest levels to report")
     p.add_argument("--method", choices=("auto", "dense", "iterative"),
-                   default="auto")
+                   default="auto",
+                   help="dense: every symmetry sector densely, up to 12 "
+                   "sites; iterative: a Hamiltonian whose terms decouple "
+                   "(an open chain, or a ring at lambda 0) as small dense "
+                   "chains in its Clifford frame, any other sector by "
+                   "sector; auto: dense up to 12 sites, iterative above")
 
     p = sub.add_parser("protect", help="probe audit against the symmetries")
     common(p, 9, "open")

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LengthMismatchError
-from .pauli import OperatorSum, PauliString
+from .pauli import OperatorSum, PauliString, TermTable, row_echelon
 
 
 @dataclass(frozen=True)
@@ -133,3 +135,183 @@ def _bond_image(p: PauliString, periodic: bool) -> PauliString:
         left = (x << 1) & ((1 << length) - 1)
     sign = 2 * ((x & right).bit_count() & 1)
     return PauliString(length, p.phase_exp + sign, x, p.z_mask ^ left ^ right)
+
+
+@dataclass(frozen=True)
+class PathFrame:
+    """A Clifford frame on `length` qubits read off anticommutation paths
+    (path_frame): Hermitian strings xs[j] and zs[j] that a Clifford U
+    maps onto X and Z of qubit j + 1 (0-based j, qubit 1 the most
+    significant bit of a mask), U xs[j] U^dagger = X_{j+1} and U zs[j]
+    U^dagger = Z_{j+1}.  Path c owns the qubits blocks[c] = (first,
+    count), first 0-based, in path order; the qubits after the last block
+    are free.  U itself is never formed: every image is read off the
+    masks (images).
+    """
+
+    length: int
+    xs: tuple
+    zs: tuple
+    blocks: tuple
+
+    @property
+    def free(self) -> int:
+        """The qubits no path owns."""
+        return self.length - sum(n for _, n in self.blocks)
+
+    def images(self, strings) -> list:
+        """U p U^dagger of each Pauli string p, read off one symplectic
+        pass (TermTable.anticommuting) of p against the frame: X bit j is
+        <p, zs[j]>, Z bit j is <p, xs[j]>, and the phase is p's over that
+        of the product of the xs, then the zs, with those bits.  Raises
+        ValueError when that product's masks are not p's, which only a
+        set of strings that is no frame gives."""
+        L = self.length
+        strings = list(strings)
+        links = TermTable(self.xs + self.zs + tuple(strings)).anticommuting()
+        out = []
+        for p, row in zip(strings, links[2 * L:]):
+            a = np.flatnonzero(row[L:2 * L]).tolist()
+            b = np.flatnonzero(row[:L]).tolist()
+            q = PauliString.identity(L)
+            for s in [self.xs[j] for j in a] + [self.zs[j] for j in b]:
+                q = q * s
+            if (q.x_mask, q.z_mask) != (p.x_mask, p.z_mask):
+                raise ValueError(f"{p.label()} is not a product of the "
+                                 "frame's strings")
+            out.append(PauliString(L, p.phase_exp - q.phase_exp,
+                                   _qubit_mask(L, a), _qubit_mask(L, b)))
+        return out
+
+    def check(self, paths) -> None:
+        """Raise ValueError unless the frame is one and maps every path onto
+        its chain: `length` Hermitian xs and zs in the canonical relations
+        (xs[i] and zs[j] anticommute iff i = j, all other pairs commute),
+        decided on the masks in one symplectic pass, and each term of path
+        c, phase included, onto its image in chain_images on the qubits of
+        blocks[c]."""
+        L = self.length
+        strings = self.xs + self.zs
+        if (len(self.xs) != L or len(self.zs) != L
+                or len(self.blocks) != len(paths)
+                or not all(p.is_hermitian for p in strings)):
+            raise ValueError("the frame has no Hermitian pair per qubit "
+                             "or no block per path")
+        canonical = np.zeros((2 * L, 2 * L), dtype=bool)
+        canonical[:L, L:] = canonical[L:, :L] = np.eye(L, dtype=bool)
+        if not (TermTable(strings).anticommuting() == canonical).all():
+            raise ValueError("the frame's strings fail a canonical relation")
+        terms = [t for path in paths for t in path]
+        chains = [p for path, (first, _) in zip(paths, self.blocks)
+                  for p in chain_images(len(path), first, L)]
+        for term, got, want in zip(terms, self.images(terms), chains):
+            if got != want:
+                raise ValueError(f"{term.label()} maps onto {got.label()}, "
+                                 f"not onto its chain image {want.label()}")
+
+
+def _qubit_mask(length: int, qubits) -> int:
+    """The mask of 0-based qubits on `length` (qubit 0 the top bit)."""
+    return sum(1 << (length - 1 - j) for j in qubits)
+
+
+def chain_images(n: int, first: int, length: int) -> list:
+    """The images of a path's n terms T_1 ... T_n on the qubits from
+    `first` (0-based) of `length`: T_1 onto X_1, T_{2j} onto Z_j and
+    T_{2j+1} onto X_j X_{j+1}, qubit j being first + j - 1, each with a
+    +1 prefix.  A path of n terms takes ceil(n / 2) qubits."""
+    out = []
+    for k in range(n):
+        j = first + (k - 1) // 2
+        if k == 0:
+            out.append(PauliString(length, 0, _qubit_mask(length, [first]),
+                                   0))
+        elif k % 2:
+            out.append(PauliString(length, 0, 0, _qubit_mask(length, [j])))
+        else:
+            out.append(PauliString(length, 0,
+                                   _qubit_mask(length, [j, j + 1]), 0))
+    return out
+
+
+def path_frame(length: int, paths) -> PathFrame:
+    """The frame (PathFrame) of anticommutation paths on `length` sites,
+    each path a sequence T_1 ... T_n of Hermitian strings in walk order
+    (pauli.TermTable.components) whose consecutive terms anticommute and
+    whose other pairs, within and across paths, commute, all terms
+    independent over GF(2).
+
+    Path c takes the next ceil(n / 2) qubits, with xs = X~_1 = T_1, X~_{j+1}
+    = X~_j T_{2j+1} and zs = Z~_j = T_{2j}, so that U maps its terms onto
+    chain_images.  An odd path's last X~ commutes with every term and
+    takes a partner Z~; free pairs complete the basis.  Both come from
+    symplectic Gram-Schmidt on the masks, read as 2L-bit ints, x above z:
+    the partners are the rows of the reduced row echelon basis
+    (pauli.row_echelon) of the complement of the paths' pairs whose
+    products with the central X~s are unit vectors, each then made to
+    commute with those before it; the free pairs take the complement of
+    every pair so far, two vectors of it at a time.  The frame is checked
+    (PathFrame.check) before it is returned: ValueError on a failure."""
+    L = length
+    full = (1 << L) - 1
+
+    def vec(p):
+        return (p.x_mask << L) | p.z_mask
+
+    def form(u, v):
+        return ((u >> L) & v ^ u & (v >> L)).bit_count() & 1
+
+    def string(v):
+        x, z = v >> L, v & full
+        return PauliString(L, (x & z).bit_count(), x, z)
+
+    def project(v, pairs):
+        """v less its components along each symplectic pair (x, z)."""
+        for x, z in pairs:
+            along_x, along_z = form(v, z), form(v, x)
+            v ^= (x if along_x else 0) ^ (z if along_z else 0)
+        return v
+
+    xs, zs, blocks, central = [], [], [], []
+    for path in paths:
+        first = len(xs)
+        xs.append(path[0])
+        for k in range(1, len(path), 2):
+            zs.append(path[k])
+            if k + 1 < len(path):
+                xs.append(xs[-1] * path[k + 1])
+        if len(path) % 2:
+            central.append(len(xs) - 1)
+            zs.append(None)
+        blocks.append((first, len(xs) - first))
+    pairs = [(vec(x), vec(z)) for x, z in zip(xs, zs) if z is not None]
+    tops = [vec(xs[j]) for j in central]
+    k, units = len(tops), [project(1 << f, pairs) for f in range(2 * L)]
+    # each row's bits above 2L are its products with the central X~s, the
+    # first X~'s highest: reduced, the first k rows have one such bit each
+    rows = row_echelon(sum(form(a, w) << (2 * L + k - 1 - i)
+                           for i, a in enumerate(tops)) << (2 * L) | w
+                       for w in units)
+    mates = [row & ((1 << 2 * L) - 1) for row in rows[:k]]
+    for j in range(len(mates)):
+        for i in range(j):
+            if form(mates[i], mates[j]):
+                mates[j] ^= tops[i]
+    for j, a, b in zip(central, tops, mates):
+        zs[j] = string(b)
+        pairs.append((a, b))
+    rest = [project(1 << f, pairs) for f in range(2 * L)]
+    while any(rest):
+        u = next(v for v in rest if v)
+        w = next((v for v in rest if form(u, v)), None)
+        if w is None:
+            raise ValueError("the paths' pairs leave no symplectic "
+                             "complement")
+        xs.append(string(u))
+        zs.append(string(w))
+        rest = [project(v, [(u, w)]) for v in rest]
+    if None in zs:
+        raise ValueError("a central X~ found no partner")
+    frame = PathFrame(L, tuple(xs), tuple(zs), tuple(blocks))
+    frame.check(paths)
+    return frame

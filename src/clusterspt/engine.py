@@ -69,6 +69,16 @@ solution mapped (`_SectorTable.twin_solution`), which sector_low checks
 on the twin's own blocks.  Both merge in `_merge_levels`, which
 keeps each level in sector form (`_SectorState`), expanded to 2^L
 amplitudes straight from its orbit table on the first read of its `amps`.
+An iterative `eig_low` of an h that some group conserves first reads
+whether h's terms decouple (`_decoupled`): their anticommutation graph
+(`pauli.TermTable.components`) a union of paths, the terms independent
+over GF(2), as for every open chain's H_C + lambda H_I and a ring's H_C
+alone.  Such an h is solved in its Clifford frame (`_frame_low`,
+`clifford.path_frame`, proven on the masks before it is used): each
+path is a small chain on its own qubits of the frame, solved densely,
+and the levels are the lowest sums of one level per chain, kept in
+frame form (`_FrameState`) until read.  Scans (`family_low`) and every
+h that does not decouple keep the sector paths.
 All golden values depend on this ordering.
 """
 
@@ -85,7 +95,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .clifford import CzCircuit
+from .clifford import CzCircuit, chain_images, path_frame
 from .errors import ConvergenceError, DomainError, LengthMismatchError, ResourceLimitError
 from .pauli import (OperatorSum, PauliString, TermTable, commutant,
                     kernel_within, row_echelon)
@@ -464,7 +474,8 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
 
     The method is checked and resolved by _solver, which family_low shares:
     auto is dense up to DENSE_SITE_CAP sites, iterative above.  An h that
-    some symmetry group conserves is family_low's one-row call, which reads
+    some symmetry group conserves is family_low's one-row call (unless it
+    is solved iterative in its Clifford frame, below), which reads
     the group off h's coefficients with the test project_sectors applies
     (_implied_leak), in this order: translation x spin flip when h is
     invariant under both T and P, reflection x spin flip when under R and
@@ -477,7 +488,14 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     Each dense sector block gives sector_low as many of its lowest levels
     as the merged window can use (_sector_counts).  The merged window is
     exactly the lowest `count`.
-    iterative: L <= 24, whenever h is invariant under P, one solve per
+    iterative: L <= 24.  An h that some group conserves and whose terms
+    decouple (_decoupled: their anticommutation graph is a union of
+    paths, the terms independent over GF(2), as for every open chain's
+    H_C + lambda H_I and a ring's H_C alone) is solved in its Clifford
+    frame (_frame_low): one dense solve of each path's chain of at most
+    DENSE_BLOCK_STATES states, the lowest `count` sums of their levels,
+    with every copy of a degenerate level.  Otherwise, whenever h is
+    invariant under P, one solve per
     sector of the same group, one sector at a time (sector_lanczos): a
     ring's (k, p) blocks of about 2^L / 2L states, real when h is real and
     R conserves it, with each -k sector reusing the solution of k, an
@@ -492,7 +510,7 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     A run whose memory estimate exceeds physical memory raises
     ResourceLimitError before allocating anything large (project_sectors
     charges the dense blocks, family_low the largest CSR block and the
-    states).  Every
+    states, _frame_low the states).  Every
     reported pair must satisfy ||Hv - Ev|| <= RESIDUAL_RTOL * max(1,
     sum|coeff|) (see checked_residual).  The iterative path guarantees each
     returned pair is a true eigenpair but, like any Krylov method, may
@@ -501,9 +519,9 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     (count comfortably above the expected multiplicity) or use the dense
     path when exact multiplicities matter.
     The levels are returned as the solver gives them, orthonormal to
-    rounding: a sector solve's in sector form (_SectorState), their
-    amplitudes formed only when read, a full-space solve's as
-    StateVectors.
+    rounding: a sector solve's in sector form (_SectorState), a frame
+    solve's in frame form (_FrameState), their amplitudes formed only
+    when read, a full-space solve's as StateVectors.
     """
     h = _as_sum(h)
     if not h.is_hermitian:
@@ -516,8 +534,14 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     count = min(count, dim)
     method = _solver(method, L, count)
 
-    # an h that no symmetry group conserves is solved on the full space
-    if _symmetry_group(h) is not None:
+    # an h that no symmetry group conserves is solved on the full space;
+    # an iterative one that decouples, in its Clifford frame
+    group = _symmetry_group(h)
+    paths = (_decoupled(h) if group is not None and method == "iterative"
+             else None)
+    if paths is not None:
+        vals, states, max_residual = _frame_low(h, count, paths)
+    elif group is not None:
         [[(vals, _, states, max_residual)]] = family_low([h], [[1.0]], count,
                                                          method)
     else:
@@ -561,7 +585,9 @@ def _solver(method: str, length: int, count: int) -> str:
     ResourceLimitError above the dense cap (dense) or APPLY_SITE_CAP
     (iterative) and DomainError for an unknown method.  An iterative
     solve of more than 2^L - 2 levels is dense, since ARPACK needs k <
-    dim - 1."""
+    dim - 1.  Iterative is the sector Lanczos path (sector_lanczos) for
+    family_low, and for eig_low too unless h's terms decouple, which
+    eig_low then solves in their Clifford frame (_frame_low)."""
     if method == "auto":
         method = "dense" if length <= DENSE_SITE_CAP else "iterative"
     if method == "dense" and length > DENSE_SITE_CAP:
@@ -2206,7 +2232,9 @@ def _lanczos_charge(h: OperatorSum, group: str, count: int,
 # (k, p) block) 0.9 / 1.1 ms dense against 1.5 / 2.2 ms ARPACK, 315 (a
 # 13-site ring's) 3.9 / 4.5 ms against 3.5 / 5.7 ms, 528 (an 11-site
 # chain's (r, p) block) 12.9 / 15.4 ms against 4.3 / 6.3 ms.  A dense
-# solve also keeps every copy of a level degenerate inside its block.
+# solve also keeps every copy of a level degenerate inside its block.  The
+# chains of a decoupled frame are solved densely too (_frame_low), so an h
+# with a path of more states keeps the sector path (_decoupled).
 DENSE_BLOCK_STATES = 400
 
 # Fewest levels sector_lanczos's first pass asks of an own sector, which
@@ -2277,6 +2305,160 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
     solved, = _sector_counts(solve, twins, count, atol,
                              floor=LANCZOS_LEVEL_FLOOR)
     return (*_merge_levels(table, solved, count, atol, bases), worst)
+
+
+def _decoupled(h: OperatorSum) -> list | None:
+    """h's terms, as Hermitian strings, along the paths of their
+    anticommutation graph (pauli.TermTable.components) when they decouple:
+    every component a path, the terms independent over GF(2)
+    (pauli.row_echelon) and each path's chain of at most
+    DENSE_BLOCK_STATES states, 2^ceil(n / 2) for n terms; None otherwise,
+    as for a ring with lambda != 0 (its components are cycles), a term that
+    anticommutes with three others, a dependent term or an h without
+    terms.  Terms whose anticommutation graph is a union of paths make a
+    free-fermion model (Chapman and Flammia, Quantum 4, 278 (2020)): every
+    open chain's H_C + lambda H_I of 3-24 sites takes three paths, and a
+    ring's H_C alone one path per term."""
+    L = h.length
+    keys = [key for key, _ in h.items()]
+    if not keys:
+        return None
+    strings = [PauliString(L, (x & z).bit_count(), x, z) for x, z in keys]
+    parts = TermTable(strings).components()
+    if (parts is None or any(closed for _, closed in parts)
+            or any(1 << ((len(walk) + 1) // 2) > DENSE_BLOCK_STATES
+                   for walk, _ in parts)
+            or len(row_echelon((x << L) | z for x, z in keys)) < len(keys)):
+        return None
+    return [[strings[t] for t in walk] for walk, _ in parts]
+
+
+def _frame_low(h: OperatorSum, count: int, paths: list) -> tuple:
+    """(vals, states, max_residual) of the lowest `count` levels of an h
+    whose terms decouple along `paths` (_decoupled), solved in their
+    Clifford frame (clifford.path_frame, checked on the masks before it
+    is used): each path's canonical chain (clifford.chain_images, T_1 onto
+    X_1, T_{2j} onto Z_j, T_{2j+1} onto X_j X_{j+1}, each with its
+    coefficient in h) on its own ceil(n / 2) qubits, one dense subset
+    eigh of its lowest min(count, d) levels (_subset_eigh), every pair
+    through checked_residual against the chain's sum|coeff|.  A level is
+    a sum of one level per chain, each sum taken 2^free times for the
+    frame's free qubits: the lowest `count` are merged a chain at a time,
+    ties in the order of the chains' levels, and max_residual is the
+    largest, over the returned levels, of the sum of their chains'
+    residuals, which bounds ||Hv - Ev|| in the full space, since the
+    chains commute and act on their own qubits of the frame.  The states
+    stay in frame form (_FrameState), formed when read; the memory they
+    may take once read is charged first (_check_memory)."""
+    L = h.length
+    dim = 1 << L
+    n = min(count, dim)
+    _check_memory(dim * 16 * (n + 4), "iterative", L,
+                  f"{n} states and one expansion in the decoupled frame")
+    frame = path_frame(L, paths)
+    vals, worst = np.zeros(1), np.zeros(1)
+    picks = np.zeros((1, 0), dtype=np.intp)
+    vectors = []
+    for path, (_, q) in zip(paths, frame.blocks):
+        chain = OperatorSum.from_terms(q, zip(
+            (h.coefficient(t).real for t in path),
+            chain_images(len(path), 0, q)))
+        m = dense_matrix(chain)
+        e, w = _subset_eigh(m, min(count, m.shape[0]))
+        # one residual per pair: each pair a stack of its own
+        residual = checked_residual((m @ w).T[:, :, None], w.T[:, :, None],
+                                    e[:, None], chain.norm_bound())
+        vectors.append(w)
+        vals, worst, picks = _merged_sums(vals, worst, picks, e, residual,
+                                          count)
+    free = np.zeros(min(count, 1 << frame.free))
+    vals, worst, picks = _merged_sums(vals, worst, picks, free, free, count)
+    solution = _FrameSolution(frame, vectors)
+    states = tuple(_FrameState(solution, p) for p in picks.tolist())
+    return vals, states, float(worst.max())
+
+
+def _merged_sums(vals, worst, picks, e, residual, count: int) -> tuple:
+    """The lowest `count` sums of the merged levels `vals` and a chain's
+    levels e, ascending, ties in (merged, chain) order: (sums, their
+    residuals summed likewise, picks with each sum's chain level added as a
+    column)."""
+    total = (vals[:, None] + e).ravel()
+    keep = np.argsort(total, kind="stable")[:count]
+    prev, new = np.divmod(keep, e.size)
+    return (total[keep], worst[prev] + residual[new],
+            np.column_stack([picks[prev], new]))
+
+
+class _FrameSolution:
+    """What the levels of one _frame_low call share: the frame, each
+    chain's vectors, and the reference state |s>, the joint +1
+    eigenvector of every Z~ of the frame, formed on the first read of a
+    level's amplitudes and kept for the next."""
+
+    def __init__(self, frame, vectors: list):
+        self.frame, self.vectors = frame, vectors
+        self._reference = None
+
+    def amps(self, picks: list) -> np.ndarray:
+        """Prod_c A_c X~_free^f |s>: picks[c] the column of chain c's
+        vectors psi_c, A_c = sum_b psi_c[b] X~^b over its qubits, applied as
+        one OperatorSum (_act), and f, the last pick, the free qubits'
+        bits."""
+        frame = self.frame
+        L = frame.length
+
+        def flip(first, q, b):
+            """X~^b on the q qubits from `first`, qubit `first` the top bit
+            of b, as in a chain's basis."""
+            p = PauliString.identity(L)
+            for j in range(q):
+                if b >> (q - 1 - j) & 1:
+                    p = p * frame.xs[first + j]
+            return p
+
+        vec = _act(OperatorSum.from_pauli(
+            flip(L - frame.free, frame.free, picks[-1])), self.reference())
+        for (first, q), w, pick in zip(frame.blocks, self.vectors, picks):
+            vec = _act(OperatorSum.from_terms(L, (
+                (w[b, pick], flip(first, q, b)) for b in range(1 << q))), vec)
+        return vec
+
+    def reference(self) -> np.ndarray:
+        """|s>, from L projections (1 + Z~_j) of a fixed-seed vector,
+        normalized."""
+        if self._reference is None:
+            vec = np.random.default_rng(0).standard_normal(
+                1 << self.frame.length).astype(np.complex128)
+            for z in self.frame.zs:
+                vec += _act(OperatorSum.from_pauli(z), vec)
+            vec /= np.linalg.norm(vec)
+            self._reference = vec
+        return self._reference
+
+
+class _FrameState(StateVector):
+    """A level _frame_low keeps in frame form: its picks, one chain level
+    per chain and the free qubits' bits, and the solution it shares with
+    the other levels (_FrameSolution); its 2^L amplitudes are formed on
+    the first read of amps and kept, and the solution dropped."""
+
+    __slots__ = ("picks", "_solution")
+
+    def __init__(self, solution: _FrameSolution, picks: list):
+        self.length = solution.frame.length
+        self._amps = None
+        self.picks, self._solution = picks, solution
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The 2^L amplitudes, read-only, formed on the first read."""
+        if self._amps is None:
+            amps = self._solution.amps(self.picks)
+            amps.setflags(write=False)
+            self._amps = amps
+            self._solution = None
+        return self._amps
 
 
 def _as_columns(states) -> np.ndarray:

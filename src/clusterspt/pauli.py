@@ -553,6 +553,44 @@ class TermTable:
         return np.bitwise_count(sites.T[:, :, None] & support).sum(
             axis=1, dtype=np.intp)
 
+    def anticommuting(self) -> np.ndarray:
+        """(n, n) bool over the table's n terms, all operators' together in
+        column order: entry (i, j) is whether terms i and j anticommute,
+        <x_i, z_j> + <z_i, x_j> odd, from one symplectic pass over every
+        pair."""
+        w = self.words
+        x, z = self.masks[:w], self.masks[w:]
+        return _odd(x[:, :, None] & z[:, None, :]
+                    ^ z[:, :, None] & x[:, None, :]).astype(bool)
+
+    def components(self) -> list | None:
+        """The connected components of the terms' anticommutation graph
+        (anticommuting: two terms are linked when they anticommute), each
+        as (walk, closed): its terms' columns in walk order and whether it
+        is a cycle.  A path's walk starts at its end of lower column, a
+        cycle's at its lowest column, towards its lower neighbour; paths
+        come first, by their first column, then cycles.  None when some
+        term anticommutes with three or more others, so that the graph is
+        no union of paths and cycles."""
+        links = self.anticommuting()
+        degree = links.sum(axis=1)
+        if (degree > 2).any():
+            return None
+        neighbours = [np.flatnonzero(row).tolist() for row in links]
+        seen = [False] * degree.size
+        parts = []
+        for start in (np.flatnonzero(degree < 2).tolist()
+                      + list(range(degree.size))):
+            if seen[start]:
+                continue
+            walk = [start]
+            seen[start] = True
+            while nxt := [u for u in neighbours[walk[-1]] if not seen[u]]:
+                walk.append(nxt[0])
+                seen[nxt[0]] = True
+            parts.append((tuple(walk), bool(degree[start] == 2)))
+        return parts
+
     def brackets_vanish(self, left, right, parity) -> np.ndarray:
         """Whether each bracket A B - B A (parity[k] = 1) or A B + B A
         (parity[k] = 0) of operators A = left[k], B = right[k] is zero,

@@ -467,12 +467,15 @@ class TestMemoryBudget:
     def test_oversized_run_fails_early(self, capsys, monkeypatch):
         # the orbit table, the real bases and the kept vectors of every
         # (k, p) sector, then the merge: four complex copies of each of the
-        # 8 returned levels' 2^24 amplitudes, for a caller that reads them
+        # 8 returned levels' 2^24 amplitudes, for a caller that reads them.
+        # A ring with lambda != 0, whose terms do not decouple, so that it
+        # takes the (k, p) sectors (at lambda = 0 it takes its frame)
         monkeypatch.setattr(engine, "_physical_memory", lambda: 7 << 30)
         t0 = time.perf_counter()
         with mock.patch.object(engine, "_sector_table") as table:
             assert main(["spectrum", "--size", "24", "--boundary",
-                         "periodic", "--method", "iterative"]) == 2
+                         "periodic", "--lambda", "0.4", "--method",
+                         "iterative"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert table.call_count == 0
         assert "needs about 12.2 GB" in capsys.readouterr().err

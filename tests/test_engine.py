@@ -13,7 +13,8 @@ from clusterspt import (LatticeSpec, OperatorSum, PauliString, StateVector,
                         engine)
 from clusterspt.errors import ConvergenceError, DomainError, ResourceLimitError
 
-from conftest import oracle_sum_matrix, random_hermitian_sum, random_pauli
+from conftest import (lanczos_row, oracle_sum_matrix, random_hermitian_sum,
+                      random_pauli)
 
 
 class TestStateVector:
@@ -216,7 +217,7 @@ class TestEigLow:
         h = cs.perturbed_hamiltonian(LatticeSpec(L, "open"), 0.3)
         with mock.patch.object(engine, "_lanczos", wraps=shifted) as spy, \
                 pytest.raises(ConvergenceError, match="residual"):
-            cs.eig_low(h, count=4, method="iterative")
+            lanczos_row(h, 4)
         assert [c.args[2] for c in spy.call_args_list] == widths
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

@@ -13,7 +13,7 @@ import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine, pauli
 from clusterspt.errors import ConvergenceError
 
-from conftest import oracle_matrix, oracle_sum_matrix
+from conftest import lanczos_row, oracle_matrix, oracle_sum_matrix
 
 
 def family(L, boundary, lam=1.0):
@@ -133,14 +133,16 @@ def test_a_wrong_pairing_is_rejected(change):
 
 def test_unpaired_chains_keep_their_blocks_whole_on_the_lanczos_path():
     # at L = 0 mod 3 Q has no partner: the Lanczos path solves the four
-    # (r, p) blocks, the dense path the eight (r, p, q) ones
+    # (r, p) blocks, the dense path the eight (r, p, q) ones (eig_low's
+    # iterative solve of the chain takes its decoupled frame, so the
+    # Lanczos path is family_low's one-row call)
     h = cs.perturbed_hamiltonian(LatticeSpec(9, "open"), 0.6)
     with pytest.MonkeyPatch.context() as patch:
         spy = []
         build = engine._sector_table
         patch.setattr(engine, "_sector_table",
                       lambda *args: spy.append(build(*args)) or spy[-1])
-        cs.eig_low(h, count=6, method="iterative")
+        lanczos_row(h, 6)
         cs.eig_low(h, count=6, method="dense")
     assert [len(t.keys) for t in spy] == [4, 8]
 

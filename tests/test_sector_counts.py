@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 
-from conftest import for_each_size, oracle_sum_matrix, sector_census
+from conftest import (for_each_size, lanczos_row, oracle_sum_matrix,
+                      sector_census)
 from test_real_ring_blocks import parity_levels
 from test_sectors import rotated, sizes
 
@@ -429,8 +430,7 @@ def test_the_schedule_solves_own_sectors_and_derives_their_twins():
     # one-row Lanczos solves: -k twins on the ring, Q_a twins on the chain
     for boundary in ("periodic", "open"):
         h = cs.perturbed_hamiltonian(LatticeSpec(13, boundary), 0.8)
-        census = scheduled(lambda: cs.eig_low(h, count=8,
-                                              method="iterative"))
+        census = scheduled(lambda: lanczos_row(h, 8))
         [schedule] = census.schedules
         assert any(t >= 0 for _, t, _ in schedule.calls)
         check_schedule(census, dense=False)

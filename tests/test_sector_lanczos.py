@@ -105,7 +105,9 @@ def test_csr_blocks_are_the_dense_projection(L, boundary):
 
 
 def test_eig_low_takes_the_blocks_only_for_symmetric_operators():
-    lat = LatticeSpec(8, "open")
+    # a ring with lambda != 0, whose terms do not decouple (their
+    # anticommutation graph is a cycle)
+    lat = LatticeSpec(8, "periodic")
     with mock.patch.object(engine, "sector_lanczos",
                            wraps=engine.sector_lanczos) as spy:
         sym = cs.eig_low(cs.perturbed_hamiltonian(lat, 0.4), count=6,

@@ -18,8 +18,8 @@ from clusterspt import LatticeSpec, OperatorSum, PauliString, engine
 from clusterspt.errors import ConvergenceError
 
 from conftest import (basis_matrix, for_each_size, free_fermion,
-                      kron_from_letters, oracle_matrix, oracle_sum_matrix,
-                      random_hermitian_sum, sector_census)
+                      kron_from_letters, lanczos_row, oracle_matrix,
+                      oracle_sum_matrix, random_hermitian_sum, sector_census)
 
 
 def sizes(low, n, n_top):
@@ -798,9 +798,12 @@ def check_reflection_solves(L, op, count):
     deg = min(n, int(np.sum(want <= want[0] + width)))
     # each solve builds its own sectors: hypothesis may replay an
     # operator, and an iterative solve of more than 2^L - 2 levels is
-    # dense, either of which would take a kept projection
+    # dense, either of which would take a kept projection.  The iterative
+    # solve is held on the sector path: an operator whose terms decouple
+    # would take its Clifford frame (_decoupled), which builds no sectors
     with mock.patch.object(engine, "_sector_table",
-                           wraps=engine._sector_table) as spy:
+                           wraps=engine._sector_table) as spy, \
+            mock.patch.object(engine, "_decoupled", return_value=None):
         engine._KEPT.clear()
         dense = cs.eig_low(op, count=count, method="dense")
         engine._KEPT.clear()
@@ -864,6 +867,8 @@ def test_groups_are_read_off_the_coefficients():
     # dense and by Lanczos alike: a ring solves on (k, p) blocks, a chain
     # on (r, p, q) blocks, and a chain with a field on site 2, which P
     # conserves and R does not, on the parity blocks
+    # (the Lanczos path as family_low's one-row call: eig_low's iterative
+    # solve of the chain takes its decoupled frame)
     chain = cs.perturbed_hamiltonian(LatticeSpec(8, "open"), 0.4)
     field = OperatorSum.from_pauli(PauliString.single(8, 2, "X"), 0.3)
     cases = [(cs.perturbed_hamiltonian(LatticeSpec(8, "periodic"), 0.4),
@@ -871,10 +876,11 @@ def test_groups_are_read_off_the_coefficients():
     for h, group in cases:
         assert engine._symmetry_group(h) == group
         want = np.linalg.eigvalsh(oracle_sum_matrix(h))[:6]
-        for method in ("dense", "iterative"):
+        for solve in (lambda: cs.eig_low(h, count=6,
+                                         method="dense").eigenvalues,
+                      lambda: lanczos_row(h, 6)[0]):
             with mock.patch.object(engine, "_sector_table",
                                    wraps=engine._sector_table) as spy:
-                spect = cs.eig_low(h, count=6, method=method)
+                vals = solve()
             assert spy.call_args.args[:2] == (8, group)
-            np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)

@@ -18,8 +18,11 @@ BLAS thread.  Per workload it prints the calls of:
   how many of them it puts above the window;
 - checked_residual: `engine.checked_residual`, one stack of pairs each;
 - checked_low: `engine._checked_low`, one Lanczos-path block solve each;
+- frame: `engine._frame_low`, one iterative solve of a Hamiltonian whose
+  terms decouple, in its Clifford frame, each;
 
-and the ops that did not exit 0 (an audit of a tampered symmetry half
+(a column whose function the tree does not have reads 0), and the ops
+that did not exit 0 (an audit of a tampered symmetry half
 that the audit finds broken exits 1, as it should).  Counts, not times:
 two trees that make the same solves print the same numbers on any host.
 """
@@ -43,7 +46,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 COLUMNS = ("solve", "subset_eigh", "certify rows", "certified",
-           "checked_residual", "checked_low", "nonzero exits")
+           "checked_residual", "checked_low", "frame", "nonzero exits")
 
 
 def load_workloads():
@@ -80,7 +83,9 @@ def spies(engine, counts: Counter) -> list:
                                                 getattr(engine, name)))
         for name, column in (("_subset_eigh", "subset_eigh"),
                              ("checked_residual", "checked_residual"),
-                             ("_checked_low", "checked_low"))]
+                             ("_checked_low", "checked_low"),
+                             ("_frame_low", "frame"))
+        if hasattr(engine, name)]
 
 
 def census(main, engine, workloads, name: str, seed: int) -> Counter:

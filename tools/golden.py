@@ -160,6 +160,13 @@ COMMANDS = [
     # empty solutions of their certified sources
     "scan --size 11 --boundary open --lambda 0.5:1.5:0.05 --count 4",
     "scan --size 10 --boundary open --lambda 0.2:1.4:0.05 --count 2",
+    # iterative spectra of Hamiltonians whose terms decouple, solved in
+    # their Clifford frame: 24- and 18-site open chains, and the 24-site
+    # ring of H_C alone
+    "spectrum --size 24 --boundary open --lambda 0.37 --method iterative "
+    "--count 12",
+    "spectrum --size 18 --boundary open --lambda 1.0 --method iterative",
+    "spectrum --size 24 --boundary periodic --lambda 0 --method iterative",
 ]
 
 
