@@ -62,8 +62,8 @@ print("eigenvalues of P Z1 P:",
 for L in (7, 8, 9):
     lat = LatticeSpec(L, "open")
     ops = [cluster_hamiltonian(lat), ising_perturbation(lat, 0.5)]
-    basis = [PauliString(L, (x & z).bit_count(), x, z).letters
-             for x, z in pauli.commutant(ops)]
+    basis = [PauliString.from_vector(L, v).letters
+             for v in pauli.commutant(ops)]
     q, qa = engine._integrals(ops, "RP")
     print(f"\nopen {L} sites: commutant {' '.join(basis)}")
     print(f"  Q = {q.letters}, Q_a = {qa.letters if qa else 'none'}")

@@ -12,6 +12,11 @@ The bond circuit of a lattice has a closed form on the masks, which
 z ^= (x << 1) ^ (x >> 1) (bit rotations on a ring), and each bond with an X
 at both ends adds a sign, phase_exp += 2 popcount(x & (x >> 1)).  A general
 CzCircuit goes gate by gate through `conjugate_circuit`.
+
+`path_frame` builds the Clifford frame of anticommutation paths by
+symplectic Gram-Schmidt on pauli's GF(2) layer: the strings' symplectic
+vectors (PauliString.vector, read back by PauliString.from_vector), their
+form (pauli.symplectic_form) and row_echelon.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError
-from .pauli import OperatorSum, PauliString, TermTable, row_echelon
+from .pauli import (OperatorSum, PauliString, TermTable, row_echelon,
+                    symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -245,31 +251,26 @@ def path_frame(length: int, paths) -> PathFrame:
     = X~_j T_{2j+1} and zs = Z~_j = T_{2j}, so that U maps its terms onto
     chain_images.  An odd path's last X~ commutes with every term and
     takes a partner Z~; free pairs complete the basis.  Both come from
-    symplectic Gram-Schmidt on the masks, read as 2L-bit ints, x above z:
-    the partners are the rows of the reduced row echelon basis
-    (pauli.row_echelon) of the complement of the paths' pairs whose
-    products with the central X~s are unit vectors, each then made to
-    commute with those before it; the free pairs take the complement of
-    every pair so far, two vectors of it at a time.  The frame is checked
-    (PathFrame.check) before it is returned: ValueError on a failure."""
+    symplectic Gram-Schmidt on the strings' symplectic vectors
+    (PauliString.vector, pauli.symplectic_form): the partners are the rows
+    of the reduced row echelon basis (pauli.row_echelon) of the complement
+    of the paths' pairs whose products with the central X~s are unit
+    vectors, each then made to commute with those before it; the free
+    pairs take the complement of every pair so far, two vectors of it at
+    a time.  The frame is checked (PathFrame.check) before it is returned:
+    ValueError on a failure."""
     L = length
-    full = (1 << L) - 1
-
-    def vec(p):
-        return (p.x_mask << L) | p.z_mask
-
-    def form(u, v):
-        return ((u >> L) & v ^ u & (v >> L)).bit_count() & 1
-
-    def string(v):
-        x, z = v >> L, v & full
-        return PauliString(L, (x & z).bit_count(), x, z)
 
     def project(v, pairs):
-        """v less its components along each symplectic pair (x, z)."""
-        for x, z in pairs:
-            along_x, along_z = form(v, z), form(v, x)
-            v ^= (x if along_x else 0) ^ (z if along_z else 0)
+        """v less its components along the symplectic pairs, flattened as
+        x, z, x, z, ...: x_i when <v, z_i> = 1 and z_i when <v, x_i> = 1.
+        The pairs are orthogonal to each other, so every product is read
+        off v itself, all in one pass."""
+        products = symplectic_form(v, pairs, L)
+        while products:
+            low = products & -products
+            v ^= pairs[(low.bit_length() - 1) ^ 1]
+            products ^= low
         return v
 
     xs, zs, blocks, central = [], [], [], []
@@ -284,32 +285,33 @@ def path_frame(length: int, paths) -> PathFrame:
             central.append(len(xs) - 1)
             zs.append(None)
         blocks.append((first, len(xs) - first))
-    pairs = [(vec(x), vec(z)) for x, z in zip(xs, zs) if z is not None]
-    tops = [vec(xs[j]) for j in central]
+    pairs = [p.vector for x, z in zip(xs, zs) if z is not None
+             for p in (x, z)]
+    tops = [xs[j].vector for j in central]
     k, units = len(tops), [project(1 << f, pairs) for f in range(2 * L)]
     # each row's bits above 2L are its products with the central X~s, the
     # first X~'s highest: reduced, the first k rows have one such bit each
-    rows = row_echelon(sum(form(a, w) << (2 * L + k - 1 - i)
-                           for i, a in enumerate(tops)) << (2 * L) | w
+    rows = row_echelon(symplectic_form(w, tops[::-1], L) << (2 * L) | w
                        for w in units)
     mates = [row & ((1 << 2 * L) - 1) for row in rows[:k]]
     for j in range(len(mates)):
         for i in range(j):
-            if form(mates[i], mates[j]):
+            if symplectic_form(mates[i], [mates[j]], L):
                 mates[j] ^= tops[i]
     for j, a, b in zip(central, tops, mates):
-        zs[j] = string(b)
-        pairs.append((a, b))
+        zs[j] = PauliString.from_vector(L, b)
+        pairs += [a, b]
     rest = [project(1 << f, pairs) for f in range(2 * L)]
     while any(rest):
         u = next(v for v in rest if v)
-        w = next((v for v in rest if form(u, v)), None)
-        if w is None:
+        products = symplectic_form(u, rest, L)
+        if not products:
             raise ValueError("the paths' pairs leave no symplectic "
                              "complement")
-        xs.append(string(u))
-        zs.append(string(w))
-        rest = [project(v, [(u, w)]) for v in rest]
+        w = rest[(products & -products).bit_length() - 1]
+        xs.append(PauliString.from_vector(L, u))
+        zs.append(PauliString.from_vector(L, w))
+        rest = [project(v, [u, w]) for v in rest]
     if None in zs:
         raise ValueError("a central X~ found no partner")
     frame = PathFrame(L, tuple(xs), tuple(zs), tuple(blocks))

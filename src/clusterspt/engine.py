@@ -25,8 +25,10 @@ entries in its sector (`_sector_entries`).  On an open chain ("RP") the
 group takes a third generator, a Pauli integral of motion Q of the
 family itself, and the sectors pair up by another, Q_a, when there is
 one, both read off the family's Pauli commutant (`_integrals`,
-`pauli.commutant`): the orbit table then keeps a sign per index, and
-each sector's twin is the one Q_a maps it onto.  One frame builder
+`pauli.commutant`, on pauli's GF(2) layer of symplectic vectors, as
+`_decoupled` and `clifford.path_frame` are): the orbit table then keeps
+a sign per index, and each sector's twin is the one Q_a maps it
+onto.  One frame builder
 (`_sector_frame`) gives both sector solvers their sectors, once per
 family of operators: it checks that the group conserves every operator,
 builds and checks the orbit table (`_check_table`), which holds the sector
@@ -98,7 +100,7 @@ import scipy.sparse.linalg
 from .clifford import CzCircuit, chain_images, path_frame
 from .errors import ConvergenceError, DomainError, LengthMismatchError, ResourceLimitError
 from .pauli import (OperatorSum, PauliString, TermTable, commutant,
-                    kernel_within, row_echelon)
+                    kernel_within, reduced, row_echelon, symplectic_form)
 
 DENSE_SITE_CAP = 12
 APPLY_SITE_CAP = 24
@@ -1367,65 +1369,56 @@ def _integrals(ops: list, group: str) -> tuple:
     (pauli.commutant), each a Hermitian real string or None; (None, None)
     for any other group.
 
-    The commutant is a GF(2) space of (x, z) masks, coded as 2L-bit ints,
-    x above z.  Q is the first row, leading bits descending, of the
-    reduced row-echelon basis (pauli.kernel_within) of its elements that R
+    The commutant is a GF(2) space of symplectic vectors (2L-bit ints, x above
+    z, PauliString.vector).  Q is the first row, leading bits descending, of
+    the reduced row-echelon basis (pauli.kernel_within) of its elements that R
     conserves (mirror-symmetric masks) and that commute with P (even z
-    weight), leaving out the one row that leads at site 1's X bit (P's
-    own), whose Y count is even (a real string): Q commutes with R and P,
-    and lies outside <P>.  Q_a is the first row of that basis of the
-    elements whose image under R is themselves times an element of <P, Q>
-    (masks only) that has odd z weight (anticommutes with P, so it maps a
-    sector of parity p onto one of -p) and an even Y count, and whose
-    relations with R, P and Q put it in the group's normalizer
-    (_twin_relations), None when no row qualifies; where R Q_a R = +-Q_a P
-    Q, the letters of P Q then take Q's place.  For H_C + lambda H_I,
-    lambda != 0, on an open chain of 6-24 sites the commutant has
-    dimension 3: Q is a period-3 string (where L != 0 mod 3 a product of
-    disjoint YY bonds, IYYIYYIYYIYYI at 13 sites), and Q_a, when L != 0
-    mod 3, a product of ZXZ stabilizers of period 3 (ZXZZXZZXZZXZZ at 13
-    sites) with R Q_a R = Q_a Q, which takes (r, p, q) to (r q, -p, q)."""
+    weight), leaving out the one row that leads at site 1's X bit (P's own),
+    whose Y count is even (a real string): Q commutes with R and P, and lies
+    outside <P>.  Q_a is the first row of that basis of the elements whose
+    image under R is themselves times an element of <P, Q> (masks only, R v +
+    v reduced modulo <P, Q> by pauli.reduced) that has odd z weight
+    (anticommutes with P, so it maps a sector of parity p onto one of -p) and
+    an even Y count, and whose relations with R, P and Q put it in the group's
+    normalizer (_twin_relations), None when no row qualifies; where R Q_a R =
+    +-Q_a P Q, the letters of P Q then take Q's place.  For H_C + lambda H_I,
+    lambda != 0, on an open chain of 6-24 sites the commutant has dimension 3:
+    Q is a period-3 string (where L != 0 mod 3 a product of disjoint YY bonds,
+    IYYIYYIYYIYYI at 13 sites), and Q_a, when L != 0 mod 3, a product of ZXZ
+    stabilizers of period 3 (ZXZZXZZXZZXZZ at 13 sites) with R Q_a R = Q_a Q,
+    which takes (r, p, q) to (r q, -p, q)."""
     if group != "RP":
         return None, None
     L = ops[0].length
-    full = (1 << L) - 1
+    p = PauliString.from_letters("X" * L)
 
     def mirror(v):
-        return (_reflect(v >> L, L) << L) | _reflect(v & full, L)
+        # _reflect reads the low L bits, the z mask
+        return (_reflect(v >> L, L) << L) | _reflect(v, L)
 
     def odd_z(v):
-        return (v & full).bit_count() & 1
+        """Whether v anticommutes with P: its z weight is odd."""
+        return symplectic_form(v, [p.vector], L)
 
-    def string(v):
-        x, z = v >> L, v & full
-        if (x & z).bit_count() & 1:
-            return None
-        return PauliString(L, (x & z).bit_count(), x, z)
+    def real(vectors):
+        """The Hermitian strings of `vectors` with an even Y count."""
+        return (s for s in (PauliString.from_vector(L, v) for v in vectors)
+                if s.phase_exp % 2 == 0)
 
-    basis = [(x << L) | z for x, z in commutant(ops)]
+    basis = commutant(ops)
     even = kernel_within(basis, lambda v: (mirror(v) ^ v) << 1 | odd_z(v))
-    q = next(filter(None, (string(v) for v in even
-                           if v.bit_length() < 2 * L)), None)
+    q = next(real(v for v in even if v.bit_length() < 2 * L), None)
     if q is None:
         return None, None
-    group_rows = row_echelon([full << L, (q.x_mask << L) | q.z_mask])
-
-    def off_group(v):
-        """R v + v, reduced modulo <P, Q>."""
-        w = mirror(v) ^ v
-        for row in group_rows:
-            if w >> (row.bit_length() - 1) & 1:
-                w ^= row
-        return w
-
-    qa = next((s for s in map(string, filter(odd_z, kernel_within(
-        basis, off_group))) if s is not None and _twin_relations(q, s)),
-        None)
+    group_rows = row_echelon([p.vector, q.vector])
+    qa = next((s for s in real(filter(odd_z, kernel_within(
+        basis, lambda v: reduced(mirror(v) ^ v, group_rows))))
+        if _twin_relations(q, s)), None)
     if qa is not None and _twin_relations(q, qa)[0][1] == 7:
         # R Q_a R = +-Q_a P Q: P Q (its letters) takes Q's place, which
         # leaves the group as it is and gives R Q_a R = +-Q_a Q
-        pq = PauliString.from_letters("X" * L) * q
-        q = string((pq.x_mask << L) | pq.z_mask)
+        pq = p * q
+        q = PauliString.hermitian(L, pq.x_mask, pq.z_mask)
     return q, qa
 
 
@@ -2308,27 +2301,26 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
 
 
 def _decoupled(h: OperatorSum) -> list | None:
-    """h's terms, as Hermitian strings, along the paths of their
-    anticommutation graph (pauli.TermTable.components) when they decouple:
-    every component a path, the terms independent over GF(2)
-    (pauli.row_echelon) and each path's chain of at most
-    DENSE_BLOCK_STATES states, 2^ceil(n / 2) for n terms; None otherwise,
+    """h's terms, as Hermitian strings (PauliString.hermitian), along the
+    paths of their anticommutation graph (pauli.TermTable.components) when
+    they decouple: every component a path, the terms' symplectic vectors
+    independent over GF(2) (pauli.row_echelon) and each path's chain of at
+    most DENSE_BLOCK_STATES states, 2^ceil(n / 2) for n terms; None otherwise,
     as for a ring with lambda != 0 (its components are cycles), a term that
     anticommutes with three others, a dependent term or an h without
     terms.  Terms whose anticommutation graph is a union of paths make a
     free-fermion model (Chapman and Flammia, Quantum 4, 278 (2020)): every
     open chain's H_C + lambda H_I of 3-24 sites takes three paths, and a
     ring's H_C alone one path per term."""
-    L = h.length
-    keys = [key for key, _ in h.items()]
-    if not keys:
+    strings = [PauliString.hermitian(h.length, x, z)
+               for (x, z), _ in h.items()]
+    if not strings:
         return None
-    strings = [PauliString(L, (x & z).bit_count(), x, z) for x, z in keys]
     parts = TermTable(strings).components()
     if (parts is None or any(closed for _, closed in parts)
             or any(1 << ((len(walk) + 1) // 2) > DENSE_BLOCK_STATES
                    for walk, _ in parts)
-            or len(row_echelon((x << L) | z for x, z in keys)) < len(keys)):
+            or len(row_echelon(s.vector for s in strings)) < len(strings)):
         return None
     return [[strings[t] for t in walk] for walk, _ in parts]
 

@@ -144,7 +144,7 @@ def forbidden_set(lattice: LatticeSpec) -> list:
         x, z = xz
         return (x | z).bit_count(), 2 * int(f"{z:b}", 4) + int(f"{x ^ z:b}", 4)
 
-    return [OperatorSum.from_pauli(PauliString(L, (x & z).bit_count(), x, z))
+    return [OperatorSum.from_pauli(PauliString.hermitian(L, x, z))
             for x, z in sorted(set(masks[1:]), key=order)]
 
 

@@ -78,6 +78,18 @@ class PauliString:
         return cls(length, 0, 0, 0)
 
     @classmethod
+    def hermitian(cls, length: int, x_mask: int, z_mask: int) -> "PauliString":
+        """X**x Z**z with one i per Y, phase_exp = popcount(x & z): the
+        Hermitian string of the masks, printed with a +1 prefix."""
+        return cls(length, (x_mask & z_mask).bit_count(), x_mask, z_mask)
+
+    @classmethod
+    def from_vector(cls, length: int, v: int) -> "PauliString":
+        """The Hermitian string (hermitian) of a 2L-bit symplectic vector,
+        the x mask above the z mask (vector)."""
+        return cls.hermitian(length, v >> length, v & ((1 << length) - 1))
+
+    @classmethod
     def from_letters(cls, letters: str, phase_exp: int = 0) -> "PauliString":
         """Build from a letter string, e.g. 'ZXZ' on 3 sites (site 1 first).
 
@@ -136,7 +148,7 @@ class PauliString:
                 x |= bit
             if zb:
                 z |= bit
-        return cls(length, (x & z).bit_count(), x, z)
+        return cls.hermitian(length, x, z)
 
     @classmethod
     def from_compact(cls, text: str, length: int) -> "PauliString":
@@ -236,6 +248,12 @@ class PauliString:
     def weight(self) -> int:
         return (self.x_mask | self.z_mask).bit_count()
 
+    @property
+    def vector(self) -> int:
+        """The 2L-bit symplectic vector over GF(2), the x mask above the z
+        mask; the phase is not part of it (from_vector reads it back)."""
+        return (self.x_mask << self.length) | self.z_mask
+
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other):
@@ -322,9 +340,8 @@ class OperatorSum:
         """Yield (coeff, hermitian PauliString) with the Y phases pulled out of
         the coefficient, sorted deterministically by masks."""
         for (x, z) in sorted(self._terms):
-            n_y = (x & z).bit_count()
-            coeff = self._terms[(x, z)] * _PHASE_VALUE[(-n_y) % 4]
-            yield coeff, PauliString(self.length, n_y, x, z)
+            p = PauliString.hermitian(self.length, x, z)
+            yield self._terms[(x, z)] * _PHASE_VALUE[-p.phase_exp % 4], p
 
     def coefficient(self, p: PauliString) -> complex:
         """Coefficient of the given string (its own phase divided out)."""
@@ -670,6 +687,31 @@ def brackets_vanish(brackets) -> np.ndarray:
     return TermTable(ops).brackets_vanish(left, right, parity)
 
 
+def symplectic_form(v: int, vectors, length: int) -> int:
+    """The symplectic form <v, w> = <x_v, z_w> + <z_v, x_w> mod 2 of a
+    2L-bit vector v (PauliString.vector, x above z) with each w of
+    `vectors`, as bit t of an int for vectors[t]: 1 iff the two strings
+    anticommute.  One pass over the sequence `vectors`, v's halves
+    swapped once; for two vectors, symplectic_form(v, [w], length) is
+    <v, w>."""
+    swapped = (v >> length) | (v & ((1 << length) - 1)) << length
+    products = 0
+    for w in reversed(vectors):
+        products = products << 1 | (swapped & w).bit_count() & 1
+    return products
+
+
+def reduced(v: int, rows) -> int:
+    """v less each of `rows` whose leading bit v has, in order: v modulo
+    the rows' span, in a form unique for it, when the rows are a reduced
+    row-echelon basis (row_echelon), each clear at the others' leading
+    bits."""
+    for row in rows:
+        if v >> (row.bit_length() - 1) & 1:
+            v ^= row
+    return v
+
+
 def row_echelon(vectors) -> list:
     """The reduced row-echelon basis over GF(2) of the span of `vectors`
     (ints read as bit vectors), leading bits descending: each row's
@@ -677,9 +719,7 @@ def row_echelon(vectors) -> list:
     own, whatever the order of `vectors`."""
     rows = {}
     for v in vectors:
-        for lead, row in rows.items():
-            if v >> lead & 1:
-                v ^= row
+        v = reduced(v, rows.values())
         if v:
             lead = v.bit_length() - 1
             for k, row in rows.items():
@@ -711,30 +751,23 @@ def kernel_within(vectors, image) -> list:
 
 def commutant(ops) -> list:
     """The Pauli strings that commute with every term of every operator of
-    `ops` (one length), as the (x, z) mask pairs of a basis over GF(2): the
-    kernel of the terms' symplectic matrix, found by Gaussian elimination.
+    `ops` (one length), as the symplectic vectors (PauliString.vector, x
+    above z) of a basis over GF(2): the kernel of the terms' symplectic
+    matrix, found by Gaussian elimination.
 
-    A string X^u Z^v commutes with X^x Z^z iff <u, z> + <v, x> is even,
-    the dot product of (u, v) with (z, x), so the commutant is the kernel
-    (kernel_within, over the 2L unit vectors) of the map whose bit t is
-    that product with term t, every mask pair read as a 2L-bit int, the x
-    mask above the z mask.  The basis is its reduced row-echelon one
-    (row_echelon), unique for the space, and TermTable.brackets_vanish
-    confirms every element against every operator before it is handed
-    out (ValueError otherwise)."""
+    A string commutes with a term iff their symplectic form vanishes, so
+    the commutant is the kernel (kernel_within, over the 2L unit vectors)
+    of the map whose bit t is the form with term t (symplectic_form).  The
+    basis is its reduced row-echelon one (row_echelon), unique for the
+    space, and TermTable.brackets_vanish confirms every element against
+    every operator before it is handed out (ValueError otherwise)."""
     ops = list(ops)
     length = ops[0].length
-    full = (1 << length) - 1
-    rows = [(z << length) | x for op in ops for x, z in _term_map(op)]
-
-    def products(v):
-        return sum(((v & row).bit_count() & 1) << t
-                   for t, row in enumerate(rows))
-
-    basis = kernel_within((1 << f for f in range(2 * length)), products)
-    pairs = [(v >> length, v & full) for v in basis]
-    strings = [PauliString(length, (x & z).bit_count(), x, z)
-               for x, z in pairs]
+    terms = [PauliString.hermitian(length, x, z).vector
+             for op in ops for x, z in _term_map(op)]
+    basis = kernel_within((1 << f for f in range(2 * length)),
+                          lambda v: symplectic_form(v, terms, length))
+    strings = [PauliString.from_vector(length, v) for v in basis]
     if strings:
         table = TermTable(strings + ops)
         n = len(strings)
@@ -743,7 +776,7 @@ def commutant(ops) -> list:
         if not table.brackets_vanish(left, right,
                                      np.ones_like(left)).all():
             raise ValueError("a commutant element fails its bracket check")
-    return pairs
+    return basis
 
 
 def commutes(a, b) -> bool:

@@ -13,13 +13,14 @@ Frozen numerical expectations and where they come from:
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import clusterspt as cs
 from clusterspt import (LatticeSpec, OperatorSum, PauliString, ScanResult,
-                        engine)
+                        analysis, engine)
 from clusterspt.analysis import _detect_crossings
 from clusterspt.errors import DomainError
 
@@ -42,6 +43,33 @@ class TestStabilizerSuite:
     def test_entries_have_details(self):
         rep = cs.verify_stabilizer_algebra(LatticeSpec(6, "open"))
         assert all(e.detail for e in rep.entries)
+
+    @pytest.mark.parametrize("boundary, site, pairs", [
+        ("open", 4, [(3, 4), (4, 5)]),
+        ("periodic", 8, [(1, 8), (7, 8)]),
+        ("periodic", 1, [(1, 2), (1, 8)]),
+    ])
+    def test_failing_pairs_are_named_in_order(self, boundary, site, pairs):
+        # X alone at one site anticommutes with the stabilizers of both
+        # neighbours, whose Z it meets there; the detail lists the pairs
+        # as a loop over i < j in site order does
+        lattice = LatticeSpec(8, boundary)
+
+        def tampered(i, lat):
+            if i == site:
+                return PauliString.single(lat.length, i, "X")
+            return cs.stabilizer(i, lat)
+
+        with mock.patch.object(analysis, "stabilizer", side_effect=tampered):
+            entry, = cs.verify_stabilizer_algebra(lattice,
+                                                  numeric=False).entries
+        sites = list(lattice.stabilizer_sites())
+        stabs = {i: tampered(i, lattice) for i in sites}
+        loop = [(i, j) for a, i in enumerate(sites) for j in sites[a + 1:]
+                if not stabs[i].commutes_with(stabs[j])]
+        assert loop == pairs
+        assert not entry.passed
+        assert entry.detail == f"failing pairs: {pairs}"
 
 
 class TestStringOrder:

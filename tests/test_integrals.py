@@ -21,8 +21,9 @@ def family(L, boundary, lam=1.0):
     return [cs.cluster_hamiltonian(lat), cs.ising_perturbation(lat, lam)]
 
 
-def odd_z(x_z):
-    return x_z[1].bit_count() & 1
+def odd_z(L, v):
+    """Whether the symplectic vector v has odd z weight."""
+    return (v & ((1 << L) - 1)).bit_count() & 1
 
 
 @pytest.mark.parametrize("L", range(6, 25))
@@ -30,7 +31,7 @@ def test_the_chain_commutant_has_dimension_three(L):
     # P, the period-3 Q and, when L != 0 mod 3, a parity-odd element
     basis = pauli.commutant(family(L, "open"))
     assert len(basis) == 3
-    assert any(map(odd_z, basis)) == (L % 3 != 0)
+    assert any(odd_z(L, v) for v in basis) == (L % 3 != 0)
     q, qa = engine._integrals(family(L, "open"), "RP")
     assert q is not None and (qa is not None) == (L % 3 != 0)
     full = (1 << L) - 1
@@ -49,22 +50,28 @@ def test_the_ring_commutant_is_three_only_at_multiples_of_three(L):
     basis = pauli.commutant(family(L, "periodic"))
     assert len(basis) == (3 if L % 3 == 0 else 1)
     if len(basis) == 1:
-        assert basis == [((1 << L) - 1, 0)]
+        assert basis == [PauliString.from_letters("X" * L).vector]
 
 
 def test_the_commutant_is_the_symplectic_null_space():
     # every string of 4 sites against a random family: it commutes with
-    # every term iff it lies in the span of the basis
+    # every term iff its vector lies in the span of the basis, which is
+    # in reduced row-echelon form
     rng = np.random.default_rng(3)
     ops = [OperatorSum.from_pauli(PauliString(4, 0, int(x), int(z)))
            for x, z in rng.integers(0, 16, size=(3, 2))]
-    basis = [(x << 4) | z for x, z in pauli.commutant(ops)]
+    basis = pauli.commutant(ops)
+    assert basis == pauli.row_echelon(basis)
     span = {0}
     for v in basis:
         span |= {s ^ v for s in span}
+    terms = [PauliString(4, 0, x, z).vector
+             for op in ops for (x, z), _ in op.items()]
     for v in range(1 << 8):
-        s = PauliString(4, 0, v >> 4, v & 15)
+        s = PauliString.from_vector(4, v)
+        assert s.vector == v
         assert all(cs.commutes(s, op) for op in ops) == (v in span)
+        assert (pauli.symplectic_form(v, terms, 4) == 0) == (v in span)
 
 
 def reflection(L):

@@ -167,6 +167,10 @@ COMMANDS = [
     "--count 12",
     "spectrum --size 18 --boundary open --lambda 1.0 --method iterative",
     "spectrum --size 24 --boundary periodic --lambda 0 --method iterative",
+    # verify runs where the pairwise stabilizer commutation is the only
+    # check: a 22-site ring past the numeric checks, and a 24-site chain
+    "verify --size 22 --boundary periodic",
+    "verify --size 24 --symbolic-only",
 ]
 
 
