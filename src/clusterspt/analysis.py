@@ -426,7 +426,7 @@ def longest_string_sites(L: int) -> tuple:
     return a, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
     """Per-coupling observables of the perturbed model over a grid.
 

@@ -70,7 +70,7 @@ that reuses it, a real family's -k sector or a chain's Q_a image, the
 solution mapped (`_SectorTable.twin_solution`), which sector_low checks
 on the twin's own blocks.  Both merge in `_merge_levels`, which
 keeps each level in sector form (`_SectorState`), expanded to 2^L
-amplitudes straight from its orbit table on the first read of its `amps`.
+amplitudes straight from its orbit table.
 An iterative `eig_low` of an h that some group conserves first reads
 whether h's terms decouple (`_decoupled`): their anticommutation graph
 (`pauli.TermTable.components`) a union of paths, the terms independent
@@ -79,8 +79,11 @@ alone.  Such an h is solved in its Clifford frame (`_frame_low`,
 `clifford.path_frame`, proven on the masks before it is used): each
 path is a small chain on its own qubits of the frame, solved densely,
 and the levels are the lowest sums of one level per chain, kept in
-frame form (`_FrameState`) until read.  Scans (`family_low`) and every
-h that does not decouple keep the sector paths.
+frame form (`_FrameState`).  Scans (`family_low`) and every h that does
+not decouple keep the sector paths.  Both lazy levels form their 2^L
+amplitudes on the first read of `amps`, by one rule (`StateVector.amps`:
+the subclass's `_form`, which drops what built them, then read-only and
+kept); printing a level forms none.
 All golden values depend on this ordering.
 """
 
@@ -175,7 +178,13 @@ class StateVector:
 
     @property
     def amps(self) -> np.ndarray:
-        """The 2^L amplitudes, read-only."""
+        """The 2^L amplitudes, read-only.  A lazy level (_amps None: a
+        _SectorState or _FrameState) forms them on the first read, by its
+        _form, and keeps them."""
+        if self._amps is None:
+            amps = self._form()
+            amps.setflags(write=False)
+            self._amps = amps
         return self._amps
 
     @classmethod
@@ -206,6 +215,8 @@ class StateVector:
         return complex(np.vdot(self.amps, other.amps))
 
     def __repr__(self):
+        if self._amps is None:
+            return f"{type(self).__name__}(L={self.length}, not formed)"
         return f"StateVector(L={self.length}, norm={self.norm:.6f})"
 
 
@@ -385,7 +396,7 @@ def build_cluster_state(lattice, k: int = 0, l: int = 0) -> StateVector:
     return StateVector(L, amps.astype(np.complex128), copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Low-lying spectrum with its degeneracy structure.
 
@@ -1061,8 +1072,7 @@ class _SectorTable:
 def _pauli_action(p: PauliString) -> tuple:
     """(x, z, c) with p|b> = c (-1)^popcount(z & b) |b ^ x>, c the
     coefficient of X^x Z^z in p (the convention of _mask_rows)."""
-    [((x, z), c)] = OperatorSum.from_pauli(p).items()
-    return x, z, c
+    return p.x_mask, p.z_mask, p.phase
 
 
 def _pauli_signs(b: np.ndarray, z: int, c) -> np.ndarray:
@@ -2068,27 +2078,23 @@ class _SectorState(StateVector):
         self.sector, self.column, self.vector = sector, column, vector
         self._table, self._basis = table, basis
 
-    @property
-    def amps(self) -> np.ndarray:
-        """The 2^L amplitudes, read-only, formed on the first read."""
-        if self._amps is None:
-            t, i, w = self._table, self.sector, self.vector
-            if self._basis is not None:
-                sigma, a, b = self._basis
-                w = a * w + b * w[sigma]
-            at = np.where(t.cols[i] >= 0, w[t.cols[i]], 0)
-            # val is named and the gathered column a temporary: numpy
-            # forms a product with a temporary of 256 KiB or more in place,
-            # the temporary first, and complex products round by operand
-            # order, so this order fixes the amplitudes' last bits
-            val = t.chars[i][t.elem] / np.sqrt(t.size)[t.orbit]
-            if t.sign is not None:
-                val *= t.sign
-            amps = np.asarray(val * at[t.orbit], dtype=np.complex128)
-            amps.setflags(write=False)
-            self._amps = amps
-            self._table = self._basis = None
-        return self._amps
+    def _form(self) -> np.ndarray:
+        """V U w, dropping the table and basis."""
+        t, i, w = self._table, self.sector, self.vector
+        if self._basis is not None:
+            sigma, a, b = self._basis
+            w = a * w + b * w[sigma]
+        at = np.where(t.cols[i] >= 0, w[t.cols[i]], 0)
+        # val is named and the gathered column a temporary: numpy forms a
+        # product with a temporary of 256 KiB or more in place, the
+        # temporary first, and complex products round by operand order, so
+        # this order fixes the amplitudes' last bits
+        val = t.chars[i][t.elem] / np.sqrt(t.size)[t.orbit]
+        if t.sign is not None:
+            val *= t.sign
+        amps = np.asarray(val * at[t.orbit], dtype=np.complex128)
+        self._table = self._basis = None
+        return amps
 
 
 def _merge_levels(table: _SectorTable, solved: list, count: int,
@@ -2390,7 +2396,6 @@ class _FrameSolution:
 
     def __init__(self, frame, vectors: list):
         self.frame, self.vectors = frame, vectors
-        self._reference = None
 
     def amps(self, picks: list) -> np.ndarray:
         """Prod_c A_c X~_free^f |s>: picks[c] the column of chain c's
@@ -2410,23 +2415,22 @@ class _FrameSolution:
             return p
 
         vec = _act(OperatorSum.from_pauli(
-            flip(L - frame.free, frame.free, picks[-1])), self.reference())
+            flip(L - frame.free, frame.free, picks[-1])), self.reference)
         for (first, q), w, pick in zip(frame.blocks, self.vectors, picks):
             vec = _act(OperatorSum.from_terms(L, (
                 (w[b, pick], flip(first, q, b)) for b in range(1 << q))), vec)
         return vec
 
+    @cached_property
     def reference(self) -> np.ndarray:
         """|s>, from L projections (1 + Z~_j) of a fixed-seed vector,
         normalized."""
-        if self._reference is None:
-            vec = np.random.default_rng(0).standard_normal(
-                1 << self.frame.length).astype(np.complex128)
-            for z in self.frame.zs:
-                vec += _act(OperatorSum.from_pauli(z), vec)
-            vec /= np.linalg.norm(vec)
-            self._reference = vec
-        return self._reference
+        vec = np.random.default_rng(0).standard_normal(
+            1 << self.frame.length).astype(np.complex128)
+        for z in self.frame.zs:
+            vec += _act(OperatorSum.from_pauli(z), vec)
+        vec /= np.linalg.norm(vec)
+        return vec
 
 
 class _FrameState(StateVector):
@@ -2442,15 +2446,11 @@ class _FrameState(StateVector):
         self._amps = None
         self.picks, self._solution = picks, solution
 
-    @property
-    def amps(self) -> np.ndarray:
-        """The 2^L amplitudes, read-only, formed on the first read."""
-        if self._amps is None:
-            amps = self._solution.amps(self.picks)
-            amps.setflags(write=False)
-            self._amps = amps
-            self._solution = None
-        return self._amps
+    def _form(self) -> np.ndarray:
+        """The frame's amplitudes of the picks, dropping the solution."""
+        amps = self._solution.amps(self.picks)
+        self._solution = None
+        return amps
 
 
 def _as_columns(states) -> np.ndarray:

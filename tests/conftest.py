@@ -58,18 +58,28 @@ def oracle_matrix(p: cs.PauliString) -> np.ndarray:
     return PHASES[p.display_phase_exp] * kron_from_letters(p.letters)
 
 
-def oracle_sum_matrix(op: cs.OperatorSum) -> np.ndarray:
-    """Dense matrix of a sum, each term the sparse Kronecker product of the
-    same literal 2x2 matrices as oracle_matrix, summed sparse and densified
-    once."""
+def oracle_sparse(p: cs.PauliString) -> scipy.sparse.csr_array:
+    """oracle_matrix as a sparse CSR matrix: the sparse Kronecker product of
+    the same literal 2x2 matrices, times the printed prefix."""
+    term = scipy.sparse.csr_array([[1.0 + 0j]])
+    for ch in p.letters:
+        term = scipy.sparse.kron(term, SINGLE[ch], format="csr")
+    return PHASES[p.display_phase_exp] * term
+
+
+def oracle_sum_sparse(op: cs.OperatorSum) -> scipy.sparse.csr_array:
+    """Sparse CSR matrix of a sum, each term its oracle_sparse."""
     dim = 1 << op.length
     m = scipy.sparse.csr_array((dim, dim), dtype=complex)
     for coeff, p in op.iter_terms():
-        term = scipy.sparse.csr_array([[1.0 + 0j]])
-        for ch in p.letters:
-            term = scipy.sparse.kron(term, SINGLE[ch], format="csr")
-        m = m + coeff * (PHASES[p.display_phase_exp] * term)
-    return m.toarray()
+        m = m + coeff * oracle_sparse(p)
+    return m
+
+
+def oracle_sum_matrix(op: cs.OperatorSum) -> np.ndarray:
+    """Dense matrix of a sum, summed sparse (oracle_sum_sparse) and
+    densified once."""
+    return oracle_sum_sparse(op).toarray()
 
 
 def random_pauli(rng, length: int, phase: bool = True) -> cs.PauliString:

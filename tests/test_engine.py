@@ -2,6 +2,7 @@
 construction, sector resolution, and projector analysis."""
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -347,6 +348,41 @@ class TestEigLow:
             spect = cs.eig_low(h, count=8, method=method)
             assert all(psi._amps is None for psi in spect.states)
             assert spect.ground_degeneracy == (4 if boundary == "open" else 1)
+
+    @pytest.mark.parametrize("L,boundary,method,kind", [
+        (18, "open", "iterative", engine._FrameState),
+        (12, "periodic", "dense", engine._SectorState),
+        (12, "open", "iterative", engine._FrameState)])
+    def test_printing_a_result_forms_no_level(self, L, boundary, method,
+                                              kind):
+        # an unformed level prints as its class and L; forming the eight
+        # 18-site frame levels would take seconds
+        spect = cs.eig_low(cs.perturbed_hamiltonian(
+            LatticeSpec(L, boundary), 0.5), count=8, method=method)
+        start = time.perf_counter()
+        text = repr(spect)
+        assert time.perf_counter() - start < 1.0
+        assert all(type(psi) is kind and psi._amps is None
+                   for psi in spect.states)
+        assert f"{kind.__name__}(L={L}, not formed)" in text
+        if L > 12:
+            return
+        # the first read forms one level, read-only, which then prints its
+        # norm; a second read returns the same array
+        psi = spect.states[0]
+        amps = psi.amps
+        assert not amps.flags.writeable and psi.amps is amps
+        assert repr(psi) == f"StateVector(L={L}, norm={psi.norm:.6f})"
+        assert all(other._amps is None for other in spect.states[1:])
+
+    def test_results_compare_by_identity(self):
+        # equal inputs give distinct records, and == reads no array
+        h = cs.perturbed_hamiltonian(LatticeSpec(6), 0.5)
+        lat = LatticeSpec(6, "periodic")
+        for make in (lambda: cs.eig_low(h, count=4),
+                     lambda: cs.phase_scan(lat, [0.5, 1.0])):
+            a, b = make(), make()
+            assert a == a and a != b and not a == b
 
 
 class TestProjectorsAndSectors:

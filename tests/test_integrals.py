@@ -1,19 +1,21 @@
 """The Pauli integrals of motion that split and pair an open chain's (r, p)
 sectors: pauli.commutant on H_C + lambda H_I, the Q and Q_a that
 engine._integrals reads off it, checked symbolically at 6-24 sites and
-against the Kronecker oracle up to 10, and the orbit table's twin check
-on Q_a's pairing (engine._check_table)."""
+against the sparse Kronecker oracle up to 10, and the orbit table's twin
+check on Q_a's pairing (engine._check_table)."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import clusterspt as cs
 from clusterspt import LatticeSpec, OperatorSum, PauliString, engine, pauli
 from clusterspt.errors import ConvergenceError
 
-from conftest import lanczos_row, oracle_matrix, oracle_sum_matrix
+from conftest import (lanczos_row, oracle_sparse, oracle_sum_matrix,
+                      oracle_sum_sparse)
 
 
 def family(L, boundary, lam=1.0):
@@ -75,34 +77,37 @@ def test_the_commutant_is_the_symplectic_null_space():
 
 
 def reflection(L):
-    dim = 1 << L
-    r = np.zeros((dim, dim))
-    r[[engine._reflect(b, L) for b in range(dim)], range(dim)] = 1.0
-    return r
+    """R as a sparse permutation: basis index b to b with its L bits in
+    reverse order (site i to site L+1-i)."""
+    b = np.arange(1 << L)
+    flipped = ((b[:, None] >> np.arange(L)) & 1) @ (1 << np.arange(L)[::-1])
+    return scipy.sparse.csr_array((np.ones(b.size), (flipped, b)),
+                                  shape=(b.size, b.size))
 
 
 @pytest.mark.parametrize("L", range(6, 11))
 def test_the_integrals_against_the_oracle(L):
-    # Q and Q_a commute with the dense H, Q with R and P, Q_a anticommutes
-    # with P, R Q_a R = Q_a Q, and Q_a maps every sector's projector onto
-    # its twin's, (r, p, q) onto (r q, -p, q)
+    # Q and Q_a commute with H, Q with R and P, Q_a anticommutes with P,
+    # R Q_a R = Q_a Q, and Q_a maps every sector's projector onto its
+    # twin's, (r, p, q) onto (r q, -p, q); every operator is a sparse
+    # matrix of the oracle, as their products and sums are
     lam = 0.7
-    h = oracle_sum_matrix(cs.perturbed_hamiltonian(LatticeSpec(L), lam))
+    h = oracle_sum_sparse(cs.perturbed_hamiltonian(LatticeSpec(L), lam))
     q, qa = engine._integrals(family(L, "open", lam), "RP")
-    r, p = reflection(L), oracle_matrix(PauliString.from_letters("X" * L))
-    mq = oracle_matrix(q)
+    r, p = reflection(L), oracle_sparse(PauliString.from_letters("X" * L))
+    mq = oracle_sparse(q)
     for a, b in ((mq, h), (mq, r), (mq, p)):
-        assert np.abs(a @ b - b @ a).max() <= 1e-12
+        assert abs(a @ b - b @ a).max() <= 1e-12
     if qa is None:
         assert L % 3 == 0
         return
-    ma = oracle_matrix(qa)
-    assert np.abs(ma @ h - h @ ma).max() <= 1e-12
-    assert np.abs(ma @ p + p @ ma).max() == 0
-    assert np.abs(r @ ma @ r - ma @ mq).max() == 0
+    ma = oracle_sparse(qa)
+    assert abs(ma @ h - h @ ma).max() <= 1e-12
+    assert abs(ma @ p + p @ ma).max() == 0
+    assert abs(r @ ma @ r - ma @ mq).max() == 0
     table = engine._sector_table(L, "RP", (q, qa))
     engine._check_table(table)
-    one = np.eye(1 << L)
+    one = scipy.sparse.eye_array(1 << L)
     projector = {}
     for key in table.keys:
         k, s, t = key
@@ -112,8 +117,7 @@ def test_the_integrals_against_the_oracle(L):
         twin = table.keys[table.twin[i]]
         k, s, t = key
         assert twin == ((k + (t < 0)) % 2, -s, t)
-        np.testing.assert_allclose(ma @ projector[key] @ ma,
-                                   projector[twin], rtol=0, atol=1e-12)
+        assert abs(ma @ projector[key] @ ma - projector[twin]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("change", ["mate", "phase", "twin"])

@@ -148,9 +148,10 @@ COMMANDS = [
     # 1 collision
     "scan --size 10 --boundary periodic --lambda 0.5:1.5:0.025",
     "scan --size 12 --boundary periodic --lambda 0.9:1.1:0.02",
-    # open chains split by their Pauli integral Q: Lanczos on the four own
-    # (r, p, q) blocks Q_a pairs (14 sites) and on the four (r, p) blocks
-    # of a chain it does not pair (12), and a dense scan on eight blocks
+    # open chains split by their Pauli integral Q: iterative spectra that
+    # take the chain's Clifford frame at 14 and 12 sites, and a dense scan
+    # on eight (r, p, q) blocks; the last two commands pin the Lanczos path
+    # on the four (r, p) blocks of a chain Q_a does not pair
     "spectrum --size 14 --boundary open --lambda 1.05 --method iterative "
     "--count 8",
     "spectrum --size 12 --boundary open --lambda 0.45 --method iterative "
@@ -171,6 +172,11 @@ COMMANDS = [
     # check: a 22-site ring past the numeric checks, and a 24-site chain
     "verify --size 22 --boundary periodic",
     "verify --size 24 --symbolic-only",
+    # open chains of L = 0 mod 3, which Q_a does not pair: Lanczos on their
+    # four (r, p) blocks, iterative at 12 sites and above the dense size
+    # at 15
+    "scan --size 12 --boundary open --lambda 0.3:0.9:0.3 --method iterative",
+    "scan --size 15 --boundary open --lambda 0.6:0.6:0.1",
 ]
 
 
