@@ -405,9 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="dense: every symmetry sector densely, up to 12 "
                    "sites; iterative: a Hamiltonian whose terms decouple "
-                   "(an open chain, or a ring at lambda 0) as small dense "
-                   "chains in its Clifford frame, any other sector by "
-                   "sector; auto: dense up to 12 sites, iterative above")
+                   "(an open chain, a ring at lambda 0, a ring of 4-9 or "
+                   "3k sites) as small dense chains in its Clifford "
+                   "frame, per sector of its cycles' signs, any other "
+                   "sector by sector; auto: dense up to 12 sites, "
+                   "iterative above")
 
     p = sub.add_parser("protect", help="probe audit against the symmetries")
     common(p, 9, "open")

@@ -179,14 +179,53 @@ class PathFrame:
         for p, row in zip(strings, links[2 * L:]):
             a = np.flatnonzero(row[L:2 * L]).tolist()
             b = np.flatnonzero(row[:L]).tolist()
-            q = PauliString.identity(L)
-            for s in [self.xs[j] for j in a] + [self.zs[j] for j in b]:
-                q = q * s
+            q = self._product(a, b)
             if (q.x_mask, q.z_mask) != (p.x_mask, p.z_mask):
                 raise ValueError(f"{p.label()} is not a product of the "
                                  "frame's strings")
             out.append(PauliString(L, p.phase_exp - q.phase_exp,
                                    _qubit_mask(L, a), _qubit_mask(L, b)))
+        return out
+
+    def _product(self, a, b) -> PauliString:
+        """The product of xs[j] for j in a, then of zs[j] for j in b."""
+        q = PauliString.identity(self.length)
+        for s in [self.xs[j] for j in a] + [self.zs[j] for j in b]:
+            q = q * s
+        return q
+
+    def closing_images(self, closing) -> list:
+        """The images of the terms that close paths into cycles, closing[c]
+        the term T_{2n} that closes path c, T_1 ... T_{2n-1}, into a cycle
+        (None for a path that stays open), each proven on the masks before
+        it is returned: the image (images) multiplied back through the
+        frame, the xs, then the zs, of its bits, with its phase, must be
+        its term, and it must act on its own block's qubits but the last
+        and, on the last qubit of a cycle's block, which holds that
+        cycle's central X~ = T_1 T_3 ... T_{2n-1}, by X~ only: no Z~ there,
+        nothing on another block's other qubits or on a free qubit.
+        Raises ValueError otherwise."""
+        L = self.length
+        central = _qubit_mask(L, [first + n - 1 for (first, n), t
+                                  in zip(self.blocks, closing)
+                                  if t is not None])
+        images = iter(self.images(t for t in closing if t is not None))
+        out = []
+        for (first, n), term in zip(self.blocks, closing):
+            if term is None:
+                out.append(None)
+                continue
+            p = next(images)
+            own = _qubit_mask(L, range(first, first + n - 1))
+            if p.x_mask & ~(own | central) or p.z_mask & ~own:
+                raise ValueError(f"{term.label()} maps onto {p.label()}, "
+                                 "off its block and the central X~s")
+            q = self._product(_qubits(L, p.x_mask), _qubits(L, p.z_mask))
+            if PauliString(L, q.phase_exp + p.phase_exp, q.x_mask,
+                           q.z_mask) != term:
+                raise ValueError(f"{term.label()} does not map onto "
+                                 f"{p.label()}")
+            out.append(p)
         return out
 
     def check(self, paths) -> None:
@@ -219,6 +258,12 @@ class PathFrame:
 def _qubit_mask(length: int, qubits) -> int:
     """The mask of 0-based qubits on `length` (qubit 0 the top bit)."""
     return sum(1 << (length - 1 - j) for j in qubits)
+
+
+def _qubits(length: int, mask: int) -> list:
+    """The 0-based qubits of a mask on `length`, ascending (_qubit_mask's
+    inverse)."""
+    return [j for j in range(length) if mask >> (length - 1 - j) & 1]
 
 
 def chain_images(n: int, first: int, length: int) -> list:

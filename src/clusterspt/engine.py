@@ -73,15 +73,20 @@ keeps each level in sector form (`_SectorState`), expanded to 2^L
 amplitudes straight from its orbit table.
 An iterative `eig_low` of an h that some group conserves first reads
 whether h's terms decouple (`_decoupled`): their anticommutation graph
-(`pauli.TermTable.components`) a union of paths, the terms independent
-over GF(2), as for every open chain's H_C + lambda H_I and a ring's H_C
-alone.  Such an h is solved in its Clifford frame (`_frame_low`,
-`clifford.path_frame`, proven on the masks before it is used): each
-path is a small chain on its own qubits of the frame, solved densely,
-and the levels are the lowest sums of one level per chain, kept in
-frame form (`_FrameState`).  Scans (`family_low`) and every h that does
-not decouple keep the sector paths.  Both lazy levels form their 2^L
-amplitudes on the first read of `amps`, by one rule (`StateVector.amps`:
+(`pauli.TermTable.components`) a union of paths and even cycles, each
+cycle opened into a path and its closing term, the opened terms
+independent over GF(2), as for every open chain's H_C + lambda H_I, a
+ring's H_C alone and a ring's H_C + lambda H_I (one cycle, or three when
+3 divides L).  Such an h is solved in its Clifford frame (`_frame_low`,
+`clifford.path_frame` and `PathFrame.closing_images`, proven on the masks
+before they are used): each path is a small chain on its own qubits of
+the frame, solved densely, and so is each opened cycle in every sector
+of the cycles' central signs, on its qubits but the central one; the
+levels are the lowest sums of one level per chain over the sectors,
+kept in frame form (`_FrameState`).  Scans (`family_low`) and every h
+that does not decouple keep the sector paths.  Both lazy levels form
+their 2^L amplitudes on the first read of `amps`, by one rule
+(`StateVector.amps`:
 the subclass's `_form`, which drops what built them, then read-only and
 kept); printing a level forms none.
 All golden values depend on this ordering.
@@ -93,7 +98,8 @@ import inspect
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 import scipy.linalg
@@ -503,11 +509,15 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     exactly the lowest `count`.
     iterative: L <= 24.  An h that some group conserves and whose terms
     decouple (_decoupled: their anticommutation graph is a union of
-    paths, the terms independent over GF(2), as for every open chain's
-    H_C + lambda H_I and a ring's H_C alone) is solved in its Clifford
-    frame (_frame_low): one dense solve of each path's chain of at most
-    DENSE_BLOCK_STATES states, the lowest `count` sums of their levels,
-    with every copy of a degenerate level.  Otherwise, whenever h is
+    paths and even cycles, each cycle opened into a path, the opened
+    terms independent over GF(2), each closing term's image allowed, as
+    for every open chain's H_C + lambda H_I, a ring's H_C alone and a
+    ring's H_C + lambda H_I at 4-9 sites and at 3k sites) is solved in its
+    Clifford frame (_frame_low): one dense solve of each path's chain,
+    and of each cycle's chain per value of the central signs it reads,
+    of at most DENSE_BLOCK_STATES states, the lowest `count` sums of their
+    levels over the 2^m sectors of the m cycles' signs, with every copy of
+    a degenerate level.  Otherwise, whenever h is
     invariant under P, one solve per
     sector of the same group, one sector at a time (sector_lanczos): a
     ring's (k, p) blocks of about 2^L / 2L states, real when h is real and
@@ -550,10 +560,10 @@ def eig_low(h, count: int = 6, method: str = "auto") -> SpectrumResult:
     # an h that no symmetry group conserves is solved on the full space;
     # an iterative one that decouples, in its Clifford frame
     group = _symmetry_group(h)
-    paths = (_decoupled(h) if group is not None and method == "iterative"
+    parts = (_decoupled(h) if group is not None and method == "iterative"
              else None)
-    if paths is not None:
-        vals, states, max_residual = _frame_low(h, count, paths)
+    if parts is not None:
+        vals, states, max_residual = _frame_low(h, count, *parts)
     elif group is not None:
         [[(vals, _, states, max_residual)]] = family_low([h], [[1.0]], count,
                                                          method)
@@ -2233,7 +2243,10 @@ def _lanczos_charge(h: OperatorSum, group: str, count: int,
 # chain's (r, p) block) 12.9 / 15.4 ms against 4.3 / 6.3 ms.  A dense
 # solve also keeps every copy of a level degenerate inside its block.  The
 # chains of a decoupled frame are solved densely too (_frame_low), so an h
-# with a path of more states keeps the sector path (_decoupled).
+# with a path or cycle of more states keeps the sector path (_decoupled):
+# a ring with lambda != 0 decouples at 4-9 sites (one cycle of 2L terms,
+# a chain of 2^(L-1) states, 256 at 9 sites) and at 3k sites up to 24
+# (three cycles, chains of 2^(k-1) states, 128 at 24 sites).
 DENSE_BLOCK_STATES = 400
 
 # Fewest levels sector_lanczos's first pass asks of an own sector, which
@@ -2306,72 +2319,156 @@ def sector_lanczos(h: OperatorSum, count: int, frame: tuple, need: int,
     return (*_merge_levels(table, solved, count, atol, bases), worst)
 
 
-def _decoupled(h: OperatorSum) -> list | None:
-    """h's terms, as Hermitian strings (PauliString.hermitian), along the
-    paths of their anticommutation graph (pauli.TermTable.components) when
-    they decouple: every component a path, the terms' symplectic vectors
-    independent over GF(2) (pauli.row_echelon) and each path's chain of at
-    most DENSE_BLOCK_STATES states, 2^ceil(n / 2) for n terms; None otherwise,
-    as for a ring with lambda != 0 (its components are cycles), a term that
-    anticommutes with three others, a dependent term or an h without
-    terms.  Terms whose anticommutation graph is a union of paths make a
-    free-fermion model (Chapman and Flammia, Quantum 4, 278 (2020)): every
-    open chain's H_C + lambda H_I of 3-24 sites takes three paths, and a
-    ring's H_C alone one path per term."""
+def _decoupled(h: OperatorSum) -> tuple | None:
+    """(paths, closing) when h's terms decouple: h's terms, as Hermitian
+    strings (PauliString.hermitian), along the components of their
+    anticommutation graph (pauli.TermTable.components), each a path or an
+    even cycle, a cycle opened into the path T_1 ... T_{2n-1} of its walk
+    and its last term T_{2n}, the closing term, set apart (closing[c],
+    None for a path).  h decouples when the opened terms' symplectic
+    vectors are independent over GF(2) (pauli.row_echelon), each closing
+    term lies in the span of its own opened terms and the cycles' central
+    X~s, T_1 T_3 ... T_{2n-1}, so that its image in the frame is allowed
+    (clifford.PathFrame.closing_images), and each chain holds at most
+    DENSE_BLOCK_STATES states, 2^ceil(n / 2) for a path of n terms and
+    2^(n - 1) for a cycle of 2n.  None otherwise, as for a 10-site ring
+    with lambda != 0 (one cycle of 20 terms, a chain of 2^9 states), a
+    term that anticommutes with three others, an odd cycle, a dependent
+    term or an h without terms.  Terms whose anticommutation graph is a
+    union of paths make a free-fermion model (Chapman and Flammia,
+    Quantum 4, 278 (2020)): every open chain's H_C + lambda H_I of 3-24
+    sites takes three paths, and a ring's H_C alone one path per term.
+    A ring's H_C + lambda H_I (lambda != 0) takes one cycle of 2L terms
+    when 3 does not divide L, three cycles of 2L / 3 when it does, and
+    decouples at 4-9 sites and at 12, 15, ..., 24.  Each walk, and so each
+    closing term, follows the order of h's terms: the rings of
+    models.perturbed_hamiltonian close every cycle at a YY term, while an
+    order that closes a one-cycle ring, or an odd number of the three
+    cycles, at a cluster term leaves the opened terms dependent, and h
+    does not decouple."""
     strings = [PauliString.hermitian(h.length, x, z)
                for (x, z), _ in h.items()]
     if not strings:
         return None
     parts = TermTable(strings).components()
-    if (parts is None or any(closed for _, closed in parts)
-            or any(1 << ((len(walk) + 1) // 2) > DENSE_BLOCK_STATES
-                   for walk, _ in parts)
-            or len(row_echelon(s.vector for s in strings)) < len(strings)):
+    if parts is None or any(closed and len(walk) % 2
+                            for walk, closed in parts):
         return None
-    return [[strings[t] for t in walk] for walk, _ in parts]
+    paths = [[strings[t] for t in walk[:len(walk) - closed]]
+             for walk, closed in parts]
+    closing = [strings[walk[-1]] if closed else None
+               for walk, closed in parts]
+    opened = [s.vector for path in paths for s in path]
+    centrals = [reduce(xor, (s.vector for s in path[::2]))
+                for path, t in zip(paths, closing) if t is not None]
+    if (any(1 << ((len(path) + 1) // 2 - (t is not None))
+            > DENSE_BLOCK_STATES for path, t in zip(paths, closing))
+            or len(row_echelon(opened)) < len(opened)):
+        return None
+    for path, t in zip(paths, closing):
+        if t is not None and reduced(t.vector, row_echelon(
+                [s.vector for s in path] + centrals)):
+            return None
+    return paths, closing
 
 
-def _frame_low(h: OperatorSum, count: int, paths: list) -> tuple:
+def _frame_low(h: OperatorSum, count: int, paths: list,
+               closing: list) -> tuple:
     """(vals, states, max_residual) of the lowest `count` levels of an h
-    whose terms decouple along `paths` (_decoupled), solved in their
-    Clifford frame (clifford.path_frame, checked on the masks before it
-    is used): each path's canonical chain (clifford.chain_images, T_1 onto
-    X_1, T_{2j} onto Z_j, T_{2j+1} onto X_j X_{j+1}, each with its
-    coefficient in h) on its own ceil(n / 2) qubits, one dense subset
-    eigh of its lowest min(count, d) levels (_subset_eigh), every pair
-    through checked_residual against the chain's sum|coeff|.  A level is
-    a sum of one level per chain, each sum taken 2^free times for the
-    frame's free qubits: the lowest `count` are merged a chain at a time,
-    ties in the order of the chains' levels, and max_residual is the
-    largest, over the returned levels, of the sum of their chains'
-    residuals, which bounds ||Hv - Ev|| in the full space, since the
-    chains commute and act on their own qubits of the frame.  The states
-    stay in frame form (_FrameState), formed when read; the memory they
-    may take once read is charged first (_check_memory)."""
+    whose terms decouple along `paths` closed by `closing` (_decoupled),
+    solved in their Clifford frame (clifford.path_frame and
+    PathFrame.closing_images, proven on the masks before they are used).
+    Path c's canonical chain (clifford.chain_images, T_1 onto X_1, T_{2j}
+    onto Z_j, T_{2j+1} onto X_j X_{j+1}, each with its coefficient in h)
+    lies on its own ceil(n / 2) qubits.  A cycle's opened path leaves its last
+    qubit's X~ = T_1 T_3 ... T_{2n-1} central, a sign that every term
+    conserves: in each of the 2^m sectors of the m cycles' signs, every
+    central X~ in its chain's and closing term's images is replaced by its
+    sign, which leaves a chain on its other n - 1 qubits, T_{2n-1} onto
+    its sign times X_{n-1}.  Each chain takes one dense subset eigh of its
+    lowest min(count, d) levels (_subset_eigh), every pair through
+    checked_residual against the chain's sum|coeff|, shared by the
+    sectors that give it the same signs.  A level is a sum of one level
+    per chain, each sum taken 2^free times for the frame's free qubits:
+    each sector's lowest `count` are merged a chain at a time, ties in the
+    order of the chains' levels, and then the sectors', ties in sector
+    order (sector s, 0 <= s < 2^m, gives cycle i the sign -1 where bit
+    m - 1 - i of s is set).  max_residual is the largest, over the returned levels, of the
+    sum of their chains' residuals, which bounds ||Hv - Ev|| in the full
+    space, since the chains commute and act on their own qubits of the
+    frame.  With no cycle there is one sector.  The states stay in frame
+    form (_FrameState), a cycle's chain vector psi lifted to its n qubits
+    as psi (x) (|0> + c|1>) / sqrt(2), the eigenvector of its central X~
+    of sign c, formed when read; the memory they may take once read is
+    charged first (_check_memory)."""
     L = h.length
     dim = 1 << L
     n = min(count, dim)
     _check_memory(dim * 16 * (n + 4), "iterative", L,
                   f"{n} states and one expansion in the decoupled frame")
     frame = path_frame(L, paths)
-    vals, worst = np.zeros(1), np.zeros(1)
-    picks = np.zeros((1, 0), dtype=np.intp)
-    vectors = []
-    for path, (_, q) in zip(paths, frame.blocks):
-        chain = OperatorSum.from_terms(q, zip(
-            (h.coefficient(t).real for t in path),
-            chain_images(len(path), 0, q)))
-        m = dense_matrix(chain)
-        e, w = _subset_eigh(m, min(count, m.shape[0]))
-        # one residual per pair: each pair a stack of its own
-        residual = checked_residual((m @ w).T[:, :, None], w.T[:, :, None],
-                                    e[:, None], chain.norm_bound())
-        vectors.append(w)
-        vals, worst, picks = _merged_sums(vals, worst, picks, e, residual,
-                                          count)
-    free = np.zeros(min(count, 1 << frame.free))
-    vals, worst, picks = _merged_sums(vals, worst, picks, free, free, count)
-    solution = _FrameSolution(frame, vectors)
+    closes = frame.closing_images(closing)
+    cycles = [first + q - 1 for (first, q), t in zip(frame.blocks, closing)
+              if t is not None]
+    chains = []
+    for path, t, image, (first, _) in zip(paths, closing, closes,
+                                          frame.blocks):
+        images = chain_images(len(path), first, L)
+        if t is not None:
+            path, images = path + [t], images + [image]
+        chains.append(([h.coefficient(s).real for s in path], images))
+    vectors = [[] for _ in paths]
+    solved = {}
+
+    def solve(c, negative):
+        """(e, residual, offset) of chain c with the cycles' central X~s of
+        `negative` (a mask) at -1, the others at +1: its levels, their
+        residuals, and the column of its first vector in vectors[c]."""
+        coeffs, images = chains[c]
+        first, q = frame.blocks[c]
+        central = closing[c] is not None
+        key = (c,) + tuple((p.x_mask & negative).bit_count() & 1
+                           for p in images)
+        if key not in solved:
+            k = q - central
+            shift, keep = L - first - k, (1 << k) - 1
+            chain = OperatorSum.from_terms(k, zip(coeffs, (
+                PauliString(k, p.phase_exp + 2 * sign,
+                            p.x_mask >> shift & keep, p.z_mask >> shift & keep)
+                for p, sign in zip(images, key[1:]))))
+            m = dense_matrix(chain)
+            e, w = _subset_eigh(m, min(count, m.shape[0]))
+            # one residual per pair: each pair a stack of its own
+            residual = checked_residual((m @ w).T[:, :, None],
+                                        w.T[:, :, None], e[:, None],
+                                        chain.norm_bound())
+            if central:
+                # the central qubit, the last of the block, in the
+                # eigenstate of its X~ of the sector's sign
+                sign = -1.0 if negative >> (L - first - q) & 1 else 1.0
+                w = np.repeat(w, 2, axis=0) / np.sqrt(2.0)
+                w[1::2] *= sign
+            solved[key] = e, residual, sum(v.shape[1] for v in vectors[c])
+            vectors[c].append(w)
+        return solved[key]
+
+    sectors = []
+    for signs in range(1 << len(cycles)):
+        negative = sum(1 << (L - 1 - j) for i, j in enumerate(cycles)
+                       if signs >> (len(cycles) - 1 - i) & 1)
+        vals, worst = np.zeros(1), np.zeros(1)
+        picks = np.zeros((1, 0), dtype=np.intp)
+        for c in range(len(paths)):
+            e, residual, offset = solve(c, negative)
+            vals, worst, picks = _merged_sums(vals, worst, picks, e,
+                                              residual, count)
+            picks[:, -1] += offset
+        free = np.zeros(min(count, 1 << frame.free))
+        sectors.append(_merged_sums(vals, worst, picks, free, free, count))
+    vals, worst, picks = (np.concatenate(a) for a in zip(*sectors))
+    keep = np.argsort(vals, kind="stable")[:count]
+    vals, worst, picks = vals[keep], worst[keep], picks[keep]
+    solution = _FrameSolution(frame, [np.column_stack(v) for v in vectors])
     states = tuple(_FrameState(solution, p) for p in picks.tolist())
     return vals, states, float(worst.max())
 

@@ -468,19 +468,21 @@ class TestMemoryBudget:
         # the orbit table, the real bases and the kept vectors of every
         # (k, p) sector, then the merge: four complex copies of each of the
         # 8 returned levels' 2^24 amplitudes, for a caller that reads them.
-        # A ring with lambda != 0, whose terms do not decouple, so that it
-        # takes the (k, p) sectors (at lambda = 0 it takes its frame)
+        # A ring scan, which takes the (k, p) sectors whatever its terms
         monkeypatch.setattr(engine, "_physical_memory", lambda: 7 << 30)
         t0 = time.perf_counter()
         with mock.patch.object(engine, "_sector_table") as table:
-            assert main(["spectrum", "--size", "24", "--boundary",
-                         "periodic", "--lambda", "0.4", "--method",
-                         "iterative"]) == 2
+            assert main(["scan", "--size", "24", "--boundary", "periodic",
+                         "--lambda", "0.4:0.4:0.1", "--count", "8"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert table.call_count == 0
         assert "needs about 12.2 GB" in capsys.readouterr().err
         assert main(["spectrum", "--size", "14", "--method",
                      "iterative"]) == 0
+        # the same ring's spectrum decouples into three cycles, solved in
+        # its Clifford frame under its own charge (3.2 GB)
+        assert main(["spectrum", "--size", "24", "--boundary", "periodic",
+                     "--lambda", "0.4", "--method", "iterative"]) == 0
 
     def test_dense_budget_counts_sector_blocks(self, capsys, monkeypatch):
         # 32 MiB holds the 24 blocks of about 171 states of the 12-site

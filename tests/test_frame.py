@@ -6,19 +6,25 @@ iterative method solves each path as a small chain on its own qubits of a
 frame built and checked on the masks (clifford.path_frame), instead of
 the sector Lanczos path, which these tests take as a reference
 (conftest.lanczos_row) beside the dense path and the free-fermion oracle.
+A ring's H_C + lambda H_I falls into even cycles: each is opened into a
+path, whose central X~ is a conserved sign, and every sector of those
+signs is a sum of chains (PathFrame.closing_images proves the closing
+terms' images), checked here against the Kronecker oracle too.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import clusterspt as cs
 from clusterspt import (LatticeSpec, OperatorSum, PauliString, cli, clifford,
                         engine)
 from clusterspt.pauli import TermTable
 
-from conftest import free_fermion, lanczos_row
+from conftest import (for_each_size, free_fermion, lanczos_row,
+                      oracle_sum_sparse)
 
 
 def chain(L, lam, boundary="open"):
@@ -65,7 +71,7 @@ def test_a_term_with_three_neighbours_is_no_path_or_cycle():
     (12, 0.37, [4, 4, 4], 0), (13, 0.37, [4, 4, 4], 1),
     (24, 0.37, [8, 8, 8], 0), (7, 0.0, [1] * 5, 2)])
 def test_the_frame_maps_every_path_onto_its_chain(L, lam, blocks, free):
-    paths = engine._decoupled(chain(L, lam))
+    paths, _ = engine._decoupled(chain(L, lam))
     frame = clifford.path_frame(L, paths)
     assert [n for _, n in frame.blocks] == blocks and frame.free == free
     # the canonical relations and every image, phase included, are
@@ -115,33 +121,131 @@ def test_the_24_site_ring_of_h_c_takes_its_frame():
     assert spect.ground_degeneracy == 1 and spect.max_residual == 0.0
 
 
+def oracle_levels(h):
+    """Every level of a real h that the spin flip P conserves, from the
+    Kronecker oracle (conftest.oracle_sum_sparse) split into its two P
+    blocks: on the indices a with site 1 up, H[a, a] +- H[a, ~a]."""
+    m = oracle_sum_sparse(h)
+    assert abs(m.imag).max() == 0
+    m = m.real.toarray()
+    half = np.arange(m.shape[0] // 2)
+    top, flip = m[half], half ^ (m.shape[0] - 1)
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(top[:, half] + sign * top[:, flip])
+        for sign in (1, -1)]))
+
+
+@pytest.mark.parametrize("L,lam", [(6, 0.37), (6, 1.3), (9, 0.8),
+                                   (12, 0.8)])
+def test_every_ring_level_is_the_oracle_level(L, lam):
+    # three cycles of 2L / 3 terms, each opened into a chain of 2^(L/3 - 1)
+    # states per sector of the cycles' three central signs
+    h = chain(L, lam, "periodic")
+    parts = TermTable(hermitian_terms(h)).components()
+    assert [(len(w), closed) for w, closed in parts] == [(2 * L // 3,
+                                                          True)] * 3
+    vals, states, _ = engine._frame_low(h, 1 << L, *engine._decoupled(h))
+    assert len(states) == 1 << L
+    np.testing.assert_allclose(vals, oracle_levels(h), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [15, 18, 21, 24])
+def test_ring_levels_are_the_free_fermion_levels(L):
+    for lam in (0.1, 0.45, 1.0, 1.37):
+        with mock.patch.object(engine, "sector_lanczos") as sectors:
+            spect = cs.eig_low(chain(L, lam, "periodic"), count=12,
+                               method="iterative")
+        assert sectors.call_count == 0
+        want = np.array([e for e, _ in free_fermion.spectrum(L, True, lam,
+                                                             12)])
+        np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
+                                   atol=1e-10)
+        assert spect.ground_degeneracy == min(free_fermion.multiplet(want),
+                                              12)
+
+
+@pytest.mark.parametrize("L", range(3, 13))
+def test_rings_take_their_frame_when_their_chains_are_small(L):
+    # one cycle of 2L terms (a chain of 2^(L-1) states) when 3 does not
+    # divide L, three of 2L / 3 when it does; the 3-site ring's six terms
+    # are dependent
+    h = chain(L, 0.45, "periodic")
+    frame = L in (4, 5, 6, 7, 8, 9, 12)
+    assert (engine._decoupled(h) is not None) == frame
+    count = min(8, (1 << L) - 2)
+    with mock.patch.object(engine, "sector_lanczos",
+                           wraps=engine.sector_lanczos) as sectors, \
+            mock.patch.object(engine, "_frame_low",
+                              wraps=engine._frame_low) as frames:
+        spect = cs.eig_low(h, count=count, method="iterative")
+    assert (frames.call_count, sectors.call_count) == (frame, not frame)
+    dense = cs.eig_low(h, count=count, method="dense")
+    np.testing.assert_allclose(spect.eigenvalues, dense.eigenvalues,
+                               rtol=0, atol=1e-12)
+    assert spect.ground_degeneracy == dense.ground_degeneracy
+
+
+def ring_coefficients(L):
+    return st.tuples(st.lists(
+        st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.05),
+        min_size=2 * L, max_size=2 * L))
+
+
+def test_rings_of_random_coefficients_are_their_dense_levels():
+    def check(L, coeffs):
+        terms = hermitian_terms(chain(L, 0.5, "periodic"))
+        h = OperatorSum.from_terms(L, zip(coeffs, terms))
+        assert engine._decoupled(h) is not None
+        count = (1 << L) - 2
+        spect = cs.eig_low(h, count=count, method="iterative")
+        want = np.linalg.eigvalsh(engine.dense_matrix(h))[:count]
+        np.testing.assert_allclose(spect.eigenvalues, want, rtol=0,
+                                   atol=1e-12)
+
+    for_each_size({6: 10, 9: 10}, ring_coefficients, check)
+
+
 @pytest.mark.parametrize("L", range(4, 13))
 def test_states_are_formed_when_read_and_are_eigenstates(L):
     for lam in (0.0, 1e-9, 0.3, 1.0):
-        h = chain(L, lam)
-        spect = cs.eig_low(h, count=8, method="iterative")
-        dense = cs.eig_low(h, count=8, method="dense")
-        np.testing.assert_allclose(spect.eigenvalues, dense.eigenvalues,
-                                   rtol=0, atol=1e-12)
-        assert spect.ground_degeneracy == dense.ground_degeneracy
-        assert all(s._amps is None for s in spect.states)
-        vecs = np.column_stack([s.amps for s in spect.states])
-        assert all(s._amps is not None for s in spect.states)
-        np.testing.assert_allclose(vecs.conj().T @ vecs,
-                                   np.eye(vecs.shape[1]), rtol=0, atol=1e-12)
-        residuals = np.linalg.norm(
-            engine._act(h, vecs) - vecs * spect.eigenvalues, axis=0)
-        scale = max(1.0, h.norm_bound())
-        assert residuals.max() <= engine.RESIDUAL_RTOL * scale
-        # the chains' summed residuals bound it, up to the rounding of the
-        # amplitudes themselves
-        assert residuals.max() <= spect.max_residual + 1e-14 * scale
-        assert cs.subspace_distance(spect.ground_basis,
-                                    dense.ground_basis) < 1e-10
+        assert_lazy_eigenstates(chain(L, lam))
+
+
+@pytest.mark.parametrize("L", [4, 5, 6, 7, 8, 9, 12])
+def test_ring_states_are_formed_when_read_and_are_eigenstates(L):
+    for lam in (1e-9, 0.3, 1.0):
+        h = chain(L, lam, "periodic")
+        assert engine._decoupled(h) is not None
+        assert_lazy_eigenstates(h)
+
+
+def assert_lazy_eigenstates(h):
+    """h's 8 iterative levels are the dense ones, formed only when read,
+    orthonormal eigenstates within the bound max_residual reports, with the
+    dense ground space."""
+    spect = cs.eig_low(h, count=8, method="iterative")
+    dense = cs.eig_low(h, count=8, method="dense")
+    np.testing.assert_allclose(spect.eigenvalues, dense.eigenvalues,
+                               rtol=0, atol=1e-12)
+    assert spect.ground_degeneracy == dense.ground_degeneracy
+    assert all(s._amps is None for s in spect.states)
+    vecs = np.column_stack([s.amps for s in spect.states])
+    assert all(s._amps is not None for s in spect.states)
+    np.testing.assert_allclose(vecs.conj().T @ vecs,
+                               np.eye(vecs.shape[1]), rtol=0, atol=1e-12)
+    residuals = np.linalg.norm(
+        engine._act(h, vecs) - vecs * spect.eigenvalues, axis=0)
+    scale = max(1.0, h.norm_bound())
+    assert residuals.max() <= engine.RESIDUAL_RTOL * scale
+    # the chains' summed residuals bound it, up to the rounding of the
+    # amplitudes themselves
+    assert residuals.max() <= spect.max_residual + 1e-14 * scale
+    assert cs.subspace_distance(spect.ground_basis,
+                                dense.ground_basis) < 1e-10
 
 
 @pytest.mark.parametrize("h", [
-    chain(9, 0.4, "periodic"),
+    chain(10, 0.4, "periodic"),
     chain(8, 0.4) + OperatorSum.from_pauli(PauliString.single(8, 2, "X"),
                                            0.3),
     OperatorSum.from_terms(4, [
@@ -193,7 +297,7 @@ def test_a_corrupted_image_raises_before_any_level(at):
 
 def test_a_corrupted_frame_fails_its_checks():
     L = 10
-    paths = engine._decoupled(chain(L, 0.6))
+    paths, _ = engine._decoupled(chain(L, 0.6))
     frame = clifford.path_frame(L, paths)
     x = frame.xs[1]
     # a sign: the image of T_3 = X~_1 X~_2 takes a -1
@@ -214,6 +318,62 @@ def test_a_corrupted_frame_fails_its_checks():
                            flipped(clifford.PathFrame.images, 2)):
         assert cli.main(["spectrum", "--size", "10", "--lambda", "0.6",
                          "--method", "iterative"]) == 2
+
+
+def closing_corrupted(images, term, change):
+    """PathFrame.images with the image of `term` (a closing term, which no
+    path holds) replaced by change(image)."""
+    def corrupted(self, strings):
+        strings = list(strings)
+        return [change(p) if s == term else p
+                for s, p in zip(strings, images(self, strings))]
+    return corrupted
+
+
+def padded(h, sites):
+    """h on `sites` more idle sites after its own, which the frame leaves
+    free, its terms in h's order (which decides where components() opens
+    each cycle)."""
+    return OperatorSum(h.length + sites, {
+        (x << sites, z << sites): c for (x, z), c in h.items()})
+
+
+def signed(p):
+    return PauliString(p.length, p.phase_exp + 2, p.x_mask, p.z_mask)
+
+
+@pytest.mark.parametrize("h,change,match", [
+    (chain(9, 0.6, "periodic"), signed, "does not map onto"),
+    # qubit 3 holds the first cycle's central X~: a Z~ there
+    (chain(9, 0.6, "periodic"),
+     lambda p: PauliString(9, p.phase_exp, p.x_mask, p.z_mask ^ 1 << 6),
+     "off its block"),
+    # the last qubit is free
+    (padded(chain(6, 0.6, "periodic"), 1),
+     lambda p: PauliString(7, p.phase_exp, p.x_mask ^ 1, p.z_mask),
+     "off its block")], ids=["sign", "central-z", "free"])
+def test_a_corrupted_closing_image_raises_before_any_level(h, change, match):
+    paths, closing = engine._decoupled(h)
+    frame = clifford.path_frame(h.length, paths)
+    assert frame.blocks[0] == (0, 3 if h.length == 9 else 2)
+    assert frame.free == (1 if h.length == 7 else 0)
+    with mock.patch.object(clifford.PathFrame, "images",
+                           closing_corrupted(clifford.PathFrame.images,
+                                             closing[0], change)), \
+            mock.patch.object(engine, "_subset_eigh") as solve, \
+            pytest.raises(ValueError, match=match):
+        cs.eig_low(h, count=6, method="iterative")
+    assert solve.call_count == 0
+
+
+def test_the_cli_exits_2_on_a_corrupted_closing_image():
+    _, closing = engine._decoupled(chain(12, 0.45, "periodic"))
+    with mock.patch.object(clifford.PathFrame, "images",
+                           closing_corrupted(clifford.PathFrame.images,
+                                             closing[1], signed)):
+        assert cli.main(["spectrum", "--size", "12", "--boundary",
+                         "periodic", "--lambda", "0.45", "--method",
+                         "iterative"]) == 2
 
 
 def test_the_states_are_charged_before_the_frame_is_built(monkeypatch):

@@ -106,8 +106,9 @@ def test_csr_blocks_are_the_dense_projection(L, boundary):
 
 def test_eig_low_takes_the_blocks_only_for_symmetric_operators():
     # a ring with lambda != 0, whose terms do not decouple (their
-    # anticommutation graph is a cycle)
-    lat = LatticeSpec(8, "periodic")
+    # anticommutation graph is one cycle, whose chain of 2^9 states is
+    # above DENSE_BLOCK_STATES)
+    lat = LatticeSpec(10, "periodic")
     with mock.patch.object(engine, "sector_lanczos",
                            wraps=engine.sector_lanczos) as spy:
         sym = cs.eig_low(cs.perturbed_hamiltonian(lat, 0.4), count=6,
@@ -115,7 +116,7 @@ def test_eig_low_takes_the_blocks_only_for_symmetric_operators():
         assert spy.call_count == 1
         # a Z field breaks P: the full-space Lanczos cross-check
         field = cs.OperatorSum.from_terms(
-            8, [(0.3, cs.PauliString.single(8, 4, "Z"))])
+            10, [(0.3, cs.PauliString.single(10, 4, "Z"))])
         broken = cs.eig_low(cs.perturbed_hamiltonian(lat, 0.4) + field,
                             count=6, method="iterative")
         assert spy.call_count == 1

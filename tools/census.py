@@ -19,7 +19,10 @@ BLAS thread.  Per workload it prints the calls of:
 - checked_residual: `engine.checked_residual`, one stack of pairs each;
 - checked_low: `engine._checked_low`, one Lanczos-path block solve each;
 - frame: `engine._frame_low`, one iterative solve of a Hamiltonian whose
-  terms decouple, in its Clifford frame, each;
+  terms decouple, in its Clifford frame, each: into paths (an open chain)
+  or into cycles too (a ring), whose chains are solved per sector of the
+  cycles' central signs; every chain solve counts under subset_eigh and
+  checked_residual, none under solve;
 
 (a column whose function the tree does not have reads 0), and the ops
 that did not exit 0 (an audit of a tampered symmetry half

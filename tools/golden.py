@@ -177,6 +177,14 @@ COMMANDS = [
     # at 15
     "scan --size 12 --boundary open --lambda 0.3:0.9:0.3 --method iterative",
     "scan --size 15 --boundary open --lambda 0.6:0.6:0.1",
+    # rings of 3k sites solved in their Clifford frame: each of their
+    # three cycles opened into a chain, per sector of the cycles' central
+    # signs; the 24-site ring ran out of its charge on the (k, p) sectors
+    "spectrum --size 12 --boundary periodic --lambda 0.45 --method "
+    "iterative",
+    "spectrum --size 18 --boundary periodic --lambda 1.0 --method iterative",
+    "spectrum --size 24 --boundary periodic --lambda 0.37 --method "
+    "iterative",
 ]
 
 
